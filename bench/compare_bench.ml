@@ -22,8 +22,6 @@
    peak live-heap — machine-independent at a fixed sweep size — gated on
    growth.  Both only gate when the two reports ran the same largest
    sweep point; a smoke report against a full baseline is informational.
-   The parallel-speedup ratio is informational here because core counts
-   differ across hosts — scale_bench itself gates it where enforced.
 
    The report is a markdown table on stdout; [--summary FILE] appends the
    same markdown there (pass $GITHUB_STEP_SUMMARY in CI). *)
@@ -270,10 +268,7 @@ let () =
       row ~gated:false "heap_events_per_s";
       row ~normalize:true "wheel_events_per_s";
       row ~higher_is_better:false "peak_heap_mb";
-      row ~gated:false "wheel_heap_ratio";
-      row ~gated:false "seq_events_per_s";
-      row ~gated:false "par_events_per_s";
-      row ~gated:false "par_speedup");
+      row ~gated:false "wheel_heap_ratio");
   Buffer.add_string buf
     (Printf.sprintf
        "\nGate: fail if any router path or gated scale metric regresses more than %.0f%%.  \

@@ -191,9 +191,6 @@ let () =
   check_scale ~key:"wheel_events_per_s" ~unit:" ev/s";
   check_scale ~key:"wall_s" ~unit:" s";
   check_scale ~key:"peak_heap_mb" ~unit:" MB";
-  check_scale ~key:"seq_events_per_s" ~unit:" ev/s";
-  check_scale ~key:"par_events_per_s" ~unit:" ev/s";
-  check_scale ~key:"par_speedup" ~unit:"x";
   let scale_checked = !checked - pps_checked in
   (* The README's five-scheme comparison table quotes the headline
      "<scheme>_fraction/_median_s/_jain" keys of BENCH_report.json, both

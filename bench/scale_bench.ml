@@ -13,27 +13,14 @@
    count a coalesced leg rides along to show the aggregate model's pending
    set collapse, plus a profiled run for Obs.Profile attribution.
 
-   At the largest count the conservative-PDES legs ride along: an obs-free
-   sequential leg and an obs-free K-domain leg ([--par-domains], wheel
-   sched both).  They must be result-identical — the whole-simulation
-   determinism gate for the partitioned driver — and the K-domain leg's
-   in-loop events/s must reach [--par-speedup-min] x the sequential leg's.
-   The speedup gate is enforced only when the host exposes more than one
-   core ([Domain.recommended_domain_count]); on a single-core host the
-   ratio is recorded with [par_speedup_enforced = false] so CI's
-   multi-core runners remain the arbiter.
-
    Gates (exit 1):
      - every leg completes its run;
-     - heap and wheel legs are result-identical at every sweep point;
-     - sequential and K-domain legs are result-identical at the largest
-       count (unconditional, any core count);
+     - heap and wheel legs are result-identical at every sweep point, and
+       the coalesced leg matches them at the largest count;
      - wheel events/s >= heap events/s at the largest count (best of
        [--reps]);
      - wheel peak live-heap <= [--mem-ratio] x heap peak live-heap at the
        largest count (the tick-node freelist gate);
-     - K-domain in-loop events/s >= [--par-speedup-min] x sequential
-       (multi-core hosts only);
      - wall clock and peak live-heap at the largest count stay inside
        [--wall-budget-s] / [--mem-budget-mb].
 
@@ -47,8 +34,6 @@ let max_sim = ref 30.
 let wall_budget_s = ref 30.
 let mem_budget_mb = ref 512.
 let mem_ratio = ref 1.15
-let par_domains = ref 4
-let par_speedup_min = ref 1.5
 let out_path = ref "BENCH_scale.json"
 let smoke = ref false
 
@@ -70,12 +55,6 @@ let spec =
     ( "--mem-ratio",
       Arg.Set_float mem_ratio,
       "R  max wheel/heap peak live-heap ratio at the largest count (default 1.15)" );
-    ( "--par-domains",
-      Arg.Set_int par_domains,
-      "K  domains for the parallel legs at the largest count; 0 disables (default 4)" );
-    ( "--par-speedup-min",
-      Arg.Set_float par_speedup_min,
-      "X  min K-domain/sequential events/s ratio, enforced on multi-core hosts (default 1.5)" );
     ("--out", Arg.Set_string out_path, "FILE  JSON output (default BENCH_scale.json)");
     ("--smoke", Arg.Set smoke, "  reduced sweep (500,5000) with relaxed budgets, for CI");
   ]
@@ -91,8 +70,7 @@ let () =
 
 type leg = {
   l_senders : int;
-  l_sched : string; (* "heap" | "wheel" | "coalesced" | "seq" | "par-kN" *)
-  l_partitions : int;
+  l_sched : string; (* "heap" | "wheel" | "coalesced" *)
   l_wall_s : float; (* best over reps *)
   l_events : int;
   l_attack_packets : int;
@@ -132,23 +110,14 @@ let obs =
   }
 
 (* Best wall over [reps] runs; results must be identical across reps (same
-   seed, same code path), so everything but the clock comes from the last.
-
-   [par] > 1 runs the partitioned driver.  [with_obs:false] drops gauges so
-   the sequential/parallel pair compares pure event-loop work ([loop_wall]
-   then times just [Net.run_parallel], excluding topology build). *)
-let run_leg ?(par = 1) ?(with_obs = true) ?(loop_wall = false) ~senders ~mode ~sched ~label
-    ~reps () =
+   seed, same code path), so everything but the clock comes from the last. *)
+let run_leg ~senders ~mode ~sched ~label ~reps () =
   let best = ref infinity and result = ref None in
-  let cfg =
-    { (config ~senders ~mode ~sched) with Workload.Scale.sc_par_domains = par }
-  in
+  let cfg = config ~senders ~mode ~sched in
   for _ = 1 to reps do
     let t0 = Unix.gettimeofday () in
-    let r = if with_obs then Workload.Scale.run ~obs cfg else Workload.Scale.run cfg in
-    let wall =
-      if loop_wall then r.Workload.Scale.sr_wall_s else Unix.gettimeofday () -. t0
-    in
+    let r = Workload.Scale.run ~obs cfg in
+    let wall = Unix.gettimeofday () -. t0 in
     if wall < !best then best := wall;
     result := Some r
   done;
@@ -159,7 +128,6 @@ let run_leg ?(par = 1) ?(with_obs = true) ?(loop_wall = false) ~senders ~mode ~s
   {
     l_senders = senders;
     l_sched = label;
-    l_partitions = r.sr_partitions;
     l_wall_s = !best;
     l_events = r.Workload.Scale.sr_events;
     l_attack_packets = r.sr_attack_packets;
@@ -215,34 +183,7 @@ let () =
           "%8d senders: coalesced %7.0f ev/s (%.2fs)  peak-heap %.0f MB  pending %.0f\n%!"
             senders (events_per_s coalesced) coalesced.l_wall_s coalesced.l_peak_heap_mb
             coalesced.l_peak_pending;
-          (* Conservative-PDES legs: obs-free so the pair compares pure
-             event-loop work, in-loop wall so topology build is excluded.
-             Identity between them is the whole-simulation determinism
-             gate for the partitioned driver. *)
-          let par_legs =
-            if !par_domains > 1 then begin
-              let seq =
-                run_leg ~with_obs:false ~loop_wall:true ~senders
-                  ~mode:Workload.Swarm.Independent ~sched:(Some Sim.Wheel) ~label:"seq" ~reps
-                  ()
-              in
-              let par =
-                run_leg ~par:!par_domains ~with_obs:false ~loop_wall:true ~senders
-                  ~mode:Workload.Swarm.Independent ~sched:(Some Sim.Wheel)
-                  ~label:(Printf.sprintf "par-k%d" !par_domains)
-                  ~reps ()
-              in
-              check_identical seq par;
-              Printf.printf
-                "%8d senders: seq %7.0f ev/s (%.2fs)  %s %7.0f ev/s (%.2fs)  speedup %.2fx\n%!"
-                senders (events_per_s seq) seq.l_wall_s par.l_sched (events_per_s par)
-                par.l_wall_s
-                (events_per_s par /. events_per_s seq);
-              [ seq; par ]
-            end
-            else []
-          in
-          [ heap; wheel; coalesced ] @ par_legs
+          [ heap; wheel; coalesced ]
         end
         else [ heap; wheel ])
       counts
@@ -273,34 +214,6 @@ let () =
   if not mem_ratio_ok then
     fail "wheel peak heap %.1f MB is %.2fx heap's %.1f MB at %d senders (max ratio %g)"
       wheel_l.l_peak_heap_mb wheel_heap_ratio heap_l.l_peak_heap_mb largest !mem_ratio;
-  (* Parallel speedup gate.  Identity between seq and par legs was already
-     checked inline (unconditional); the throughput ratio is only
-     enforceable where the host actually has cores to run domains on. *)
-  let cores = Domain.recommended_domain_count () in
-  let par_gates =
-    if !par_domains > 1 then begin
-      let seq_l = at_largest "seq" in
-      let par_l = at_largest (Printf.sprintf "par-k%d" !par_domains) in
-      let speedup = events_per_s par_l /. events_per_s seq_l in
-      let enforced = cores > 1 in
-      let ok = speedup >= !par_speedup_min in
-      if enforced && not ok then
-        fail "parallel speedup %.2fx < %.2fx at %d senders (K=%d, %d cores)" speedup
-          !par_speedup_min largest !par_domains cores;
-      [
-        ("par_domains", Obs.Export.Int !par_domains);
-        ("par_events_per_s", Obs.Export.Float (events_per_s par_l));
-        ("seq_events_per_s", Obs.Export.Float (events_per_s seq_l));
-        ("par_speedup", Obs.Export.Float speedup);
-        ("par_speedup_min", Obs.Export.Float !par_speedup_min);
-        ("par_speedup_enforced", Obs.Export.Bool enforced);
-        ("par_speedup_ok", Obs.Export.Bool (ok || not enforced));
-        ("par_identical", Obs.Export.Bool (not !failed));
-        ("host_cores", Obs.Export.Int cores);
-      ]
-    end
-    else []
-  in
   (* Obs.Profile attribution of the wheel leg at the largest count: where
      the event-loop wall time actually goes. *)
   let attribution =
@@ -323,7 +236,6 @@ let () =
       [
         ("senders", Obs.Export.Int l.l_senders);
         ("sched", Obs.Export.String l.l_sched);
-        ("partitions", Obs.Export.Int l.l_partitions);
         ("wall_s", Obs.Export.Float l.l_wall_s);
         ("events", Obs.Export.Int l.l_events);
         ("events_per_s", Obs.Export.Float (events_per_s l));
@@ -341,10 +253,11 @@ let () =
         ("smoke", Obs.Export.Bool !smoke);
         ("senders", Obs.Export.List (List.map (fun n -> Obs.Export.Int n) counts));
         ("largest_senders", Obs.Export.Int largest);
+        ("host_cores", Obs.Export.Int (Domain.recommended_domain_count ()));
         ("legs", Obs.Export.List (List.map leg_json legs));
         ( "gates",
           Obs.Export.Obj
-            ([
+            [
               ("wheel_beats_heap", Obs.Export.Bool wheel_beats_heap);
               ("wheel_events_per_s", Obs.Export.Float (events_per_s wheel_l));
               ("heap_events_per_s", Obs.Export.Float (events_per_s heap_l));
@@ -357,8 +270,7 @@ let () =
               ("wheel_heap_ratio", Obs.Export.Float wheel_heap_ratio);
               ("mem_ratio_max", Obs.Export.Float !mem_ratio);
               ("mem_ratio_ok", Obs.Export.Bool mem_ratio_ok);
-            ]
-          @ par_gates) );
+            ] );
         ( "profile",
           Obs.Export.List
             (List.map

@@ -587,7 +587,7 @@ let ablation_sfq_cmd =
 let scale_cmd =
   let doc = "Aggregate-attacker scale run: swarms of spoofed flood members on generated topologies." in
   let run scheme_name topology senders aggregates mode sched batch_window attack_mbps users
-      transfers max_time seed par_domains stats telemetry telemetry_interval =
+      transfers max_time seed stats telemetry telemetry_interval =
     let scheme =
       match List.assoc_opt scheme_name Workload.Scenario.schemes with
       | Some s -> s
@@ -624,7 +624,6 @@ let scale_cmd =
         sc_max_time = max_time;
         sc_seed = seed;
         sc_sched = sched;
-        sc_par_domains = par_domains;
       }
     in
     let ti =
@@ -653,12 +652,6 @@ let scale_cmd =
     Printf.printf "events=%d attack_packets=%d routers=%d sim_end=%.2fs wall=%.2fs (%.0f ev/s)\n"
       r.sr_events r.sr_attack_packets r.sr_routers r.sr_sim_end wall
       (float_of_int r.sr_events /. wall);
-    if r.sr_partitions > 1 then
-      Printf.printf "partitions=%d events/partition=[%s] loop_wall=%.2fs (%.0f ev/s in-loop)\n"
-        r.sr_partitions
-        (String.concat "; " (Array.to_list (Array.map string_of_int r.sr_partition_events)))
-        r.sr_wall_s
-        (float_of_int r.sr_events /. r.sr_wall_s);
     (match r.Workload.Scale.sr_obs with
     | Some report when ti > 0. -> Format.printf "@.%a" Obs.Report.pp_series report
     | Some _ | None -> ());
@@ -683,11 +676,6 @@ let scale_cmd =
                        ("loop_wall_s", Obs.Export.Float r.sr_wall_s);
                        ( "events_per_s",
                          Obs.Export.number_or_null (float_of_int r.sr_events /. r.sr_wall_s) );
-                       ("partitions", Obs.Export.Int r.sr_partitions);
-                       ( "partition_events",
-                         Obs.Export.List
-                           (Array.to_list
-                              (Array.map (fun e -> Obs.Export.Int e) r.sr_partition_events)) );
                      ] );
                  ("report", Obs.Report.to_json report);
                ])
@@ -727,20 +715,11 @@ let scale_cmd =
     Arg.(value & opt float 40. & info [ "attack-mbps" ] ~doc:"Aggregate attack rate, Mb/s.")
   in
   let users_arg = Arg.(value & opt int 10 & info [ "users" ] ~doc:"Legitimate users.") in
-  let par_domains_arg =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "par-domains" ]
-          ~doc:
-            "Partition the topology and run K event loops on K domains (conservative PDES); 1 = \
-             the classic sequential loop. Result-identical to sequential by construction.")
-  in
   Cmd.v (Cmd.info "scale" ~doc)
     Term.(
       const run $ scheme_arg $ topology_arg $ senders_arg $ aggregates_arg $ mode_arg $ sched_arg
       $ batch_window_arg $ attack_mbps_arg $ users_arg $ transfers_arg $ max_time_arg $ seed_arg
-      $ par_domains_arg $ stats_arg $ telemetry_arg $ telemetry_interval_arg)
+      $ stats_arg $ telemetry_arg $ telemetry_interval_arg)
 
 let report_cmd =
   let doc =

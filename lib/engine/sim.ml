@@ -429,9 +429,7 @@ let schedule ?kind t ~delay action =
    with read-only auxiliary ticks attached stays bit-identical to the same
    run without them.  At equal time the negative seq sorts before every
    normal event, so a telemetry tick at T observes state with all events
-   < T fired and none at T: the same cut a barrier pulse sees in a
-   partitioned run ({!Par.drive}), which is what makes K=1 and K>1
-   interval series identical. *)
+   < T fired and none at T. *)
 let schedule_aux ?(kind = Kind.telemetry) t ~time action =
   if time < t.clock then
     invalid_arg
@@ -553,62 +551,6 @@ let run ?until t =
               loop ()
           | Some action ->
               if top.time > horizon then t.clock <- horizon
-              else begin
-                w.total <- w.total - 1;
-                ignore (heap_pop w.cur);
-                fire t top action;
-                loop ()
-              end
-        end
-      in
-      loop ()
-
-let next_time t = match head_live t with Some ev -> ev.time | None -> infinity
-
-(* One conservative-PDES window: fire events strictly before [upto]
-   (or at [upto] too when [inclusive]), then leave the clock at [upto]
-   when later events remain — exactly [run ~until]'s stopping rule, with
-   the exclusive bound that windowed execution needs (an event AT the
-   window edge may race a cross-partition arrival AT the same instant, so
-   it belongs to the next window, after the mailbox exchange). *)
-let run_window ?(inclusive = false) t ~upto =
-  t.stopping <- false;
-  match t.queue with
-  | Q_heap h ->
-      let rec loop () =
-        if t.stopping then ()
-        else if h.size = 0 then ()
-        else begin
-          let top = h.evs.(0) in
-          match top.action with
-          | None ->
-              ignore (heap_pop h);
-              loop ()
-          | Some action ->
-              let tm = h.times.(0) in
-              if (if inclusive then tm > upto else tm >= upto) then t.clock <- upto
-              else begin
-                ignore (heap_pop h);
-                fire t top action;
-                loop ()
-              end
-        end
-      in
-      loop ()
-  | Q_wheel w ->
-      let rec loop () =
-        if t.stopping then ()
-        else if w.total = 0 then ()
-        else begin
-          if w.cur.size = 0 then advance w;
-          let top = w.cur.evs.(0) in
-          match top.action with
-          | None ->
-              w.total <- w.total - 1;
-              ignore (heap_pop w.cur);
-              loop ()
-          | Some action ->
-              if (if inclusive then top.time > upto else top.time >= upto) then t.clock <- upto
               else begin
                 w.total <- w.total - 1;
                 ignore (heap_pop w.cur);

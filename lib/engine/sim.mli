@@ -96,9 +96,9 @@ val schedule_aux : ?kind:int -> t -> time:float -> (unit -> unit) -> handle
     auxiliary ticks attached is bit-identical to the same run without them
     (unlike {!schedule}, whose sequence-number consumption perturbs later
     ties).  At equal time an auxiliary event fires {e before} every normal
-    event — the observation cut "all events < T fired, none at T", matching
-    the barrier pulses of partitioned runs.  [kind] defaults to
-    {!Kind.telemetry}.  The callback must not mutate simulation state. *)
+    event — the observation cut "all events < T fired, none at T".  [kind]
+    defaults to {!Kind.telemetry}.  The callback must not mutate simulation
+    state. *)
 
 val cancel : handle -> unit
 (** Cancelling an already-fired or cancelled event is a no-op. *)
@@ -108,20 +108,6 @@ val cancelled : handle -> bool
 val run : ?until:float -> t -> unit
 (** Process events until the heap is empty or virtual time would exceed
     [until].  When stopped by [until], the clock is left at [until]. *)
-
-val next_time : t -> float
-(** The time of the earliest pending (uncancelled) event, or [infinity]
-    when none remain.  May lazily discard cancelled events. *)
-
-val run_window : ?inclusive:bool -> t -> upto:float -> unit
-(** One conservative-PDES window: fire events with time strictly below
-    [upto] — or [<= upto] when [inclusive] (the final window of a
-    partitioned run, mirroring [run ~until]'s closed bound) — and leave
-    the clock at [upto] if later events remain.  The exclusive default is
-    what windowed execution requires: an event exactly at the window edge
-    may tie with a cross-partition arrival at the same instant, so it must
-    fire in the next window, after the mailbox exchange.  Used by {!Par}
-    drivers; [run] is unchanged and remains the sequential path. *)
 
 val step : t -> bool
 (** Process exactly one event; [false] when none remain. *)

@@ -7,7 +7,6 @@ type t = {
   mutable next_slot : int; (* dense index over addressed nodes *)
   by_addr : node Wire.Addr.Tbl.t;
   mutable trace : (event -> unit) option;
-  mutable par : par option; (* conservative-PDES state; None = sequential *)
 }
 
 and node = {
@@ -16,9 +15,6 @@ and node = {
   net : t;
   addr : Wire.Addr.t option;
   slot : int; (* dense destination index; -1 when unaddressed *)
-  mutable nsim : Sim.t;
-      (* the simulator this node's events run on: the net's simulator
-         until [install_partitions] re-homes the node to its partition *)
   mutable handler : handler;
   mutable out_links : link list; (* reverse creation order *)
   mutable in_links : link list;
@@ -39,13 +35,6 @@ and link = {
   bandwidth : float;
   delay : float;
   qdisc : Qdisc.t;
-  mutable lsim : Sim.t;
-      (* where the transmitter runs: the source node's simulator *)
-  mutable xmail : (unit -> unit) Mailbox.t option;
-      (* Some = this link crosses a partition cut: deliveries are pushed
-         here (stamped with their arrival time) instead of being scheduled,
-         and the exchange injects them into the destination partition at
-         the next window barrier *)
   mutable busy : bool;
   mutable up : bool;
   mutable poll : Sim.handle option;
@@ -53,14 +42,6 @@ and link = {
   mutable fault : (Wire.Packet.t -> fault_action) option;
   mutable tx_packets : int;
   mutable tx_bytes : int;
-}
-
-and par = {
-  p_sims : Sim.t array; (* p_sims.(0) == the net's master simulator *)
-  p_parts : int array; (* node id -> partition index *)
-  p_lookahead : float; (* min cross-partition link delay *)
-  p_xlinks : link array; (* cut links, creation order (exchange order) *)
-  p_xdst : int array; (* destination partition per cut link *)
 }
 
 and fault_action = Fault_pass | Fault_lose | Fault_dup | Fault_delay of float
@@ -83,7 +64,6 @@ let create sim =
     next_slot = 0;
     by_addr = Wire.Addr.Tbl.create 64;
     trace = None;
-    par = None;
   }
 
 let sim t = t.sim
@@ -112,7 +92,6 @@ let add_node ?addr ~name t handler =
       net = t;
       addr;
       slot;
-      nsim = t.sim;
       handler;
       out_links = [];
       in_links = [];
@@ -125,7 +104,7 @@ let add_node ?addr ~name t handler =
   node
 
 let set_handler node h = node.handler <- h
-let node_sim node = node.nsim
+let node_sim node = node.net.sim
 let node_name node = node.name
 let node_addr node = node.addr
 let node_id node = node.id
@@ -141,8 +120,6 @@ let link_oneway t ~src ~dst ~bandwidth_bps ~delay ~qdisc =
       bandwidth = bandwidth_bps;
       delay;
       qdisc;
-      lsim = src.nsim;
-      xmail = None;
       busy = false;
       up = true;
       poll = None;
@@ -171,6 +148,10 @@ let duplex t a b ~bandwidth_bps ~delay ~qdisc =
    real service measurably). *)
 let min_poll_delay = 1e-6
 
+let[@inline] propagate link ~extra thunk =
+  ignore
+    (Sim.schedule ~kind:Sim.Kind.net_deliver link.src.net.sim ~delay:(link.delay +. extra) thunk)
+
 (* The transmitter: serialize the head packet, then propagate.  [kick]
    starts service if the link is idle and administratively up; when the
    qdisc is unready it arms a single poll timer at [next_ready].
@@ -180,21 +161,10 @@ let min_poll_delay = 1e-6
    packet still occupied the wire).  When [fault = None] the match reduces
    to the pass branch, which is the exact pre-fault code path — figure
    output with no injector installed is byte-identical. *)
-(* Hand a propagation-done action to the destination side.  On a
-   same-partition link this schedules on the (shared) simulator exactly as
-   it always did; on a cut link the action rides the mailbox instead and is
-   injected into the destination partition's simulator at the next window
-   barrier.  The lookahead contract (arrival >= window end) is what makes
-   the late injection legal. *)
-let[@inline] propagate link ~extra thunk =
-  match link.xmail with
-  | None -> ignore (Sim.schedule ~kind:Sim.Kind.net_deliver link.lsim ~delay:(link.delay +. extra) thunk)
-  | Some mb -> Mailbox.push mb ~time:(Sim.now link.lsim +. link.delay +. extra) thunk
-
 let rec kick link =
   if (not link.busy) && link.up then begin
     let net = link.src.net in
-    let sim = link.lsim in
+    let sim = net.sim in
     let time = Sim.now sim in
     (match link.poll with
     | Some h ->
@@ -271,7 +241,7 @@ let enqueue_on link p =
       link.qdisc.Qdisc.stats.Qdisc.bytes_dropped + Wire.Packet.size p;
     emit net (Queue_drop (link, p))
   end
-  else if Qdisc.enqueue link.qdisc ~now:(Sim.now link.lsim) p then kick link
+  else if Qdisc.enqueue link.qdisc ~now:(Sim.now net.sim) p then kick link
   else emit net (Queue_drop (link, p))
 
 let charge_hop node p =
@@ -376,131 +346,3 @@ let link_set_up link v =
 let nodes t = List.rev t.node_list
 let links t = List.rev t.link_list
 let find_node_by_addr t addr = Wire.Addr.Tbl.find_opt t.by_addr addr
-
-(* --- conservative-PDES partitioning (DESIGN.md section 14) -------------- *)
-
-let install_partitions t ~parts =
-  if t.par <> None then invalid_arg "Net.install_partitions: already partitioned";
-  if Array.length parts <> t.next_node_id then
-    invalid_arg "Net.install_partitions: need one partition index per node";
-  let k = Array.fold_left (fun m p -> max m (p + 1)) 0 parts in
-  if k < 2 then invalid_arg "Net.install_partitions: need at least two partitions";
-  Array.iteri
-    (fun id p ->
-      if p < 0 || p >= k then
-        invalid_arg (Printf.sprintf "Net.install_partitions: node %d has partition %d" id p))
-    parts;
-  let seen = Array.make k false in
-  Array.iter (fun p -> seen.(p) <- true) parts;
-  if not (Array.for_all Fun.id seen) then
-    invalid_arg "Net.install_partitions: every partition must own at least one node";
-  (* Anything already scheduled would stay pinned to the master simulator
-     even when its node moves; force the install to precede agent setup. *)
-  if Sim.pending t.sim > 0 then
-    invalid_arg "Net.install_partitions: the master simulator already has pending events";
-  let sched = Sim.sched t.sim in
-  let sims = Array.init k (fun i -> if i = 0 then t.sim else Sim.create ~seed:(i + 1) ~sched ()) in
-  List.iter (fun node -> node.nsim <- sims.(parts.(node.id))) t.node_list;
-  let xlinks = ref [] and xdst = ref [] and look = ref infinity in
-  List.iter
-    (fun link ->
-      let ps = parts.(link.src.id) and pd = parts.(link.dst.id) in
-      link.lsim <- sims.(ps);
-      if ps <> pd then begin
-        if link.delay <= 0. then
-          invalid_arg
-            (Printf.sprintf "Net.install_partitions: cut crosses zero-delay link %d" link.lid);
-        link.xmail <- Some (Mailbox.create ~dummy:(fun () -> ()) ());
-        xlinks := link :: !xlinks;
-        xdst := pd :: !xdst;
-        if link.delay < !look then look := link.delay
-      end)
-    (List.rev t.link_list);
-  t.par <-
-    Some
-      {
-        p_sims = sims;
-        p_parts = Array.copy parts;
-        p_lookahead = !look;
-        p_xlinks = Array.of_list (List.rev !xlinks);
-        p_xdst = Array.of_list (List.rev !xdst);
-      }
-
-let partition_count t = match t.par with None -> 1 | Some p -> Array.length p.p_sims
-let partition_sims t = match t.par with None -> [| t.sim |] | Some p -> Array.copy p.p_sims
-let partition_of node =
-  match node.net.par with None -> 0 | Some p -> p.p_parts.(node.id)
-
-let lookahead t = match t.par with None -> infinity | Some p -> p.p_lookahead
-
-(* Drain every cut-link mailbox and inject the buffered deliveries into
-   their destination partitions.  Runs on the coordinating domain at a
-   window barrier (the Par mutex orders it against the producers).  The
-   injection order is the determinism contract: per destination partition,
-   entries sort stably by arrival time, ties falling back to cut-link
-   creation order then FIFO push order — so a run's merge order depends
-   only on the topology and the traffic, never on domain timing. *)
-let exchange_mailboxes t =
-  match t.par with
-  | None -> ()
-  | Some p ->
-      let k = Array.length p.p_sims in
-      let acc = Array.make k [] in
-      Array.iteri
-        (fun i link ->
-          match link.xmail with
-          | None -> assert false
-          | Some mb ->
-              let d = p.p_xdst.(i) in
-              Mailbox.drain mb ~f:(fun ~time thunk -> acc.(d) <- (time, thunk) :: acc.(d)))
-        p.p_xlinks;
-      for d = 0 to k - 1 do
-        match acc.(d) with
-        | [] -> ()
-        | entries ->
-            let arr = Array.of_list (List.rev entries) in
-            Array.stable_sort (fun (ta, _) (tb, _) -> Float.compare ta tb) arr;
-            let sim = p.p_sims.(d) in
-            Array.iter
-              (fun (time, thunk) ->
-                ignore (Sim.schedule_at ~kind:Sim.Kind.net_deliver sim ~time thunk))
-              arr
-      done
-
-let run_parallel ?pulse ?(until = infinity) t =
-  (match pulse with
-  | Some (interval, _) ->
-      if not (interval > 0.) then invalid_arg "Net.run_parallel: pulse interval must be positive";
-      if until = infinity then invalid_arg "Net.run_parallel: a pulse needs a finite until"
-  | None -> ());
-  match t.par with
-  | None -> (
-      match pulse with
-      | None -> Sim.run ~until t.sim
-      | Some (interval, fire) ->
-          (* The sequential equivalent of Par.drive's barrier pulses: a
-             self-rescheduling auxiliary tick chain.  Aux events draw
-             negative sequence numbers, so the run stays bit-identical to
-             one without the chain; at equal time they fire before normal
-             events, the same cut the partitioned pulse observes.  Times
-             are k * interval by multiplication, matching Par.drive, so
-             both paths stamp identical series. *)
-          let k = ref 1 in
-          let rec arm () =
-            let tm = float_of_int !k *. interval in
-            if tm <= until then
-              ignore
-                (Sim.schedule_aux t.sim ~time:tm (fun () ->
-                     fire tm;
-                     incr k;
-                     arm ()))
-          in
-          arm ();
-          Sim.run ~until t.sim)
-  | Some p ->
-      let team = Par.create (Array.length p.p_sims) in
-      Fun.protect
-        ~finally:(fun () -> Par.shutdown team)
-        (fun () ->
-          Par.drive ?pulse team ~sims:p.p_sims ~lookahead:p.p_lookahead ~until
-            ~exchange:(fun () -> exchange_mailboxes t))

@@ -184,59 +184,3 @@ val links : t -> link list
 
 val find_node_by_addr : t -> Wire.Addr.t -> node option
 (** The unique node owning this address, if one was registered. *)
-
-(** {1 Conservative parallel execution}
-
-    A network can be partitioned once, after the topology is complete and
-    routes are computed but before any agent or scheme schedules events:
-    each partition gets its own simulator (partition 0 keeps the master),
-    every node re-homes to its partition's simulator ({!node_sim} returns
-    it), and every link whose endpoints land in different partitions
-    exchanges its deliveries through a {!Mailbox} drained at lockstep
-    window barriers (DESIGN.md §14).  With no partitions installed, every
-    code path is byte-identical to the sequential engine. *)
-
-val install_partitions : t -> parts:int array -> unit
-(** [install_partitions t ~parts] assigns node [id] to partition
-    [parts.(id)] (indices [0..k-1] for [k = max + 1] partitions).  Raises
-    [Invalid_argument] if already partitioned, if [parts] does not cover
-    exactly the nodes, if fewer than two partitions are named, if a
-    partition owns no node, if the master simulator already has pending
-    events (partitioning must precede agent setup), or if the cut crosses
-    a zero-delay link (the lookahead would collapse). *)
-
-val partition_count : t -> int
-(** Number of partitions; 1 when {!install_partitions} was never called. *)
-
-val partition_sims : t -> Sim.t array
-(** The per-partition simulators (a copy; index = partition).  With no
-    partitions installed, the singleton master simulator. *)
-
-val partition_of : node -> int
-(** The node's partition index (0 when unpartitioned). *)
-
-val lookahead : t -> float
-(** Minimum cross-partition link delay — the lockstep window bound.
-    [infinity] when unpartitioned or when no link crosses the cut. *)
-
-val exchange_mailboxes : t -> unit
-(** Drain every cut-link mailbox and inject the buffered deliveries into
-    their destination partitions' simulators, stably ordered by (arrival
-    time, cut-link creation order, FIFO) per partition.  Called by
-    {!run_parallel} at window barriers; exposed for tests. *)
-
-val run_parallel : ?pulse:float * (float -> unit) -> ?until:float -> t -> unit
-(** Run the network to [until] (default: run dry).  Unpartitioned this is
-    exactly [Sim.run ~until]; partitioned it drives one domain per
-    partition in lockstep windows of the {!lookahead}, exchanging
-    mailboxes at each barrier.  Differential-tested to produce the same
-    metrics, counters and packet streams as the sequential run.
-
-    [pulse = (interval, fire)] calls [fire (k *. interval)] for
-    k = 1, 2, ... at the deterministic cut where every event strictly
-    before that time has fired and none at or after it has — via a
-    read-only {!Sim.schedule_aux} tick chain when unpartitioned, and
-    {!Par.drive}'s barrier pulses when partitioned, so the observation
-    points are identical for any partition count.  The callback runs on
-    the coordinating domain and must not mutate simulation state.
-    Requires a finite [until]. *)

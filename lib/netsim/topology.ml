@@ -314,214 +314,3 @@ let power_law ?(routers = 64) ?(edges_per_node = 2) ?(link_bps = 100e6) ?(bottle
     pw_destination = destination;
     pw_bottleneck = bottleneck;
   }
-
-(* --- graph partitioning for the parallel driver ------------------------- *)
-
-(* Split the node set into [k] roughly weight-balanced regions for
-   [Net.install_partitions] (DESIGN.md section 14).  Deterministic by
-   construction: seeds come from farthest-point BFS sampling (first seed =
-   highest degree, lowest id on ties; later ties broken by the larger
-   summed distance to every earlier seed, so a central first seed does
-   not collapse the sampling into id order), then regions grow one node
-   at a time with the currently-lightest region expanding next, scanning
-   its frontier in creation order.  Growing lightest-first keeps the root
-   of a fan-in tree from swallowing every equidistant subtree, which is
-   what a plain multi-source BFS would do.
-
-   Growth alone cannot balance a hub-and-spoke graph: once the side
-   regions exhaust their subtrees, the hub region holds the only live
-   frontier and absorbs everything still unassigned.  A final rebalance
-   pass therefore moves the largest movable nodes from the heaviest to
-   the lightest region while that narrows the spread.  Regions may end
-   up non-contiguous — correctness never needed contiguity, since every
-   cross-partition link just rides a mailbox; the cost is only extra
-   exchange traffic and possibly a smaller lookahead.
-
-   Hosts hang off their access router by a single link, so they land in
-   the router's region unless the balance rule needs them elsewhere — the
-   cut then crosses their (positive-delay) access link, which is still a
-   valid lookahead contributor. *)
-let partition ~k ?weights net =
-  let nodes = Net.nodes net in
-  let n = List.length nodes in
-  if k < 1 then invalid_arg "Topology.partition: need at least one partition";
-  if k > n then invalid_arg "Topology.partition: more partitions than nodes";
-  (match weights with
-  | Some w when Array.length w <> n ->
-      invalid_arg "Topology.partition: weights length must equal node count"
-  | _ -> ());
-  let weight i = match weights with None -> 1. | Some w -> Float.max 0. w.(i) in
-  let parts = Array.make n (-1) in
-  if k = 1 then Array.map (fun _ -> 0) parts
-  else begin
-    (* Undirected adjacency in link-creation order (duplex links appear
-       once per direction; duplicates are harmless to BFS). *)
-    let adj = Array.make n [] in
-    let degree = Array.make n 0 in
-    List.iter
-      (fun l ->
-        let s = Net.node_id (Net.link_src l) and d = Net.node_id (Net.link_dst l) in
-        adj.(s) <- d :: adj.(s);
-        adj.(d) <- s :: adj.(d);
-        degree.(s) <- degree.(s) + 1;
-        degree.(d) <- degree.(d) + 1)
-      (Net.links net);
-    Array.iteri (fun i l -> adj.(i) <- List.rev l) adj;
-    (* Seed 0: the highest-degree node (the natural hub); later seeds by
-       farthest-point sampling — the node maximizing BFS distance to the
-       nearest existing seed, lowest id on ties. *)
-    let seeds = Array.make k 0 in
-    let best = ref 0 in
-    Array.iteri (fun i d -> if d > degree.(!best) then best := i) degree;
-    seeds.(0) <- !best;
-    let q = Queue.create () in
-    let bfs_dist source =
-      let d = Array.make n max_int in
-      d.(source) <- 0;
-      Queue.clear q;
-      Queue.push source q;
-      while not (Queue.is_empty q) do
-        let u = Queue.pop q in
-        List.iter
-          (fun v ->
-            if d.(v) > d.(u) + 1 then begin
-              d.(v) <- d.(u) + 1;
-              Queue.push v q
-            end)
-          adj.(u)
-      done;
-      d
-    in
-    (* [dist]: distance to the nearest seed; [sum_dist]: summed distance
-       to all seeds so far, the tie-break that spreads seeds over
-       distinct branches when a central first seed puts most of the
-       graph at one and the same nearest-seed distance. *)
-    let dist = bfs_dist seeds.(0) in
-    let sum_dist = Array.map (fun d -> if d = max_int then 0 else d) dist in
-    for r = 1 to k - 1 do
-      let far = ref (-1) in
-      Array.iteri
-        (fun i d ->
-          if
-            d < max_int
-            && (!far < 0
-               || d > dist.(!far)
-               || (d = dist.(!far) && sum_dist.(i) > sum_dist.(!far)))
-          then far := i)
-        dist;
-      (* A graph with fewer reachable nodes than partitions degenerates;
-         fall back to any still-unseeded node. *)
-      let far = if !far >= 0 && dist.(!far) > 0 then !far else
-        (let f = ref (-1) in
-         Array.iteri (fun i d -> if !f < 0 && d <> 0 then f := i) dist;
-         if !f >= 0 then !f else r)
-      in
-      seeds.(r) <- far;
-      let d = bfs_dist far in
-      Array.iteri
-        (fun i di ->
-          if di < max_int then begin
-            if di < dist.(i) then dist.(i) <- di;
-            sum_dist.(i) <- sum_dist.(i) + di
-          end)
-        d
-    done;
-    (* Balanced region growing: the lightest region (ties to the lowest
-       region index) expands by one node per step from its FIFO frontier.
-       Without [weights] every node weighs 1 and this balances node
-       counts; with them a region that swallows a hot node (a traffic
-       sink) stops growing and the rest of the graph spreads over the
-       remaining regions. *)
-    let frontier = Array.init k (fun _ -> Queue.create ()) in
-    let size = Array.make k 0. in
-    let assigned = ref 0 in
-    Array.iteri
-      (fun r s ->
-        if parts.(s) = -1 then begin
-          parts.(s) <- r;
-          size.(r) <- size.(r) +. weight s;
-          incr assigned;
-          Queue.push s frontier.(r)
-        end)
-      seeds;
-    let active () =
-      let best = ref (-1) in
-      for r = k - 1 downto 0 do
-        if not (Queue.is_empty frontier.(r)) then
-          if !best < 0 || size.(r) <= size.(!best) then best := r
-      done;
-      !best
-    in
-    let continue = ref true in
-    while !continue && !assigned < n do
-      match active () with
-      | -1 -> continue := false
-      | r ->
-          let u = Queue.pop frontier.(r) in
-          let rest = ref adj.(u) and grown = ref false in
-          while (not !grown) && !rest <> [] do
-            match !rest with
-            | [] -> ()
-            | v :: tl ->
-                rest := tl;
-                if parts.(v) = -1 then begin
-                  parts.(v) <- r;
-                  size.(r) <- size.(r) +. weight v;
-                  incr assigned;
-                  Queue.push v frontier.(r);
-                  grown := true
-                end
-          done;
-          (* [u] grew the region: it may have more unassigned neighbours,
-             so it returns to the frontier (behind the newcomer). *)
-          if !grown then Queue.push u frontier.(r)
-    done;
-    (* Disconnected leftovers (none in the canned generators) go to the
-       lightest region to keep every simulator busy. *)
-    Array.iteri
-      (fun i p ->
-        if p = -1 then begin
-          let smallest = ref 0 in
-          for r = 1 to k - 1 do
-            if size.(r) < size.(!smallest) then smallest := r
-          done;
-          parts.(i) <- !smallest;
-          size.(!smallest) <- size.(!smallest) +. weight i
-        end)
-      parts;
-    (* Rebalance: repeatedly move the heaviest movable node (largest
-       weight strictly below the heaviest-to-lightest gap — any such
-       move shrinks the spread; ties to the lowest id) out of the
-       heaviest region.  Bounded by 4n moves, though each move strictly
-       decreases the summed squared region weight, so it converges long
-       before that on real graphs. *)
-    let budget = ref (4 * n) in
-    let improved = ref true in
-    while !improved && !budget > 0 do
-      improved := false;
-      decr budget;
-      let h = ref 0 and l = ref 0 in
-      for r = 1 to k - 1 do
-        if size.(r) > size.(!h) then h := r;
-        if size.(r) < size.(!l) then l := r
-      done;
-      if !h <> !l then begin
-        let gap = size.(!h) -. size.(!l) in
-        let u = ref (-1) in
-        Array.iteri
-          (fun i p ->
-            if p = !h then
-              let wi = weight i in
-              if wi > 0. && wi < gap && (!u < 0 || wi > weight !u) then u := i)
-          parts;
-        match !u with
-        | -1 -> ()
-        | i ->
-            parts.(i) <- !l;
-            size.(!h) <- size.(!h) -. weight i;
-            size.(!l) <- size.(!l) +. weight i;
-            improved := true
-      end
-    done;
-    parts
-  end

@@ -188,27 +188,3 @@ val power_law :
   power_law
 (** Defaults: 64 routers, 2 edges per new node, 100 Mb/s interior links,
     a 10 Mb/s bottleneck, 5 ms per hop. *)
-
-(** {1 Partitioning for the parallel driver}
-
-    Splits the node set into [k] connected, roughly balanced regions for
-    {!Net.install_partitions}.  Deterministic: the first seed is the
-    highest-degree node (lowest id on ties), later seeds come from
-    farthest-point BFS sampling, and regions grow one node at a time with
-    the currently smallest region expanding next in link-creation order.
-    Hosts normally land with their access router, so the cut tends to run
-    along the (positive-delay) core links. *)
-
-val partition : k:int -> ?weights:float array -> Net.t -> int array
-(** [partition ~k ?weights net] maps [Net.node_id] to a partition index
-    in [0 .. k-1].  [k = 1] assigns everything to partition 0.
-
-    [weights], indexed by [Net.node_id], biases the balance: regions grow
-    to equalize summed weight rather than node count, so a node expected
-    to process most of the traffic (a flood victim, a fan-in root) ends
-    up nearly alone in its region while the rest of the graph spreads
-    over the others.  Weights scale freely — only ratios matter; negative
-    entries clamp to zero.  Omitted, every node weighs 1.
-
-    Raises [Invalid_argument] when [k < 1], [k] exceeds the node count,
-    or [weights] length differs from the node count. *)

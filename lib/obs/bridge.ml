@@ -19,13 +19,9 @@ let drop_event (p : Wire.Packet.t) =
     end
 
 let install ?(trace = Trace.nop) ~counters_for net =
-  (* The timestamp comes from the witnessing node's own simulator, not the
-     network's master clock: under the partitioned parallel driver the
-     master clock belongs to partition 0's domain, and reading it from
-     another partition's event would race (and lag by up to a window). *)
   let record node event (p : Wire.Packet.t) =
     Counters.incr (counters_for node) event;
-    Trace.record trace ~time:(Sim.now (Net.node_sim node)) ~node:(Net.node_id node) ~event
+    Trace.record trace ~time:(Net.now net) ~node:(Net.node_id node) ~event
       ~src:(Wire.Addr.to_int p.Wire.Packet.src)
       ~dst:(Wire.Addr.to_int p.Wire.Packet.dst)
       ~size:(Wire.Packet.size p)

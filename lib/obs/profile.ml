@@ -35,17 +35,6 @@ let attach t sim =
 
 let detach sim = Sim.set_probe sim None
 
-(* Merge [src]'s buckets into [dst] — how the parallel driver folds its
-   per-partition profiler instances (each written by one domain during the
-   run) into a single report after the barrier. *)
-let absorb dst src =
-  for k = 0 to Sim.Kind.count - 1 do
-    dst.counts.(k) <- dst.counts.(k) + src.counts.(k);
-    dst.wall.(k) <- dst.wall.(k) +. src.wall.(k)
-  done;
-  dst.gauges <- src.gauges @ dst.gauges; (* both reversed; dst's stay first *)
-  dst.samples <- dst.samples + src.samples
-
 let events t ~kind = t.counts.(kind)
 let wall_s t ~kind = t.wall.(kind)
 let total_events t = Array.fold_left ( + ) 0 t.counts

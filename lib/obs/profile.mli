@@ -19,12 +19,6 @@ val detach : Sim.t -> unit
 val hit : t -> kind:int -> dt:float -> unit
 (** The raw accumulator (exposed for tests). *)
 
-val absorb : t -> t -> unit
-(** [absorb dst src] folds [src]'s event counts, wall time, gauges and
-    sample count into [dst].  The parallel driver merges its
-    per-partition profiler instances this way once the run is over (each
-    instance is written by exactly one domain during the run). *)
-
 val events : t -> kind:int -> int
 val wall_s : t -> kind:int -> float
 val total_events : t -> int

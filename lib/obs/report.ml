@@ -44,8 +44,6 @@ type gauge_row = {
   g_render : string; (* pre-rendered histogram, for the dashboard *)
 }
 
-type partition_row = { pt_label : string; pt_events : int }
-
 (* One telemetry channel summarized over its interval windows; the stats
    quadruple matches [gauge_row] so both render through one formatter. *)
 type series_row = {
@@ -74,7 +72,7 @@ type t = {
   caches : cache_row list;
   profile : profile_row list;
   gauges : gauge_row list;
-  partitions : partition_row list; (* empty outside parallel runs *)
+  events : int; (* events the loop fired; 0 = not measured *)
   wall_s : float; (* event-loop wall seconds; 0. = not measured *)
   trace_jsonl : string option;
   series : series_row list; (* empty unless telemetry was on *)
@@ -90,7 +88,7 @@ let empty =
     caches = [];
     profile = [];
     gauges = [];
-    partitions = [];
+    events = 0;
     wall_s = 0.;
     trace_jsonl = None;
     series = [];
@@ -305,9 +303,6 @@ let gauge_json g =
       ("p99", Export.number_or_null g.g_p99);
     ]
 
-let partition_json p =
-  Export.Obj [ ("label", Export.String p.pt_label); ("events", Export.Int p.pt_events) ]
-
 let series_row_json s =
   Export.Obj
     [
@@ -340,8 +335,7 @@ let to_json t =
        ("profile", Export.List (List.map profile_json t.profile));
        ("gauges", Export.List (List.map gauge_json t.gauges));
      ]
-    @ (if t.partitions = [] then []
-       else [ ("partitions", Export.List (List.map partition_json t.partitions)) ])
+    @ (if t.events > 0 then [ ("events", Export.Int t.events) ] else [])
     @ (if t.wall_s > 0. then [ ("wall_s", Export.Float t.wall_s) ] else [])
     @ (if t.series = [] then []
        else [ ("series", Export.List (List.map series_row_json t.series)) ])
@@ -451,18 +445,12 @@ let pp_incidents fmt incidents =
       incidents
   end
 
-(* Per-partition event counts plus overall throughput: the quick answer to
-   "did the parallel run balance, and what did it buy". *)
-let pp_partitions fmt t =
-  if t.partitions <> [] || t.wall_s > 0. then begin
+(* Overall event-loop throughput: events fired over the loop's wall time. *)
+let pp_throughput fmt t =
+  if t.wall_s > 0. && t.events > 0 then begin
     Format.fprintf fmt "== event loop throughput ==@.";
-    List.iter
-      (fun p -> Format.fprintf fmt "  %-12s %12d events@." p.pt_label p.pt_events)
-      t.partitions;
-    let total = List.fold_left (fun acc p -> acc + p.pt_events) 0 t.partitions in
-    if t.wall_s > 0. && total > 0 then
-      Format.fprintf fmt "  %-12s %12d events %10.3f s %12.0f events/s@." "total" total t.wall_s
-        (float_of_int total /. t.wall_s)
+    Format.fprintf fmt "  %-12s %12d events %10.3f s %12.0f events/s@." "total" t.events t.wall_s
+      (float_of_int t.events /. t.wall_s)
   end
 
 let pp_dashboard fmt t =
@@ -473,4 +461,4 @@ let pp_dashboard fmt t =
   pp_gauges fmt t.gauges;
   pp_series fmt t;
   pp_incidents fmt t.incidents;
-  pp_partitions fmt t
+  pp_throughput fmt t

@@ -42,9 +42,6 @@ type gauge_row = {
   g_render : string;  (** pre-rendered histogram for the dashboard *)
 }
 
-type partition_row = { pt_label : string; pt_events : int }
-(** Events fired by one partition's event loop under the parallel driver. *)
-
 type series_row = {
   s_name : string;
   s_mode : string;  (** ["cumulative"] (stats over per-second rates) or ["level"] *)
@@ -73,7 +70,7 @@ type t = {
   caches : cache_row list;
   profile : profile_row list;
   gauges : gauge_row list;
-  partitions : partition_row list;  (** empty outside parallel runs *)
+  events : int;  (** events the loop fired; [0] = not measured *)
   wall_s : float;  (** event-loop wall seconds; [0.] = not measured *)
   trace_jsonl : string option;
   series : series_row list;  (** empty unless telemetry was on *)

@@ -12,12 +12,12 @@
    int-returning thunk, which the caller guarantees does not allocate).
    Rings are power-of-two sized and overwrite oldest-first, like {!Trace}.
 
-   Ticks are driven either by {!attach} — a read-only [Sim.schedule_aux]
-   chain, which draws negative sequence numbers so the run stays
-   bit-identical to one without telemetry — or externally (the barrier
-   pulses of [Par.drive] in partitioned runs, the bench harness in
-   pps_bench).  Both stamp windows at [k *. interval] by multiplication,
-   which is what makes K=1 and K>1 series identical. *)
+   Simulator runs drive ticks with {!attach} — a read-only
+   [Sim.schedule_aux] chain, which draws negative sequence numbers so the
+   run stays bit-identical to one without telemetry; the pps bench calls
+   {!tick} itself.  Window k is stamped [k *. interval] by multiplication,
+   so the series does not depend on accumulated float error or on
+   [--jobs]. *)
 
 type source =
   | Cell of Counters.t * int (* one counter cell, by Event.to_int index *)
@@ -122,11 +122,13 @@ let tick t ~time =
   done;
   t.written <- t.written + 1
 
-(* The aux-chain driver for sequential runs; partitioned runs use
-   [Net.run_parallel ?pulse] instead.  Window k is stamped [k *. interval]
-   (multiplication, matching [Par.drive]'s pulses); the chain stops past
-   [until]. *)
-let attach t sim ~until =
+(* The aux-chain tick driver.  Window k is stamped [k *. interval]; the
+   chain stops past [until].  Freezing here, before the run, baselines the
+   cumulative channels at their set-up values, so window 1 holds the
+   first interval's delta. *)
+let attach ?(on_tick = ignore) t sim ~until =
+  (* An endless chain would keep a run-dry [Sim.run] alive forever. *)
+  if not (Float.is_finite until) then invalid_arg "Timeseries.attach: until must be finite";
   let k = ref 1 in
   let rec arm () =
     let tm = float_of_int !k *. t.interval in
@@ -134,6 +136,7 @@ let attach t sim ~until =
       ignore
         (Sim.schedule_aux sim ~time:tm (fun () ->
              tick t ~time:tm;
+             on_tick ();
              incr k;
              arm ()))
   in

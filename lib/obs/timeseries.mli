@@ -6,12 +6,11 @@
     oldest-first, like {!Trace}.  The tick path is allocation-free: one
     unboxed float store per channel plus an int read of its source.
 
-    Ticks fire either from {!attach} — a {!Sim.schedule_aux} chain, whose
-    negative sequence numbers leave the run bit-identical to a telemetry-off
-    run — or from the barrier pulses of partitioned runs
-    ([Net.run_parallel ?pulse]).  Both stamp window k at [k *. interval]
-    by multiplication, so interval series are identical for any partition
-    count and any [--jobs] value. *)
+    Simulator runs drive ticks with {!attach}: a {!Sim.schedule_aux}
+    chain, whose negative sequence numbers leave the run bit-identical to
+    a telemetry-off run.  Window k is stamped [k *. interval] by
+    multiplication, so interval series are identical for any [--jobs]
+    value. *)
 
 type source =
   | Cell of Counters.t * int
@@ -47,11 +46,13 @@ val freeze : t -> unit
 val tick : t -> time:float -> unit
 (** Record one window at absolute sim time [time].  Allocation-free. *)
 
-val attach : t -> Sim.t -> until:float -> unit
+val attach : ?on_tick:(unit -> unit) -> t -> Sim.t -> until:float -> unit
 (** Drive {!tick} from a read-only auxiliary event chain at
-    [k *. interval] for k = 1, 2, ... while [<= until].  Sequential runs
-    only; partitioned runs pass [(interval, tick)] as [Net.run_parallel]'s
-    [?pulse] instead. *)
+    [k *. interval] for k = 1, 2, ... while [<= until], calling [on_tick]
+    after each tick (e.g. {!Detect.step}).  Freezes [t] first, so
+    cumulative channels are baselined before the run starts.  [on_tick]
+    must not mutate simulation state.  Raises [Invalid_argument] when
+    [until] is not finite. *)
 
 (** {1 Accessors} — window index 0 is the oldest surviving window. *)
 

@@ -406,17 +406,12 @@ let run ?obs ?faults cfg =
         Some (ts, det, flight)
     | _ -> None
   in
-  let loop_t0 = Unix.gettimeofday () in
   (match telemetry with
-  | None -> Sim.run ~until:cfg.max_time sim
+  | None -> ()
   | Some (ts, det, _) ->
-      Net.run_parallel
-        ~pulse:
-          ( Obs.Timeseries.interval ts,
-            fun tm ->
-              Obs.Timeseries.tick ts ~time:tm;
-              Obs.Detect.step det )
-        ~until:cfg.max_time topo.Topology.net);
+      Obs.Timeseries.attach ts sim ~until:cfg.max_time ~on_tick:(fun () -> Obs.Detect.step det));
+  let loop_t0 = Unix.gettimeofday () in
+  Sim.run ~until:cfg.max_time sim;
   let loop_wall = Unix.gettimeofday () -. loop_t0 in
   List.iter (Metrics.merge_into metrics) per_user_metrics;
   let obs_report =
@@ -442,10 +437,7 @@ let run ?obs ?faults cfg =
             profile =
               (match st.st_profile with None -> [] | Some p -> Obs.Report.profile_rows p);
             gauges = (match st.st_profile with None -> [] | Some p -> Obs.Report.gauge_rows p);
-            (* Single-loop runs report one partition row so the dashboard's
-               throughput section renders events/s here too. *)
-            partitions =
-              [ { Obs.Report.pt_label = "p0"; pt_events = Sim.events_processed sim } ];
+            events = Sim.events_processed sim;
             wall_s = loop_wall;
             trace_jsonl = Obs.Report.trace_jsonl ~node_name st.st_trace;
             series;

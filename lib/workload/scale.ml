@@ -60,7 +60,6 @@ type config = {
   sc_bottleneck_bps : float;
   sc_access_bps : float;
   sc_sched : Sim.sched option; (* None = auto via Sim.recommended_sched *)
-  sc_par_domains : int; (* 1 = sequential; K > 1 = conservative PDES on K domains *)
 }
 
 let default =
@@ -81,7 +80,6 @@ let default =
     sc_bottleneck_bps = 10e6;
     sc_access_bps = 10e6;
     sc_sched = None;
-    sc_par_domains = 1;
   }
 
 type result = {
@@ -97,8 +95,6 @@ type result = {
   sr_attack_packets : int;
   sr_routers : int;
   sr_wall_s : float;
-  sr_partitions : int;
-  sr_partition_events : int array;
   sr_obs : Obs.Report.t option;
 }
 
@@ -170,7 +166,6 @@ let run ?obs cfg =
   if cfg.sc_senders >= 0x01000000 then
     invalid_arg "Scale.run: sender count exceeds the 0x0b spoofed-address prefix (2^24)";
   if cfg.sc_aggregates <= 0 then invalid_arg "Scale.run: need at least one aggregate";
-  if cfg.sc_par_domains < 1 then invalid_arg "Scale.run: need at least one domain";
   let aggregates = min cfg.sc_aggregates cfg.sc_senders in
   let sched =
     match cfg.sc_sched with
@@ -210,92 +205,8 @@ let run ?obs cfg =
         node)
   in
   Net.compute_routes b.b_net;
-  (* Partitioning happens here — topology and routes are final, but no
-     agent has scheduled anything yet, so every partition's simulator
-     starts empty and the master has no pending events to strand. *)
-  let kpar = cfg.sc_par_domains in
-  if kpar > 1 then begin
-    if not scheme.Scheme.partition_safe then
-      invalid_arg
-        (Printf.sprintf "Scale.run: scheme %S is not partition-safe (sc_par_domains > 1)"
-           scheme.Scheme.name);
-    (match obs with
-    | Some oc when oc.Experiment.obs_trace_capacity > 0 ->
-        invalid_arg "Scale.run: packet tracing is not supported with sc_par_domains > 1"
-    | Some _ | None -> ());
-    (* Load-aware balance: a node's event count tracks the packets it
-       receives plus the packets it forwards, and floods are clipped at
-       bottleneck links (the fan-in root takes the full offered load in
-       but only the bottleneck's share out).  Estimate both with two
-       walks over each source's route to the victim: one accumulating
-       offered packets per link, one charging arrivals + capped
-       departures per node with proportional sharing at saturated links.
-       Balancing on these sums instead of node counts keeps the hot
-       victim-side nodes from also dragging the rest of the tree into
-       their region, which is what caps parallel speedup on a fan-in. *)
-    let weights =
-      let n = List.length (Net.nodes b.b_net) in
-      let w = Array.make n 1. in
-      let offered = Hashtbl.create 64 in
-      let load l = Option.value ~default:0. (Hashtbl.find_opt offered (Net.link_id l)) in
-      let walk ~charge src pkts0 =
-        let cur = ref src and pkts = ref pkts0 and steps = ref 0 and continue = ref true in
-        while !continue && !steps <= n do
-          match Net.node_addr !cur with
-          | Some a when Wire.Addr.equal a b.b_dest_addr ->
-              if charge then w.(Net.node_id !cur) <- w.(Net.node_id !cur) +. !pkts;
-              continue := false
-          | _ -> (
-              match Net.route_for !cur b.b_dest_addr with
-              | None -> continue := false
-              | Some l ->
-                  if not charge then
-                    Hashtbl.replace offered (Net.link_id l) (load l +. !pkts)
-                  else begin
-                    let cap =
-                      Net.link_bandwidth l
-                      /. (8. *. float_of_int cfg.sc_attack_pkt_bytes)
-                      *. cfg.sc_max_time
-                    in
-                    let lo = load l in
-                    let out = if lo > cap then !pkts *. cap /. lo else !pkts in
-                    w.(Net.node_id !cur) <- w.(Net.node_id !cur) +. !pkts +. out;
-                    pkts := out
-                  end;
-                  cur := Net.link_dst l;
-                  incr steps)
-        done
-      in
-      let attack_pkts_per_swarm =
-        cfg.sc_attack_bps
-        /. (8. *. float_of_int cfg.sc_attack_pkt_bytes)
-        *. cfg.sc_max_time
-        /. float_of_int aggregates
-      in
-      (* Users see both directions (requests up, data and grants back);
-         routes are symmetric, so doubling the forward charge stands in
-         for the return traffic. *)
-      let user_pkts =
-        2.
-        *. float_of_int cfg.sc_transfers_per_user
-        *. ((float_of_int cfg.sc_transfer_bytes /. 1000.) +. 4.)
-      in
-      Array.iter (fun s -> walk ~charge:false s attack_pkts_per_swarm) swarm_nodes;
-      Array.iter (fun u -> walk ~charge:false u user_pkts) users;
-      Array.iter (fun s -> walk ~charge:true s attack_pkts_per_swarm) swarm_nodes;
-      Array.iter (fun u -> walk ~charge:true u user_pkts) users;
-      w
-    in
-    let parts = Topology.partition ~k:kpar ~weights b.b_net in
-    Net.install_partitions b.b_net ~parts
-  end;
-  let psims = Net.partition_sims b.b_net in
   (* Observability mirrors Experiment.run, plus the footprint gauges that
-     back BENCH_scale.json's peak-memory column.  Under K > 1 the counter
-     registry is frozen (pre-registered) before the run so the bridge only
-     ever reads it from worker domains, each profile instance belongs to
-     one partition's domain, and the heap gauges sample from partition 0
-     (the coordinating domain) — the OCaml heap they measure is global. *)
+     back BENCH_scale.json's peak-memory column. *)
   let obs_state =
     match obs with
     | None -> None
@@ -307,7 +218,6 @@ let run ?obs cfg =
           | Some c -> c
           | None -> Obs.Counters.register reg ~name
         in
-        if kpar > 1 then List.iter (fun node -> ignore (counters_for node)) (Net.nodes b.b_net);
         let trace =
           if oc.Experiment.obs_trace_capacity > 0 then
             Obs.Trace.create ~capacity:oc.Experiment.obs_trace_capacity
@@ -315,16 +225,18 @@ let run ?obs cfg =
           else Obs.Trace.nop
         in
         Obs.Bridge.install ~trace ~counters_for b.b_net;
-        let profiles =
+        let profile =
           if oc.Experiment.obs_profile || oc.Experiment.obs_gauge_period > 0. then
-            Array.map (fun _ -> Obs.Profile.create ~clock:Unix.gettimeofday ()) psims
-          else [||]
+            Some (Obs.Profile.create ~clock:Unix.gettimeofday ())
+          else None
         in
-        if oc.Experiment.obs_profile then
-          Array.iteri (fun i p -> Obs.Profile.attach p psims.(i)) profiles;
-        if Array.length profiles > 0 && oc.Experiment.obs_gauge_period > 0. then
-          Obs.Profile.memory_gauges profiles.(0) psims.(0) ~period:oc.Experiment.obs_gauge_period;
-        Some (reg, counters_for, trace, profiles)
+        (match profile with
+        | None -> ()
+        | Some p ->
+            if oc.Experiment.obs_profile then Obs.Profile.attach p sim;
+            if oc.Experiment.obs_gauge_period > 0. then
+              Obs.Profile.memory_gauges p sim ~period:oc.Experiment.obs_gauge_period);
+        Some (reg, counters_for, trace, profile)
   in
   let router_obs node =
     match obs_state with None -> None | Some (_, f, _, _) -> Some (f node)
@@ -340,9 +252,7 @@ let run ?obs cfg =
       ~role:Scheme.Destination
       ~policy:(Tva.Policy.server ~suspicious:Experiment.attacker_oracle ())
   in
-  let _server =
-    Agents.Transfer_server.create ~sim:(Net.node_sim b.b_destination) ~endpoint:dest_endpoint ()
-  in
+  let _server = Agents.Transfer_server.create ~sim ~endpoint:dest_endpoint () in
   let metrics = Metrics.create () in
   let per_user_metrics =
     Array.to_list
@@ -353,12 +263,11 @@ let run ?obs cfg =
                ~policy:(Tva.Policy.client ())
            in
            let m = Metrics.create () in
-           (* No early [Sim.stop] when the users finish: the lockstep
-              windows of the parallel driver cannot stop mid-window
-              deterministically, so both the sequential and parallel paths
-              always run to [sc_max_time] — which keeps them comparable. *)
+           (* No early [Sim.stop] when the users finish: the run always
+              goes to [sc_max_time], so its event and attack-packet counts
+              are those of a fixed horizon whatever the users' outcome. *)
            let _client =
-             Agents.Transfer_client.create ~sim:(Net.node_sim user) ~endpoint
+             Agents.Transfer_client.create ~sim ~endpoint
                ~server:b.b_dest_addr ~transfer_bytes:cfg.sc_transfer_bytes
                ~max_transfers:cfg.sc_transfers_per_user
                ~start_at:(0.01 +. (0.011 *. float_of_int i))
@@ -389,18 +298,13 @@ let run ?obs cfg =
                  (Wire.Packet.Raw cfg.sc_attack_pkt_bytes))
           in
           Some
-            (Swarm.start ~sim:(Net.node_sim node) ~n ~seed:(cfg.sc_seed + (1000 * k))
+            (Swarm.start ~sim ~n ~seed:(cfg.sc_seed + (1000 * k))
                ~rate_bps:member_rate ~pkt_bytes:cfg.sc_attack_pkt_bytes
                ~batch_window:cfg.sc_batch_window ~mode:cfg.sc_swarm_mode ~emit ())
         end)
   in
-  (* Telemetry rides the same machinery in both execution modes: the
-     sequential path drives ticks from an auxiliary event chain, the
-     partitioned path from the barrier pulses — both stamp window k at
-     [k *. interval], so the interval series is identical for any
-     [sc_par_domains].  The datapath channels (demoted, drops, flow_cache)
-     are partition-invariant; [events]/[p<i>_events] are diagnostic and
-     depend on the execution mode by construction. *)
+  (* Telemetry ticks ride an auxiliary event chain ({!Obs.Timeseries.attach}),
+     so a telemetry-on run is bit-identical to a telemetry-off one. *)
   let telemetry =
     match (obs, obs_state) with
     | Some (oc : Experiment.obs_config), Some (_, counters_for, _, _)
@@ -426,26 +330,13 @@ let run ?obs cfg =
         Obs.Timeseries.add ts ~name:"flow_cache" ~mode:Obs.Timeseries.Level
           (Obs.Timeseries.Int_fn scheme.Scheme.cache_occupancy);
         Obs.Timeseries.add ts ~name:"events" ~mode:Obs.Timeseries.Cumulative
-          (Obs.Timeseries.Int_fn
-             (fun () -> Array.fold_left (fun acc s -> acc + Sim.events_processed s) 0 psims));
-        if Array.length psims > 1 then
-          Array.iteri
-            (fun i s ->
-              Obs.Timeseries.add ts
-                ~name:(Printf.sprintf "p%d_events" i)
-                ~mode:Obs.Timeseries.Cumulative
-                (Obs.Timeseries.Int_fn (fun () -> Sim.events_processed s)))
-            psims;
+          (Obs.Timeseries.Int_fn (fun () -> Sim.events_processed sim));
+        Obs.Timeseries.attach ts sim ~until:cfg.sc_max_time;
         Some ts
     | _ -> None
   in
-  let pulse =
-    match telemetry with
-    | None -> None
-    | Some ts -> Some (Obs.Timeseries.interval ts, fun tm -> Obs.Timeseries.tick ts ~time:tm)
-  in
   let wall_start = Unix.gettimeofday () in
-  Net.run_parallel ?pulse ~until:cfg.sc_max_time b.b_net;
+  Sim.run ~until:cfg.sc_max_time sim;
   let wall_s = Unix.gettimeofday () -. wall_start in
   List.iter (Metrics.merge_into metrics) per_user_metrics;
   let attack_packets =
@@ -453,31 +344,11 @@ let run ?obs cfg =
       (fun acc s -> match s with None -> acc | Some s -> acc + Swarm.packets_sent s)
       0 swarms
   in
-  let partition_events = Array.map Sim.events_processed psims in
-  let partition_rows =
-    if Array.length psims < 2 then []
-    else
-      Array.to_list
-        (Array.mapi
-           (fun i e -> { Obs.Report.pt_label = Printf.sprintf "p%d" i; pt_events = e })
-           partition_events)
-  in
   let obs_report =
     match obs_state with
     | None -> None
-    | Some (reg, _, trace, profiles) ->
-        Array.iter Obs.Profile.detach psims;
-        (* Fold the per-partition profiler instances into one; each was
-           written by exactly one domain, and the run is over. *)
-        let profile =
-          if Array.length profiles = 0 then None
-          else begin
-            for i = 1 to Array.length profiles - 1 do
-              Obs.Profile.absorb profiles.(0) profiles.(i)
-            done;
-            Some profiles.(0)
-          end
-        in
+    | Some (reg, _, trace, profile) ->
+        Obs.Profile.detach sim;
         let names = Hashtbl.create 64 in
         List.iter
           (fun node -> Hashtbl.replace names (Net.node_id node) (Net.node_name node))
@@ -492,7 +363,7 @@ let run ?obs cfg =
             caches = scheme.Scheme.report_caches ();
             profile = (match profile with None -> [] | Some p -> Obs.Report.profile_rows p);
             gauges = (match profile with None -> [] | Some p -> Obs.Report.gauge_rows p);
-            partitions = partition_rows;
+            events = Sim.events_processed sim;
             wall_s;
             trace_jsonl = Obs.Report.trace_jsonl ~node_name trace;
             series = (match telemetry with None -> [] | Some ts -> Obs.Report.series_rows ts);
@@ -511,12 +382,10 @@ let run ?obs cfg =
     sr_fraction_completed = Metrics.fraction_completed metrics;
     sr_avg_transfer_time = Metrics.avg_transfer_time metrics;
     sr_metrics = metrics;
-    sr_sim_end = Array.fold_left (fun acc s -> Float.max acc (Sim.now s)) neg_infinity psims;
-    sr_events = Array.fold_left ( + ) 0 partition_events;
+    sr_sim_end = Sim.now sim;
+    sr_events = Sim.events_processed sim;
     sr_attack_packets = attack_packets;
     sr_routers = List.length b.b_routers;
     sr_wall_s = wall_s;
-    sr_partitions = Array.length psims;
-    sr_partition_events = partition_events;
     sr_obs = obs_report;
   }

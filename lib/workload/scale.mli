@@ -42,12 +42,6 @@ type config = {
       (** [None] auto-selects via {!Sim.recommended_sched} from the
           expected pending-event count (per-member timers under
           [Independent], per-aggregate under [Coalesced]) *)
-  sc_par_domains : int;
-      (** [1] (the default) runs the classic sequential loop; [K > 1]
-          partitions the topology with {!Topology.partition} and drives one
-          event loop per partition on [K] domains ({!Net.run_parallel}),
-          differential-tested to produce the same result as sequential.
-          Requires a partition-safe scheme and no packet tracing. *)
 }
 
 val default : config
@@ -62,13 +56,11 @@ type result = {
   sr_fraction_completed : float;
   sr_avg_transfer_time : float;
   sr_metrics : Metrics.t;
-  sr_sim_end : float;  (** max over partitions; equals the sequential clock *)
-  sr_events : int;  (** summed over partitions *)
+  sr_sim_end : float;
+  sr_events : int;
   sr_attack_packets : int;
   sr_routers : int;
-  sr_wall_s : float;  (** wall-clock seconds spent inside the event loop(s) *)
-  sr_partitions : int;  (** 1 when sequential *)
-  sr_partition_events : int array;  (** events fired per partition *)
+  sr_wall_s : float;  (** wall-clock seconds spent inside the event loop *)
   sr_obs : Obs.Report.t option;
 }
 
@@ -76,6 +68,4 @@ val run : ?obs:Experiment.obs_config -> config -> result
 (** Build the topology, wire users/aggregates/routers for the scheme, run
     to [sc_max_time], and report.  With [?obs] and a positive gauge
     period, {!Obs.Profile.memory_gauges} rows land in [sr_obs] — the scale
-    benchmark's peak-memory source.  Raises [Invalid_argument] when
-    [sc_par_domains > 1] meets a scheme with [partition_safe = false]
-    (pushback) or a positive trace capacity. *)
+    benchmark's peak-memory source. *)

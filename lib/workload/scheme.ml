@@ -13,7 +13,6 @@ type endpoint = {
 
 type t = {
   name : string;
-  partition_safe : bool;
   make_qdisc : bandwidth_bps:float -> Qdisc.t;
   install_router : ?obs:Obs.Counters.t -> Net.node -> link_bps:float -> unit;
   make_endpoint : ?obs:Obs.Counters.t -> Net.node -> role:role -> policy:Tva.Policy.t -> endpoint;
@@ -77,7 +76,6 @@ let tva ?(params = Tva.Params.default) () : factory =
   let routers : (string * Net.node * Tva.Router.t) list ref = ref [] in
   {
     name = "tva";
-    partition_safe = true;
     make_qdisc = (fun ~bandwidth_bps -> Tva.Qdiscs.make ~params ~bandwidth_bps ());
     install_router =
       (fun ?obs node ~link_bps ->
@@ -171,7 +169,6 @@ let siff ?(rotation_period = Siff.Router.default_rotation_period) () : factory =
  fun _sim ->
   {
     name = "siff";
-    partition_safe = true;
     make_qdisc = (fun ~bandwidth_bps -> Siff.Router.make_qdisc ~bandwidth_bps);
     report_caches = (fun () -> []);
     cache_occupancy = (fun () -> 0);
@@ -215,7 +212,6 @@ let netfence ?(params = Netfence.Router.default_params) () : factory =
   let routers : (string * Net.node * Netfence.Router.t) list ref = ref [] in
   {
     name = "netfence";
-    partition_safe = true;
     make_qdisc = (fun ~bandwidth_bps -> Netfence.Router.make_qdisc ~bandwidth_bps);
     install_router =
       (fun ?obs:_ node ~link_bps ->
@@ -286,7 +282,6 @@ let pushback ?(interval = 1.0) () : factory =
   let controller = Pushback.create ~interval ~sim () in
   {
     name = "pushback";
-    partition_safe = false;
     make_qdisc = (fun ~bandwidth_bps -> Pushback.make_qdisc controller ~bandwidth_bps);
     install_router = (fun ?obs:_ node ~link_bps:_ -> Pushback.install controller node);
     report_caches = (fun () -> []);
@@ -299,7 +294,6 @@ let internet () : factory =
  fun _sim ->
   {
     name = "internet";
-    partition_safe = true;
     make_qdisc = (fun ~bandwidth_bps -> Baseline.Internet.make_qdisc ~bandwidth_bps);
     install_router =
       (fun ?obs:_ node ~link_bps:_ -> Net.set_handler node Baseline.Internet.router_handler);

@@ -31,13 +31,6 @@ type endpoint = {
 
 type t = {
   name : string;
-  partition_safe : bool;
-      (** Whether the scheme's router/host state is confined to each node's
-          own partition, making it safe to run under the conservative
-          parallel driver ({!Net.run_parallel} with [K > 1]).  Pushback is
-          [false]: its global controller schedules periodic timers on the
-          master simulator and walks every router's queue, which would race
-          across domains. *)
   make_qdisc : bandwidth_bps:float -> Qdisc.t;
   install_router : ?obs:Obs.Counters.t -> Net.node -> link_bps:float -> unit;
       (** Set the router handler (and start any controller) on a router

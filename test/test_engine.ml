@@ -334,147 +334,6 @@ let until_mid_tick_differential =
       in
       run Sim.Heap = run Sim.Wheel)
 
-(* --- windowed execution and the domain team ------------------------------ *)
-
-(* The window bound is exclusive by default (an event exactly AT the edge
-   waits for the next window, after the mailbox exchange) and inclusive on
-   demand (the final window at [until]). *)
-let run_window_bounds () =
-  List.iter
-    (fun sched ->
-      let sim = Sim.create ~sched () in
-      let log = ref [] in
-      let at t k = ignore (Sim.schedule_at sim ~time:t (fun () -> log := k :: !log)) in
-      at 1.0 1;
-      at 2.0 2;
-      at 2.0 3;
-      at 3.0 4;
-      Alcotest.(check (float 0.)) "next_time" 1.0 (Sim.next_time sim);
-      Sim.run_window sim ~upto:2.0;
-      Alcotest.(check (list int)) "exclusive edge holds back" [ 1 ] (List.rev !log);
-      Alcotest.(check (float 0.)) "clock at window edge" 2.0 (Sim.now sim);
-      Sim.run_window ~inclusive:true sim ~upto:2.0;
-      Alcotest.(check (list int)) "inclusive fires edge ties in order" [ 1; 2; 3 ] (List.rev !log);
-      Sim.run_window sim ~upto:10.0;
-      Alcotest.(check (list int)) "drains" [ 1; 2; 3; 4 ] (List.rev !log);
-      Alcotest.(check (float 0.)) "drained clock stays at last event" 3.0 (Sim.now sim);
-      Alcotest.(check (float 0.)) "next_time empty" infinity (Sim.next_time sim))
-    [ Sim.Heap; Sim.Wheel ]
-
-(* Chopping a run into arbitrary exclusive windows must fire the exact
-   stream [Sim.run] fires — the sequential core of the lockstep driver. *)
-let run_window_differential =
-  QCheck.Test.make ~name:"sim: windowed run fires identically to Sim.run" ~count:10
-    QCheck.small_int (fun seed ->
-      let rng = Rng.create ~seed:(seed + 5) in
-      let sched = if seed mod 2 = 0 then Sim.Heap else Sim.Wheel in
-      let script =
-        List.init 800 (fun k ->
-            let t =
-              match Rng.int rng 3 with
-              | 0 -> float_of_int (Rng.int rng 30)
-              | 1 -> Rng.float rng 40.
-              | _ -> float_of_int (Rng.int rng 1000) *. 1e-7
-            in
-            (t, k))
-      in
-      let load sim fired =
-        List.iter
-          (fun (t, k) -> ignore (Sim.schedule_at sim ~time:t (fun () -> fired := (Sim.now sim, k) :: !fired)))
-          script
-      in
-      let ref_sim = Sim.create ~sched () in
-      let ref_fired = ref [] in
-      load ref_sim ref_fired;
-      Sim.run ref_sim;
-      let win_sim = Sim.create ~sched () in
-      let win_fired = ref [] in
-      load win_sim win_fired;
-      let rec windows () =
-        match Sim.next_time win_sim with
-        | t when t = infinity -> ()
-        | t ->
-            Sim.run_window win_sim ~upto:(t +. Rng.float rng 3.);
-            windows ()
-      in
-      windows ();
-      !ref_fired = !win_fired && Sim.now ref_sim = Sim.now win_sim)
-
-let par_team_runs_all_lanes () =
-  let team = Par.create 3 in
-  Fun.protect
-    ~finally:(fun () -> Par.shutdown team)
-    (fun () ->
-      Alcotest.(check int) "size" 3 (Par.size team);
-      let hits = Array.make 3 0 in
-      Par.run team (fun lane -> hits.(lane) <- hits.(lane) + 1);
-      Par.run team (fun lane -> hits.(lane) <- hits.(lane) + 1);
-      Alcotest.(check (array int)) "every lane ran twice" [| 2; 2; 2 |] hits;
-      (match Par.run team (fun lane -> if lane = 1 then failwith "boom") with
-      | () -> Alcotest.fail "expected the lane failure to re-raise"
-      | exception Failure m -> Alcotest.(check string) "lane failure surfaces" "boom" m);
-      (* The barrier completed despite the failure: the team is reusable. *)
-      Par.run team (fun lane -> hits.(lane) <- hits.(lane) + 1);
-      Alcotest.(check (array int)) "reusable after failure" [| 3; 3; 3 |] hits);
-  (* Idempotent shutdown. *)
-  Par.shutdown team
-
-(* A two-lane ping-pong through mailboxes: every bounce crosses the cut at
-   exactly [lookahead], the worst case for the window loop. *)
-let par_drive_ping_pong () =
-  let sims = [| Sim.create (); Sim.create () |] in
-  let mb =
-    [| Mailbox.create ~dummy:(fun () -> ()) (); Mailbox.create ~dummy:(fun () -> ()) () |]
-  in
-  let logs = [| ref []; ref [] |] in
-  let rec hop lane n () =
-    let sim = sims.(lane) in
-    logs.(lane) := Sim.now sim :: !(logs.(lane));
-    if n > 0 then Mailbox.push mb.(1 - lane) ~time:(Sim.now sim +. 0.05) (hop (1 - lane) (n - 1))
-  in
-  ignore (Sim.schedule_at sims.(0) ~time:0.1 (hop 0 8));
-  let exchange () =
-    Array.iteri
-      (fun i m -> Mailbox.drain m ~f:(fun ~time thunk -> ignore (Sim.schedule_at sims.(i) ~time thunk)))
-      mb
-  in
-  let team = Par.create 2 in
-  Fun.protect
-    ~finally:(fun () -> Par.shutdown team)
-    (fun () -> Par.drive team ~sims ~lookahead:0.05 ~until:10. ~exchange);
-  Alcotest.(check int) "lane 0 bounces" 5 (List.length !(logs.(0)));
-  Alcotest.(check int) "lane 1 bounces" 4 (List.length !(logs.(1)));
-  let sorted l = List.sort compare l in
-  Alcotest.(check bool) "lane 0 fired in order" true (sorted !(logs.(0)) = List.rev !(logs.(0)));
-  Alcotest.(check bool) "lane 1 fired in order" true (sorted !(logs.(1)) = List.rev !(logs.(1)));
-  (* Each bounce advanced by exactly one lookahead. *)
-  let all = List.sort compare (!(logs.(0)) @ !(logs.(1))) in
-  List.iteri
-    (fun i t -> Alcotest.(check (float 1e-9)) (Printf.sprintf "hop %d" i) (0.1 +. (0.05 *. float_of_int i)) t)
-    all
-
-(* Regression: a run-dry drive ([until = infinity], no pulse) must
-   terminate once the lanes drain — the pulse sentinel [next_pulse () =
-   infinity] used to satisfy [infinity <= infinity] in the final drain
-   and spin forever.  And a pulse with a non-finite [until] is rejected
-   up front, mirroring [Net.run_parallel]: its series never ends. *)
-let par_drive_run_dry_terminates () =
-  let sims = [| Sim.create (); Sim.create () |] in
-  let fired = ref 0 in
-  ignore (Sim.schedule_at sims.(0) ~time:0.1 (fun () -> incr fired));
-  ignore (Sim.schedule_at sims.(1) ~time:0.2 (fun () -> incr fired));
-  let team = Par.create 2 in
-  Fun.protect
-    ~finally:(fun () -> Par.shutdown team)
-    (fun () ->
-      Par.drive team ~sims ~lookahead:0.05 ~until:infinity ~exchange:(fun () -> ());
-      Alcotest.(check int) "both lanes drained" 2 !fired;
-      Alcotest.check_raises "pulse needs a finite until"
-        (Invalid_argument "Par.drive: a pulse needs a finite until") (fun () ->
-          Par.drive team ~sims ~lookahead:0.05 ~until:infinity
-            ~pulse:(0.1, fun _ -> ())
-            ~exchange:(fun () -> ())))
-
 let sched_of_string_roundtrip () =
   Alcotest.(check bool) "heap" true (Sim.sched_of_string "heap" = Ok Sim.Heap);
   Alcotest.(check bool) "wheel" true (Sim.sched_of_string "wheel" = Ok Sim.Wheel);
@@ -640,11 +499,6 @@ let suite =
     QCheck_alcotest.to_alcotest beyond_horizon_differential;
     QCheck_alcotest.to_alcotest cancel_heavy_differential;
     QCheck_alcotest.to_alcotest until_mid_tick_differential;
-    Alcotest.test_case "run_window bounds" `Quick run_window_bounds;
-    QCheck_alcotest.to_alcotest run_window_differential;
-    Alcotest.test_case "par team lanes" `Quick par_team_runs_all_lanes;
-    Alcotest.test_case "par drive ping-pong" `Quick par_drive_ping_pong;
-    Alcotest.test_case "par drive run-dry terminates" `Quick par_drive_run_dry_terminates;
     Alcotest.test_case "aux fires first, no perturbation" `Quick
       aux_fires_first_and_does_not_perturb;
     Alcotest.test_case "aux chain observes cut" `Quick aux_chain_observes_cut;

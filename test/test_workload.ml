@@ -383,130 +383,6 @@ let scale_memory_gauges_reported () =
       | Some g -> Alcotest.(check bool) "pending gauge sampled" true (g.Obs.Report.g_max >= 1.)
       | None -> Alcotest.fail "sim-pending-events gauge missing")
 
-(* --- conservative parallel driver --------------------------------------- *)
-
-(* The tentpole's determinism contract: a K-domain run must be
-   result-identical to the sequential run — same event count, same packet
-   streams (attack packets), same metrics, same per-node Obs counters,
-   same final clock.  Counters are compared via their JSON rendering so a
-   mismatch prints the full diff. *)
-let counters_string (r : Workload.Scale.result) =
-  match r.Workload.Scale.sr_obs with
-  | None -> Alcotest.fail "expected an obs report"
-  | Some rep ->
-      (* Sort by node name: the sequential run registers counters lazily
-         (first-event order) while the parallel run pre-registers them, so
-         snapshot order differs even when every value is identical. *)
-      let snap =
-        rep.Obs.Report.counters
-        |> List.filter (fun (_, counts) -> Array.exists (fun c -> c <> 0) counts)
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      in
-      Obs.Export.to_string_pretty (Obs.Report.counters_json snap)
-
-let check_scale_identical label (seq : Workload.Scale.result) (par : Workload.Scale.result) =
-  Alcotest.(check int) (label ^ ": events") seq.Workload.Scale.sr_events par.Workload.Scale.sr_events;
-  Alcotest.(check int)
-    (label ^ ": attack packets")
-    seq.Workload.Scale.sr_attack_packets par.Workload.Scale.sr_attack_packets;
-  Alcotest.(check (float 0.))
-    (label ^ ": fraction")
-    seq.Workload.Scale.sr_fraction_completed par.Workload.Scale.sr_fraction_completed;
-  Alcotest.(check (float 0.))
-    (label ^ ": avg transfer time")
-    seq.Workload.Scale.sr_avg_transfer_time par.Workload.Scale.sr_avg_transfer_time;
-  Alcotest.(check (float 0.))
-    (label ^ ": sim end")
-    seq.Workload.Scale.sr_sim_end par.Workload.Scale.sr_sim_end;
-  Alcotest.(check string) (label ^ ": counters") (counters_string seq) (counters_string par)
-
-let scale_par_matches_seq () =
-  let obs = Workload.Experiment.obs_default in
-  List.iter
-    (fun (topology, kdoms) ->
-      let cfg = tiny_scale topology in
-      let seq = Workload.Scale.run ~obs cfg in
-      let par = Workload.Scale.run ~obs { cfg with Workload.Scale.sc_par_domains = kdoms } in
-      let label = Printf.sprintf "%s k=%d" seq.Workload.Scale.sr_topology kdoms in
-      Alcotest.(check int) (label ^ ": partitions") kdoms par.Workload.Scale.sr_partitions;
-      Alcotest.(check int)
-        (label ^ ": partition events sum")
-        par.Workload.Scale.sr_events
-        (Array.fold_left ( + ) 0 par.Workload.Scale.sr_partition_events);
-      check_scale_identical label seq par)
-    [
-      (Workload.Scale.Fan_in { depth = 2; fanout = 3 }, 2);
-      (Workload.Scale.Fan_in { depth = 2; fanout = 3 }, 4);
-      (Workload.Scale.Scale_dumbbell, 2);
-      (Workload.Scale.Parking_lot { segments = 3 }, 3);
-      (Workload.Scale.Power_law { routers = 24; edges_per_node = 2 }, 4);
-    ]
-
-(* Both schedulers under the parallel driver, against the sequential
-   reference: wheel-vs-heap and par-vs-seq must commute. *)
-let scale_par_wheel_matches_seq () =
-  let obs = Workload.Experiment.obs_default in
-  let cfg =
-    {
-      (tiny_scale (Workload.Scale.Fan_in { depth = 2; fanout = 3 })) with
-      Workload.Scale.sc_sched = Some Sim.Wheel;
-    }
-  in
-  let seq = Workload.Scale.run ~obs cfg in
-  let par = Workload.Scale.run ~obs { cfg with Workload.Scale.sc_par_domains = 3 } in
-  check_scale_identical "wheel k=3" seq par
-
-let scale_par_rejects_unsafe () =
-  let cfg =
-    {
-      (tiny_scale (Workload.Scale.Fan_in { depth = 2; fanout = 3 })) with
-      Workload.Scale.sc_par_domains = 2;
-    }
-  in
-  Alcotest.check_raises "pushback refused"
-    (Invalid_argument "Scale.run: scheme \"pushback\" is not partition-safe (sc_par_domains > 1)")
-    (fun () ->
-      ignore (Workload.Scale.run { cfg with Workload.Scale.sc_scheme = Workload.Scheme.pushback () }));
-  let obs =
-    { Workload.Experiment.obs_default with Workload.Experiment.obs_trace_capacity = 128 }
-  in
-  Alcotest.check_raises "tracing refused"
-    (Invalid_argument "Scale.run: packet tracing is not supported with sc_par_domains > 1")
-    (fun () -> ignore (Workload.Scale.run ~obs cfg))
-
-(* The partitioner itself: deterministic, covering, balanced enough that
-   every region is nonempty. *)
-let topology_partition_properties () =
-  let sim = Sim.create ~seed:7 () in
-  let scheme = Workload.Scheme.internet () sim in
-  let make_qdisc ~bandwidth_bps = scheme.Workload.Scheme.make_qdisc ~bandwidth_bps in
-  let t = Topology.fanin ~depth:3 ~fanout:3 ~bottleneck_bps:10e6 ~make_qdisc sim in
-  let net = t.Topology.fi_net in
-  let n = List.length (Net.nodes net) in
-  List.iter
-    (fun k ->
-      let a = Topology.partition ~k net in
-      let b = Topology.partition ~k net in
-      Alcotest.(check (array int)) (Printf.sprintf "k=%d deterministic" k) a b;
-      Alcotest.(check int) (Printf.sprintf "k=%d covers all nodes" k) n (Array.length a);
-      let sizes = Array.make k 0 in
-      Array.iter
-        (fun p ->
-          Alcotest.(check bool) "index in range" true (p >= 0 && p < k);
-          sizes.(p) <- sizes.(p) + 1)
-        a;
-      Array.iteri
-        (fun r s -> Alcotest.(check bool) (Printf.sprintf "k=%d region %d nonempty" k r) true (s > 0))
-        sizes)
-    [ 1; 2; 3; 4 ];
-  Alcotest.check_raises "k=0 refused"
-    (Invalid_argument "Topology.partition: need at least one partition") (fun () ->
-      ignore (Topology.partition ~k:0 net));
-  Alcotest.(check bool) "k>n refused" true
-    (match Topology.partition ~k:(n + 1) net with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
 (* --- in-run telemetry through the workload layer (DESIGN.md §15) -------- *)
 
 (* The §15 bit-identity claim at the experiment level: a telemetry-on run
@@ -582,47 +458,42 @@ let chaos_measures_engage_recover () =
        o.Workload.Chaos.oc_report.Obs.Report.incidents)
     o.Workload.Chaos.oc_recovered
 
-(* Interval series under the parallel driver: barrier pulses stamp window
-   k at [k *. interval] exactly like the sequential aux chain, so the
-   datapath channels must be window-for-window identical for any K.  The
-   [events] and per-partition channels are mode-dependent diagnostics and
-   excluded by construction of the comparison. *)
-let scale_telemetry_series_jobs_invariant () =
+(* Scale telemetry baselines its cumulative channels before the run, so
+   window 1 holds the events of (0, interval] rather than a zero delta
+   against itself; the windows together never exceed the run's total. *)
+let scale_telemetry_first_window_counts () =
   let obs =
     {
       Workload.Experiment.obs_default with
-      Workload.Experiment.obs_telemetry_interval = 0.5;
+      Workload.Experiment.obs_telemetry_interval = 0.1;
     }
   in
-  let cfg = tiny_scale (Workload.Scale.Fan_in { depth = 2; fanout = 3 }) in
-  let series r =
+  let r = Workload.Scale.run ~obs (tiny_scale (Workload.Scale.Fan_in { depth = 2; fanout = 3 })) in
+  let windows =
     match r.Workload.Scale.sr_obs with
-    | None -> Alcotest.fail "expected an obs report"
-    | Some rep -> rep.Obs.Report.series
+    | Some { Obs.Report.series_json = Some (Obs.Export.Obj fields); _ } -> (
+        match List.assoc_opt "windows" fields with
+        | Some (Obs.Export.List ws) -> ws
+        | _ -> Alcotest.fail "telemetry dump has no windows")
+    | _ -> Alcotest.fail "expected a telemetry dump"
   in
-  let seq = Workload.Scale.run ~obs cfg in
-  let par = Workload.Scale.run ~obs { cfg with Workload.Scale.sc_par_domains = 2 } in
-  let datapath = [ "demoted"; "drops"; "flow_cache" ] in
-  let row r name =
-    match List.find_opt (fun s -> s.Obs.Report.s_name = name) (series r) with
-    | Some s -> s
-    | None -> Alcotest.fail ("series " ^ name ^ " missing")
+  let events = function
+    | Obs.Export.Obj row -> (
+        match List.assoc_opt "events" row with
+        | Some (Obs.Export.Float v) -> v
+        | _ -> Alcotest.fail "window has no events channel")
+    | _ -> Alcotest.fail "window is not an object"
   in
-  List.iter
-    (fun name ->
-      let a = row seq name and b = row par name in
-      Alcotest.(check int) (name ^ ": windows") a.Obs.Report.s_windows b.Obs.Report.s_windows;
-      Alcotest.(check (float 0.)) (name ^ ": mean") a.Obs.Report.s_mean b.Obs.Report.s_mean;
-      Alcotest.(check (float 0.)) (name ^ ": max") a.Obs.Report.s_max b.Obs.Report.s_max;
-      Alcotest.(check (float 0.)) (name ^ ": p50") a.Obs.Report.s_p50 b.Obs.Report.s_p50;
-      Alcotest.(check (float 0.)) (name ^ ": p99") a.Obs.Report.s_p99 b.Obs.Report.s_p99;
-      Alcotest.(check string) (name ^ ": spark") a.Obs.Report.s_spark b.Obs.Report.s_spark)
-    datapath;
-  (* K = 2 additionally reports one events channel per partition *)
-  let par_names = List.map (fun s -> s.Obs.Report.s_name) (series par) in
-  List.iter
-    (fun n -> Alcotest.(check bool) (n ^ " present under K=2") true (List.mem n par_names))
-    [ "p0_events"; "p1_events" ]
+  match windows with
+  | [] -> Alcotest.fail "no windows recorded"
+  | first :: _ ->
+      Alcotest.(check bool)
+        (Printf.sprintf "window 1 events > 0 (%g)" (events first))
+        true
+        (events first > 0.);
+      let total = List.fold_left (fun acc w -> acc +. events w) 0. windows in
+      Alcotest.(check bool) "windows sum to at most the run's events" true
+        (total <= float_of_int r.Workload.Scale.sr_events)
 
 let suite =
   [
@@ -648,12 +519,8 @@ let suite =
     Alcotest.test_case "scale heap = wheel" `Slow scale_heap_wheel_identical;
     Alcotest.test_case "scale topologies smoke" `Slow scale_topologies_smoke;
     Alcotest.test_case "scale memory gauges" `Slow scale_memory_gauges_reported;
-    Alcotest.test_case "scale parallel = sequential" `Slow scale_par_matches_seq;
-    Alcotest.test_case "scale parallel wheel = sequential" `Slow scale_par_wheel_matches_seq;
-    Alcotest.test_case "scale parallel rejects unsafe" `Quick scale_par_rejects_unsafe;
-    Alcotest.test_case "topology partitioner properties" `Quick topology_partition_properties;
     Alcotest.test_case "telemetry does not perturb results" `Slow telemetry_does_not_perturb_results;
     Alcotest.test_case "chaos measures engage/recover" `Slow chaos_measures_engage_recover;
-    Alcotest.test_case "scale telemetry series jobs-invariant" `Slow
-      scale_telemetry_series_jobs_invariant;
+    Alcotest.test_case "scale telemetry first window counts" `Slow
+      scale_telemetry_first_window_counts;
   ]
