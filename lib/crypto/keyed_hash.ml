@@ -109,6 +109,9 @@ module Fast = struct
 
   let mac56 ~key msg = Int64.logand (Siphash.mac ~key:(normalize key) msg) mask56
 
+  let mac56_bytes ~key buf ~len =
+    Int64.logand (Siphash.mac_bytes ~key:(normalize key) buf ~len) mask56
+
   let[@inline] bswap32 x =
     ((x lsr 24) land 0xff)
     lor ((x lsr 8) land 0xff00)

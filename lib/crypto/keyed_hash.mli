@@ -92,7 +92,14 @@ val cap_preimage : precap_ts:int -> precap_hash:int64 -> n_kb:int -> t_sec:int -
     ts (1) | pre-capability hash (7 bytes BE) | N (2 bytes, 10 used bits) |
     T (1 byte, 6 used bits). *)
 
-module Fast : S
+module Fast : sig
+  include S
+
+  val mac56_bytes : key:string -> Bytes.t -> len:int -> int64
+  (** [mac56 ~key] of the first [len] bytes of a caller-owned buffer: the
+      entry point for preimages a router writes into a reused scratch
+      buffer (see {!Preimage}).  Allocates only the boxed result. *)
+end
 (** SipHash-2-4 based; the simulation default.  Its fixed-preimage entry
     points pack the fields into SipHash words directly and do not
     allocate. *)

@@ -2,79 +2,89 @@
    rounds.  All arithmetic is on Int64 with wraparound, which matches the
    reference implementation exactly.
 
-   Two entry points share the core: [mac] consumes an arbitrary string
-   message, and [mac_short] consumes a short message already packed into
-   little-endian words.  The short path exists for the router's per-packet
-   hashes (9- and 11-byte preimages): it is written as one straight-line
-   chain of immutable [let]-bindings so the native compiler keeps every
-   intermediate int64 unboxed in registers — no state record, no per-round
-   stores, no per-word list as the original word loader had. *)
+   Both entry families keep the four state words in unboxed locals, so a
+   hash allocates only its boxed result:
+
+   - [mac] / [mac_bytes] take a message of any length from a string or a
+     caller-owned scratch buffer.  The state lives in four non-escaping
+     [ref]s, which the native compiler turns into unboxed mutable
+     variables, and message words come straight from
+     [Bytes.get_int64_le].  Per-packet preimages that are not fixed-width
+     (SIFF markings, NetFence feedback tokens) are written into a
+     per-router buffer and hashed here.
+   - [mac_short_k] / [mac_short_k2] take a 9- or 11-byte message already
+     packed into little-endian words (the TVA capability preimages): one
+     straight-line chain of immutable [let]-bindings, fully unrolled. *)
 
 let digest_size = 8
 
 let[@inline] rotl x b = Int64.logor (Int64.shift_left x b) (Int64.shift_right_logical x (64 - b))
 
-let le64 s off =
-  (* Little-endian 64-bit load; a chain of ors rather than a fold over a
-     freshly built list, so loading a word allocates nothing. *)
-  let g i n = Int64.shift_left (Int64.of_int (Char.code s.[off + i])) n in
-  Int64.logor
-    (Int64.logor (Int64.logor (g 0 0) (g 1 8)) (Int64.logor (g 2 16) (g 3 24)))
-    (Int64.logor (Int64.logor (g 4 32) (g 5 40)) (Int64.logor (g 6 48) (g 7 56)))
-
-type state = { mutable v0 : int64; mutable v1 : int64; mutable v2 : int64; mutable v3 : int64 }
-
-let sipround s =
-  s.v0 <- Int64.add s.v0 s.v1;
-  s.v1 <- rotl s.v1 13;
-  s.v1 <- Int64.logxor s.v1 s.v0;
-  s.v0 <- rotl s.v0 32;
-  s.v2 <- Int64.add s.v2 s.v3;
-  s.v3 <- rotl s.v3 16;
-  s.v3 <- Int64.logxor s.v3 s.v2;
-  s.v0 <- Int64.add s.v0 s.v3;
-  s.v3 <- rotl s.v3 21;
-  s.v3 <- Int64.logxor s.v3 s.v0;
-  s.v2 <- Int64.add s.v2 s.v1;
-  s.v1 <- rotl s.v1 17;
-  s.v1 <- Int64.logxor s.v1 s.v2;
-  s.v2 <- rotl s.v2 32
+(* The general path, over the first [len] bytes of [buf].  A mutable state
+   record would box an int64 on every field store; local refs do not. *)
+let hash_prefix ~key buf len =
+  let k0 = String.get_int64_le key 0 and k1 = String.get_int64_le key 8 in
+  let v0 = ref (Int64.logxor k0 0x736f6d6570736575L) in
+  let v1 = ref (Int64.logxor k1 0x646f72616e646f6dL) in
+  let v2 = ref (Int64.logxor k0 0x6c7967656e657261L) in
+  let v3 = ref (Int64.logxor k1 0x7465646279746573L) in
+  let full = len land lnot 7 in
+  (* Last word: the remaining bytes plus the message length in the top byte. *)
+  let last = ref (Int64.shift_left (Int64.of_int (len land 0xff)) 56) in
+  for i = full to len - 1 do
+    last :=
+      Int64.logor !last
+        (Int64.shift_left (Int64.of_int (Char.code (Bytes.unsafe_get buf i))) (8 * (i - full)))
+  done;
+  for w = 0 to full / 8 do
+    let m = if 8 * w < full then Bytes.get_int64_le buf (8 * w) else !last in
+    v3 := Int64.logxor !v3 m;
+    for _ = 1 to 2 do
+      v0 := Int64.add !v0 !v1;
+      v1 := rotl !v1 13;
+      v1 := Int64.logxor !v1 !v0;
+      v0 := rotl !v0 32;
+      v2 := Int64.add !v2 !v3;
+      v3 := rotl !v3 16;
+      v3 := Int64.logxor !v3 !v2;
+      v0 := Int64.add !v0 !v3;
+      v3 := rotl !v3 21;
+      v3 := Int64.logxor !v3 !v0;
+      v2 := Int64.add !v2 !v1;
+      v1 := rotl !v1 17;
+      v1 := Int64.logxor !v1 !v2;
+      v2 := rotl !v2 32
+    done;
+    v0 := Int64.logxor !v0 m
+  done;
+  v2 := Int64.logxor !v2 0xffL;
+  for _ = 1 to 4 do
+    v0 := Int64.add !v0 !v1;
+    v1 := rotl !v1 13;
+    v1 := Int64.logxor !v1 !v0;
+    v0 := rotl !v0 32;
+    v2 := Int64.add !v2 !v3;
+    v3 := rotl !v3 16;
+    v3 := Int64.logxor !v3 !v2;
+    v0 := Int64.add !v0 !v3;
+    v3 := rotl !v3 21;
+    v3 := Int64.logxor !v3 !v0;
+    v2 := Int64.add !v2 !v1;
+    v1 := rotl !v1 17;
+    v1 := Int64.logxor !v1 !v2;
+    v2 := rotl !v2 32
+  done;
+  Int64.logxor (Int64.logxor !v0 !v1) (Int64.logxor !v2 !v3)
 
 let mac ~key msg =
   if String.length key <> 16 then invalid_arg "Siphash.mac: key must be 16 bytes";
-  let k0 = le64 key 0 and k1 = le64 key 8 in
-  let s =
-    {
-      v0 = Int64.logxor k0 0x736f6d6570736575L;
-      v1 = Int64.logxor k1 0x646f72616e646f6dL;
-      v2 = Int64.logxor k0 0x6c7967656e657261L;
-      v3 = Int64.logxor k1 0x7465646279746573L;
-    }
-  in
-  let len = String.length msg in
-  let full_words = len / 8 in
-  for i = 0 to full_words - 1 do
-    let m = le64 msg (8 * i) in
-    s.v3 <- Int64.logxor s.v3 m;
-    sipround s;
-    sipround s;
-    s.v0 <- Int64.logxor s.v0 m
-  done;
-  (* Last word: remaining bytes plus the message length in the top byte. *)
-  let b = ref (Int64.shift_left (Int64.of_int (len land 0xff)) 56) in
-  for i = 0 to (len mod 8) - 1 do
-    b := Int64.logor !b (Int64.shift_left (Int64.of_int (Char.code msg.[(8 * full_words) + i])) (8 * i))
-  done;
-  s.v3 <- Int64.logxor s.v3 !b;
-  sipround s;
-  sipround s;
-  s.v0 <- Int64.logxor s.v0 !b;
-  s.v2 <- Int64.logxor s.v2 0xffL;
-  sipround s;
-  sipround s;
-  sipround s;
-  sipround s;
-  Int64.logxor (Int64.logxor s.v0 s.v1) (Int64.logxor s.v2 s.v3)
+  (* Read-only view: [hash_prefix] never writes to its buffer. *)
+  hash_prefix ~key (Bytes.unsafe_of_string msg) (String.length msg)
+
+let mac_bytes ~key buf ~len =
+  if String.length key <> 16 then invalid_arg "Siphash.mac_bytes: key must be 16 bytes";
+  if len < 0 || len > Bytes.length buf then invalid_arg "Siphash.mac_bytes: len out of range";
+  hash_prefix ~key buf len
 
 (* The hot-path variant: a message of 8..15 bytes is exactly one full word
    [w0] plus a final word made of [tail] (the remaining [len - 8] bytes in
@@ -346,21 +356,17 @@ let mac_short_k2 ~k0 ~k1 ~len ~w0a ~taila ~w0b ~tailb =
   ( Int64.logxor (Int64.logxor a0 a1) (Int64.logxor a2 a3),
     Int64.logxor (Int64.logxor b0 b1) (Int64.logxor b2 b3) )
 
-(* Loading the key costs more than the rounds on this path (the [le64]
-   closure work dominates), so per-epoch callers preload (k0, k1) once via
-   [key_words] and call [mac_short_k] directly. *)
+(* Per-epoch callers preload (k0, k1) once via [key_words] and call
+   [mac_short_k] directly, keeping the key checks off the per-packet path. *)
 let mac_short ~key ~len ~w0 ~tail =
   if String.length key <> 16 then invalid_arg "Siphash.mac_short: key must be 16 bytes";
-  mac_short_k ~k0:(le64 key 0) ~k1:(le64 key 8) ~len ~w0 ~tail
+  mac_short_k ~k0:(String.get_int64_le key 0) ~k1:(String.get_int64_le key 8) ~len ~w0 ~tail
 
 let key_words key =
   if String.length key <> 16 then invalid_arg "Siphash.key_words: key must be 16 bytes";
-  (le64 key 0, le64 key 8)
+  (String.get_int64_le key 0, String.get_int64_le key 8)
 
 let mac_string ~key msg =
-  let v = mac ~key msg in
   let b = Bytes.create 8 in
-  for i = 0 to 7 do
-    Bytes.set b i (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
-  done;
+  Bytes.set_int64_le b 0 (mac ~key msg);
   Bytes.unsafe_to_string b

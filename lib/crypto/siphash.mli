@@ -7,8 +7,17 @@
     the {!Keyed_hash} interface. *)
 
 val mac : key:string -> string -> int64
-(** [mac ~key msg] is the 64-bit SipHash-2-4 tag of [msg].  Raises
-    [Invalid_argument] if [key] is not 16 bytes. *)
+(** [mac ~key msg] is the 64-bit SipHash-2-4 tag of [msg].  The state
+    stays in unboxed locals, so a call allocates only its boxed result.
+    Raises [Invalid_argument] if [key] is not 16 bytes. *)
+
+val mac_bytes : key:string -> Bytes.t -> len:int -> int64
+(** [mac_bytes ~key buf ~len] is [mac ~key] of the first [len] bytes of
+    [buf], without copying them out.  This is the entry point for
+    per-packet preimages of varying width: the caller writes the preimage
+    into a scratch buffer it owns and reuses, and the call allocates only
+    its boxed result.  Raises [Invalid_argument] if [key] is not 16 bytes
+    or [len] is outside [0 .. Bytes.length buf]. *)
 
 val mac_string : key:string -> string -> string
 (** Same tag rendered as 8 little-endian bytes. *)

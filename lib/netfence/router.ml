@@ -21,7 +21,7 @@ let default_params =
     burst_bytes = 32 * 1024;
   }
 
-(* Per-(sender, bottleneck) AIMD state at the access router.  [pending] is
+(* Per-sender AIMD state at the access router.  [pending] is
    the worst feedback seen this control interval ([Decr] wins);
    [last_feedback] is the last time a *valid* token arrived, so a sender
    that stops presenting feedback while still sending decays as if every
@@ -41,13 +41,18 @@ type t = {
   router_id : int;
   sim : Sim.t;
   link_bps : float;
-  senders : (int * int, aimd) Hashtbl.t;
+  senders : aimd Wire.Addr.Tbl.t;
   (* outgoing link id -> (regular-channel qdisc if found, congestion
      threshold in packets), resolved once per link *)
   cong : (int, Qdisc.t option * int) Hashtbl.t;
   mutable policed : int;
   mutable rejected : int;
+  (* Scratch buffer for token preimages: "nf|" once, then per MAC the
+     fields [mint] and [validate] bind. *)
+  preimage : Bytes.t;
 }
+
+let preimage_tag = "nf|"
 
 let create ?(params = default_params) ~secret_master ~router_id ~sim ~link_bps () =
   {
@@ -58,23 +63,23 @@ let create ?(params = default_params) ~secret_master ~router_id ~sim ~link_bps (
     router_id;
     sim;
     link_bps;
-    senders = Hashtbl.create 64;
+    senders = Wire.Addr.Tbl.create 64;
     cong = Hashtbl.create 8;
     policed = 0;
     rejected = 0;
+    preimage =
+      Bytes.extend (Bytes.of_string preimage_tag) 0 (4 * (Crypto.Preimage.max_decimal_len + 1));
   }
 
 let policed t = t.policed
 let rejected t = t.rejected
-let sender_count t = Hashtbl.length t.senders
+let sender_count t = Wire.Addr.Tbl.length t.senders
 
 let sender_rates t =
-  Hashtbl.fold
-    (fun (src, _) st acc -> (Wire.Addr.of_int src, Policer.rate_bps st.policer) :: acc)
-    t.senders []
+  Wire.Addr.Tbl.fold (fun src st acc -> (src, Policer.rate_bps st.policer) :: acc) t.senders []
   |> List.sort (fun (a, _) (b, _) -> Wire.Addr.compare a b)
 
-let flush_senders t = Hashtbl.reset t.senders
+let flush_senders t = Wire.Addr.Tbl.reset t.senders
 
 let rotate_secret t =
   t.rotations <- t.rotations + 1;
@@ -82,16 +87,23 @@ let rotate_secret t =
 
 (* --- feedback tokens ------------------------------------------------- *)
 
-let preimage ~src ~router ~ts ~action =
-  Printf.sprintf "nf|%d|%d|%d|%d" src router ts (Wire.Nf_feedback.action_bit action)
+(* The MAC of ["nf|src|router|ts|action"], each field in decimal as
+   [%d] prints it, written over the tag already in [t.preimage]. *)
+let token_mac t ~key ~src ~router ~ts ~action =
+  let b = t.preimage in
+  let pos = Crypto.Preimage.put_decimal b (String.length preimage_tag) (Wire.Addr.to_int src) in
+  let pos = Crypto.Preimage.put_char b pos '|' in
+  let pos = Crypto.Preimage.put_decimal b pos router in
+  let pos = Crypto.Preimage.put_char b pos '|' in
+  let pos = Crypto.Preimage.put_decimal b pos ts in
+  let pos = Crypto.Preimage.put_char b pos '|' in
+  let len = Crypto.Preimage.put_decimal b pos (Wire.Nf_feedback.action_bit action) in
+  Crypto.Keyed_hash.Fast.mac56_bytes ~key b ~len
 
 let mint t ~now ~src action =
   let ts = Crypto.Secret.timestamp ~now in
   let key = Crypto.Secret.issuing_secret t.secret ~now in
-  let mac =
-    Crypto.Keyed_hash.Fast.mac56 ~key
-      (preimage ~src:(Wire.Addr.to_int src) ~router:t.router_id ~ts ~action)
-  in
+  let mac = token_mac t ~key ~src ~router:t.router_id ~ts ~action in
   { Wire.Nf_feedback.nf_router = t.router_id; nf_ts = ts; nf_action = action; nf_mac = mac }
 
 (* All routers in a run validate each other's tokens: the shared
@@ -110,9 +122,8 @@ let validate t ~now (tok : Wire.Nf_feedback.token) ~src =
     | None -> reject ()
     | Some key ->
         let expect =
-          Crypto.Keyed_hash.Fast.mac56 ~key
-            (preimage ~src:(Wire.Addr.to_int src) ~router:tok.Wire.Nf_feedback.nf_router
-               ~ts:tok.Wire.Nf_feedback.nf_ts ~action:tok.Wire.Nf_feedback.nf_action)
+          token_mac t ~key ~src ~router:tok.Wire.Nf_feedback.nf_router
+            ~ts:tok.Wire.Nf_feedback.nf_ts ~action:tok.Wire.Nf_feedback.nf_action
         in
         if Int64.equal expect tok.Wire.Nf_feedback.nf_mac then
           Some tok.Wire.Nf_feedback.nf_action
@@ -120,42 +131,29 @@ let validate t ~now (tok : Wire.Nf_feedback.token) ~src =
 
 (* --- access-side AIMD policing --------------------------------------- *)
 
-let sender_state t ~now ~src ~bottleneck =
-  let src_i = Wire.Addr.to_int src in
-  let key = (src_i, bottleneck) in
-  match Hashtbl.find_opt t.senders key with
-  | Some st -> st
-  | None -> (
-      (* The token's minting router moves as congestion does: bootstrap
-         packets carry none (bottleneck 0), uncongested paths echo the
-         last hop's stamp, and a congested bottleneck takes over via the
-         sticky Decr.  The sender's entry follows the feedback — migrating
-         keeps one continuous rate history, so an Incr cannot grow a
-         different limiter than the one the bottleneck's Decr shrank. *)
-      let prev =
-        Hashtbl.fold
-          (fun (s, b) st acc -> if s = src_i && acc = None then Some (b, st) else acc)
-          t.senders None
+(* One entry per sender, whichever bottleneck its feedback names.  The
+   token's minting router moves as congestion does: bootstrap packets
+   carry none, uncongested paths echo the last hop's stamp, and a
+   congested bottleneck takes over via the sticky Decr.  Keeping one
+   continuous rate history per sender means an Incr cannot grow a
+   different limiter than the one the bottleneck's Decr shrank. *)
+let sender_state t ~now ~src =
+  match Wire.Addr.Tbl.find t.senders src with
+  | st -> st
+  | exception Not_found ->
+      let st =
+        {
+          policer =
+            Policer.create
+              ~rate_bps:(t.params.initial_fraction *. t.link_bps)
+              ~burst_bytes:t.params.burst_bytes;
+          last_adjust = now;
+          last_feedback = now;
+          pending = None;
+        }
       in
-      match prev with
-      | Some (b, st) ->
-          Hashtbl.remove t.senders (src_i, b);
-          Hashtbl.add t.senders key st;
-          st
-      | None ->
-          let st =
-            {
-              policer =
-                Policer.create
-                  ~rate_bps:(t.params.initial_fraction *. t.link_bps)
-                  ~burst_bytes:t.params.burst_bytes;
-              last_adjust = now;
-              last_feedback = now;
-              pending = None;
-            }
-          in
-          Hashtbl.add t.senders key st;
-          st)
+      Wire.Addr.Tbl.add t.senders src st;
+      st
 
 let adjust t st ~now =
   if now -. st.last_adjust >= t.params.control_interval then begin
@@ -181,16 +179,10 @@ let adjust t st ~now =
 
 (* [true] when the packet conforms and may be forwarded. *)
 let police t ~now ~src (nf : Wire.Nf_feedback.t) ~bytes =
-  let bottleneck, feedback =
-    match nf.Wire.Nf_feedback.token with
-    | None -> (0, None)
-    | Some tok -> begin
-        match validate t ~now tok ~src with
-        | Some action -> (tok.Wire.Nf_feedback.nf_router, Some action)
-        | None -> (0, None)
-      end
+  let feedback =
+    match nf.Wire.Nf_feedback.token with None -> None | Some tok -> validate t ~now tok ~src
   in
-  let st = sender_state t ~now ~src ~bottleneck in
+  let st = sender_state t ~now ~src in
   (match feedback with
   | Some action ->
       st.last_feedback <- now;

@@ -4,7 +4,7 @@
 
     - {b access router} for packets arriving over a link whose source node
       is an end host: it validates the congestion-feedback token the
-      sender presents, drives a per-(sender, bottleneck) AIMD rate limiter
+      sender presents, drives a per-sender AIMD rate limiter
       from the feedback, and drops packets that exceed the policed rate —
       so a compromised sender converges to its fair share no matter how
       fast it transmits;
@@ -81,7 +81,8 @@ val validate : t -> now:float -> Wire.Nf_feedback.token -> src:Wire.Addr.t -> Wi
     ([token_lifetime]); [None] for forged, stale, or re-bound tokens. *)
 
 val sender_count : t -> int
-(** Live (sender, bottleneck) policing entries. *)
+(** Live per-sender policing entries (one per sender, whichever
+    bottleneck its feedback names). *)
 
 val sender_rates : t -> (Wire.Addr.t * float) list
 (** Current policed rate per tracked sender, sorted by address — the

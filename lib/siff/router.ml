@@ -1,15 +1,46 @@
 let default_rotation_period = 128.
 
+(* The marking preimage is [secret_master ^ router_id ^ "|" ^ epoch ^ "|"]
+   followed by the 4-byte wire forms of src and dst.  It is written into a
+   per-router scratch buffer: the text prefix once per epoch, the two
+   addresses per packet, so a marking allocates only the boxed hash. *)
 type t = {
   rotation : float;
-  secret_master : string;
   router_id : int;
   sim : Sim.t;
   mutable dropped_dta : int;
+  preimage : Bytes.t;
+  id_end : int; (* end of [secret_master ^ router_id ^ "|"] *)
+  mutable prefix_epoch : int;
+  mutable prefix_end : int; (* end of the epoch's text prefix *)
 }
 
+let write_epoch t epoch =
+  let pos = Crypto.Preimage.put_decimal t.preimage t.id_end epoch in
+  t.prefix_end <- Crypto.Preimage.put_char t.preimage pos '|';
+  t.prefix_epoch <- epoch
+
 let create ?(rotation_period = default_rotation_period) ~secret_master ~router_id ~sim () =
-  { rotation = rotation_period; secret_master; router_id; sim; dropped_dta = 0 }
+  let preimage =
+    Bytes.create (String.length secret_master + (2 * (Crypto.Preimage.max_decimal_len + 1)) + 8)
+  in
+  let pos = Crypto.Preimage.put_string preimage 0 secret_master in
+  let pos = Crypto.Preimage.put_decimal preimage pos router_id in
+  let id_end = Crypto.Preimage.put_char preimage pos '|' in
+  let t =
+    {
+      rotation = rotation_period;
+      router_id;
+      sim;
+      dropped_dta = 0;
+      preimage;
+      id_end;
+      prefix_epoch = 0;
+      prefix_end = id_end;
+    }
+  in
+  write_epoch t 0;
+  t
 
 let rotation_period t = t.rotation
 let dropped_dta t = t.dropped_dta
@@ -17,11 +48,10 @@ let dropped_dta t = t.dropped_dta
 let epoch t ~now = int_of_float (floor (now /. t.rotation))
 
 let bits_for t ~epoch ~src ~dst =
-  let msg =
-    Printf.sprintf "%d|%d|%s%s" t.router_id epoch
-      (Wire.Addr.to_wire_string src) (Wire.Addr.to_wire_string dst)
-  in
-  Int64.to_int (Crypto.Siphash.mac ~key:"SIFF marking key" (t.secret_master ^ msg))
+  if epoch <> t.prefix_epoch then write_epoch t epoch;
+  let pos = Crypto.Preimage.put_be32 t.preimage t.prefix_end (Wire.Addr.to_int src) in
+  let len = Crypto.Preimage.put_be32 t.preimage pos (Wire.Addr.to_int dst) in
+  Int64.to_int (Crypto.Siphash.mac_bytes ~key:"SIFF marking key" t.preimage ~len)
   land ((1 lsl Wire.Siff_marking.bits_per_router) - 1)
 
 let marking_bits t ~now ~src ~dst = bits_for t ~epoch:(epoch t ~now) ~src ~dst

@@ -11,14 +11,6 @@ let equal = Int.equal
 let compare = Int.compare
 let hash t = t
 
-let to_wire_string t =
-  let b = Bytes.create 4 in
-  Bytes.set b 0 (Char.chr ((t lsr 24) land 0xff));
-  Bytes.set b 1 (Char.chr ((t lsr 16) land 0xff));
-  Bytes.set b 2 (Char.chr ((t lsr 8) land 0xff));
-  Bytes.set b 3 (Char.chr (t land 0xff));
-  Bytes.unsafe_to_string b
-
 let pp fmt t =
   Format.fprintf fmt "%d.%d.%d.%d" ((t lsr 24) land 0xff) ((t lsr 16) land 0xff)
     ((t lsr 8) land 0xff) (t land 0xff)

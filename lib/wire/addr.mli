@@ -1,6 +1,6 @@
-(** Network addresses.  The simulator uses small integer addresses; the
-    capability crypto binds src/dst addresses into hashes via
-    {!to_wire_string}, which renders them as 4 bytes like an IPv4 address. *)
+(** Network addresses.  The simulator uses small integer addresses of at
+    most 32 bits; MAC preimages bind them as 4 big-endian bytes, like an
+    IPv4 address. *)
 
 type t = private int
 
@@ -11,9 +11,6 @@ val to_int : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
-
-val to_wire_string : t -> string
-(** 4 big-endian bytes, the form fed into capability hashes. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -67,7 +67,7 @@ val internet : unit -> factory
 
 val netfence : ?params:Netfence.Router.params -> unit -> factory
 (** Closed-loop congestion policing (PAPERS.md): MACed congestion
-    feedback stamped at the bottleneck, per-(sender, bottleneck) AIMD
+    feedback stamped at the bottleneck, per-sender AIMD
     rate limiters at the access router, headerless traffic demoted to a
     low-priority legacy channel. *)
 

@@ -33,6 +33,21 @@ let siff_marking_rotates () =
   done;
   Alcotest.(check bool) "rotation changes markings" true !differs
 
+(* The marking preimage lives in a per-router scratch buffer: a marking
+   allocates only the boxed hash, not a per-packet string. *)
+let siff_marking_allocation_budget () =
+  let budget = 4. and iters = 4000 in
+  let sim = Sim.create () in
+  let r = Siff.Router.create ~secret_master:"s" ~router_id:1 ~sim () in
+  ignore (Siff.Router.marking_bits r ~now:1. ~src ~dst);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    ignore (Sys.opaque_identity (Siff.Router.marking_bits r ~now:1. ~src ~dst))
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int iters in
+  if per_call > budget then
+    Alcotest.failf "marking_bits allocates %.2f minor words/call (budget %g)" per_call budget
+
 let siff_sim () =
   let sim = Sim.create () in
   let net = Net.create sim in
@@ -285,4 +300,5 @@ let suite =
     Alcotest.test_case "pushback engages" `Quick pushback_engages_and_protects;
     Alcotest.test_case "pushback releases" `Quick pushback_releases_after_quiet;
     Alcotest.test_case "internet host" `Quick internet_host_roundtrip;
+    Alcotest.test_case "siff marking allocation" `Quick siff_marking_allocation_budget;
   ]

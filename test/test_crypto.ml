@@ -122,6 +122,146 @@ let siphash_mac_short_matches_mac =
         (Crypto.Siphash.mac_short ~key ~len ~w0:!w0 ~tail:!tail)
         (Crypto.Siphash.mac ~key msg))
 
+(* A record-state SipHash-2-4 transcribed straight from the reference
+   implementation: slow, but sharing no code with the library's unboxed
+   rounds, so it is the oracle for every message length. *)
+let reference_siphash ~key msg =
+  let word s off =
+    let w = ref 0L in
+    for i = 7 downto 0 do
+      w := Int64.logor (Int64.shift_left !w 8) (Int64.of_int (Char.code s.[off + i]))
+    done;
+    !w
+  in
+  let rotl x b = Int64.logor (Int64.shift_left x b) (Int64.shift_right_logical x (64 - b)) in
+  let k0 = word key 0 and k1 = word key 8 in
+  let v =
+    [|
+      Int64.logxor k0 0x736f6d6570736575L;
+      Int64.logxor k1 0x646f72616e646f6dL;
+      Int64.logxor k0 0x6c7967656e657261L;
+      Int64.logxor k1 0x7465646279746573L;
+    |]
+  in
+  let round () =
+    v.(0) <- Int64.add v.(0) v.(1);
+    v.(1) <- Int64.logxor (rotl v.(1) 13) v.(0);
+    v.(0) <- rotl v.(0) 32;
+    v.(2) <- Int64.add v.(2) v.(3);
+    v.(3) <- Int64.logxor (rotl v.(3) 16) v.(2);
+    v.(0) <- Int64.add v.(0) v.(3);
+    v.(3) <- Int64.logxor (rotl v.(3) 21) v.(0);
+    v.(2) <- Int64.add v.(2) v.(1);
+    v.(1) <- Int64.logxor (rotl v.(1) 17) v.(2);
+    v.(2) <- rotl v.(2) 32
+  in
+  let compress m =
+    v.(3) <- Int64.logxor v.(3) m;
+    round ();
+    round ();
+    v.(0) <- Int64.logxor v.(0) m
+  in
+  let len = String.length msg in
+  for i = 0 to (len / 8) - 1 do
+    compress (word msg (8 * i))
+  done;
+  let last = ref (Int64.shift_left (Int64.of_int (len land 0xff)) 56) in
+  for i = 0 to (len mod 8) - 1 do
+    last :=
+      Int64.logor !last (Int64.shift_left (Int64.of_int (Char.code msg.[(len land lnot 7) + i])) (8 * i))
+  done;
+  compress !last;
+  v.(2) <- Int64.logxor v.(2) 0xffL;
+  for _ = 1 to 4 do
+    round ()
+  done;
+  Int64.logxor (Int64.logxor v.(0) v.(1)) (Int64.logxor v.(2) v.(3))
+
+let siphash_mac_matches_reference =
+  QCheck.Test.make ~name:"siphash: mac = mac_bytes = reference on 0..64-byte messages" ~count:500
+    QCheck.(
+      triple
+        (string_of_size (QCheck.Gen.return 16))
+        (string_of_size QCheck.Gen.(int_range 0 64))
+        (int_range 0 8))
+    (fun (key, msg, slack) ->
+      (* [mac_bytes] reads only the first [len] bytes of a longer buffer. *)
+      let buf = Bytes.of_string (msg ^ String.make slack '\xff') in
+      let expected = reference_siphash ~key msg in
+      Int64.equal (Crypto.Siphash.mac ~key msg) expected
+      && Int64.equal (Crypto.Siphash.mac_bytes ~key buf ~len:(String.length msg)) expected)
+
+let siphash_mac_bytes_rejects_bad_len () =
+  let key = String.make 16 'k' in
+  Alcotest.check_raises "len past the buffer"
+    (Invalid_argument "Siphash.mac_bytes: len out of range") (fun () ->
+      ignore (Crypto.Siphash.mac_bytes ~key (Bytes.create 4) ~len:5))
+
+(* The general path keeps its state unboxed: a call allocates only its
+   boxed int64 result (3 words), at every message length. *)
+let siphash_mac_allocation_budget () =
+  let key = String.make 16 'k' and iters = 2000 in
+  for len = 0 to 64 do
+    let msg = String.init len (fun i -> Char.chr (i * 37 land 0xff)) in
+    let buf = Bytes.of_string msg in
+    let per_call f =
+      ignore (Sys.opaque_identity (f ()));
+      let w0 = Gc.minor_words () in
+      for _ = 1 to iters do
+        ignore (Sys.opaque_identity (f ()))
+      done;
+      (Gc.minor_words () -. w0) /. float_of_int iters
+    in
+    let w_mac = per_call (fun () -> Crypto.Siphash.mac ~key msg) in
+    let w_bytes = per_call (fun () -> Crypto.Siphash.mac_bytes ~key buf ~len) in
+    if w_mac > 3. || w_bytes > 3. then
+      Alcotest.failf "len %d: mac allocates %.2f, mac_bytes %.2f minor words/call (budget 3)" len
+        w_mac w_bytes
+  done
+
+(* --- Preimage writers ------------------------------------------------- *)
+
+let put_decimal_matches_printf =
+  QCheck.Test.make ~name:"preimage: put_decimal writes the bytes %d prints" ~count:500
+    QCheck.(oneof [ int; int_range (-1000) 1000; oneofl [ min_int; max_int; 0; -1 ] ])
+    (fun n ->
+      let b = Bytes.make (Crypto.Preimage.max_decimal_len + 2) '#' in
+      let stop = Crypto.Preimage.put_decimal b 1 n in
+      Bytes.sub_string b 1 (stop - 1) = Printf.sprintf "%d" n
+      && Bytes.get b 0 = '#'
+      && Bytes.get b stop = '#')
+
+(* SIFF markings: the old per-packet [Printf]/[^] preimage, hashed by the
+   reference SipHash, against the router's scratch-buffer path.  Master
+   lengths 0..40 move the per-packet bytes across every 8-byte word
+   boundary; each case walks one router through several epochs so the
+   cached text prefix is rebuilt and reused. *)
+let siff_reference_bits ~secret_master ~router_id ~epoch ~src ~dst =
+  let wire a =
+    let a = Wire.Addr.to_int a in
+    String.init 4 (fun i -> Char.chr ((a lsr (8 * (3 - i))) land 0xff))
+  in
+  let msg = Printf.sprintf "%d|%d|%s%s" router_id epoch (wire src) (wire dst) in
+  Int64.to_int (reference_siphash ~key:"SIFF marking key" (secret_master ^ msg))
+  land ((1 lsl Wire.Siff_marking.bits_per_router) - 1)
+
+let siff_marking_matches_reference =
+  let addr = QCheck.map Wire.Addr.of_int (QCheck.int_range 0 Wire.Addr.(to_int broadcast)) in
+  QCheck.Test.make ~name:"siff: marking_bits = Printf-preimage reference" ~count:300
+    QCheck.(
+      triple
+        (string_of_size Gen.(int_range 0 40))
+        int
+        (list_of_size Gen.(int_range 1 8) (triple (int_range 0 100_000) addr addr)))
+    (fun (secret_master, router_id, probes) ->
+      let sim = Sim.create () in
+      let r = Siff.Router.create ~rotation_period:1. ~secret_master ~router_id ~sim () in
+      List.for_all
+        (fun (epoch, src, dst) ->
+          Siff.Router.marking_bits r ~now:(float_of_int epoch +. 0.5) ~src ~dst
+          = siff_reference_bits ~secret_master ~router_id ~epoch ~src ~dst)
+        probes)
+
 (* --- HMAC-SHA1 (RFC 2202 vectors) ----------------------------------- *)
 
 let hmac_rfc2202_case1 () =
@@ -316,4 +456,9 @@ let suite =
     Alcotest.test_case "timestamp modulo 256" `Quick secret_timestamp_is_modulo_256;
     Alcotest.test_case "secret deterministic" `Quick secret_deterministic_from_master;
     Alcotest.test_case "secret epoch cache transparent" `Quick secret_epoch_cache_is_transparent;
+    QCheck_alcotest.to_alcotest siphash_mac_matches_reference;
+    Alcotest.test_case "siphash mac_bytes bad len" `Quick siphash_mac_bytes_rejects_bad_len;
+    Alcotest.test_case "siphash mac allocation" `Quick siphash_mac_allocation_budget;
+    QCheck_alcotest.to_alcotest put_decimal_matches_printf;
+    QCheck_alcotest.to_alcotest siff_marking_matches_reference;
   ]

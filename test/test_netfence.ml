@@ -112,6 +112,57 @@ let aimd_converges_to_equal_rates () =
       Alcotest.(check bool) "overload was policed" true (Netfence.Router.policed left > 0)
   | rates -> Alcotest.failf "expected 2 policed senders, got %d" (List.length rates)
 
+(* Tokens: the old per-packet [Printf] preimage against the router's
+   scratch-buffer path, for minted tags and for validation, over random
+   router ids (negatives included), addresses, timestamps and both
+   actions. *)
+let reference_mac ~secret_master ~now ~src ~router ~ts ~action =
+  let key = Crypto.Secret.issuing_secret (Crypto.Secret.create ~master:secret_master) ~now in
+  Crypto.Keyed_hash.Fast.mac56 ~key
+    (Printf.sprintf "nf|%d|%d|%d|%d" (Wire.Addr.to_int src) router ts
+       (Wire.Nf_feedback.action_bit action))
+
+let tokens_match_reference =
+  QCheck.Test.make ~name:"netfence: mint/validate = Printf-preimage reference" ~count:300
+    QCheck.(
+      pair
+        (triple (string_of_size Gen.(int_range 0 40)) int int)
+        (triple (int_range 0 Wire.Addr.(to_int broadcast)) (int_range 0 255) bool))
+    (fun ((secret_master, router_id, peer), (src, ts, incr)) ->
+      let src = Wire.Addr.of_int src in
+      let action = if incr then Wire.Nf_feedback.Incr else Wire.Nf_feedback.Decr in
+      let now = float_of_int ts +. 0.25 in
+      let _, r = make_router ~router_id ~secret_master () in
+      let minted = Netfence.Router.mint r ~now ~src action in
+      let peer_mac = reference_mac ~secret_master ~now ~src ~router:peer ~ts ~action in
+      let peer_tok =
+        { Wire.Nf_feedback.nf_router = peer; nf_ts = ts; nf_action = action; nf_mac = peer_mac }
+      in
+      Int64.equal minted.Wire.Nf_feedback.nf_mac
+        (reference_mac ~secret_master ~now ~src ~router:router_id ~ts ~action)
+      && Netfence.Router.validate r ~now peer_tok ~src = Some action
+      && Netfence.Router.validate r ~now
+           { peer_tok with Wire.Nf_feedback.nf_mac = Int64.logxor peer_mac 1L }
+           ~src
+         = None)
+
+(* A valid token's check writes its preimage into the router's scratch
+   buffer: no per-packet string, and a small fixed allocation (the boxed
+   hash, the option results). *)
+let validate_allocation_budget () =
+  let budget = 12. and iters = 4000 in
+  let _, r = make_router () in
+  let tok = Netfence.Router.mint r ~now:1. ~src Wire.Nf_feedback.Incr in
+  let check () = Netfence.Router.validate r ~now:1.2 tok ~src in
+  Alcotest.(check (option action)) "valid" (Some Wire.Nf_feedback.Incr) (check ());
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    ignore (Sys.opaque_identity (check ()))
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int iters in
+  if per_call > budget then
+    Alcotest.failf "validate allocates %.2f minor words/call (budget %g)" per_call budget
+
 let suite =
   [
     Alcotest.test_case "feedback MAC roundtrip" `Quick mac_roundtrip;
@@ -119,4 +170,6 @@ let suite =
     Alcotest.test_case "shared master cross-validates" `Quick shared_master_validates_across_routers;
     Alcotest.test_case "rotation invalidates" `Quick rotate_invalidates;
     Alcotest.test_case "aimd converges" `Quick aimd_converges_to_equal_rates;
+    QCheck_alcotest.to_alcotest tokens_match_reference;
+    Alcotest.test_case "validate allocation" `Quick validate_allocation_budget;
   ]
