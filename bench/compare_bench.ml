@@ -161,36 +161,6 @@ let () =
         (Printf.sprintf "| cached_nonce_telemetry | %.0f | %.0f | %+.1f%% | — |\n" o n
            (100. *. delta))
   | _ -> ());
-  (* Batched and sharded cached-nonce rows, also newer than some committed
-     baselines.  The batch row is gated like the router paths when both
-     reports carry it — it is the PR's headline number; the sharded row is
-     informational because its wall-clock includes domain scheduling. *)
-  (match (section_pps old_text "cached_nonce_batch", section_pps new_text "cached_nonce_batch") with
-  | Some o, Some n ->
-      let delta = (normalize new_text n /. normalize old_text o) -. 1. in
-      let regressed = delta < -. !threshold in
-      if regressed then failed := true;
-      Buffer.add_string buf
-        (Printf.sprintf "| cached_nonce_batch | %.0f | %.0f | %+.1f%% | %s |\n" o n (100. *. delta)
-           (if regressed then "FAIL" else "ok"))
-  | _ -> ());
-  (match
-     (section_pps old_text "cached_nonce_sharded", section_pps new_text "cached_nonce_sharded")
-   with
-  | Some o, Some n ->
-      let delta = (normalize new_text n /. normalize old_text o) -. 1. in
-      Buffer.add_string buf
-        (Printf.sprintf "| cached_nonce_sharded | %.0f | %.0f | %+.1f%% | — |\n" o n
-           (100. *. delta))
-  | _ -> ());
-  (match (find_number old_text "batch_speedup", find_number new_text "batch_speedup") with
-  | Some o, Some n ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n_batch speedup over same-run sequential cached-nonce: %.2fx committed, %.2fx fresh \
-            (gated inside pps_bench)._\n"
-           o n)
-  | _ -> ());
   (match (find_number old_text "obs_overhead_pct", find_number new_text "obs_overhead_pct") with
   | Some o, Some n ->
       Buffer.add_string buf

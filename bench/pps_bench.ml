@@ -28,9 +28,6 @@ let passes = ref 512
 let budget = ref 12.
 let validate_budget = ref 42.
 let request_budget = ref 24.
-let batch_budget = ref 2.
-let batch_speedup_min = ref 2.
-let shards = ref 4
 let obs_overhead_pct = ref 5.
 let out_path = ref "BENCH_pps.json"
 let profile_out = ref ""
@@ -48,15 +45,6 @@ let spec =
     ( "--request-budget",
       Arg.Set_float request_budget,
       "W  max minor words/packet on the request path (default 24)" );
-    ( "--batch-budget",
-      Arg.Set_float batch_budget,
-      "W  max amortized minor words/packet on the batched cached-nonce path (default 2)" );
-    ( "--batch-speedup-min",
-      Arg.Set_float batch_speedup_min,
-      "X  min cached_nonce_batch pps as a multiple of same-run cached_nonce pps (default 2)" );
-    ( "--shards",
-      Arg.Set_int shards,
-      "K  flow-hash shards for the cached_nonce_sharded row (default 4)" );
     ( "--obs-overhead-pct",
       Arg.Set_float obs_overhead_pct,
       "P  max cached-nonce pps loss with obs counters attached (default 5)" );
@@ -68,8 +56,7 @@ let spec =
 
 let usage =
   "pps_bench [--flows N] [--passes K] [--budget W] [--validate-budget W] [--request-budget W] \
-   [--batch-budget W] [--batch-speedup-min X] [--shards K] [--obs-overhead-pct P] [--out PATH] \
-   [--profile-out PATH]"
+   [--obs-overhead-pct P] [--out PATH] [--profile-out PATH]"
 
 let n_kb = 1023
 let t_sec = 32
@@ -345,7 +332,7 @@ let () =
   (* The obs router again, now with a telemetry ring snapshotting its
      counters once per pass — one tick per [flows] packets, the cadence a
      100 ms interval has at line rate.  Head-to-head against the plain obs
-     pass: the tick must cost under [--telemetry-overhead-pct] percent of
+     pass: the tick must cost under [--obs-overhead-pct] percent of
      cached-nonce pps and allocate nothing (the tick path is unsafe float
      stores into preallocated rings). *)
   let ts = Obs.Timeseries.create ~interval:1.0 () in
@@ -381,64 +368,6 @@ let () =
     telemetry_m.minor_words_per_packet -. obs_ref_m.minor_words_per_packet
   in
 
-  (* --- cached-nonce path, batched --------------------------------------- *)
-  (* Same router, same packets: [Router.process_batch] against the
-     sequential loop, head-to-head in alternating chunks.  The speedup gate
-     is a ratio inside one report, so it holds on any machine — the batch
-     path must beat the sequential path by [--batch-speedup-min] on the
-     strength of its hoisted epoch stamp, sentinel-based cache probe and
-     batch-local counter flush alone. *)
-  let batch_pass _pass = Tva.Router.process_batch router ~in_interface:0 cached_packets in
-  batch_pass 0 (* warmup *);
-  let before = snapshot (Tva.Router.counters router) in
-  let seq_ref_m, batch_m = measure_duel ~flows ~passes cached_pass batch_pass in
-  check_counters ~label:"cached-nonce (batch duel)" ~before ~after:(Tva.Router.counters router)
-    ~expect_field:(fun c -> c.Tva.Router.regular_cached)
-    ~expected:(2 * flows * passes);
-  let batch_speedup = batch_m.pps /. seq_ref_m.pps in
-
-  (* --- cached-nonce path, sharded ---------------------------------------- *)
-  (* K shard routers sharing the bench router's secret and id (the caps
-     minted above validate on every shard), packets partitioned once by
-     flow hash, each shard's stream processed on its own domain.  Minor
-     words are a per-domain counter, so the row reports pps/ns only. *)
-  let shards = max 1 !shards in
-  let sp =
-    Forwarder.Shardpath.create ~k:shards ~secret_master:"pps-bench" ~router_id:1 ~sim
-      ~link_bps:1e9 ()
-  in
-  let shard_nonce = 4L in
-  Array.iteri
-    (fun f (cap : Wire.Cap_shim.cap) ->
-      let shim =
-        Wire.Cap_shim.regular ~nonce:shard_nonce ~caps:[ cap ] ~n_kb ~t_sec ~renewal:false ()
-      in
-      let p = Wire.Packet.make ~shim ~src:(src f) ~dst ~created:0. (Wire.Packet.Raw 64) in
-      Forwarder.Shardpath.process sp ~in_interface:0 p)
-    caps;
-  let shard_packets =
-    Array.init flows (fun f ->
-        let shim =
-          Wire.Cap_shim.regular ~nonce:shard_nonce ~caps:[] ~n_kb ~t_sec ~renewal:false ()
-        in
-        Wire.Packet.make ~shim ~src:(src f) ~dst ~created:0. (Wire.Packet.Raw 64))
-  in
-  Forwarder.Shardpath.repeat_staged sp ~in_interface:0 ~passes:1 shard_packets (* warmup *);
-  let before_shard = Forwarder.Shardpath.merged_counters sp in
-  let t0 = Unix.gettimeofday () in
-  Forwarder.Shardpath.repeat_staged sp ~in_interface:0 ~passes shard_packets;
-  let shard_wall = Unix.gettimeofday () -. t0 in
-  let after_shard = Forwarder.Shardpath.merged_counters sp in
-  if after_shard.Tva.Router.regular_cached - before_shard.Tva.Router.regular_cached
-     <> flows * passes
-     || after_shard.Tva.Router.demotions <> before_shard.Tva.Router.demotions
-  then begin
-    Printf.eprintf "FATAL: sharded cached-nonce path strayed off the cached branch\n";
-    exit 1
-  end;
-  let sharded_pps = float_of_int (flows * passes) /. shard_wall in
-  let sharded_ns = shard_wall *. 1e9 /. float_of_int (flows * passes) in
-
   (* --- report ---------------------------------------------------------- *)
   let pp_path name m =
     Printf.printf "  %-13s %10.0f pps  %8.1f ns/pkt  %6.2f minor words/pkt\n%!" name m.pps
@@ -454,16 +383,9 @@ let () =
   pp_path "cached+telem" telemetry_m;
   Printf.printf "  telemetry tick: %+.2f%% pps, %+.3f minor words/pkt vs obs cached-nonce\n%!"
     telemetry_overhead telemetry_extra_words;
-  pp_path "cached+batch" batch_m;
-  Printf.printf "  batch speedup: %.2fx over same-run sequential cached-nonce (gate: >= %gx)\n%!"
-    batch_speedup !batch_speedup_min;
-  Printf.printf "  %-13s %10.0f pps  %8.1f ns/pkt  (%d shards, per-domain words not comparable)\n%!"
-    "cached+shard" sharded_pps sharded_ns shards;
   let budget_ok = cached_m.minor_words_per_packet <= !budget in
   let validate_ok = validate_m.minor_words_per_packet <= !validate_budget in
   let request_ok = request_m.minor_words_per_packet <= !request_budget in
-  let batch_budget_ok = batch_m.minor_words_per_packet <= !batch_budget in
-  let batch_speedup_ok = batch_speedup >= !batch_speedup_min in
   let json_path name m =
     String.concat "\n"
       [
@@ -488,15 +410,6 @@ let () =
         json_path "legacy" legacy_m ^ ",";
         json_path "cached_nonce_obs" obs_cached_m ^ ",";
         json_path "cached_nonce_telemetry" telemetry_m ^ ",";
-        json_path "cached_nonce_batch" batch_m ^ ",";
-        "  \"cached_nonce_sharded\": {";
-        Printf.sprintf "    \"pps\": %.0f," sharded_pps;
-        Printf.sprintf "    \"ns_per_packet\": %.2f," sharded_ns;
-        Printf.sprintf "    \"shards\": %d" shards;
-        "  },";
-        Printf.sprintf "  \"batch_speedup\": %.2f," batch_speedup;
-        Printf.sprintf "  \"batch_speedup_min\": %g," !batch_speedup_min;
-        Printf.sprintf "  \"batch_speedup_ok\": %b," batch_speedup_ok;
         Printf.sprintf "  \"obs_overhead_pct\": %.2f," obs_overhead;
         Printf.sprintf "  \"obs_overhead_budget_pct\": %g," !obs_overhead_pct;
         Printf.sprintf "  \"obs_extra_minor_words\": %.3f," obs_extra_words;
@@ -508,9 +421,7 @@ let () =
         Printf.sprintf "  \"validate_budget_words\": %g," !validate_budget;
         Printf.sprintf "  \"validate_budget_ok\": %b," validate_ok;
         Printf.sprintf "  \"request_budget_words\": %g," !request_budget;
-        Printf.sprintf "  \"request_budget_ok\": %b," request_ok;
-        Printf.sprintf "  \"batch_budget_words\": %g," !batch_budget;
-        Printf.sprintf "  \"batch_budget_ok\": %b" batch_budget_ok;
+        Printf.sprintf "  \"request_budget_ok\": %b" request_ok;
         "}";
       ]
   in
@@ -530,12 +441,6 @@ let () =
   check_budget "cached-nonce" cached_m.minor_words_per_packet !budget;
   check_budget "validate" validate_m.minor_words_per_packet !validate_budget;
   check_budget "request" request_m.minor_words_per_packet !request_budget;
-  check_budget "cached-nonce batch" batch_m.minor_words_per_packet !batch_budget;
-  if not batch_speedup_ok then begin
-    Printf.eprintf "FATAL: process_batch is only %.2fx the sequential cached-nonce pps (gate %gx)\n"
-      batch_speedup !batch_speedup_min;
-    failed := true
-  end;
   (* --- per-stage ns budgets (Obs.Profile gauges) ------------------------- *)
   (* Each stage's ns/packet goes through a [Obs.Profile] gauge and is
      gated as a multiple of the same report's legacy ns — the legacy path
@@ -546,7 +451,6 @@ let () =
   let stages =
     [
       ("cached_nonce", cached_m.ns_per_packet, 10.);
-      ("cached_nonce_batch", batch_m.ns_per_packet, 6.);
       ("validate", validate_m.ns_per_packet, 25.);
       ("request", request_m.ns_per_packet, 20.);
     ]

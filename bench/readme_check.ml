@@ -87,8 +87,8 @@ let section_field text name field =
 
 (* The README row for a path looks like
      | `cached_nonce` | ... | ... | 96.4 ns, 11 words/pkt |
-   The committed column is the last nonempty cell; the first float before
-   " ns" is the latency, an optional "<float> words" is the allocation. *)
+   The committed column is the last nonempty cell; the float before " ns"
+   is the latency and the float before " words" the allocation. *)
 let split_cells line =
   String.split_on_char '|' line |> List.map String.trim |> List.filter (fun c -> c <> "")
 
@@ -126,7 +126,7 @@ let () =
   let readme_text = read_file !readme and json_text = read_file !json in
   let failed = ref false and checked = ref 0 in
   let fatal fmt = Printf.ksprintf (fun s -> prerr_endline ("readme_check: " ^ s); exit 2) fmt in
-  let check ~key ~words_expected =
+  let check key =
     match row_cell readme_text key with
     | None -> fatal "README has no table row for `%s`" key
     | Some cell ->
@@ -144,29 +144,18 @@ let () =
             end
         | None, _ -> fatal "no ns figure in README row `%s` (cell %S)" key cell
         | _, None -> fatal "no \"%s\".ns_per_packet in %s" key !json);
-        if words_expected then
-          match (table_words, json_words) with
-          | Some t, Some j ->
-              incr checked;
-              if Float.abs (t -. j) > !words_tol then begin
-                Printf.eprintf
-                  "readme_check: `%s` words/pkt drifted: README says %g, JSON says %.3f\n" key t j;
-                failed := true
-              end
-          | None, _ -> fatal "no words figure in README row `%s` (cell %S)" key cell
-          | _, None -> fatal "no \"%s\".minor_words_per_packet in %s" key !json
+        match (table_words, json_words) with
+        | Some t, Some j ->
+            incr checked;
+            if Float.abs (t -. j) > !words_tol then begin
+              Printf.eprintf
+                "readme_check: `%s` words/pkt drifted: README says %g, JSON says %.3f\n" key t j;
+              failed := true
+            end
+        | None, _ -> fatal "no words figure in README row `%s` (cell %S)" key cell
+        | _, None -> fatal "no \"%s\".minor_words_per_packet in %s" key !json
   in
-  List.iter
-    (fun key -> check ~key ~words_expected:true)
-    [
-      "cached_nonce";
-      "validate";
-      "request";
-      "legacy";
-      "cached_nonce_batch";
-      "cached_nonce_telemetry";
-    ];
-  check ~key:"cached_nonce_sharded" ~words_expected:false;
+  List.iter check [ "cached_nonce"; "validate"; "request"; "legacy"; "cached_nonce_telemetry" ];
   let pps_checked = !checked in
   (* The README's million-sender scale table quotes the "gates" object of
      BENCH_scale.json; [section_field] scoped to "gates" skips the same

@@ -399,8 +399,7 @@ let dashboard_cmd =
       & opt float 0.25
       & info [ "gauge-period" ]
           ~doc:
-            "Sim-seconds between bottleneck queue-depth samples; 0 disables the gauge (gauge \
-             sampling consumes scheduler sequence numbers, so it can perturb event tie-breaks)."
+            "Sim-seconds between bottleneck queue-depth samples; 0 disables the gauge."
           ~docv:"SECONDS")
   in
   let series_arg =

@@ -40,11 +40,6 @@ let mod_age ~now ~ts =
   let now_ts = Crypto.Secret.timestamp ~now in
   (now_ts - ts + 256) mod 256
 
-(* With both stamps in 0..255 the difference + 256 lies in 1..511, where
-   [mod 256] and [land 255] agree — the batch loop hoists the float->stamp
-   conversion (a [floor] C call) once per batch and uses this form. *)
-let[@inline] expired_ts ~now_ts ~ts ~t_sec = (now_ts - ts + 256) land 255 > t_sec
-
 let expired ~now ~ts ~t_sec =
   let age = mod_age ~now ~ts in
   age > t_sec

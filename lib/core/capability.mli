@@ -41,13 +41,6 @@ val mint_precap2 :
 val cap_of_precap2 :
   cap_hash:keyed -> precap:Wire.Cap_shim.cap -> n_kb:int -> t_sec:int -> Wire.Cap_shim.cap
 
-val public_key : string
-(** The fixed key under which capability hashes are computed.  The
-    capability hash is unkeyed in spirit — any party holding the
-    pre-capability can compute it — but the {!Crypto.Keyed_hash} interface
-    wants a key, so this public constant plays the role.  Exposed for batch
-    validators that hoist key preparation out of their loops. *)
-
 type verdict =
   | Valid
   | Expired  (** the T window has passed on the router clock *)
@@ -106,11 +99,5 @@ val validate_cached :
 val expired : now:float -> ts:int -> t_sec:int -> bool
 (** The modulo-clock expiry test alone (used for cached entries, where the
     hash was checked at insertion). *)
-
-val expired_ts : now_ts:int -> ts:int -> t_sec:int -> bool
-(** {!expired} with the router clock already converted to its 8-bit stamp
-    ([Crypto.Secret.timestamp]); the batch datapath hoists that conversion
-    out of its per-packet loop.  Equal to [expired] whenever
-    [now_ts = Crypto.Secret.timestamp ~now]. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -39,19 +39,9 @@ type t = {
 
 let rec next_pow2 n k = if k >= n then k else next_pow2 n (2 * k)
 
-(* Table length that holds [n] live records without violating the
-   live + tombs <= length/2 probe-termination invariant. *)
-let len_for n = next_pow2 (2 * n) 16
-
-let create ?(obs = Obs.Counters.nop) ?presize ~max_entries () =
+let create ?(obs = Obs.Counters.nop) ~max_entries () =
   if max_entries <= 0 then invalid_arg "Flow_cache.create: capacity must be positive";
-  let len =
-    match presize with
-    | None -> next_pow2 (min (2 * max_entries) 1024) 16
-    | Some n ->
-        if n <= 0 then invalid_arg "Flow_cache.create: presize must be positive";
-        len_for (min n max_entries)
-  in
+  let len = next_pow2 (min (2 * max_entries) 1024) 16 in
   {
     slots = Array.make len Empty;
     ttls = Array.make len neg_infinity;
@@ -68,7 +58,6 @@ let size t = t.live
 let capacity t = t.max_entries
 let evictions t = t.evictions
 let hwm t = t.hwm
-let ttls t = t.ttls
 
 (* Deterministic multiplicative mix of the two 32-bit addresses; OCaml int
    multiplication wraps, which is exactly what we want here. *)
@@ -80,11 +69,10 @@ let[@inline] slot_hash src dst =
 let[@inline] home t ~src ~dst =
   slot_hash (Wire.Addr.to_int src) (Wire.Addr.to_int dst) land (Array.length t.slots - 1)
 
-(* Physical-identity miss sentinel for the allocation-free [find]: the
-   batch fast path compares [find ... != no_entry] instead of matching an
-   allocated option.  Nothing ever inserts it; [slot = -1] makes any
-   accidental ttl access fail fast on the bounds check. *)
-let no_entry =
+(* Physical-identity miss sentinel for [probe], so the probe loop returns
+   a bare record and only [lookup]'s final [Some] allocates.  Nothing ever
+   inserts it. *)
+let absent =
   {
     e_src = Wire.Addr.of_int 0;
     e_dst = Wire.Addr.of_int 0;
@@ -98,28 +86,17 @@ let no_entry =
 
 (* A top-level tail-recursive probe on purpose: the natural local [rec go]
    closes over [slots]/[mask]/[src]/[dst], and that closure is 7 minor
-   words on every call — the single biggest allocation on the cached-nonce
-   path.  With everything passed as arguments the tail call compiles to a
-   jump and the whole probe allocates nothing. *)
+   words on every lookup.  With everything passed as arguments the tail
+   call compiles to a jump and the probe itself allocates nothing. *)
 let rec probe slots mask src dst i =
   match Array.unsafe_get slots i with
-  | Empty -> no_entry
+  | Empty -> absent
   | Used e when Wire.Addr.equal e.e_src src && Wire.Addr.equal e.e_dst dst -> e
   | Used _ | Tomb -> probe slots mask src dst ((i + 1) land mask)
 
-let[@inline] find t ~src ~dst =
-  probe t.slots (Array.length t.slots - 1) src dst (home t ~src ~dst)
-
 let lookup t ~src ~dst =
-  let slots = t.slots in
-  let mask = Array.length slots - 1 in
-  let rec go i =
-    match Array.unsafe_get slots i with
-    | Empty -> None
-    | Used e when Wire.Addr.equal e.e_src src && Wire.Addr.equal e.e_dst dst -> Some e
-    | Used _ | Tomb -> go ((i + 1) land mask)
-  in
-  go (home t ~src ~dst)
+  let e = probe t.slots (Array.length t.slots - 1) src dst (home t ~src ~dst) in
+  if e == absent then None else Some e
 
 let ttl_remaining t entry ~now = t.ttls.(entry.slot) -. now
 
@@ -201,14 +178,6 @@ let rehash t new_len =
           place (slot_hash (Wire.Addr.to_int e.e_src) (Wire.Addr.to_int e.e_dst) land mask)
       | Empty | Tomb -> ())
     old
-
-(* Grow (never shrink) the table so [n] live records fit without another
-   rehash — per-shard caches call this once at creation instead of paying
-   log2(n) incremental rehashes while they warm up. *)
-let presize t n =
-  if n <= 0 then invalid_arg "Flow_cache.presize: hint must be positive";
-  let want = len_for (min n t.max_entries) in
-  if want > Array.length t.slots then rehash t want
 
 type insert_result = Inserted of entry | Cache_full | Over_limit
 

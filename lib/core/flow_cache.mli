@@ -24,21 +24,17 @@ type entry = {
   mutable t_sec : int;
   mutable cap_ts : int; (* router timestamp inside the validated capability *)
   mutable bytes_used : int;
-  mutable slot : int; (* index of this record in the table; see {!ttls} *)
+  mutable slot : int; (* index of this record in the table *)
 }
 (** All-scalar on purpose: the ttl expiry lives in the table's unboxed
-    float store ([ttls t].(slot)), not in the record — a [mutable float]
+    float store at index [slot], not in the record — a [mutable float]
     in a mixed record is boxed, and updating it costs 2 minor words per
     charged packet. *)
 
-val create : ?obs:Obs.Counters.t -> ?presize:int -> max_entries:int -> unit -> t
+val create : ?obs:Obs.Counters.t -> max_entries:int -> unit -> t
 (** Raises [Invalid_argument] on a nonpositive bound.  [obs] (default
     {!Obs.Counters.nop}) receives a [Cache_evicted] increment per
-    reclaimed record.  [presize] is an expected-occupancy hint: the slot
-    table is allocated large enough up front that [presize] live records
-    (clamped to [max_entries]) trigger no incremental rehash — per-shard
-    caches sized [capacity / K] pass it to avoid rehash churn while they
-    warm up.  Without it, large caches start small and grow on demand. *)
+    reclaimed record.  Large caches start small and grow on demand. *)
 
 val size : t -> int
 val capacity : t -> int
@@ -53,26 +49,6 @@ val hwm : t -> int
     [records <= C/(N/T)_min] empirically. *)
 
 val lookup : t -> src:Wire.Addr.t -> dst:Wire.Addr.t -> entry option
-
-val no_entry : entry
-(** The miss sentinel returned by {!find}; compare by physical identity.
-    Never stored in any cache. *)
-
-val find : t -> src:Wire.Addr.t -> dst:Wire.Addr.t -> entry
-(** Allocation-free {!lookup}: returns {!no_entry} on a miss instead of
-    building an option.  This is the batch datapath's entry point. *)
-
-val ttls : t -> float array
-(** The SoA ttl store: [(ttls t).(e.slot)] is the absolute virtual time
-    entry [e]'s ttl runs out.  The array is replaced wholesale when the
-    table rehashes, so never cache it across a call that may {!insert} or
-    {!presize} — re-read it per packet (one field load).  The batch
-    datapath charges through this array directly. *)
-
-val presize : t -> int -> unit
-(** Grow (never shrink) the slot table so the given number of live records
-    fits without further rehashing.  Raises [Invalid_argument] on a
-    nonpositive hint. *)
 
 type insert_result =
   | Inserted of entry

@@ -26,5 +26,5 @@ let default =
     max_path_id_queues = 1024;
   }
 
-let flow_cache_entries t ~link_bps =
+let flow_cache_capacity t ~link_bps =
   max 64 (int_of_float (link_bps /. 8. /. t.min_rate_bytes_per_sec))

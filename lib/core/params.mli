@@ -24,6 +24,6 @@ type t = {
 
 val default : t
 
-val flow_cache_entries : t -> link_bps:float -> int
+val flow_cache_capacity : t -> link_bps:float -> int
 (** C / (N/T)_min, the provisioned number of flow-cache records for a link
     of the given capacity (at least 64). *)

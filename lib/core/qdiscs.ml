@@ -18,7 +18,7 @@ let build ?(regular_key = `Destination) ~(params : Params.t) ~bandwidth_bps ~req
   let regular =
     Drr.create ~name ~quantum:params.Params.mtu
       ~queue_capacity_bytes:params.Params.queue_capacity_bytes
-      ~max_queues:(Params.flow_cache_entries params ~link_bps:bandwidth_bps)
+      ~max_queues:(Params.flow_cache_capacity params ~link_bps:bandwidth_bps)
       ~classify ()
   in
   let legacy =

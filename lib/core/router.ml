@@ -28,13 +28,8 @@ type t = {
 }
 
 let create ?(params = Params.default) ?(hash = (module Crypto.Keyed_hash.Fast : Crypto.Keyed_hash.S))
-    ?(trust_boundary = true) ?(obs = Obs.Counters.nop) ?cache_entries ?cache_presize ~secret_master
-    ~router_id ~sim ~link_bps () =
-  let max_entries =
-    match cache_entries with
-    | Some n -> n
-    | None -> Params.flow_cache_entries params ~link_bps
-  in
+    ?(trust_boundary = true) ?(obs = Obs.Counters.nop) ~secret_master ~router_id ~sim ~link_bps () =
+  let max_entries = Params.flow_cache_capacity params ~link_bps in
   {
     params;
     hash;
@@ -44,7 +39,7 @@ let create ?(params = Params.default) ?(hash = (module Crypto.Keyed_hash.Fast : 
     rotations = 0;
     router_id;
     sim;
-    cache = Flow_cache.create ~obs ?presize:cache_presize ~max_entries ();
+    cache = Flow_cache.create ~obs ~max_entries ();
     counters =
       { requests = 0; regular_cached = 0; regular_validated = 0; renewals = 0; demotions = 0; legacy = 0 };
     obs;
@@ -232,97 +227,6 @@ let process t ~in_interface (p : Wire.Packet.t) =
           Obs.Counters.incr t.obs Obs.Event.Regular_in;
           process_regular t p shim ~nonce ~caps ~n_kb ~t_sec ~renewal
     end
-
-(* Batched [process]: one call, many packets, identical per-packet results
-   and identical counter totals — the differential test in the suite holds
-   the two together.  Per-batch invariants (the clock, its 8-bit stamp, the
-   cache) are hoisted out of the loop, and the events that fire once per
-   packet on the hot path are accumulated in locals and flushed once at the
-   end.  The steady-state shape — regular packet, cached entry, nonce
-   match — runs entirely in the inlined block; every other shape falls back
-   to the per-packet functions above, which re-probe the cache but cannot
-   drift from the sequential semantics. *)
-let process_batch t ~in_interface ?(off = 0) ?len (packets : Wire.Packet.t array) =
-  let len = match len with Some n -> n | None -> Array.length packets - off in
-  if off < 0 || len < 0 || off + len > Array.length packets then
-    invalid_arg "Router.process_batch: window out of bounds";
-  let now = Sim.now t.sim in
-  let now_ts = Crypto.Secret.timestamp ~now in
-  let cache = t.cache in
-  let n_legacy = ref 0 and n_request = ref 0 and n_regular = ref 0 in
-  let n_nonce_hit = ref 0 and n_cached = ref 0 in
-  for i = off to off + len - 1 do
-    let p = Array.unsafe_get packets i in
-    match p.Wire.Packet.shim with
-    | None -> incr n_legacy
-    | Some shim when shim.Wire.Cap_shim.demoted -> incr n_legacy
-    | Some shim -> begin
-        match shim.Wire.Cap_shim.kind with
-        | Wire.Cap_shim.Request _ ->
-            incr n_request;
-            process_request t ~in_interface p shim
-        | Wire.Cap_shim.Regular { nonce; caps; n_kb; t_sec; renewal; rev_fresh_precaps = _ } ->
-            incr n_regular;
-            let entry = Flow_cache.find cache ~src:p.Wire.Packet.src ~dst:p.Wire.Packet.dst in
-            if entry != Flow_cache.no_entry && Int64.equal entry.Flow_cache.nonce nonce then begin
-              incr n_nonce_hit;
-              if
-                Capability.expired_ts ~now_ts ~ts:entry.Flow_cache.cap_ts
-                  ~t_sec:entry.Flow_cache.t_sec
-              then demote t shim ~reason:Obs.Event.Demoted_cap_expired
-              else begin
-                (* [Flow_cache.charge], inlined so the cross-module call and
-                   its result constructor stay out of the hot loop.  The
-                   float expression is operation-for-operation [time_value]
-                   — bit-identical ttl growth is part of the batch
-                   equivalence contract (differential-tested). *)
-                let bytes = Wire.Packet.size_fast p in
-                if entry.Flow_cache.bytes_used + bytes > entry.Flow_cache.n_bytes then
-                  demote t shim ~reason:Obs.Event.Demoted_bytes_exhausted
-                else begin
-                    entry.Flow_cache.bytes_used <- entry.Flow_cache.bytes_used + bytes;
-                    (* The ttl lives in the cache's SoA float store; re-read
-                       the array here because a cold-shape fallback earlier
-                       in this batch may have inserted and rehashed. *)
-                    let ttls = Flow_cache.ttls cache in
-                    let slot = entry.Flow_cache.slot in
-                    Array.unsafe_set ttls slot
-                      (Array.unsafe_get ttls slot
-                      +. float_of_int bytes
-                         *. float_of_int entry.Flow_cache.t_sec
-                         /. float_of_int entry.Flow_cache.n_bytes);
-                    incr n_cached;
-                    if Array.length caps > 0 then
-                      shim.Wire.Cap_shim.ptr <- shim.Wire.Cap_shim.ptr + 1;
-                    if renewal then begin
-                      t.counters.renewals <- t.counters.renewals + 1;
-                      Obs.Counters.incr t.obs Obs.Event.Renewal;
-                      let precap =
-                        Capability.mint_precap_cached ~hash:t.hash ~cache:t.prep ~secret:t.secret
-                          ~now ~src:p.Wire.Packet.src ~dst:p.Wire.Packet.dst
-                      in
-                      match shim.Wire.Cap_shim.kind with
-                      | Wire.Cap_shim.Regular r -> Wire.Cap_shim.push_fresh_precap r precap
-                      | Wire.Cap_shim.Request _ -> assert false
-                    end
-                  end
-              end
-            end
-            else
-              (* Cold shapes — no entry, or a nonce mismatch needing full
-                 validation — share the sequential implementation, which
-                 fires its own [Nonce_miss] and validation events. *)
-              process_regular t p shim ~nonce ~caps ~n_kb ~t_sec ~renewal
-      end
-  done;
-  t.counters.legacy <- t.counters.legacy + !n_legacy;
-  t.counters.regular_cached <- t.counters.regular_cached + !n_cached;
-  let obs = t.obs in
-  Obs.Counters.add obs Obs.Event.Packets_in len;
-  Obs.Counters.add obs Obs.Event.Legacy_in !n_legacy;
-  Obs.Counters.add obs Obs.Event.Request_in !n_request;
-  Obs.Counters.add obs Obs.Event.Regular_in !n_regular;
-  Obs.Counters.add obs Obs.Event.Nonce_hit !n_nonce_hit
 
 let handler t node ~in_link p =
   let in_interface = match in_link with None -> -1 | Some l -> Net.node_id (Net.link_src l) in

@@ -22,8 +22,6 @@ val create :
   ?hash:Capability.keyed ->
   ?trust_boundary:bool ->
   ?obs:Obs.Counters.t ->
-  ?cache_entries:int ->
-  ?cache_presize:int ->
   secret_master:string ->
   router_id:int ->
   sim:Sim.t ->
@@ -35,31 +33,16 @@ val create :
     {!Obs.Counters.nop}) receives per-event increments — packet class on
     arrival, validation outcomes, reason-coded demotions, flow-cache
     activity; with the default sink the increments are blind stores and
-    the processing path stays allocation-free.  [cache_entries] overrides
-    the provisioned flow-cache capacity (the sharded datapath gives each
-    shard [capacity / K]); [cache_presize] is forwarded to
-    {!Flow_cache.create} as its pre-sizing hint. *)
+    the processing path stays allocation-free. *)
 
 val handler : t -> Net.handler
 (** A drop-in node handler: processes the packet then forwards it along
     the route. *)
 
 val process : t -> in_interface:int -> Wire.Packet.t -> unit
-(** The processing step alone (exposed for tests and the forwarder
-    benchmarks): mutates the packet's shim — appending pre-capabilities /
+(** The processing step alone (exposed for tests and the per-packet
+    benchmark): mutates the packet's shim — appending pre-capabilities /
     path ids, demoting, charging byte counts. *)
-
-val process_batch : t -> in_interface:int -> ?off:int -> ?len:int -> Wire.Packet.t array -> unit
-(** [process] over [packets.(off) .. packets.(off + len - 1)] (default:
-    the whole array) in one call: per-packet results are identical to
-    [len] sequential {!process} calls in array order — same shim
-    mutations, same demotion reasons, same flow-cache state — and counter
-    totals (both {!counters} and the [obs] registry) are equal, though
-    hot-path events are accumulated batch-locally and flushed once rather
-    than incremented per packet.  The steady-state shape (regular packet,
-    cached flow, nonce match) runs a hoisted, allocation-light inner loop;
-    other shapes fall back to the sequential code.  Raises
-    [Invalid_argument] if the window is out of bounds. *)
 
 (** {1 Introspection and fault injection} *)
 

@@ -23,33 +23,6 @@ module type S = sig
 
   val mac56_cap_p :
     prep:prepared -> precap_ts:int -> precap_hash:int64 -> n_kb:int -> t_sec:int -> int64
-
-  val mac56_precap_p2 :
-    prep:prepared ->
-    src_a:int ->
-    dst_a:int ->
-    ts_a:int ->
-    src_b:int ->
-    dst_b:int ->
-    ts_b:int ->
-    int64 * int64
-  (** Two pre-capability tags under one prepared key, for batch callers
-      that can pair packets.  Equal to two [mac56_precap_p] calls, in
-      argument order. *)
-
-  val mac56_cap_p2 :
-    prep:prepared ->
-    precap_ts_a:int ->
-    precap_hash_a:int64 ->
-    n_kb_a:int ->
-    t_sec_a:int ->
-    precap_ts_b:int ->
-    precap_hash_b:int64 ->
-    n_kb_b:int ->
-    t_sec_b:int ->
-    int64 * int64
-  (** Two capability tags under one prepared key.  Equal to two
-      [mac56_cap_p] calls, in argument order. *)
 end
 
 let mask56 = 0x00ffffffffffffffL
@@ -148,56 +121,6 @@ module Fast = struct
     in
     Int64.logand (Siphash.mac_short_k ~k0:prep.k0 ~k1:prep.k1 ~len:11 ~w0 ~tail) mask56
 
-  (* The paired entry points pack both preimages and hand them to the
-     interleaved [mac_short_k2] core, so two packets' tags cost barely more
-     than one serial hash. *)
-
-  let mac56_precap_p2 ~prep ~src_a ~dst_a ~ts_a ~src_b ~dst_b ~ts_b =
-    let w0a =
-      Int64.logor
-        (Int64.of_int (bswap32 src_a))
-        (Int64.shift_left (Int64.of_int (bswap32 dst_a)) 32)
-    and w0b =
-      Int64.logor
-        (Int64.of_int (bswap32 src_b))
-        (Int64.shift_left (Int64.of_int (bswap32 dst_b)) 32)
-    in
-    let ha, hb =
-      Siphash.mac_short_k2 ~k0:prep.k0 ~k1:prep.k1 ~len:9 ~w0a
-        ~taila:(Int64.of_int (ts_a land 0xff))
-        ~w0b
-        ~tailb:(Int64.of_int (ts_b land 0xff))
-    in
-    (Int64.logand ha mask56, Int64.logand hb mask56)
-
-  let[@inline] cap_w0 ~precap_ts ~precap_hash =
-    let h = Int64.to_int precap_hash in
-    let lo =
-      (precap_ts land 0xff)
-      lor (((h lsr 48) land 0xff) lsl 8)
-      lor (((h lsr 40) land 0xff) lsl 16)
-      lor (((h lsr 32) land 0xff) lsl 24)
-      lor (((h lsr 24) land 0xff) lsl 32)
-      lor (((h lsr 16) land 0xff) lsl 40)
-      lor (((h lsr 8) land 0xff) lsl 48)
-    in
-    Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int (h land 0xff)) 56)
-
-  let[@inline] cap_tail ~n_kb ~t_sec =
-    Int64.of_int
-      (((n_kb lsr 8) land 0x03) lor ((n_kb land 0xff) lsl 8) lor ((t_sec land 0x3f) lsl 16))
-
-  let mac56_cap_p2 ~prep ~precap_ts_a ~precap_hash_a ~n_kb_a ~t_sec_a ~precap_ts_b
-      ~precap_hash_b ~n_kb_b ~t_sec_b =
-    let ha, hb =
-      Siphash.mac_short_k2 ~k0:prep.k0 ~k1:prep.k1 ~len:11
-        ~w0a:(cap_w0 ~precap_ts:precap_ts_a ~precap_hash:precap_hash_a)
-        ~taila:(cap_tail ~n_kb:n_kb_a ~t_sec:t_sec_a)
-        ~w0b:(cap_w0 ~precap_ts:precap_ts_b ~precap_hash:precap_hash_b)
-        ~tailb:(cap_tail ~n_kb:n_kb_b ~t_sec:t_sec_b)
-    in
-    (Int64.logand ha mask56, Int64.logand hb mask56)
-
   let prepare key =
     let key = normalize key in
     let k0, k1 = Siphash.key_words key in
@@ -210,8 +133,7 @@ module Fast = struct
 end
 
 (* Aes and Sha serve the prototype-fidelity benchmarks, not the hot path,
-   so their fixed-preimage entry points just build the string preimage and
-   their paired entry points are two sequential calls. *)
+   so their fixed-preimage entry points just build the string preimage. *)
 
 module Aes = struct
   let name = "aes-hash-mmo"
@@ -225,17 +147,6 @@ module Aes = struct
   let mac56_precap_p ~prep = mac56_precap ~key:prep.pk
 
   let mac56_cap_p ~prep = mac56_cap ~key:prep.pk
-
-  let mac56_precap_p2 ~prep ~src_a ~dst_a ~ts_a ~src_b ~dst_b ~ts_b =
-    ( mac56_precap_p ~prep ~src:src_a ~dst:dst_a ~ts:ts_a,
-      mac56_precap_p ~prep ~src:src_b ~dst:dst_b ~ts:ts_b )
-
-  let mac56_cap_p2 ~prep ~precap_ts_a ~precap_hash_a ~n_kb_a ~t_sec_a ~precap_ts_b
-      ~precap_hash_b ~n_kb_b ~t_sec_b =
-    ( mac56_cap_p ~prep ~precap_ts:precap_ts_a ~precap_hash:precap_hash_a ~n_kb:n_kb_a
-        ~t_sec:t_sec_a,
-      mac56_cap_p ~prep ~precap_ts:precap_ts_b ~precap_hash:precap_hash_b ~n_kb:n_kb_b
-        ~t_sec:t_sec_b )
 end
 
 module Sha = struct
@@ -250,17 +161,6 @@ module Sha = struct
   let mac56_precap_p ~prep = mac56_precap ~key:prep.pk
 
   let mac56_cap_p ~prep = mac56_cap ~key:prep.pk
-
-  let mac56_precap_p2 ~prep ~src_a ~dst_a ~ts_a ~src_b ~dst_b ~ts_b =
-    ( mac56_precap_p ~prep ~src:src_a ~dst:dst_a ~ts:ts_a,
-      mac56_precap_p ~prep ~src:src_b ~dst:dst_b ~ts:ts_b )
-
-  let mac56_cap_p2 ~prep ~precap_ts_a ~precap_hash_a ~n_kb_a ~t_sec_a ~precap_ts_b
-      ~precap_hash_b ~n_kb_b ~t_sec_b =
-    ( mac56_cap_p ~prep ~precap_ts:precap_ts_a ~precap_hash:precap_hash_a ~n_kb:n_kb_a
-        ~t_sec:t_sec_a,
-      mac56_cap_p ~prep ~precap_ts:precap_ts_b ~precap_hash:precap_hash_b ~n_kb:n_kb_b
-        ~t_sec:t_sec_b )
 end
 
 (* A three-slot memo from key strings to their prepared form, keyed by

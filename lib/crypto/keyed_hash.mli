@@ -41,34 +41,6 @@ module type S = sig
   val mac56_cap_p :
     prep:prepared -> precap_ts:int -> precap_hash:int64 -> n_kb:int -> t_sec:int -> int64
   (** {!mac56_cap} against a prepared key. *)
-
-  val mac56_precap_p2 :
-    prep:prepared ->
-    src_a:int ->
-    dst_a:int ->
-    ts_a:int ->
-    src_b:int ->
-    dst_b:int ->
-    ts_b:int ->
-    int64 * int64
-  (** Two pre-capability tags under one prepared key, in argument order —
-      batch callers pair packets so implementations can interleave the two
-      hash computations (see {!Siphash.mac_short_k2}).  Always equal to two
-      {!mac56_precap_p} calls. *)
-
-  val mac56_cap_p2 :
-    prep:prepared ->
-    precap_ts_a:int ->
-    precap_hash_a:int64 ->
-    n_kb_a:int ->
-    t_sec_a:int ->
-    precap_ts_b:int ->
-    precap_hash_b:int64 ->
-    n_kb_b:int ->
-    t_sec_b:int ->
-    int64 * int64
-  (** Two capability tags under one prepared key, in argument order.
-      Always equal to two {!mac56_cap_p} calls. *)
 end
 
 type prep_cache

@@ -12,8 +12,8 @@
      [Bytes.get_int64_le].  Per-packet preimages that are not fixed-width
      (SIFF markings, NetFence feedback tokens) are written into a
      per-router buffer and hashed here.
-   - [mac_short_k] / [mac_short_k2] take a 9- or 11-byte message already
-     packed into little-endian words (the TVA capability preimages): one
+   - [mac_short_k] takes a 9- or 11-byte message already packed into
+     little-endian words (the TVA capability preimages): one
      straight-line chain of immutable [let]-bindings, fully unrolled. *)
 
 let digest_size = 8
@@ -220,141 +220,6 @@ let mac_short_k ~k0 ~k1 ~len ~w0 ~tail =
   let v1 = Int64.logxor v1 v2 in
   let v2 = rotl v2 32 in
   Int64.logxor (Int64.logxor v0 v1) (Int64.logxor v2 v3)
-
-(* The two-message entry point: both SipHash states advance through the
-   same round schedule in lockstep, one instruction stream, all sixteen
-   locals live in registers.  The rounds of one message form a serial
-   dependency chain, so a lone hash leaves half the ALU ports idle;
-   interleaving an independent second message fills them.  Callers with
-   a batch of packets hash them two at a time (see Fastpath). *)
-let mac_short_k2 ~k0 ~k1 ~len ~w0a ~taila ~w0b ~tailb =
-  if len < 8 || len > 15 then invalid_arg "Siphash.mac_short_k2: len must be in 8..15";
-  let iv0 = Int64.logxor k0 0x736f6d6570736575L in
-  let iv1 = Int64.logxor k1 0x646f72616e646f6dL in
-  let iv2 = Int64.logxor k0 0x6c7967656e657261L in
-  let iv3 = Int64.logxor k1 0x7465646279746573L in
-  let lenw = Int64.shift_left (Int64.of_int len) 56 in
-  let ba = Int64.logor lenw taila and bb = Int64.logor lenw tailb in
-  let a0 = iv0 and a1 = iv1 and a2 = iv2 and a3 = Int64.logxor iv3 w0a in
-  let b0 = iv0 and b1 = iv1 and b2 = iv2 and b3 = Int64.logxor iv3 w0b in
-  let a0 = Int64.add a0 a1 and b0 = Int64.add b0 b1 in
-  let a1 = rotl a1 13 and b1 = rotl b1 13 in
-  let a1 = Int64.logxor a1 a0 and b1 = Int64.logxor b1 b0 in
-  let a0 = rotl a0 32 and b0 = rotl b0 32 in
-  let a2 = Int64.add a2 a3 and b2 = Int64.add b2 b3 in
-  let a3 = rotl a3 16 and b3 = rotl b3 16 in
-  let a3 = Int64.logxor a3 a2 and b3 = Int64.logxor b3 b2 in
-  let a0 = Int64.add a0 a3 and b0 = Int64.add b0 b3 in
-  let a3 = rotl a3 21 and b3 = rotl b3 21 in
-  let a3 = Int64.logxor a3 a0 and b3 = Int64.logxor b3 b0 in
-  let a2 = Int64.add a2 a1 and b2 = Int64.add b2 b1 in
-  let a1 = rotl a1 17 and b1 = rotl b1 17 in
-  let a1 = Int64.logxor a1 a2 and b1 = Int64.logxor b1 b2 in
-  let a2 = rotl a2 32 and b2 = rotl b2 32 in
-  let a0 = Int64.add a0 a1 and b0 = Int64.add b0 b1 in
-  let a1 = rotl a1 13 and b1 = rotl b1 13 in
-  let a1 = Int64.logxor a1 a0 and b1 = Int64.logxor b1 b0 in
-  let a0 = rotl a0 32 and b0 = rotl b0 32 in
-  let a2 = Int64.add a2 a3 and b2 = Int64.add b2 b3 in
-  let a3 = rotl a3 16 and b3 = rotl b3 16 in
-  let a3 = Int64.logxor a3 a2 and b3 = Int64.logxor b3 b2 in
-  let a0 = Int64.add a0 a3 and b0 = Int64.add b0 b3 in
-  let a3 = rotl a3 21 and b3 = rotl b3 21 in
-  let a3 = Int64.logxor a3 a0 and b3 = Int64.logxor b3 b0 in
-  let a2 = Int64.add a2 a1 and b2 = Int64.add b2 b1 in
-  let a1 = rotl a1 17 and b1 = rotl b1 17 in
-  let a1 = Int64.logxor a1 a2 and b1 = Int64.logxor b1 b2 in
-  let a2 = rotl a2 32 and b2 = rotl b2 32 in
-  let a0 = Int64.logxor a0 w0a and b0 = Int64.logxor b0 w0b in
-  let a3 = Int64.logxor a3 ba and b3 = Int64.logxor b3 bb in
-  let a0 = Int64.add a0 a1 and b0 = Int64.add b0 b1 in
-  let a1 = rotl a1 13 and b1 = rotl b1 13 in
-  let a1 = Int64.logxor a1 a0 and b1 = Int64.logxor b1 b0 in
-  let a0 = rotl a0 32 and b0 = rotl b0 32 in
-  let a2 = Int64.add a2 a3 and b2 = Int64.add b2 b3 in
-  let a3 = rotl a3 16 and b3 = rotl b3 16 in
-  let a3 = Int64.logxor a3 a2 and b3 = Int64.logxor b3 b2 in
-  let a0 = Int64.add a0 a3 and b0 = Int64.add b0 b3 in
-  let a3 = rotl a3 21 and b3 = rotl b3 21 in
-  let a3 = Int64.logxor a3 a0 and b3 = Int64.logxor b3 b0 in
-  let a2 = Int64.add a2 a1 and b2 = Int64.add b2 b1 in
-  let a1 = rotl a1 17 and b1 = rotl b1 17 in
-  let a1 = Int64.logxor a1 a2 and b1 = Int64.logxor b1 b2 in
-  let a2 = rotl a2 32 and b2 = rotl b2 32 in
-  let a0 = Int64.add a0 a1 and b0 = Int64.add b0 b1 in
-  let a1 = rotl a1 13 and b1 = rotl b1 13 in
-  let a1 = Int64.logxor a1 a0 and b1 = Int64.logxor b1 b0 in
-  let a0 = rotl a0 32 and b0 = rotl b0 32 in
-  let a2 = Int64.add a2 a3 and b2 = Int64.add b2 b3 in
-  let a3 = rotl a3 16 and b3 = rotl b3 16 in
-  let a3 = Int64.logxor a3 a2 and b3 = Int64.logxor b3 b2 in
-  let a0 = Int64.add a0 a3 and b0 = Int64.add b0 b3 in
-  let a3 = rotl a3 21 and b3 = rotl b3 21 in
-  let a3 = Int64.logxor a3 a0 and b3 = Int64.logxor b3 b0 in
-  let a2 = Int64.add a2 a1 and b2 = Int64.add b2 b1 in
-  let a1 = rotl a1 17 and b1 = rotl b1 17 in
-  let a1 = Int64.logxor a1 a2 and b1 = Int64.logxor b1 b2 in
-  let a2 = rotl a2 32 and b2 = rotl b2 32 in
-  let a0 = Int64.logxor a0 ba and b0 = Int64.logxor b0 bb in
-  let a2 = Int64.logxor a2 0xffL and b2 = Int64.logxor b2 0xffL in
-  let a0 = Int64.add a0 a1 and b0 = Int64.add b0 b1 in
-  let a1 = rotl a1 13 and b1 = rotl b1 13 in
-  let a1 = Int64.logxor a1 a0 and b1 = Int64.logxor b1 b0 in
-  let a0 = rotl a0 32 and b0 = rotl b0 32 in
-  let a2 = Int64.add a2 a3 and b2 = Int64.add b2 b3 in
-  let a3 = rotl a3 16 and b3 = rotl b3 16 in
-  let a3 = Int64.logxor a3 a2 and b3 = Int64.logxor b3 b2 in
-  let a0 = Int64.add a0 a3 and b0 = Int64.add b0 b3 in
-  let a3 = rotl a3 21 and b3 = rotl b3 21 in
-  let a3 = Int64.logxor a3 a0 and b3 = Int64.logxor b3 b0 in
-  let a2 = Int64.add a2 a1 and b2 = Int64.add b2 b1 in
-  let a1 = rotl a1 17 and b1 = rotl b1 17 in
-  let a1 = Int64.logxor a1 a2 and b1 = Int64.logxor b1 b2 in
-  let a2 = rotl a2 32 and b2 = rotl b2 32 in
-  let a0 = Int64.add a0 a1 and b0 = Int64.add b0 b1 in
-  let a1 = rotl a1 13 and b1 = rotl b1 13 in
-  let a1 = Int64.logxor a1 a0 and b1 = Int64.logxor b1 b0 in
-  let a0 = rotl a0 32 and b0 = rotl b0 32 in
-  let a2 = Int64.add a2 a3 and b2 = Int64.add b2 b3 in
-  let a3 = rotl a3 16 and b3 = rotl b3 16 in
-  let a3 = Int64.logxor a3 a2 and b3 = Int64.logxor b3 b2 in
-  let a0 = Int64.add a0 a3 and b0 = Int64.add b0 b3 in
-  let a3 = rotl a3 21 and b3 = rotl b3 21 in
-  let a3 = Int64.logxor a3 a0 and b3 = Int64.logxor b3 b0 in
-  let a2 = Int64.add a2 a1 and b2 = Int64.add b2 b1 in
-  let a1 = rotl a1 17 and b1 = rotl b1 17 in
-  let a1 = Int64.logxor a1 a2 and b1 = Int64.logxor b1 b2 in
-  let a2 = rotl a2 32 and b2 = rotl b2 32 in
-  let a0 = Int64.add a0 a1 and b0 = Int64.add b0 b1 in
-  let a1 = rotl a1 13 and b1 = rotl b1 13 in
-  let a1 = Int64.logxor a1 a0 and b1 = Int64.logxor b1 b0 in
-  let a0 = rotl a0 32 and b0 = rotl b0 32 in
-  let a2 = Int64.add a2 a3 and b2 = Int64.add b2 b3 in
-  let a3 = rotl a3 16 and b3 = rotl b3 16 in
-  let a3 = Int64.logxor a3 a2 and b3 = Int64.logxor b3 b2 in
-  let a0 = Int64.add a0 a3 and b0 = Int64.add b0 b3 in
-  let a3 = rotl a3 21 and b3 = rotl b3 21 in
-  let a3 = Int64.logxor a3 a0 and b3 = Int64.logxor b3 b0 in
-  let a2 = Int64.add a2 a1 and b2 = Int64.add b2 b1 in
-  let a1 = rotl a1 17 and b1 = rotl b1 17 in
-  let a1 = Int64.logxor a1 a2 and b1 = Int64.logxor b1 b2 in
-  let a2 = rotl a2 32 and b2 = rotl b2 32 in
-  let a0 = Int64.add a0 a1 and b0 = Int64.add b0 b1 in
-  let a1 = rotl a1 13 and b1 = rotl b1 13 in
-  let a1 = Int64.logxor a1 a0 and b1 = Int64.logxor b1 b0 in
-  let a0 = rotl a0 32 and b0 = rotl b0 32 in
-  let a2 = Int64.add a2 a3 and b2 = Int64.add b2 b3 in
-  let a3 = rotl a3 16 and b3 = rotl b3 16 in
-  let a3 = Int64.logxor a3 a2 and b3 = Int64.logxor b3 b2 in
-  let a0 = Int64.add a0 a3 and b0 = Int64.add b0 b3 in
-  let a3 = rotl a3 21 and b3 = rotl b3 21 in
-  let a3 = Int64.logxor a3 a0 and b3 = Int64.logxor b3 b0 in
-  let a2 = Int64.add a2 a1 and b2 = Int64.add b2 b1 in
-  let a1 = rotl a1 17 and b1 = rotl b1 17 in
-  let a1 = Int64.logxor a1 a2 and b1 = Int64.logxor b1 b2 in
-  let a2 = rotl a2 32 and b2 = rotl b2 32 in
-  ( Int64.logxor (Int64.logxor a0 a1) (Int64.logxor a2 a3),
-    Int64.logxor (Int64.logxor b0 b1) (Int64.logxor b2 b3) )
 
 (* Per-epoch callers preload (k0, k1) once via [key_words] and call
    [mac_short_k] directly, keeping the key checks off the per-packet path. *)

@@ -37,22 +37,6 @@ val mac_short_k : k0:int64 -> k1:int64 -> len:int -> w0:int64 -> tail:int64 -> i
     cost, so per-epoch callers hoist it and hit this entry point per
     packet. *)
 
-val mac_short_k2 :
-  k0:int64 ->
-  k1:int64 ->
-  len:int ->
-  w0a:int64 ->
-  taila:int64 ->
-  w0b:int64 ->
-  tailb:int64 ->
-  int64 * int64
-(** Two {!mac_short_k} computations under the same key and length,
-    interleaved into one instruction stream.  A single hash is a serial
-    dependency chain that leaves ALU ports idle; pairing two independent
-    messages roughly halves the per-hash latency.  Returns the pair of
-    digests in argument order; equal to calling {!mac_short_k} twice.
-    Raises [Invalid_argument] outside the 8..15 length range. *)
-
 val key_words : string -> int64 * int64
 (** The two little-endian 64-bit words of a 16-byte key, for
     {!mac_short_k}.  Raises [Invalid_argument] on any other length. *)

@@ -18,7 +18,7 @@ type 'a queue_state = {
   mutable aborted : bool; (* a job raised: skip the rest *)
 }
 
-let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
+let default_jobs () = Domain.recommended_domain_count ()
 
 let take st =
   Mutex.lock st.mutex;

@@ -13,8 +13,9 @@
     the happens-before edge that lets the caller read every slot. *)
 
 val default_jobs : unit -> int
-(** [Domain.recommended_domain_count () - 1], clamped to at least 1 — one
-    worker per available core, leaving a core for the spawning domain. *)
+(** [Domain.recommended_domain_count ()] — one worker per available core.
+    The spawning domain only blocks in [Domain.join] while the workers
+    run, so it needs no core of its own. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f items] applies [f] to every item on [jobs] worker domains

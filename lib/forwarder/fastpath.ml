@@ -155,132 +155,6 @@ let run t op =
 
 let runner t op () = run t op
 
-(* Batch grouping (DESIGN §12): ops sharing a class share an inner loop
-   whose invariants are hoisted once per group. *)
-type op_class = Forward | Mint | Cached | Validate
-
-let op_class = function
-  | Legacy_forward -> Forward
-  | Request -> Mint
-  | Regular_cached | Renewal_cached -> Cached
-  | Regular_uncached | Renewal_uncached -> Validate
-
-let class_name = function
-  | Forward -> "forward"
-  | Mint -> "mint"
-  | Cached -> "cached"
-  | Validate -> "validate"
-
-(* Batched validation: the expiry test, the epoch-secret choice and the
-   key preparation for both hash roles are per-batch work, leaving only
-   the two hash computations per capability — and those run two
-   capabilities at a time through the interleaved pair entry points.
-   Returns the number of Valid verdicts; each is exactly [validate]'s
-   verdict for the configured capability. *)
-let validate_batch t n =
-  if n <= 0 then 0
-  else begin
-    let (cap : Wire.Cap_shim.cap) = t.cap in
-    let ts = cap.Wire.Cap_shim.ts in
-    if Tva.Capability.expired ~now:t.now ~ts ~t_sec:t.t_sec then 0
-    else begin
-      match Crypto.Secret.validating_secret t.secret ~now:t.now ~ts with
-      | None -> 0
-      | Some key ->
-          let module P = (val t.precap_hash : Crypto.Keyed_hash.S) in
-          let module C = (val t.cap_hash : Crypto.Keyed_hash.S) in
-          let prep = P.prepare key in
-          let pub = C.prepare Tva.Capability.public_key in
-          let src = Wire.Addr.to_int t.src and dst = Wire.Addr.to_int t.dst in
-          let n_kb = t.n_kb and t_sec = t.t_sec in
-          let expect = cap.Wire.Cap_shim.hash in
-          let valid = ref 0 in
-          for _ = 1 to n / 2 do
-            let ph_a, ph_b =
-              P.mac56_precap_p2 ~prep ~src_a:src ~dst_a:dst ~ts_a:ts ~src_b:src ~dst_b:dst
-                ~ts_b:ts
-            in
-            let ca, cb =
-              C.mac56_cap_p2 ~prep:pub ~precap_ts_a:ts ~precap_hash_a:ph_a ~n_kb_a:n_kb
-                ~t_sec_a:t_sec ~precap_ts_b:ts ~precap_hash_b:ph_b ~n_kb_b:n_kb ~t_sec_b:t_sec
-            in
-            if Int64.equal ca expect then incr valid;
-            if Int64.equal cb expect then incr valid
-          done;
-          if n land 1 = 1 then begin
-            let ph = P.mac56_precap_p ~prep ~src ~dst ~ts in
-            let c = C.mac56_cap_p ~prep:pub ~precap_ts:ts ~precap_hash:ph ~n_kb ~t_sec in
-            if Int64.equal c expect then incr valid
-          end;
-          !valid
-    end
-  end
-
-(* A mixed batch, stably regrouped so each class runs branch-free: the six
-   ops touch disjoint sink state and reset their own side effects, so
-   regrouping cannot change what the batch computes — only how often the
-   dispatcher runs (once per group instead of once per op). *)
-let run_batch t ops =
-  let counts = Array.make 6 0 in
-  let idx = function
-    | Legacy_forward -> 0
-    | Request -> 1
-    | Regular_cached -> 2
-    | Regular_uncached -> 3
-    | Renewal_cached -> 4
-    | Renewal_uncached -> 5
-  in
-  Array.iter (fun op -> counts.(idx op) <- counts.(idx op) + 1) ops;
-  for _ = 1 to counts.(0) do
-    route t
-  done;
-  for _ = 1 to counts.(1) do
-    mint t;
-    route t
-  done;
-  (* Cached classes hoist the flow lookup: the entry is loop-invariant,
-     which is precisely what batching buys on this path. *)
-  let cached n ~renew =
-    if n > 0 then begin
-      match Hashtbl.find_opt t.flows t.flow_key with
-      | None -> assert false
-      | Some entry ->
-          for _ = 1 to n do
-            ignore (fast_path_checks t entry);
-            if renew then mint t;
-            route t
-          done
-    end
-  in
-  cached counts.(2) ~renew:false;
-  cached counts.(4) ~renew:true;
-  let validated n ~renew =
-    if n > 0 then begin
-      ignore (validate_batch t n);
-      for _ = 1 to n do
-        insert_entry t;
-        if renew then mint t;
-        route t
-      done
-    end
-  in
-  validated counts.(3) ~renew:false;
-  validated counts.(5) ~renew:true
-
-let calibrate_batch ?(iters = 20000) ?(batch = 64) t op =
-  let batch = max 1 batch in
-  let ops = Array.make batch op in
-  let batches = max 1 (iters / batch) in
-  for _ = 1 to min 16 batches do
-    run_batch t ops
-  done;
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to batches do
-    run_batch t ops
-  done;
-  let t1 = Unix.gettimeofday () in
-  (t1 -. t0) *. 1e9 /. float_of_int (batches * batch)
-
 let calibrate ?(iters = 20000) t op =
   (* One warmup pass, then a timed loop. *)
   for _ = 1 to min 1000 iters do

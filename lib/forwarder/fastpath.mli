@@ -50,34 +50,3 @@ val runner : t -> op -> unit -> unit
 val calibrate : ?iters:int -> t -> op -> float
 (** Rough wall-clock nanoseconds per operation (for feeding the Fig. 12
     model outside the Bechamel harness). *)
-
-(** {1 Batched operation} *)
-
-type op_class =
-  | Forward  (** route lookup only *)
-  | Mint  (** one pre-capability hash *)
-  | Cached  (** flow-cache fast path, no crypto *)
-  | Validate  (** two validation hashes *)
-
-val op_class : op -> op_class
-(** The batch-grouping class: ops of one class share an inner loop whose
-    invariants (flow entry, prepared keys) hoist out per group. *)
-
-val class_name : op_class -> string
-
-val validate_batch : t -> int -> int
-(** [validate_batch t n] runs [n] capability validations with the expiry
-    test, epoch-secret selection and key preparation done once per batch,
-    and the per-capability hash pairs computed two capabilities at a time
-    through the interleaved {!Crypto.Keyed_hash.S.mac56_cap_p2} entry
-    points.  Returns how many were Valid — each verdict identical to
-    {!run}'s [Regular_uncached] validation. *)
-
-val run_batch : t -> op array -> unit
-(** Process a mixed batch: ops are counted into their {!op_class} groups
-    and each group runs branch-free.  Equivalent to [Array.iter (run t)]
-    (the ops touch disjoint sink state, so regrouping is unobservable). *)
-
-val calibrate_batch : ?iters:int -> ?batch:int -> t -> op -> float
-(** {!calibrate} through {!run_batch} windows of [batch] (default 64)
-    identical ops: nanoseconds per operation with batch hoisting. *)

@@ -68,21 +68,23 @@ let gauge_hist g = g.g_hist
 let gauge_summary g = g.g_summary
 
 (* Sample [read] for every named gauge each [period] of sim time, starting
-   one period in.  The sampler reads qdisc occupancy only — it never
-   touches packet state — but its events do consume scheduler sequence
-   numbers, so runs with gauges enabled are deterministic yet not
-   tie-break-identical to unobserved runs (DESIGN.md §10). *)
+   one period in.  The sampler only reads, and it rides auxiliary events
+   ([Sim.schedule_aux]), which never consume a normal sequence number, so
+   a gauge-enabled run is bit-identical to an unobserved one (DESIGN.md
+   §10). *)
 let sample_every t sim ~period reads =
   if period <= 0. then invalid_arg "Profile.sample_every: period must be positive";
-  let rec tick () =
+  let rec arm () =
+    ignore (Sim.schedule_aux ~kind:Sim.Kind.obs sim ~time:(Sim.now sim +. period) tick)
+  and tick () =
     List.iter
       (fun (gauge, read) ->
         t.samples <- t.samples + 1;
         observe gauge (read ()))
       reads;
-    ignore (Sim.schedule ~kind:Sim.Kind.obs sim ~delay:period tick)
+    arm ()
   in
-  ignore (Sim.schedule ~kind:Sim.Kind.obs sim ~delay:period tick)
+  arm ()
 
 let samples t = t.samples
 

@@ -37,11 +37,12 @@ val observe : gauge -> float -> unit
 
 val sample_every :
   t -> Sim.t -> period:float -> (gauge * (unit -> float)) list -> unit
-(** Schedule a recurring sim event (kind [Sim.Kind.obs]) that reads each
-    gauge's source every [period] sim seconds, starting one period in.  The
-    sampler only reads, but its events consume scheduler sequence numbers:
-    gauge-enabled runs are deterministic yet not tie-break-identical to
-    unobserved runs.  Raises [Invalid_argument] on a nonpositive period. *)
+(** Schedule a recurring auxiliary sim event ({!Sim.schedule_aux}, kind
+    [Sim.Kind.obs]) that reads each gauge's source every [period] sim
+    seconds, starting one period in.  Auxiliary events take no normal
+    sequence numbers, so gauge-enabled runs are bit-identical to
+    unobserved ones; at equal time a sample fires before every normal
+    event.  Raises [Invalid_argument] on a nonpositive period. *)
 
 val samples : t -> int
 val gauges : t -> gauge list

@@ -100,21 +100,6 @@ let kind_bits = function
 
 let wire_size t = (common_bits + kind_bits t.kind + return_info_bits t.return_info + 7) / 8
 
-(* The one shim shape on the steady-state fast path — regular, nonce only,
-   no capability list, no return info — has a constant wire size.  Compute
-   it from [wire_size] itself (not by re-deriving the bit arithmetic) so
-   it can never drift from the encoder. *)
-let nonce_only_wire_size =
-  wire_size
-    {
-      kind =
-        Regular
-          { nonce = 0L; caps = [||]; n_kb = 0; t_sec = 0; renewal = false; rev_fresh_precaps = [] };
-      demoted = false;
-      return_info = None;
-      ptr = 0;
-    }
-
 (* Type nibble per Fig. 5: bit3 = demoted, bit2 = return info present,
    bits 1..0 = 00 request / 01 regular w/ capabilities / 10 regular w/
    nonce only / 11 renewal. *)

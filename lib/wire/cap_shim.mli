@@ -107,12 +107,6 @@ val copy : t -> t
 val wire_size : t -> int
 (** The encoded size in bytes (what links charge for the shim). *)
 
-val nonce_only_wire_size : int
-(** [wire_size] of a regular shim carrying only a nonce — no capability
-    list, no fresh pre-capabilities, no return info.  This is the
-    steady-state fast-path shape, so its size is a constant the batch
-    datapath can add without walking the shim. *)
-
 val encode : t -> string
 (** Bit-exact encoding.  Raises [Invalid_argument] if a field is out of its
     Fig. 5 range (e.g. [n_kb >= 1024]). *)

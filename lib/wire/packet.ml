@@ -42,24 +42,6 @@ let size t =
   + (match t.siff with None -> 0 | Some s -> Siff_marking.wire_size s)
   + (match t.nf with None -> 0 | Some s -> Nf_feedback.wire_size s)
 
-(* [size], specialized for the batch fast path: a raw-body packet whose
-   shim is the constant-size nonce-only shape (and no SIFF marking) skips
-   the [wire_size] bit arithmetic.  Anything else falls through to [size],
-   so the two always agree — a property test holds them together. *)
-let[@inline] size_fast t =
-  match t.body, t.shim, t.siff, t.nf with
-  | ( Raw n,
-      Some
-        {
-          Cap_shim.kind = Cap_shim.Regular { caps = [||]; renewal = false; _ };
-          return_info = None;
-          _;
-        },
-      None,
-      None ) ->
-      n + Cap_shim.nonce_only_wire_size
-  | _ -> size t
-
 let is_tcp t = match t.body with Tcp _ -> true | Raw _ -> false
 let tcp t = match t.body with Tcp seg -> Some seg | Raw _ -> None
 

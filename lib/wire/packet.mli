@@ -35,11 +35,6 @@ val make :
 val size : t -> int
 (** Current wire size in bytes. *)
 
-val size_fast : t -> int
-(** [size], with the dominant fast-path shape — raw body, nonce-only
-    regular shim, no SIFF marking — served as a constant add instead of
-    recomputing the shim's bit layout.  Always equal to [size]. *)
-
 val copy : t -> t
 (** A physically distinct packet with the same content: fresh [id], deep
     copies of the mutable shims, so the fault layer's duplication delivers

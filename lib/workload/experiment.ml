@@ -200,10 +200,7 @@ let run ?obs ?faults cfg =
         (match profile with
         | Some p when oc.obs_gauge_period > 0. ->
             (* The congested direction's queue is the interesting one; its
-               depth under each attack is the dashboard's headline gauge.
-               Sampling events consume scheduler sequence numbers, so
-               gauge-enabled runs are deterministic but not tie-break
-               identical to unobserved ones (DESIGN.md §10). *)
+               depth under each attack is the dashboard's headline gauge. *)
             let q = Net.link_qdisc topo.Topology.bottleneck in
             let g =
               Obs.Profile.gauge p ~name:"bottleneck-queue-depth" ~lo:1. ~hi:4096. ~bins:24

@@ -69,17 +69,16 @@ type obs_config = {
   obs_profile : bool;  (** event-loop wall-time profiler (Unix clock) *)
   obs_gauge_period : float;
       (** sim-seconds between bottleneck queue-depth samples; 0 disables.
-          The sampler consumes scheduler sequence numbers, so gauge-enabled
-          runs are deterministic but not tie-break-identical to unobserved
-          ones. *)
+          The sampler rides auxiliary (negative-sequence) events, so
+          gauge-enabled runs are bit-identical to unobserved ones. *)
   obs_telemetry_interval : float;
-      (** sim-seconds between telemetry windows; 0 disables.  The tick
-          chain rides on auxiliary (negative-sequence) events, so — unlike
-          the gauge sampler — telemetry-on runs ARE bit-identical to
-          telemetry-off ones.  Channels: demoted, request_bytes (TVA),
-          drops, queue_depth, flow_cache, faults (when a hook is
-          installed), events; detectors: demotion-storm,
-          request-saturation, queue-buildup, fault-activity. *)
+      (** sim-seconds between telemetry windows; 0 disables.  Like the
+          gauge sampler, the tick chain rides on auxiliary events, so
+          telemetry-on runs are bit-identical to telemetry-off ones.
+          Channels: demoted, request_bytes (TVA), drops, queue_depth,
+          flow_cache, faults (when a hook is installed), events;
+          detectors: demotion-storm, request-saturation, queue-buildup,
+          fault-activity. *)
   obs_flight_windows : int;  (** telemetry windows frozen into each flight dump *)
   obs_flight_dir : string option;
       (** directory for flight-recorder dumps ([flight_<label>_<n>.json]);

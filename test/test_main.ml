@@ -16,5 +16,4 @@ let () =
       ("obs", Test_obs.suite);
       ("faults", Test_faults.suite);
       ("forwarder", Test_forwarder.suite);
-      ("batch", Test_batch.suite);
     ]

@@ -335,7 +335,7 @@ let conservation_caches () =
   let _, report = run_with_obs () in
   let snap = report.Obs.Report.counters in
   let expected_capacity =
-    Tva.Params.flow_cache_entries Workload.Scenario.sim_params
+    Tva.Params.flow_cache_capacity Workload.Scenario.sim_params
       ~link_bps:obs_cfg.Workload.Experiment.bottleneck_bps
   in
   Alcotest.(check int) "one cache row per router" 2 (List.length report.Obs.Report.caches);

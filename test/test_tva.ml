@@ -500,7 +500,7 @@ let router_two_rotations_distinct () =
    hitting the flow cache must stay within the same minor-words budget the
    pps benchmark enforces (bench/pps_bench.ml). *)
 let router_cached_path_allocation_budget () =
-  let budget = 32. in
+  let budget = 12. in
   let sim = Sim.create () in
   let router = make_router sim in
   let mk = granted_regular sim router ~n_kb:1023 ~t_sec:32 ~nonce:14L in
@@ -530,7 +530,7 @@ let router_cached_path_allocation_budget () =
    Alternating two nonces against one flow-cache entry forces every packet
    through full validation, as in bench/pps_bench.ml. *)
 let router_validate_path_allocation_budget () =
-  let budget = 56. in
+  let budget = 42. in
   let sim = Sim.create () in
   let router = make_router sim in
   let mk_a = granted_regular sim router ~n_kb:1023 ~t_sec:32 ~nonce:15L in
@@ -561,7 +561,7 @@ let router_validate_path_allocation_budget () =
 (* And for the request path (path-id tag + pre-capability mint).  The shim's
    accumulated lists are rewound in place so only the router's work counts. *)
 let router_request_path_allocation_budget () =
-  let budget = 32. in
+  let budget = 24. in
   let sim = Sim.create () in
   let router = make_router sim in
   let p = request_packet () in

@@ -385,29 +385,41 @@ let scale_memory_gauges_reported () =
 
 (* --- in-run telemetry through the workload layer (DESIGN.md §15) -------- *)
 
-(* The §15 bit-identity claim at the experiment level: a telemetry-on run
-   must report exactly the workload numbers of a telemetry-off run — the
-   tick chain rides auxiliary events that never consume a scheduler
-   sequence number.  (The [events] count legitimately differs: aux ticks
-   are processed events.) *)
+(* The §15 bit-identity claim at the experiment level: a telemetry-on run,
+   and a run with the queue-depth gauge sampler on, must each report
+   exactly the workload numbers of an unobserved run — both tick chains
+   ride auxiliary events that never consume a scheduler sequence number.
+   (The [events] count legitimately differs: aux ticks are processed
+   events.) *)
 let telemetry_does_not_perturb_results () =
   let cfg = quick_cfg tva 10 (Workload.Experiment.Legacy_flood { rate_bps = 1e6 }) in
   let plain = Workload.Experiment.run cfg in
-  let obs =
-    {
-      Workload.Experiment.obs_default with
-      Workload.Experiment.obs_telemetry_interval = 0.1;
-    }
+  let observed obs_change =
+    let obs = obs_change Workload.Experiment.obs_default in
+    let r = Workload.Experiment.run ~obs cfg in
+    Alcotest.(check (float 0.))
+      "fraction identical" plain.Workload.Experiment.fraction_completed
+      r.Workload.Experiment.fraction_completed;
+    Alcotest.(check (float 0.))
+      "avg time identical" plain.Workload.Experiment.avg_transfer_time
+      r.Workload.Experiment.avg_transfer_time;
+    Alcotest.(check (float 0.))
+      "sim end identical" plain.Workload.Experiment.sim_end r.Workload.Experiment.sim_end;
+    r
   in
-  let telem = Workload.Experiment.run ~obs cfg in
-  Alcotest.(check (float 0.))
-    "fraction identical" plain.Workload.Experiment.fraction_completed
-    telem.Workload.Experiment.fraction_completed;
-  Alcotest.(check (float 0.))
-    "avg time identical" plain.Workload.Experiment.avg_transfer_time
-    telem.Workload.Experiment.avg_transfer_time;
-  Alcotest.(check (float 0.))
-    "sim end identical" plain.Workload.Experiment.sim_end telem.Workload.Experiment.sim_end;
+  let gauged =
+    observed (fun o -> { o with Workload.Experiment.obs_gauge_period = 0.05 })
+  in
+  (match gauged.Workload.Experiment.obs with
+  | Some rep ->
+      Alcotest.(check bool) "gauge sampled" true
+        (List.exists
+           (fun g -> g.Obs.Report.g_name = "bottleneck-queue-depth" && g.Obs.Report.g_count > 0)
+           rep.Obs.Report.gauges)
+  | None -> Alcotest.fail "expected an obs report");
+  let telem =
+    observed (fun o -> { o with Workload.Experiment.obs_telemetry_interval = 0.1 })
+  in
   (* and the telemetry actually recorded: interval series + channels *)
   match telem.Workload.Experiment.obs with
   | None -> Alcotest.fail "expected an obs report"
