@@ -51,7 +51,7 @@ let spec =
     ("--out", Arg.Set_string out_path, "PATH  where to write the JSON report");
     ( "--profile-out",
       Arg.Set_string profile_out,
-      "PATH  also write the per-stage ns budget report (Obs.Profile gauges)" );
+      "PATH  also write the per-stage ns budget report" );
   ]
 
 let usage =
@@ -441,13 +441,12 @@ let () =
   check_budget "cached-nonce" cached_m.minor_words_per_packet !budget;
   check_budget "validate" validate_m.minor_words_per_packet !validate_budget;
   check_budget "request" request_m.minor_words_per_packet !request_budget;
-  (* --- per-stage ns budgets (Obs.Profile gauges) ------------------------- *)
-  (* Each stage's ns/packet goes through a [Obs.Profile] gauge and is
-     gated as a multiple of the same report's legacy ns — the legacy path
-     does no TVA work, so the ratio cancels machine speed and the budgets
-     hold on slow CI runners.  Multipliers leave about 2x headroom over
-     the committed ratios. *)
-  let profile = Obs.Profile.create ~clock:Unix.gettimeofday () in
+  (* --- per-stage ns budgets ---------------------------------------------- *)
+  (* Each stage's ns/packet is accumulated in a [Stats.Summary] and gated
+     as a multiple of the same report's legacy ns — the legacy path does
+     no TVA work, so the ratio cancels machine speed and the budgets hold
+     on slow CI runners.  Multipliers leave about 2x headroom over the
+     committed ratios. *)
   let stages =
     [
       ("cached_nonce", cached_m.ns_per_packet, 10.);
@@ -458,27 +457,20 @@ let () =
   let stage_rows =
     List.map
       (fun (name, ns, mult) ->
-        let g =
-          Obs.Profile.gauge profile ~name:("ns_per_packet/" ^ name) ~lo:1. ~hi:1e5 ~bins:40
-        in
-        Obs.Profile.observe g ns;
+        let summary = Stats.Summary.create () in
+        Stats.Summary.add summary ns;
         let ratio = ns /. legacy_m.ns_per_packet in
         let ok = ratio <= mult in
         if not ok then begin
           Printf.eprintf "FATAL: %s stage costs %.1fx legacy ns (budget %gx)\n" name ratio mult;
           failed := true
         end;
-        (name, ns, ratio, mult, ok))
+        (name, summary, ratio, mult, ok))
       stages
   in
   if !profile_out <> "" then begin
-    (* Gauge means come back out of the profile so the export is what the
-       observability layer saw, not a re-derivation. *)
-    let by_gauge =
-      List.map (fun r -> (r.Obs.Report.g_name, r.Obs.Report.g_mean)) (Obs.Report.gauge_rows profile)
-    in
-    let stage_json (name, _, ratio, mult, ok) =
-      let ns = List.assoc ("ns_per_packet/" ^ name) by_gauge in
+    let stage_json (name, summary, ratio, mult, ok) =
+      let ns = Stats.Summary.mean summary in
       String.concat "\n"
         [
           Printf.sprintf "  \"%s\": {" name;

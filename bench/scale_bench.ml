@@ -84,13 +84,19 @@ let failed = ref false
 
 let fail fmt = Printf.ksprintf (fun s -> Printf.eprintf "FATAL: %s\n" s; failed := true) fmt
 
-let gauge_max report name =
-  match report with
-  | None -> 0.
-  | Some r -> (
-      match List.find_opt (fun g -> g.Obs.Report.g_name = name) r.Obs.Report.gauges with
-      | Some g -> g.Obs.Report.g_max
-      | None -> 0.)
+(* Peak of a footprint telemetry channel over the leg.  A missing report
+   or channel, or one with no windows, fails the run and reads as NaN
+   (JSON null), never as a 0 MB peak that passes the memory gates. *)
+let series_max ~label ~senders report name =
+  let row =
+    Option.bind report (fun r ->
+        List.find_opt (fun s -> s.Obs.Report.s_name = name) r.Obs.Report.series)
+  in
+  match row with
+  | Some s when s.Obs.Report.s_windows > 0 -> s.Obs.Report.s_max
+  | Some _ | None ->
+      fail "%s @ %d senders: no %s telemetry recorded" label senders name;
+      nan
 
 let config ~senders ~mode ~sched =
   {
@@ -106,7 +112,7 @@ let config ~senders ~mode ~sched =
 let obs =
   {
     Workload.Experiment.obs_default with
-    Workload.Experiment.obs_gauge_period = 0.1 (* memory gauges only; no probe *);
+    Workload.Experiment.obs_telemetry_interval = 0.1 (* footprint channels; no probe *);
   }
 
 (* Best wall over [reps] runs; results must be identical across reps (same
@@ -133,8 +139,8 @@ let run_leg ~senders ~mode ~sched ~label ~reps () =
     l_attack_packets = r.sr_attack_packets;
     l_fraction = r.sr_fraction_completed;
     l_sim_end = r.sr_sim_end;
-    l_peak_heap_mb = gauge_max r.sr_obs "live-heap-words" *. 8. /. 1e6;
-    l_peak_pending = gauge_max r.sr_obs "sim-pending-events";
+    l_peak_heap_mb = series_max ~label ~senders r.sr_obs "heap_words" *. 8. /. 1e6;
+    l_peak_pending = series_max ~label ~senders r.sr_obs "pending";
   }
 
 let events_per_s l = float_of_int l.l_events /. l.l_wall_s
@@ -207,9 +213,7 @@ let () =
       !mem_budget_mb;
   (* Tick-node freelist gate: the wheel's peak live heap must stay within
      [--mem-ratio] of the binary heap's at the same sweep point. *)
-  let wheel_heap_ratio =
-    if heap_l.l_peak_heap_mb > 0. then wheel_l.l_peak_heap_mb /. heap_l.l_peak_heap_mb else 1.
-  in
+  let wheel_heap_ratio = wheel_l.l_peak_heap_mb /. heap_l.l_peak_heap_mb in
   let mem_ratio_ok = wheel_heap_ratio <= !mem_ratio in
   if not mem_ratio_ok then
     fail "wheel peak heap %.1f MB is %.2fx heap's %.1f MB at %d senders (max ratio %g)"

@@ -344,14 +344,14 @@ let run_cmd =
       if stats = None && trace = None && ti = 0. then Workload.Experiment.run cfg
       else
         (* Counters, the net-event bridge, the wall-time profiler and (if
-           asked) the trace ring and telemetry; no gauges, so the simulated
-           outcome is identical to the unobserved run. *)
+           asked) the trace ring and telemetry; none of them schedules a
+           normal event, so the simulated outcome is identical to the
+           unobserved run. *)
         let obs =
           {
             Workload.Experiment.obs_trace_capacity = (if trace = None then 0 else 65536);
             obs_trace_sample = trace_sample;
             obs_profile = true;
-            obs_gauge_period = 0.;
             obs_telemetry_interval = ti;
             obs_flight_windows = 64;
             obs_flight_dir = flight_dir;
@@ -390,38 +390,19 @@ let run_cmd =
 
 let dashboard_cmd =
   let doc =
-    "Run one experiment with full observability (counters, profiler, queue-depth gauges) and \
-     render a text dashboard."
+    "Run one experiment with full observability (counters, profiler, interval telemetry and \
+     incident detection) and render a text dashboard."
   in
-  let gauge_period_arg =
-    Arg.(
-      value
-      & opt float 0.25
-      & info [ "gauge-period" ]
-          ~doc:
-            "Sim-seconds between bottleneck queue-depth samples; 0 disables the gauge."
-          ~docv:"SECONDS")
-  in
-  let series_arg =
-    let doc =
-      "Add interval-telemetry series (and incident detection) to the dashboard: per-channel \
-       stats plus a sparkline per channel."
-    in
-    Arg.(value & flag & info [ "series" ] ~doc)
-  in
-  let run scheme_name n attack transfers max_time seed gauge_period stats series
-      telemetry_interval =
+  let run scheme_name n attack transfers max_time seed stats telemetry_interval =
     let cfg = single_config scheme_name n attack transfers max_time seed in
-    let ti =
-      resolve_telemetry_interval ~telemetry:series ~interval:telemetry_interval ~flight_dir:None
-    in
     let obs =
       {
         Workload.Experiment.obs_trace_capacity = 0;
         obs_trace_sample = 1;
         obs_profile = true;
-        obs_gauge_period = gauge_period;
-        obs_telemetry_interval = ti;
+        obs_telemetry_interval =
+          resolve_telemetry_interval ~telemetry:true ~interval:telemetry_interval
+            ~flight_dir:None;
         obs_flight_windows = 64;
         obs_flight_dir = None;
         obs_flight_label = "dashboard";
@@ -439,7 +420,7 @@ let dashboard_cmd =
   Cmd.v (Cmd.info "dashboard" ~doc)
     Term.(
       const run $ scheme_arg $ nattackers_arg $ attack_arg $ transfers_arg $ max_time_arg
-      $ seed_arg $ gauge_period_arg $ stats_arg $ series_arg $ telemetry_interval_arg)
+      $ seed_arg $ stats_arg $ telemetry_interval_arg)
 
 (* --- chaos: fault injection + recovery checking ---------------------- *)
 
@@ -635,8 +616,8 @@ let scale_cmd =
           {
             Workload.Experiment.obs_default with
             Workload.Experiment.obs_profile = stats <> None;
-            obs_gauge_period = (if stats = None then 0. else 0.1);
-            obs_telemetry_interval = ti;
+            (* --stats reads its footprint peaks off the telemetry series. *)
+            obs_telemetry_interval = (if ti > 0. then ti else 0.1);
           }
     in
     let t0 = Unix.gettimeofday () in

@@ -34,18 +34,7 @@ type cache_row = {
 
 type profile_row = { p_kind : string; p_events : int; p_wall_s : float }
 
-type gauge_row = {
-  g_name : string;
-  g_count : int;
-  g_mean : float;
-  g_max : float;
-  g_p50 : float;
-  g_p99 : float;
-  g_render : string; (* pre-rendered histogram, for the dashboard *)
-}
-
-(* One telemetry channel summarized over its interval windows; the stats
-   quadruple matches [gauge_row] so both render through one formatter. *)
+(* One telemetry channel summarized over its interval windows. *)
 type series_row = {
   s_name : string;
   s_mode : string; (* "cumulative" (stats over per-second rates) or "level" *)
@@ -71,7 +60,6 @@ type t = {
   links : link_row list;
   caches : cache_row list;
   profile : profile_row list;
-  gauges : gauge_row list;
   events : int; (* events the loop fired; 0 = not measured *)
   wall_s : float; (* event-loop wall seconds; 0. = not measured *)
   trace_jsonl : string option;
@@ -87,7 +75,6 @@ let empty =
     links = [];
     caches = [];
     profile = [];
-    gauges = [];
     events = 0;
     wall_s = 0.;
     trace_jsonl = None;
@@ -138,22 +125,6 @@ let profile_rows profile =
   List.map
     (fun (name, events, wall, _ns) -> { p_kind = name; p_events = events; p_wall_s = wall })
     (Profile.kind_rows profile)
-
-let gauge_rows profile =
-  List.map
-    (fun g ->
-      let s = Profile.gauge_summary g in
-      let h = Profile.gauge_hist g in
-      {
-        g_name = Profile.gauge_name g;
-        g_count = Stats.Summary.count s;
-        g_mean = Stats.Summary.mean s;
-        g_max = Stats.Summary.max s;
-        g_p50 = Stats.Histogram.quantile h 0.5;
-        g_p99 = Stats.Histogram.quantile h 0.99;
-        g_render = Fmt.str "%a" Stats.Histogram.pp h;
-      })
-    (Profile.gauges profile)
 
 (* Sparkline over the last [width] windows, oldest first, scaled to the
    series max (all-low when flat at zero). *)
@@ -292,17 +263,6 @@ let profile_json p =
       ("wall_s", Export.Float p.p_wall_s);
     ]
 
-let gauge_json g =
-  Export.Obj
-    [
-      ("name", Export.String g.g_name);
-      ("count", Export.Int g.g_count);
-      ("mean", Export.number_or_null g.g_mean);
-      ("max", Export.number_or_null g.g_max);
-      ("p50", Export.number_or_null g.g_p50);
-      ("p99", Export.number_or_null g.g_p99);
-    ]
-
 let series_row_json s =
   Export.Obj
     [
@@ -333,7 +293,6 @@ let to_json t =
        ("links", Export.List (List.map link_json t.links));
        ("flow_caches", Export.List (List.map cache_json t.caches));
        ("profile", Export.List (List.map profile_json t.profile));
-       ("gauges", Export.List (List.map gauge_json t.gauges));
      ]
     @ (if t.events > 0 then [ ("events", Export.Int t.events) ] else [])
     @ (if t.wall_s > 0. then [ ("wall_s", Export.Float t.wall_s) ] else [])
@@ -399,23 +358,6 @@ let pp_profile fmt profile =
       profile
   end
 
-(* The one stats line both gauge rows and interval-series rows render
-   through, so the dashboard and [--series] agree on the format. *)
-let pp_stat_line fmt ~count ~count_label ~mean ~max ~p50 ~p99 =
-  Format.fprintf fmt "  %s=%d mean=%.2f max=%.0f p50=%.2f p99=%.2f@." count_label count mean max
-    p50 p99
-
-let pp_gauges fmt gauges =
-  List.iter
-    (fun g ->
-      Format.fprintf fmt "== gauge %s ==@." g.g_name;
-      pp_stat_line fmt ~count:g.g_count ~count_label:"samples" ~mean:g.g_mean ~max:g.g_max
-        ~p50:g.g_p50 ~p99:g.g_p99;
-      if g.g_render <> "" then
-        String.split_on_char '\n' g.g_render
-        |> List.iter (fun line -> if line <> "" then Format.fprintf fmt "  %s@." line))
-    gauges
-
 let pp_series fmt t =
   if t.series <> [] then begin
     Format.fprintf fmt "== telemetry (interval %gs) ==@." t.series_interval;
@@ -423,8 +365,8 @@ let pp_series fmt t =
       (fun s ->
         Format.fprintf fmt "== series %s (%s%s) ==@." s.s_name s.s_mode
           (if s.s_mode = "cumulative" then ", per-second rates" else "");
-        pp_stat_line fmt ~count:s.s_windows ~count_label:"windows" ~mean:s.s_mean ~max:s.s_max
-          ~p50:s.s_p50 ~p99:s.s_p99;
+        Format.fprintf fmt "  windows=%d mean=%.2f max=%.0f p50=%.2f p99=%.2f@." s.s_windows
+          s.s_mean s.s_max s.s_p50 s.s_p99;
         if s.s_spark <> "" then Format.fprintf fmt "  %s@." s.s_spark)
       t.series
   end
@@ -458,7 +400,6 @@ let pp_dashboard fmt t =
   pp_links fmt t.links;
   pp_caches fmt t.caches;
   pp_profile fmt t.profile;
-  pp_gauges fmt t.gauges;
   pp_series fmt t;
   pp_incidents fmt t.incidents;
   pp_throughput fmt t

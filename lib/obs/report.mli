@@ -32,16 +32,6 @@ type cache_row = {
 
 type profile_row = { p_kind : string; p_events : int; p_wall_s : float }
 
-type gauge_row = {
-  g_name : string;
-  g_count : int;
-  g_mean : float;
-  g_max : float;
-  g_p50 : float;
-  g_p99 : float;
-  g_render : string;  (** pre-rendered histogram for the dashboard *)
-}
-
 type series_row = {
   s_name : string;
   s_mode : string;  (** ["cumulative"] (stats over per-second rates) or ["level"] *)
@@ -52,8 +42,7 @@ type series_row = {
   s_p99 : float;
   s_spark : string;  (** sparkline over the surviving windows, oldest first *)
 }
-(** One telemetry channel summarized over its interval windows; the stats
-    quadruple matches {!gauge_row} so both render through one formatter. *)
+(** One telemetry channel summarized over its interval windows. *)
 
 type incident_row = {
   i_rule : string;
@@ -69,7 +58,6 @@ type t = {
   links : link_row list;
   caches : cache_row list;
   profile : profile_row list;
-  gauges : gauge_row list;
   events : int;  (** events the loop fired; [0] = not measured *)
   wall_s : float;  (** event-loop wall seconds; [0.] = not measured *)
   trace_jsonl : string option;
@@ -86,7 +74,6 @@ val empty : t
 val qdisc_rows : Qdisc.t -> qdisc_row list
 val link_rows_of_net : Net.t -> link_row list
 val profile_rows : Profile.t -> profile_row list
-val gauge_rows : Profile.t -> gauge_row list
 
 val trace_jsonl : ?node_name:(int -> string) -> Trace.t -> string option
 (** [None] when the trace is disabled or empty. *)
@@ -119,8 +106,8 @@ val counters_json : Counters.snap -> Export.t
 val pp_dashboard : Format.formatter -> t -> unit
 
 val pp_series : Format.formatter -> t -> unit
-(** The interval-series tables alone (what [tva_sim dashboard --series]
-    adds); included in {!pp_dashboard} when telemetry was on.  Stats lines
-    share one formatter with the gauge rows. *)
+(** The interval-series tables alone (what [tva_sim run --telemetry] and
+    [tva_sim scale --telemetry] print); included in {!pp_dashboard} when
+    telemetry was on. *)
 
 val pp_incidents : Format.formatter -> incident_row list -> unit

@@ -19,7 +19,9 @@ type source =
   | Cells of Counters.t array * int  (** the same cell summed across instances *)
   | Int_fn of (unit -> int)
       (** any integer probe (queue depth, cache size, events fired); must
-          not allocate — it runs on the tick path *)
+          not allocate — it runs on the tick path.  The one exception is
+          [Scale.run]'s [heap_words], which reads [Gc.quick_stat] and so
+          allocates one record per tick. *)
 
 type mode =
   | Cumulative  (** store the delta since the previous tick; [rate] divides by the interval *)

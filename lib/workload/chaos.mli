@@ -49,7 +49,7 @@ val base_config : Experiment.config
 
 val obs_default : Experiment.obs_config
 (** {!Experiment.obs_default} plus a 100 ms telemetry interval — counters,
-    interval series and incident detectors, no trace/profiler/gauges.  The
+    interval series and incident detectors, no trace or profiler.  The
     tick chain rides auxiliary events, so chaos numbers are bit-identical
     to a telemetry-off run. *)
 

@@ -52,7 +52,6 @@ type obs_config = {
   obs_trace_capacity : int; (* 0 = no trace ring *)
   obs_trace_sample : int; (* keep 1 record in k *)
   obs_profile : bool; (* event-loop wall-time profiler (Unix clock) *)
-  obs_gauge_period : float; (* sim-seconds between queue-depth samples; 0 = off *)
   obs_telemetry_interval : float; (* sim-seconds between interval windows; 0 = off *)
   obs_flight_windows : int; (* telemetry windows frozen into a flight dump *)
   obs_flight_dir : string option; (* where dumps land; None = no flight recorder *)
@@ -64,19 +63,130 @@ let obs_default =
     obs_trace_capacity = 0;
     obs_trace_sample = 1;
     obs_profile = false;
-    obs_gauge_period = 0.;
     obs_telemetry_interval = 0.;
     obs_flight_windows = 64;
     obs_flight_dir = None;
     obs_flight_label = "run";
   }
 
-type obs_state = {
-  st_registry : Obs.Counters.registry;
-  st_counters_for : Net.node -> Obs.Counters.t;
-  st_trace : Obs.Trace.t;
-  st_profile : Obs.Profile.t option;
-}
+(* The observability set-up and report assembly that [run] and [Scale.run]
+   share.  Nothing here schedules a normal event or draws randomness, so an
+   observed run keeps the simulated outcome of an unobserved one. *)
+module Harness = struct
+  type t = {
+    config : obs_config;
+    sim : Sim.t;
+    net : Net.t;
+    scheme : Scheme.t;
+    registry : Obs.Counters.registry;
+    trace : Obs.Trace.t;
+    profile : Obs.Profile.t option;
+    node_name : int -> string;
+  }
+
+  type channel = string * Obs.Timeseries.mode * Obs.Timeseries.source
+
+  (* Find-or-register by name: the registry lists rows in first-touch
+     order, which is the order every counter dump prints them in. *)
+  let counters t name =
+    match Obs.Counters.find t.registry ~name with
+    | Some c -> c
+    | None -> Obs.Counters.register t.registry ~name
+
+  let counters_for t node = counters t (Net.node_name node)
+
+  let setup config ~sim ~net ~scheme =
+    let names = Hashtbl.create 64 in
+    List.iter
+      (fun node -> Hashtbl.replace names (Net.node_id node) (Net.node_name node))
+      (Net.nodes net);
+    let t =
+      {
+        config;
+        sim;
+        net;
+        scheme;
+        registry = Obs.Counters.registry ();
+        trace =
+          (if config.obs_trace_capacity > 0 then
+             Obs.Trace.create ~capacity:config.obs_trace_capacity ~sample:config.obs_trace_sample ()
+           else Obs.Trace.nop);
+        profile =
+          (if config.obs_profile then Some (Obs.Profile.create ~clock:Unix.gettimeofday ())
+           else None);
+        node_name =
+          (fun id -> match Hashtbl.find_opt names id with Some n -> n | None -> string_of_int id);
+      }
+    in
+    Obs.Bridge.install ~trace:t.trace ~counters_for:(counters_for t) net;
+    Option.iter (fun p -> Obs.Profile.attach p sim) t.profile;
+    t
+
+  (* The channels both drivers record. *)
+  let demoted t routers : channel =
+    ( "demoted",
+      Obs.Timeseries.Cumulative,
+      Obs.Timeseries.Cells
+        (Array.of_list (List.map (counters_for t) routers), Obs.Event.to_int Obs.Event.Demoted) )
+
+  (* Drops summed over every qdisc nested in [qdiscs]; the stats records
+     are resolved once, so the tick probe is a pure int fold. *)
+  let drops qdiscs : channel =
+    let stats = ref [] in
+    List.iter (fun q -> Qdisc.iter_nested q (fun q -> stats := q.Qdisc.stats :: !stats)) qdiscs;
+    let stats = Array.of_list !stats in
+    ( "drops",
+      Obs.Timeseries.Cumulative,
+      Obs.Timeseries.Int_fn
+        (fun () ->
+          let n = ref 0 in
+          Array.iter (fun (s : Qdisc.stats) -> n := !n + s.Qdisc.dropped) stats;
+          !n) )
+
+  let flow_cache t : channel =
+    ("flow_cache", Obs.Timeseries.Level, Obs.Timeseries.Int_fn t.scheme.Scheme.cache_occupancy)
+
+  let events t : channel =
+    ( "events",
+      Obs.Timeseries.Cumulative,
+      Obs.Timeseries.Int_fn (fun () -> Sim.events_processed t.sim) )
+
+  (* [None] unless the config asks for telemetry; [channels] is only forced
+     when it does. *)
+  let telemetry t channels =
+    if t.config.obs_telemetry_interval <= 0. then None
+    else begin
+      let ts = Obs.Timeseries.create ~interval:t.config.obs_telemetry_interval () in
+      List.iter
+        (fun (name, mode, source) -> Obs.Timeseries.add ts ~name ~mode source)
+        (channels ());
+      Some ts
+    end
+
+  (* Call after [Sim.run]; [wall_s] is the loop's own wall time. *)
+  let report ?series ?detect t ~wall_s =
+    Option.iter (fun _ -> Obs.Profile.detach t.sim) t.profile;
+    let incidents =
+      match detect with
+      | None -> []
+      | Some det ->
+          Obs.Detect.finish det ~time:(Sim.now t.sim);
+          Obs.Report.incident_rows det
+    in
+    {
+      Obs.Report.counters = Obs.Counters.snapshot_all t.registry;
+      links = Obs.Report.link_rows_of_net t.net;
+      caches = t.scheme.Scheme.report_caches ();
+      profile = (match t.profile with None -> [] | Some p -> Obs.Report.profile_rows p);
+      events = Sim.events_processed t.sim;
+      wall_s;
+      trace_jsonl = Obs.Report.trace_jsonl ~node_name:t.node_name t.trace;
+      series = (match series with None -> [] | Some ts -> Obs.Report.series_rows ts);
+      series_interval = (match series with None -> 0. | Some ts -> Obs.Timeseries.interval ts);
+      series_json = Option.map (fun ts -> Obs.Timeseries.to_json ts) series;
+      incidents;
+    }
+end
 
 (* Everything a fault-injection hook needs, handed over after the topology,
    routers, endpoints and attack are wired but before the clock starts.
@@ -167,75 +277,14 @@ let run ?obs ?faults cfg =
       ~make_qdisc:(fun ~bandwidth_bps -> scheme.Scheme.make_qdisc ~bandwidth_bps)
       sim
   in
-  (* Observability, when asked for: a counter registry keyed by node name,
-     the net-event bridge, and optionally a trace ring, an event-loop
-     profiler and a queue-depth gauge on the bottleneck.  With [?obs]
-     absent nothing is installed and the run is byte-identical to an
-     unobserved one. *)
-  let obs_state =
-    match obs with
-    | None -> None
-    | Some oc ->
-        let reg = Obs.Counters.registry () in
-        let counters_for node =
-          let name = Net.node_name node in
-          match Obs.Counters.find reg ~name with
-          | Some c -> c
-          | None -> Obs.Counters.register reg ~name
-        in
-        let trace =
-          if oc.obs_trace_capacity > 0 then
-            Obs.Trace.create ~capacity:oc.obs_trace_capacity ~sample:oc.obs_trace_sample ()
-          else Obs.Trace.nop
-        in
-        Obs.Bridge.install ~trace ~counters_for topo.Topology.net;
-        let profile =
-          if oc.obs_profile || oc.obs_gauge_period > 0. then
-            Some (Obs.Profile.create ~clock:Unix.gettimeofday ())
-          else None
-        in
-        (match profile with
-        | Some p when oc.obs_profile -> Obs.Profile.attach p sim
-        | Some _ | None -> ());
-        (match profile with
-        | Some p when oc.obs_gauge_period > 0. ->
-            (* The congested direction's queue is the interesting one; its
-               depth under each attack is the dashboard's headline gauge. *)
-            let q = Net.link_qdisc topo.Topology.bottleneck in
-            let g =
-              Obs.Profile.gauge p ~name:"bottleneck-queue-depth" ~lo:1. ~hi:4096. ~bins:24
-            in
-            Obs.Profile.sample_every p sim ~period:oc.obs_gauge_period
-              [ (g, fun () -> float_of_int (Qdisc.packet_count q)) ]
-        | Some _ | None -> ());
-        Some { st_registry = reg; st_counters_for = counters_for; st_trace = trace; st_profile = profile }
-  in
-  (* Node-id -> name, for the trace dump (flight recorder and report). *)
-  let node_name =
-    match obs_state with
-    | None -> string_of_int
-    | Some _ ->
-        let names = Hashtbl.create 64 in
-        List.iter
-          (fun node -> Hashtbl.replace names (Net.node_id node) (Net.node_name node))
-          (Net.nodes topo.Topology.net);
-        fun id ->
-          (match Hashtbl.find_opt names id with Some n -> n | None -> string_of_int id)
-  in
-  (match obs_state with
-  | None ->
-      scheme.Scheme.install_router topo.Topology.left ~link_bps:cfg.bottleneck_bps;
-      scheme.Scheme.install_router topo.Topology.right ~link_bps:cfg.bottleneck_bps
-  | Some st ->
-      scheme.Scheme.install_router
-        ~obs:(st.st_counters_for topo.Topology.left)
-        topo.Topology.left ~link_bps:cfg.bottleneck_bps;
-      scheme.Scheme.install_router
-        ~obs:(st.st_counters_for topo.Topology.right)
-        topo.Topology.right ~link_bps:cfg.bottleneck_bps);
-  let ep_obs node =
-    match obs_state with None -> None | Some st -> Some (st.st_counters_for node)
-  in
+  (* With [?obs] absent nothing is installed and the run is byte-identical
+     to an unobserved one. *)
+  let harness = Option.map (fun oc -> Harness.setup oc ~sim ~net:topo.Topology.net ~scheme) obs in
+  let ep_obs node = Option.map (fun h -> Harness.counters_for h node) harness in
+  scheme.Scheme.install_router ?obs:(ep_obs topo.Topology.left) topo.Topology.left
+    ~link_bps:cfg.bottleneck_bps;
+  scheme.Scheme.install_router ?obs:(ep_obs topo.Topology.right) topo.Topology.right
+    ~link_bps:cfg.bottleneck_bps;
   let dest_endpoint =
     scheme.Scheme.make_endpoint
       ?obs:(ep_obs topo.Topology.destination)
@@ -289,14 +338,6 @@ let run ?obs ?faults cfg =
   (match faults with
   | None -> ()
   | Some hook ->
-      let fe_obs =
-        match obs_state with
-        | None -> Obs.Counters.nop
-        | Some st -> (
-            match Obs.Counters.find st.st_registry ~name:"faults" with
-            | Some c -> c
-            | None -> Obs.Counters.register st.st_registry ~name:"faults")
-      in
       hook
         {
           fe_sim = sim;
@@ -305,7 +346,8 @@ let run ?obs ?faults cfg =
           fe_routers = scheme.Scheme.fault_targets ();
           fe_users = user_endpoints;
           fe_destination = dest_endpoint;
-          fe_obs;
+          fe_obs =
+            (match harness with None -> Obs.Counters.nop | Some h -> Harness.counters h "faults");
         });
   (* Telemetry: interval windows over the hot counters and queues, online
      incident detection, and (optionally) a flight recorder.  Set up last so
@@ -313,135 +355,112 @@ let run ?obs ?faults cfg =
      The tick chain rides on auxiliary (negative-sequence) events, so a
      telemetry-on run is bit-identical to a telemetry-off one. *)
   let telemetry =
-    match (obs, obs_state) with
-    | Some oc, Some st when oc.obs_telemetry_interval > 0. ->
-        let ts = Obs.Timeseries.create ~interval:oc.obs_telemetry_interval () in
+    match harness with
+    | None -> None
+    | Some h -> (
         let bq = Net.link_qdisc topo.Topology.bottleneck in
-        Obs.Timeseries.add ts ~name:"demoted" ~mode:Obs.Timeseries.Cumulative
-          (Obs.Timeseries.Cells
-             ( [|
-                 st.st_counters_for topo.Topology.left;
-                 st.st_counters_for topo.Topology.right;
-               |],
-               Obs.Event.to_int Obs.Event.Demoted ));
         (* The congested direction's request channel, found by name inside
            the composite link scheduler (TVA only; absent elsewhere). *)
-        let request_limiter = ref None in
+        let limiter = ref None in
         Qdisc.iter_nested bq (fun q ->
-            if q.Qdisc.name = "request-limiter" && !request_limiter = None then
-              request_limiter := Some q);
-        (match !request_limiter with
-        | Some q ->
-            Obs.Timeseries.add ts ~name:"request_bytes" ~mode:Obs.Timeseries.Cumulative
-              (Obs.Timeseries.Int_fn (fun () -> q.Qdisc.stats.Qdisc.bytes_dequeued))
-        | None -> ());
-        (* Resolve the nested stats records once; the tick probe is then a
-           pure int fold with no traversal. *)
-        let drop_stats =
-          let acc = ref [] in
-          Qdisc.iter_nested bq (fun q -> acc := q.Qdisc.stats :: !acc);
-          Array.of_list !acc
+            if q.Qdisc.name = "request-limiter" && !limiter = None then limiter := Some q);
+        let limiter = !limiter in
+        let series =
+          Harness.telemetry h (fun () ->
+              List.concat
+                [
+                  [ Harness.demoted h [ topo.Topology.left; topo.Topology.right ] ];
+                  (match limiter with
+                  | Some q ->
+                      [
+                        ( "request_bytes",
+                          Obs.Timeseries.Cumulative,
+                          Obs.Timeseries.Int_fn (fun () -> q.Qdisc.stats.Qdisc.bytes_dequeued) );
+                      ]
+                  | None -> []);
+                  [
+                    Harness.drops [ bq ];
+                    ( "queue_depth",
+                      Obs.Timeseries.Level,
+                      Obs.Timeseries.Int_fn (fun () -> Qdisc.packet_count bq) );
+                    Harness.flow_cache h;
+                  ];
+                  (match faults with
+                  | Some _ ->
+                      [
+                        ( "faults",
+                          Obs.Timeseries.Cumulative,
+                          Obs.Timeseries.Cell
+                            ( Harness.counters h "faults",
+                              Obs.Event.to_int Obs.Event.Fault_injected ) );
+                      ]
+                  | None -> []);
+                  [ Harness.events h ];
+                ])
         in
-        Obs.Timeseries.add ts ~name:"drops" ~mode:Obs.Timeseries.Cumulative
-          (Obs.Timeseries.Int_fn
-             (fun () ->
-               let n = ref 0 in
-               Array.iter (fun (s : Qdisc.stats) -> n := !n + s.Qdisc.dropped) drop_stats;
-               !n));
-        Obs.Timeseries.add ts ~name:"queue_depth" ~mode:Obs.Timeseries.Level
-          (Obs.Timeseries.Int_fn (fun () -> Qdisc.packet_count bq));
-        Obs.Timeseries.add ts ~name:"flow_cache" ~mode:Obs.Timeseries.Level
-          (Obs.Timeseries.Int_fn scheme.Scheme.cache_occupancy);
-        (match Obs.Counters.find st.st_registry ~name:"faults" with
-        | Some c ->
-            Obs.Timeseries.add ts ~name:"faults" ~mode:Obs.Timeseries.Cumulative
-              (Obs.Timeseries.Cell (c, Obs.Event.to_int Obs.Event.Fault_injected))
-        | None -> ());
-        Obs.Timeseries.add ts ~name:"events" ~mode:Obs.Timeseries.Cumulative
-          (Obs.Timeseries.Int_fn (fun () -> Sim.events_processed sim));
-        let rules =
-          let r = ref [] in
-          r := Obs.Detect.rule ~name:"demotion-storm" ~chan:"demoted" ~on:50. ~off:5. () :: !r;
-          (match !request_limiter with
-          | Some { Qdisc.kind = Qdisc.Token_bucket tb; _ } ->
-              (* Saturation relative to the channel's configured rate. *)
-              let cap = tb.Qdisc.tb_rate_bytes in
-              r :=
-                Obs.Detect.rule ~name:"request-saturation" ~chan:"request_bytes"
-                  ~on:(0.9 *. cap) ~off:(0.3 *. cap) ()
-                :: !r
-          | Some _ | None -> ());
-          r :=
-            Obs.Detect.rule ~signal:`Value ~up:2 ~down:3 ~name:"queue-buildup"
-              ~chan:"queue_depth" ~on:64. ~off:8. ()
-            :: !r;
-          if Obs.Timeseries.chan_index ts "faults" <> None then
-            r :=
-              Obs.Detect.rule ~down:3 ~name:"fault-activity" ~chan:"faults" ~on:0.5 ~off:0.05 ()
-              :: !r;
-          List.rev !r
-        in
-        let det = Obs.Detect.create ~rules ts in
-        let flight =
-          match oc.obs_flight_dir with
-          | None -> None
-          | Some dir ->
-              let f =
-                Obs.Flight.create ~windows:oc.obs_flight_windows ~dir
-                  ~label:oc.obs_flight_label ()
-              in
-              Obs.Flight.set_timeseries f ts;
-              Obs.Flight.set_trace f st.st_trace;
-              Obs.Flight.set_detect f det;
-              Obs.Detect.on_onset det (fun inc ->
-                  ignore
-                    (Obs.Flight.trigger ~node_name f
-                       ~reason:("incident:" ^ inc.Obs.Detect.in_rule)
-                       ~time:inc.Obs.Detect.in_onset));
-              Some f
-        in
-        Some (ts, det, flight)
-    | _ -> None
+        match series with
+        | None -> None
+        | Some ts ->
+            let oc = h.Harness.config in
+            let rules =
+              List.concat
+                [
+                  [ Obs.Detect.rule ~name:"demotion-storm" ~chan:"demoted" ~on:50. ~off:5. () ];
+                  (match limiter with
+                  | Some { Qdisc.kind = Qdisc.Token_bucket tb; _ } ->
+                      (* Saturation relative to the channel's configured rate. *)
+                      let cap = tb.Qdisc.tb_rate_bytes in
+                      [
+                        Obs.Detect.rule ~name:"request-saturation" ~chan:"request_bytes"
+                          ~on:(0.9 *. cap) ~off:(0.3 *. cap) ();
+                      ]
+                  | Some _ | None -> []);
+                  [
+                    Obs.Detect.rule ~signal:`Value ~up:2 ~down:3 ~name:"queue-buildup"
+                      ~chan:"queue_depth" ~on:64. ~off:8. ();
+                  ];
+                  (if faults <> None then
+                     [
+                       Obs.Detect.rule ~down:3 ~name:"fault-activity" ~chan:"faults" ~on:0.5
+                         ~off:0.05 ();
+                     ]
+                   else []);
+                ]
+            in
+            let det = Obs.Detect.create ~rules ts in
+            let flight =
+              Option.map
+                (fun dir ->
+                  let f =
+                    Obs.Flight.create ~windows:oc.obs_flight_windows ~dir
+                      ~label:oc.obs_flight_label ()
+                  in
+                  Obs.Flight.set_timeseries f ts;
+                  Obs.Flight.set_trace f h.Harness.trace;
+                  Obs.Flight.set_detect f det;
+                  Obs.Detect.on_onset det (fun inc ->
+                      ignore
+                        (Obs.Flight.trigger ~node_name:h.Harness.node_name f
+                           ~reason:("incident:" ^ inc.Obs.Detect.in_rule)
+                           ~time:inc.Obs.Detect.in_onset));
+                  f)
+                oc.obs_flight_dir
+            in
+            Obs.Timeseries.attach ts sim ~until:cfg.max_time ~on_tick:(fun () ->
+                Obs.Detect.step det);
+            Some (ts, det, flight))
   in
-  (match telemetry with
-  | None -> ()
-  | Some (ts, det, _) ->
-      Obs.Timeseries.attach ts sim ~until:cfg.max_time ~on_tick:(fun () -> Obs.Detect.step det));
   let loop_t0 = Unix.gettimeofday () in
   Sim.run ~until:cfg.max_time sim;
   let loop_wall = Unix.gettimeofday () -. loop_t0 in
   List.iter (Metrics.merge_into metrics) per_user_metrics;
   let obs_report =
-    match obs_state with
-    | None -> None
-    | Some st ->
-        (match st.st_profile with Some _ -> Obs.Profile.detach sim | None -> ());
-        let series, series_interval, series_json, incidents =
-          match telemetry with
-          | None -> ([], 0., None, [])
-          | Some (ts, det, _) ->
-              Obs.Detect.finish det ~time:(Sim.now sim);
-              ( Obs.Report.series_rows ts,
-                Obs.Timeseries.interval ts,
-                Some (Obs.Timeseries.to_json ts),
-                Obs.Report.incident_rows det )
-        in
-        Some
-          {
-            Obs.Report.counters = Obs.Counters.snapshot_all st.st_registry;
-            links = Obs.Report.link_rows_of_net topo.Topology.net;
-            caches = scheme.Scheme.report_caches ();
-            profile =
-              (match st.st_profile with None -> [] | Some p -> Obs.Report.profile_rows p);
-            gauges = (match st.st_profile with None -> [] | Some p -> Obs.Report.gauge_rows p);
-            events = Sim.events_processed sim;
-            wall_s = loop_wall;
-            trace_jsonl = Obs.Report.trace_jsonl ~node_name st.st_trace;
-            series;
-            series_interval;
-            series_json;
-            incidents;
-          }
+    Option.map
+      (fun h ->
+        match telemetry with
+        | None -> Harness.report h ~wall_s:loop_wall
+        | Some (ts, det, _) -> Harness.report h ~series:ts ~detect:det ~wall_s:loop_wall)
+      harness
   in
   (* Per-sender goodput, user order: payload bytes each user completed
      over the run, as bits/s of simulated time.  Every user's metrics

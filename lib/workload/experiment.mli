@@ -67,18 +67,13 @@ type obs_config = {
   obs_trace_capacity : int;  (** trace-ring capacity; 0 disables tracing *)
   obs_trace_sample : int;  (** keep 1 trace record in [k] *)
   obs_profile : bool;  (** event-loop wall-time profiler (Unix clock) *)
-  obs_gauge_period : float;
-      (** sim-seconds between bottleneck queue-depth samples; 0 disables.
-          The sampler rides auxiliary (negative-sequence) events, so
-          gauge-enabled runs are bit-identical to unobserved ones. *)
   obs_telemetry_interval : float;
-      (** sim-seconds between telemetry windows; 0 disables.  Like the
-          gauge sampler, the tick chain rides on auxiliary events, so
-          telemetry-on runs are bit-identical to telemetry-off ones.
-          Channels: demoted, request_bytes (TVA), drops, queue_depth,
-          flow_cache, faults (when a hook is installed), events;
-          detectors: demotion-storm, request-saturation, queue-buildup,
-          fault-activity. *)
+      (** sim-seconds between telemetry windows; 0 disables.  The tick
+          chain rides on auxiliary events, so telemetry-on runs are
+          bit-identical to telemetry-off ones.  Channels: demoted,
+          request_bytes (TVA), drops, queue_depth, flow_cache, faults (when
+          a hook is installed), events; detectors: demotion-storm,
+          request-saturation, queue-buildup, fault-activity. *)
   obs_flight_windows : int;  (** telemetry windows frozen into each flight dump *)
   obs_flight_dir : string option;
       (** directory for flight-recorder dumps ([flight_<label>_<n>.json]);
@@ -87,7 +82,51 @@ type obs_config = {
 }
 
 val obs_default : obs_config
-(** Counters + net-event bridge only: no trace, no profiler, no gauges. *)
+(** Counters + net-event bridge only: no trace, no profiler, no telemetry. *)
+
+(** The observability set-up and report assembly shared by {!run} and
+    {!Scale.run}: the counter registry, the trace ring, the net-event
+    bridge, the profiler, the node-id→name table, the channels both
+    drivers record, and the {!Obs.Report.t}.  Each driver adds only its
+    own telemetry channels. *)
+module Harness : sig
+  type t
+
+  type channel = string * Obs.Timeseries.mode * Obs.Timeseries.source
+  (** A telemetry channel: name, mode and source, as {!Obs.Timeseries.add}
+      takes them. *)
+
+  val setup : obs_config -> sim:Sim.t -> net:Net.t -> scheme:Scheme.t -> t
+  (** Call once every node exists.  Installs the bridge and, when
+      [obs_profile] is set, attaches the profiler. *)
+
+  val counters_for : t -> Net.node -> Obs.Counters.t
+  (** The node's registry row, keyed by {!Net.node_name} and registered
+      on first touch. *)
+
+  val demoted : t -> Net.node list -> channel
+  (** ["demoted"]: demotions summed over the given routers. *)
+
+  val drops : Qdisc.t list -> channel
+  (** ["drops"]: drops summed over every qdisc nested in the list. *)
+
+  val flow_cache : t -> channel
+  (** ["flow_cache"]: the scheme's live flow-cache entries. *)
+
+  val events : t -> channel
+  (** ["events"]: simulator events fired. *)
+
+  val telemetry : t -> (unit -> channel list) -> Obs.Timeseries.t option
+  (** A series over the channels, in list order, when
+      [obs_telemetry_interval] is positive; [None] (and the list is never
+      built) otherwise.  The caller attaches it. *)
+
+  val report :
+    ?series:Obs.Timeseries.t -> ?detect:Obs.Detect.t -> t -> wall_s:float -> Obs.Report.t
+  (** Call after [Sim.run]: detaches the profiler, closes [detect]'s open
+      incidents, and snapshots everything.  [wall_s] is the event loop's
+      own wall time. *)
+end
 
 type fault_env = {
   fe_sim : Sim.t;

@@ -205,47 +205,12 @@ let run ?obs cfg =
         node)
   in
   Net.compute_routes b.b_net;
-  (* Observability mirrors Experiment.run, plus the footprint gauges that
-     back BENCH_scale.json's peak-memory column. *)
-  let obs_state =
-    match obs with
-    | None -> None
-    | Some (oc : Experiment.obs_config) ->
-        let reg = Obs.Counters.registry () in
-        let counters_for node =
-          let name = Net.node_name node in
-          match Obs.Counters.find reg ~name with
-          | Some c -> c
-          | None -> Obs.Counters.register reg ~name
-        in
-        let trace =
-          if oc.Experiment.obs_trace_capacity > 0 then
-            Obs.Trace.create ~capacity:oc.Experiment.obs_trace_capacity
-              ~sample:oc.Experiment.obs_trace_sample ()
-          else Obs.Trace.nop
-        in
-        Obs.Bridge.install ~trace ~counters_for b.b_net;
-        let profile =
-          if oc.Experiment.obs_profile || oc.Experiment.obs_gauge_period > 0. then
-            Some (Obs.Profile.create ~clock:Unix.gettimeofday ())
-          else None
-        in
-        (match profile with
-        | None -> ()
-        | Some p ->
-            if oc.Experiment.obs_profile then Obs.Profile.attach p sim;
-            if oc.Experiment.obs_gauge_period > 0. then
-              Obs.Profile.memory_gauges p sim ~period:oc.Experiment.obs_gauge_period);
-        Some (reg, counters_for, trace, profile)
+  let harness =
+    Option.map (fun oc -> Experiment.Harness.setup oc ~sim ~net:b.b_net ~scheme) obs
   in
-  let router_obs node =
-    match obs_state with None -> None | Some (_, f, _, _) -> Some (f node)
-  in
+  let router_obs node = Option.map (fun h -> Experiment.Harness.counters_for h node) harness in
   List.iter
-    (fun r ->
-      match router_obs r with
-      | None -> scheme.Scheme.install_router r ~link_bps:cfg.sc_bottleneck_bps
-      | Some c -> scheme.Scheme.install_router ~obs:c r ~link_bps:cfg.sc_bottleneck_bps)
+    (fun r -> scheme.Scheme.install_router ?obs:(router_obs r) r ~link_bps:cfg.sc_bottleneck_bps)
     b.b_routers;
   let dest_endpoint =
     scheme.Scheme.make_endpoint ?obs:(router_obs b.b_destination) b.b_destination
@@ -304,37 +269,24 @@ let run ?obs cfg =
         end)
   in
   (* Telemetry ticks ride an auxiliary event chain ({!Obs.Timeseries.attach}),
-     so a telemetry-on run is bit-identical to a telemetry-off one. *)
-  let telemetry =
-    match (obs, obs_state) with
-    | Some (oc : Experiment.obs_config), Some (_, counters_for, _, _)
-      when oc.Experiment.obs_telemetry_interval > 0. ->
-        let ts = Obs.Timeseries.create ~interval:oc.Experiment.obs_telemetry_interval () in
-        Obs.Timeseries.add ts ~name:"demoted" ~mode:Obs.Timeseries.Cumulative
-          (Obs.Timeseries.Cells
-             ( Array.map counters_for (Array.of_list b.b_routers),
-               Obs.Event.to_int Obs.Event.Demoted ));
-        let drop_stats =
-          let acc = ref [] in
-          List.iter
-            (fun l -> Qdisc.iter_nested (Net.link_qdisc l) (fun q -> acc := q.Qdisc.stats :: !acc))
-            (Net.links b.b_net);
-          Array.of_list !acc
-        in
-        Obs.Timeseries.add ts ~name:"drops" ~mode:Obs.Timeseries.Cumulative
-          (Obs.Timeseries.Int_fn
-             (fun () ->
-               let n = ref 0 in
-               Array.iter (fun (s : Qdisc.stats) -> n := !n + s.Qdisc.dropped) drop_stats;
-               !n));
-        Obs.Timeseries.add ts ~name:"flow_cache" ~mode:Obs.Timeseries.Level
-          (Obs.Timeseries.Int_fn scheme.Scheme.cache_occupancy);
-        Obs.Timeseries.add ts ~name:"events" ~mode:Obs.Timeseries.Cumulative
-          (Obs.Timeseries.Int_fn (fun () -> Sim.events_processed sim));
-        Obs.Timeseries.attach ts sim ~until:cfg.sc_max_time;
-        Some ts
-    | _ -> None
+     so a telemetry-on run is bit-identical to a telemetry-off one.  The
+     footprint channels' maxima are BENCH_scale.json's peak-memory columns;
+     [heap_words] allocates one [Gc.stat] record per tick. *)
+  let series =
+    Option.bind harness (fun h ->
+        Experiment.Harness.telemetry h (fun () ->
+            [
+              Experiment.Harness.demoted h b.b_routers;
+              Experiment.Harness.drops (List.map Net.link_qdisc (Net.links b.b_net));
+              Experiment.Harness.flow_cache h;
+              Experiment.Harness.events h;
+              ( "heap_words",
+                Obs.Timeseries.Level,
+                Obs.Timeseries.Int_fn (fun () -> (Gc.quick_stat ()).Gc.heap_words) );
+              ("pending", Obs.Timeseries.Level, Obs.Timeseries.Int_fn (fun () -> Sim.pending sim));
+            ]))
   in
+  Option.iter (fun ts -> Obs.Timeseries.attach ts sim ~until:cfg.sc_max_time) series;
   let wall_start = Unix.gettimeofday () in
   Sim.run ~until:cfg.sc_max_time sim;
   let wall_s = Unix.gettimeofday () -. wall_start in
@@ -344,36 +296,7 @@ let run ?obs cfg =
       (fun acc s -> match s with None -> acc | Some s -> acc + Swarm.packets_sent s)
       0 swarms
   in
-  let obs_report =
-    match obs_state with
-    | None -> None
-    | Some (reg, _, trace, profile) ->
-        Obs.Profile.detach sim;
-        let names = Hashtbl.create 64 in
-        List.iter
-          (fun node -> Hashtbl.replace names (Net.node_id node) (Net.node_name node))
-          (Net.nodes b.b_net);
-        let node_name id =
-          match Hashtbl.find_opt names id with Some n -> n | None -> string_of_int id
-        in
-        Some
-          {
-            Obs.Report.counters = Obs.Counters.snapshot_all reg;
-            links = Obs.Report.link_rows_of_net b.b_net;
-            caches = scheme.Scheme.report_caches ();
-            profile = (match profile with None -> [] | Some p -> Obs.Report.profile_rows p);
-            gauges = (match profile with None -> [] | Some p -> Obs.Report.gauge_rows p);
-            events = Sim.events_processed sim;
-            wall_s;
-            trace_jsonl = Obs.Report.trace_jsonl ~node_name trace;
-            series = (match telemetry with None -> [] | Some ts -> Obs.Report.series_rows ts);
-            series_interval =
-              (match telemetry with None -> 0. | Some ts -> Obs.Timeseries.interval ts);
-            series_json =
-              (match telemetry with None -> None | Some ts -> Some (Obs.Timeseries.to_json ts));
-            incidents = [];
-          }
-  in
+  let obs_report = Option.map (fun h -> Experiment.Harness.report ?series h ~wall_s) harness in
   {
     sr_scheme = scheme.Scheme.name;
     sr_topology = topology_kind_to_string cfg.sc_topology;

@@ -66,6 +66,9 @@ type result = {
 
 val run : ?obs:Experiment.obs_config -> config -> result
 (** Build the topology, wire users/aggregates/routers for the scheme, run
-    to [sc_max_time], and report.  With [?obs] and a positive gauge
-    period, {!Obs.Profile.memory_gauges} rows land in [sr_obs] — the scale
-    benchmark's peak-memory source. *)
+    to [sc_max_time], and report.  [?obs] goes through
+    {!Experiment.Harness}, as in {!Experiment.run}.  With telemetry on, the
+    series adds two footprint Level channels to the shared ones:
+    [heap_words] (major-heap words, [Gc.quick_stat]) and [pending]
+    ({!Sim.pending}); their [s_max] in [sr_obs] is the scale benchmark's
+    peak-memory source. *)

@@ -102,45 +102,9 @@ let trace_filter_and_formats () =
   Alcotest.(check string) "csv" "time,node,event,src,dst,size\n1.500000000,7,delivered,3,4,64\n"
     (Buffer.contents buf)
 
-(* --- Histogram log binning + pp alignment -------------------------------- *)
-
-let histogram_log_bins () =
-  (match Stats.Histogram.create_log ~lo:0. ~hi:10. ~bins:4 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "lo = 0 must be rejected");
-  let h = Stats.Histogram.create_log ~lo:1. ~hi:1000. ~bins:3 in
-  (* decade bins: [1,10) [10,100) [100,1000) *)
-  List.iteri
-    (fun i (lo, hi) ->
-      let blo, bhi = Stats.Histogram.bin_bounds h i in
-      Alcotest.(check (float 1e-9)) (Printf.sprintf "bin %d lo" i) lo blo;
-      Alcotest.(check (float 1e-9)) (Printf.sprintf "bin %d hi" i) hi bhi)
-    [ (1., 10.); (10., 100.); (100., 1000.) ];
-  List.iter (Stats.Histogram.add h) [ 2.; 5.; 20.; 500.; 0.5; 5000. ];
-  Alcotest.(check int) "bin0" 2 (Stats.Histogram.bin_count h 0);
-  Alcotest.(check int) "bin1" 1 (Stats.Histogram.bin_count h 1);
-  Alcotest.(check int) "bin2" 1 (Stats.Histogram.bin_count h 2);
-  Alcotest.(check int) "underflow" 1 (Stats.Histogram.underflow h);
-  Alcotest.(check int) "overflow" 1 (Stats.Histogram.overflow h);
-  Alcotest.(check int) "count" 6 (Stats.Histogram.count h)
-
-let histogram_pp_alignment () =
-  (* Mixed-width labels and counts: every rendered line must come out the
-     same length — labels left-padded to one width, counts right-aligned. *)
-  let h = Stats.Histogram.create_log ~lo:1. ~hi:10000. ~bins:4 in
-  List.iter (Stats.Histogram.add h) [ 0.1; 2.; 2.; 2.; 20.; 20000. ];
-  for _ = 1 to 150 do
-    Stats.Histogram.add h 200.
-  done;
-  let rendered = Format.asprintf "%a" Stats.Histogram.pp h in
-  let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' rendered) in
-  Alcotest.(check bool) "several lines" true (List.length lines >= 4);
-  let widths = List.sort_uniq compare (List.map String.length lines) in
-  Alcotest.(check int) "all lines equally wide" 1 (List.length widths)
-
 (* --- Profiler ------------------------------------------------------------ *)
 
-let profile_kinds_and_gauges () =
+let profile_kinds () =
   let p = Obs.Profile.create ~clock:(fun () -> 0.) () in
   Obs.Profile.hit p ~kind:Sim.Kind.agent ~dt:0.5;
   Obs.Profile.hit p ~kind:Sim.Kind.agent ~dt:0.25;
@@ -151,17 +115,7 @@ let profile_kinds_and_gauges () =
   let rows = Obs.Profile.kind_rows p in
   Alcotest.(check (list string)) "nonzero kinds in kind order"
     [ Sim.Kind.name Sim.Kind.net_deliver; Sim.Kind.name Sim.Kind.agent ]
-    (List.map (fun (n, _, _, _) -> n) rows);
-  let g = Obs.Profile.gauge p ~name:"depth" ~lo:1. ~hi:100. ~bins:8 in
-  Alcotest.(check bool) "find-or-create" true
-    (g == Obs.Profile.gauge p ~name:"depth" ~lo:1. ~hi:100. ~bins:8);
-  Obs.Profile.observe g 3.;
-  Obs.Profile.observe g 30.;
-  Alcotest.(check int) "gauge count" 2 (Stats.Summary.count (Obs.Profile.gauge_summary g));
-  let sim = Sim.create () in
-  match Obs.Profile.sample_every p sim ~period:0. [ (g, fun () -> 1.) ] with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "nonpositive period must be rejected"
+    (List.map (fun (n, _, _, _) -> n) rows)
 
 let profile_attach_counts_sim_events () =
   let sim = Sim.create () in
@@ -738,9 +692,7 @@ let suite =
     Alcotest.test_case "registry + merge" `Quick counters_registry_and_merge;
     Alcotest.test_case "trace sampling + wraparound" `Quick trace_sampling_and_wraparound;
     Alcotest.test_case "trace filter + formats" `Quick trace_filter_and_formats;
-    Alcotest.test_case "histogram log bins" `Quick histogram_log_bins;
-    Alcotest.test_case "histogram pp alignment" `Quick histogram_pp_alignment;
-    Alcotest.test_case "profile kinds + gauges" `Quick profile_kinds_and_gauges;
+    Alcotest.test_case "profile kinds" `Quick profile_kinds;
     Alcotest.test_case "profile attach/detach" `Quick profile_attach_counts_sim_events;
     Alcotest.test_case "export null markers" `Quick export_null_markers;
     Alcotest.test_case "metrics no-attempts regression" `Quick metrics_no_attempts_regression;

@@ -42,43 +42,6 @@ let summary_sum () =
   List.iter (Stats.Summary.add s) [ 1.; 2.; 3. ];
   Alcotest.(check (float 1e-9)) "sum" 6. (Stats.Summary.sum s)
 
-(* --- Histogram -------------------------------------------------------- *)
-
-let histogram_binning () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~bins:10 in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 1.7; 9.99; -1.; 10.; 100. ];
-  Alcotest.(check int) "count" 7 (Stats.Histogram.count h);
-  Alcotest.(check int) "bin0" 1 (Stats.Histogram.bin_count h 0);
-  Alcotest.(check int) "bin1" 2 (Stats.Histogram.bin_count h 1);
-  Alcotest.(check int) "bin9" 1 (Stats.Histogram.bin_count h 9);
-  Alcotest.(check int) "underflow" 1 (Stats.Histogram.underflow h);
-  Alcotest.(check int) "overflow" 2 (Stats.Histogram.overflow h)
-
-let histogram_bounds () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:4. ~bins:4 in
-  let lo, hi = Stats.Histogram.bin_bounds h 2 in
-  Alcotest.(check (float 1e-9)) "lo" 2. lo;
-  Alcotest.(check (float 1e-9)) "hi" 3. hi
-
-let histogram_rejects_bad_args () =
-  (match Stats.Histogram.create ~lo:0. ~hi:0. ~bins:4 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "hi<=lo accepted");
-  match Stats.Histogram.create ~lo:0. ~hi:1. ~bins:0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "bins<=0 accepted"
-
-let histogram_quantiles_ordered =
-  QCheck.Test.make ~name:"histogram: quantiles are monotone" ~count:100
-    QCheck.(list_of_size Gen.(int_range 1 100) (float_range 0. 100.))
-    (fun xs ->
-      let h = Stats.Histogram.create ~lo:0. ~hi:100. ~bins:20 in
-      List.iter (Stats.Histogram.add h) xs;
-      let q25 = Stats.Histogram.quantile h 0.25 in
-      let q50 = Stats.Histogram.quantile h 0.5 in
-      let q75 = Stats.Histogram.quantile h 0.75 in
-      q25 <= q50 +. 1e-9 && q50 <= q75 +. 1e-9)
-
 (* --- Timeseries ------------------------------------------------------- *)
 
 let timeseries_roundtrip () =
@@ -168,10 +131,6 @@ let suite =
     Alcotest.test_case "summary single" `Quick summary_single;
     QCheck_alcotest.to_alcotest summary_merge_equals_combined;
     Alcotest.test_case "summary sum" `Quick summary_sum;
-    Alcotest.test_case "histogram binning" `Quick histogram_binning;
-    Alcotest.test_case "histogram bounds" `Quick histogram_bounds;
-    Alcotest.test_case "histogram bad args" `Quick histogram_rejects_bad_args;
-    QCheck_alcotest.to_alcotest histogram_quantiles_ordered;
     Alcotest.test_case "timeseries roundtrip" `Quick timeseries_roundtrip;
     Alcotest.test_case "timeseries csv" `Quick timeseries_csv;
     Alcotest.test_case "ewma constant rate" `Quick ewma_tracks_constant_rate;

@@ -363,9 +363,11 @@ let scale_topologies_smoke () =
       Workload.Scale.Power_law { routers = 24; edges_per_node = 2 };
     ]
 
-let scale_memory_gauges_reported () =
+(* Scale's footprint channels: the scale benchmark's peak-memory columns
+   are these Level channels' maxima. *)
+let scale_memory_peaks_reported () =
   let obs =
-    { Workload.Experiment.obs_default with Workload.Experiment.obs_gauge_period = 0.05 }
+    { Workload.Experiment.obs_default with Workload.Experiment.obs_telemetry_interval = 0.05 }
   in
   let r =
     Workload.Scale.run ~obs (tiny_scale (Workload.Scale.Fan_in { depth = 2; fanout = 3 }))
@@ -373,66 +375,70 @@ let scale_memory_gauges_reported () =
   match r.Workload.Scale.sr_obs with
   | None -> Alcotest.fail "expected an obs report"
   | Some rep ->
-      let find name =
-        List.find_opt (fun g -> g.Obs.Report.g_name = name) rep.Obs.Report.gauges
+      let peak name =
+        match List.find_opt (fun s -> s.Obs.Report.s_name = name) rep.Obs.Report.series with
+        | Some s -> s.Obs.Report.s_max
+        | None -> Alcotest.failf "%s channel missing" name
       in
-      (match find "live-heap-words" with
-      | Some g -> Alcotest.(check bool) "heap gauge sampled" true (g.Obs.Report.g_max > 1e4)
-      | None -> Alcotest.fail "live-heap-words gauge missing");
-      (match find "sim-pending-events" with
-      | Some g -> Alcotest.(check bool) "pending gauge sampled" true (g.Obs.Report.g_max >= 1.)
-      | None -> Alcotest.fail "sim-pending-events gauge missing")
+      Alcotest.(check bool) "heap_words sampled" true (peak "heap_words" > 1e4);
+      Alcotest.(check bool) "pending sampled" true (peak "pending" >= 1.)
 
 (* --- in-run telemetry through the workload layer (DESIGN.md §15) -------- *)
 
-(* The §15 bit-identity claim at the experiment level: a telemetry-on run,
-   and a run with the queue-depth gauge sampler on, must each report
-   exactly the workload numbers of an unobserved run — both tick chains
-   ride auxiliary events that never consume a scheduler sequence number.
-   (The [events] count legitimately differs: aux ticks are processed
-   events.) *)
+(* The §15 bit-identity claim at the driver level: a telemetry-on run of
+   [Experiment.run] and of [Scale.run] must report exactly the workload
+   numbers of an unobserved run — the tick chain rides auxiliary events
+   that never consume a scheduler sequence number.  (The [events] count
+   legitimately differs: aux ticks are processed events.) *)
 let telemetry_does_not_perturb_results () =
+  let telemetry_on =
+    { Workload.Experiment.obs_default with Workload.Experiment.obs_telemetry_interval = 0.1 }
+  in
   let cfg = quick_cfg tva 10 (Workload.Experiment.Legacy_flood { rate_bps = 1e6 }) in
   let plain = Workload.Experiment.run cfg in
-  let observed obs_change =
-    let obs = obs_change Workload.Experiment.obs_default in
-    let r = Workload.Experiment.run ~obs cfg in
-    Alcotest.(check (float 0.))
-      "fraction identical" plain.Workload.Experiment.fraction_completed
-      r.Workload.Experiment.fraction_completed;
-    Alcotest.(check (float 0.))
-      "avg time identical" plain.Workload.Experiment.avg_transfer_time
-      r.Workload.Experiment.avg_transfer_time;
-    Alcotest.(check (float 0.))
-      "sim end identical" plain.Workload.Experiment.sim_end r.Workload.Experiment.sim_end;
-    r
-  in
-  let gauged =
-    observed (fun o -> { o with Workload.Experiment.obs_gauge_period = 0.05 })
-  in
-  (match gauged.Workload.Experiment.obs with
-  | Some rep ->
-      Alcotest.(check bool) "gauge sampled" true
-        (List.exists
-           (fun g -> g.Obs.Report.g_name = "bottleneck-queue-depth" && g.Obs.Report.g_count > 0)
-           rep.Obs.Report.gauges)
-  | None -> Alcotest.fail "expected an obs report");
-  let telem =
-    observed (fun o -> { o with Workload.Experiment.obs_telemetry_interval = 0.1 })
-  in
-  (* and the telemetry actually recorded: interval series + channels *)
-  match telem.Workload.Experiment.obs with
+  let telem = Workload.Experiment.run ~obs:telemetry_on cfg in
+  Alcotest.(check (float 0.))
+    "fraction identical" plain.Workload.Experiment.fraction_completed
+    telem.Workload.Experiment.fraction_completed;
+  Alcotest.(check (float 0.))
+    "avg time identical" plain.Workload.Experiment.avg_transfer_time
+    telem.Workload.Experiment.avg_transfer_time;
+  Alcotest.(check (float 0.))
+    "sim end identical" plain.Workload.Experiment.sim_end telem.Workload.Experiment.sim_end;
+  (match telem.Workload.Experiment.obs with
   | None -> Alcotest.fail "expected an obs report"
   | Some rep ->
+      (* and the telemetry actually recorded: interval series + channels *)
       Alcotest.(check (float 0.)) "interval" 0.1 rep.Obs.Report.series_interval;
       let names = List.map (fun s -> s.Obs.Report.s_name) rep.Obs.Report.series in
       List.iter
         (fun chan ->
           Alcotest.(check bool) (chan ^ " channel present") true (List.mem chan names))
         [ "demoted"; "request_bytes"; "drops"; "queue_depth"; "flow_cache"; "events" ];
+      Alcotest.(check bool) "queue_depth sampled" true
+        (List.exists
+           (fun s -> s.Obs.Report.s_name = "queue_depth" && s.Obs.Report.s_windows > 0)
+           rep.Obs.Report.series);
       List.iter
         (fun s -> Alcotest.(check bool) "windows recorded" true (s.Obs.Report.s_windows > 0))
-        rep.Obs.Report.series
+        rep.Obs.Report.series);
+  let scfg = tiny_scale (Workload.Scale.Fan_in { depth = 2; fanout = 3 }) in
+  let splain = Workload.Scale.run scfg in
+  let stelem = Workload.Scale.run ~obs:telemetry_on scfg in
+  Alcotest.(check (float 0.))
+    "scale fraction identical" splain.Workload.Scale.sr_fraction_completed
+    stelem.Workload.Scale.sr_fraction_completed;
+  Alcotest.(check (float 0.))
+    "scale avg time identical" splain.Workload.Scale.sr_avg_transfer_time
+    stelem.Workload.Scale.sr_avg_transfer_time;
+  Alcotest.(check (float 0.))
+    "scale sim end identical" splain.Workload.Scale.sr_sim_end stelem.Workload.Scale.sr_sim_end;
+  Alcotest.(check int) "scale attack packets identical" splain.Workload.Scale.sr_attack_packets
+    stelem.Workload.Scale.sr_attack_packets;
+  Alcotest.(check bool) "scale series recorded" true
+    (match stelem.Workload.Scale.sr_obs with
+    | Some rep -> rep.Obs.Report.series <> []
+    | None -> false)
 
 (* Chaos outcomes must carry measured detector timings: the wipe scenario
    injects at t = 2 s, so the detectors engage shortly after and clear
@@ -530,7 +536,7 @@ let suite =
     Alcotest.test_case "swarm batching preserves stream" `Quick swarm_batching_preserves_stream;
     Alcotest.test_case "scale heap = wheel" `Slow scale_heap_wheel_identical;
     Alcotest.test_case "scale topologies smoke" `Slow scale_topologies_smoke;
-    Alcotest.test_case "scale memory gauges" `Slow scale_memory_gauges_reported;
+    Alcotest.test_case "scale memory gauges" `Slow scale_memory_peaks_reported;
     Alcotest.test_case "telemetry does not perturb results" `Slow telemetry_does_not_perturb_results;
     Alcotest.test_case "chaos measures engage/recover" `Slow chaos_measures_engage_recover;
     Alcotest.test_case "scale telemetry first window counts" `Slow
