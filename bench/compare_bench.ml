@@ -23,6 +23,16 @@
    growth.  Both only gate when the two reports ran the same largest
    sweep point; a smoke report against a full baseline is informational.
 
+   The obs-cost gate reads an end-to-end report instead:
+
+     dune exec bench/compare_bench.exe -- --e2e-report e2e.json
+
+   where e2e.json is [bench/e2e/e2e_bench.exe --workload fig8_legacy,fig8_stats
+   --out e2e.json].  fig8_stats is the fig8_legacy grid with counters and
+   the net-event bridge on, so the ratio of their median wall_s is what
+   [--stats] costs a user, on one host in one run.  It fails when that
+   ratio exceeds [obs_budget].  Either mode may run alone or both together.
+
    The report is a markdown table on stdout; [--summary FILE] appends the
    same markdown there (pass $GITHUB_STEP_SUMMARY in CI). *)
 
@@ -35,11 +45,14 @@ let new_scale = ref ""
 let threshold = ref 0.25
 let relative = ref false
 let summary = ref ""
+let e2e_report = ref ""
 
 let spec =
   [
     ("--old-pps", Arg.Set_string old_pps, "FILE  committed per-packet report (default BENCH_pps.json)");
-    ("--new-pps", Arg.Set_string new_pps, "FILE  freshly measured per-packet report (required)");
+    ( "--new-pps",
+      Arg.Set_string new_pps,
+      "FILE  freshly measured per-packet report (required without --e2e-report)" );
     ("--old-sweep", Arg.Set_string old_sweep, "FILE  committed sweep report (optional)");
     ("--new-sweep", Arg.Set_string new_sweep, "FILE  freshly measured sweep report (optional)");
     ("--old-scale", Arg.Set_string old_scale, "FILE  committed scale report (optional)");
@@ -49,9 +62,10 @@ let spec =
       Arg.Set relative,
       "  compare each path's pps normalized by the same report's legacy pps" );
     ("--summary", Arg.Set_string summary, "FILE  also append the markdown report here");
+    ("--e2e-report", Arg.Set_string e2e_report, "FILE  e2e_bench report to gate the obs cost on");
   ]
 
-let usage = "compare_bench --new-pps FILE [options]"
+let usage = "compare_bench (--new-pps FILE | --e2e-report FILE) [options]"
 
 let read_file path =
   let ic = open_in_bin path in
@@ -104,12 +118,9 @@ let scale_gate text key =
 
 let paths = [ "cached_nonce"; "validate"; "request"; "legacy" ]
 
-let () =
-  Arg.parse spec (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) usage;
-  if !new_pps = "" then begin
-    prerr_endline "compare_bench: --new-pps is required";
-    exit 2
-  end;
+(* The committed baselines vs a fresh per-packet (and optionally sweep and
+   scale) report. *)
+let compare_baselines buf failed =
   let old_text = read_file !old_pps and new_text = read_file !new_pps in
   let get text name =
     match section_pps text name with
@@ -119,13 +130,11 @@ let () =
         exit 2
   in
   let normalize text v = if !relative then v /. get text "legacy" else v in
-  let buf = Buffer.create 1024 in
   Buffer.add_string buf "### Router per-packet throughput vs committed baseline\n\n";
   if !relative then
     Buffer.add_string buf "_pps normalized by each report's legacy-path pps._\n\n";
   Buffer.add_string buf "| path | committed pps | fresh pps | change | gate |\n";
   Buffer.add_string buf "|---|---|---|---|---|\n";
-  let failed = ref false in
   List.iter
     (fun name ->
       let o = get old_text name and n = get new_text name in
@@ -241,10 +250,60 @@ let () =
       row ~gated:false "wheel_heap_ratio");
   Buffer.add_string buf
     (Printf.sprintf
-       "\nGate: fail if any router path or gated scale metric regresses more than %.0f%%.  \
-        Result: **%s**\n"
-       (100. *. !threshold)
-       (if !failed then "FAIL" else "pass"));
+       "\nGate: fail if any router path or gated scale metric regresses more than %.0f%%.\n"
+       (100. *. !threshold))
+
+(* The obs-cost gate over one e2e_bench report: both workloads ran on the
+   same host in the same invocation, so their ratio cancels machine speed. *)
+let obs_budget = 1.25
+
+let gate_obs_cost buf failed =
+  let module J = Obs.Export in
+  let member k = function J.Obj kv -> List.assoc_opt k kv | _ -> None in
+  let bad fmt = Printf.ksprintf (fun m -> prerr_endline ("compare_bench: " ^ m); exit 2) fmt in
+  let report =
+    match J.parse (read_file !e2e_report) with Ok j -> j | Error e -> bad "%s: %s" !e2e_report e
+  in
+  let workloads = match member "workloads" report with Some (J.List l) -> l | _ -> [] in
+  let wall name =
+    let w =
+      match List.find_opt (fun w -> member "name" w = Some (J.String name)) workloads with
+      | Some w -> w
+      | None -> bad "no %s workload in %s" name !e2e_report
+    in
+    let stat k =
+      match Option.bind (Option.bind (member "e2e" w) (member "wall_s")) (member k) with
+      | Some (J.Float f) -> f
+      | Some (J.Int i) -> float_of_int i
+      | _ -> bad "no %s wall_s %s in %s" name k !e2e_report
+    in
+    (stat "median", stat "q1", stat "q3")
+  in
+  let ((legacy, _, _) as l) = wall "fig8_legacy" and ((stats, _, _) as s) = wall "fig8_stats" in
+  let ratio = stats /. legacy in
+  let over = ratio > obs_budget in
+  if over then failed := true;
+  Buffer.add_string buf "\n### Observability cost end to end\n\n";
+  Buffer.add_string buf "| workload | median wall_s | q1 | q3 |\n|---|---|---|---|\n";
+  List.iter
+    (fun (name, (m, q1, q3)) ->
+      Buffer.add_string buf (Printf.sprintf "| %s | %.3f | %.3f | %.3f |\n" name m q1 q3))
+    [ ("fig8_legacy", l); ("fig8_stats", s) ];
+  Buffer.add_string buf
+    (Printf.sprintf "\nGate: fig8_stats / fig8_legacy median wall_s %.2fx, budget %.2fx: %s\n" ratio
+       obs_budget
+       (if over then "FAIL" else "ok"))
+
+let () =
+  Arg.parse spec (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) usage;
+  if !new_pps = "" && !e2e_report = "" then begin
+    prerr_endline "compare_bench: --new-pps or --e2e-report is required";
+    exit 2
+  end;
+  let buf = Buffer.create 1024 and failed = ref false in
+  if !new_pps <> "" then compare_baselines buf failed;
+  if !e2e_report <> "" then gate_obs_cost buf failed;
+  Buffer.add_string buf (Printf.sprintf "\nResult: **%s**\n" (if !failed then "FAIL" else "pass"));
   print_string (Buffer.contents buf);
   if !summary <> "" then begin
     let oc = open_out_gen [ Open_append; Open_creat ] 0o644 !summary in

@@ -40,6 +40,9 @@ val registry : unit -> registry
 val register : registry -> name:string -> t
 val registered : registry -> t list
 val find : registry -> name:string -> t option
+(** A linear scan by name over every registered instance: a set-up-time
+    lookup, never for a per-event path.  Resolve an instance once and
+    hold it (as [Experiment.Harness.counters_for] does, by node id). *)
 
 (** {1 Snapshots}
 

@@ -81,7 +81,8 @@ module Harness = struct
     registry : Obs.Counters.registry;
     trace : Obs.Trace.t;
     profile : Obs.Profile.t option;
-    node_name : int -> string;
+    names : string array; (* node name by [Net.node_id], for trace dumps *)
+    by_id : Obs.Counters.t option array; (* [counters_for] memo by [Net.node_id] *)
   }
 
   type channel = string * Obs.Timeseries.mode * Obs.Timeseries.source
@@ -93,13 +94,27 @@ module Harness = struct
     | Some c -> c
     | None -> Obs.Counters.register t.registry ~name
 
-  let counters_for t node = counters t (Net.node_name node)
+  (* The bridge calls this on every forwarding event, so the name lookup
+     runs once per node, on its first touch; a node added after [setup]
+     has no slot and pays the lookup each time. *)
+  let counters_for t node =
+    let id = Net.node_id node in
+    if id >= Array.length t.by_id then counters t (Net.node_name node)
+    else
+      match t.by_id.(id) with
+      | Some c -> c
+      | None ->
+          let c = counters t (Net.node_name node) in
+          t.by_id.(id) <- Some c;
+          c
+
+  let node_name t id =
+    if id >= 0 && id < Array.length t.names then t.names.(id) else string_of_int id
 
   let setup config ~sim ~net ~scheme =
-    let names = Hashtbl.create 64 in
-    List.iter
-      (fun node -> Hashtbl.replace names (Net.node_id node) (Net.node_name node))
-      (Net.nodes net);
+    let nodes = Net.nodes net in
+    let names = Array.make (List.length nodes) "" in
+    List.iter (fun node -> names.(Net.node_id node) <- Net.node_name node) nodes;
     let t =
       {
         config;
@@ -114,8 +129,8 @@ module Harness = struct
         profile =
           (if config.obs_profile then Some (Obs.Profile.create ~clock:Unix.gettimeofday ())
            else None);
-        node_name =
-          (fun id -> match Hashtbl.find_opt names id with Some n -> n | None -> string_of_int id);
+        names;
+        by_id = Array.make (Array.length names) None;
       }
     in
     Obs.Bridge.install ~trace:t.trace ~counters_for:(counters_for t) net;
@@ -180,7 +195,7 @@ module Harness = struct
       profile = (match t.profile with None -> [] | Some p -> Obs.Report.profile_rows p);
       events = Sim.events_processed t.sim;
       wall_s;
-      trace_jsonl = Obs.Report.trace_jsonl ~node_name:t.node_name t.trace;
+      trace_jsonl = Obs.Report.trace_jsonl ~node_name:(node_name t) t.trace;
       series = (match series with None -> [] | Some ts -> Obs.Report.series_rows ts);
       series_interval = (match series with None -> 0. | Some ts -> Obs.Timeseries.interval ts);
       series_json = Option.map (fun ts -> Obs.Timeseries.to_json ts) series;
@@ -440,7 +455,7 @@ let run ?obs ?faults cfg =
                   Obs.Flight.set_detect f det;
                   Obs.Detect.on_onset det (fun inc ->
                       ignore
-                        (Obs.Flight.trigger ~node_name:h.Harness.node_name f
+                        (Obs.Flight.trigger ~node_name:(Harness.node_name h) f
                            ~reason:("incident:" ^ inc.Obs.Detect.in_rule)
                            ~time:inc.Obs.Detect.in_onset));
                   f)

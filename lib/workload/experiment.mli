@@ -102,7 +102,9 @@ module Harness : sig
 
   val counters_for : t -> Net.node -> Obs.Counters.t
   (** The node's registry row, keyed by {!Net.node_name} and registered
-      on first touch. *)
+      on first touch.  Memoized by {!Net.node_id} for the nodes that
+      existed at {!setup}, so repeated calls are an array load; later
+      nodes resolve by name on every call. *)
 
   val demoted : t -> Net.node list -> channel
   (** ["demoted"]: demotions summed over the given routers. *)

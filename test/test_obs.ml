@@ -391,6 +391,109 @@ let demotions_match_host_echoes () =
   Alcotest.(check int) "obs matches host demotions_seen"
     (Tva.Host.counters host_b).Tva.Host.demotions_seen (demoted ())
 
+(* --- The net-event bridge -------------------------------------------------- *)
+
+(* a -> r -> b, with a slow, short r->b queue so bursts also drop: every
+   packet yields Transmit and Deliver events, and a burst Queue_drops. *)
+let bridge_net () =
+  let sim = Sim.create () in
+  let net = Net.create sim in
+  let a = Net.add_node ~addr:src ~name:"a" net (fun _ ~in_link:_ _ -> ()) in
+  let r = Net.add_node ~name:"r" net (fun node ~in_link:_ p -> Net.forward node p) in
+  let b = Net.add_node ~addr:dst ~name:"b" net (fun _ ~in_link:_ _ -> ()) in
+  ignore
+    (Net.link_oneway net ~src:a ~dst:r ~bandwidth_bps:10e6 ~delay:0.001
+       ~qdisc:(Droptail.create ~capacity_bytes:1_000_000 ()));
+  ignore
+    (Net.link_oneway net ~src:r ~dst:b ~bandwidth_bps:1e6 ~delay:0.001
+       ~qdisc:(Droptail.create ~capacity_bytes:4_000 ()));
+  Net.compute_routes net;
+  (sim, net, a)
+
+(* [bursts] bursts of 8 packets, each run to quiescence. *)
+let drive (sim, _, a) ~bursts =
+  for _ = 1 to bursts do
+    for _ = 1 to 8 do
+      Net.originate a (Wire.Packet.make ~src ~dst ~created:(Sim.now sim) (Wire.Packet.Raw 1000))
+    done;
+    Sim.run sim
+  done
+
+(* One counter per node, by id. *)
+let per_node net =
+  let cs =
+    Array.of_list
+      (List.map (fun n -> Obs.Counters.create ~name:(Net.node_name n) ()) (Net.nodes net))
+  in
+  (cs, fun node -> cs.(Net.node_id node))
+
+(* The bridge as [--stats] installs it, through [Harness.setup]: trace off
+   and counters resolved by node id.  Against a no-op hook (both pay Net's
+   event variant) it may add nothing per event. *)
+let bridge_trace_off_allocates_nothing () =
+  let bursts = 2_000 in
+  let events = ref 0 in
+  let minor_words install =
+    let ((sim, net, _) as world) = bridge_net () in
+    install sim net;
+    let before = Gc.minor_words () in
+    drive world ~bursts;
+    Gc.minor_words () -. before
+  in
+  let hook = minor_words (fun _ net -> Net.set_trace net (Some (fun _ -> incr events))) in
+  let bridged =
+    minor_words (fun sim net ->
+        ignore
+          (Workload.Experiment.Harness.setup Workload.Experiment.obs_default ~sim ~net
+             ~scheme:(Workload.Scheme.internet () sim)))
+  in
+  Alcotest.(check bool) "events seen" true (!events > 8 * bursts);
+  let extra = (bridged -. hook) /. float_of_int !events in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.4f extra minor words per event (budget 0.01)" extra)
+    true (extra <= 0.01)
+
+let bridge_live_trace_records_every_event () =
+  (* Reference: a plain hook mapping each event to the record the bridge
+     should write, in the bridge's own classification. *)
+  let expected = ref [] in
+  let ((sim, net, _) as world) = bridge_net () in
+  Net.set_trace net
+    (Some
+       (fun ev ->
+         let node, event, (p : Wire.Packet.t) =
+           match ev with
+           | Net.Transmit (l, p) -> (Net.link_src l, Obs.Event.Transmitted, p)
+           | Net.Deliver (n, p) -> (n, Obs.Event.Delivered, p)
+           | Net.Queue_drop (l, p) -> (Net.link_src l, Obs.Bridge.drop_event p, p)
+           | _ -> Alcotest.fail "unexpected net event"
+         in
+         expected :=
+           ( Sim.now sim,
+             Net.node_id node,
+             Obs.Event.to_int event,
+             Wire.Addr.to_int p.Wire.Packet.src,
+             Wire.Addr.to_int p.Wire.Packet.dst,
+             Wire.Packet.size p )
+           :: !expected));
+  drive world ~bursts:20;
+  let expected = List.rev !expected in
+  let ((_, net, _) as world) = bridge_net () in
+  let trace = Obs.Trace.create ~capacity:4096 () in
+  let cs, counters_for = per_node net in
+  Obs.Bridge.install ~trace ~counters_for net;
+  drive world ~bursts:20;
+  let n = List.length expected in
+  Alcotest.(check bool) "drops happened" true
+    (Array.exists (fun c -> Obs.Counters.get c Obs.Event.Queue_drop_legacy > 0) cs);
+  Alcotest.(check int) "seen = events" n (Obs.Trace.seen trace);
+  Alcotest.(check int) "counted = events" n
+    (Array.fold_left (fun acc c -> acc + Obs.Counters.total c) 0 cs);
+  let got = ref [] in
+  Obs.Trace.iter trace (fun ~time ~node ~event ~src ~dst ~size ->
+      got := (time, node, event, src, dst, size) :: !got);
+  Alcotest.(check bool) "records unchanged" true (List.rev !got = expected)
+
 (* --- In-run telemetry: Timeseries / Detect / Flight (DESIGN.md §15) ----- *)
 
 let timeseries_basics () =
@@ -703,6 +806,10 @@ let suite =
     Alcotest.test_case "conservation: flow caches" `Quick conservation_caches;
     Alcotest.test_case "counters do not perturb results" `Quick obs_counters_do_not_perturb_results;
     Alcotest.test_case "demotions match host echoes" `Quick demotions_match_host_echoes;
+    Alcotest.test_case "bridge: trace off allocates nothing" `Quick
+      bridge_trace_off_allocates_nothing;
+    Alcotest.test_case "bridge: live trace records every event" `Quick
+      bridge_live_trace_records_every_event;
     Alcotest.test_case "timeseries basics" `Quick timeseries_basics;
     QCheck_alcotest.to_alcotest detect_no_flapping;
     Alcotest.test_case "detect onset/clear/peak" `Quick detect_onset_clear_peak;

@@ -476,6 +476,63 @@ let chaos_measures_engage_recover () =
        o.Workload.Chaos.oc_report.Obs.Report.incidents)
     o.Workload.Chaos.oc_recovered
 
+(* [Harness.counters_for] memoizes by node id but resolves through the
+   name-keyed registry on first touch: one instance per node, rows in
+   first-touch order, one row per name, and nodes added after [setup] (no
+   memo slot) still resolve, also through the bridge. *)
+let harness_counters_memo () =
+  let module H = Workload.Experiment.Harness in
+  let sim = Sim.create () in
+  let net = Net.create sim in
+  let sink _ ~in_link:_ _ = () in
+  let addr = Wire.Addr.of_int in
+  let a = Net.add_node ~addr:(addr 1) ~name:"a" net sink in
+  let r = Net.add_node ~name:"r" net (fun node ~in_link:_ p -> Net.forward node p) in
+  let b = Net.add_node ~addr:(addr 2) ~name:"b" net sink in
+  let dup1 = Net.add_node ~name:"dup" net sink in
+  let dup2 = Net.add_node ~name:"dup" net sink in
+  let q () = Droptail.create ~capacity_bytes:100_000 () in
+  ignore (Net.duplex net a r ~bandwidth_bps:1e6 ~delay:0.001 ~qdisc:q);
+  ignore (Net.duplex net r b ~bandwidth_bps:1e6 ~delay:0.001 ~qdisc:q);
+  let h =
+    H.setup
+      { Workload.Experiment.obs_default with Workload.Experiment.obs_trace_capacity = 64 }
+      ~sim ~net ~scheme:(Workload.Scheme.internet () sim)
+  in
+  let late = Net.add_node ~addr:(addr 3) ~name:"late" net sink in
+  ignore (Net.link_oneway net ~src:late ~dst:b ~bandwidth_bps:1e6 ~delay:0.001 ~qdisc:(q ()));
+  Net.compute_routes net;
+  let cb = H.counters_for h b in
+  let cdup = H.counters_for h dup1 in
+  ignore (H.counters_for h a);
+  Alcotest.(check bool) "memoized: same instance" true (H.counters_for h b == cb);
+  Alcotest.(check bool) "one name, one instance" true (H.counters_for h dup2 == cdup);
+  let clate = H.counters_for h late in
+  Alcotest.(check bool) "late node resolves to one instance" true (H.counters_for h late == clate);
+  let packet src =
+    Wire.Packet.make ~src:(addr src) ~dst:(addr 2) ~created:0. (Wire.Packet.Raw 500)
+  in
+  Net.originate a (packet 1);
+  Net.originate late (packet 3);
+  Sim.run sim;
+  let report = H.report h ~wall_s:0. in
+  Alcotest.(check (list string)) "registry in first-touch order"
+    [ "b"; "dup"; "a"; "late"; "r" ]
+    (List.map fst report.Obs.Report.counters);
+  Alcotest.(check int) "late transmit counted" 1 (Obs.Counters.get clate Obs.Event.Transmitted);
+  let traced =
+    String.split_on_char '\n' (Option.value ~default:"" report.Obs.Report.trace_jsonl)
+    |> List.filter_map (fun line ->
+           match Obs.Export.parse line with
+           | Ok (Obs.Export.Obj kv) -> (
+               match List.assoc_opt "node" kv with Some (Obs.Export.String n) -> Some n | _ -> None)
+           | _ -> None)
+  in
+  let has node = List.mem node traced in
+  Alcotest.(check bool) "trace names a node known at setup" true (has "r");
+  Alcotest.(check bool) "trace falls back to the id of a late node" true
+    (has (string_of_int (Net.node_id late)))
+
 (* Scale telemetry baselines its cumulative channels before the run, so
    window 1 holds the events of (0, interval] rather than a zero delta
    against itself; the windows together never exceed the run's total. *)
@@ -541,4 +598,5 @@ let suite =
     Alcotest.test_case "chaos measures engage/recover" `Slow chaos_measures_engage_recover;
     Alcotest.test_case "scale telemetry first window counts" `Slow
       scale_telemetry_first_window_counts;
+    Alcotest.test_case "harness counters memo" `Quick harness_counters_memo;
   ]
