@@ -1,14 +1,18 @@
 (* Guard against metadata drift between the committed bench reports and
    the README tables: both are regenerated in lockstep on the same host,
    so the figures quoted in the README's "Committed" columns must match
-   the JSON within a small tolerance.  Two tables are covered: the §6.1
-   per-packet table against BENCH_pps.json, and the million-sender scale
-   table against BENCH_scale.json's "gates" object.
+   the JSON within a small tolerance.  Four tables are covered: the §6.1
+   per-packet table against BENCH_pps.json, the million-sender scale
+   table against BENCH_scale.json's "gates" object, the five-scheme
+   table against BENCH_report.json, and the end-to-end layer breakdown
+   against the per-layer values of BENCH_e2e.json (a traced e2e_bench
+   report).
 
      dune exec bench/readme_check.exe -- \
        [--readme README.md] [--json BENCH_pps.json] \
        [--ns-tol 0.05] [--words-tol 1.0] \
-       [--scale-json BENCH_scale.json] [--scale-tol 0.05]
+       [--scale-json BENCH_scale.json] [--scale-tol 0.05] \
+       [--report-json BENCH_report.json] [--e2e-json BENCH_e2e.json]
 
    Exit 1 on any row that drifted, exit 2 on a malformed table or report.
    The check is content-only — it never runs the benchmarks — so it is
@@ -21,6 +25,7 @@ let words_tol = ref 1.0
 let scale_json = ref "BENCH_scale.json"
 let scale_tol = ref 0.05
 let report_json = ref "BENCH_report.json"
+let e2e_json = ref "BENCH_e2e.json"
 
 let spec =
   [
@@ -41,11 +46,14 @@ let spec =
     ( "--report-json",
       Arg.Set_string report_json,
       "FILE  the committed cross-scheme fairness report (default BENCH_report.json)" );
+    ( "--e2e-json",
+      Arg.Set_string e2e_json,
+      "FILE  the committed traced end-to-end report (default BENCH_e2e.json)" );
   ]
 
 let usage =
   "readme_check [--readme FILE] [--json FILE] [--ns-tol F] [--words-tol W] [--scale-json FILE] \
-   [--scale-tol F] [--report-json FILE]"
+   [--scale-tol F] [--report-json FILE] [--e2e-json FILE]"
 
 let read_file path =
   let ic = open_in_bin path in
@@ -232,15 +240,93 @@ let () =
       cells
   in
   List.iter check_report [ "internet"; "siff"; "pushback"; "tva"; "netfence" ];
+  let report_checked = !checked - pps_checked - scale_checked in
+  (* The README's layer-breakdown table: one row per per-layer metric
+     (first cell, backquoted), one column per workload (header cells,
+     backquoted).  Each cell is the workload's [layers.<metric>.value]
+     in BENCH_e2e.json, rounded to the digits the cell shows. *)
+  let module J = Obs.Export in
+  let e2e =
+    match J.parse (read_file !e2e_json) with Ok j -> j | Error e -> fatal "%s: %s" !e2e_json e
+  in
+  let member k = function J.Obj kv -> List.assoc_opt k kv | _ -> None in
+  let layer_value workload metric =
+    let workloads = match member "workloads" e2e with Some (J.List l) -> l | _ -> [] in
+    match List.find_opt (fun w -> member "name" w = Some (J.String workload)) workloads with
+    | None -> fatal "no %s workload in %s" workload !e2e_json
+    | Some w -> (
+        match Option.bind (Option.bind (member "layers" w) (member metric)) (member "value") with
+        | Some (J.Float f) -> f
+        | Some (J.Int i) -> float_of_int i
+        | _ -> fatal "no %s layers.%s.value in %s" workload metric !e2e_json)
+  in
+  let unquote c =
+    let n = String.length c in
+    if n >= 2 && c.[0] = '`' && c.[n - 1] = '`' then Some (String.sub c 1 (n - 2)) else None
+  in
+  (* The section's first table: its first run of '|' lines. *)
+  let rows =
+    let is_row l = String.length l > 0 && l.[0] = '|' in
+    let rec skip = function l :: ls when not (is_row l) -> skip ls | ls -> take ls
+    and take = function l :: ls when is_row l -> l :: take ls | _ -> [] in
+    match find_sub readme_text "End-to-end layer breakdown" 0 with
+    | None -> fatal "README has no \"End-to-end layer breakdown\" section"
+    | Some i -> skip (String.split_on_char '\n' (String.sub readme_text i (String.length readme_text - i)))
+  in
+  let workloads, body =
+    match rows with
+    | header :: _sep :: body -> (List.filter_map unquote (List.tl (split_cells header)), body)
+    | _ -> fatal "README layer-breakdown table is missing"
+  in
+  if workloads = [] then fatal "README layer-breakdown header names no workload";
+  (* A cell rounded to d decimals is within half a unit of its last digit. *)
+  let quantum cell =
+    match String.index_opt cell '.' with
+    | None -> 0.5
+    | Some i -> 0.5 *. (10. ** -.float_of_int (String.length cell - i - 1))
+  in
+  let metrics = ref [] in
+  List.iter
+    (fun line ->
+      match split_cells line with
+      | first :: cells -> (
+          match unquote first with
+          | None -> fatal "README layer row %S does not start with a `metric`" line
+          | Some metric ->
+              metrics := metric :: !metrics;
+              if List.length cells <> List.length workloads then
+                fatal "README layer row `%s` has %d cells for %d workloads" metric
+                  (List.length cells) (List.length workloads);
+              List.iter2
+                (fun workload cell ->
+                  match float_of_string_opt cell with
+                  | None -> fatal "unreadable README cell %S for `%s`" cell metric
+                  | Some t ->
+                      let j = layer_value workload metric in
+                      incr checked;
+                      if Float.abs (t -. j) > quantum cell +. 1e-9 then begin
+                        Printf.eprintf "readme_check: %s `%s` drifted: README says %s, JSON says %g\n"
+                          workload metric cell j;
+                        failed := true
+                      end)
+                workloads cells)
+      | [] -> ())
+    body;
+  List.iter
+    (fun m ->
+      if not (List.mem m !metrics) then fatal "README layer-breakdown table has no `%s` row" m)
+    [ "engine.loop_self_ns_per_hop"; "gc.minor_words_per_hop" ];
   if !failed then begin
     prerr_endline
       "readme_check: regenerate in lockstep: dune exec bench/pps_bench.exe (§6.1 table), dune \
-       exec bench/scale_bench.exe (scale table), or dune exec bin/tva_sim.exe -- report \
-       (five-scheme table), then update the README from the fresh JSON";
+       exec bench/scale_bench.exe (scale table), dune exec bin/tva_sim.exe -- report \
+       (five-scheme table), or dune exec bench/e2e/e2e_bench.exe -- --traced --out \
+       BENCH_e2e.json (layer table), then update the README from the fresh JSON";
     exit 1
   end;
   Printf.printf "readme_check: %d figures in the README §6.1 table match %s, %d in the scale \
-                 table match %s, %d in the five-scheme table match %s\n"
-    pps_checked !json scale_checked !scale_json
-    (!checked - pps_checked - scale_checked)
-    !report_json
+                 table match %s, %d in the five-scheme table match %s, %d in the layer table \
+                 match %s\n"
+    pps_checked !json scale_checked !scale_json report_checked !report_json
+    (!checked - pps_checked - scale_checked - report_checked)
+    !e2e_json

@@ -56,9 +56,14 @@ type event = {
   time : float;
   seq : int;
   kind : int; (* a [Kind] tag, read only by the profiler probe *)
-  mutable action : (unit -> unit) option;
+  mutable action : unit -> unit; (* [cancelled_action] once cancelled or fired *)
   live : int ref; (* the owning simulator's count of pending events *)
 }
+
+(* The physical sentinel marking a cancelled or fired event, compared with
+   [==] and never called.  A plain closure field instead of an [option]
+   saves the [Some] box on every scheduled event. *)
+let cancelled_action () = failwith "Sim: a cancelled event fired"
 
 type handle = event
 
@@ -69,7 +74,7 @@ type probe = { pr_clock : unit -> float; pr_hit : kind:int -> dt:float -> unit }
 
 type sched = Heap | Wheel
 
-let dummy = { time = neg_infinity; seq = -1; kind = 0; action = None; live = ref 0 }
+let dummy = { time = neg_infinity; seq = -1; kind = 0; action = cancelled_action; live = ref 0 }
 let initial_capacity = 256
 
 (* --- The 4-ary (time, seq) heap ------------------------------------------ *)
@@ -410,15 +415,30 @@ let pending t = !(t.live)
 let events_processed t = t.fired
 let set_probe t probe = t.probe <- probe
 
-let schedule_at ?(kind = Kind.other) t ~time action =
-  if time < t.clock then
-    invalid_arg
-      (Printf.sprintf "Sim.schedule_at: time %g is before now %g" time t.clock);
-  let ev = { time; seq = t.next_seq; kind; action = Some action; live = t.live } in
-  t.next_seq <- t.next_seq + 1;
+let in_the_past fn t time =
+  invalid_arg (Printf.sprintf "Sim.%s: time %g is before now %g" fn time t.clock)
+
+let[@inline] check_time fn t time = if time < t.clock then in_the_past fn t time
+
+(* Queue an event under a key that is already counted in [live]. *)
+let[@inline] push t ~time ~seq ~kind action =
+  let ev = { time; seq; kind; action; live = t.live } in
   (match t.queue with Q_heap h -> heap_push h ev | Q_wheel w -> wheel_add w ev);
-  incr t.live;
   ev
+
+let reserve t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  incr t.live;
+  seq
+
+let schedule_at ?(kind = Kind.other) t ~time action =
+  check_time "schedule_at" t time;
+  push t ~time ~seq:(reserve t) ~kind action
+
+let schedule_reserved ?(kind = Kind.other) t ~time ~seq action =
+  check_time "schedule_reserved" t time;
+  push t ~time ~seq ~kind action
 
 let schedule ?kind t ~delay action =
   if delay < 0. then invalid_arg "Sim.schedule: negative delay";
@@ -431,28 +451,24 @@ let schedule ?kind t ~delay action =
    normal event, so a telemetry tick at T observes state with all events
    < T fired and none at T. *)
 let schedule_aux ?(kind = Kind.telemetry) t ~time action =
-  if time < t.clock then
-    invalid_arg
-      (Printf.sprintf "Sim.schedule_aux: time %g is before now %g" time t.clock);
-  let ev = { time; seq = t.aux_seq; kind; action = Some action; live = t.live } in
-  t.aux_seq <- t.aux_seq - 1;
-  (match t.queue with Q_heap h -> heap_push h ev | Q_wheel w -> wheel_add w ev);
+  check_time "schedule_aux" t time;
+  let seq = t.aux_seq in
+  t.aux_seq <- seq - 1;
   incr t.live;
-  ev
+  push t ~time ~seq ~kind action
+
+let cancelled ev = ev.action == cancelled_action
 
 let cancel ev =
-  match ev.action with
-  | None -> ()
-  | Some _ ->
-      ev.action <- None;
-      decr ev.live
-
-let cancelled ev = ev.action = None
+  if not (cancelled ev) then begin
+    ev.action <- cancelled_action;
+    decr ev.live
+  end
 
 let stop t = t.stopping <- true
 
 let[@inline] fire t ev action =
-  ev.action <- None;
+  ev.action <- cancelled_action;
   decr t.live;
   t.clock <- ev.time;
   t.fired <- t.fired + 1;
@@ -474,7 +490,7 @@ let head_live t =
         if h.size = 0 then None
         else
           let top = h.evs.(0) in
-          if top.action == None then begin
+          if cancelled top then begin
             ignore (heap_pop h);
             go ()
           end
@@ -487,7 +503,7 @@ let head_live t =
         else begin
           if w.cur.size = 0 then advance w;
           let top = w.cur.evs.(0) in
-          if top.action == None then begin
+          if cancelled top then begin
             w.total <- w.total - 1;
             ignore (heap_pop w.cur);
             go ()
@@ -506,9 +522,7 @@ let step t =
       | Q_wheel w ->
           w.total <- w.total - 1;
           ignore (heap_pop w.cur));
-      (match ev.action with
-      | Some action -> fire t ev action
-      | None -> assert false);
+      fire t ev ev.action;
       true
 
 let run ?until t =
@@ -523,17 +537,17 @@ let run ?until t =
         else if h.size = 0 then ()
         else begin
           let top = h.evs.(0) in
-          match top.action with
-          | None ->
-              ignore (heap_pop h);
-              loop ()
-          | Some action ->
-              if h.times.(0) > horizon then t.clock <- horizon
-              else begin
-                ignore (heap_pop h);
-                fire t top action;
-                loop ()
-              end
+          let action = top.action in
+          if action == cancelled_action then begin
+            ignore (heap_pop h);
+            loop ()
+          end
+          else if h.times.(0) > horizon then t.clock <- horizon
+          else begin
+            ignore (heap_pop h);
+            fire t top action;
+            loop ()
+          end
         end
       in
       loop ()
@@ -544,19 +558,19 @@ let run ?until t =
         else begin
           if w.cur.size = 0 then advance w;
           let top = w.cur.evs.(0) in
-          match top.action with
-          | None ->
-              w.total <- w.total - 1;
-              ignore (heap_pop w.cur);
-              loop ()
-          | Some action ->
-              if top.time > horizon then t.clock <- horizon
-              else begin
-                w.total <- w.total - 1;
-                ignore (heap_pop w.cur);
-                fire t top action;
-                loop ()
-              end
+          let action = top.action in
+          if action == cancelled_action then begin
+            w.total <- w.total - 1;
+            ignore (heap_pop w.cur);
+            loop ()
+          end
+          else if top.time > horizon then t.clock <- horizon
+          else begin
+            w.total <- w.total - 1;
+            ignore (heap_pop w.cur);
+            fire t top action;
+            loop ()
+          end
         end
       in
       loop ()

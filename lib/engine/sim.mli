@@ -33,7 +33,10 @@ val recommended_sched : expected_pending:int -> sched
     [Heap] otherwise. *)
 
 type handle
-(** A scheduled event, usable for cancellation (e.g. retransmit timers). *)
+(** A scheduled event, usable for cancellation (e.g. retransmit timers).
+    Its action field holds the callback until the event fires or is
+    cancelled, then a shared sentinel, so a handle kept after firing pins
+    no closure. *)
 
 (** Scheduling-site tags carried by every event, read only by an attached
     {!probe}.  Sites that matter to the event-loop profiler (link
@@ -89,6 +92,22 @@ val schedule_at : ?kind:int -> t -> time:float -> (unit -> unit) -> handle
 val schedule : ?kind:int -> t -> delay:float -> (unit -> unit) -> handle
 (** Fire the callback [delay] seconds from {!now} ([delay >= 0]). *)
 
+val reserve : t -> int
+(** Take the next normal sequence number and count one pending event,
+    without queueing anything yet.  The reservation must later be fired
+    through {!schedule_reserved} with that sequence number, exactly once.
+    Reserving at the instant an event becomes due-to-be-scheduled and
+    queueing it later keeps its [(time, seq)] key, {!pending} and
+    {!events_processed} exactly as if it had been queued at once — as long
+    as it is queued before anything with a later key could fire.  The link
+    transmitter uses this to hold a link's in-flight packets in a FIFO
+    ring with one queued delivery per link. *)
+
+val schedule_reserved : ?kind:int -> t -> time:float -> seq:int -> (unit -> unit) -> handle
+(** Queue the callback under a key taken by {!reserve}.  Consumes no
+    sequence number and does not change {!pending}.  Raises
+    [Invalid_argument] if [time] is in the past. *)
+
 val schedule_aux : ?kind:int -> t -> time:float -> (unit -> unit) -> handle
 (** Fire the callback at absolute virtual [time], drawing from a separate
     {e negative, descending} sequence counter.  Scheduling an auxiliary
@@ -101,9 +120,12 @@ val schedule_aux : ?kind:int -> t -> time:float -> (unit -> unit) -> handle
     state. *)
 
 val cancel : handle -> unit
-(** Cancelling an already-fired or cancelled event is a no-op. *)
+(** Marks the event with the cancelled sentinel and releases its pending
+    count; the queue discards it lazily when it reaches the front.
+    Cancelling an already-fired or cancelled event is a no-op. *)
 
 val cancelled : handle -> bool
+(** [true] once the event has been cancelled {e or} has fired. *)
 
 val run : ?until:float -> t -> unit
 (** Process events until the heap is empty or virtual time would exceed

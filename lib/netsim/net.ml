@@ -42,6 +42,31 @@ and link = {
   mutable fault : (Wire.Packet.t -> fault_action) option;
   mutable tx_packets : int;
   mutable tx_bytes : int;
+  mutable pipe : pipe; (* [no_pipe] until the transmitter first runs *)
+}
+
+(* The transmitter's per-link state, built the first time [kick] runs on
+   the link (normally its first enqueue), so building a topology
+   allocates none of it. *)
+and pipe = {
+  (* Allocated once, so a hop schedules no closure. *)
+  self : link option; (* [Some link], the [in_link] handlers receive *)
+  on_tx_done : unit -> unit;
+  on_deliver : unit -> unit;
+  on_poll : unit -> unit;
+  (* The packet serializing ([Qdisc.none] when idle), its fault decision,
+     and the copy a [Fault_dup] delivers beside it. *)
+  mutable wire : Wire.Packet.t;
+  mutable wire_fault : fault_action;
+  mutable wire_dup : Wire.Packet.t;
+  (* The in-flight ring: packets propagating at the link's constant delay,
+     in (due, seq) order, each under a key taken by [Sim.reserve].  Only
+     the head's delivery is queued in the simulator. *)
+  mutable fl_pkts : Wire.Packet.t array; (* capacity 0 or a power of two *)
+  mutable fl_due : float array;
+  mutable fl_seqs : int array;
+  mutable fl_head : int;
+  mutable fl_len : int;
 }
 
 and fault_action = Fault_pass | Fault_lose | Fault_dup | Fault_delay of float
@@ -71,6 +96,10 @@ let now t = Sim.now t.sim
 let set_trace t hook = t.trace <- hook
 
 let emit t ev = match t.trace with None -> () | Some hook -> hook ev
+
+(* Guard every [emit] with this, so no event variant is built with the
+   trace off. *)
+let[@inline] tracing t = t.trace != None
 
 let add_node ?addr ~name t handler =
   (match addr with
@@ -109,6 +138,180 @@ let node_name node = node.name
 let node_addr node = node.addr
 let node_id node = node.id
 
+(* When a qdisc reports [next_ready] at (or before) the current instant but
+   still refuses to dequeue — a token bucket whose accumulated tokens round
+   to just under one packet, say — re-polling at the same virtual time would
+   spin the event loop forever.  Back off by this minimum delay (one virtual
+   microsecond: far below any packet serialization time, so it never delays
+   real service measurably). *)
+let min_poll_delay = 1e-6
+
+(* Profiler tags, boxed once: passing [~kind] would build a [Some] per call. *)
+let k_transmit = Some Sim.Kind.net_transmit
+let k_deliver = Some Sim.Kind.net_deliver
+let k_poll = Some Sim.Kind.net_poll
+
+let make_pipe ~self ~on_tx_done ~on_deliver ~on_poll =
+  {
+    self;
+    on_tx_done;
+    on_deliver;
+    on_poll;
+    wire = Qdisc.none;
+    wire_fault = Fault_pass;
+    wire_dup = Qdisc.none;
+    fl_pkts = [||];
+    fl_due = [||];
+    fl_seqs = [||];
+    fl_head = 0;
+    fl_len = 0;
+  }
+
+let no_pipe = make_pipe ~self:None ~on_tx_done:ignore ~on_deliver:ignore ~on_poll:ignore
+
+let arrive link p =
+  if tracing link.src.net then emit link.src.net (Deliver (link.dst, p));
+  link.dst.handler link.dst ~in_link:link.pipe.self p
+
+(* --- The in-flight ring ------------------------------------------------ *)
+
+let flight_grow pp =
+  let cap = max 8 (2 * Array.length pp.fl_pkts) in
+  let pkts = Array.make cap Qdisc.none and due = Array.make cap 0. and seqs = Array.make cap 0 in
+  for i = 0 to pp.fl_len - 1 do
+    let j = (pp.fl_head + i) land (Array.length pp.fl_pkts - 1) in
+    pkts.(i) <- pp.fl_pkts.(j);
+    due.(i) <- pp.fl_due.(j);
+    seqs.(i) <- pp.fl_seqs.(j)
+  done;
+  pp.fl_pkts <- pkts;
+  pp.fl_due <- due;
+  pp.fl_seqs <- seqs;
+  pp.fl_head <- 0
+
+(* Put a serialized packet on the wire.  A constant-delay link delivers in
+   FIFO order: every entry's due time is the clock at its tx-done plus the
+   same delay, and tx-dones on one link happen in time order, so the ring
+   is sorted by (due, seq) and its head is always the earliest.  Queueing
+   only the head therefore fires deliveries in exactly the order (and
+   under exactly the keys) that one event per packet would. *)
+let launch link pp p =
+  let sim = link.src.net.sim in
+  let seq = Sim.reserve sim in
+  let due = Sim.now sim +. link.delay in
+  if pp.fl_len = Array.length pp.fl_pkts then flight_grow pp;
+  let i = (pp.fl_head + pp.fl_len) land (Array.length pp.fl_pkts - 1) in
+  pp.fl_pkts.(i) <- p;
+  pp.fl_due.(i) <- due;
+  pp.fl_seqs.(i) <- seq;
+  pp.fl_len <- pp.fl_len + 1;
+  if pp.fl_len = 1 then
+    ignore (Sim.schedule_reserved ?kind:k_deliver sim ~time:due ~seq pp.on_deliver)
+
+(* The head's delivery: pop it, queue the next head under its reserved
+   key, then hand the packet to the receiver. *)
+let deliver_head link =
+  let pp = link.pipe in
+  let i = pp.fl_head in
+  let p = pp.fl_pkts.(i) in
+  pp.fl_pkts.(i) <- Qdisc.none;
+  let h = (i + 1) land (Array.length pp.fl_pkts - 1) in
+  pp.fl_head <- h;
+  pp.fl_len <- pp.fl_len - 1;
+  if pp.fl_len > 0 then
+    ignore
+      (Sim.schedule_reserved ?kind:k_deliver link.src.net.sim ~time:pp.fl_due.(h)
+         ~seq:pp.fl_seqs.(h) pp.on_deliver);
+  arrive link p
+
+(* --- The transmitter --------------------------------------------------- *)
+
+(* Serialize the head packet, then propagate.  [kick] starts service if the
+   link is idle and administratively up; when the qdisc is unready it arms
+   a single poll timer at [next_ready].
+
+   The per-link fault hook is consulted once per packet, after the packet
+   has been dequeued and charged serialization time (a lost or duplicated
+   packet still occupied the wire).  With [fault = None] the decision is
+   [Fault_pass], the exact pre-fault path: figure output with no injector
+   installed is byte-identical. *)
+let rec kick link =
+  if (not link.busy) && link.up then begin
+    let net = link.src.net in
+    let sim = net.sim in
+    let time = Sim.now sim in
+    (match link.poll with
+    | Some h ->
+        Sim.cancel h;
+        link.poll <- None
+    | None -> ());
+    let pp = if link.pipe == no_pipe then open_pipe link else link.pipe in
+    let p = Qdisc.dequeue link.qdisc ~now:time in
+    if p != Qdisc.none then begin
+      link.busy <- true;
+      link.tx_packets <- link.tx_packets + 1;
+      link.tx_bytes <- link.tx_bytes + Wire.Packet.size p;
+      if tracing net then emit net (Transmit (link, p));
+      let done_at = time +. (float_of_int (Wire.Packet.size p) *. 8. /. link.bandwidth) in
+      let fault = match link.fault with None -> Fault_pass | Some f -> f p in
+      if fault != Fault_pass then begin
+        if tracing net then emit net (Link_fault (link, p));
+        match fault with Fault_dup -> pp.wire_dup <- Wire.Packet.copy p | _ -> ()
+      end;
+      pp.wire <- p;
+      pp.wire_fault <- fault;
+      ignore (Sim.schedule_at ?kind:k_transmit sim ~time:done_at pp.on_tx_done)
+    end
+    else begin
+      let at = Qdisc.next_ready link.qdisc ~now:time in
+      if at < infinity then begin
+        let delay = Float.max 0. (at -. time) in
+        (* Never arm a zero-delay self-poll after an empty dequeue: the
+           qdisc is momentarily unservable, so wait a token tick. *)
+        let delay = if delay <= 0. then min_poll_delay else delay in
+        link.poll <- Some (Sim.schedule ?kind:k_poll sim ~delay pp.on_poll)
+      end
+    end
+  end
+
+(* Serialization done: the link is free again.  [Fault_dup] and
+   [Fault_delay] schedule their own delivery: a duplicate delivers two
+   packets in one event, and a delayed packet leaves the FIFO order that
+   the ring relies on (later packets may overtake it). *)
+and tx_done link =
+  link.busy <- false;
+  let pp = link.pipe in
+  let p = pp.wire in
+  pp.wire <- Qdisc.none;
+  (match pp.wire_fault with
+  | Fault_pass -> launch link pp p
+  | Fault_lose -> ()
+  | Fault_dup ->
+      let p2 = pp.wire_dup in
+      pp.wire_dup <- Qdisc.none;
+      ignore
+        (Sim.schedule ?kind:k_deliver link.src.net.sim ~delay:link.delay (fun () ->
+             arrive link p;
+             arrive link p2))
+  | Fault_delay extra ->
+      ignore
+        (Sim.schedule ?kind:k_deliver link.src.net.sim
+           ~delay:(link.delay +. Float.max 0. extra)
+           (fun () -> arrive link p)));
+  kick link
+
+and open_pipe link =
+  let pp =
+    make_pipe ~self:(Some link)
+      ~on_tx_done:(fun () -> tx_done link)
+      ~on_deliver:(fun () -> deliver_head link)
+      ~on_poll:(fun () ->
+        link.poll <- None;
+        kick link)
+  in
+  link.pipe <- pp;
+  pp
+
 let link_oneway t ~src ~dst ~bandwidth_bps ~delay ~qdisc =
   if bandwidth_bps <= 0. then invalid_arg "Net.link_oneway: bandwidth must be positive";
   if delay < 0. then invalid_arg "Net.link_oneway: delay must be nonnegative";
@@ -127,6 +330,7 @@ let link_oneway t ~src ~dst ~bandwidth_bps ~delay ~qdisc =
       fault = None;
       tx_packets = 0;
       tx_bytes = 0;
+      pipe = no_pipe;
     }
   in
   t.next_link_id <- t.next_link_id + 1;
@@ -140,98 +344,6 @@ let duplex t a b ~bandwidth_bps ~delay ~qdisc =
   let ba = link_oneway t ~src:b ~dst:a ~bandwidth_bps ~delay ~qdisc:(qdisc ()) in
   (ab, ba)
 
-(* When a qdisc reports [next_ready] at (or before) the current instant but
-   still refuses to dequeue — a token bucket whose accumulated tokens round
-   to just under one packet, say — re-polling at the same virtual time would
-   spin the event loop forever.  Back off by this minimum delay (one virtual
-   microsecond: far below any packet serialization time, so it never delays
-   real service measurably). *)
-let min_poll_delay = 1e-6
-
-let[@inline] propagate link ~extra thunk =
-  ignore
-    (Sim.schedule ~kind:Sim.Kind.net_deliver link.src.net.sim ~delay:(link.delay +. extra) thunk)
-
-(* The transmitter: serialize the head packet, then propagate.  [kick]
-   starts service if the link is idle and administratively up; when the
-   qdisc is unready it arms a single poll timer at [next_ready].
-
-   The per-link fault hook is consulted once per packet, after the packet
-   has been dequeued and charged serialization time (a lost or duplicated
-   packet still occupied the wire).  When [fault = None] the match reduces
-   to the pass branch, which is the exact pre-fault code path — figure
-   output with no injector installed is byte-identical. *)
-let rec kick link =
-  if (not link.busy) && link.up then begin
-    let net = link.src.net in
-    let sim = net.sim in
-    let time = Sim.now sim in
-    (match link.poll with
-    | Some h ->
-        Sim.cancel h;
-        link.poll <- None
-    | None -> ());
-    let p = Qdisc.dequeue link.qdisc ~now:time in
-    if p != Qdisc.none then begin
-        link.busy <- true;
-        link.tx_packets <- link.tx_packets + 1;
-        link.tx_bytes <- link.tx_bytes + Wire.Packet.size p;
-        emit net (Transmit (link, p));
-        let tx_time = float_of_int (Wire.Packet.size p) *. 8. /. link.bandwidth in
-        match (match link.fault with None -> Fault_pass | Some f -> f p) with
-        | Fault_pass ->
-            ignore
-              (Sim.schedule ~kind:Sim.Kind.net_transmit sim ~delay:tx_time (fun () ->
-                   link.busy <- false;
-                   propagate link ~extra:0. (fun () ->
-                       emit net (Deliver (link.dst, p));
-                       link.dst.handler link.dst ~in_link:(Some link) p);
-                   kick link))
-        | Fault_lose ->
-            emit net (Link_fault (link, p));
-            ignore
-              (Sim.schedule ~kind:Sim.Kind.net_transmit sim ~delay:tx_time (fun () ->
-                   link.busy <- false;
-                   kick link))
-        | Fault_dup ->
-            emit net (Link_fault (link, p));
-            let p2 = Wire.Packet.copy p in
-            ignore
-              (Sim.schedule ~kind:Sim.Kind.net_transmit sim ~delay:tx_time (fun () ->
-                   link.busy <- false;
-                   propagate link ~extra:0. (fun () ->
-                       emit net (Deliver (link.dst, p));
-                       link.dst.handler link.dst ~in_link:(Some link) p;
-                       emit net (Deliver (link.dst, p2));
-                       link.dst.handler link.dst ~in_link:(Some link) p2);
-                   kick link))
-        | Fault_delay extra ->
-            emit net (Link_fault (link, p));
-            let extra = Float.max 0. extra in
-            ignore
-              (Sim.schedule ~kind:Sim.Kind.net_transmit sim ~delay:tx_time (fun () ->
-                   link.busy <- false;
-                   propagate link ~extra (fun () ->
-                       emit net (Deliver (link.dst, p));
-                       link.dst.handler link.dst ~in_link:(Some link) p);
-                   kick link))
-    end
-    else begin
-      let at = Qdisc.next_ready link.qdisc ~now:time in
-      if at < infinity then begin
-        let delay = Float.max 0. (at -. time) in
-        (* Never arm a zero-delay self-poll after an empty dequeue: the
-           qdisc is momentarily unservable, so wait a token tick. *)
-        let delay = if delay <= 0. then min_poll_delay else delay in
-        link.poll <-
-          Some
-            (Sim.schedule ~kind:Sim.Kind.net_poll sim ~delay (fun () ->
-                 link.poll <- None;
-                 kick link))
-      end
-    end
-  end
-
 let enqueue_on link p =
   let net = link.src.net in
   let admitted = match link.limiter with None -> true | Some f -> f p in
@@ -239,14 +351,14 @@ let enqueue_on link p =
     link.qdisc.Qdisc.stats.Qdisc.dropped <- link.qdisc.Qdisc.stats.Qdisc.dropped + 1;
     link.qdisc.Qdisc.stats.Qdisc.bytes_dropped <-
       link.qdisc.Qdisc.stats.Qdisc.bytes_dropped + Wire.Packet.size p;
-    emit net (Queue_drop (link, p))
+    if tracing net then emit net (Queue_drop (link, p))
   end
   else if Qdisc.enqueue link.qdisc ~now:(Sim.now net.sim) p then kick link
-  else emit net (Queue_drop (link, p))
+  else if tracing net then emit net (Queue_drop (link, p))
 
 let charge_hop node p =
   if p.Wire.Packet.hops <= 0 then begin
-    emit node.net (Hops_exceeded (node, p));
+    if tracing node.net then emit node.net (Hops_exceeded (node, p));
     false
   end
   else begin
@@ -267,7 +379,7 @@ let route_for node addr =
 let forward node p =
   if charge_hop node p then begin
     match route_for node p.Wire.Packet.dst with
-    | None -> emit node.net (No_route (node, p))
+    | None -> if tracing node.net then emit node.net (No_route (node, p))
     | Some link -> enqueue_on link p
   end
 

@@ -5,7 +5,16 @@
     packet propagates for the link delay (so several packets ride the wire
     concurrently).  When a link's qdisc is nonempty but unservable (a rate
     limiter out of tokens), the transmitter re-polls at the qdisc's
-    [next_ready] time. *)
+    [next_ready] time.
+
+    A hop schedules no closure.  Each link allocates its tx-done, deliver
+    and poll actions once, when it first has a packet to send.  The
+    packets propagating on it wait in a per-link FIFO ring with only the
+    head's delivery queued, under sequence numbers reserved when they
+    entered the pipe ({!Sim.reserve}), so events fire in exactly the
+    order one event per packet would give.  A [Fault_delay] or
+    [Fault_dup] packet gets its own event.  With no trace hook set, no
+    {!event} value is built (DESIGN.md §9.1). *)
 
 type t
 (** A network: the node/link tables plus the simulator driving them. *)

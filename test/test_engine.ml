@@ -477,6 +477,127 @@ let aux_chain_observes_cut () =
   Sim.run sim;
   Alcotest.(check (list int)) "each tick sees pre-T state" [ 0; 1; 2; 3 ] (List.rev !seen)
 
+(* --- reserved keys ---------------------------------------------------- *)
+
+(* [Sim.reserve] + [Sim.schedule_reserved] as the link transmitter uses
+   them: a FIFO ring of events due a constant [delay] after their
+   reservation, with only the ring's head queued, interleaved with plain
+   events, cancels, steps and horizons.  Run once with every ring event
+   scheduled at reservation time instead; both runs must fire the same
+   events at the same times and agree on [pending] after every command
+   and on [events_processed]. *)
+type rcmd = Rplain of float | Rring | Rcancel of int | Rstep | Runtil of float
+
+let gen_reserved_script seed n =
+  let rng = Rng.create ~seed in
+  List.init n (fun _ ->
+      match Rng.int rng 10 with
+      | 0 | 1 | 2 ->
+          Rplain
+            (match Rng.int rng 3 with
+            | 0 -> float_of_int (Rng.int rng 4) *. 0.5 (* ties with ring due times *)
+            | 1 -> float_of_int (Rng.int rng 1000) *. 1e-7
+            | _ -> Rng.float rng 3.)
+      | 3 | 4 | 5 -> Rring
+      | 6 -> Rcancel (Rng.int rng 1_000_000)
+      | 7 | 8 -> Rstep
+      | _ -> Runtil (Rng.float rng 1.))
+
+let run_reserved_script ~sched ~delay ~reserved cmds =
+  let sim = Sim.create ~sched () in
+  let fired = ref [] in
+  let stamp = ref 0 in
+  let handles = ref [] in
+  let n_handles = ref 0 in
+  let pendings = ref [] in
+  let log k () = fired := (Sim.now sim, k) :: !fired in
+  let ring = Queue.create () in
+  let rec fire_head () =
+    let _, _, k = Queue.pop ring in
+    (match Queue.peek_opt ring with
+    | Some (time, seq, _) -> ignore (Sim.schedule_reserved sim ~time ~seq fire_head)
+    | None -> ());
+    log k ()
+  in
+  List.iter
+    (fun cmd ->
+      (match cmd with
+      | Rplain d ->
+          let k = !stamp in
+          incr stamp;
+          handles := Sim.schedule sim ~delay:d (log k) :: !handles;
+          incr n_handles
+      | Rring ->
+          let k = !stamp in
+          incr stamp;
+          let time = Sim.now sim +. delay in
+          if reserved then begin
+            let seq = Sim.reserve sim in
+            Queue.push (time, seq, k) ring;
+            if Queue.length ring = 1 then ignore (Sim.schedule_reserved sim ~time ~seq fire_head)
+          end
+          else ignore (Sim.schedule_at sim ~time (log k))
+      | Rcancel i -> if !n_handles > 0 then Sim.cancel (List.nth !handles (i mod !n_handles))
+      | Rstep -> ignore (Sim.step sim)
+      | Runtil d -> Sim.run ~until:(Sim.now sim +. d) sim);
+      pendings := Sim.pending sim :: !pendings)
+    cmds;
+  Sim.run sim;
+  (List.rev !fired, Sim.now sim, List.rev !pendings, Sim.events_processed sim, Sim.pending sim)
+
+let reserved_keys_fire_like_immediate =
+  QCheck.Test.make ~name:"sim: reserved ring keys fire like immediate scheduling" ~count:20
+    QCheck.small_int (fun seed ->
+      let cmds = gen_reserved_script (seed + 5) 1500 in
+      List.for_all
+        (fun (sched, delay) ->
+          let reference = run_reserved_script ~sched ~delay ~reserved:false cmds in
+          reference = run_reserved_script ~sched ~delay ~reserved:true cmds
+          && reference = run_reserved_script ~sched:Sim.Heap ~delay ~reserved:false cmds)
+        [ (Sim.Heap, 0.5); (Sim.Wheel, 0.5); (Sim.Heap, 0.); (Sim.Wheel, 0.); (Sim.Wheel, 3e-7) ])
+
+let schedule_reserved_rejects_past () =
+  let sim = Sim.create () in
+  ignore (Sim.schedule_at sim ~time:1. ignore);
+  Sim.run sim;
+  let seq = Sim.reserve sim in
+  Alcotest.(check int) "reserve counts pending" 1 (Sim.pending sim);
+  (match Sim.schedule_reserved sim ~time:0.5 ~seq ignore with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "past reserved time accepted");
+  ignore (Sim.schedule_reserved sim ~time:1. ~seq ignore);
+  Alcotest.(check int) "schedule_reserved adds none" 1 (Sim.pending sim);
+  Sim.run sim;
+  Alcotest.(check int) "fired" 2 (Sim.events_processed sim);
+  Alcotest.(check int) "drained" 0 (Sim.pending sim)
+
+(* The cancelled sentinel: [cancelled] is false while queued and true once
+   cancelled or fired; a second cancel, or a cancel after firing, changes
+   neither [pending] nor what fires. *)
+let cancel_sentinel_semantics () =
+  List.iter
+    (fun sched ->
+      let sim = Sim.create ~sched () in
+      let fired = ref [] in
+      let h1 = Sim.schedule_at sim ~time:1. (fun () -> fired := 1 :: !fired) in
+      let h2 = Sim.schedule_at sim ~time:2. (fun () -> fired := 2 :: !fired) in
+      let h3 = Sim.schedule_at sim ~time:3. (fun () -> fired := 3 :: !fired) in
+      Alcotest.(check bool) "queued" false (Sim.cancelled h1);
+      Sim.cancel h2;
+      Sim.cancel h2;
+      Alcotest.(check bool) "cancelled" true (Sim.cancelled h2);
+      Alcotest.(check int) "double cancel counted once" 2 (Sim.pending sim);
+      Alcotest.(check bool) "step" true (Sim.step sim);
+      Alcotest.(check bool) "fired reads as cancelled" true (Sim.cancelled h1);
+      Sim.cancel h1;
+      Alcotest.(check int) "cancel after fire is a no-op" 1 (Sim.pending sim);
+      Sim.run sim;
+      Alcotest.(check (list int)) "fired" [ 1; 3 ] (List.rev !fired);
+      Alcotest.(check bool) "last fired" true (Sim.cancelled h3);
+      Alcotest.(check int) "events" 2 (Sim.events_processed sim);
+      Alcotest.(check int) "none pending" 0 (Sim.pending sim))
+    [ Sim.Heap; Sim.Wheel ]
+
 let suite =
   [
     Alcotest.test_case "time order" `Quick events_fire_in_time_order;
@@ -502,6 +623,9 @@ let suite =
     Alcotest.test_case "aux fires first, no perturbation" `Quick
       aux_fires_first_and_does_not_perturb;
     Alcotest.test_case "aux chain observes cut" `Quick aux_chain_observes_cut;
+    QCheck_alcotest.to_alcotest reserved_keys_fire_like_immediate;
+    Alcotest.test_case "schedule_reserved" `Quick schedule_reserved_rejects_past;
+    Alcotest.test_case "cancel sentinel" `Quick cancel_sentinel_semantics;
     Alcotest.test_case "sched selection" `Quick sched_of_string_roundtrip;
     Alcotest.test_case "rng deterministic" `Quick rng_deterministic;
     Alcotest.test_case "rng seeds differ" `Quick rng_seeds_differ;

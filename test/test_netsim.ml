@@ -267,6 +267,237 @@ let unservable_qdisc_does_not_spin () =
     true
     (Sim.events_processed sim <= 1100)
 
+(* --- The link pipeline ---------------------------------------------------- *)
+
+(* A two-hop line a -> r -> b whose a->r link runs a scripted fault hook:
+   pass, lose, duplicate, a 12-unit delay that the next packet overtakes
+   (it is only 8 units behind on the wire), three passes in a row (so
+   several packets propagate at once), another duplicate, a 30-unit delay,
+   pass and lose.  a->r goes down mid-serialization with packets
+   propagating and comes back up; r->b does the same with a packet queued.
+   A timer fires every unit, each scheduled 10 units ahead, and logs itself
+   when it lands on the instant of an arrival that came first: that pins
+   the sequence-number tie-break of every delivery.  Every time is a whole
+   number of units of 1/1024 s, exact in binary, so those ties are real.
+   Returns one line per trace event (or, untraced, per arrival and timer),
+   with times in units and packet ids relative to the first packet sent. *)
+let link_pipeline_trace ~traced =
+  let u = 1. /. 1024. in
+  let sim, net = mk_net () in
+  let log = Buffer.create 4096 in
+  let base = ref 0 in
+  let last_rx = ref nan in
+  let line tag name p =
+    if tag = "rx" then last_rx := Sim.now sim;
+    Printf.bprintf log "%g %s %s %d\n" (Sim.now sim /. u) tag name (p.Wire.Packet.id - !base)
+  in
+  let rec tick () =
+    if Sim.now sim = !last_rx then Printf.bprintf log "%g tick\n" (Sim.now sim /. u);
+    if Sim.now sim < 160. *. u then ignore (Sim.schedule sim ~delay:(10. *. u) tick)
+  in
+  for k = 1 to 10 do
+    ignore (Sim.schedule_at sim ~time:(float_of_int k *. u) tick)
+  done;
+  let arrive node ~in_link:_ p = if not traced then line "rx" (Net.node_name node) p in
+  let a = Net.add_node ~addr:a_addr ~name:"a" net (fun _ ~in_link:_ _ -> ()) in
+  let r =
+    Net.add_node ~name:"r" net (fun node ~in_link p ->
+        arrive node ~in_link p;
+        Net.forward node p)
+  in
+  let b = Net.add_node ~addr:b_addr ~name:"b" net arrive in
+  (* 1000 bytes serialize in 8 units on a->r and 4 on r->b. *)
+  let ar =
+    Net.link_oneway net ~src:a ~dst:r ~bandwidth_bps:1_024_000. ~delay:(20. *. u)
+      ~qdisc:(plain_qdisc ())
+  in
+  let rb =
+    Net.link_oneway net ~src:r ~dst:b ~bandwidth_bps:2_048_000. ~delay:(4. *. u)
+      ~qdisc:(plain_qdisc ())
+  in
+  Net.compute_routes net;
+  let link_name l = if l == ar then "ar" else "rb" in
+  if traced then
+    Net.set_trace net
+      (Some
+         (function
+         | Net.Transmit (l, p) -> line "tx" (link_name l) p
+         | Net.Link_fault (l, p) -> line "fault" (link_name l) p
+         | Net.Deliver (n, p) -> line "rx" (Net.node_name n) p
+         | Net.Queue_drop (l, p) -> line "drop" (link_name l) p
+         | Net.Hops_exceeded (n, p) | Net.No_route (n, p) -> line "lost" (Net.node_name n) p));
+  let script =
+    [| Net.Fault_pass; Fault_lose; Fault_dup; Fault_delay (12. *. u); Fault_pass; Fault_pass;
+       Fault_pass; Fault_dup; Fault_delay (30. *. u); Fault_pass; Fault_lose |]
+  in
+  let n = ref 0 in
+  Net.link_set_fault ar
+    (Some
+       (fun _ ->
+         let f = script.(!n mod Array.length script) in
+         incr n;
+         f));
+  let send bytes = Net.originate a (mk_packet ~src:a_addr ~dst:b_addr ~bytes (Sim.now sim)) in
+  base := (mk_packet ~src:a_addr ~dst:b_addr 0.).Wire.Packet.id + 1;
+  for _ = 1 to 10 do
+    send 1000
+  done;
+  let at k f = ignore (Sim.schedule_at sim ~time:(k *. u) f) in
+  at 100. (fun () ->
+      for _ = 1 to 3 do
+        send 500
+      done);
+  at 21. (fun () -> Net.link_set_up ar false);
+  at 47. (fun () -> Net.link_set_up ar true);
+  at 46. (fun () -> Net.link_set_up rb false);
+  at 50. (fun () -> Net.link_set_up rb true);
+  Sim.run sim;
+  Printf.bprintf log "end %g events %d pending %d\n" (Sim.now sim /. u) (Sim.events_processed sim)
+    (Sim.pending sim);
+  Buffer.contents log
+
+(* Recorded from the closure-per-hop transmitter that preceded the
+   in-flight rings; the pipeline must reproduce it event for event. *)
+let link_pipeline_golden =
+  {|0 tx ar 0
+8 tx ar 1
+8 fault ar 1
+16 tx ar 2
+16 fault ar 2
+28 rx r 0
+28 tx rb 0
+28 tick
+36 rx b 0
+44 rx r 2
+44 tx rb 2
+44 rx r 10
+44 tick
+47 tx ar 3
+47 fault ar 3
+50 tx rb 10
+52 rx b 2
+55 tx ar 4
+58 rx b 10
+63 tx ar 5
+71 tx ar 6
+79 tx ar 7
+79 fault ar 7
+83 rx r 4
+83 tx rb 4
+83 tick
+87 rx r 3
+87 tick
+87 tx ar 8
+87 fault ar 8
+87 tx rb 3
+91 rx r 5
+91 tick
+91 rx b 4
+91 tx rb 5
+95 tx ar 9
+95 rx b 3
+99 rx r 6
+99 tx rb 6
+99 tick
+99 rx b 5
+103 tx ar 12
+103 fault ar 12
+107 rx r 7
+107 tx rb 7
+107 rx r 11
+107 tick
+107 tx ar 13
+107 rx b 6
+111 tx rb 11
+111 tx ar 14
+111 fault ar 14
+115 rx b 7
+119 rx b 11
+123 rx r 9
+123 tx rb 9
+123 tick
+131 rx r 13
+131 tx rb 13
+131 tick
+131 rx b 9
+137 rx b 13
+145 rx r 8
+145 tx rb 8
+145 tick
+153 rx b 8
+end 169 events 221 pending 0
+|}
+
+let link_pipeline_matches_golden () =
+  Alcotest.(check string) "traced" link_pipeline_golden (link_pipeline_trace ~traced:true);
+  (* The untraced run delivers the same packets at the same instants. *)
+  let rx_and_end =
+    String.split_on_char '\n' link_pipeline_golden
+    |> List.filter (fun l ->
+           match String.split_on_char ' ' l with
+           | _ :: ("rx" | "tick") :: _ | "end" :: _ -> true
+           | _ -> false)
+  in
+  Alcotest.(check string) "untraced"
+    (String.concat "\n" rx_and_end ^ "\n")
+    (link_pipeline_trace ~traced:false)
+
+(* A long, fast link keeps up to ~100 packets propagating at once, so its
+   in-flight ring grows several times, once with its head mid-array (3 of
+   the first 5 delivered before the next burst).  Every packet must still
+   arrive in send order at its own serialization end plus the delay. *)
+let inflight_ring_grows_in_order () =
+  let sim, net = mk_net () in
+  let a = Net.add_node ~addr:a_addr ~name:"a" net (fun _ ~in_link:_ _ -> ()) in
+  let arrivals = ref [] in
+  let b =
+    Net.add_node ~addr:b_addr ~name:"b" net (fun _ ~in_link:_ p ->
+        arrivals := (p.Wire.Packet.id, Sim.now sim) :: !arrivals)
+  in
+  (* 1000 bytes take 1 ms at 8 Mb/s. *)
+  let link = Net.link_oneway net ~src:a ~dst:b ~bandwidth_bps:8e6 ~delay:0.1 ~qdisc:(plain_qdisc ()) in
+  Net.compute_routes net;
+  let send n =
+    let t0 = Sim.now sim in
+    List.init n (fun k ->
+        let p = mk_packet ~src:a_addr ~dst:b_addr t0 in
+        Net.forward_on a link p;
+        (p.Wire.Packet.id, t0 +. (float_of_int (k + 1) *. 0.001) +. 0.1))
+  in
+  let first = send 5 in
+  Sim.run ~until:0.1035 sim;
+  Alcotest.(check int) "three delivered" 3 (List.length !arrivals);
+  let second = send 30 in
+  Sim.run sim;
+  let expected = first @ second and got = List.rev !arrivals in
+  Alcotest.(check (list int)) "send order" (List.map fst expected) (List.map fst got);
+  List.iter2
+    (fun (_, want) (_, at) -> Alcotest.(check (float 1e-9)) "arrival time" want at)
+    expected got;
+  Alcotest.(check int) "nothing pending" 0 (Sim.pending sim)
+
+(* A steady [Fault_pass] hop with the trace off allocates only its two
+   event records (a tx-done and a delivery, each with its boxed time): the
+   closures, [Some] boxes and trace variants are gone.  Measured 16.0
+   words per packet (two 8-word events); the bound leaves 4 words of
+   margin. *)
+let steady_hop_minor_words () =
+  let sim, net = mk_net () in
+  let a = Net.add_node ~addr:a_addr ~name:"a" net (fun _ ~in_link:_ _ -> ()) in
+  let b = Net.add_node ~addr:b_addr ~name:"b" net (fun _ ~in_link:_ _ -> ()) in
+  let link = Net.link_oneway net ~src:a ~dst:b ~bandwidth_bps:1e6 ~delay:0.020 ~qdisc:(plain_qdisc ()) in
+  Net.compute_routes net;
+  let n = 2_000 in
+  let pkts = Array.init n (fun i -> mk_packet ~src:a_addr ~dst:b_addr (float_of_int i)) in
+  (* Warm up: grow the qdisc ring, the in-flight ring and the heap. *)
+  Array.iter (fun p -> Net.forward_on a link p) (Array.sub pkts 0 (n / 2));
+  Sim.run sim;
+  Array.iter (fun p -> Net.forward_on a link p) (Array.sub pkts (n / 2) (n / 2));
+  let before = Gc.minor_words () in
+  Sim.run sim;
+  let per_hop = (Gc.minor_words () -. before) /. float_of_int (n / 2) in
+  Alcotest.(check bool) (Printf.sprintf "%.1f words/hop <= 20" per_hop) true (per_hop <= 20.)
+
 let suite =
   [
     Alcotest.test_case "link latency" `Quick link_delivers_with_correct_latency;
@@ -284,4 +515,7 @@ let suite =
     Alcotest.test_case "dumbbell shape" `Quick dumbbell_shape;
     Alcotest.test_case "dumbbell rtt" `Quick dumbbell_end_to_end_rtt;
     Alcotest.test_case "chain shape" `Quick chain_shape;
+    Alcotest.test_case "link pipeline golden" `Quick link_pipeline_matches_golden;
+    Alcotest.test_case "in-flight ring growth" `Quick inflight_ring_grows_in_order;
+    Alcotest.test_case "steady hop minor words" `Quick steady_hop_minor_words;
   ]
