@@ -16,9 +16,10 @@
    the committed numbers.  The sweep comparison is reported but never
    gates: its wall-clock depends on domain scheduling noise.
 
-   The scale comparison gates the wheel leg's events/s always normalized
-   by the same report's heap-leg events/s (the heap is the machine-speed
-   reference there, playing the role the legacy path plays for pps), and
+   The scale comparison gates the independent leg's events/s always
+   normalized by the same report's coalesced-leg events/s (the coalesced
+   leg, with its small pending set, is the machine-speed reference there,
+   playing the role the legacy path plays for pps), and
    peak live-heap — machine-independent at a fixed sweep size — gated on
    growth.  Both only gate when the two reports ran the same largest
    sweep point; a smoke report against a full baseline is informational.
@@ -216,17 +217,17 @@ let compare_baselines buf failed =
           "_Sweep sizes differ between the reports, so nothing below gates._\n\n"
       else
         Buffer.add_string buf
-          "_Gated events/s are normalized by each report's heap-leg events/s (cancels machine \
-           speed)._\n\n";
+          "_Gated events/s are normalized by each report's coalesced-leg events/s (cancels \
+           machine speed)._\n\n";
       Buffer.add_string buf "| metric | committed | fresh | change | gate |\n|---|---|---|---|---|\n";
       (* higher_is_better flips the regression direction for peak heap.
-         normalize divides by the same report's heap-leg events/s under
-         --relative-to-legacy, the scale analogue of the legacy path. *)
+         normalize divides by the same report's coalesced-leg events/s,
+         the scale analogue of the legacy path. *)
       let row ?(normalize = false) ?(gated = true) ?(higher_is_better = true) key =
         match (scale_gate ot key, scale_gate nt key) with
         | Some o, Some n ->
             let norm text v =
-              match (normalize, scale_gate text "heap_events_per_s") with
+              match (normalize, scale_gate text "coalesced_events_per_s") with
               | true, Some h when h > 0. -> v /. h
               | _ -> v
             in
@@ -241,13 +242,11 @@ let compare_baselines buf failed =
                  (if not gated then "—" else if regressed then "FAIL" else "ok"))
         | _ -> ()
       in
-      (* Under --relative-to-legacy the heap leg is the denominator, so
-         gating it would be vacuous; raw events/s otherwise tracks machine
-         speed, so it stays informational either way. *)
-      row ~gated:false "heap_events_per_s";
-      row ~normalize:true "wheel_events_per_s";
-      row ~higher_is_better:false "peak_heap_mb";
-      row ~gated:false "wheel_heap_ratio");
+      (* The coalesced leg is the denominator, and its raw events/s tracks
+         machine speed, so it stays informational. *)
+      row ~gated:false "coalesced_events_per_s";
+      row ~normalize:true "independent_events_per_s";
+      row ~higher_is_better:false "peak_heap_mb");
   Buffer.add_string buf
     (Printf.sprintf
        "\nGate: fail if any router path or gated scale metric regresses more than %.0f%%.\n"

@@ -184,8 +184,8 @@ let () =
         | None, _ -> fatal "no \"%s\" figure in README scale row (cell %S)" key cell
         | _, None -> fatal "no gates.%s in %s" key !scale_json)
   in
-  check_scale ~key:"heap_events_per_s" ~unit:" ev/s";
-  check_scale ~key:"wheel_events_per_s" ~unit:" ev/s";
+  check_scale ~key:"independent_events_per_s" ~unit:" ev/s";
+  check_scale ~key:"coalesced_events_per_s" ~unit:" ev/s";
   check_scale ~key:"wall_s" ~unit:" s";
   check_scale ~key:"peak_heap_mb" ~unit:" MB";
   let scale_checked = !checked - pps_checked in

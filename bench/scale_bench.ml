@@ -2,27 +2,23 @@
 
    A fig8-style sweep over botnet size on the fan-in topology: legitimate
    users run real transfers while the attack is folded into [Swarm]
-   aggregates in Independent mode — one simulator timer per member, the
-   regime the timing wheel exists for.  The aggregate attack rate is held
+   aggregates in Independent mode — one simulator timer per member, so the
+   pending set grows with the botnet.  The aggregate attack rate is held
    constant across the sweep so event volume tracks traffic while pending
    state tracks senders.
 
-   Per sender count the sweep runs a heap leg and a wheel leg and requires
-   them to agree exactly (events, packets, completion, end time) — the
-   scheduler differential at whole-simulation granularity.  At the largest
-   count a coalesced leg rides along to show the aggregate model's pending
-   set collapse, plus a profiled run for Obs.Profile attribution.
+   At the largest count a coalesced leg (one event per aggregate) runs the
+   same simulation with a pending set that no longer scales with the
+   botnet.  It must match the independent leg exactly, and its events/s is
+   the machine-speed reference compare_bench normalizes the independent
+   leg by.  A profiled run attributes the independent leg's loop time.
 
    Gates (exit 1):
      - every leg completes its run;
-     - heap and wheel legs are result-identical at every sweep point, and
-       the coalesced leg matches them at the largest count;
-     - wheel events/s >= heap events/s at the largest count (best of
-       [--reps]);
-     - wheel peak live-heap <= [--mem-ratio] x heap peak live-heap at the
-       largest count (the tick-node freelist gate);
-     - wall clock and peak live-heap at the largest count stay inside
-       [--wall-budget-s] / [--mem-budget-mb].
+     - the coalesced leg is result-identical to the independent leg at the
+       largest count;
+     - the independent leg's wall clock and peak live-heap at the largest
+       count stay inside [--wall-budget-s] / [--mem-budget-mb].
 
    Run with:            dune exec bench/scale_bench.exe
    Smoke mode (CI):     dune exec bench/scale_bench.exe -- --smoke *)
@@ -33,7 +29,6 @@ let transfers = ref 50
 let max_sim = ref 30.
 let wall_budget_s = ref 30.
 let mem_budget_mb = ref 512.
-let mem_ratio = ref 1.15
 let out_path = ref "BENCH_scale.json"
 let smoke = ref false
 
@@ -48,13 +43,10 @@ let spec =
     ("--max-sim", Arg.Set_float max_sim, "S  simulated-seconds cap per leg (default 30)");
     ( "--wall-budget-s",
       Arg.Set_float wall_budget_s,
-      "S  max wall seconds for the wheel leg at the largest count (default 30)" );
+      "S  max wall seconds for the independent leg at the largest count (default 30)" );
     ( "--mem-budget-mb",
       Arg.Set_float mem_budget_mb,
       "M  max peak live-heap MB at the largest count (default 512)" );
-    ( "--mem-ratio",
-      Arg.Set_float mem_ratio,
-      "R  max wheel/heap peak live-heap ratio at the largest count (default 1.15)" );
     ("--out", Arg.Set_string out_path, "FILE  JSON output (default BENCH_scale.json)");
     ("--smoke", Arg.Set smoke, "  reduced sweep (500,5000) with relaxed budgets, for CI");
   ]
@@ -70,7 +62,7 @@ let () =
 
 type leg = {
   l_senders : int;
-  l_sched : string; (* "heap" | "wheel" | "coalesced" *)
+  l_mode : string; (* "independent" | "coalesced" *)
   l_wall_s : float; (* best over reps *)
   l_events : int;
   l_attack_packets : int;
@@ -98,7 +90,7 @@ let series_max ~label ~senders report name =
       fail "%s @ %d senders: no %s telemetry recorded" label senders name;
       nan
 
-let config ~senders ~mode ~sched =
+let config ~senders ~mode =
   {
     Workload.Scale.default with
     Workload.Scale.sc_senders = senders;
@@ -106,7 +98,6 @@ let config ~senders ~mode ~sched =
     sc_swarm_mode = mode;
     sc_transfers_per_user = !transfers;
     sc_max_time = !max_sim;
-    sc_sched = sched;
   }
 
 let obs =
@@ -117,9 +108,10 @@ let obs =
 
 (* Best wall over [reps] runs; results must be identical across reps (same
    seed, same code path), so everything but the clock comes from the last. *)
-let run_leg ~senders ~mode ~sched ~label ~reps () =
+let run_leg ~senders ~mode ~reps () =
+  let label = Workload.Swarm.mode_to_string mode in
   let best = ref infinity and result = ref None in
-  let cfg = config ~senders ~mode ~sched in
+  let cfg = config ~senders ~mode in
   for _ = 1 to reps do
     let t0 = Unix.gettimeofday () in
     let r = Workload.Scale.run ~obs cfg in
@@ -133,7 +125,7 @@ let run_leg ~senders ~mode ~sched ~label ~reps () =
   if r.Workload.Scale.sr_sim_end <= 0. then fail "%s @ %d senders: empty run" label senders;
   {
     l_senders = senders;
-    l_sched = label;
+    l_mode = label;
     l_wall_s = !best;
     l_events = r.Workload.Scale.sr_events;
     l_attack_packets = r.sr_attack_packets;
@@ -152,81 +144,47 @@ let check_identical a b =
     || a.l_fraction <> b.l_fraction
     || a.l_sim_end <> b.l_sim_end
   then
-    fail "%s and %s legs diverge at %d senders (events %d vs %d, packets %d vs %d)" a.l_sched
-      b.l_sched a.l_senders a.l_events b.l_events a.l_attack_packets b.l_attack_packets
+    fail "%s and %s legs diverge at %d senders (events %d vs %d, packets %d vs %d)" a.l_mode
+      b.l_mode a.l_senders a.l_events b.l_events a.l_attack_packets b.l_attack_packets
 
 let () =
   let counts = List.sort compare !senders_list in
   let largest = List.fold_left max 0 counts in
   let legs =
-    List.concat_map
+    List.map
       (fun senders ->
         let reps = if senders = largest then !reps else 1 in
-        let heap =
-          run_leg ~senders ~mode:Workload.Swarm.Independent ~sched:(Some Sim.Heap) ~label:"heap"
-            ~reps ()
-        in
-        let wheel =
-          run_leg ~senders ~mode:Workload.Swarm.Independent ~sched:(Some Sim.Wheel)
-            ~label:"wheel" ~reps ()
-        in
-        check_identical heap wheel;
-        Printf.printf
-          "%8d senders: heap %7.0f ev/s (%.2fs)  wheel %7.0f ev/s (%.2fs)  peak-heap %.0f MB  \
-           pending %.0f\n\
-           %!"
-          senders (events_per_s heap) heap.l_wall_s (events_per_s wheel) wheel.l_wall_s
-          wheel.l_peak_heap_mb wheel.l_peak_pending;
-        if senders = largest then begin
-          (* The aggregate model at the same point: identical sim results
-             with a pending set that no longer scales with the botnet. *)
-          let coalesced =
-            run_leg ~senders ~mode:Workload.Swarm.Coalesced ~sched:None ~label:"coalesced"
-              ~reps:1 ()
-          in
-          check_identical wheel coalesced;
-          Printf.printf
-          "%8d senders: coalesced %7.0f ev/s (%.2fs)  peak-heap %.0f MB  pending %.0f\n%!"
-            senders (events_per_s coalesced) coalesced.l_wall_s coalesced.l_peak_heap_mb
-            coalesced.l_peak_pending;
-          [ heap; wheel; coalesced ]
-        end
-        else [ heap; wheel ])
+        let l = run_leg ~senders ~mode:Workload.Swarm.Independent ~reps () in
+        Printf.printf "%8d senders: independent %7.0f ev/s (%.2fs)  peak-heap %.0f MB  pending %.0f\n%!"
+          senders (events_per_s l) l.l_wall_s l.l_peak_heap_mb l.l_peak_pending;
+        l)
       counts
   in
-  (* Gates at the largest sweep point. *)
-  let at_largest label =
-    List.find (fun l -> l.l_senders = largest && l.l_sched = label) legs
-  in
-  let heap_l = at_largest "heap" and wheel_l = at_largest "wheel" in
-  let wheel_beats_heap = events_per_s wheel_l >= events_per_s heap_l in
-  if not wheel_beats_heap then
-    fail "wheel %.0f ev/s < heap %.0f ev/s at %d senders" (events_per_s wheel_l)
-      (events_per_s heap_l) largest;
-  let wall_ok = wheel_l.l_wall_s <= !wall_budget_s in
+  let independent = List.find (fun l -> l.l_senders = largest) legs in
+  (* The aggregate model at the same point: identical sim results with a
+     pending set that no longer scales with the botnet. *)
+  let coalesced = run_leg ~senders:largest ~mode:Workload.Swarm.Coalesced ~reps:!reps () in
+  check_identical independent coalesced;
+  Printf.printf "%8d senders: coalesced   %7.0f ev/s (%.2fs)  peak-heap %.0f MB  pending %.0f\n%!"
+    largest (events_per_s coalesced) coalesced.l_wall_s coalesced.l_peak_heap_mb
+    coalesced.l_peak_pending;
+  let legs = legs @ [ coalesced ] in
+  let wall_ok = independent.l_wall_s <= !wall_budget_s in
   if not wall_ok then
-    fail "wheel leg took %.1fs wall at %d senders (budget %g)" wheel_l.l_wall_s largest
+    fail "independent leg took %.1fs wall at %d senders (budget %g)" independent.l_wall_s largest
       !wall_budget_s;
-  let mem_ok = wheel_l.l_peak_heap_mb <= !mem_budget_mb in
+  let mem_ok = independent.l_peak_heap_mb <= !mem_budget_mb in
   if not mem_ok then
-    fail "peak live-heap %.0f MB at %d senders (budget %g)" wheel_l.l_peak_heap_mb largest
+    fail "peak live-heap %.0f MB at %d senders (budget %g)" independent.l_peak_heap_mb largest
       !mem_budget_mb;
-  (* Tick-node freelist gate: the wheel's peak live heap must stay within
-     [--mem-ratio] of the binary heap's at the same sweep point. *)
-  let wheel_heap_ratio = wheel_l.l_peak_heap_mb /. heap_l.l_peak_heap_mb in
-  let mem_ratio_ok = wheel_heap_ratio <= !mem_ratio in
-  if not mem_ratio_ok then
-    fail "wheel peak heap %.1f MB is %.2fx heap's %.1f MB at %d senders (max ratio %g)"
-      wheel_l.l_peak_heap_mb wheel_heap_ratio heap_l.l_peak_heap_mb largest !mem_ratio;
-  (* Obs.Profile attribution of the wheel leg at the largest count: where
-     the event-loop wall time actually goes. *)
+  (* Obs.Profile attribution of the independent leg at the largest count:
+     where the event-loop wall time actually goes. *)
   let attribution =
     let obs =
       { Workload.Experiment.obs_default with Workload.Experiment.obs_profile = true }
     in
     let r =
-      Workload.Scale.run ~obs
-        (config ~senders:largest ~mode:Workload.Swarm.Independent ~sched:(Some Sim.Wheel))
+      Workload.Scale.run ~obs (config ~senders:largest ~mode:Workload.Swarm.Independent)
     in
     match r.Workload.Scale.sr_obs with
     | None -> []
@@ -239,7 +197,7 @@ let () =
     Obs.Export.Obj
       [
         ("senders", Obs.Export.Int l.l_senders);
-        ("sched", Obs.Export.String l.l_sched);
+        ("mode", Obs.Export.String l.l_mode);
         ("wall_s", Obs.Export.Float l.l_wall_s);
         ("events", Obs.Export.Int l.l_events);
         ("events_per_s", Obs.Export.Float (events_per_s l));
@@ -254,26 +212,22 @@ let () =
     Obs.Export.Obj
       [
         ("benchmark", Obs.Export.String "aggregate-attacker scale sweep (fan-in, independent mode)");
+        ("provenance", Obs.Export.provenance ~reps:!reps ~seed:Workload.Scale.default.sc_seed);
         ("smoke", Obs.Export.Bool !smoke);
         ("senders", Obs.Export.List (List.map (fun n -> Obs.Export.Int n) counts));
         ("largest_senders", Obs.Export.Int largest);
-        ("host_cores", Obs.Export.Int (Domain.recommended_domain_count ()));
         ("legs", Obs.Export.List (List.map leg_json legs));
         ( "gates",
           Obs.Export.Obj
             [
-              ("wheel_beats_heap", Obs.Export.Bool wheel_beats_heap);
-              ("wheel_events_per_s", Obs.Export.Float (events_per_s wheel_l));
-              ("heap_events_per_s", Obs.Export.Float (events_per_s heap_l));
+              ("independent_events_per_s", Obs.Export.Float (events_per_s independent));
+              ("coalesced_events_per_s", Obs.Export.Float (events_per_s coalesced));
               ("wall_budget_s", Obs.Export.Float !wall_budget_s);
-              ("wall_s", Obs.Export.Float wheel_l.l_wall_s);
+              ("wall_s", Obs.Export.Float independent.l_wall_s);
               ("wall_budget_ok", Obs.Export.Bool wall_ok);
               ("mem_budget_mb", Obs.Export.Float !mem_budget_mb);
-              ("peak_heap_mb", Obs.Export.Float wheel_l.l_peak_heap_mb);
+              ("peak_heap_mb", Obs.Export.Float independent.l_peak_heap_mb);
               ("mem_budget_ok", Obs.Export.Bool mem_ok);
-              ("wheel_heap_ratio", Obs.Export.Float wheel_heap_ratio);
-              ("mem_ratio_max", Obs.Export.Float !mem_ratio);
-              ("mem_ratio_ok", Obs.Export.Bool mem_ratio_ok);
             ] );
         ( "profile",
           Obs.Export.List

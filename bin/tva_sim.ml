@@ -566,7 +566,7 @@ let ablation_sfq_cmd =
 
 let scale_cmd =
   let doc = "Aggregate-attacker scale run: swarms of spoofed flood members on generated topologies." in
-  let run scheme_name topology senders aggregates mode sched batch_window attack_mbps users
+  let run scheme_name topology senders aggregates mode batch_window attack_mbps users
       transfers max_time seed stats telemetry telemetry_interval =
     let scheme =
       match List.assoc_opt scheme_name Workload.Scenario.schemes with
@@ -580,14 +580,6 @@ let scale_cmd =
     in
     let mode =
       match Workload.Swarm.mode_of_string mode with Ok m -> m | Error e -> failwith e
-    in
-    let sched =
-      match sched with
-      | "auto" -> None
-      | s -> (
-          match Sim.sched_of_string s with
-          | Ok s -> Some s
-          | Error e -> failwith e)
     in
     let cfg =
       {
@@ -603,7 +595,6 @@ let scale_cmd =
         sc_transfers_per_user = transfers;
         sc_max_time = max_time;
         sc_seed = seed;
-        sc_sched = sched;
       }
     in
     let ti =
@@ -624,11 +615,8 @@ let scale_cmd =
     let r = Workload.Scale.run ?obs cfg in
     let wall = Unix.gettimeofday () -. t0 in
     Printf.printf
-      "scheme=%s topology=%s senders=%d sched=%s fraction_completed=%.4f \
-       avg_transfer_time=%.4fs\n"
-      r.Workload.Scale.sr_scheme r.sr_topology r.sr_senders
-      (Sim.sched_to_string r.sr_sched)
-      r.sr_fraction_completed r.sr_avg_transfer_time;
+      "scheme=%s topology=%s senders=%d fraction_completed=%.4f avg_transfer_time=%.4fs\n"
+      r.Workload.Scale.sr_scheme r.sr_topology r.sr_senders r.sr_fraction_completed r.sr_avg_transfer_time;
     Printf.printf "events=%d attack_packets=%d routers=%d sim_end=%.2fs wall=%.2fs (%.0f ev/s)\n"
       r.sr_events r.sr_attack_packets r.sr_routers r.sr_sim_end wall
       (float_of_int r.sr_events /. wall);
@@ -647,7 +635,6 @@ let scale_cmd =
                        ("scheme", Obs.Export.String r.Workload.Scale.sr_scheme);
                        ("topology", Obs.Export.String r.sr_topology);
                        ("senders", Obs.Export.Int r.sr_senders);
-                       ("sched", Obs.Export.String (Sim.sched_to_string r.sr_sched));
                        ( "fraction_completed",
                          Obs.Export.number_or_null r.sr_fraction_completed );
                        ("events", Obs.Export.Int r.sr_events);
@@ -682,9 +669,6 @@ let scale_cmd =
       & opt string "coalesced"
       & info [ "mode" ] ~doc:"coalesced (one event per swarm) | independent (one timer per member)")
   in
-  let sched_arg =
-    Arg.(value & opt string "auto" & info [ "sched" ] ~doc:"auto | heap | wheel")
-  in
   let batch_window_arg =
     Arg.(
       value
@@ -697,7 +681,7 @@ let scale_cmd =
   let users_arg = Arg.(value & opt int 10 & info [ "users" ] ~doc:"Legitimate users.") in
   Cmd.v (Cmd.info "scale" ~doc)
     Term.(
-      const run $ scheme_arg $ topology_arg $ senders_arg $ aggregates_arg $ mode_arg $ sched_arg
+      const run $ scheme_arg $ topology_arg $ senders_arg $ aggregates_arg $ mode_arg
       $ batch_window_arg $ attack_mbps_arg $ users_arg $ transfers_arg $ max_time_arg $ seed_arg
       $ stats_arg $ telemetry_arg $ telemetry_interval_arg)
 

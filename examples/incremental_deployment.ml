@@ -72,7 +72,7 @@ let run { label; upgraded } =
     Net.originate attacker
       (Wire.Packet.make ~src:(Wire.Addr.of_int 0x0b000001) ~dst:(Wire.Addr.of_int 0xc0a80001)
          ~created:(Sim.now sim) (Wire.Packet.Raw 1000));
-    ignore (Sim.schedule sim ~delay:flood_interval flood)
+    Sim.schedule sim ~delay:flood_interval flood
   in
   flood ();
   (* The source repeatedly fetches 20 KB; measure mean transfer time. *)
@@ -104,7 +104,7 @@ let run { label; upgraded } =
           (match outcome with
           | Tcp.Conn.Completed { duration } -> Stats.Summary.add times duration
           | Tcp.Conn.Aborted _ -> incr aborts);
-          ignore (Sim.schedule sim ~delay:0. next_transfer))
+          Sim.schedule sim ~delay:0. next_transfer)
         ()
     in
     Tva.Host.set_segment_handler src_host (fun ~src:_ seg -> Tcp.Conn.client_receive c seg);

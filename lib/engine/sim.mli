@@ -5,38 +5,27 @@
     makes runs deterministic.  All network components (links, hosts,
     routers) hang their behaviour off this module.
 
-    Two queue implementations sit behind the same API and fire events in
-    {e identical} order (differential-tested): the reference 4-ary heap,
-    and a hierarchical timing wheel for runs with very large pending sets
-    (hundreds of thousands of concurrent timers), where O(1) insert beats
-    the heap's O(log n) sift. *)
+    The queue is one 4-ary min-heap keyed by [(time, seq)] whose sift loops
+    move only unboxed keys; a scheduled event allocates no record.  Plain
+    scheduling returns [unit]; only {!timer}/{!timer_at} return a
+    cancellable {!handle}. *)
 
 type t
 
 type sched = Heap | Wheel
-(** The pending-event queue implementation.  [Heap] is the reference 4-ary
-    (time, seq) min-heap — the default, and what every committed figure is
-    pinned to.  [Wheel] is a 4-level, 256-slot hierarchical timing wheel at
-    1 us resolution whose reached ticks drain through a small (time, seq)
-    heap, so its firing order is identical to [Heap]'s. *)
+(** Inert: there is one queue.  Kept only because [bench/e2e] reads
+    {!sched}, {!sched_to_string} and [create ?sched]; [Wheel] selects
+    nothing. *)
 
 val sched : t -> sched
-
-val sched_of_string : string -> (sched, string) result
-(** ["heap"] or ["wheel"]. *)
+(** Always [Heap]. *)
 
 val sched_to_string : sched -> string
 
-val recommended_sched : expected_pending:int -> sched
-(** Scheduler auto-selection: [Wheel] once the expected steady-state
-    pending-event count is large enough (>= 8192) that heap sifts dominate,
-    [Heap] otherwise. *)
-
 type handle
-(** A scheduled event, usable for cancellation (e.g. retransmit timers).
-    Its action field holds the callback until the event fires or is
-    cancelled, then a shared sentinel, so a handle kept after firing pins
-    no closure. *)
+(** A cancellable event from {!timer}/{!timer_at} (e.g. retransmit timers):
+    its simulator, queue slot and sequence number.  It holds no closure,
+    so a handle kept after firing pins nothing. *)
 
 (** Scheduling-site tags carried by every event, read only by an attached
     {!probe}.  Sites that matter to the event-loop profiler (link
@@ -75,8 +64,8 @@ type probe = {
     field load and branch. *)
 
 val create : ?seed:int -> ?sched:sched -> unit -> t
-(** A fresh simulator at time 0.  [seed] (default 1) seeds {!rng}; [sched]
-    (default [Heap]) picks the pending-event queue. *)
+(** A fresh simulator at time 0.  [seed] (default 1) seeds {!rng};
+    [sched] is ignored (see {!sched}). *)
 
 val now : t -> float
 (** Current virtual time, in seconds. *)
@@ -84,13 +73,20 @@ val now : t -> float
 val rng : t -> Rng.t
 (** The simulator's root random stream. *)
 
-val schedule_at : ?kind:int -> t -> time:float -> (unit -> unit) -> handle
+val schedule_at : ?kind:int -> t -> time:float -> (unit -> unit) -> unit
 (** Fire the callback at absolute virtual [time].  Raises
-    [Invalid_argument] if [time] is in the past.  [kind] (default
+    [Invalid_argument] if [time] is in the past or NaN.  [kind] (default
     {!Kind.other}) tags the event for the profiler {!probe}. *)
 
-val schedule : ?kind:int -> t -> delay:float -> (unit -> unit) -> handle
-(** Fire the callback [delay] seconds from {!now} ([delay >= 0]). *)
+val schedule : ?kind:int -> t -> delay:float -> (unit -> unit) -> unit
+(** Fire the callback [delay] seconds from {!now}.  Raises
+    [Invalid_argument] unless [delay >= 0] (so also on NaN). *)
+
+val timer_at : ?kind:int -> t -> time:float -> (unit -> unit) -> handle
+(** {!schedule_at} that returns a handle for {!cancel}. *)
+
+val timer : ?kind:int -> t -> delay:float -> (unit -> unit) -> handle
+(** {!schedule} that returns a handle for {!cancel}. *)
 
 val reserve : t -> int
 (** Take the next normal sequence number and count one pending event,
@@ -103,12 +99,12 @@ val reserve : t -> int
     transmitter uses this to hold a link's in-flight packets in a FIFO
     ring with one queued delivery per link. *)
 
-val schedule_reserved : ?kind:int -> t -> time:float -> seq:int -> (unit -> unit) -> handle
+val schedule_reserved : ?kind:int -> t -> time:float -> seq:int -> (unit -> unit) -> unit
 (** Queue the callback under a key taken by {!reserve}.  Consumes no
     sequence number and does not change {!pending}.  Raises
-    [Invalid_argument] if [time] is in the past. *)
+    [Invalid_argument] if [time] is in the past or NaN. *)
 
-val schedule_aux : ?kind:int -> t -> time:float -> (unit -> unit) -> handle
+val schedule_aux : ?kind:int -> t -> time:float -> (unit -> unit) -> unit
 (** Fire the callback at absolute virtual [time], drawing from a separate
     {e negative, descending} sequence counter.  Scheduling an auxiliary
     event never consumes a normal sequence number, so a run with read-only
@@ -120,7 +116,7 @@ val schedule_aux : ?kind:int -> t -> time:float -> (unit -> unit) -> handle
     state. *)
 
 val cancel : handle -> unit
-(** Marks the event with the cancelled sentinel and releases its pending
+(** Marks the event cancelled, drops its callback and releases its pending
     count; the queue discards it lazily when it reaches the front.
     Cancelling an already-fired or cancelled event is a no-op. *)
 
@@ -128,7 +124,7 @@ val cancelled : handle -> bool
 (** [true] once the event has been cancelled {e or} has fired. *)
 
 val run : ?until:float -> t -> unit
-(** Process events until the heap is empty or virtual time would exceed
+(** Process events until the queue is empty or virtual time would exceed
     [until].  When stopped by [until], the clock is left at [until]. *)
 
 val step : t -> bool

@@ -46,7 +46,7 @@ let fire env cnt =
   Obs.Counters.incr env.env_obs Obs.Event.Fault_injected
 
 let schedule_at env ~time f =
-  ignore (Sim.schedule_at ~kind:Sim.Kind.fault env.env_sim ~time f)
+  Sim.schedule_at ~kind:Sim.Kind.fault env.env_sim ~time f
 
 (* Per-link model accumulation: clauses targeting the same link compose.
    Every model runs on every packet — its state and rng consumption stay

@@ -206,7 +206,7 @@ let launch link pp p =
   pp.fl_seqs.(i) <- seq;
   pp.fl_len <- pp.fl_len + 1;
   if pp.fl_len = 1 then
-    ignore (Sim.schedule_reserved ?kind:k_deliver sim ~time:due ~seq pp.on_deliver)
+    Sim.schedule_reserved ?kind:k_deliver sim ~time:due ~seq pp.on_deliver
 
 (* The head's delivery: pop it, queue the next head under its reserved
    key, then hand the packet to the receiver. *)
@@ -219,9 +219,8 @@ let deliver_head link =
   pp.fl_head <- h;
   pp.fl_len <- pp.fl_len - 1;
   if pp.fl_len > 0 then
-    ignore
-      (Sim.schedule_reserved ?kind:k_deliver link.src.net.sim ~time:pp.fl_due.(h)
-         ~seq:pp.fl_seqs.(h) pp.on_deliver);
+    Sim.schedule_reserved ?kind:k_deliver link.src.net.sim ~time:pp.fl_due.(h)
+      ~seq:pp.fl_seqs.(h) pp.on_deliver;
   arrive link p
 
 (* --- The transmitter --------------------------------------------------- *)
@@ -260,7 +259,7 @@ let rec kick link =
       end;
       pp.wire <- p;
       pp.wire_fault <- fault;
-      ignore (Sim.schedule_at ?kind:k_transmit sim ~time:done_at pp.on_tx_done)
+      Sim.schedule_at ?kind:k_transmit sim ~time:done_at pp.on_tx_done
     end
     else begin
       let at = Qdisc.next_ready link.qdisc ~now:time in
@@ -269,7 +268,7 @@ let rec kick link =
         (* Never arm a zero-delay self-poll after an empty dequeue: the
            qdisc is momentarily unservable, so wait a token tick. *)
         let delay = if delay <= 0. then min_poll_delay else delay in
-        link.poll <- Some (Sim.schedule ?kind:k_poll sim ~delay pp.on_poll)
+        link.poll <- Some (Sim.timer ?kind:k_poll sim ~delay pp.on_poll)
       end
     end
   end
@@ -289,15 +288,13 @@ and tx_done link =
   | Fault_dup ->
       let p2 = pp.wire_dup in
       pp.wire_dup <- Qdisc.none;
-      ignore
-        (Sim.schedule ?kind:k_deliver link.src.net.sim ~delay:link.delay (fun () ->
-             arrive link p;
-             arrive link p2))
+      Sim.schedule ?kind:k_deliver link.src.net.sim ~delay:link.delay (fun () ->
+          arrive link p;
+          arrive link p2)
   | Fault_delay extra ->
-      ignore
-        (Sim.schedule ?kind:k_deliver link.src.net.sim
-           ~delay:(link.delay +. Float.max 0. extra)
-           (fun () -> arrive link p)));
+      Sim.schedule ?kind:k_deliver link.src.net.sim
+        ~delay:(link.delay +. Float.max 0. extra)
+        (fun () -> arrive link p));
   kick link
 
 and open_pipe link =

@@ -29,3 +29,9 @@ val parse : string -> (t, string) result
     escapes decode, higher code points are rejected).  Round-trips
     everything {!to_string}/{!to_string_pretty} produce — how
     flight-recorder dumps are read back in tests and tooling. *)
+
+val provenance : reps:int -> seed:int -> t
+(** The ["provenance"] object a benchmark report carries so it can be
+    reproduced: the git commit checked out in the working directory
+    (["unknown"] outside a checkout), the OCaml version, the core count
+    ([Domain.recommended_domain_count]), [reps], [seed] and [Sys.argv]. *)

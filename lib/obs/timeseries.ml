@@ -133,12 +133,11 @@ let attach ?(on_tick = ignore) t sim ~until =
   let rec arm () =
     let tm = float_of_int !k *. t.interval in
     if tm <= until then
-      ignore
-        (Sim.schedule_aux sim ~time:tm (fun () ->
-             tick t ~time:tm;
-             on_tick ();
-             incr k;
-             arm ()))
+      Sim.schedule_aux sim ~time:tm (fun () ->
+          tick t ~time:tm;
+          on_tick ();
+          incr k;
+          arm ())
   in
   freeze t;
   arm ()

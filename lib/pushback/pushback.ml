@@ -332,10 +332,9 @@ let install t node =
   t.nodes <- st :: t.nodes;
   Net.set_handler node (handler st);
   let rec loop () =
-    ignore
-      (Sim.schedule ~kind:Sim.Kind.agent t.sim ~delay:t.interval (fun () ->
-           tick t st;
-           loop ()))
+    Sim.schedule ~kind:Sim.Kind.agent t.sim ~delay:t.interval (fun () ->
+        tick t st;
+        loop ())
   in
   loop ()
 

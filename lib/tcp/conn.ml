@@ -103,7 +103,7 @@ let rec arm_timer c =
     else
       c.timer <-
         Some
-          (Sim.schedule ~kind:Sim.Kind.tcp_timer c.sim ~delay:timeout (fun () ->
+          (Sim.timer ~kind:Sim.Kind.tcp_timer c.sim ~delay:timeout (fun () ->
                c.timer <- None;
                on_timeout c))
   end
@@ -146,7 +146,7 @@ let send_syn c =
   let rec rearm () =
     c.timer <-
       Some
-        (Sim.schedule ~kind:Sim.Kind.tcp_timer c.sim ~delay:syn_timeout (fun () ->
+        (Sim.timer ~kind:Sim.Kind.tcp_timer c.sim ~delay:syn_timeout (fun () ->
              c.timer <- None;
              if c.state = Syn_sent then begin
                if c.syn_tries > max_syn_retransmissions then abort c "connection establishment failed"

@@ -163,9 +163,9 @@ let queueing_discipline ?(jobs = 1) ?(n_attackers = 20) ?(transfers = 20) ?(max_
                 (Wire.Packet.make ~shim ~src:victim_addr ~dst:colluder_addr ~created:now
                    (Wire.Packet.Raw 64))
             end);
-        ignore (Sim.schedule ~kind:Sim.Kind.agent sim ~delay:(interval *. (0.95 +. Rng.float rng 0.1)) tick)
+        Sim.schedule ~kind:Sim.Kind.agent sim ~delay:(interval *. (0.95 +. Rng.float rng 0.1)) tick
       in
-      ignore (Sim.schedule_at ~kind:Sim.Kind.agent sim ~time:(Rng.float rng interval) tick)
+      Sim.schedule_at ~kind:Sim.Kind.agent sim ~time:(Rng.float rng interval) tick
     in
     let _, per_user =
       run_custom ~with_colluder:true ~transfers ~max_time ~seed ~scheme ~attach_attack ()

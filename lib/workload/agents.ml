@@ -30,7 +30,7 @@ module Transfer_client = struct
             else
               (* Back-to-back transfers, as in the paper; a fresh event
                  keeps the call stack flat. *)
-              ignore (Sim.schedule ~kind:Sim.Kind.agent t.sim ~delay:0. (fun () -> start_next t)))
+              Sim.schedule ~kind:Sim.Kind.agent t.sim ~delay:0. (fun () -> start_next t))
           ()
       in
       t.current <- Some client;
@@ -60,7 +60,7 @@ module Transfer_client = struct
               Tcp.Conn.client_receive client seg
           | Some _ | None -> () (* stale segment from a finished transfer *)
         end);
-    ignore (Sim.schedule_at ~kind:Sim.Kind.agent sim ~time:start_at (fun () -> start_next t));
+    Sim.schedule_at ~kind:Sim.Kind.agent sim ~time:start_at (fun () -> start_next t);
     t
 end
 
@@ -117,12 +117,12 @@ module Flooder = struct
            phase-locks with TCP's whole-second timers, which makes losses
            systematically repeat instead of being independent per try. *)
         let jitter = 0.95 +. Rng.float rng 0.1 in
-        ignore (Sim.schedule ~kind:Sim.Kind.agent sim ~delay:(interval *. jitter) tick)
+        Sim.schedule ~kind:Sim.Kind.agent sim ~delay:(interval *. jitter) tick
       end
     in
     (* A random phase per flooder: otherwise all CBR sources fire in
        lockstep and the victim queue drains between synchronized bursts,
        making the flood artificially harmless. *)
     let phase = Rng.float rng interval in
-    ignore (Sim.schedule_at ~kind:Sim.Kind.agent sim ~time:(start_at +. phase) tick)
+    Sim.schedule_at ~kind:Sim.Kind.agent sim ~time:(start_at +. phase) tick
 end

@@ -59,7 +59,6 @@ type config = {
   sc_seed : int;
   sc_bottleneck_bps : float;
   sc_access_bps : float;
-  sc_sched : Sim.sched option; (* None = auto via Sim.recommended_sched *)
 }
 
 let default =
@@ -79,13 +78,11 @@ let default =
     sc_seed = 1;
     sc_bottleneck_bps = 10e6;
     sc_access_bps = 10e6;
-    sc_sched = None;
   }
 
 type result = {
   sr_scheme : string;
   sr_topology : string;
-  sr_sched : Sim.sched;  (* what actually ran, after auto-selection *)
   sr_senders : int;
   sr_fraction_completed : float;
   sr_avg_transfer_time : float;
@@ -167,18 +164,7 @@ let run ?obs cfg =
     invalid_arg "Scale.run: sender count exceeds the 0x0b spoofed-address prefix (2^24)";
   if cfg.sc_aggregates <= 0 then invalid_arg "Scale.run: need at least one aggregate";
   let aggregates = min cfg.sc_aggregates cfg.sc_senders in
-  let sched =
-    match cfg.sc_sched with
-    | Some s -> s
-    | None ->
-        let expected =
-          match cfg.sc_swarm_mode with
-          | Swarm.Independent -> cfg.sc_senders
-          | Swarm.Coalesced -> aggregates + (4 * cfg.sc_n_users)
-        in
-        Sim.recommended_sched ~expected_pending:expected
-  in
-  let sim = Sim.create ~seed:cfg.sc_seed ~sched () in
+  let sim = Sim.create ~seed:cfg.sc_seed () in
   let scheme = cfg.sc_scheme sim in
   let b = build_topology cfg scheme sim in
   let make_qdisc ~bandwidth_bps = scheme.Scheme.make_qdisc ~bandwidth_bps in
@@ -300,7 +286,6 @@ let run ?obs cfg =
   {
     sr_scheme = scheme.Scheme.name;
     sr_topology = topology_kind_to_string cfg.sc_topology;
-    sr_sched = sched;
     sr_senders = cfg.sc_senders;
     sr_fraction_completed = Metrics.fraction_completed metrics;
     sr_avg_transfer_time = Metrics.avg_transfer_time metrics;

@@ -4,8 +4,8 @@
     {!Swarm} aggregates whose members inject legacy flood packets with
     spoofed per-member 0x0b-prefix sources from a few ingress nodes.  The
     node/link graph stays structural (tens of routers) while the sender
-    count sweeps to 10^5 and beyond — the regime the timing-wheel
-    scheduler and SoA state exist for. *)
+    count sweeps to 10^5 and beyond — the regime the SoA state exists
+    for. *)
 
 type topology_kind =
   | Scale_dumbbell  (** the Fig. 7 shape, senders behind the left router *)
@@ -38,10 +38,6 @@ type config = {
   sc_seed : int;
   sc_bottleneck_bps : float;
   sc_access_bps : float;
-  sc_sched : Sim.sched option;
-      (** [None] auto-selects via {!Sim.recommended_sched} from the
-          expected pending-event count (per-member timers under
-          [Independent], per-aggregate under [Coalesced]) *)
 }
 
 val default : config
@@ -51,7 +47,6 @@ val default : config
 type result = {
   sr_scheme : string;
   sr_topology : string;
-  sr_sched : Sim.sched;  (** what actually ran, after auto-selection *)
   sr_senders : int;
   sr_fraction_completed : float;
   sr_avg_transfer_time : float;

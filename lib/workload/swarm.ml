@@ -99,8 +99,7 @@ let rec coalesced_fire t () =
     end
   done;
   if t.hsize > 0 then
-    ignore
-      (Sim.schedule_at ~kind:Sim.Kind.agent t.sim ~time:t.next.(t.heap.(0)) (coalesced_fire t))
+    Sim.schedule_at ~kind:Sim.Kind.agent t.sim ~time:t.next.(t.heap.(0)) (coalesced_fire t)
 
 let independent_start t ~start_at =
   for i = 0 to t.n - 1 do
@@ -111,10 +110,10 @@ let independent_start t ~start_at =
         t.emit ~member:i ~due:now;
         t.sent <- t.sent + 1;
         let jitter = 0.95 +. Rng.Bank.float t.bank i 0.1 in
-        ignore (Sim.schedule ~kind:Sim.Kind.agent t.sim ~delay:(t.interval *. jitter) tick)
+        Sim.schedule ~kind:Sim.Kind.agent t.sim ~delay:(t.interval *. jitter) tick
       end
     in
-    ignore (Sim.schedule_at ~kind:Sim.Kind.agent t.sim ~time:(start_at +. phase) tick)
+    Sim.schedule_at ~kind:Sim.Kind.agent t.sim ~time:(start_at +. phase) tick
   done
 
 let start ~sim ~n ~seed ~rate_bps ?(pkt_bytes = 1000) ?(start_at = 0.) ?stop_at
@@ -164,6 +163,5 @@ let start ~sim ~n ~seed ~rate_bps ?(pkt_bytes = 1000) ?(start_at = 0.) ?stop_at
         }
       in
       heapify t;
-      ignore
-        (Sim.schedule_at ~kind:Sim.Kind.agent sim ~time:t.next.(t.heap.(0)) (coalesced_fire t));
+      Sim.schedule_at ~kind:Sim.Kind.agent sim ~time:t.next.(t.heap.(0)) (coalesced_fire t);
       t

@@ -104,7 +104,7 @@ let siff_stale_marking_dies_after_two_epochs () =
   (* Advance two 3 s epochs; the old marking should no longer verify
      (unless the 2-bit value collides by chance — pick a pair for which it
      does not). *)
-  ignore (Sim.schedule_at sim ~time:7. (fun () -> ()));
+  Sim.schedule_at sim ~time:7. (fun () -> ());
   Sim.run sim;
   let now = Sim.now sim in
   if Siff.Router.marking_bits router ~now ~src ~dst <> good
@@ -217,7 +217,7 @@ let pushback_engages_and_protects () =
           (Wire.Packet.make ~src:addr ~dst:Topology.destination_addr ~created:(Sim.now sim)
              (Wire.Packet.Raw 1000));
         (* 2 Mb/s x 10 attackers = twice the bottleneck. *)
-        ignore (Sim.schedule sim ~delay:0.004 flood)
+        Sim.schedule sim ~delay:0.004 flood
       in
       flood ())
     topo.Topology.attackers;
@@ -249,7 +249,7 @@ let pushback_releases_after_quiet () =
           Net.originate a
             (Wire.Packet.make ~src:addr ~dst:Topology.destination_addr ~created:(Sim.now sim)
                (Wire.Packet.Raw 1000));
-          ignore (Sim.schedule sim ~delay:0.002 flood)
+          Sim.schedule sim ~delay:0.002 flood
         end
       in
       flood ())

@@ -4,9 +4,9 @@
 let events_fire_in_time_order () =
   let sim = Sim.create () in
   let log = ref [] in
-  ignore (Sim.schedule_at sim ~time:3. (fun () -> log := 3 :: !log));
-  ignore (Sim.schedule_at sim ~time:1. (fun () -> log := 1 :: !log));
-  ignore (Sim.schedule_at sim ~time:2. (fun () -> log := 2 :: !log));
+  Sim.schedule_at sim ~time:3. (fun () -> log := 3 :: !log);
+  Sim.schedule_at sim ~time:1. (fun () -> log := 1 :: !log);
+  Sim.schedule_at sim ~time:2. (fun () -> log := 2 :: !log);
   Sim.run sim;
   Alcotest.(check (list int)) "order" [ 1; 2; 3 ] (List.rev !log)
 
@@ -14,21 +14,21 @@ let ties_break_by_scheduling_order () =
   let sim = Sim.create () in
   let log = ref [] in
   for i = 0 to 9 do
-    ignore (Sim.schedule_at sim ~time:1. (fun () -> log := i :: !log))
+    Sim.schedule_at sim ~time:1. (fun () -> log := i :: !log)
   done;
   Sim.run sim;
   Alcotest.(check (list int)) "fifo ties" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] (List.rev !log)
 
 let clock_advances_to_event_time () =
   let sim = Sim.create () in
-  ignore (Sim.schedule_at sim ~time:5. (fun () -> Alcotest.(check (float 1e-9)) "now" 5. (Sim.now sim)));
+  Sim.schedule_at sim ~time:5. (fun () -> Alcotest.(check (float 1e-9)) "now" 5. (Sim.now sim));
   Sim.run sim;
   Alcotest.(check (float 1e-9)) "final clock" 5. (Sim.now sim)
 
 let cancelled_events_do_not_fire () =
   let sim = Sim.create () in
   let fired = ref false in
-  let h = Sim.schedule_at sim ~time:1. (fun () -> fired := true) in
+  let h = Sim.timer_at sim ~time:1. (fun () -> fired := true) in
   Sim.cancel h;
   Alcotest.(check bool) "cancelled" true (Sim.cancelled h);
   Sim.run sim;
@@ -36,15 +36,15 @@ let cancelled_events_do_not_fire () =
 
 let cancel_is_idempotent () =
   let sim = Sim.create () in
-  let h = Sim.schedule_at sim ~time:1. (fun () -> ()) in
+  let h = Sim.timer_at sim ~time:1. (fun () -> ()) in
   Sim.cancel h;
   Sim.cancel h;
   Alcotest.(check int) "pending" 0 (Sim.pending sim)
 
 let pending_counts_live_events () =
   let sim = Sim.create () in
-  let h1 = Sim.schedule_at sim ~time:1. (fun () -> ()) in
-  ignore (Sim.schedule_at sim ~time:2. (fun () -> ()));
+  let h1 = Sim.timer_at sim ~time:1. (fun () -> ()) in
+  Sim.schedule_at sim ~time:2. (fun () -> ());
   Alcotest.(check int) "two pending" 2 (Sim.pending sim);
   Sim.cancel h1;
   Alcotest.(check int) "one pending" 1 (Sim.pending sim);
@@ -54,8 +54,8 @@ let pending_counts_live_events () =
 let run_until_stops_at_horizon () =
   let sim = Sim.create () in
   let fired = ref [] in
-  ignore (Sim.schedule_at sim ~time:1. (fun () -> fired := 1 :: !fired));
-  ignore (Sim.schedule_at sim ~time:10. (fun () -> fired := 10 :: !fired));
+  Sim.schedule_at sim ~time:1. (fun () -> fired := 1 :: !fired);
+  Sim.schedule_at sim ~time:10. (fun () -> fired := 10 :: !fired);
   Sim.run ~until:5. sim;
   Alcotest.(check (list int)) "only the early one" [ 1 ] !fired;
   Alcotest.(check (float 1e-9)) "clock at horizon" 5. (Sim.now sim);
@@ -67,10 +67,9 @@ let events_scheduled_during_run_fire () =
   let count = ref 0 in
   let rec chain n =
     if n > 0 then
-      ignore
-        (Sim.schedule sim ~delay:1. (fun () ->
-             incr count;
-             chain (n - 1)))
+      Sim.schedule sim ~delay:1. (fun () ->
+          incr count;
+          chain (n - 1))
   in
   chain 5;
   Sim.run sim;
@@ -81,17 +80,16 @@ let stop_halts_processing () =
   let sim = Sim.create () in
   let count = ref 0 in
   for _ = 1 to 10 do
-    ignore
-      (Sim.schedule sim ~delay:1. (fun () ->
-           incr count;
-           if !count = 3 then Sim.stop sim))
+    Sim.schedule sim ~delay:1. (fun () ->
+        incr count;
+        if !count = 3 then Sim.stop sim)
   done;
   Sim.run sim;
   Alcotest.(check int) "stopped at 3" 3 !count
 
 let scheduling_in_past_rejected () =
   let sim = Sim.create () in
-  ignore (Sim.schedule_at sim ~time:5. (fun () -> ()));
+  Sim.schedule_at sim ~time:5. (fun () -> ());
   Sim.run sim;
   (match Sim.schedule_at sim ~time:1. (fun () -> ()) with
   | exception Invalid_argument _ -> ()
@@ -103,8 +101,8 @@ let scheduling_in_past_rejected () =
 let step_processes_one_event () =
   let sim = Sim.create () in
   let count = ref 0 in
-  ignore (Sim.schedule_at sim ~time:1. (fun () -> incr count));
-  ignore (Sim.schedule_at sim ~time:2. (fun () -> incr count));
+  Sim.schedule_at sim ~time:1. (fun () -> incr count);
+  Sim.schedule_at sim ~time:2. (fun () -> incr count);
   Alcotest.(check bool) "step 1" true (Sim.step sim);
   Alcotest.(check int) "one fired" 1 !count;
   Alcotest.(check bool) "step 2" true (Sim.step sim);
@@ -116,7 +114,7 @@ let heap_survives_many_events =
     (fun times ->
       let sim = Sim.create () in
       let fired = ref [] in
-      List.iter (fun t -> ignore (Sim.schedule_at sim ~time:t (fun () -> fired := t :: !fired))) times;
+      List.iter (fun t -> Sim.schedule_at sim ~time:t (fun () -> fired := t :: !fired)) times;
       Sim.run sim;
       let fired = List.rev !fired in
       List.sort compare times = fired)
@@ -140,9 +138,7 @@ let heap_order_under_random_schedule_cancel =
             let delay = float_of_int (Rng.int rng 50) /. 10. in
             let k = !stamp in
             incr stamp;
-            let h =
-              Sim.schedule sim ~delay (fun () -> fired := (Sim.now sim, k) :: !fired)
-            in
+            let h = Sim.timer sim ~delay (fun () -> fired := (Sim.now sim, k) :: !fired) in
             live := h :: !live
         | 6 | 7 -> (
             (* Cancel a random live handle (possibly already fired). *)
@@ -162,187 +158,233 @@ let heap_order_under_random_schedule_cancel =
       in
       nondecreasing fired)
 
-(* --- Timing wheel vs the reference heap -------------------------------- *)
+(* --- Differential test against the (time, seq) map oracle ------------- *)
 
-(* One command script, two simulators: the wheel must fire the exact same
-   (time, stamp) sequence as the reference heap — same-timestamp ties,
-   sub-tick time differences, cancels, single steps, and partial runs with
-   a horizon (which make the wheel advance its tick past events that are
-   then scheduled "behind" it). *)
-type cmd = Csched of float | Ccancel of int | Cstep | Cuntil of float
+(* One command script runs on [Sim] and on [Sim_oracle] through the same
+   [Drive] functor; both must fire the same events at the same times and agree on
+   [now], [pending] and [events_processed] after every command.  Scripts
+   mix plain, timer, burst, auxiliary and reserved-ring scheduling with
+   cancels, single steps and horizons.  A [Schedule] with [chain] set
+   schedules a zero-delay follow-up from inside its handler, so ties are
+   also created mid-run. *)
+type cmd =
+  | Schedule of float * bool (* delay, chain *)
+  | Timer of float (* delay; the handle joins the cancel pool *)
+  | Burst of int * float (* [n] events at one time, [delay] ahead *)
+  | Aux of float
+  | Ring (* reserve now, due the script's ring delay later *)
+  | Cancel of int (* a pool handle, newest first, index mod pool size *)
+  | Step
+  | Until of float
 
-let gen_script seed n =
-  let rng = Rng.create ~seed in
-  List.init n (fun _ ->
-      match Rng.int rng 12 with
-      | 0 | 1 | 2 | 3 | 4 | 5 ->
-          let delay =
-            match Rng.int rng 4 with
-            | 0 -> float_of_int (Rng.int rng 20) (* whole seconds: heavy ties *)
-            | 1 -> float_of_int (Rng.int rng 50) /. 10.
-            | 2 -> float_of_int (Rng.int rng 1000) *. 1e-7 (* sub-tick offsets *)
-            | _ -> Rng.float rng 10.
-          in
-          Csched delay
-      | 6 | 7 -> Ccancel (Rng.int rng 1_000_000)
-      | 8 | 9 | 10 -> Cstep
-      | _ -> Cuntil (Rng.float rng 5.))
+module type SIM = sig
+  type t
+  type handle
 
-let run_script ~sched cmds =
-  let sim = Sim.create ~sched () in
-  let fired = ref [] in
-  let stamp = ref 0 in
-  let handles = ref [] in
-  let n_handles = ref 0 in
-  List.iter
-    (fun cmd ->
-      match cmd with
-      | Csched delay ->
-          let k = !stamp in
-          incr stamp;
-          let h = Sim.schedule sim ~delay (fun () -> fired := (Sim.now sim, k) :: !fired) in
-          handles := h :: !handles;
-          incr n_handles
-      | Ccancel i -> if !n_handles > 0 then Sim.cancel (List.nth !handles (i mod !n_handles))
-      | Cstep -> ignore (Sim.step sim)
-      | Cuntil d -> Sim.run ~until:(Sim.now sim +. d) sim)
-    cmds;
-  Sim.run sim;
-  (List.rev !fired, Sim.now sim, Sim.pending sim)
+  val create : unit -> t
+  val now : t -> float
+  val schedule : t -> delay:float -> (unit -> unit) -> unit
+  val schedule_at : t -> time:float -> (unit -> unit) -> unit
+  val timer : t -> delay:float -> (unit -> unit) -> handle
+  val reserve : t -> int
+  val schedule_reserved : t -> time:float -> seq:int -> (unit -> unit) -> unit
+  val schedule_aux : t -> time:float -> (unit -> unit) -> unit
+  val cancel : handle -> unit
+  val step : t -> bool
+  val run : ?until:float -> t -> unit
+  val pending : t -> int
+  val events_processed : t -> int
+end
 
-let wheel_matches_heap_differential =
-  QCheck.Test.make ~name:"sim: wheel fires identically to the 4-ary heap" ~count:15
-    QCheck.small_int (fun seed ->
-      let cmds = gen_script (seed + 1) 3000 in
-      run_script ~sched:Sim.Heap cmds = run_script ~sched:Sim.Wheel cmds)
+module Real : SIM = struct
+  include Sim
 
-let wheel_overflow_far_future () =
-  (* Spans beyond the wheel's 2^32 us levels exercise the overflow list and
-     its reseeding jump. *)
-  let sim = Sim.create ~sched:Sim.Wheel () in
-  let log = ref [] in
-  let at t tag = ignore (Sim.schedule_at sim ~time:t (fun () -> log := tag :: !log)) in
-  at 9000. 3;
-  at 0.001 1;
-  at (9000. +. 1e-7) 4;
-  at 4000. 2;
-  at 50000. 5;
-  Sim.run sim;
-  Alcotest.(check (list int)) "overflow order" [ 1; 2; 3; 4; 5 ] (List.rev !log);
-  Alcotest.(check (float 1e-9)) "clock" 50000. (Sim.now sim)
+  let create () = Sim.create ()
+  let schedule t ~delay f = Sim.schedule t ~delay f
+  let schedule_at t ~time f = Sim.schedule_at t ~time f
+  let timer t ~delay f = Sim.timer t ~delay f
+  let schedule_reserved t ~time ~seq f = Sim.schedule_reserved t ~time ~seq f
+  let schedule_aux t ~time f = Sim.schedule_aux t ~time f
+end
 
-let wheel_schedule_behind_advanced_tick () =
-  (* run ~until peeks the next event, advancing the wheel's tick to it;
-     an event scheduled after that, earlier than the peeked one, must
-     still fire first. *)
-  let sim = Sim.create ~sched:Sim.Wheel () in
-  let log = ref [] in
-  ignore (Sim.schedule_at sim ~time:1. (fun () -> log := 1 :: !log));
-  ignore (Sim.schedule_at sim ~time:10. (fun () -> log := 10 :: !log));
-  Sim.run ~until:5. sim;
-  Alcotest.(check (list int)) "horizon respected" [ 1 ] !log;
-  ignore (Sim.schedule_at sim ~time:6. (fun () -> log := 6 :: !log));
-  Sim.run sim;
-  Alcotest.(check (list int)) "behind-tick event first" [ 1; 6; 10 ] (List.rev !log)
+module Drive (S : SIM) = struct
+  let run ~ring_delay cmds =
+    let sim = S.create () in
+    let fired = ref [] and states = ref [] in
+    let stamp = ref 0 in
+    let fresh () =
+      incr stamp;
+      !stamp
+    in
+    let note k () = fired := (k, S.now sim) :: !fired in
+    let pool = ref [] and pool_size = ref 0 in
+    (* The link transmitter's pattern: a FIFO ring of reserved keys with
+       only its head queued. *)
+    let ring = Queue.create () in
+    let rec fire_head () =
+      let _, _, k = Queue.pop ring in
+      (match Queue.peek_opt ring with
+      | Some (time, seq, _) -> S.schedule_reserved sim ~time ~seq fire_head
+      | None -> ());
+      note k ()
+    in
+    List.iter
+      (fun cmd ->
+        (match cmd with
+        | Schedule (delay, chain) ->
+            let k = fresh () in
+            S.schedule sim ~delay (fun () ->
+                note k ();
+                if chain then S.schedule sim ~delay:0. (note (fresh ())))
+        | Timer delay ->
+            pool := S.timer sim ~delay (note (fresh ())) :: !pool;
+            incr pool_size
+        | Burst (n, delay) ->
+            let time = S.now sim +. delay in
+            for _ = 1 to n do
+              S.schedule_at sim ~time (note (fresh ()))
+            done
+        | Aux delay -> S.schedule_aux sim ~time:(S.now sim +. delay) (note (fresh ()))
+        | Ring ->
+            let time = S.now sim +. ring_delay and seq = S.reserve sim in
+            Queue.push (time, seq, fresh ()) ring;
+            if Queue.length ring = 1 then S.schedule_reserved sim ~time ~seq fire_head
+        | Cancel i -> if !pool_size > 0 then S.cancel (List.nth !pool (i mod !pool_size))
+        | Step -> ignore (S.step sim)
+        | Until d -> S.run ~until:(S.now sim +. d) sim);
+        states := (S.now sim, S.pending sim, S.events_processed sim) :: !states)
+      cmds;
+    S.run sim;
+    (List.rev !fired, List.rev !states, S.now sim, S.pending sim, S.events_processed sim)
+end
 
-let wheel_tie_break_fifo () =
-  let sim = Sim.create ~sched:Sim.Wheel () in
-  let log = ref [] in
-  for i = 0 to 99 do
-    ignore (Sim.schedule_at sim ~time:1. (fun () -> log := i :: !log))
-  done;
-  Sim.run sim;
-  Alcotest.(check (list int)) "fifo ties" (List.init 100 Fun.id) (List.rev !log)
+module Drive_real = Drive (Real)
+module Drive_oracle = Drive (Sim_oracle)
 
-(* --- scheduler edges, each differential heap vs wheel ------------------- *)
+let print_cmd = function
+  | Schedule (d, c) -> Printf.sprintf "Schedule (%h, %b)" d c
+  | Timer d -> Printf.sprintf "Timer %h" d
+  | Burst (n, d) -> Printf.sprintf "Burst (%d, %h)" n d
+  | Aux d -> Printf.sprintf "Aux %h" d
+  | Ring -> "Ring"
+  | Cancel i -> Printf.sprintf "Cancel %d" i
+  | Step -> "Step"
+  | Until d -> Printf.sprintf "Until %h" d
 
-(* Events far beyond the wheel's 2^32-microsecond level span live in the
-   top-level overflow list; mixing them with near-term ties must still fire
-   in the heap's exact (time, seq) order through the reseeding jumps. *)
-let beyond_horizon_differential =
-  QCheck.Test.make ~name:"sim: beyond-horizon overflow fires like the heap" ~count:10
-    QCheck.small_int (fun seed ->
-      let rng = Rng.create ~seed:(seed + 21) in
-      let cmds =
-        List.init 600 (fun _ ->
-            match Rng.int rng 8 with
-            | 0 | 1 | 2 -> Csched (float_of_int (Rng.int rng 200_000)) (* deep overflow, ties *)
-            | 3 | 4 -> Csched (Rng.float rng 300_000.)
-            | 5 -> Csched (Rng.float rng 5.)
-            | 6 -> Ccancel (Rng.int rng 1_000_000)
-            | _ -> Cuntil (Rng.float rng 50_000.))
-      in
-      run_script ~sched:Sim.Heap cmds = run_script ~sched:Sim.Wheel cmds)
+(* A script and its ring delay, shrinkable as a command list. *)
+let script_arb ~len delay_gen =
+  let open QCheck in
+  let gen =
+    Gen.(
+      pair (oneofl [ 0.; 0.5; 3e-7 ])
+        (list_size (int_range 1 len)
+           (frequency
+              [
+                (4, map2 (fun d c -> Schedule (d, c)) delay_gen (map (fun n -> n = 0) (int_bound 4)));
+                (3, map (fun d -> Timer d) delay_gen);
+                (1, map2 (fun n d -> Burst (n, d)) (int_range 2 12) delay_gen);
+                (1, map (fun d -> Aux d) delay_gen);
+                (2, return Ring);
+                (2, map (fun i -> Cancel i) (int_bound 1_000_000));
+                (3, return Step);
+                (1, map (fun d -> Until d) delay_gen);
+              ])))
+  in
+  make
+    ~print:(fun (rd, cmds) ->
+      Printf.sprintf "ring delay %h: [%s]" rd (String.concat "; " (List.map print_cmd cmds)))
+    ~shrink:Shrink.(pair nil list)
+    gen
 
-(* A cancel-heavy load (well over half of everything scheduled dies before
-   firing) stresses the wheel's slot compaction and the freelist's
-   all-dummy invariant on recycled slot arrays. *)
+let matches_oracle (ring_delay, cmds) =
+  Drive_real.run ~ring_delay cmds = Drive_oracle.run ~ring_delay cmds
+
+(* Delays with heavy ties: zero, whole seconds, tenths, sub-microsecond
+   offsets and arbitrary floats. *)
+let mixed_delay =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return 0.);
+        (2, map float_of_int (int_bound 19));
+        (2, map (fun n -> float_of_int n /. 10.) (int_bound 49));
+        (2, map (fun n -> float_of_int n *. 1e-7) (int_bound 999));
+        (2, float_bound_exclusive 10.);
+      ])
+
+let oracle_differential =
+  QCheck.Test.make ~name:"sim: fires like the (time, seq) oracle" ~count:200
+    (script_arb ~len:400 mixed_delay) matches_oracle
+
+(* Far-future and infinite times mixed with near-term ties: everything
+   still fires in (time, seq) order, and an [infinity] event advances the
+   clock to [infinity]. *)
+let far_future_differential =
+  QCheck.Test.make ~name:"sim: far-future/infinity like oracle" ~count:100
+    (script_arb ~len:300
+       QCheck.Gen.(
+         frequency
+           [
+             (3, map float_of_int (int_bound 20));
+             (2, float_bound_exclusive 1e6);
+             (1, map (fun n -> 4e12 +. float_of_int n) (int_bound 3));
+             (1, return infinity);
+           ]))
+    matches_oracle
+
+(* Sub-microsecond spacing with horizons of the same scale: [run ~until]
+   stops between closely spaced events exactly where the oracle does. *)
+let dense_until_differential =
+  QCheck.Test.make ~name:"sim: dense run ~until stops like oracle" ~count:100
+    (script_arb ~len:300 QCheck.Gen.(map (fun n -> float_of_int n *. 1e-7) (int_bound 30)))
+    matches_oracle
+
+(* Most of what is scheduled dies before firing: each timer is cancelled
+   at once 60% of the time, sometimes with a random older one too. *)
 let cancel_heavy_differential =
-  QCheck.Test.make ~name:"sim: >=50% cancelled fires like the heap" ~count:10
-    QCheck.small_int (fun seed ->
+  QCheck.Test.make ~name:"sim: >=50% cancelled fires like oracle" ~count:50 QCheck.small_int
+    (fun seed ->
       let rng = Rng.create ~seed:(seed + 43) in
+      let total = 500 in
       let cmds =
         List.concat
-          (List.init 500 (fun _ ->
+          (List.init total (fun _ ->
                let delay =
                  match Rng.int rng 3 with
                  | 0 -> float_of_int (Rng.int rng 20)
                  | 1 -> float_of_int (Rng.int rng 1000) *. 1e-7
                  | _ -> Rng.float rng 50.
                in
-               (* Schedule, then 60% of the time cancel that same event
-                  ([Ccancel 0] targets the newest handle) plus sometimes a
-                  random older one: most of the population dies unfired. *)
-               Csched delay
+               Timer delay
                :: (if Rng.int rng 10 < 6 then
-                     Ccancel 0
-                     :: (if Rng.int rng 4 = 0 then [ Ccancel (Rng.int rng 1_000_000) ] else [])
-                   else [])))
+                     Cancel 0 :: (if Rng.int rng 4 = 0 then [ Cancel (Rng.int rng 1_000_000) ] else [])
+                   else [])
+               @ if Rng.int rng 8 = 0 then [ Step ] else []))
       in
-      let fired_h, now_h, pending_h = run_script ~sched:Sim.Heap cmds in
-      let fired_w, now_w, pending_w = run_script ~sched:Sim.Wheel cmds in
-      let total = 500 in
-      List.length fired_h * 2 <= total
-      && fired_h = fired_w && now_h = now_w && pending_h = pending_w)
+      let ((fired, _, _, _, _) as real) = Drive_real.run ~ring_delay:0. cmds in
+      List.length fired * 2 <= total && real = Drive_oracle.run ~ring_delay:0. cmds)
 
-(* [run ~until] horizons that land between wheel ticks (sub-microsecond
-   fractions) must stop the wheel mid-tick exactly where the heap stops. *)
-let until_mid_tick_differential =
-  QCheck.Test.make ~name:"sim: run ~until mid-tick stops like the heap" ~count:10
-    QCheck.small_int (fun seed ->
-      let run sched =
-        (* A fresh identically-seeded rng per run: both schedulers must see
-           the exact same script. *)
-        let rng = Rng.create ~seed:(seed + 87) in
-        let sim = Sim.create ~sched () in
-        let fired = ref [] in
-        (* Sub-tick offsets around whole-microsecond boundaries. *)
-        List.iter
-          (fun (t, k) -> ignore (Sim.schedule_at sim ~time:t (fun () -> fired := (Sim.now sim, k) :: !fired)))
-          (List.init 400 (fun k ->
-               (float_of_int (Rng.int rng 50) *. 1e-6 +. float_of_int (Rng.int rng 10) *. 1e-7, k)));
-        let marks = ref [] in
-        for _ = 1 to 30 do
-          let upto = float_of_int (Rng.int rng 50) *. 1e-6 +. float_of_int (Rng.int rng 10) *. 1e-7 in
-          if upto >= Sim.now sim then begin
-            Sim.run ~until:upto sim;
-            marks := (Sim.now sim, List.length !fired) :: !marks
-          end
-        done;
-        Sim.run sim;
-        (List.rev !fired, !marks, Sim.now sim)
-      in
-      run Sim.Heap = run Sim.Wheel)
-
-let sched_of_string_roundtrip () =
-  Alcotest.(check bool) "heap" true (Sim.sched_of_string "heap" = Ok Sim.Heap);
-  Alcotest.(check bool) "wheel" true (Sim.sched_of_string "wheel" = Ok Sim.Wheel);
-  (match Sim.sched_of_string "calendar" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected error");
-  Alcotest.(check bool) "auto small" true (Sim.recommended_sched ~expected_pending:100 = Sim.Heap);
-  Alcotest.(check bool) "auto large" true
-    (Sim.recommended_sched ~expected_pending:100_000 = Sim.Wheel)
+(* NaN compares false with everything, so a NaN key would silently break
+   heap order: every scheduling entry point rejects it, consuming nothing. *)
+let nan_rejected () =
+  let sim = Sim.create () in
+  let rejects name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s accepted NaN" name
+  in
+  rejects "schedule_at" (fun () -> Sim.schedule_at sim ~time:nan ignore);
+  rejects "schedule" (fun () -> Sim.schedule sim ~delay:nan ignore);
+  rejects "timer_at" (fun () -> ignore (Sim.timer_at sim ~time:nan ignore));
+  rejects "timer" (fun () -> ignore (Sim.timer sim ~delay:nan ignore));
+  rejects "schedule_aux" (fun () -> Sim.schedule_aux sim ~time:nan ignore);
+  let seq = Sim.reserve sim in
+  rejects "schedule_reserved" (fun () -> Sim.schedule_reserved sim ~time:nan ~seq ignore);
+  Sim.schedule_reserved sim ~time:1. ~seq ignore;
+  Alcotest.(check int) "only the reservation pending" 1 (Sim.pending sim);
+  Sim.run sim;
+  Alcotest.(check int) "fired" 1 (Sim.events_processed sim);
+  Alcotest.(check (float 0.)) "clock" 1. (Sim.now sim)
 
 (* --- Rng ------------------------------------------------------------- *)
 
@@ -431,16 +473,15 @@ let aux_fires_first_and_does_not_perturb () =
     let sim = Sim.create () in
     let order = ref [] in
     let note name () = order := name :: !order in
-    ignore (Sim.schedule_at sim ~time:1. (note "n1"));
-    if with_aux then ignore (Sim.schedule_aux sim ~time:1. (note "aux1"));
-    ignore (Sim.schedule_at sim ~time:1. (note "n2"));
-    if with_aux then ignore (Sim.schedule_aux sim ~time:2. (note "aux2"));
+    Sim.schedule_at sim ~time:1. (note "n1");
+    if with_aux then Sim.schedule_aux sim ~time:1. (note "aux1");
+    Sim.schedule_at sim ~time:1. (note "n2");
+    if with_aux then Sim.schedule_aux sim ~time:2. (note "aux2");
     (* same-time ties scheduled from inside handlers keep their relative
        order too *)
-    ignore
-      (Sim.schedule_at sim ~time:2. (fun () ->
-           note "n3" ();
-           ignore (Sim.schedule_at sim ~time:2. (note "n4"))));
+    Sim.schedule_at sim ~time:2. (fun () ->
+        note "n3" ();
+        Sim.schedule_at sim ~time:2. (note "n4"));
     Sim.run sim;
     List.rev !order
   in
@@ -463,16 +504,15 @@ let aux_chain_observes_cut () =
   let seen = ref [] in
   let rec tick k =
     if k <= 4 then
-      ignore
-        (Sim.schedule_aux sim ~time:(float_of_int k) (fun () ->
-             seen := !v :: !seen;
-             tick (k + 1)))
+      Sim.schedule_aux sim ~time:(float_of_int k) (fun () ->
+          seen := !v :: !seen;
+          tick (k + 1))
   in
   tick 1;
   (* v increments at each integer time via normal events; the aux tick at
      the same time must read the value from before the increment *)
   for k = 1 to 4 do
-    ignore (Sim.schedule_at sim ~time:(float_of_int k) (fun () -> incr v))
+    Sim.schedule_at sim ~time:(float_of_int k) (fun () -> incr v)
   done;
   Sim.run sim;
   Alcotest.(check (list int)) "each tick sees pre-T state" [ 0; 1; 2; 3 ] (List.rev !seen)
@@ -503,8 +543,8 @@ let gen_reserved_script seed n =
       | 7 | 8 -> Rstep
       | _ -> Runtil (Rng.float rng 1.))
 
-let run_reserved_script ~sched ~delay ~reserved cmds =
-  let sim = Sim.create ~sched () in
+let run_reserved_script ~delay ~reserved cmds =
+  let sim = Sim.create () in
   let fired = ref [] in
   let stamp = ref 0 in
   let handles = ref [] in
@@ -515,7 +555,7 @@ let run_reserved_script ~sched ~delay ~reserved cmds =
   let rec fire_head () =
     let _, _, k = Queue.pop ring in
     (match Queue.peek_opt ring with
-    | Some (time, seq, _) -> ignore (Sim.schedule_reserved sim ~time ~seq fire_head)
+    | Some (time, seq, _) -> Sim.schedule_reserved sim ~time ~seq fire_head
     | None -> ());
     log k ()
   in
@@ -525,7 +565,7 @@ let run_reserved_script ~sched ~delay ~reserved cmds =
       | Rplain d ->
           let k = !stamp in
           incr stamp;
-          handles := Sim.schedule sim ~delay:d (log k) :: !handles;
+          handles := Sim.timer sim ~delay:d (log k) :: !handles;
           incr n_handles
       | Rring ->
           let k = !stamp in
@@ -534,9 +574,9 @@ let run_reserved_script ~sched ~delay ~reserved cmds =
           if reserved then begin
             let seq = Sim.reserve sim in
             Queue.push (time, seq, k) ring;
-            if Queue.length ring = 1 then ignore (Sim.schedule_reserved sim ~time ~seq fire_head)
+            if Queue.length ring = 1 then Sim.schedule_reserved sim ~time ~seq fire_head
           end
-          else ignore (Sim.schedule_at sim ~time (log k))
+          else Sim.schedule_at sim ~time (log k)
       | Rcancel i -> if !n_handles > 0 then Sim.cancel (List.nth !handles (i mod !n_handles))
       | Rstep -> ignore (Sim.step sim)
       | Runtil d -> Sim.run ~until:(Sim.now sim +. d) sim);
@@ -550,22 +590,21 @@ let reserved_keys_fire_like_immediate =
     QCheck.small_int (fun seed ->
       let cmds = gen_reserved_script (seed + 5) 1500 in
       List.for_all
-        (fun (sched, delay) ->
-          let reference = run_reserved_script ~sched ~delay ~reserved:false cmds in
-          reference = run_reserved_script ~sched ~delay ~reserved:true cmds
-          && reference = run_reserved_script ~sched:Sim.Heap ~delay ~reserved:false cmds)
-        [ (Sim.Heap, 0.5); (Sim.Wheel, 0.5); (Sim.Heap, 0.); (Sim.Wheel, 0.); (Sim.Wheel, 3e-7) ])
+        (fun delay ->
+          run_reserved_script ~delay ~reserved:false cmds
+          = run_reserved_script ~delay ~reserved:true cmds)
+        [ 0.5; 0.; 3e-7 ])
 
 let schedule_reserved_rejects_past () =
   let sim = Sim.create () in
-  ignore (Sim.schedule_at sim ~time:1. ignore);
+  Sim.schedule_at sim ~time:1. ignore;
   Sim.run sim;
   let seq = Sim.reserve sim in
   Alcotest.(check int) "reserve counts pending" 1 (Sim.pending sim);
   (match Sim.schedule_reserved sim ~time:0.5 ~seq ignore with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "past reserved time accepted");
-  ignore (Sim.schedule_reserved sim ~time:1. ~seq ignore);
+  Sim.schedule_reserved sim ~time:1. ~seq ignore;
   Alcotest.(check int) "schedule_reserved adds none" 1 (Sim.pending sim);
   Sim.run sim;
   Alcotest.(check int) "fired" 2 (Sim.events_processed sim);
@@ -575,28 +614,31 @@ let schedule_reserved_rejects_past () =
    cancelled or fired; a second cancel, or a cancel after firing, changes
    neither [pending] nor what fires. *)
 let cancel_sentinel_semantics () =
-  List.iter
-    (fun sched ->
-      let sim = Sim.create ~sched () in
-      let fired = ref [] in
-      let h1 = Sim.schedule_at sim ~time:1. (fun () -> fired := 1 :: !fired) in
-      let h2 = Sim.schedule_at sim ~time:2. (fun () -> fired := 2 :: !fired) in
-      let h3 = Sim.schedule_at sim ~time:3. (fun () -> fired := 3 :: !fired) in
-      Alcotest.(check bool) "queued" false (Sim.cancelled h1);
-      Sim.cancel h2;
-      Sim.cancel h2;
-      Alcotest.(check bool) "cancelled" true (Sim.cancelled h2);
-      Alcotest.(check int) "double cancel counted once" 2 (Sim.pending sim);
-      Alcotest.(check bool) "step" true (Sim.step sim);
-      Alcotest.(check bool) "fired reads as cancelled" true (Sim.cancelled h1);
-      Sim.cancel h1;
-      Alcotest.(check int) "cancel after fire is a no-op" 1 (Sim.pending sim);
-      Sim.run sim;
-      Alcotest.(check (list int)) "fired" [ 1; 3 ] (List.rev !fired);
-      Alcotest.(check bool) "last fired" true (Sim.cancelled h3);
-      Alcotest.(check int) "events" 2 (Sim.events_processed sim);
-      Alcotest.(check int) "none pending" 0 (Sim.pending sim))
-    [ Sim.Heap; Sim.Wheel ]
+  let sim = Sim.create () in
+  let fired = ref [] in
+  let h1 = Sim.timer_at sim ~time:1. (fun () -> fired := 1 :: !fired) in
+  let h2 = Sim.timer_at sim ~time:2. (fun () -> fired := 2 :: !fired) in
+  let h3 = Sim.timer_at sim ~time:3. (fun () -> fired := 3 :: !fired) in
+  Alcotest.(check bool) "queued" false (Sim.cancelled h1);
+  Sim.cancel h2;
+  Sim.cancel h2;
+  Alcotest.(check bool) "cancelled" true (Sim.cancelled h2);
+  Alcotest.(check int) "double cancel counted once" 2 (Sim.pending sim);
+  Alcotest.(check bool) "step" true (Sim.step sim);
+  Alcotest.(check bool) "fired reads as cancelled" true (Sim.cancelled h1);
+  Sim.cancel h1;
+  Alcotest.(check int) "cancel after fire is a no-op" 1 (Sim.pending sim);
+  (* h1's slot is free again: a new event reuses it, and h1's stale
+     handle must neither see nor cancel it. *)
+  let h4 = Sim.timer_at sim ~time:4. (fun () -> fired := 4 :: !fired) in
+  Alcotest.(check bool) "stale handle still reads fired" true (Sim.cancelled h1);
+  Sim.cancel h1;
+  Alcotest.(check bool) "reused slot untouched" false (Sim.cancelled h4);
+  Sim.run sim;
+  Alcotest.(check (list int)) "fired" [ 1; 3; 4 ] (List.rev !fired);
+  Alcotest.(check bool) "last fired" true (Sim.cancelled h3);
+  Alcotest.(check int) "events" 3 (Sim.events_processed sim);
+  Alcotest.(check int) "none pending" 0 (Sim.pending sim)
 
 let suite =
   [
@@ -613,20 +655,17 @@ let suite =
     Alcotest.test_case "step" `Quick step_processes_one_event;
     QCheck_alcotest.to_alcotest heap_survives_many_events;
     QCheck_alcotest.to_alcotest heap_order_under_random_schedule_cancel;
-    QCheck_alcotest.to_alcotest wheel_matches_heap_differential;
-    Alcotest.test_case "wheel overflow order" `Quick wheel_overflow_far_future;
-    Alcotest.test_case "wheel behind-tick schedule" `Quick wheel_schedule_behind_advanced_tick;
-    Alcotest.test_case "wheel tie fifo" `Quick wheel_tie_break_fifo;
-    QCheck_alcotest.to_alcotest beyond_horizon_differential;
+    QCheck_alcotest.to_alcotest oracle_differential;
+    QCheck_alcotest.to_alcotest far_future_differential;
+    QCheck_alcotest.to_alcotest dense_until_differential;
     QCheck_alcotest.to_alcotest cancel_heavy_differential;
-    QCheck_alcotest.to_alcotest until_mid_tick_differential;
+    Alcotest.test_case "nan rejected" `Quick nan_rejected;
     Alcotest.test_case "aux fires first, no perturbation" `Quick
       aux_fires_first_and_does_not_perturb;
     Alcotest.test_case "aux chain observes cut" `Quick aux_chain_observes_cut;
     QCheck_alcotest.to_alcotest reserved_keys_fire_like_immediate;
     Alcotest.test_case "schedule_reserved" `Quick schedule_reserved_rejects_past;
     Alcotest.test_case "cancel sentinel" `Quick cancel_sentinel_semantics;
-    Alcotest.test_case "sched selection" `Quick sched_of_string_roundtrip;
     Alcotest.test_case "rng deterministic" `Quick rng_deterministic;
     Alcotest.test_case "rng seeds differ" `Quick rng_seeds_differ;
     Alcotest.test_case "rng split" `Quick rng_split_independent;

@@ -91,9 +91,9 @@ let aimd_converges_to_equal_rates () =
     let rec send () =
       (* 1000 B / 1 ms = 8 Mb/s offered per sender, far above fair share. *)
       Netfence.Host.send_raw h ~dst:Topology.destination_addr ~bytes:1000;
-      ignore (Sim.schedule sim ~delay:0.001 send)
+      Sim.schedule sim ~delay:0.001 send
     in
-    ignore (Sim.schedule_at sim ~time:at send)
+    Sim.schedule_at sim ~time:at send
   in
   start_flood topo.Topology.attackers.(0) ~at:0.;
   start_flood topo.Topology.attackers.(1) ~at:10.;

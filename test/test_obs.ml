@@ -121,13 +121,13 @@ let profile_attach_counts_sim_events () =
   let sim = Sim.create () in
   let p = Obs.Profile.create ~clock:Unix.gettimeofday () in
   Obs.Profile.attach p sim;
-  ignore (Sim.schedule sim ~delay:0.1 ~kind:Sim.Kind.agent (fun () -> ()));
-  ignore (Sim.schedule sim ~delay:0.2 (fun () -> ()));
+  Sim.schedule sim ~delay:0.1 ~kind:Sim.Kind.agent (fun () -> ());
+  Sim.schedule sim ~delay:0.2 (fun () -> ());
   Sim.run sim;
   Obs.Profile.detach sim;
   Alcotest.(check int) "agent kind" 1 (Obs.Profile.events p ~kind:Sim.Kind.agent);
   Alcotest.(check int) "default kind" 1 (Obs.Profile.events p ~kind:Sim.Kind.other);
-  ignore (Sim.schedule sim ~delay:0.1 ~kind:Sim.Kind.agent (fun () -> ()));
+  Sim.schedule sim ~delay:0.1 ~kind:Sim.Kind.agent (fun () -> ());
   Sim.run sim;
   Alcotest.(check int) "detached: no more hits" 1 (Obs.Profile.events p ~kind:Sim.Kind.agent)
 

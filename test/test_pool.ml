@@ -46,9 +46,8 @@ let independent_sims_in_parallel () =
     let sim = Sim.create ~seed () in
     let total = ref 0. in
     for i = 1 to 100 do
-      ignore
-        (Sim.schedule sim ~delay:(Rng.float (Sim.rng sim) 10.)
-           (fun () -> total := !total +. (Sim.now sim *. float_of_int i)))
+      Sim.schedule sim ~delay:(Rng.float (Sim.rng sim) 10.)
+        (fun () -> total := !total +. (Sim.now sim *. float_of_int i))
     done;
     Sim.run sim;
     !total

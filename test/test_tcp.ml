@@ -16,9 +16,8 @@ let make_pair ?(transfer = 20 * 1024) ?(delay = 0.03) ~sim () =
     Tcp.Conn.create_client ~sim ~conn_id:1 ~transfer_bytes:transfer
       ~tx:(fun seg ->
         if not (pipe.drop_c2s seg) then
-          ignore
-            (Sim.schedule sim ~delay (fun () ->
-                 match !server_ref with Some s -> Tcp.Conn.server_receive s seg | None -> ())))
+          Sim.schedule sim ~delay (fun () ->
+              match !server_ref with Some s -> Tcp.Conn.server_receive s seg | None -> ()))
       ~on_complete:(fun o -> outcome := Some o)
       ()
   in
@@ -27,9 +26,8 @@ let make_pair ?(transfer = 20 * 1024) ?(delay = 0.03) ~sim () =
     Tcp.Conn.create_server ~sim ~conn_id:1
       ~tx:(fun seg ->
         if not (pipe.drop_s2c seg) then
-          ignore
-            (Sim.schedule sim ~delay (fun () ->
-                 match !client_ref with Some c -> Tcp.Conn.client_receive c seg | None -> ())))
+          Sim.schedule sim ~delay (fun () ->
+              match !client_ref with Some c -> Tcp.Conn.client_receive c seg | None -> ()))
       ()
   in
   server_ref := Some server;
@@ -127,10 +125,9 @@ let duplicate_synack_harmless () =
   ignore pipe;
   Tcp.Conn.start client;
   (* Inject a gratuitous duplicate SYN to provoke a duplicate SYN/ACK. *)
-  ignore
-    (Sim.schedule sim ~delay:0.1 (fun () ->
-         Tcp.Conn.server_receive server
-           { Wire.Tcp_segment.conn = 1; flags = Wire.Tcp_segment.Syn; seq = 0; ack = 0; payload = 0 }));
+  Sim.schedule sim ~delay:0.1 (fun () ->
+      Tcp.Conn.server_receive server
+        { Wire.Tcp_segment.conn = 1; flags = Wire.Tcp_segment.Syn; seq = 0; ack = 0; payload = 0 });
   Sim.run ~until:30. sim;
   match !outcome with
   | Some (Tcp.Conn.Completed _) -> ()

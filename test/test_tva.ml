@@ -309,7 +309,7 @@ let make_router ?(trust_boundary = true) ?(secret = "router-secret") sim =
   Tva.Router.create ~trust_boundary ~secret_master:secret ~router_id:1 ~sim ~link_bps:10e6 ()
 
 let advance sim t =
-  ignore (Sim.schedule_at sim ~time:t (fun () -> ()));
+  Sim.schedule_at sim ~time:t (fun () -> ());
   Sim.run sim
 
 let request_packet () =

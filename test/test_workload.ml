@@ -334,18 +334,6 @@ let tiny_scale topology =
     sc_max_time = 8.;
   }
 
-let scale_heap_wheel_identical () =
-  let cfg = tiny_scale (Workload.Scale.Fan_in { depth = 2; fanout = 3 }) in
-  let rh = Workload.Scale.run { cfg with Workload.Scale.sc_sched = Some Sim.Heap } in
-  let rw = Workload.Scale.run { cfg with Workload.Scale.sc_sched = Some Sim.Wheel } in
-  Alcotest.(check int) "events" rh.Workload.Scale.sr_events rw.Workload.Scale.sr_events;
-  Alcotest.(check int) "attack packets" rh.Workload.Scale.sr_attack_packets
-    rw.Workload.Scale.sr_attack_packets;
-  Alcotest.(check (float 0.)) "fraction" rh.Workload.Scale.sr_fraction_completed
-    rw.Workload.Scale.sr_fraction_completed;
-  Alcotest.(check (float 0.)) "sim end" rh.Workload.Scale.sr_sim_end
-    rw.Workload.Scale.sr_sim_end
-
 let scale_topologies_smoke () =
   List.iter
     (fun topology ->
@@ -591,7 +579,6 @@ let suite =
     Alcotest.test_case "swarm = n real flooders" `Quick swarm_matches_real_flooders;
     Alcotest.test_case "swarm coalesced = independent" `Quick swarm_modes_agree;
     Alcotest.test_case "swarm batching preserves stream" `Quick swarm_batching_preserves_stream;
-    Alcotest.test_case "scale heap = wheel" `Slow scale_heap_wheel_identical;
     Alcotest.test_case "scale topologies smoke" `Slow scale_topologies_smoke;
     Alcotest.test_case "scale memory gauges" `Slow scale_memory_peaks_reported;
     Alcotest.test_case "telemetry does not perturb results" `Slow telemetry_does_not_perturb_results;
