@@ -104,8 +104,7 @@ let queueing_tests () =
     Array.init 16 (fun i ->
         Wire.Packet.make
           ~src:(Wire.Addr.of_int (0x0a000000 + i))
-          ~dst:(Wire.Addr.of_int (0xc0a80000 + i))
-          ~created:0. (Wire.Packet.Raw 1000))
+          ~dst:(Wire.Addr.of_int (0xc0a80000 + i)) (Wire.Packet.Raw 1000))
   in
   let i = ref 0 in
   Test.make_grouped ~name:"queueing"

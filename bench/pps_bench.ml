@@ -157,7 +157,7 @@ let () =
      path itself allocates. *)
   let req_packets =
     Array.init flows (fun f ->
-        Wire.Packet.make ~shim:(Wire.Cap_shim.request ()) ~src:(src f) ~dst ~created:0.
+        Wire.Packet.make ~shim:(Wire.Cap_shim.request ()) ~src:(src f) ~dst
           (Wire.Packet.Raw 64))
   in
   let reset_request (p : Wire.Packet.t) =
@@ -208,7 +208,7 @@ let () =
         let shim =
           Wire.Cap_shim.regular ~nonce ~caps:[ caps.(f) ] ~n_kb ~t_sec ~renewal:false ()
         in
-        Wire.Packet.make ~shim ~src:(src f) ~dst ~created:0. (Wire.Packet.Raw 64))
+        Wire.Packet.make ~shim ~src:(src f) ~dst (Wire.Packet.Raw 64))
   in
   let val_a = regular_packets ~nonce:1L and val_b = regular_packets ~nonce:2L in
   let validate_pass pass =
@@ -237,7 +237,7 @@ let () =
             ~nonce:(if passes land 1 = 0 then 1L else 2L)
             ~caps:[] ~n_kb ~t_sec ~renewal:false ()
         in
-        Wire.Packet.make ~shim ~src:(src f) ~dst ~created:0. (Wire.Packet.Raw 64))
+        Wire.Packet.make ~shim ~src:(src f) ~dst (Wire.Packet.Raw 64))
   in
   let cached_pass _pass =
     for f = 0 to flows - 1 do
@@ -253,7 +253,7 @@ let () =
 
   (* --- legacy path ----------------------------------------------------- *)
   let legacy_packets =
-    Array.init flows (fun f -> Wire.Packet.make ~src:(src f) ~dst ~created:0. (Wire.Packet.Raw 64))
+    Array.init flows (fun f -> Wire.Packet.make ~src:(src f) ~dst (Wire.Packet.Raw 64))
   in
   let legacy_pass _pass =
     for f = 0 to flows - 1 do
@@ -284,7 +284,7 @@ let () =
         let shim =
           Wire.Cap_shim.regular ~nonce:obs_nonce ~caps:[ caps.(f) ] ~n_kb ~t_sec ~renewal:false ()
         in
-        Wire.Packet.make ~shim ~src:(src f) ~dst ~created:0. (Wire.Packet.Raw 64))
+        Wire.Packet.make ~shim ~src:(src f) ~dst (Wire.Packet.Raw 64))
   in
   Array.iter (fun p -> Tva.Router.process router_obs ~in_interface:0 p) obs_prime;
   let obs_cached_packets =
@@ -292,7 +292,7 @@ let () =
         let shim =
           Wire.Cap_shim.regular ~nonce:obs_nonce ~caps:[] ~n_kb ~t_sec ~renewal:false ()
         in
-        Wire.Packet.make ~shim ~src:(src f) ~dst ~created:0. (Wire.Packet.Raw 64))
+        Wire.Packet.make ~shim ~src:(src f) ~dst (Wire.Packet.Raw 64))
   in
   let obs_cached_pass _pass =
     for f = 0 to flows - 1 do

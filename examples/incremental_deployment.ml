@@ -71,7 +71,7 @@ let run { label; upgraded } =
   let rec flood () =
     Net.originate attacker
       (Wire.Packet.make ~src:(Wire.Addr.of_int 0x0b000001) ~dst:(Wire.Addr.of_int 0xc0a80001)
-         ~created:(Sim.now sim) (Wire.Packet.Raw 1000));
+         (Wire.Packet.Raw 1000));
     Sim.schedule sim ~delay:flood_interval flood
   in
   flood ();

@@ -19,11 +19,11 @@ module Host = struct
 
   let send_segment t ~dst seg =
     Net.originate t.node
-      (Wire.Packet.make ~src:t.addr ~dst ~created:(Sim.now t.sim) (Wire.Packet.Tcp seg))
+      (Wire.Packet.make ~src:t.addr ~dst (Wire.Packet.Tcp seg))
 
   let send_raw t ~dst ~bytes =
     Net.originate t.node
-      (Wire.Packet.make ~src:t.addr ~dst ~created:(Sim.now t.sim) (Wire.Packet.Raw bytes))
+      (Wire.Packet.make ~src:t.addr ~dst (Wire.Packet.Raw bytes))
 
   let handle t _node ~in_link:_ (p : Wire.Packet.t) =
     if Wire.Addr.equal p.Wire.Packet.dst t.addr then begin

@@ -137,7 +137,7 @@ let attach_return_info t ~dst (shim : Wire.Cap_shim.t) =
       end
 
 let dispatch t ~dst ?shim body =
-  let p = Wire.Packet.make ?shim ~src:t.addr ~dst ~created:(Sim.now t.sim) body in
+  let p = Wire.Packet.make ?shim ~src:t.addr ~dst body in
   (* Charge the grant for what the routers will see on the wire. *)
   (match (shim, grant_for t ~dst) with
   | Some { Wire.Cap_shim.kind = Wire.Cap_shim.Regular _; _ }, Some g ->

@@ -2,7 +2,15 @@
    implementation.  Int64 arithmetic wraps, which is exactly what both
    algorithms assume. *)
 
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The state is an ordinary 32-byte block holding s0..s3, read and
+   written with the unboxed 64-bit bytes primitives: a draw allocates only
+   its result, where a record of four mutable [int64]s boxed every state
+   write.  A [Bigarray] would be a malloc'd custom block per generator,
+   and set-up splits one per endpoint and flooder. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let splitmix64 state =
   state := Int64.add !state 0x9E3779B97F4A7C15L;
@@ -11,49 +19,49 @@ let splitmix64 state =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create ~seed =
-  let st = ref (Int64.of_int seed) in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
-  { s0; s1; s2; s3 }
+(* Four SplitMix64 outputs from [st] seed a fresh generator. *)
+let of_splitmix st =
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set64 t (8 * i) (splitmix64 st)
+  done;
+  t
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let create ~seed = of_splitmix (ref (Int64.of_int seed))
 
-let bits64 t =
-  let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
-  let tt = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tt;
-  t.s3 <- rotl t.s3 45;
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+(* Inlined into every draw, so the state words stay unboxed. *)
+let[@inline] next t =
+  let s0 = get64 t 0 and s1 = get64 t 8 and s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let tt = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  set64 t 8 (Int64.logxor s1 s2);
+  set64 t 0 (Int64.logxor s0 s3);
+  set64 t 16 (Int64.logxor s2 tt);
+  set64 t 24 (rotl s3 45);
   result
 
-let split t =
-  let st = ref (bits64 t) in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
-  { s0; s1; s2; s3 }
+let bits64 t = next t
+let split t = of_splitmix (ref (next t))
 
-let float t bound =
-  (* 53 high bits give a uniform double in [0,1). *)
-  let u = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float u /. 9007199254740992. *. bound
+(* 53 high bits give a uniform double in [0,1). *)
+let[@inline] unit_float bits =
+  Int64.to_float (Int64.shift_right_logical bits 11) /. 9007199254740992.
+
+let float t bound = unit_float (next t) *. bound
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Modulo bias is negligible for the bounds used here (< 2^32). *)
-  Int64.to_int (Int64.rem (Int64.shift_right_logical (bits64 t) 1) (Int64.of_int bound))
+  Int64.to_int (Int64.rem (Int64.shift_right_logical (next t) 1) (Int64.of_int bound))
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let exponential t ~mean =
-  let u = float t 1.0 in
+  let u = unit_float (next t) in
   (* Guard against log 0. *)
   let u = if u <= 0. then 1e-300 else u in
   -.mean *. log u
@@ -61,7 +69,7 @@ let exponential t ~mean =
 let bytes t n =
   let b = Bytes.create n in
   for i = 0 to n - 1 do
-    Bytes.set b i (Char.chr (Int64.to_int (Int64.logand (bits64 t) 0xffL)))
+    Bytes.set b i (Char.unsafe_chr (Int64.to_int (next t) land 0xff))
   done;
   Bytes.unsafe_to_string b
 
@@ -73,13 +81,7 @@ let bytes t n =
 let lane_seed_state ~seed i =
   ref (Int64.logxor (Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L) (Int64.of_int seed))
 
-let lane ~seed i =
-  let st = lane_seed_state ~seed i in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
-  { s0; s1; s2; s3 }
+let lane ~seed i = of_splitmix (lane_seed_state ~seed i)
 
 module Bank = struct
   (* Structure-of-arrays xoshiro: four flat int64 Bigarrays hold the state
@@ -122,7 +124,5 @@ module Bank = struct
     t.b3.{i} <- s3;
     result
 
-  let float t i bound =
-    let u = Int64.shift_right_logical (bits64 t i) 11 in
-    Int64.to_float u /. 9007199254740992. *. bound
+  let float t i bound = unit_float (bits64 t i) *. bound
 end

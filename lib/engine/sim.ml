@@ -14,7 +14,14 @@
    hole rather than swapping and touch only the three key arrays, so no
    sift level runs the write barrier and nothing calls polymorphic
    compare.  Popped slots go on a stack of ints and are reused
-   last-in first-out. *)
+   last-in first-out.
+
+   A constant-delay lane is a FIFO of events that each fire exactly the
+   lane's [delay] after they were scheduled.  Its keys are nondecreasing
+   (the clock never goes back), so only the lane's head sits in the heap,
+   under the negative slot [-(lane index + 1)].  Firing the head writes
+   the lane's next key over the root and sifts it down — one shallow sift
+   instead of a pop and a push, since the next key is usually close. *)
 
 (* Scheduling-site tags for the event-loop profiler.  A kind is one int
    per event slot, read only when a probe is attached, so tagging costs
@@ -61,7 +68,7 @@ type probe = { pr_clock : unit -> float; pr_hit : kind:int -> dt:float -> unit }
 type sched = Heap | Wheel
 
 type t = {
-  (* The heap, in heap order. *)
+  (* The heap, in heap order.  A slot [< 0] is lane [-(slot + 1)]'s head. *)
   mutable times : float array;
   mutable seqs : int array;
   mutable slots : int array;
@@ -72,6 +79,9 @@ type t = {
   mutable slot_seq : int array; (* the occupant's seq, [vacant] once popped *)
   mutable free : int array; (* popped slots, a stack of [nfree] *)
   mutable nfree : int;
+  mutable nslots : int; (* slots ever handed out: [0, nslots) *)
+  mutable lanes : lane array; (* the first [nlanes] are live *)
+  mutable nlanes : int;
   mutable clock : float;
   mutable next_seq : int;
   mutable aux_seq : int; (* negative, descending: auxiliary (telemetry) events *)
@@ -80,6 +90,21 @@ type t = {
   mutable fired : int; (* actions executed since creation *)
   mutable probe : probe option;
   root_rng : Rng.t;
+}
+
+(* Entry [i] of a lane's ring is at [(head + i) land (capacity - 1)]; its
+   key is [(l_times, l_seqs)] and its callback [l_actions].  Like a popped
+   slot, a fired entry keeps its callback until the ring reuses it. *)
+and lane = {
+  owner : t;
+  tag : int; (* the lane's heap slot, [-(index + 1)] *)
+  delay : float;
+  lkind : int;
+  mutable l_times : float array; (* capacity 0 or a power of two *)
+  mutable l_seqs : int array;
+  mutable l_actions : (unit -> unit) array;
+  mutable l_head : int;
+  mutable l_len : int;
 }
 
 type handle = { sim : t; slot : int; seq : int }
@@ -100,6 +125,9 @@ let create ?(seed = 1) ?sched:_ () =
     slot_seq = Array.make n vacant;
     free = Array.make n 0;
     nfree = 0;
+    nslots = 0;
+    lanes = [||];
+    nlanes = 0;
     clock = 0.;
     next_seq = 0;
     aux_seq = -1;
@@ -160,9 +188,21 @@ let sift_up t i =
   set seqs !i seq;
   set slots !i slot
 
+(* Add the key [(time, seq)] for [slot] to the heap.  Inlined, so the
+   time goes straight into the unboxed [times] array and [schedule]'s
+   [now + delay] is never boxed. *)
+let[@inline] push_key t ~time ~seq slot =
+  if t.size = Array.length t.times then grow t;
+  let i = t.size in
+  t.size <- i + 1;
+  t.times.(i) <- time;
+  t.seqs.(i) <- seq;
+  t.slots.(i) <- slot;
+  sift_up t i
+
 (* Queue an event under a key that is already counted in [live]; returns
-   its slot.  Inlined, so the time goes straight into the unboxed [times]
-   array and [schedule]'s [now + delay] is never boxed. *)
+   its slot.  Every slot in use holds a distinct heap entry, so [nslots]
+   never outgrows the per-slot arrays, which grow with the heap's. *)
 let[@inline] push t ~time ~seq ~kind action =
   if t.size = Array.length t.times then grow t;
   let slot =
@@ -170,61 +210,69 @@ let[@inline] push t ~time ~seq ~kind action =
       t.nfree <- t.nfree - 1;
       t.free.(t.nfree)
     end
-    else t.size (* no popped slot: slots [0, size) are all occupied *)
+    else begin
+      (* no popped slot: slots [0, nslots) are all occupied *)
+      let s = t.nslots in
+      t.nslots <- s + 1;
+      s
+    end
   in
   t.actions.(slot) <- action;
   t.kinds.(slot) <- kind;
   t.slot_seq.(slot) <- seq;
-  let i = t.size in
-  t.size <- i + 1;
-  t.times.(i) <- time;
-  t.seqs.(i) <- seq;
-  t.slots.(i) <- slot;
-  sift_up t i;
+  push_key t ~time ~seq slot;
   slot
+
+(* Fill the hole at the root with the key at heap index [src] — the root
+   itself after its key grew, or the entry just past the shrunk end — and
+   sift it down, pulling the earliest of up to four children up one level
+   each step.  The key is read from the arrays here, not passed in, so the
+   float is never boxed. *)
+let sift_down t src =
+  let times = t.times and seqs = t.seqs and slots = t.slots in
+  let n = t.size in
+  let time = get times src and seq = get seqs src and slot = get slots src in
+  let i = ref 0 and continue = ref true in
+  while !continue do
+    let first = (4 * !i) + 1 in
+    if first >= n then continue := false
+    else begin
+      let last = if first + 3 < n then first + 3 else n - 1 in
+      let best = ref first in
+      for c = first + 1 to last do
+        let tc = get times c and tb = get times !best in
+        if tc < tb || (tc = tb && get seqs c < get seqs !best) then best := c
+      done;
+      let b = !best in
+      let tb = get times b in
+      if time < tb || (time = tb && seq < get seqs b) then continue := false
+      else begin
+        set times !i tb;
+        set seqs !i (get seqs b);
+        set slots !i (get slots b);
+        i := b
+      end
+    end
+  done;
+  set times !i time;
+  set seqs !i seq;
+  set slots !i slot
+
+(* Drop the root's heap entry. *)
+let remove_root t =
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then sift_down t n
 
 (* Remove the root and free its slot.  The slot keeps its action until it
    is reused, so the arrays retain at most the high-water mark of closures
    and never an unbounded history. *)
 let pop t =
-  let times = t.times and seqs = t.seqs and slots = t.slots in
-  let freed = slots.(0) in
+  let freed = t.slots.(0) in
   t.slot_seq.(freed) <- vacant;
   t.free.(t.nfree) <- freed;
   t.nfree <- t.nfree + 1;
-  let n = t.size - 1 in
-  t.size <- n;
-  if n > 0 then begin
-    (* Sift the hole down from the root, pulling the earliest of up to four
-       children up one level each step; the last key drops into the final
-       hole. *)
-    let time = get times n and seq = get seqs n and slot = get slots n in
-    let i = ref 0 and continue = ref true in
-    while !continue do
-      let first = (4 * !i) + 1 in
-      if first >= n then continue := false
-      else begin
-        let last = if first + 3 < n then first + 3 else n - 1 in
-        let best = ref first in
-        for c = first + 1 to last do
-          let tc = get times c and tb = get times !best in
-          if tc < tb || (tc = tb && get seqs c < get seqs !best) then best := c
-        done;
-        let b = !best in
-        let tb = get times b in
-        if time < tb || (time = tb && seq < get seqs b) then continue := false
-        else begin
-          set times !i tb;
-          set seqs !i (get seqs b);
-          set slots !i (get slots b);
-          i := b
-        end
-      end
-    done;
-    set times !i time;
-    set seqs !i seq;
-    set slots !i slot
-  end
+  remove_root t
 
 (* --- Scheduling ------------------------------------------------------------ *)
 
@@ -236,7 +284,8 @@ let bad_time fn t time =
 (* [not (time >= clock)] also rejects NaN, which would break heap order. *)
 let[@inline] check_time fn t time = if not (time >= t.clock) then bad_time fn t time
 
-let reserve t =
+(* Take the next normal seq for an event counted in [live]. *)
+let[@inline] take_seq t =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   t.live <- t.live + 1;
@@ -244,28 +293,24 @@ let reserve t =
 
 let schedule_at ?(kind = Kind.other) t ~time action =
   check_time "schedule_at" t time;
-  ignore (push t ~time ~seq:(reserve t) ~kind action)
+  ignore (push t ~time ~seq:(take_seq t) ~kind action)
 
 let[@inline] check_delay fn delay =
   if not (delay >= 0.) then invalid_arg (Printf.sprintf "Sim.%s: delay %g is negative or NaN" fn delay)
 
 let schedule ?(kind = Kind.other) t ~delay action =
   check_delay "schedule" delay;
-  ignore (push t ~time:(t.clock +. delay) ~seq:(reserve t) ~kind action)
+  ignore (push t ~time:(t.clock +. delay) ~seq:(take_seq t) ~kind action)
 
 let timer_at ?(kind = Kind.other) t ~time action =
   check_time "timer_at" t time;
-  let seq = reserve t in
+  let seq = take_seq t in
   { sim = t; slot = push t ~time ~seq ~kind action; seq }
 
 let timer ?(kind = Kind.other) t ~delay action =
   check_delay "timer" delay;
-  let seq = reserve t in
+  let seq = take_seq t in
   { sim = t; slot = push t ~time:(t.clock +. delay) ~seq ~kind action; seq }
-
-let schedule_reserved ?(kind = Kind.other) t ~time ~seq action =
-  check_time "schedule_reserved" t time;
-  ignore (push t ~time ~seq ~kind action)
 
 (* Auxiliary events draw from a separate, negative, descending sequence
    counter, so scheduling one never consumes a [next_seq] value — a run
@@ -280,6 +325,67 @@ let schedule_aux ?(kind = Kind.telemetry) t ~time action =
   t.live <- t.live + 1;
   ignore (push t ~time ~seq ~kind action)
 
+(* --- Lanes ----------------------------------------------------------------- *)
+
+let lane ?(kind = Kind.other) t ~delay =
+  check_delay "lane" delay;
+  let ln =
+    {
+      owner = t;
+      tag = -(t.nlanes + 1);
+      delay;
+      lkind = kind;
+      l_times = [||];
+      l_seqs = [||];
+      l_actions = [||];
+      l_head = 0;
+      l_len = 0;
+    }
+  in
+  if t.nlanes = Array.length t.lanes then begin
+    let b = Array.make (max 2 (2 * t.nlanes)) ln in
+    Array.blit t.lanes 0 b 0 t.nlanes;
+    t.lanes <- b
+  end;
+  t.lanes.(t.nlanes) <- ln;
+  t.nlanes <- t.nlanes + 1;
+  ln
+
+let lane_delay ln = ln.delay
+
+let lane_grow ln =
+  let cap = Array.length ln.l_actions in
+  let ncap = max 16 (2 * cap) in
+  let times = Array.make ncap 0. and seqs = Array.make ncap 0 in
+  let actions = Array.make ncap cancelled_action in
+  for k = 0 to ln.l_len - 1 do
+    let j = (ln.l_head + k) land (cap - 1) in
+    times.(k) <- ln.l_times.(j);
+    seqs.(k) <- ln.l_seqs.(j);
+    actions.(k) <- ln.l_actions.(j)
+  done;
+  ln.l_times <- times;
+  ln.l_seqs <- seqs;
+  ln.l_actions <- actions;
+  ln.l_head <- 0
+
+(* The key is exactly [schedule ~delay]'s: the next normal seq and
+   [now + delay].  Only an empty lane's first entry touches the heap. *)
+let lane_schedule ln action =
+  let t = ln.owner in
+  let seq = take_seq t in
+  let time = t.clock +. ln.delay in
+  let len = ln.l_len in
+  if len = Array.length ln.l_actions then lane_grow ln;
+  let i = (ln.l_head + len) land (Array.length ln.l_actions - 1) in
+  ln.l_times.(i) <- time;
+  ln.l_seqs.(i) <- seq;
+  ln.l_actions.(i) <- action;
+  ln.l_len <- len + 1;
+  if len = 0 then push_key t ~time ~seq ln.tag
+
+(* --- Cancellation ---------------------------------------------------------- *)
+
 let cancelled h = h.sim.slot_seq.(h.slot) <> h.seq || h.sim.actions.(h.slot) == cancelled_action
 
 let cancel h =
@@ -292,33 +398,52 @@ let cancel h =
 
 let stop t = t.stopping <- true
 
-(* Fire the root event, whose slot and (uncancelled) action the caller has
-   read.  The slot is freed before the action runs, so the action may
-   reuse it; the probe's kind is read before the action runs. *)
-let[@inline] fire t slot action =
+let probed pr ~kind action =
+  let t0 = pr.pr_clock () in
+  action ();
+  pr.pr_hit ~kind ~dt:(pr.pr_clock () -. t0)
+
+(* Fire the root event, whose slot holds an uncancelled action.  The slot
+   is freed before the action runs, so the action may reuse it. *)
+let[@inline] fire t slot =
+  let action = t.actions.(slot) in
   t.clock <- t.times.(0);
   pop t;
   t.live <- t.live - 1;
   t.fired <- t.fired + 1;
-  match t.probe with
-  | None -> action ()
-  | Some pr ->
-      let kind = t.kinds.(slot) in
-      let t0 = pr.pr_clock () in
-      action ();
-      pr.pr_hit ~kind ~dt:(pr.pr_clock () -. t0)
+  match t.probe with None -> action () | Some pr -> probed pr ~kind:t.kinds.(slot) action
+
+(* Fire the head of the lane whose tag is at the root: its next entry, if
+   any, takes over the root's heap entry. *)
+let fire_lane t tag =
+  let ln = get t.lanes (-tag - 1) in
+  t.clock <- t.times.(0);
+  let i = ln.l_head in
+  let action = ln.l_actions.(i) in
+  let h = (i + 1) land (Array.length ln.l_actions - 1) in
+  let n = ln.l_len - 1 in
+  ln.l_head <- h;
+  ln.l_len <- n;
+  if n > 0 then begin
+    t.times.(0) <- ln.l_times.(h);
+    t.seqs.(0) <- ln.l_seqs.(h);
+    sift_down t 0
+  end
+  else remove_root t;
+  t.live <- t.live - 1;
+  t.fired <- t.fired + 1;
+  match t.probe with None -> action () | Some pr -> probed pr ~kind:ln.lkind action
 
 let rec step t =
   t.size > 0
   &&
   let slot = t.slots.(0) in
-  let action = t.actions.(slot) in
-  if action == cancelled_action then begin
+  if slot >= 0 && t.actions.(slot) == cancelled_action then begin
     pop t;
     step t
   end
   else begin
-    fire t slot action;
+    if slot < 0 then fire_lane t slot else fire t slot;
     true
   end
 
@@ -328,14 +453,13 @@ let run ?until t =
   let rec loop () =
     if (not t.stopping) && t.size > 0 then begin
       let slot = t.slots.(0) in
-      let action = t.actions.(slot) in
-      if action == cancelled_action then begin
+      if slot >= 0 && t.actions.(slot) == cancelled_action then begin
         pop t;
         loop ()
       end
       else if t.times.(0) > horizon then t.clock <- horizon
       else begin
-        fire t slot action;
+        if slot < 0 then fire_lane t slot else fire t slot;
         loop ()
       end
     end

@@ -8,7 +8,14 @@
     The queue is one 4-ary min-heap keyed by [(time, seq)] whose sift loops
     move only unboxed keys; a scheduled event allocates no record.  Plain
     scheduling returns [unit]; only {!timer}/{!timer_at} return a
-    cancellable {!handle}. *)
+    cancellable {!handle}.
+
+    A constant-delay {!lane} is a FIFO of events that each fire exactly
+    the lane's delay after they were scheduled, under the key {!schedule}
+    would give them.  Only the lane's head occupies the heap: firing it
+    re-keys the root with the lane's next entry instead of a pop and a
+    push.  Link propagation is the client: a link delivers in FIFO order
+    after a constant delay. *)
 
 type t
 
@@ -88,21 +95,26 @@ val timer_at : ?kind:int -> t -> time:float -> (unit -> unit) -> handle
 val timer : ?kind:int -> t -> delay:float -> (unit -> unit) -> handle
 (** {!schedule} that returns a handle for {!cancel}. *)
 
-val reserve : t -> int
-(** Take the next normal sequence number and count one pending event,
-    without queueing anything yet.  The reservation must later be fired
-    through {!schedule_reserved} with that sequence number, exactly once.
-    Reserving at the instant an event becomes due-to-be-scheduled and
-    queueing it later keeps its [(time, seq)] key, {!pending} and
-    {!events_processed} exactly as if it had been queued at once — as long
-    as it is queued before anything with a later key could fire.  The link
-    transmitter uses this to hold a link's in-flight packets in a FIFO
-    ring with one queued delivery per link. *)
+type lane
+(** A constant-delay FIFO of events on one simulator. *)
 
-val schedule_reserved : ?kind:int -> t -> time:float -> seq:int -> (unit -> unit) -> unit
-(** Queue the callback under a key taken by {!reserve}.  Consumes no
-    sequence number and does not change {!pending}.  Raises
-    [Invalid_argument] if [time] is in the past or NaN. *)
+val lane : ?kind:int -> t -> delay:float -> lane
+(** A new, empty lane whose events fire [delay] seconds after they are
+    scheduled.  Raises [Invalid_argument] unless [delay >= 0] (so also on
+    NaN).  [kind] (default {!Kind.other}) tags all its events for the
+    profiler {!probe}.  A lane lives as long as its simulator. *)
+
+val lane_delay : lane -> float
+(** The delay the lane was made with. *)
+
+val lane_schedule : lane -> (unit -> unit) -> unit
+(** [lane_schedule l f] is [schedule ~delay:(lane_delay l) f] of [l]'s
+    simulator: it takes the next sequence number, so the event's
+    [(time, seq)] key, {!pending} and {!events_processed} are exactly
+    what {!schedule} would give, and events on a lane interleave with
+    every other event in key order.  Since {!now} never decreases, a
+    lane's keys are nondecreasing, and the event costs the heap nothing
+    unless the lane was empty. *)
 
 val schedule_aux : ?kind:int -> t -> time:float -> (unit -> unit) -> unit
 (** Fire the callback at absolute virtual [time], drawing from a separate

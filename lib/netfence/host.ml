@@ -32,13 +32,13 @@ let make_header t ~dst =
 
 let send_body t ~dst body =
   let nf = make_header t ~dst in
-  Net.originate t.node (Wire.Packet.make ~nf ~src:t.addr ~dst ~created:(Sim.now t.sim) body)
+  Net.originate t.node (Wire.Packet.make ~nf ~src:t.addr ~dst body)
 
 let send_segment t ~dst seg = send_body t ~dst (Wire.Packet.Tcp seg)
 let send_raw t ~dst ~bytes = send_body t ~dst (Wire.Packet.Raw bytes)
 
 let send_legacy t ~dst ~bytes =
-  let p = Wire.Packet.make ~src:t.addr ~dst ~created:(Sim.now t.sim) (Wire.Packet.Raw bytes) in
+  let p = Wire.Packet.make ~src:t.addr ~dst (Wire.Packet.Raw bytes) in
   Net.originate t.node p
 
 let handle_packet t _node ~in_link:_ (p : Wire.Packet.t) =

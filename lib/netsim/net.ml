@@ -7,6 +7,7 @@ type t = {
   mutable next_slot : int; (* dense index over addressed nodes *)
   by_addr : node Wire.Addr.Tbl.t;
   mutable trace : (event -> unit) option;
+  mutable lanes : Sim.lane list; (* one per distinct link delay *)
 }
 
 and node = {
@@ -35,6 +36,7 @@ and link = {
   bandwidth : float;
   delay : float;
   qdisc : Qdisc.t;
+  lane : Sim.lane; (* the network's lane for [delay] *)
   mutable busy : bool;
   mutable up : bool;
   mutable poll : Sim.handle option;
@@ -60,11 +62,8 @@ and pipe = {
   mutable wire_fault : fault_action;
   mutable wire_dup : Wire.Packet.t;
   (* The in-flight ring: packets propagating at the link's constant delay,
-     in (due, seq) order, each under a key taken by [Sim.reserve].  Only
-     the head's delivery is queued in the simulator. *)
+     in send order.  Each has one [on_deliver] on the link's lane. *)
   mutable fl_pkts : Wire.Packet.t array; (* capacity 0 or a power of two *)
-  mutable fl_due : float array;
-  mutable fl_seqs : int array;
   mutable fl_head : int;
   mutable fl_len : int;
 }
@@ -89,6 +88,7 @@ let create sim =
     next_slot = 0;
     by_addr = Wire.Addr.Tbl.create 64;
     trace = None;
+    lanes = [];
   }
 
 let sim t = t.sim
@@ -161,8 +161,6 @@ let make_pipe ~self ~on_tx_done ~on_deliver ~on_poll =
     wire_fault = Fault_pass;
     wire_dup = Qdisc.none;
     fl_pkts = [||];
-    fl_due = [||];
-    fl_seqs = [||];
     fl_head = 0;
     fl_len = 0;
   }
@@ -177,50 +175,30 @@ let arrive link p =
 
 let flight_grow pp =
   let cap = max 8 (2 * Array.length pp.fl_pkts) in
-  let pkts = Array.make cap Qdisc.none and due = Array.make cap 0. and seqs = Array.make cap 0 in
+  let pkts = Array.make cap Qdisc.none in
   for i = 0 to pp.fl_len - 1 do
-    let j = (pp.fl_head + i) land (Array.length pp.fl_pkts - 1) in
-    pkts.(i) <- pp.fl_pkts.(j);
-    due.(i) <- pp.fl_due.(j);
-    seqs.(i) <- pp.fl_seqs.(j)
+    pkts.(i) <- pp.fl_pkts.((pp.fl_head + i) land (Array.length pp.fl_pkts - 1))
   done;
   pp.fl_pkts <- pkts;
-  pp.fl_due <- due;
-  pp.fl_seqs <- seqs;
   pp.fl_head <- 0
 
 (* Put a serialized packet on the wire.  A constant-delay link delivers in
-   FIFO order: every entry's due time is the clock at its tx-done plus the
-   same delay, and tx-dones on one link happen in time order, so the ring
-   is sorted by (due, seq) and its head is always the earliest.  Queueing
-   only the head therefore fires deliveries in exactly the order (and
-   under exactly the keys) that one event per packet would. *)
+   FIFO order, so the ring needs no keys: the link's lane fires one
+   [on_deliver] per packet under the key [Sim.schedule ~delay] would give,
+   in the order they were launched, and each pops the ring's head. *)
 let launch link pp p =
-  let sim = link.src.net.sim in
-  let seq = Sim.reserve sim in
-  let due = Sim.now sim +. link.delay in
   if pp.fl_len = Array.length pp.fl_pkts then flight_grow pp;
-  let i = (pp.fl_head + pp.fl_len) land (Array.length pp.fl_pkts - 1) in
-  pp.fl_pkts.(i) <- p;
-  pp.fl_due.(i) <- due;
-  pp.fl_seqs.(i) <- seq;
+  pp.fl_pkts.((pp.fl_head + pp.fl_len) land (Array.length pp.fl_pkts - 1)) <- p;
   pp.fl_len <- pp.fl_len + 1;
-  if pp.fl_len = 1 then
-    Sim.schedule_reserved ?kind:k_deliver sim ~time:due ~seq pp.on_deliver
+  Sim.lane_schedule link.lane pp.on_deliver
 
-(* The head's delivery: pop it, queue the next head under its reserved
-   key, then hand the packet to the receiver. *)
 let deliver_head link =
   let pp = link.pipe in
   let i = pp.fl_head in
   let p = pp.fl_pkts.(i) in
   pp.fl_pkts.(i) <- Qdisc.none;
-  let h = (i + 1) land (Array.length pp.fl_pkts - 1) in
-  pp.fl_head <- h;
+  pp.fl_head <- (i + 1) land (Array.length pp.fl_pkts - 1);
   pp.fl_len <- pp.fl_len - 1;
-  if pp.fl_len > 0 then
-    Sim.schedule_reserved ?kind:k_deliver link.src.net.sim ~time:pp.fl_due.(h)
-      ~seq:pp.fl_seqs.(h) pp.on_deliver;
   arrive link p
 
 (* --- The transmitter --------------------------------------------------- *)
@@ -309,9 +287,21 @@ and open_pipe link =
   link.pipe <- pp;
   pp
 
+(* The network's lane for [delay], made on first use: the dumbbell, chain
+   and scale topologies need one or two. *)
+let lane_for t delay =
+  let rec find = function
+    | l :: rest -> if Sim.lane_delay l = delay then l else find rest
+    | [] ->
+        let l = Sim.lane ~kind:Sim.Kind.net_deliver t.sim ~delay in
+        t.lanes <- l :: t.lanes;
+        l
+  in
+  find t.lanes
+
 let link_oneway t ~src ~dst ~bandwidth_bps ~delay ~qdisc =
   if bandwidth_bps <= 0. then invalid_arg "Net.link_oneway: bandwidth must be positive";
-  if delay < 0. then invalid_arg "Net.link_oneway: delay must be nonnegative";
+  if not (delay >= 0.) then invalid_arg "Net.link_oneway: delay must be nonnegative";
   let link =
     {
       lid = t.next_link_id;
@@ -320,6 +310,7 @@ let link_oneway t ~src ~dst ~bandwidth_bps ~delay ~qdisc =
       bandwidth = bandwidth_bps;
       delay;
       qdisc;
+      lane = lane_for t delay;
       busy = false;
       up = true;
       poll = None;
@@ -367,11 +358,14 @@ let forward_on node link p =
   assert (link.src == node);
   if charge_hop node p then enqueue_on link p
 
+(* [find], not [find_opt]: a hit returns the node without a [Some] box,
+   so a lookup allocates nothing. *)
 let route_for node addr =
-  match Wire.Addr.Tbl.find_opt node.net.by_addr addr with
-  | Some dst when dst.slot < Array.length node.routes ->
+  match Wire.Addr.Tbl.find node.net.by_addr addr with
+  | dst when dst.slot < Array.length node.routes ->
       Array.unsafe_get node.routes dst.slot (* slot >= 0: addressed node *)
-  | Some _ | None -> None
+  | _ -> None
+  | exception Not_found -> None
 
 let forward node p =
   if charge_hop node p then begin
@@ -386,23 +380,32 @@ let originate node p = forward node p
    resolve to the earliest-created link, which makes routes deterministic.
    Adjacency arrays (in link-creation order) are built once up front — the
    seed reversed each node's [out_links] list inside every BFS, i.e. O(V·E)
-   list reversals per recompute. *)
+   list reversals per recompute.
+
+   A node with a single out-link (every host) needs no BFS of its own: it
+   reaches, through that link, exactly the link's far end and what the far
+   end reaches, except itself.  So routers are searched first, and each
+   single-homed node copies its neighbour's table, when the neighbour was
+   searched, in one pass over the slots. *)
 let compute_routes t =
   let nodes = List.rev t.node_list in
   let n = t.next_node_id in
   let n_slots = t.next_slot in
   let adj = Array.make n [||] in
   List.iter (fun node -> adj.(node.id) <- Array.of_list (List.rev node.out_links)) nodes;
+  (* Every route through a link shares that link's one [Some link]. *)
+  let some_link = Array.make t.next_link_id None in
+  List.iter (fun link -> some_link.(link.lid) <- Some link) t.link_list;
   (* Scratch reused across sources: [seen] is a generation stamp so it needs
-     no clearing between BFS runs, [frontier] a preallocated ring (each node
-     enters at most once). *)
+     no clearing between BFS runs, [first_hop] holds link ids (plain
+     stores, no write barrier), [frontier] is a preallocated ring (each
+     node enters at most once). *)
   let seen = Array.make n (-1) in
-  let first_hop : link option array = Array.make n None in
+  let first_hop = Array.make n (-1) in
   let frontier = Array.make (max n 1) (-1) in
   let run_bfs source =
-    source.routes <- Array.make n_slots None;
+    let routes = Array.make n_slots None in
     seen.(source.id) <- source.id;
-    first_hop.(source.id) <- None;
     frontier.(0) <- source.id;
     let head = ref 0 and tail = ref 1 in
     while !head < !tail do
@@ -411,20 +414,40 @@ let compute_routes t =
       let links = adj.(u) in
       for k = 0 to Array.length links - 1 do
         let link = links.(k) in
-        let v = link.dst.id in
+        let dst = link.dst in
+        let v = dst.id in
         if seen.(v) <> source.id then begin
           seen.(v) <- source.id;
-          first_hop.(v) <- (if u = source.id then Some link else first_hop.(u));
-          (match (link.dst.addr, first_hop.(v)) with
-          | Some _, Some hop -> source.routes.(link.dst.slot) <- Some hop
-          | _, _ -> ());
+          let hop = if u = source.id then link.lid else first_hop.(u) in
+          first_hop.(v) <- hop;
+          if dst.slot >= 0 then routes.(dst.slot) <- some_link.(hop);
           frontier.(!tail) <- v;
           incr tail
         end
       done
-    done
+    done;
+    source.routes <- routes
   in
-  List.iter run_bfs nodes
+  let single node = Array.length adj.(node.id) = 1 in
+  List.iter (fun node -> if not (single node) then run_bfs node) nodes;
+  List.iter
+    (fun node ->
+      if single node then begin
+        let link = adj.(node.id).(0) in
+        let far = link.dst in
+        if single far then run_bfs node
+        else begin
+          let hop = some_link.(link.lid) and far_routes = far.routes in
+          let routes = Array.make n_slots None in
+          for i = 0 to n_slots - 1 do
+            if far_routes.(i) != None then routes.(i) <- hop
+          done;
+          if far.slot >= 0 then routes.(far.slot) <- hop;
+          if node.slot >= 0 then routes.(node.slot) <- None;
+          node.routes <- routes
+        end
+      end)
+    nodes
 
 let links_into node = List.rev node.in_links
 let links_out_of node = List.rev node.out_links

@@ -9,9 +9,10 @@
 
     A hop schedules no closure.  Each link allocates its tx-done, deliver
     and poll actions once, when it first has a packet to send.  The
-    packets propagating on it wait in a per-link FIFO ring with only the
-    head's delivery queued, under sequence numbers reserved when they
-    entered the pipe ({!Sim.reserve}), so events fire in exactly the
+    packets propagating on it wait in a per-link FIFO ring, and each has
+    one delivery on the network's constant-delay {!Sim.lane} for the
+    link's delay (one lane per distinct delay), which fires it under the
+    key [Sim.schedule ~delay] would give, so events fire in exactly the
     order one event per packet would give.  A [Fault_delay] or
     [Fault_dup] packet gets its own event.  With no trace hook set, no
     {!event} value is built (DESIGN.md §9.1). *)
@@ -87,7 +88,8 @@ val node_id : node -> int
 
 val link_oneway :
   t -> src:node -> dst:node -> bandwidth_bps:float -> delay:float -> qdisc:Qdisc.t -> link
-(** Raises [Invalid_argument] on nonpositive bandwidth or negative delay. *)
+(** Raises [Invalid_argument] on nonpositive bandwidth or a negative or
+    NaN delay. *)
 
 val duplex :
   t ->
@@ -102,7 +104,9 @@ val duplex :
 val compute_routes : t -> unit
 (** Populates every node's next-hop table with shortest paths (hop count,
     ties by link creation order) towards every addressed node.  Call after
-    the topology is complete; may be called again after changes. *)
+    the topology is complete; may be called again after changes.  Only
+    nodes without exactly one out-link are searched; a single-homed node
+    copies its neighbour's table, which gives the same routes. *)
 
 (** {1 Moving packets} *)
 
@@ -117,7 +121,8 @@ val forward_on : node -> link -> Wire.Packet.t -> unit
 (** Forward on an explicit link, bypassing the route lookup. *)
 
 val route_for : node -> Wire.Addr.t -> link option
-(** The node's current next hop towards an address, if any. *)
+(** The node's current next hop towards an address, if any.  Allocates
+    nothing: every route through a link shares one [Some link]. *)
 
 val min_poll_delay : float
 (** The minimum self-poll backoff (in virtual seconds) a link transmitter

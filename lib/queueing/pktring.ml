@@ -18,8 +18,7 @@ type t = {
 let nil =
   Wire.Packet.make
     ~src:(Wire.Addr.of_int 0)
-    ~dst:(Wire.Addr.of_int 0)
-    ~created:neg_infinity (Wire.Packet.Raw 0)
+    ~dst:(Wire.Addr.of_int 0) (Wire.Packet.Raw 0)
 
 let initial_capacity = 8 (* power of two: index arithmetic is a mask *)
 

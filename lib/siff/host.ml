@@ -52,7 +52,7 @@ let make_shim t ~dst =
 
 let send_body t ~dst body =
   let siff = make_shim t ~dst in
-  let p = Wire.Packet.make ~siff ~src:t.addr ~dst ~created:(Sim.now t.sim) body in
+  let p = Wire.Packet.make ~siff ~src:t.addr ~dst body in
   Net.originate t.node p
 
 (* SIFF handshakes are per connection: SYN and SYN/ACK packets are always
@@ -68,7 +68,7 @@ let send_handshake t ~dst body =
       Wire.Addr.Tbl.remove t.pending_return dst;
       siff.Wire.Siff_marking.returned <- Some markings
   | None -> ());
-  Net.originate t.node (Wire.Packet.make ~siff ~src:t.addr ~dst ~created:now body)
+  Net.originate t.node (Wire.Packet.make ~siff ~src:t.addr ~dst body)
 
 let send_segment t ~dst seg =
   match seg.Wire.Tcp_segment.flags with
@@ -78,7 +78,7 @@ let send_segment t ~dst seg =
 let send_raw t ~dst ~bytes = send_body t ~dst (Wire.Packet.Raw bytes)
 
 let send_legacy t ~dst ~bytes =
-  let p = Wire.Packet.make ~src:t.addr ~dst ~created:(Sim.now t.sim) (Wire.Packet.Raw bytes) in
+  let p = Wire.Packet.make ~src:t.addr ~dst (Wire.Packet.Raw bytes) in
   Net.originate t.node p
 
 let handle_packet t _node ~in_link:_ (p : Wire.Packet.t) =

@@ -4,7 +4,6 @@ type t = {
   id : int;
   src : Addr.t;
   dst : Addr.t;
-  created : float;
   body : body;
   mutable shim : Cap_shim.t option;
   mutable siff : Siff_marking.t option;
@@ -20,9 +19,9 @@ let default_hops = 64
    without threatening run determinism. *)
 let counter = Atomic.make 0
 
-let make ?shim ?siff ?nf ~src ~dst ~created body =
+let make ?shim ?siff ?nf ~src ~dst body =
   let id = Atomic.fetch_and_add counter 1 + 1 in
-  { id; src; dst; created; body; shim; siff; nf; hops = default_hops }
+  { id; src; dst; body; shim; siff; nf; hops = default_hops }
 
 let copy t =
   let id = Atomic.fetch_and_add counter 1 + 1 in

@@ -14,7 +14,6 @@ type t = {
   id : int; (** unique per process, for tracing *)
   src : Addr.t;
   dst : Addr.t;
-  created : float; (** virtual time the packet entered the network *)
   body : body;
   mutable shim : Cap_shim.t option; (** TVA capability header *)
   mutable siff : Siff_marking.t option;
@@ -28,7 +27,6 @@ val make :
   ?nf:Nf_feedback.t ->
   src:Addr.t ->
   dst:Addr.t ->
-  created:float ->
   body ->
   t
 

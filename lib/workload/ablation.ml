@@ -125,8 +125,7 @@ let queueing_discipline ?(jobs = 1) ?(n_attackers = 20) ?(transfers = 20) ?(max_
               let shim = Wire.Cap_shim.request () in
               shim.Wire.Cap_shim.return_info <- Some (Wire.Cap_shim.Grant { n_kb; t_sec; caps });
               Net.originate colluder
-                (Wire.Packet.make ~shim ~src:colluder_addr ~dst:attacker_addr
-                   ~created:(Sim.now sim) (Wire.Packet.Raw 64))
+                (Wire.Packet.make ~shim ~src:colluder_addr ~dst:attacker_addr (Wire.Packet.Raw 64))
           | Some _ | None -> ());
       let rate_bps = float_of_int n_attackers *. 1e6 in
       let interval = 1000. *. 8. /. rate_bps in
@@ -146,7 +145,7 @@ let queueing_discipline ?(jobs = 1) ?(n_attackers = 20) ?(transfers = 20) ?(max_
             in
             sent_caps := true;
             let p =
-              Wire.Packet.make ~shim ~src:victim_addr ~dst:colluder_addr ~created:now
+              Wire.Packet.make ~shim ~src:victim_addr ~dst:colluder_addr
                 (Wire.Packet.Raw 1000)
             in
             budget := !budget - Wire.Packet.size p;
@@ -160,7 +159,7 @@ let queueing_discipline ?(jobs = 1) ?(n_attackers = 20) ?(transfers = 20) ?(max_
               budget := n_kb * 1024;
               let shim = Wire.Cap_shim.request () in
               Net.originate attacker
-                (Wire.Packet.make ~shim ~src:victim_addr ~dst:colluder_addr ~created:now
+                (Wire.Packet.make ~shim ~src:victim_addr ~dst:colluder_addr
                    (Wire.Packet.Raw 64))
             end);
         Sim.schedule ~kind:Sim.Kind.agent sim ~delay:(interval *. (0.95 +. Rng.float rng 0.1)) tick

@@ -242,10 +242,10 @@ let run ?obs cfg =
           let base = (k * per) + min k rem in
           let node = swarm_nodes.(k) in
           let member_rate = cfg.sc_attack_bps /. float_of_int cfg.sc_senders in
-          let emit ~member ~due =
+          let emit ~member ~due:_ =
             let src = Topology.attacker_addr (base + member) in
             Net.originate node
-              (Wire.Packet.make ~src ~dst:b.b_dest_addr ~created:due
+              (Wire.Packet.make ~src ~dst:b.b_dest_addr
                  (Wire.Packet.Raw cfg.sc_attack_pkt_bytes))
           in
           Some

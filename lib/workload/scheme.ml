@@ -57,7 +57,7 @@ let tva_misbehaving_flood host sim =
             ~t_sec:g.Tva.Host.t_sec ~renewal:false ()
         in
         Net.originate node
-          (Wire.Packet.make ~shim ~src:(Tva.Host.addr host) ~dst ~created:now
+          (Wire.Packet.make ~shim ~src:(Tva.Host.addr host) ~dst
              (Wire.Packet.Raw bytes))
     | None ->
         (* Authorization gone and renewals refused: the damage of the bad
@@ -157,7 +157,7 @@ let siff_misbehaving_flood host sim rotation =
     | Some markings ->
         let siff = Wire.Siff_marking.dta ~markings in
         Net.originate (Siff.Host.node host)
-          (Wire.Packet.make ~siff ~src:addr ~dst ~created:now (Wire.Packet.Raw bytes))
+          (Wire.Packet.make ~siff ~src:addr ~dst (Wire.Packet.Raw bytes))
     | None ->
         ignore bytes;
         if now -. !last_request > 1.0 then begin
@@ -195,8 +195,7 @@ let siff ?(rotation_period = Siff.Router.default_rotation_period) () : factory =
             (fun ~dst ~bytes ->
               let siff = Wire.Siff_marking.exp_packet () in
               Net.originate node
-                (Wire.Packet.make ~siff ~src:(Siff.Host.addr host) ~dst
-                   ~created:(Sim.now (Net.node_sim node)) (Wire.Packet.Raw bytes)));
+                (Wire.Packet.make ~siff ~src:(Siff.Host.addr host) ~dst (Wire.Packet.Raw bytes)));
           ep_flood_misbehaving = siff_misbehaving_flood host (Net.node_sim node) rotation_period;
           ep_reacquire_latencies = (fun () -> []);
         });

@@ -1,8 +1,9 @@
 (* A reference model of [Sim]'s scheduling contract, for differential
    tests: the pending events are a [Map] keyed by [(time, seq)], so firing
-   order is the map's order by construction.  Sequence numbers, reserved
-   keys, auxiliary keys, [pending] and [events_processed] follow the
-   contract in sim.mli; cancellation removes the binding at once. *)
+   order is the map's order by construction.  Sequence numbers, auxiliary
+   keys, [pending] and [events_processed] follow the contract in sim.mli;
+   a lane is plain [schedule ~delay], and cancellation removes the binding
+   at once. *)
 
 module Key = struct
   type t = float * int
@@ -32,21 +33,24 @@ let add t ~time ~seq action =
   if not (time >= t.clock) then invalid_arg "Sim_oracle: time in the past or NaN";
   t.queue <- Q.add (time, seq) action t.queue
 
-let reserve t =
+let take_seq t =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   t.live <- t.live + 1;
   seq
 
-let schedule_at t ~time action = add t ~time ~seq:(reserve t) action
+let schedule_at t ~time action = add t ~time ~seq:(take_seq t) action
 let schedule t ~delay action = schedule_at t ~time:(t.clock +. delay) action
 
 let timer t ~delay action =
-  let time = t.clock +. delay and seq = reserve t in
+  let time = t.clock +. delay and seq = take_seq t in
   add t ~time ~seq action;
   { sim = t; key = (time, seq) }
 
-let schedule_reserved t ~time ~seq action = add t ~time ~seq action
+type lane = { owner : t; delay : float }
+
+let lane t ~delay = { owner = t; delay }
+let lane_schedule l action = schedule l.owner ~delay:l.delay action
 
 let schedule_aux t ~time action =
   let seq = t.aux_seq in

@@ -72,7 +72,7 @@ let siff_exp_collects_markings () =
   let got = ref None in
   Net.set_handler b (fun _ ~in_link:_ p -> got := p.Wire.Packet.siff);
   let siff = Wire.Siff_marking.exp_packet () in
-  Net.originate a (Wire.Packet.make ~siff ~src ~dst ~created:0. (Wire.Packet.Raw 100));
+  Net.originate a (Wire.Packet.make ~siff ~src ~dst (Wire.Packet.Raw 100));
   Sim.run sim;
   match !got with
   | Some m ->
@@ -87,11 +87,11 @@ let siff_valid_dta_passes_invalid_dropped () =
   Net.set_handler b (fun _ ~in_link:_ _ -> incr delivered);
   let good = Siff.Router.marking_bits router ~now:0. ~src ~dst in
   let siff = Wire.Siff_marking.dta ~markings:[ (7, good) ] in
-  Net.originate a (Wire.Packet.make ~siff ~src ~dst ~created:0. (Wire.Packet.Raw 100));
+  Net.originate a (Wire.Packet.make ~siff ~src ~dst (Wire.Packet.Raw 100));
   Sim.run sim;
   Alcotest.(check int) "valid delivered" 1 !delivered;
   let bad = Wire.Siff_marking.dta ~markings:[ (7, (good + 1) land 3) ] in
-  Net.originate a (Wire.Packet.make ~siff:bad ~src ~dst ~created:(Sim.now sim) (Wire.Packet.Raw 100));
+  Net.originate a (Wire.Packet.make ~siff:bad ~src ~dst (Wire.Packet.Raw 100));
   Sim.run sim;
   Alcotest.(check int) "invalid dropped" 1 !delivered;
   Alcotest.(check int) "drop counted" 1 (Siff.Router.dropped_dta router)
@@ -110,7 +110,7 @@ let siff_stale_marking_dies_after_two_epochs () =
   if Siff.Router.marking_bits router ~now ~src ~dst <> good
      && Siff.Router.marking_bits router ~now:(now -. 3.) ~src ~dst <> good then begin
     let siff = Wire.Siff_marking.dta ~markings:[ (7, good) ] in
-    Net.originate a (Wire.Packet.make ~siff ~src ~dst ~created:now (Wire.Packet.Raw 100));
+    Net.originate a (Wire.Packet.make ~siff ~src ~dst (Wire.Packet.Raw 100));
     Sim.run sim;
     Alcotest.(check int) "stale dropped" 0 !delivered
   end
@@ -186,8 +186,8 @@ let pushback_qdisc_is_fifo_when_unlimited () =
   let sim = Sim.create () in
   let t = Pushback.create ~sim () in
   let q = Pushback.make_qdisc t ~bandwidth_bps:10e6 in
-  let p1 = Wire.Packet.make ~src ~dst ~created:0. (Wire.Packet.Raw 100) in
-  let p2 = Wire.Packet.make ~src ~dst ~created:0. (Wire.Packet.Raw 100) in
+  let p1 = Wire.Packet.make ~src ~dst (Wire.Packet.Raw 100) in
+  let p2 = Wire.Packet.make ~src ~dst (Wire.Packet.Raw 100) in
   ignore (Qdisc.enqueue q ~now:0. p1);
   ignore (Qdisc.enqueue q ~now:0. p2);
   (match Qdisc.dequeue_opt q ~now:0. with
@@ -214,7 +214,7 @@ let pushback_engages_and_protects () =
       let addr = match Net.node_addr a with Some x -> x | None -> assert false in
       let rec flood () =
         Net.originate a
-          (Wire.Packet.make ~src:addr ~dst:Topology.destination_addr ~created:(Sim.now sim)
+          (Wire.Packet.make ~src:addr ~dst:Topology.destination_addr
              (Wire.Packet.Raw 1000));
         (* 2 Mb/s x 10 attackers = twice the bottleneck. *)
         Sim.schedule sim ~delay:0.004 flood
@@ -247,7 +247,7 @@ let pushback_releases_after_quiet () =
       let rec flood () =
         if Sim.now sim < stop_at then begin
           Net.originate a
-            (Wire.Packet.make ~src:addr ~dst:Topology.destination_addr ~created:(Sim.now sim)
+            (Wire.Packet.make ~src:addr ~dst:Topology.destination_addr
                (Wire.Packet.Raw 1000));
           Sim.schedule sim ~delay:0.002 flood
         end

@@ -163,16 +163,19 @@ let heap_order_under_random_schedule_cancel =
 (* One command script runs on [Sim] and on [Sim_oracle] through the same
    [Drive] functor; both must fire the same events at the same times and agree on
    [now], [pending] and [events_processed] after every command.  Scripts
-   mix plain, timer, burst, auxiliary and reserved-ring scheduling with
-   cancels, single steps and horizons.  A [Schedule] with [chain] set
-   schedules a zero-delay follow-up from inside its handler, so ties are
-   also created mid-run. *)
+   mix plain, timer, burst, auxiliary and constant-delay lane scheduling
+   with cancels, single steps and horizons; the oracle's lane is plain
+   [schedule ~delay].  A [Schedule] with [chain] set schedules a
+   zero-delay follow-up from inside its handler, and a [Lane] with
+   [chain] set schedules on the next lane from inside its handler (on
+   itself when there is one lane), so ties and lane entries are also
+   created mid-run. *)
 type cmd =
   | Schedule of float * bool (* delay, chain *)
   | Timer of float (* delay; the handle joins the cancel pool *)
   | Burst of int * float (* [n] events at one time, [delay] ahead *)
   | Aux of float
-  | Ring (* reserve now, due the script's ring delay later *)
+  | Lane of int * bool (* a script lane, index mod lane count; chain *)
   | Cancel of int (* a pool handle, newest first, index mod pool size *)
   | Step
   | Until of float
@@ -186,8 +189,10 @@ module type SIM = sig
   val schedule : t -> delay:float -> (unit -> unit) -> unit
   val schedule_at : t -> time:float -> (unit -> unit) -> unit
   val timer : t -> delay:float -> (unit -> unit) -> handle
-  val reserve : t -> int
-  val schedule_reserved : t -> time:float -> seq:int -> (unit -> unit) -> unit
+  type lane
+
+  val lane : t -> delay:float -> lane
+  val lane_schedule : lane -> (unit -> unit) -> unit
   val schedule_aux : t -> time:float -> (unit -> unit) -> unit
   val cancel : handle -> unit
   val step : t -> bool
@@ -203,12 +208,12 @@ module Real : SIM = struct
   let schedule t ~delay f = Sim.schedule t ~delay f
   let schedule_at t ~time f = Sim.schedule_at t ~time f
   let timer t ~delay f = Sim.timer t ~delay f
-  let schedule_reserved t ~time ~seq f = Sim.schedule_reserved t ~time ~seq f
+  let lane t ~delay = Sim.lane t ~delay
   let schedule_aux t ~time f = Sim.schedule_aux t ~time f
 end
 
 module Drive (S : SIM) = struct
-  let run ~ring_delay cmds =
+  let run ~lane_delays cmds =
     let sim = S.create () in
     let fired = ref [] and states = ref [] in
     let stamp = ref 0 in
@@ -218,16 +223,8 @@ module Drive (S : SIM) = struct
     in
     let note k () = fired := (k, S.now sim) :: !fired in
     let pool = ref [] and pool_size = ref 0 in
-    (* The link transmitter's pattern: a FIFO ring of reserved keys with
-       only its head queued. *)
-    let ring = Queue.create () in
-    let rec fire_head () =
-      let _, _, k = Queue.pop ring in
-      (match Queue.peek_opt ring with
-      | Some (time, seq, _) -> S.schedule_reserved sim ~time ~seq fire_head
-      | None -> ());
-      note k ()
-    in
+    let lanes = Array.of_list (List.map (fun delay -> S.lane sim ~delay) lane_delays) in
+    let n_lanes = Array.length lanes in
     List.iter
       (fun cmd ->
         (match cmd with
@@ -245,10 +242,11 @@ module Drive (S : SIM) = struct
               S.schedule_at sim ~time (note (fresh ()))
             done
         | Aux delay -> S.schedule_aux sim ~time:(S.now sim +. delay) (note (fresh ()))
-        | Ring ->
-            let time = S.now sim +. ring_delay and seq = S.reserve sim in
-            Queue.push (time, seq, fresh ()) ring;
-            if Queue.length ring = 1 then S.schedule_reserved sim ~time ~seq fire_head
+        | Lane (i, chain) ->
+            let k = fresh () in
+            S.lane_schedule lanes.(i mod n_lanes) (fun () ->
+                note k ();
+                if chain then S.lane_schedule lanes.((i + 1) mod n_lanes) (note (fresh ())))
         | Cancel i -> if !pool_size > 0 then S.cancel (List.nth !pool (i mod !pool_size))
         | Step -> ignore (S.step sim)
         | Until d -> S.run ~until:(S.now sim +. d) sim);
@@ -266,38 +264,44 @@ let print_cmd = function
   | Timer d -> Printf.sprintf "Timer %h" d
   | Burst (n, d) -> Printf.sprintf "Burst (%d, %h)" n d
   | Aux d -> Printf.sprintf "Aux %h" d
-  | Ring -> "Ring"
+  | Lane (i, c) -> Printf.sprintf "Lane (%d, %b)" i c
   | Cancel i -> Printf.sprintf "Cancel %d" i
   | Step -> "Step"
   | Until d -> Printf.sprintf "Until %h" d
 
-(* A script and its ring delay, shrinkable as a command list. *)
+(* A script and its one to three lane delays, shrinkable as a command
+   list.  Lane delays are often [0.] or shared with the script's own
+   delays, so lane entries tie with plain events. *)
 let script_arb ~len delay_gen =
   let open QCheck in
+  let chain = Gen.(map (fun n -> n = 0) (int_bound 4)) in
   let gen =
     Gen.(
-      pair (oneofl [ 0.; 0.5; 3e-7 ])
+      pair
+        (list_size (int_range 1 3) (frequency [ (1, oneofl [ 0.; 0.5; 3e-7 ]); (1, delay_gen) ]))
         (list_size (int_range 1 len)
            (frequency
               [
-                (4, map2 (fun d c -> Schedule (d, c)) delay_gen (map (fun n -> n = 0) (int_bound 4)));
+                (4, map2 (fun d c -> Schedule (d, c)) delay_gen chain);
                 (3, map (fun d -> Timer d) delay_gen);
                 (1, map2 (fun n d -> Burst (n, d)) (int_range 2 12) delay_gen);
                 (1, map (fun d -> Aux d) delay_gen);
-                (2, return Ring);
+                (3, map2 (fun i c -> Lane (i, c)) (int_bound 2) chain);
                 (2, map (fun i -> Cancel i) (int_bound 1_000_000));
                 (3, return Step);
                 (1, map (fun d -> Until d) delay_gen);
               ])))
   in
   make
-    ~print:(fun (rd, cmds) ->
-      Printf.sprintf "ring delay %h: [%s]" rd (String.concat "; " (List.map print_cmd cmds)))
+    ~print:(fun (lds, cmds) ->
+      Printf.sprintf "lane delays [%s]: [%s]"
+        (String.concat "; " (List.map (Printf.sprintf "%h") lds))
+        (String.concat "; " (List.map print_cmd cmds)))
     ~shrink:Shrink.(pair nil list)
     gen
 
-let matches_oracle (ring_delay, cmds) =
-  Drive_real.run ~ring_delay cmds = Drive_oracle.run ~ring_delay cmds
+let matches_oracle (lane_delays, cmds) =
+  Drive_real.run ~lane_delays cmds = Drive_oracle.run ~lane_delays cmds
 
 (* Delays with heavy ties: zero, whole seconds, tenths, sub-microsecond
    offsets and arbitrary floats. *)
@@ -361,8 +365,8 @@ let cancel_heavy_differential =
                    else [])
                @ if Rng.int rng 8 = 0 then [ Step ] else []))
       in
-      let ((fired, _, _, _, _) as real) = Drive_real.run ~ring_delay:0. cmds in
-      List.length fired * 2 <= total && real = Drive_oracle.run ~ring_delay:0. cmds)
+      let ((fired, _, _, _, _) as real) = Drive_real.run ~lane_delays:[ 0. ] cmds in
+      List.length fired * 2 <= total && real = Drive_oracle.run ~lane_delays:[ 0. ] cmds)
 
 (* NaN compares false with everything, so a NaN key would silently break
    heap order: every scheduling entry point rejects it, consuming nothing. *)
@@ -378,10 +382,9 @@ let nan_rejected () =
   rejects "timer_at" (fun () -> ignore (Sim.timer_at sim ~time:nan ignore));
   rejects "timer" (fun () -> ignore (Sim.timer sim ~delay:nan ignore));
   rejects "schedule_aux" (fun () -> Sim.schedule_aux sim ~time:nan ignore);
-  let seq = Sim.reserve sim in
-  rejects "schedule_reserved" (fun () -> Sim.schedule_reserved sim ~time:nan ~seq ignore);
-  Sim.schedule_reserved sim ~time:1. ~seq ignore;
-  Alcotest.(check int) "only the reservation pending" 1 (Sim.pending sim);
+  rejects "lane" (fun () -> ignore (Sim.lane sim ~delay:nan));
+  Alcotest.(check int) "nothing pending" 0 (Sim.pending sim);
+  Sim.schedule sim ~delay:1. ignore;
   Sim.run sim;
   Alcotest.(check int) "fired" 1 (Sim.events_processed sim);
   Alcotest.(check (float 0.)) "clock" 1. (Sim.now sim)
@@ -461,6 +464,54 @@ let bank_matches_lane () =
     Alcotest.(check (float 0.)) "float mapping" (Rng.float r 3.5) (Rng.Bank.float bank2 n 3.5)
   done
 
+(* The first outputs of every entry point, pinned to values recorded
+   before the state moved from a record of boxed [int64]s to a bytes
+   block: any change to the state layout, the draw or a mapping shows
+   here, where bit-identical figures would only show it indirectly. *)
+let rng_golden () =
+  let i64 = Alcotest.int64 and fl = Alcotest.float 0. in
+  let r = Rng.create ~seed:42 in
+  List.iter
+    (fun want -> Alcotest.check i64 "create bits64" want (Rng.bits64 r))
+    [ 0x15780b2e0c2ec716L; 0x6104d9866d113a7eL; 0xae17533239e499a1L ];
+  let s = Rng.split r in
+  Alcotest.check i64 "split bits64 0" 0x2a5a28083cf1c6e8L (Rng.bits64 s);
+  Alcotest.check i64 "split bits64 1" 0x8634c266f909b663L (Rng.bits64 s);
+  Alcotest.check i64 "parent after split" 0xfde6dc7fe2ec5e64L (Rng.bits64 r);
+  Alcotest.check fl "float" 0x1.1ba0b6ad99dp-1 (Rng.float s 1.0);
+  Alcotest.check fl "float bound" 0x1.32a6d0d28367p+1 (Rng.float s 3.5);
+  Alcotest.(check int) "int" 16 (Rng.int s 1000);
+  Alcotest.(check int) "int small" 5 (Rng.int s 7);
+  List.iter (fun want -> Alcotest.(check bool) "bool" want (Rng.bool s)) [ false; true; true ];
+  Alcotest.check fl "exponential" 0x1.b3980cbe66b38p+2 (Rng.exponential s ~mean:2.);
+  Alcotest.(check string) "bytes" "\x44\x36\xb1\xce\xc7\xee\x90\x83" (Rng.bytes s 8);
+  let l = Rng.lane ~seed:7 3 in
+  Alcotest.check i64 "lane bits64" 0x1bc52aeefc73fc07L (Rng.bits64 l);
+  Alcotest.check fl "lane float" 0x1.59c1f2f83365cp-2 (Rng.float l 1.0);
+  let b = Rng.Bank.create ~seed:7 ~n:4 in
+  Alcotest.check i64 "bank bits64" 0x1bc52aeefc73fc07L (Rng.Bank.bits64 b 3);
+  Alcotest.check fl "bank float" 0x1.59c1f2f83365cp-2 (Rng.Bank.float b 3 1.0)
+
+(* A draw allocates only its result: [float] boxes one double on the way
+   out, and [split] a 32-byte state block plus the SplitMix64 scratch. *)
+let rng_draw_words () =
+  let r = Rng.create ~seed:5 in
+  let n = 10_000 in
+  let acc = ref 0. in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    acc := !acc +. Rng.float r 1.0
+  done;
+  let per_float = (Gc.minor_words () -. w0) /. float_of_int n in
+  let w1 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Rng.split r))
+  done;
+  let per_split = (Gc.minor_words () -. w1) /. float_of_int n in
+  ignore (Sys.opaque_identity !acc);
+  Alcotest.(check bool) (Printf.sprintf "float %.1f words <= 2" per_float) true (per_float <= 2.);
+  Alcotest.(check bool) (Printf.sprintf "split %.1f words <= 40" per_split) true (per_split <= 40.)
+
 (* --- auxiliary (telemetry) events ---------------------------------------- *)
 
 (* schedule_aux's two contracts: at equal time the aux event fires before
@@ -517,97 +568,32 @@ let aux_chain_observes_cut () =
   Sim.run sim;
   Alcotest.(check (list int)) "each tick sees pre-T state" [ 0; 1; 2; 3 ] (List.rev !seen)
 
-(* --- reserved keys ---------------------------------------------------- *)
+(* --- constant-delay lanes ------------------------------------------- *)
 
-(* [Sim.reserve] + [Sim.schedule_reserved] as the link transmitter uses
-   them: a FIFO ring of events due a constant [delay] after their
-   reservation, with only the ring's head queued, interleaved with plain
-   events, cancels, steps and horizons.  Run once with every ring event
-   scheduled at reservation time instead; both runs must fire the same
-   events at the same times and agree on [pending] after every command
-   and on [events_processed]. *)
-type rcmd = Rplain of float | Rring | Rcancel of int | Rstep | Runtil of float
-
-let gen_reserved_script seed n =
-  let rng = Rng.create ~seed in
-  List.init n (fun _ ->
-      match Rng.int rng 10 with
-      | 0 | 1 | 2 ->
-          Rplain
-            (match Rng.int rng 3 with
-            | 0 -> float_of_int (Rng.int rng 4) *. 0.5 (* ties with ring due times *)
-            | 1 -> float_of_int (Rng.int rng 1000) *. 1e-7
-            | _ -> Rng.float rng 3.)
-      | 3 | 4 | 5 -> Rring
-      | 6 -> Rcancel (Rng.int rng 1_000_000)
-      | 7 | 8 -> Rstep
-      | _ -> Runtil (Rng.float rng 1.))
-
-let run_reserved_script ~delay ~reserved cmds =
+(* A lane's contract in one script: it rejects a negative delay, its
+   entries take [schedule]'s keys (so a lane entry and a plain event at
+   the same due time fire in scheduling order), count in [pending] and
+   [events_processed], and an entry scheduled from inside a lane's own
+   handler lands behind the entries already queued. *)
+let lane_contract () =
   let sim = Sim.create () in
-  let fired = ref [] in
-  let stamp = ref 0 in
-  let handles = ref [] in
-  let n_handles = ref 0 in
-  let pendings = ref [] in
-  let log k () = fired := (Sim.now sim, k) :: !fired in
-  let ring = Queue.create () in
-  let rec fire_head () =
-    let _, _, k = Queue.pop ring in
-    (match Queue.peek_opt ring with
-    | Some (time, seq, _) -> Sim.schedule_reserved sim ~time ~seq fire_head
-    | None -> ());
-    log k ()
-  in
-  List.iter
-    (fun cmd ->
-      (match cmd with
-      | Rplain d ->
-          let k = !stamp in
-          incr stamp;
-          handles := Sim.timer sim ~delay:d (log k) :: !handles;
-          incr n_handles
-      | Rring ->
-          let k = !stamp in
-          incr stamp;
-          let time = Sim.now sim +. delay in
-          if reserved then begin
-            let seq = Sim.reserve sim in
-            Queue.push (time, seq, k) ring;
-            if Queue.length ring = 1 then Sim.schedule_reserved sim ~time ~seq fire_head
-          end
-          else Sim.schedule_at sim ~time (log k)
-      | Rcancel i -> if !n_handles > 0 then Sim.cancel (List.nth !handles (i mod !n_handles))
-      | Rstep -> ignore (Sim.step sim)
-      | Runtil d -> Sim.run ~until:(Sim.now sim +. d) sim);
-      pendings := Sim.pending sim :: !pendings)
-    cmds;
-  Sim.run sim;
-  (List.rev !fired, Sim.now sim, List.rev !pendings, Sim.events_processed sim, Sim.pending sim)
-
-let reserved_keys_fire_like_immediate =
-  QCheck.Test.make ~name:"sim: reserved ring keys fire like immediate scheduling" ~count:20
-    QCheck.small_int (fun seed ->
-      let cmds = gen_reserved_script (seed + 5) 1500 in
-      List.for_all
-        (fun delay ->
-          run_reserved_script ~delay ~reserved:false cmds
-          = run_reserved_script ~delay ~reserved:true cmds)
-        [ 0.5; 0.; 3e-7 ])
-
-let schedule_reserved_rejects_past () =
-  let sim = Sim.create () in
-  Sim.schedule_at sim ~time:1. ignore;
-  Sim.run sim;
-  let seq = Sim.reserve sim in
-  Alcotest.(check int) "reserve counts pending" 1 (Sim.pending sim);
-  (match Sim.schedule_reserved sim ~time:0.5 ~seq ignore with
+  (match Sim.lane sim ~delay:(-1.) with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "past reserved time accepted");
-  Sim.schedule_reserved sim ~time:1. ~seq ignore;
-  Alcotest.(check int) "schedule_reserved adds none" 1 (Sim.pending sim);
+  | _ -> Alcotest.fail "negative lane delay accepted");
+  let lane = Sim.lane ~kind:Sim.Kind.net_deliver sim ~delay:1. in
+  Alcotest.(check (float 0.)) "delay" 1. (Sim.lane_delay lane);
+  let log = ref [] in
+  let note name () = log := (name, Sim.now sim) :: !log in
+  Sim.lane_schedule lane (fun () ->
+      note "l1" ();
+      Sim.lane_schedule lane (note "l4"));
+  Sim.schedule sim ~delay:1. (note "p2");
+  Sim.lane_schedule lane (note "l3");
+  Alcotest.(check int) "lane entries count as pending" 3 (Sim.pending sim);
   Sim.run sim;
-  Alcotest.(check int) "fired" 2 (Sim.events_processed sim);
+  Alcotest.(check (list (pair string (float 0.))))
+    "key order" [ ("l1", 1.); ("p2", 1.); ("l3", 1.); ("l4", 2.) ] (List.rev !log);
+  Alcotest.(check int) "fired" 4 (Sim.events_processed sim);
   Alcotest.(check int) "drained" 0 (Sim.pending sim)
 
 (* The cancelled sentinel: [cancelled] is false while queued and true once
@@ -663,8 +649,7 @@ let suite =
     Alcotest.test_case "aux fires first, no perturbation" `Quick
       aux_fires_first_and_does_not_perturb;
     Alcotest.test_case "aux chain observes cut" `Quick aux_chain_observes_cut;
-    QCheck_alcotest.to_alcotest reserved_keys_fire_like_immediate;
-    Alcotest.test_case "schedule_reserved" `Quick schedule_reserved_rejects_past;
+    Alcotest.test_case "lane contract" `Quick lane_contract;
     Alcotest.test_case "cancel sentinel" `Quick cancel_sentinel_semantics;
     Alcotest.test_case "rng deterministic" `Quick rng_deterministic;
     Alcotest.test_case "rng seeds differ" `Quick rng_seeds_differ;
@@ -675,4 +660,6 @@ let suite =
     Alcotest.test_case "rng exponential mean" `Quick rng_exponential_mean_approx;
     Alcotest.test_case "rng bytes" `Quick rng_bytes_length;
     Alcotest.test_case "rng bank = rng lane" `Quick bank_matches_lane;
+    Alcotest.test_case "rng golden" `Quick rng_golden;
+    Alcotest.test_case "rng draw words" `Quick rng_draw_words;
   ]

@@ -3,7 +3,7 @@
    reproducibility guarantees. *)
 
 let packet () =
-  Wire.Packet.make ~src:(Wire.Addr.of_int 1) ~dst:(Wire.Addr.of_int 2) ~created:0.
+  Wire.Packet.make ~src:(Wire.Addr.of_int 1) ~dst:(Wire.Addr.of_int 2)
     (Wire.Packet.Raw 1000)
 
 (* --- Spec ---------------------------------------------------------------- *)

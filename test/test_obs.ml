@@ -200,7 +200,7 @@ let flow_cache_eviction_stats () =
 (* --- Qdisc high-water mark ----------------------------------------------- *)
 
 let mk_packet ?(bytes = 1000) () =
-  Wire.Packet.make ~src:(Wire.Addr.of_int 1) ~dst:(Wire.Addr.of_int 2) ~created:0.
+  Wire.Packet.make ~src:(Wire.Addr.of_int 1) ~dst:(Wire.Addr.of_int 2)
     (Wire.Packet.Raw bytes)
 
 let qdisc_hwm () =
@@ -414,7 +414,7 @@ let bridge_net () =
 let drive (sim, _, a) ~bursts =
   for _ = 1 to bursts do
     for _ = 1 to 8 do
-      Net.originate a (Wire.Packet.make ~src ~dst ~created:(Sim.now sim) (Wire.Packet.Raw 1000))
+      Net.originate a (Wire.Packet.make ~src ~dst (Wire.Packet.Raw 1000))
     done;
     Sim.run sim
   done

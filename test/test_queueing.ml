@@ -3,7 +3,7 @@
    SFQ collisions. *)
 
 let mk_packet ?(src = 1) ?(dst = 2) ?(bytes = 1000) () =
-  Wire.Packet.make ~src:(Wire.Addr.of_int src) ~dst:(Wire.Addr.of_int dst) ~created:0.
+  Wire.Packet.make ~src:(Wire.Addr.of_int src) ~dst:(Wire.Addr.of_int dst)
     (Wire.Packet.Raw bytes)
 
 (* --- Droptail ----------------------------------------------------------- *)

@@ -313,7 +313,7 @@ let advance sim t =
   Sim.run sim
 
 let request_packet () =
-  Wire.Packet.make ~shim:(Wire.Cap_shim.request ()) ~src ~dst ~created:0. (Wire.Packet.Raw 250)
+  Wire.Packet.make ~shim:(Wire.Cap_shim.request ()) ~src ~dst (Wire.Packet.Raw 250)
 
 let router_stamps_requests () =
   let sim = Sim.create () in
@@ -358,7 +358,7 @@ let granted_regular sim router ~n_kb ~t_sec ~nonce =
       Wire.Cap_shim.regular ~nonce ~caps:(if with_caps then [ cap ] else []) ~n_kb ~t_sec ~renewal
         ()
     in
-    Wire.Packet.make ~shim ~src ~dst ~created:0. (Wire.Packet.Raw bytes)
+    Wire.Packet.make ~shim ~src ~dst (Wire.Packet.Raw bytes)
 
 let router_validates_and_caches () =
   let sim = Sim.create () in
@@ -386,7 +386,7 @@ let router_demotes_forgeries () =
       ~caps:[ { Wire.Cap_shim.ts = 0; hash = 0x1234L } ]
       ~n_kb:32 ~t_sec:10 ~renewal:false ()
   in
-  let p = Wire.Packet.make ~shim ~src ~dst ~created:0. (Wire.Packet.Raw 1000) in
+  let p = Wire.Packet.make ~shim ~src ~dst (Wire.Packet.Raw 1000) in
   Tva.Router.process router ~in_interface:0 p;
   Alcotest.(check bool) "demoted" true shim.Wire.Cap_shim.demoted;
   Alcotest.(check int) "counted" 1 (Tva.Router.counters router).Tva.Router.demotions
@@ -395,7 +395,7 @@ let router_demotes_unknown_nonce () =
   let sim = Sim.create () in
   let router = make_router sim in
   let shim = Wire.Cap_shim.regular ~nonce:99L ~caps:[] ~n_kb:32 ~t_sec:10 ~renewal:false () in
-  let p = Wire.Packet.make ~shim ~src ~dst ~created:0. (Wire.Packet.Raw 1000) in
+  let p = Wire.Packet.make ~shim ~src ~dst (Wire.Packet.Raw 1000) in
   Tva.Router.process router ~in_interface:0 p;
   Alcotest.(check bool) "demoted (no entry, no caps)" true shim.Wire.Cap_shim.demoted
 
@@ -442,7 +442,7 @@ let router_renewal_mints_fresh_precap () =
          against the same router. *)
       let cap = Tva.Capability.cap_of_precap ~hash:fast ~precap:pc ~n_kb:16 ~t_sec:8 in
       let shim = Wire.Cap_shim.regular ~nonce:10L ~caps:[ cap ] ~n_kb:16 ~t_sec:8 ~renewal:false () in
-      let p3 = Wire.Packet.make ~shim ~src ~dst ~created:0. (Wire.Packet.Raw 100) in
+      let p3 = Wire.Packet.make ~shim ~src ~dst (Wire.Packet.Raw 100) in
       Tva.Router.process router ~in_interface:0 p3;
       Alcotest.(check bool) "renewed capability works" false shim.Wire.Cap_shim.demoted
   | _ -> Alcotest.fail "no fresh precap"
@@ -593,7 +593,7 @@ let router_request_path_allocation_budget () =
 let router_passes_legacy () =
   let sim = Sim.create () in
   let router = make_router sim in
-  let p = Wire.Packet.make ~src ~dst ~created:0. (Wire.Packet.Raw 1000) in
+  let p = Wire.Packet.make ~src ~dst (Wire.Packet.Raw 1000) in
   Tva.Router.process router ~in_interface:0 p;
   Alcotest.(check int) "legacy counted" 1 (Tva.Router.counters router).Tva.Router.legacy;
   Alcotest.(check bool) "no shim added" true (p.Wire.Packet.shim = None)
@@ -603,7 +603,7 @@ let router_skips_demoted () =
   let router = make_router sim in
   let shim = Wire.Cap_shim.regular ~nonce:1L ~caps:[] ~n_kb:1 ~t_sec:1 ~renewal:false () in
   shim.Wire.Cap_shim.demoted <- true;
-  let p = Wire.Packet.make ~shim ~src ~dst ~created:0. (Wire.Packet.Raw 100) in
+  let p = Wire.Packet.make ~shim ~src ~dst (Wire.Packet.Raw 100) in
   Tva.Router.process router ~in_interface:0 p;
   Alcotest.(check int) "treated as legacy" 1 (Tva.Router.counters router).Tva.Router.legacy
 

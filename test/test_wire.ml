@@ -263,14 +263,14 @@ let codec_size_property =
 let packet_size_tcp () =
   let seg = { Wire.Tcp_segment.conn = 1; flags = Wire.Tcp_segment.Ack; seq = 0; ack = 0; payload = 1000 } in
   let p =
-    Wire.Packet.make ~src:(Wire.Addr.of_int 1) ~dst:(Wire.Addr.of_int 2) ~created:0.
+    Wire.Packet.make ~src:(Wire.Addr.of_int 1) ~dst:(Wire.Addr.of_int 2)
       (Wire.Packet.Tcp seg)
   in
   Alcotest.(check int) "40B header + payload" 1040 (Wire.Packet.size p)
 
 let packet_size_includes_shim () =
   let p =
-    Wire.Packet.make ~src:(Wire.Addr.of_int 1) ~dst:(Wire.Addr.of_int 2) ~created:0.
+    Wire.Packet.make ~src:(Wire.Addr.of_int 1) ~dst:(Wire.Addr.of_int 2)
       (Wire.Packet.Raw 100)
   in
   let bare = Wire.Packet.size p in
@@ -282,7 +282,7 @@ let packet_size_grows_with_precaps () =
   let p =
     Wire.Packet.make
       ~shim:(Wire.Cap_shim.request ())
-      ~src:(Wire.Addr.of_int 1) ~dst:(Wire.Addr.of_int 2) ~created:0. (Wire.Packet.Raw 100)
+      ~src:(Wire.Addr.of_int 1) ~dst:(Wire.Addr.of_int 2) (Wire.Packet.Raw 100)
   in
   let before = Wire.Packet.size p in
   (match p.Wire.Packet.shim with
@@ -294,7 +294,7 @@ let packet_size_grows_with_precaps () =
 
 let flow_keys () =
   let src = Wire.Addr.of_int 10 and dst = Wire.Addr.of_int 20 in
-  let p = Wire.Packet.make ~src ~dst ~created:0. (Wire.Packet.Raw 1) in
+  let p = Wire.Packet.make ~src ~dst (Wire.Packet.Raw 1) in
   Alcotest.(check int) "flow key" (Wire.Packet.flow_key_of ~src ~dst) (Wire.Packet.flow_key p);
   Alcotest.(check int) "reverse" (Wire.Packet.flow_key_of ~src:dst ~dst:src)
     (Wire.Packet.reverse_flow_key p);
@@ -302,7 +302,9 @@ let flow_keys () =
     (Wire.Packet.flow_key p = Wire.Packet.reverse_flow_key p)
 
 let packet_ids_unique () =
-  let mk () = Wire.Packet.make ~src:(Wire.Addr.of_int 1) ~dst:(Wire.Addr.of_int 2) ~created:0. (Wire.Packet.Raw 1) in
+  let mk () =
+    Wire.Packet.make ~src:(Wire.Addr.of_int 1) ~dst:(Wire.Addr.of_int 2) (Wire.Packet.Raw 1)
+  in
   let a = mk () and b = mk () in
   Alcotest.(check bool) "distinct ids" true (a.Wire.Packet.id <> b.Wire.Packet.id)
 

@@ -498,7 +498,7 @@ let harness_counters_memo () =
   let clate = H.counters_for h late in
   Alcotest.(check bool) "late node resolves to one instance" true (H.counters_for h late == clate);
   let packet src =
-    Wire.Packet.make ~src:(addr src) ~dst:(addr 2) ~created:0. (Wire.Packet.Raw 500)
+    Wire.Packet.make ~src:(addr src) ~dst:(addr 2) (Wire.Packet.Raw 500)
   in
   Net.originate a (packet 1);
   Net.originate late (packet 3);
