@@ -150,43 +150,6 @@ let compare_baselines buf failed =
         (Printf.sprintf "| %s | %.0f | %.0f | %+.1f%% | %s |\n" name o n (100. *. delta)
            (if not gated then "—" else if regressed then "FAIL" else "ok")))
     paths;
-  (* The obs-enabled cached-nonce section is newer than some committed
-     baselines; show it only when both reports carry it.  pps_bench itself
-     gates the obs overhead, so here it is informational. *)
-  (match (section_pps old_text "cached_nonce_obs", section_pps new_text "cached_nonce_obs") with
-  | Some o, Some n ->
-      let delta = (normalize new_text n /. normalize old_text o) -. 1. in
-      Buffer.add_string buf
-        (Printf.sprintf "| cached_nonce_obs | %.0f | %.0f | %+.1f%% | — |\n" o n (100. *. delta))
-  | _ -> ());
-  (* Likewise the telemetry-tick duel row: pps_bench gates its overhead and
-     allocation against the obs-only path, so the cross-report delta here
-     is informational. *)
-  (match
-     (section_pps old_text "cached_nonce_telemetry", section_pps new_text "cached_nonce_telemetry")
-   with
-  | Some o, Some n ->
-      let delta = (normalize new_text n /. normalize old_text o) -. 1. in
-      Buffer.add_string buf
-        (Printf.sprintf "| cached_nonce_telemetry | %.0f | %.0f | %+.1f%% | — |\n" o n
-           (100. *. delta))
-  | _ -> ());
-  (match (find_number old_text "obs_overhead_pct", find_number new_text "obs_overhead_pct") with
-  | Some o, Some n ->
-      Buffer.add_string buf
-        (Printf.sprintf "\n_obs counter overhead on the cached path: %.2f%% committed, %.2f%% \
-                         fresh (gated inside pps_bench)._\n"
-           o n)
-  | _ -> ());
-  (match
-     (find_number old_text "telemetry_overhead_pct", find_number new_text "telemetry_overhead_pct")
-   with
-  | Some o, Some n ->
-      Buffer.add_string buf
-        (Printf.sprintf "\n_telemetry tick overhead on the obs cached path: %.2f%% committed, \
-                         %.2f%% fresh (gated inside pps_bench)._\n"
-           o n)
-  | _ -> ());
   (match (!old_sweep, !new_sweep) with
   | "", _ | _, "" -> ()
   | os, ns ->

@@ -163,7 +163,7 @@ let () =
         | None, _ -> fatal "no words figure in README row `%s` (cell %S)" key cell
         | _, None -> fatal "no \"%s\".minor_words_per_packet in %s" key !json
   in
-  List.iter check [ "cached_nonce"; "validate"; "request"; "legacy"; "cached_nonce_telemetry" ];
+  List.iter check [ "cached_nonce"; "validate"; "request"; "legacy" ];
   let pps_checked = !checked in
   (* The README's million-sender scale table quotes the "gates" object of
      BENCH_scale.json; [section_field] scoped to "gates" skips the same

@@ -202,16 +202,27 @@ let fig11_cmd =
   in
   Cmd.v (Cmd.info "fig11" ~doc) Term.(const run $ duration_arg $ seed_arg $ csv_arg $ jobs_arg)
 
+(* Seconds per packet of each Table 1 packet type on the real router with
+   the prototype's crypto; exits 1 if any op's packets leave its branch. *)
+let measured_costs ~iters =
+  let fp = Forwarder.Fastpath.create () in
+  match
+    List.map
+      (fun op -> (Forwarder.Fastpath.op_name op, Forwarder.Fastpath.calibrate ~iters fp op *. 1e-9))
+      Forwarder.Fastpath.all_ops
+  with
+  | costs -> costs
+  | exception Failure msg ->
+      prerr_endline ("tva_sim: " ^ msg);
+      exit 1
+
 let table1_cmd =
   let doc = "Per-packet processing cost of each packet type (paper Table 1)." in
   let run iters csv =
-    let fp = Forwarder.Fastpath.create () in
     let table = Stats.Table.create ~columns:[ "packet type"; "processing time (ns)" ] in
     List.iter
-      (fun op ->
-        let ns = Forwarder.Fastpath.calibrate ~iters fp op in
-        Stats.Table.add_row table [ Forwarder.Fastpath.op_name op; Printf.sprintf "%.0f" ns ])
-      Forwarder.Fastpath.all_ops;
+      (fun (op, s) -> Stats.Table.add_row table [ op; Printf.sprintf "%.0f" (s *. 1e9) ])
+      (measured_costs ~iters);
     print_table csv table
   in
   let iters_arg = Arg.(value & opt int 20000 & info [ "iters" ] ~doc:"Iterations per type.") in
@@ -222,15 +233,10 @@ let fig12_cmd =
   let run lrp measured csv =
     let discipline = if lrp then Forwarder.Livelock.Lrp else Forwarder.Livelock.Naive in
     (* Per-type processing costs: the paper's Table 1 values by default
-       (shape reproduction on the paper's hardware), or calibrated from
-       this machine's fast path with --measured. *)
+       (shape reproduction on the paper's hardware), or timed on this
+       machine's router with --measured. *)
     let costs =
-      if measured then begin
-        let fp = Forwarder.Fastpath.create () in
-        List.map
-          (fun op -> (Forwarder.Fastpath.op_name op, Forwarder.Fastpath.calibrate fp op *. 1e-9))
-          Forwarder.Fastpath.all_ops
-      end
+      if measured then measured_costs ~iters:20000
       else
         [
           ("legacy IP forward", 10e-9);

@@ -3,14 +3,16 @@ type keyed = (module Crypto.Keyed_hash.S)
 (* The preimage layouts live in [Crypto.Keyed_hash] ([precap_preimage] /
    [cap_preimage]); here we call the fixed-preimage entry points so the
    per-packet path builds no Buffer or string.  The secret arrives as the
-   MAC key, not as part of the message. *)
+   MAC key, not as part of the message, and each epoch secret is prepared
+   once through [cache] rather than per call. *)
 
-let mint_precap ~hash:(module H : Crypto.Keyed_hash.S) ~secret ~now ~src ~dst =
+let mint_precap ~hash:(module H : Crypto.Keyed_hash.S) ~cache ~secret ~now ~src ~dst =
   let ts = Crypto.Secret.timestamp ~now in
   let key = Crypto.Secret.issuing_secret secret ~now in
+  let prep = Crypto.Keyed_hash.prepared_of (module H) cache key in
   {
     Wire.Cap_shim.ts;
-    hash = H.mac56_precap ~key ~src:(Wire.Addr.to_int src) ~dst:(Wire.Addr.to_int dst) ~ts;
+    hash = H.mac56_precap_p ~prep ~src:(Wire.Addr.to_int src) ~dst:(Wire.Addr.to_int dst) ~ts;
   }
 
 (* The capability hash is unkeyed in spirit — any party holding the
@@ -22,7 +24,7 @@ let cap_of_precap ~hash:(module H : Crypto.Keyed_hash.S) ~(precap : Wire.Cap_shi
   {
     Wire.Cap_shim.ts = precap.Wire.Cap_shim.ts;
     hash =
-      H.mac56_cap ~key:public_key ~precap_ts:precap.Wire.Cap_shim.ts
+      H.mac56_cap_p ~prep:(H.prepare public_key) ~precap_ts:precap.Wire.Cap_shim.ts
         ~precap_hash:precap.Wire.Cap_shim.hash ~n_kb ~t_sec;
   }
 
@@ -44,43 +46,8 @@ let expired ~now ~ts ~t_sec =
   let age = mod_age ~now ~ts in
   age > t_sec
 
-let validate2 ~precap_hash:(module P : Crypto.Keyed_hash.S)
-    ~cap_hash:(module C : Crypto.Keyed_hash.S) ~secret ~now ~src ~dst ~n_kb ~t_sec
+let validate ~hash:(module H : Crypto.Keyed_hash.S) ~cache ~secret ~now ~src ~dst ~n_kb ~t_sec
     (cap : Wire.Cap_shim.cap) =
-  let ts = cap.Wire.Cap_shim.ts in
-  if expired ~now ~ts ~t_sec then Expired
-  else begin
-    match Crypto.Secret.validating_secret secret ~now ~ts with
-    | None -> Bad_hash
-    | Some key ->
-        let ph =
-          P.mac56_precap ~key ~src:(Wire.Addr.to_int src) ~dst:(Wire.Addr.to_int dst) ~ts
-        in
-        let expect =
-          C.mac56_cap ~key:public_key ~precap_ts:ts ~precap_hash:ph ~n_kb ~t_sec
-        in
-        if Int64.equal expect cap.Wire.Cap_shim.hash then Valid else Bad_hash
-  end
-
-let validate ~hash ~secret ~now ~src ~dst ~n_kb ~t_sec cap =
-  validate2 ~precap_hash:hash ~cap_hash:hash ~secret ~now ~src ~dst ~n_kb ~t_sec cap
-
-(* The [_cached] pair is what routers call per packet: identical results
-   to {!mint_precap}/{!validate}, but the epoch secrets and the public
-   capability key are preprocessed once per epoch through [cache] instead
-   of per call. *)
-
-let mint_precap_cached ~hash:(module H : Crypto.Keyed_hash.S) ~cache ~secret ~now ~src ~dst =
-  let ts = Crypto.Secret.timestamp ~now in
-  let key = Crypto.Secret.issuing_secret secret ~now in
-  let prep = Crypto.Keyed_hash.prepared_of (module H) cache key in
-  {
-    Wire.Cap_shim.ts;
-    hash = H.mac56_precap_p ~prep ~src:(Wire.Addr.to_int src) ~dst:(Wire.Addr.to_int dst) ~ts;
-  }
-
-let validate_cached ~hash:(module H : Crypto.Keyed_hash.S) ~cache ~secret ~now ~src ~dst ~n_kb
-    ~t_sec (cap : Wire.Cap_shim.cap) =
   let ts = cap.Wire.Cap_shim.ts in
   if expired ~now ~ts ~t_sec then Expired
   else begin
@@ -95,8 +62,3 @@ let validate_cached ~hash:(module H : Crypto.Keyed_hash.S) ~cache ~secret ~now ~
         let expect = H.mac56_cap_p ~prep:pub ~precap_ts:ts ~precap_hash:ph ~n_kb ~t_sec in
         if Int64.equal expect cap.Wire.Cap_shim.hash then Valid else Bad_hash
   end
-
-let mint_precap2 ~precap_hash ~secret ~now ~src ~dst =
-  mint_precap ~hash:precap_hash ~secret ~now ~src ~dst
-
-let cap_of_precap2 ~cap_hash ~precap ~n_kb ~t_sec = cap_of_precap ~hash:cap_hash ~precap ~n_kb ~t_sec

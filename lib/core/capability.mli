@@ -19,27 +19,18 @@ type keyed = (module Crypto.Keyed_hash.S)
 
 val mint_precap :
   hash:keyed ->
+  cache:Crypto.Keyed_hash.prep_cache ->
   secret:Crypto.Secret.t ->
   now:float ->
   src:Wire.Addr.t ->
   dst:Wire.Addr.t ->
   Wire.Cap_shim.cap
+(** The router's per-packet mint.  [cache] memoizes the per-epoch key
+    preparation; it must serve [hash] alone. *)
 
 val cap_of_precap : hash:keyed -> precap:Wire.Cap_shim.cap -> n_kb:int -> t_sec:int -> Wire.Cap_shim.cap
 (** The destination-side conversion.  Needs no secret: the binding to the
     router comes from the pre-capability inside the hash. *)
-
-val mint_precap2 :
-  precap_hash:keyed ->
-  secret:Crypto.Secret.t ->
-  now:float ->
-  src:Wire.Addr.t ->
-  dst:Wire.Addr.t ->
-  Wire.Cap_shim.cap
-(** Like {!mint_precap} but named for symmetry with {!validate2}. *)
-
-val cap_of_precap2 :
-  cap_hash:keyed -> precap:Wire.Cap_shim.cap -> n_kb:int -> t_sec:int -> Wire.Cap_shim.cap
 
 type verdict =
   | Valid
@@ -48,43 +39,6 @@ type verdict =
 
 val validate :
   hash:keyed ->
-  secret:Crypto.Secret.t ->
-  now:float ->
-  src:Wire.Addr.t ->
-  dst:Wire.Addr.t ->
-  n_kb:int ->
-  t_sec:int ->
-  Wire.Cap_shim.cap ->
-  verdict
-
-val validate2 :
-  precap_hash:keyed ->
-  cap_hash:keyed ->
-  secret:Crypto.Secret.t ->
-  now:float ->
-  src:Wire.Addr.t ->
-  dst:Wire.Addr.t ->
-  n_kb:int ->
-  t_sec:int ->
-  Wire.Cap_shim.cap ->
-  verdict
-(** Validation with distinct hash functions for the two steps — the
-    prototype pairs AES-hash (pre-capabilities) with HMAC-SHA1 (full
-    capabilities).  {!validate} is [validate2] with both hashes equal. *)
-
-val mint_precap_cached :
-  hash:keyed ->
-  cache:Crypto.Keyed_hash.prep_cache ->
-  secret:Crypto.Secret.t ->
-  now:float ->
-  src:Wire.Addr.t ->
-  dst:Wire.Addr.t ->
-  Wire.Cap_shim.cap
-(** {!mint_precap} with per-epoch key preparation memoized in [cache] —
-    the router's per-packet entry point.  Results are identical. *)
-
-val validate_cached :
-  hash:keyed ->
   cache:Crypto.Keyed_hash.prep_cache ->
   secret:Crypto.Secret.t ->
   now:float ->
@@ -94,7 +48,10 @@ val validate_cached :
   t_sec:int ->
   Wire.Cap_shim.cap ->
   verdict
-(** {!validate} with per-epoch key preparation memoized in [cache]. *)
+(** The router's per-packet check: two hash computations, with the epoch
+    secrets and the public capability key prepared once through [cache].
+    With {!Crypto.Keyed_hash.Prototype} the two steps use the prototype's
+    two hash functions. *)
 
 val expired : now:float -> ts:int -> t_sec:int -> bool
 (** The modulo-clock expiry test alone (used for cached entries, where the

@@ -14,7 +14,11 @@ type entry = {
    nothing but the final [Some].  [Tomb] marks a deleted slot so probe
    chains stay intact; tombs are recycled by [rehash].  The invariant
    live + tombs <= length/2 guarantees every probe terminates at an
-   [Empty] slot.
+   [Empty] slot.  [insert] restores it by rehashing, and grows the table
+   whenever live records would fill more than a quarter of it: a
+   same-size rehash then always frees at least a quarter of the slots
+   for tombs, so a full cache under eviction churn rehashes once per
+   length/4 inserts, not on every one.
 
    The ttl lives outside the entry record, in an unboxed float array
    parallel to [slots] ([ttls.(e.slot)] is [e]'s expiry).  A [mutable
@@ -188,7 +192,7 @@ let insert t ~now ~src ~dst ~nonce ~n_kb ~t_sec ~cap_ts ~packet_bytes =
   else begin
     let len = Array.length t.slots in
     if (t.live + t.tombs + 1) * 2 > len then
-      rehash t (if (t.live + 1) * 2 > len then 2 * len else len);
+      rehash t (if (t.live + 1) * 4 > len then 2 * len else len);
     let ttl = now +. time_value ~bytes:packet_bytes ~n_bytes ~t_sec in
     let entry =
       {

@@ -90,7 +90,7 @@ let process_request t ~in_interface (p : Wire.Packet.t) (shim : Wire.Cap_shim.t)
   if t.trust_boundary then Path_id.push shim (tag_of_interface t ~in_interface);
   let now = Sim.now t.sim in
   let precap =
-    Capability.mint_precap_cached ~hash:t.hash ~cache:t.prep ~secret:t.secret ~now
+    Capability.mint_precap ~hash:t.hash ~cache:t.prep ~secret:t.secret ~now
       ~src:p.Wire.Packet.src ~dst:p.Wire.Packet.dst
   in
   match shim.Wire.Cap_shim.kind with
@@ -119,7 +119,7 @@ let validate_listed t (p : Wire.Packet.t) (shim : Wire.Cap_shim.t) ~caps ~n_kb ~
   | Some cap -> begin
       let now = Sim.now t.sim in
       match
-        Capability.validate_cached ~hash:t.hash ~cache:t.prep ~secret:t.secret ~now
+        Capability.validate ~hash:t.hash ~cache:t.prep ~secret:t.secret ~now
           ~src:p.Wire.Packet.src ~dst:p.Wire.Packet.dst ~n_kb ~t_sec cap
       with
       | Capability.Valid -> L_ok cap
@@ -201,7 +201,7 @@ let process_regular t (p : Wire.Packet.t) (shim : Wire.Cap_shim.t) ~nonce ~caps 
       t.counters.renewals <- t.counters.renewals + 1;
       Obs.Counters.incr t.obs Obs.Event.Renewal;
       let precap =
-        Capability.mint_precap_cached ~hash:t.hash ~cache:t.prep ~secret:t.secret ~now ~src ~dst
+        Capability.mint_precap ~hash:t.hash ~cache:t.prep ~secret:t.secret ~now ~src ~dst
       in
       match shim.Wire.Cap_shim.kind with
       | Wire.Cap_shim.Regular r -> Wire.Cap_shim.push_fresh_precap r precap

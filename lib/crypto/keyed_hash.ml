@@ -7,22 +7,17 @@ type prepared = { pk : string; k0 : int64; k1 : int64 }
 
 module type S = sig
   val name : string
-  val mac56 : key:string -> string -> int64
-  val mac56_precap : key:string -> src:int -> dst:int -> ts:int -> int64
-
-  val mac56_cap :
-    key:string -> precap_ts:int -> precap_hash:int64 -> n_kb:int -> t_sec:int -> int64
-
   val prepare : string -> prepared
-  (** Preprocess a key for the [_p] entry points; call once per key, not
-      per packet. *)
-
   val mac56_precap_p : prep:prepared -> src:int -> dst:int -> ts:int -> int64
-  (** [mac56_precap] against a prepared key: same tag, none of the per-call
-      key setup. *)
 
   val mac56_cap_p :
     prep:prepared -> precap_ts:int -> precap_hash:int64 -> n_kb:int -> t_sec:int -> int64
+end
+
+module type Reference = sig
+  include S
+
+  val mac56 : key:string -> string -> int64
 end
 
 let mask56 = 0x00ffffffffffffffL
@@ -37,8 +32,8 @@ let int64_of_prefix s =
   !acc
 
 (* The two capability preimages (paper Fig. 3), as strings.  These define
-   the canonical byte layouts; [mac56_precap]/[mac56_cap] must agree with
-   hashing these bit-for-bit, which the crypto property tests check. *)
+   the canonical byte layouts; [mac56_precap_p]/[mac56_cap_p] must agree
+   with hashing these bit-for-bit, which the crypto property tests check. *)
 
 let precap_preimage ~src ~dst ~ts =
   (* src (4 bytes BE) | dst (4 bytes BE) | ts (1 byte) — 9 bytes. *)
@@ -125,11 +120,6 @@ module Fast = struct
     let key = normalize key in
     let k0, k1 = Siphash.key_words key in
     { pk = key; k0; k1 }
-
-  let mac56_precap ~key ~src ~dst ~ts = mac56_precap_p ~prep:(prepare key) ~src ~dst ~ts
-
-  let mac56_cap ~key ~precap_ts ~precap_hash ~n_kb ~t_sec =
-    mac56_cap_p ~prep:(prepare key) ~precap_ts ~precap_hash ~n_kb ~t_sec
 end
 
 (* Aes and Sha serve the prototype-fidelity benchmarks, not the hot path,
@@ -138,29 +128,31 @@ end
 module Aes = struct
   let name = "aes-hash-mmo"
   let mac56 ~key msg = Int64.logand (int64_of_prefix (Aes_hash.mac ~key msg)) mask56
-  let mac56_precap ~key ~src ~dst ~ts = mac56 ~key (precap_preimage ~src ~dst ~ts)
-
-  let mac56_cap ~key ~precap_ts ~precap_hash ~n_kb ~t_sec =
-    mac56 ~key (cap_preimage ~precap_ts ~precap_hash ~n_kb ~t_sec)
-
   let prepare key = { pk = key; k0 = 0L; k1 = 0L }
-  let mac56_precap_p ~prep = mac56_precap ~key:prep.pk
+  let mac56_precap_p ~prep ~src ~dst ~ts = mac56 ~key:prep.pk (precap_preimage ~src ~dst ~ts)
 
-  let mac56_cap_p ~prep = mac56_cap ~key:prep.pk
+  let mac56_cap_p ~prep ~precap_ts ~precap_hash ~n_kb ~t_sec =
+    mac56 ~key:prep.pk (cap_preimage ~precap_ts ~precap_hash ~n_kb ~t_sec)
 end
 
 module Sha = struct
   let name = "hmac-sha1"
   let mac56 ~key msg = Int64.logand (int64_of_prefix (Hmac_sha1.mac ~key msg)) mask56
-  let mac56_precap ~key ~src ~dst ~ts = mac56 ~key (precap_preimage ~src ~dst ~ts)
-
-  let mac56_cap ~key ~precap_ts ~precap_hash ~n_kb ~t_sec =
-    mac56 ~key (cap_preimage ~precap_ts ~precap_hash ~n_kb ~t_sec)
-
   let prepare key = { pk = key; k0 = 0L; k1 = 0L }
-  let mac56_precap_p ~prep = mac56_precap ~key:prep.pk
+  let mac56_precap_p ~prep ~src ~dst ~ts = mac56 ~key:prep.pk (precap_preimage ~src ~dst ~ts)
 
-  let mac56_cap_p ~prep = mac56_cap ~key:prep.pk
+  let mac56_cap_p ~prep ~precap_ts ~precap_hash ~n_kb ~t_sec =
+    mac56 ~key:prep.pk (cap_preimage ~precap_ts ~precap_hash ~n_kb ~t_sec)
+end
+
+(* The paper's prototype pairing: AES-hash for pre-capabilities, HMAC-SHA1
+   for capabilities.  Both carry the key through [pk], so one prepared
+   form serves either role. *)
+module Prototype = struct
+  let name = "aes-hash-mmo+hmac-sha1"
+  let prepare = Aes.prepare
+  let mac56_precap_p = Aes.mac56_precap_p
+  let mac56_cap_p = Sha.mac56_cap_p
 end
 
 (* A three-slot memo from key strings to their prepared form, keyed by

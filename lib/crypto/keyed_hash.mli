@@ -3,9 +3,9 @@
     TVA routers need two keyed-hash roles (Fig. 3 of the paper): one that
     mints pre-capabilities from (src, dst, timestamp, router secret), and
     one that folds (pre-capability, N, T) into a full capability.  The
-    prototype used AES-hash and SHA-1 for these; the simulator defaults to
-    SipHash for speed.  Implementations are interchangeable through this
-    signature. *)
+    prototype used AES-hash and SHA-1 for these ({!Prototype}); the
+    simulator defaults to SipHash for speed.  Implementations are
+    interchangeable through this signature. *)
 
 type prepared
 (** A key preprocessed for the per-packet [_p] entry points (for SipHash:
@@ -16,37 +16,35 @@ type prepared
 module type S = sig
   val name : string
 
-  val mac56 : key:string -> string -> int64
-  (** [mac56 ~key msg] is a 56-bit tag (top 8 bits clear), the width of the
-      hash field in a 64-bit capability. *)
-
-  val mac56_precap : key:string -> src:int -> dst:int -> ts:int -> int64
-  (** The pre-capability hash, equal to
-      [mac56 ~key (precap_preimage ~src ~dst ~ts)] but taking the fields
-      directly so implementations can skip building the preimage string. *)
-
-  val mac56_cap :
-    key:string -> precap_ts:int -> precap_hash:int64 -> n_kb:int -> t_sec:int -> int64
-  (** The capability hash over (pre-capability, N, T), equal to
-      [mac56 ~key (cap_preimage ~precap_ts ~precap_hash ~n_kb ~t_sec)]. *)
-
   val prepare : string -> prepared
   (** Preprocess a key for the [_p] entry points; call once per key, not
       per packet. *)
 
   val mac56_precap_p : prep:prepared -> src:int -> dst:int -> ts:int -> int64
-  (** {!mac56_precap} against a prepared key — the per-packet validation
-      entry point: same tag, none of the per-call key setup. *)
+  (** The pre-capability tag (56 bits, top 8 clear) against a prepared
+      key: the tag of {!precap_preimage}, computed from the fields
+      directly. *)
 
   val mac56_cap_p :
     prep:prepared -> precap_ts:int -> precap_hash:int64 -> n_kb:int -> t_sec:int -> int64
-  (** {!mac56_cap} against a prepared key. *)
+  (** The capability tag over (pre-capability, N, T) against a prepared
+      key: the tag of {!cap_preimage}. *)
+end
+
+module type Reference = sig
+  include S
+
+  val mac56 : key:string -> string -> int64
+  (** [mac56 ~key msg] is a 56-bit tag (top 8 bits clear) over any
+      message: the reference [mac56_precap_p]/[mac56_cap_p] must equal on
+      the preimage strings. *)
 end
 
 type prep_cache
 (** A three-slot memo from key strings (by physical identity) to their
     prepared form — sized to the live set of a validating router: current
-    epoch secret, previous epoch secret, public capability key. *)
+    epoch secret, previous epoch secret, public capability key.  A cache
+    serves one hash module: prepared forms differ between modules. *)
 
 val prep_cache : unit -> prep_cache
 
@@ -65,7 +63,7 @@ val cap_preimage : precap_ts:int -> precap_hash:int64 -> n_kb:int -> t_sec:int -
     T (1 byte, 6 used bits). *)
 
 module Fast : sig
-  include S
+  include Reference
 
   val mac56_bytes : key:string -> Bytes.t -> len:int -> int64
   (** [mac56 ~key] of the first [len] bytes of a caller-owned buffer: the
@@ -76,8 +74,12 @@ end
     points pack the fields into SipHash words directly and do not
     allocate. *)
 
-module Aes : S
+module Aes : Reference
 (** AES-hash (MMO) based, as the prototype uses for pre-capabilities. *)
 
-module Sha : S
+module Sha : Reference
 (** HMAC-SHA1 based, as the prototype uses for full capabilities. *)
+
+module Prototype : S
+(** The prototype's pairing (paper Sec. 6): {!Aes}'s pre-capability entry
+    point and {!Sha}'s capability entry point. *)

@@ -17,152 +17,171 @@ let op_name = function
   | Renewal_cached -> "renewal w/ cached entry"
   | Renewal_uncached -> "renewal w/o cached entry"
 
-type entry = {
-  mutable nonce : int64;
-  mutable n_bytes : int;
-  mutable bytes_used : int;
-  mutable ttl_expiry : float;
-  mutable cap_ts : int;
-}
+let flows = 1024
+let n_kb = 1023
+let t_sec = 32
+
+(* One op's packets: [sets.(pass land 1).(f)] is flow [f]'s packet on
+   [pass].  Single-set ops hold the same array twice.  Ops that share
+   flows share the cursor too. *)
+type cursor = { mutable next : int; mutable pass : int }
+type lane = { sets : Wire.Packet.t array array; at : cursor }
 
 type t = {
-  precap_hash : (module Crypto.Keyed_hash.S);
-  cap_hash : (module Crypto.Keyed_hash.S);
-  secret : Crypto.Secret.t;
-  now : float;
-  src : Wire.Addr.t;
-  dst : Wire.Addr.t;
-  n_kb : int;
-  t_sec : int;
-  cap : Wire.Cap_shim.cap; (* a valid capability for (src, dst, n, t) *)
-  nonce : int64;
-  flows : (int, entry) Hashtbl.t; (* flow key -> state *)
-  flow_key : int;
-  routes : (int, int) Hashtbl.t; (* destination -> port, the legacy path *)
-  mutable sink_cap : Wire.Cap_shim.cap; (* last minted pre-capability *)
-  mutable sink_port : int;
+  router : Tva.Router.t;
+  legacy : lane;
+  request : lane;
+  regular_cached : lane;
+  regular_uncached : lane;
+  renewal_cached : lane;
+  renewal_uncached : lane;
 }
 
-let create ?(hash_precap = (module Crypto.Keyed_hash.Aes : Crypto.Keyed_hash.S))
-    ?(hash_cap = (module Crypto.Keyed_hash.Sha : Crypto.Keyed_hash.S)) () =
-  let secret = Crypto.Secret.create ~master:"forwarder-bench-secret" in
-  let now = 7.0 in
-  let src = Wire.Addr.of_int 0x0a000001 and dst = Wire.Addr.of_int 0xc0a80001 in
-  let n_kb = 32 and t_sec = 10 in
-  let precap = Tva.Capability.mint_precap2 ~precap_hash:hash_precap ~secret ~now ~src ~dst in
-  let cap = Tva.Capability.cap_of_precap2 ~cap_hash:hash_cap ~precap ~n_kb ~t_sec in
-  let flows = Hashtbl.create 1024 in
-  let flow_key = Wire.Packet.flow_key_of ~src ~dst in
-  let nonce = 0x123456789abcL in
-  Hashtbl.replace flows flow_key
-    { nonce; n_bytes = n_kb * 1024; bytes_used = 0; ttl_expiry = now +. 1.; cap_ts = cap.Wire.Cap_shim.ts };
-  let routes = Hashtbl.create 1024 in
-  for i = 0 to 255 do
-    Hashtbl.replace routes (0xc0a80000 + i) (i land 7)
-  done;
+let router t = t.router
+
+let lane t = function
+  | Legacy_forward -> t.legacy
+  | Request -> t.request
+  | Regular_cached -> t.regular_cached
+  | Regular_uncached -> t.regular_uncached
+  | Renewal_cached -> t.renewal_cached
+  | Renewal_uncached -> t.renewal_uncached
+
+let packets t op ~pass = (lane t op).sets.(pass land 1)
+
+(* Undo what the router wrote into the shim, so a packet can be sent
+   again: the capability pointer and the lists routers append to. *)
+let rewind (p : Wire.Packet.t) =
+  match p.Wire.Packet.shim with
+  | None -> ()
+  | Some shim -> begin
+      shim.Wire.Cap_shim.ptr <- 0;
+      match shim.Wire.Cap_shim.kind with
+      | Wire.Cap_shim.Request req ->
+          req.Wire.Cap_shim.rev_path_ids <- [];
+          req.Wire.Cap_shim.rev_precaps <- []
+      | Wire.Cap_shim.Regular r -> r.Wire.Cap_shim.rev_fresh_precaps <- []
+    end
+
+let send router p =
+  rewind p;
+  Tva.Router.process router ~in_interface:0 p
+
+let create ?(hash = (module Crypto.Keyed_hash.Prototype : Crypto.Keyed_hash.S)) () =
+  let router =
+    Tva.Router.create ~hash ~secret_master:"forwarder-bench" ~router_id:1 ~sim:(Sim.create ())
+      ~link_bps:1e9 ()
+  in
+  let flow_packets ~dst shim =
+    Array.init flows (fun f ->
+        Wire.Packet.make ?shim:(shim f) ~src:(Wire.Addr.of_int (0x0A000000 + f))
+          ~dst:(Wire.Addr.of_int dst) (Wire.Packet.Raw 64))
+  in
+  let single set = { sets = [| set; set |]; at = { next = 0; pass = 0 } } in
+  (* One capability per flow, minted by the router's own request path and
+     converted destination-side. *)
+  let grant ~dst =
+    Array.map
+      (fun (p : Wire.Packet.t) ->
+        send router p;
+        match p.Wire.Packet.shim with
+        | Some { Wire.Cap_shim.kind = Wire.Cap_shim.Request { rev_precaps = [ precap ]; _ }; _ } ->
+            Tva.Capability.cap_of_precap ~hash ~precap ~n_kb ~t_sec
+        | _ -> failwith "Fastpath.create: a request gained no pre-capability")
+      (flow_packets ~dst (fun _ -> Some (Wire.Cap_shim.request ())))
+  in
+  let regular ~dst ~renewal ~nonce caps =
+    flow_packets ~dst (fun f ->
+        Some (Wire.Cap_shim.regular ~nonce ~caps:(caps f) ~n_kb ~t_sec ~renewal ()))
+  in
+  (* The regular and renewal op of each kind share one destination's flows
+     and records, keeping the flow cache as small as one op's would be.
+     The cached ops send nonce-only packets matching the record that one
+     validated packet per flow established. *)
+  let cached ~dst =
+    let caps = grant ~dst in
+    Array.iter (send router) (regular ~dst ~renewal:false ~nonce:1L (fun f -> [ caps.(f) ]));
+    let at = { next = 0; pass = 0 } in
+    let lane renewal =
+      let set = regular ~dst ~renewal ~nonce:1L (fun _ -> []) in
+      { sets = [| set; set |]; at }
+    in
+    (lane false, lane true)
+  in
+  (* The uncached ops alternate two nonce sets that both list the
+     capability, on one shared cursor, so every packet finds the other
+     set's nonce in its flow's record and takes the validate-and-renew
+     branch however the two ops interleave.  Priming with the second set
+     makes pass 0 mismatch too. *)
+  let uncached ~dst =
+    let caps = grant ~dst in
+    let set ~renewal nonce = regular ~dst ~renewal ~nonce (fun f -> [ caps.(f) ]) in
+    Array.iter (send router) (set ~renewal:false 2L);
+    let at = { next = 0; pass = 0 } in
+    let lane renewal = { sets = [| set ~renewal 1L; set ~renewal 2L |]; at } in
+    (lane false, lane true)
+  in
+  let regular_cached, renewal_cached = cached ~dst:0x0B000003 in
+  let regular_uncached, renewal_uncached = uncached ~dst:0x0B000004 in
   {
-    precap_hash = hash_precap;
-    cap_hash = hash_cap;
-    secret;
-    now;
-    src;
-    dst;
-    n_kb;
-    t_sec;
-    cap;
-    nonce;
-    flows;
-    flow_key;
-    routes;
-    sink_cap = cap;
-    sink_port = 0;
+    router;
+    legacy = single (flow_packets ~dst:0x0B000001 (fun _ -> None));
+    request = single (flow_packets ~dst:0x0B000002 (fun _ -> Some (Wire.Cap_shim.request ())));
+    regular_cached;
+    regular_uncached;
+    renewal_cached;
+    renewal_uncached;
   }
 
-let packet_bytes = 1060 (* 1000 B payload + TCP/IP + capability shim *)
-
-let route t =
-  match Hashtbl.find_opt t.routes (Wire.Addr.to_int t.dst) with
-  | Some port -> t.sink_port <- port
-  | None -> ()
-
-let fast_path_checks t (entry : entry) =
-  (* Nonce compare, byte-limit check and charge, ttl update — the entire
-     cached-entry cost (no crypto). *)
-  Int64.equal entry.nonce t.nonce
-  && entry.bytes_used + packet_bytes <= entry.n_bytes
-  && begin
-       entry.bytes_used <- entry.bytes_used + packet_bytes;
-       entry.ttl_expiry <-
-         entry.ttl_expiry
-         +. (float_of_int packet_bytes *. float_of_int t.t_sec /. float_of_int (t.n_kb * 1024));
-       (* Reset so millions of benchmark iterations never trip the byte
-          limit and change the measured path. *)
-       entry.bytes_used <- 0;
-       true
-     end
-
-let validate t =
-  Tva.Capability.validate2 ~precap_hash:t.precap_hash ~cap_hash:t.cap_hash ~secret:t.secret
-    ~now:t.now ~src:t.src ~dst:t.dst ~n_kb:t.n_kb ~t_sec:t.t_sec t.cap
-
-let mint t =
-  t.sink_cap <-
-    Tva.Capability.mint_precap2 ~precap_hash:t.precap_hash ~secret:t.secret ~now:t.now ~src:t.src
-      ~dst:t.dst
-
-let insert_entry t =
-  Hashtbl.replace t.flows (t.flow_key + 1)
-    {
-      nonce = t.nonce;
-      n_bytes = t.n_kb * 1024;
-      bytes_used = packet_bytes;
-      ttl_expiry = t.now +. 1.;
-      cap_ts = t.cap.Wire.Cap_shim.ts;
-    };
-  Hashtbl.remove t.flows (t.flow_key + 1)
-
 let run t op =
-  match op with
-  | Legacy_forward -> route t
-  | Request ->
-      mint t;
-      route t
-  | Regular_cached -> begin
-      match Hashtbl.find_opt t.flows t.flow_key with
-      | Some entry ->
-          ignore (fast_path_checks t entry);
-          route t
-      | None -> assert false
-    end
-  | Regular_uncached ->
-      (* Two hash computations, then entry creation. *)
-      (match validate t with Tva.Capability.Valid -> () | _ -> assert false);
-      insert_entry t;
-      route t
-  | Renewal_cached -> begin
-      match Hashtbl.find_opt t.flows t.flow_key with
-      | Some entry ->
-          ignore (fast_path_checks t entry);
-          mint t;
-          route t
-      | None -> assert false
-    end
-  | Renewal_uncached ->
-      (match validate t with Tva.Capability.Valid -> () | _ -> assert false);
-      insert_entry t;
-      mint t;
-      route t
+  let { sets; at } = lane t op in
+  send t.router sets.(at.pass land 1).(at.next);
+  if at.next < flows - 1 then at.next <- at.next + 1
+  else begin
+    at.next <- 0;
+    at.pass <- at.pass + 1
+  end
 
 let runner t op () = run t op
 
+(* The counters that move once per packet on each op's branch. *)
+let branch_counts op (c : Tva.Router.counters) =
+  match op with
+  | Legacy_forward -> [ c.Tva.Router.legacy ]
+  | Request -> [ c.Tva.Router.requests ]
+  | Regular_cached -> [ c.Tva.Router.regular_cached ]
+  | Regular_uncached -> [ c.Tva.Router.regular_validated ]
+  | Renewal_cached -> [ c.Tva.Router.regular_cached; c.Tva.Router.renewals ]
+  | Renewal_uncached -> [ c.Tva.Router.regular_validated; c.Tva.Router.renewals ]
+
+let on_branch t op ~packets f =
+  let c = Tva.Router.counters t.router in
+  let cache = Tva.Router.cache t.router in
+  let before = branch_counts op c
+  and demotions = c.Tva.Router.demotions
+  and records = Tva.Flow_cache.size cache in
+  let result = f () in
+  let moved = List.map2 ( - ) (branch_counts op c) before in
+  let demoted = c.Tva.Router.demotions - demotions
+  and inserted = Tva.Flow_cache.size cache - records in
+  if List.exists (( <> ) packets) moved || demoted <> 0 || inserted <> 0 then
+    failwith
+      (Printf.sprintf "%s: %d packets moved the branch counters by %s (%d demoted, %d inserted)"
+         (op_name op) packets
+         (String.concat "/" (List.map string_of_int moved))
+         demoted inserted);
+  result
+
 let calibrate ?(iters = 20000) t op =
-  (* One warmup pass, then a timed loop. *)
-  for _ = 1 to min 1000 iters do
-    run t op
-  done;
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    run t op
-  done;
-  let t1 = Unix.gettimeofday () in
-  (t1 -. t0) *. 1e9 /. float_of_int iters
+  (* Up to 1000 warmup packets, then the timed loop; both must stay on the
+     branch. *)
+  let warmup = min 1000 iters in
+  on_branch t op ~packets:(warmup + iters) (fun () ->
+      for _ = 1 to warmup do
+        run t op
+      done;
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to iters do
+        run t op
+      done;
+      (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters)

@@ -1,24 +1,25 @@
-(** The software-router fast path of the paper's Sec. 6 prototype, set up
-    so each of Table 1's packet types can be exercised in isolation.
+(** Table 1's packet types (paper Sec. 6), driven through a real
+    {!Tva.Router.process}.
 
-    The prototype used the kernel crypto API's AES for pre-capability
-    hashes and SHA-1 for capability hashes; this module runs the same
-    constructions from {!Crypto}.  The five operations perform exactly the
-    work the paper counts:
+    One router, its simulator held at t = 0, and prebuilt packets for
+    {!flows} flows per op:
 
-    - request: one pre-capability hash (AES);
-    - regular with a cached entry: flow lookup, nonce compare, byte/ttl
-      update — no crypto;
-    - regular without a cached entry: two hashes (recompute pre-capability,
-      recompute capability) plus entry creation;
-    - renewal with a cached entry: fast-path checks plus one fresh
-      pre-capability hash;
-    - renewal without a cached entry: two validation hashes plus one fresh
-      pre-capability hash.
+    - legacy: no shim;
+    - request: one pre-capability mint;
+    - regular with a cached entry: a nonce-only packet matching its flow's
+      record — lookup, nonce compare, byte/ttl charge, no crypto;
+    - regular without a cached entry: the packet lists its capability but
+      carries a nonce the record does not hold, so the router recomputes
+      both hashes and renews the record (two nonce sets alternate per
+      flow);
+    - renewal with / without a cached entry: the two regular cases plus
+      one fresh pre-capability mint.
 
-    Each operation is packaged as a closure whose per-call side effects are
-    reset internally, so benchmark harnesses can run them millions of
-    times. *)
+    The cached pair and the uncached pair each share one destination's
+    flows and records; the four groups use distinct destinations, so one
+    group's records never steer another's packets.  Between sends only
+    the shim's router-written fields are reset ({!rewind}); the router's
+    state is never touched. *)
 
 type t
 
@@ -33,20 +34,39 @@ type op =
 val all_ops : op list
 val op_name : op -> string
 
-val create :
-  ?hash_precap:(module Crypto.Keyed_hash.S) ->
-  ?hash_cap:(module Crypto.Keyed_hash.S) ->
-  unit ->
-  t
-(** Defaults: AES-hash for pre-capabilities and HMAC-SHA1 for capabilities,
-    the prototype's pairing. *)
+val flows : int
+(** Flows per op (1024). *)
+
+val create : ?hash:(module Crypto.Keyed_hash.S) -> unit -> t
+(** [hash] defaults to {!Crypto.Keyed_hash.Prototype}, the prototype's
+    AES-hash + HMAC-SHA1 pairing. *)
+
+val router : t -> Tva.Router.t
 
 val run : t -> op -> unit
-(** Execute one packet's worth of processing for [op]. *)
+(** Send [op]'s next packet, cycling over its flows. *)
 
 val runner : t -> op -> unit -> unit
 (** [runner t op] is a closure for benchmark harnesses. *)
 
 val calibrate : ?iters:int -> t -> op -> float
-(** Rough wall-clock nanoseconds per operation (for feeding the Fig. 12
-    model outside the Bechamel harness). *)
+(** Wall-clock nanoseconds per packet over [iters] (default 20000)
+    packets after a warmup.  Raises [Failure] as {!on_branch} does. *)
+
+val on_branch : t -> op -> packets:int -> (unit -> 'a) -> 'a
+(** [on_branch t op ~packets f] runs [f], which must send exactly
+    [packets] of [op]'s packets, and raises [Failure] unless [op]'s
+    counters in {!Tva.Router.counters} moved by exactly [packets], no
+    packet was demoted and the flow cache gained no record. *)
+
+val packets : t -> op -> pass:int -> Wire.Packet.t array
+(** [op]'s packet for each flow on pass [pass], for harnesses that loop
+    over {!Tva.Router.process} themselves.  Only the uncached ops
+    alternate between two sets: a harness that sends whole passes over a
+    prefix of the flows, from pass 0 on a fresh [t], keeps them on their
+    branch, as long as it does not also call {!run} for either of them. *)
+
+val rewind : Wire.Packet.t -> unit
+(** Reset what routers write into a packet's shim — the capability
+    pointer, the request lists and the fresh pre-capabilities — so it can
+    be sent again. *)

@@ -306,7 +306,7 @@ let aes_hash_key_separates () =
 
 let keyed_hash_width () =
   List.iter
-    (fun (module H : Crypto.Keyed_hash.S) ->
+    (fun (module H : Crypto.Keyed_hash.Reference) ->
       let v = H.mac56 ~key:(String.make 16 'k') "some message" in
       Alcotest.(check bool)
         (H.name ^ " fits 56 bits")
@@ -322,20 +322,26 @@ let keyed_hash_distinct_messages =
       let key = String.make 16 'k' in
       not (Int64.equal (Crypto.Keyed_hash.Fast.mac56 ~key a) (Crypto.Keyed_hash.Fast.mac56 ~key b)))
 
-(* The fixed-preimage entry points must be bit-for-bit the same hash as the
-   legacy string-preimage path, for every implementation — the router's
+(* The prepared-key entry points the router runs must be bit-for-bit the
+   hash of the preimage strings, for every implementation — the router's
    fast path and the destination's slow path have to mint identical
-   capabilities. *)
+   capabilities.  Prototype is checked one role at a time: its
+   pre-capability is Aes's and its capability is Sha's. *)
 let direct_mac56_matches_string_preimage =
+  let open Crypto.Keyed_hash in
   let modules =
     [
-      (module Crypto.Keyed_hash.Fast : Crypto.Keyed_hash.S);
-      (module Crypto.Keyed_hash.Aes);
-      (module Crypto.Keyed_hash.Sha);
+      ((module Fast : S), Fast.mac56, Fast.mac56);
+      ((module Aes : S), Aes.mac56, Aes.mac56);
+      ((module Sha : S), Sha.mac56, Sha.mac56);
+      ((module Prototype : S), Aes.mac56, Sha.mac56);
     ]
   in
   QCheck.Test.make
-    ~name:"keyed_hash: mac56_precap/mac56_cap = string-preimage path (Fast/Aes/Sha)" ~count:100
+    ~name:
+      "keyed_hash: mac56_precap/mac56_cap = string-preimage path (prepared keys; \
+       Fast/Aes/Sha/Prototype)"
+    ~count:100
     QCheck.(
       pair
         (string_of_size QCheck.Gen.(int_range 1 32))
@@ -345,15 +351,13 @@ let direct_mac56_matches_string_preimage =
            (pair (int_range 0 1023) (int_range 0 63))))
     (fun (key, ((src, dst), ts, (n_kb, t_sec))) ->
       List.for_all
-        (fun (module H : Crypto.Keyed_hash.S) ->
-          let ph = H.mac56_precap ~key ~src ~dst ~ts in
-          let ph_str = H.mac56 ~key (Crypto.Keyed_hash.precap_preimage ~src ~dst ~ts) in
-          let ch = H.mac56_cap ~key ~precap_ts:ts ~precap_hash:ph ~n_kb ~t_sec in
-          let ch_str =
-            H.mac56 ~key
-              (Crypto.Keyed_hash.cap_preimage ~precap_ts:ts ~precap_hash:ph ~n_kb ~t_sec)
-          in
-          Int64.equal ph ph_str && Int64.equal ch ch_str)
+        (fun ((module H : S), precap_ref, cap_ref) ->
+          let prep = H.prepare key in
+          let ph = H.mac56_precap_p ~prep ~src ~dst ~ts in
+          let ch = H.mac56_cap_p ~prep ~precap_ts:ts ~precap_hash:ph ~n_kb ~t_sec in
+          Int64.equal ph (precap_ref ~key (precap_preimage ~src ~dst ~ts))
+          && Int64.equal ch
+               (cap_ref ~key (cap_preimage ~precap_ts:ts ~precap_hash:ph ~n_kb ~t_sec)))
         modules)
 
 (* --- Rotating secrets (paper Sec. 3.4) ------------------------------- *)

@@ -1,15 +1,26 @@
-(* The fast path and the forwarding-rate model behind Table 1 / Fig. 12. *)
+(* Table 1's driver over the real router and the forwarding-rate model
+   behind Fig. 12. *)
 
 let all_ops_run () =
   let fp = Forwarder.Fastpath.create () in
   List.iter
     (fun op ->
-      (* Each op must be callable millions of times without state decay;
-         run a few thousand as a smoke check. *)
-      for _ = 1 to 2000 do
-        Forwarder.Fastpath.run fp op
-      done)
+      (* Each op must stay on its branch across many passes over its
+         flows; run a few thousand as a smoke check. *)
+      Forwarder.Fastpath.on_branch fp op ~packets:3000 (fun () ->
+          for _ = 1 to 3000 do
+            Forwarder.Fastpath.run fp op
+          done))
     Forwarder.Fastpath.all_ops
+
+let branch_check_catches_demotion () =
+  (* A lost flow cache demotes the nonce-only packets: calibrate must
+     refuse to report a cost for a branch its packets did not take. *)
+  let fp = Forwarder.Fastpath.create () in
+  Tva.Router.flush_cache (Forwarder.Fastpath.router fp);
+  match Forwarder.Fastpath.calibrate ~iters:10 fp Forwarder.Fastpath.Regular_cached with
+  | exception Failure _ -> ()
+  | ns -> Alcotest.failf "reported %.0f ns for demoted packets" ns
 
 let cost_ordering_matches_table1 () =
   (* The paper's Table 1 ordering: cached << request ≈ renewal-hit <
@@ -33,12 +44,7 @@ let cost_ordering_matches_table1 () =
 
 let siphash_variant_is_faster () =
   let heavy = Forwarder.Fastpath.create () in
-  let light =
-    Forwarder.Fastpath.create
-      ~hash_precap:(module Crypto.Keyed_hash.Fast)
-      ~hash_cap:(module Crypto.Keyed_hash.Fast)
-      ()
-  in
+  let light = Forwarder.Fastpath.create ~hash:(module Crypto.Keyed_hash.Fast) () in
   let th = Forwarder.Fastpath.calibrate ~iters:3000 heavy Forwarder.Fastpath.Regular_uncached in
   let tl = Forwarder.Fastpath.calibrate ~iters:3000 light Forwarder.Fastpath.Regular_uncached in
   Alcotest.(check bool) (Printf.sprintf "siphash (%.0fns) < aes+sha (%.0fns)" tl th) true (tl < th)
@@ -137,6 +143,7 @@ let series_shape () =
 let suite =
   [
     Alcotest.test_case "all ops run" `Quick all_ops_run;
+    Alcotest.test_case "branch check catches demotion" `Quick branch_check_catches_demotion;
     Alcotest.test_case "table1 ordering" `Slow cost_ordering_matches_table1;
     Alcotest.test_case "siphash faster" `Slow siphash_variant_is_faster;
     Alcotest.test_case "below peak lossless" `Quick output_equals_input_below_peak;

@@ -496,6 +496,74 @@ let bridge_live_trace_records_every_event () =
 
 (* --- In-run telemetry: Timeseries / Detect / Flight (DESIGN.md §15) ----- *)
 
+(* Counters are unconditional stores into a preallocated array, so a
+   router with a live registry allocates, per cached-nonce packet, exactly
+   the minor words it allocates with [nop]. *)
+let router_counters_allocate_nothing () =
+  let iters = 4000 in
+  let words obs =
+    let router =
+      Tva.Router.create ~obs ~secret_master:"obs-alloc" ~router_id:1 ~sim:(Sim.create ())
+        ~link_bps:1e9 ()
+    in
+    let src = Wire.Addr.of_int 0x0A000001 and dst = Wire.Addr.of_int 0x0B000001 in
+    let req = Wire.Packet.make ~shim:(Wire.Cap_shim.request ()) ~src ~dst (Wire.Packet.Raw 64) in
+    Tva.Router.process router ~in_interface:0 req;
+    let precap =
+      match req.Wire.Packet.shim with
+      | Some { Wire.Cap_shim.kind = Wire.Cap_shim.Request { rev_precaps = [ pc ]; _ }; _ } -> pc
+      | _ -> Alcotest.fail "no pre-capability"
+    in
+    let cap =
+      Tva.Capability.cap_of_precap ~hash:(module Crypto.Keyed_hash.Fast) ~precap ~n_kb:1023
+        ~t_sec:32
+    in
+    let regular caps =
+      Wire.Packet.make
+        ~shim:(Wire.Cap_shim.regular ~nonce:1L ~caps ~n_kb:1023 ~t_sec:32 ~renewal:false ())
+        ~src ~dst (Wire.Packet.Raw 10)
+    in
+    Tva.Router.process router ~in_interface:0 (regular [ cap ]);
+    let p = regular [] in
+    Tva.Router.process router ~in_interface:0 p;
+    let hits = (Tva.Router.counters router).Tva.Router.regular_cached in
+    let before = Gc.minor_words () in
+    for _ = 1 to iters do
+      Tva.Router.process router ~in_interface:0 p
+    done;
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check int) "cached path" iters
+      ((Tva.Router.counters router).Tva.Router.regular_cached - hits);
+    words
+  in
+  let live = Obs.Counters.create ~name:"router" () in
+  let bare = words Obs.Counters.nop and counted = words live in
+  Alcotest.(check int) "registry ticked" (iters + 1) (Obs.Counters.get live Obs.Event.Nonce_hit);
+  Alcotest.(check (float 0.)) "same minor words as nop" bare counted
+
+(* A tick over counter cells is one unboxed float store per channel into
+   preallocated rings. *)
+let timeseries_tick_allocates_nothing () =
+  let c = Obs.Counters.create ~name:"router" () in
+  let ts = Obs.Timeseries.create ~interval:1.0 () in
+  List.iter
+    (fun (name, ev) ->
+      Obs.Timeseries.add ts ~name ~mode:Obs.Timeseries.Cumulative
+        (Obs.Timeseries.Cell (c, Obs.Event.to_int ev)))
+    [
+      ("nonce_hits", Obs.Event.Nonce_hit);
+      ("demoted", Obs.Event.Demoted);
+      ("packets", Obs.Event.Packets_in);
+    ];
+  Obs.Timeseries.tick ts ~time:1.0 (* freezes the channel set *);
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Obs.Counters.incr c Obs.Event.Nonce_hit;
+    Obs.Timeseries.tick ts ~time:1.0
+  done;
+  Alcotest.(check (float 0.)) "minor words" 0. (Gc.minor_words () -. before);
+  Alcotest.(check int) "windows" 1001 (Obs.Timeseries.written ts)
+
 let timeseries_basics () =
   let v = ref 0 and depth = ref 0 in
   let ts = Obs.Timeseries.create ~capacity:4 ~interval:0.5 () in
@@ -811,6 +879,9 @@ let suite =
     Alcotest.test_case "bridge: live trace records every event" `Quick
       bridge_live_trace_records_every_event;
     Alcotest.test_case "timeseries basics" `Quick timeseries_basics;
+    Alcotest.test_case "router counters allocate nothing" `Quick router_counters_allocate_nothing;
+    Alcotest.test_case "timeseries tick allocates nothing" `Quick
+      timeseries_tick_allocates_nothing;
     QCheck_alcotest.to_alcotest detect_no_flapping;
     Alcotest.test_case "detect onset/clear/peak" `Quick detect_onset_clear_peak;
     Alcotest.test_case "export parse round-trip" `Quick export_parse_roundtrip;

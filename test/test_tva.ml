@@ -4,6 +4,14 @@
 
 let fast = (module Crypto.Keyed_hash.Fast : Crypto.Keyed_hash.S)
 
+(* [Capability]'s mint and validate against a fresh per-call key cache. *)
+let mint_precap ~hash ~secret ~now ~src ~dst =
+  Tva.Capability.mint_precap ~hash ~cache:(Crypto.Keyed_hash.prep_cache ()) ~secret ~now ~src ~dst
+
+let validate ~hash ~secret ~now ~src ~dst ~n_kb ~t_sec cap =
+  Tva.Capability.validate ~hash ~cache:(Crypto.Keyed_hash.prep_cache ()) ~secret ~now ~src ~dst
+    ~n_kb ~t_sec cap
+
 let src = Wire.Addr.of_int 0x0a000001
 let dst = Wire.Addr.of_int 0xc0a80001
 
@@ -11,65 +19,65 @@ let dst = Wire.Addr.of_int 0xc0a80001
 
 let mint_and_validate () =
   let secret = Crypto.Secret.create ~master:"r1" in
-  let precap = Tva.Capability.mint_precap ~hash:fast ~secret ~now:5. ~src ~dst in
+  let precap = mint_precap ~hash:fast ~secret ~now:5. ~src ~dst in
   let cap = Tva.Capability.cap_of_precap ~hash:fast ~precap ~n_kb:32 ~t_sec:10 in
   Alcotest.(check string) "valid" "valid"
     (Format.asprintf "%a" Tva.Capability.pp_verdict
-       (Tva.Capability.validate ~hash:fast ~secret ~now:6. ~src ~dst ~n_kb:32 ~t_sec:10 cap))
+       (validate ~hash:fast ~secret ~now:6. ~src ~dst ~n_kb:32 ~t_sec:10 cap))
 
 let validation_is_bound_to_addresses () =
   let secret = Crypto.Secret.create ~master:"r1" in
-  let precap = Tva.Capability.mint_precap ~hash:fast ~secret ~now:5. ~src ~dst in
+  let precap = mint_precap ~hash:fast ~secret ~now:5. ~src ~dst in
   let cap = Tva.Capability.cap_of_precap ~hash:fast ~precap ~n_kb:32 ~t_sec:10 in
   let thief = Wire.Addr.of_int 0x0b000001 in
   Alcotest.(check bool) "stolen by another source" true
-    (Tva.Capability.validate ~hash:fast ~secret ~now:6. ~src:thief ~dst ~n_kb:32 ~t_sec:10 cap
+    (validate ~hash:fast ~secret ~now:6. ~src:thief ~dst ~n_kb:32 ~t_sec:10 cap
     = Tva.Capability.Bad_hash);
   Alcotest.(check bool) "redirected to another destination" true
-    (Tva.Capability.validate ~hash:fast ~secret ~now:6. ~src ~dst:thief ~n_kb:32 ~t_sec:10 cap
+    (validate ~hash:fast ~secret ~now:6. ~src ~dst:thief ~n_kb:32 ~t_sec:10 cap
     = Tva.Capability.Bad_hash)
 
 let validation_is_bound_to_n_and_t () =
   let secret = Crypto.Secret.create ~master:"r1" in
-  let precap = Tva.Capability.mint_precap ~hash:fast ~secret ~now:5. ~src ~dst in
+  let precap = mint_precap ~hash:fast ~secret ~now:5. ~src ~dst in
   let cap = Tva.Capability.cap_of_precap ~hash:fast ~precap ~n_kb:32 ~t_sec:10 in
   (* Inflating N or T breaks the second hash: fine-grained limits cannot be
      tampered with. *)
   Alcotest.(check bool) "bigger N rejected" true
-    (Tva.Capability.validate ~hash:fast ~secret ~now:6. ~src ~dst ~n_kb:1000 ~t_sec:10 cap
+    (validate ~hash:fast ~secret ~now:6. ~src ~dst ~n_kb:1000 ~t_sec:10 cap
     = Tva.Capability.Bad_hash);
   Alcotest.(check bool) "longer T rejected" true
-    (Tva.Capability.validate ~hash:fast ~secret ~now:6. ~src ~dst ~n_kb:32 ~t_sec:63 cap
+    (validate ~hash:fast ~secret ~now:6. ~src ~dst ~n_kb:32 ~t_sec:63 cap
     = Tva.Capability.Bad_hash)
 
 let validation_is_bound_to_router_secret () =
   let secret = Crypto.Secret.create ~master:"r1" in
   let other = Crypto.Secret.create ~master:"r2" in
-  let precap = Tva.Capability.mint_precap ~hash:fast ~secret ~now:5. ~src ~dst in
+  let precap = mint_precap ~hash:fast ~secret ~now:5. ~src ~dst in
   let cap = Tva.Capability.cap_of_precap ~hash:fast ~precap ~n_kb:32 ~t_sec:10 in
   Alcotest.(check bool) "another router's secret" true
-    (Tva.Capability.validate ~hash:fast ~secret:other ~now:6. ~src ~dst ~n_kb:32 ~t_sec:10 cap
+    (validate ~hash:fast ~secret:other ~now:6. ~src ~dst ~n_kb:32 ~t_sec:10 cap
     = Tva.Capability.Bad_hash)
 
 let capability_expires_after_t () =
   let secret = Crypto.Secret.create ~master:"r1" in
-  let precap = Tva.Capability.mint_precap ~hash:fast ~secret ~now:5. ~src ~dst in
+  let precap = mint_precap ~hash:fast ~secret ~now:5. ~src ~dst in
   let cap = Tva.Capability.cap_of_precap ~hash:fast ~precap ~n_kb:32 ~t_sec:10 in
   Alcotest.(check bool) "alive at T" true
-    (Tva.Capability.validate ~hash:fast ~secret ~now:15. ~src ~dst ~n_kb:32 ~t_sec:10 cap
+    (validate ~hash:fast ~secret ~now:15. ~src ~dst ~n_kb:32 ~t_sec:10 cap
     = Tva.Capability.Valid);
   Alcotest.(check bool) "dead after T" true
-    (Tva.Capability.validate ~hash:fast ~secret ~now:16. ~src ~dst ~n_kb:32 ~t_sec:10 cap
+    (validate ~hash:fast ~secret ~now:16. ~src ~dst ~n_kb:32 ~t_sec:10 cap
     = Tva.Capability.Expired)
 
 let capability_survives_secret_rotation_within_t () =
   let secret = Crypto.Secret.create ~master:"r1" in
   (* Minted just before the 128 s rotation, checked just after: the high
      bit of the timestamp directs the router to the previous secret. *)
-  let precap = Tva.Capability.mint_precap ~hash:fast ~secret ~now:126. ~src ~dst in
+  let precap = mint_precap ~hash:fast ~secret ~now:126. ~src ~dst in
   let cap = Tva.Capability.cap_of_precap ~hash:fast ~precap ~n_kb:32 ~t_sec:10 in
   Alcotest.(check bool) "valid across rotation" true
-    (Tva.Capability.validate ~hash:fast ~secret ~now:130. ~src ~dst ~n_kb:32 ~t_sec:10 cap
+    (validate ~hash:fast ~secret ~now:130. ~src ~dst ~n_kb:32 ~t_sec:10 cap
     = Tva.Capability.Valid)
 
 let forged_capabilities_rejected =
@@ -78,26 +86,25 @@ let forged_capabilities_rejected =
     (fun (ts, h) ->
       let secret = Crypto.Secret.create ~master:"r1" in
       let cap = { Wire.Cap_shim.ts; hash = Int64.logand h 0xFFFFFFFFFFFFFFL } in
-      Tva.Capability.validate ~hash:fast ~secret ~now:(float_of_int ts +. 0.5) ~src ~dst ~n_kb:32
-        ~t_sec:10 cap
+      validate ~hash:fast ~secret ~now:(float_of_int ts +. 0.5) ~src ~dst ~n_kb:32 ~t_sec:10 cap
       <> Tva.Capability.Valid)
 
 let two_hash_pairing_matches () =
-  (* validate2 with AES + SHA accepts exactly what the same pairing
-     minted. *)
-  let aes = (module Crypto.Keyed_hash.Aes : Crypto.Keyed_hash.S) in
-  let sha = (module Crypto.Keyed_hash.Sha : Crypto.Keyed_hash.S) in
+  (* A Prototype capability (AES-hash pre-capability, HMAC-SHA1
+     capability) validates under Prototype, and under neither hash
+     alone. *)
+  let open Crypto.Keyed_hash in
   let secret = Crypto.Secret.create ~master:"proto" in
-  let precap = Tva.Capability.mint_precap2 ~precap_hash:aes ~secret ~now:3. ~src ~dst in
-  let cap = Tva.Capability.cap_of_precap2 ~cap_hash:sha ~precap ~n_kb:8 ~t_sec:5 in
-  Alcotest.(check bool) "aes+sha validates" true
-    (Tva.Capability.validate2 ~precap_hash:aes ~cap_hash:sha ~secret ~now:4. ~src ~dst ~n_kb:8
-       ~t_sec:5 cap
-    = Tva.Capability.Valid);
-  Alcotest.(check bool) "mismatched pairing rejects" true
-    (Tva.Capability.validate2 ~precap_hash:sha ~cap_hash:aes ~secret ~now:4. ~src ~dst ~n_kb:8
-       ~t_sec:5 cap
-    = Tva.Capability.Bad_hash)
+  let precap = mint_precap ~hash:(module Prototype) ~secret ~now:3. ~src ~dst in
+  let cap = Tva.Capability.cap_of_precap ~hash:(module Prototype) ~precap ~n_kb:8 ~t_sec:5 in
+  let check name hash expect =
+    Alcotest.(check string) name expect
+      (Format.asprintf "%a" Tva.Capability.pp_verdict
+         (validate ~hash ~secret ~now:4. ~src ~dst ~n_kb:8 ~t_sec:5 cap))
+  in
+  check "prototype validates" (module Prototype) "valid";
+  check "aes alone rejects" (module Aes) "bad-hash";
+  check "sha alone rejects" (module Sha) "bad-hash"
 
 (* --- Path identifiers -------------------------------------------------- *)
 
@@ -211,6 +218,52 @@ let cache_lookup_and_remove () =
       Tva.Flow_cache.remove cache entry;
       Alcotest.(check bool) "gone" true (Tva.Flow_cache.lookup cache ~src ~dst = None)
   | _ -> Alcotest.fail "insert failed")
+
+(* A full cache under churn must not rehash its whole table on every
+   insert.  The growth rule used to let [live] sit at exactly half the
+   table, so each tomb an eviction or [remove] left forced a same-size
+   rehash of every slot: about 8 KB per insert at capacity 64 and 0.5 MB
+   at 4096.  The bound is per insert, amortized over the run. *)
+let cache_churn_allocation () =
+  let budget = 2048. and inserts = 2000 in
+  let insert cache i ~now ~packet_bytes =
+    match
+      Tva.Flow_cache.insert cache ~now ~src:(Wire.Addr.of_int i) ~dst ~nonce:1L ~n_kb:1 ~t_sec:10
+        ~cap_ts:0 ~packet_bytes
+    with
+    | Tva.Flow_cache.Inserted e -> e
+    | Tva.Flow_cache.Cache_full | Tva.Flow_cache.Over_limit -> Alcotest.fail "insert refused"
+  in
+  let per_insert name f =
+    let before = Gc.allocated_bytes () in
+    for k = 1 to inserts do
+      f k
+    done;
+    let bytes = (Gc.allocated_bytes () -. before) /. float_of_int inserts in
+    if bytes > budget then
+      Alcotest.failf "%s: %.0f bytes allocated per insert (budget %g)" name bytes budget
+  in
+  (* Eviction churn: every record has expired by the next insert's [now],
+     so each insert into the full cache reclaims one record first. *)
+  List.iter
+    (fun max_entries ->
+      let cache = Tva.Flow_cache.create ~max_entries () in
+      for i = 0 to max_entries - 1 do
+        ignore (insert cache i ~now:0. ~packet_bytes:1)
+      done;
+      per_insert (Printf.sprintf "eviction churn at %d" max_entries) (fun k ->
+          ignore (insert cache (max_entries + k) ~now:(float_of_int k) ~packet_bytes:1));
+      Alcotest.(check int) "still full" max_entries (Tva.Flow_cache.size cache))
+    [ 64; 4096 ];
+  (* Remove/re-insert churn with 4096 live records and room to spare. *)
+  let live = 4096 in
+  let cache = Tva.Flow_cache.create ~max_entries:(16 * live) () in
+  let entries = Array.init live (fun i -> insert cache i ~now:0. ~packet_bytes:100) in
+  per_insert "remove/re-insert churn" (fun k ->
+      let i = k mod live in
+      Tva.Flow_cache.remove cache entries.(i);
+      entries.(i) <- insert cache i ~now:0. ~packet_bytes:100);
+  Alcotest.(check int) "all live" live (Tva.Flow_cache.size cache)
 
 let cache_renew_resets_budget () =
   let cache = Tva.Flow_cache.create ~max_entries:4 () in
@@ -836,6 +889,7 @@ let suite =
     Alcotest.test_case "cache full reclaims" `Quick cache_full_reclaims_expired;
     Alcotest.test_case "cache lookup/remove" `Quick cache_lookup_and_remove;
     Alcotest.test_case "cache renew" `Quick cache_renew_resets_budget;
+    Alcotest.test_case "cache churn allocation" `Quick cache_churn_allocation;
     QCheck_alcotest.to_alcotest two_n_byte_bound;
     QCheck_alcotest.to_alcotest no_eviction_means_exactly_n;
     Alcotest.test_case "router stamps requests" `Quick router_stamps_requests;
