@@ -3,8 +3,6 @@
 
      dune exec bench/compare_bench.exe -- \
        --old-pps BENCH_pps.json --new-pps /tmp/fresh_pps.json \
-       [--old-sweep BENCH_sweep.json --new-sweep /tmp/fresh_sweep.json] \
-       [--old-scale BENCH_scale.json --new-scale /tmp/fresh_scale.json] \
        [--threshold 0.25] [--relative-to-legacy] [--summary $GITHUB_STEP_SUMMARY]
 
    The gate: each router path's pps in the new report must be within
@@ -13,16 +11,7 @@
    report's legacy-path pps — the legacy path does no TVA work, so the
    ratio cancels raw machine speed and isolates per-path cost, which keeps
    the gate meaningful on CI runners slower than the machine that produced
-   the committed numbers.  The sweep comparison is reported but never
-   gates: its wall-clock depends on domain scheduling noise.
-
-   The scale comparison gates the independent leg's events/s always
-   normalized by the same report's coalesced-leg events/s (the coalesced
-   leg, with its small pending set, is the machine-speed reference there,
-   playing the role the legacy path plays for pps), and
-   peak live-heap — machine-independent at a fixed sweep size — gated on
-   growth.  Both only gate when the two reports ran the same largest
-   sweep point; a smoke report against a full baseline is informational.
+   the committed numbers.
 
    The obs-cost gate reads an end-to-end report instead:
 
@@ -39,10 +28,6 @@
 
 let old_pps = ref "BENCH_pps.json"
 let new_pps = ref ""
-let old_sweep = ref ""
-let new_sweep = ref ""
-let old_scale = ref ""
-let new_scale = ref ""
 let threshold = ref 0.25
 let relative = ref false
 let summary = ref ""
@@ -54,10 +39,6 @@ let spec =
     ( "--new-pps",
       Arg.Set_string new_pps,
       "FILE  freshly measured per-packet report (required without --e2e-report)" );
-    ("--old-sweep", Arg.Set_string old_sweep, "FILE  committed sweep report (optional)");
-    ("--new-sweep", Arg.Set_string new_sweep, "FILE  freshly measured sweep report (optional)");
-    ("--old-scale", Arg.Set_string old_scale, "FILE  committed scale report (optional)");
-    ("--new-scale", Arg.Set_string new_scale, "FILE  freshly measured scale report (optional)");
     ("--threshold", Arg.Set_float threshold, "F  max tolerated pps regression fraction (default 0.25)");
     ( "--relative-to-legacy",
       Arg.Set relative,
@@ -112,15 +93,9 @@ let section_start text name =
 let section_pps text name =
   match section_start text name with None -> None | Some i -> find_number ~from:i text "pps"
 
-(* Scale-report gates live in the "gates" object; several of its keys
-   ("peak_heap_mb", "wall_s") also appear per leg, so scan from there. *)
-let scale_gate text key =
-  match section_start text "gates" with None -> None | Some i -> find_number ~from:i text key
-
 let paths = [ "cached_nonce"; "validate"; "request"; "legacy" ]
 
-(* The committed baselines vs a fresh per-packet (and optionally sweep and
-   scale) report. *)
+(* The committed baseline vs a fresh per-packet report. *)
 let compare_baselines buf failed =
   let old_text = read_file !old_pps and new_text = read_file !new_pps in
   let get text name =
@@ -150,69 +125,9 @@ let compare_baselines buf failed =
         (Printf.sprintf "| %s | %.0f | %.0f | %+.1f%% | %s |\n" name o n (100. *. delta)
            (if not gated then "—" else if regressed then "FAIL" else "ok")))
     paths;
-  (match (!old_sweep, !new_sweep) with
-  | "", _ | _, "" -> ()
-  | os, ns ->
-      let ot = read_file os and nt = read_file ns in
-      Buffer.add_string buf "\n### Sweep engine (informational)\n\n";
-      Buffer.add_string buf "| metric | committed | fresh | change |\n|---|---|---|---|\n";
-      List.iter
-        (fun key ->
-          match (find_number ot key, find_number nt key) with
-          | Some o, Some n ->
-              Buffer.add_string buf
-                (Printf.sprintf "| %s | %.0f | %.0f | %+.1f%% |\n" key o n
-                   (100. *. ((n /. o) -. 1.)))
-          | _ -> ())
-        [ "events_per_sec_j1"; "events_per_sec_jN" ]);
-  (match (!old_scale, !new_scale) with
-  | "", _ | _, "" -> ()
-  | os, ns ->
-      let ot = read_file os and nt = read_file ns in
-      let comparable =
-        match (find_number ot "largest_senders", find_number nt "largest_senders") with
-        | Some a, Some b -> a = b
-        | _ -> false
-      in
-      Buffer.add_string buf "\n### Million-sender scale sweep vs committed baseline\n\n";
-      if not comparable then
-        Buffer.add_string buf
-          "_Sweep sizes differ between the reports, so nothing below gates._\n\n"
-      else
-        Buffer.add_string buf
-          "_Gated events/s are normalized by each report's coalesced-leg events/s (cancels \
-           machine speed)._\n\n";
-      Buffer.add_string buf "| metric | committed | fresh | change | gate |\n|---|---|---|---|---|\n";
-      (* higher_is_better flips the regression direction for peak heap.
-         normalize divides by the same report's coalesced-leg events/s,
-         the scale analogue of the legacy path. *)
-      let row ?(normalize = false) ?(gated = true) ?(higher_is_better = true) key =
-        match (scale_gate ot key, scale_gate nt key) with
-        | Some o, Some n ->
-            let norm text v =
-              match (normalize, scale_gate text "coalesced_events_per_s") with
-              | true, Some h when h > 0. -> v /. h
-              | _ -> v
-            in
-            let delta = (norm nt n /. norm ot o) -. 1. in
-            let gated = gated && comparable in
-            let regressed =
-              gated && if higher_is_better then delta < -. !threshold else delta > !threshold
-            in
-            if regressed then failed := true;
-            Buffer.add_string buf
-              (Printf.sprintf "| %s | %.6g | %.6g | %+.1f%% | %s |\n" key o n (100. *. delta)
-                 (if not gated then "—" else if regressed then "FAIL" else "ok"))
-        | _ -> ()
-      in
-      (* The coalesced leg is the denominator, and its raw events/s tracks
-         machine speed, so it stays informational. *)
-      row ~gated:false "coalesced_events_per_s";
-      row ~normalize:true "independent_events_per_s";
-      row ~higher_is_better:false "peak_heap_mb");
   Buffer.add_string buf
     (Printf.sprintf
-       "\nGate: fail if any router path or gated scale metric regresses more than %.0f%%.\n"
+       "\nGate: fail if any router path regresses more than %.0f%%.\n"
        (100. *. !threshold))
 
 (* The obs-cost gate over one e2e_bench report: both workloads ran on the

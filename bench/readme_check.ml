@@ -1,17 +1,15 @@
 (* Guard against metadata drift between the committed bench reports and
    the README tables: both are regenerated in lockstep on the same host,
    so the figures quoted in the README's "Committed" columns must match
-   the JSON within a small tolerance.  Four tables are covered: the §6.1
-   per-packet table against BENCH_pps.json, the million-sender scale
-   table against BENCH_scale.json's "gates" object, the five-scheme
-   table against BENCH_report.json, and the end-to-end layer breakdown
+   the JSON within a small tolerance.  Three tables are covered: the §6.1
+   per-packet table against BENCH_pps.json, the five-scheme table against
+   BENCH_report.json, and the end-to-end layer breakdown
    against the per-layer values of BENCH_e2e.json (a traced e2e_bench
    report).
 
      dune exec bench/readme_check.exe -- \
        [--readme README.md] [--json BENCH_pps.json] \
        [--ns-tol 0.05] [--words-tol 1.0] \
-       [--scale-json BENCH_scale.json] [--scale-tol 0.05] \
        [--report-json BENCH_report.json] [--e2e-json BENCH_e2e.json]
 
    Exit 1 on any row that drifted, exit 2 on a malformed table or report.
@@ -22,8 +20,6 @@ let readme = ref "README.md"
 let json = ref "BENCH_pps.json"
 let ns_tol = ref 0.05
 let words_tol = ref 1.0
-let scale_json = ref "BENCH_scale.json"
-let scale_tol = ref 0.05
 let report_json = ref "BENCH_report.json"
 let e2e_json = ref "BENCH_e2e.json"
 
@@ -37,12 +33,6 @@ let spec =
     ( "--words-tol",
       Arg.Set_float words_tol,
       "W  max absolute words/pkt drift between table and JSON (default 1.0)" );
-    ( "--scale-json",
-      Arg.Set_string scale_json,
-      "FILE  the committed scale-sweep report (default BENCH_scale.json)" );
-    ( "--scale-tol",
-      Arg.Set_float scale_tol,
-      "F  max fractional drift between the scale table and its JSON (default 0.05)" );
     ( "--report-json",
       Arg.Set_string report_json,
       "FILE  the committed cross-scheme fairness report (default BENCH_report.json)" );
@@ -52,8 +42,8 @@ let spec =
   ]
 
 let usage =
-  "readme_check [--readme FILE] [--json FILE] [--ns-tol F] [--words-tol W] [--scale-json FILE] \
-   [--scale-tol F] [--report-json FILE] [--e2e-json FILE]"
+  "readme_check [--readme FILE] [--json FILE] [--ns-tol F] [--words-tol W] [--report-json FILE] \
+   [--e2e-json FILE]"
 
 let read_file path =
   let ic = open_in_bin path in
@@ -165,30 +155,6 @@ let () =
   in
   List.iter check [ "cached_nonce"; "validate"; "request"; "legacy" ];
   let pps_checked = !checked in
-  (* The README's million-sender scale table quotes the "gates" object of
-     BENCH_scale.json; [section_field] scoped to "gates" skips the same
-     field names inside the per-leg objects that precede it. *)
-  let scale_text = read_file !scale_json in
-  let check_scale ~key ~unit =
-    match row_cell readme_text key with
-    | None -> fatal "README has no scale-table row for `%s`" key
-    | Some cell -> (
-        match (cell_figure cell unit, section_field scale_text "gates" key) with
-        | Some t, Some j ->
-            incr checked;
-            if Float.abs (t -. j) > (!scale_tol *. Float.abs j) +. 0.051 then begin
-              Printf.eprintf
-                "readme_check: `%s` drifted: README says %g%s, JSON says %g\n" key t unit j;
-              failed := true
-            end
-        | None, _ -> fatal "no \"%s\" figure in README scale row (cell %S)" key cell
-        | _, None -> fatal "no gates.%s in %s" key !scale_json)
-  in
-  check_scale ~key:"independent_events_per_s" ~unit:" ev/s";
-  check_scale ~key:"coalesced_events_per_s" ~unit:" ev/s";
-  check_scale ~key:"wall_s" ~unit:" s";
-  check_scale ~key:"peak_heap_mb" ~unit:" MB";
-  let scale_checked = !checked - pps_checked in
   (* The README's five-scheme comparison table quotes the headline
      "<scheme>_fraction/_median_s/_jain" keys of BENCH_report.json, both
      written in lockstep by `tva_sim report`.  The table renders three
@@ -240,7 +206,7 @@ let () =
       cells
   in
   List.iter check_report [ "internet"; "siff"; "pushback"; "tva"; "netfence" ];
-  let report_checked = !checked - pps_checked - scale_checked in
+  let report_checked = !checked - pps_checked in
   (* The README's layer-breakdown table: one row per per-layer metric
      (first cell, backquoted), one column per workload (header cells,
      backquoted).  Each cell is the workload's [layers.<metric>.value]
@@ -319,14 +285,11 @@ let () =
   if !failed then begin
     prerr_endline
       "readme_check: regenerate in lockstep: dune exec bench/pps_bench.exe (§6.1 table), dune \
-       exec bench/scale_bench.exe (scale table), dune exec bin/tva_sim.exe -- report \
-       (five-scheme table), or dune exec bench/e2e/e2e_bench.exe -- --traced --out \
-       BENCH_e2e.json (layer table), then update the README from the fresh JSON";
+       exec bin/tva_sim.exe -- report (five-scheme table), or dune exec \
+       bench/e2e/e2e_bench.exe -- --traced --out BENCH_e2e.json (layer table), then update the \
+       README from the fresh JSON";
     exit 1
   end;
-  Printf.printf "readme_check: %d figures in the README §6.1 table match %s, %d in the scale \
-                 table match %s, %d in the five-scheme table match %s, %d in the layer table \
-                 match %s\n"
-    pps_checked !json scale_checked !scale_json report_checked !report_json
-    (!checked - pps_checked - scale_checked - report_checked)
-    !e2e_json
+  Printf.printf "readme_check: %d figures in the README §6.1 table match %s, %d in the \
+                 five-scheme table match %s, %d in the layer table match %s\n"
+    pps_checked !json report_checked !report_json (!checked - pps_checked - report_checked) !e2e_json

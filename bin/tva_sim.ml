@@ -572,8 +572,8 @@ let ablation_sfq_cmd =
 
 let scale_cmd =
   let doc = "Aggregate-attacker scale run: swarms of spoofed flood members on generated topologies." in
-  let run scheme_name topology senders aggregates mode batch_window attack_mbps users
-      transfers max_time seed stats telemetry telemetry_interval =
+  let run scheme_name topology senders aggregates mode attack_mbps users transfers max_time
+      seed stats telemetry telemetry_interval =
     let scheme =
       match List.assoc_opt scheme_name Workload.Scenario.schemes with
       | Some s -> s
@@ -595,7 +595,6 @@ let scale_cmd =
         sc_senders = senders;
         sc_aggregates = aggregates;
         sc_swarm_mode = mode;
-        sc_batch_window = batch_window;
         sc_attack_bps = attack_mbps *. 1e6;
         sc_n_users = users;
         sc_transfers_per_user = transfers;
@@ -675,12 +674,6 @@ let scale_cmd =
       & opt string "coalesced"
       & info [ "mode" ] ~doc:"coalesced (one event per swarm) | independent (one timer per member)")
   in
-  let batch_window_arg =
-    Arg.(
-      value
-      & opt float 0.
-      & info [ "batch-window" ] ~doc:"Coalesce members due within this many seconds (0 = exact).")
-  in
   let attack_mbps_arg =
     Arg.(value & opt float 40. & info [ "attack-mbps" ] ~doc:"Aggregate attack rate, Mb/s.")
   in
@@ -688,8 +681,8 @@ let scale_cmd =
   Cmd.v (Cmd.info "scale" ~doc)
     Term.(
       const run $ scheme_arg $ topology_arg $ senders_arg $ aggregates_arg $ mode_arg
-      $ batch_window_arg $ attack_mbps_arg $ users_arg $ transfers_arg $ max_time_arg $ seed_arg
-      $ stats_arg $ telemetry_arg $ telemetry_interval_arg)
+      $ attack_mbps_arg $ users_arg $ transfers_arg $ max_time_arg $ seed_arg $ stats_arg
+      $ telemetry_arg $ telemetry_interval_arg)
 
 let report_cmd =
   let doc =

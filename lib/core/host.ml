@@ -109,6 +109,10 @@ let choose_shim t ~dst =
       in
       if renewal_due && renewal_allowed then begin
         ds.renewal_sent_at <- Some now;
+        (* A renewal is contact too: a client policy that saw only the
+           first request would refuse the peer's return-path requests
+           [window] seconds into a conversation that keeps renewing. *)
+        Policy.note_outgoing_request t.policy ~now ~dst;
         t.counters.renewals_sent <- t.counters.renewals_sent + 1;
         g.caps_carried <- true;
         Wire.Cap_shim.regular ~nonce:g.nonce ~caps:g.caps ~n_kb:g.n_kb ~t_sec:g.t_sec

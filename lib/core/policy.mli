@@ -23,8 +23,8 @@ val note_traffic : t -> now:float -> src:Wire.Addr.t -> bytes:int -> demoted:boo
     per-source behaviour. *)
 
 val note_outgoing_request : t -> now:float -> dst:Wire.Addr.t -> unit
-(** Hosts call this when they request capabilities from [dst] (the client
-    policy keys on it). *)
+(** Hosts call this when they request capabilities from [dst], with a
+    fresh request or a renewal (the client policy keys on it). *)
 
 val make :
   ?note_traffic:(now:float -> src:Wire.Addr.t -> bytes:int -> demoted:bool -> unit) ->

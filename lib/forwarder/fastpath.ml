@@ -142,8 +142,6 @@ let run t op =
     at.pass <- at.pass + 1
   end
 
-let runner t op () = run t op
-
 (* The counters that move once per packet on each op's branch. *)
 let branch_counts op (c : Tva.Router.counters) =
   match op with

@@ -46,9 +46,6 @@ val router : t -> Tva.Router.t
 val run : t -> op -> unit
 (** Send [op]'s next packet, cycling over its flows. *)
 
-val runner : t -> op -> unit -> unit
-(** [runner t op] is a closure for benchmark harnesses. *)
-
 val calibrate : ?iters:int -> t -> op -> float
 (** Wall-clock nanoseconds per packet over [iters] (default 20000)
     packets after a warmup.  Raises [Failure] as {!on_branch} does. *)

@@ -244,34 +244,3 @@ let to_string_pretty v =
   to_buffer_pretty buf ~indent:0 v;
   Buffer.add_char buf '\n';
   Buffer.contents buf
-
-(* The commit checked out in the working directory, read straight from
-   [.git] (no git binary needed): a detached HEAD, a loose ref or a packed
-   ref; "unknown" outside a checkout. *)
-let git_rev () =
-  let read f =
-    try Some (String.trim (In_channel.with_open_bin f In_channel.input_all)) with Sys_error _ -> None
-  in
-  let packed name =
-    Option.bind (read ".git/packed-refs") (fun text ->
-        String.split_on_char '\n' text
-        |> List.find_map (fun l ->
-               match String.split_on_char ' ' l with [ rev; n ] when n = name -> Some rev | _ -> None))
-  in
-  Option.value ~default:"unknown"
-    (match read ".git/HEAD" with
-    | Some head when String.starts_with ~prefix:"ref: " head -> (
-        let name = String.sub head 5 (String.length head - 5) in
-        match read (Filename.concat ".git" name) with Some rev -> Some rev | None -> packed name)
-    | head -> head)
-
-let provenance ~reps ~seed =
-  Obj
-    [
-      ("git_rev", String (git_rev ()));
-      ("ocaml_version", String Sys.ocaml_version);
-      ("cores", Int (Domain.recommended_domain_count ()));
-      ("reps", Int reps);
-      ("seed", Int seed);
-      ("argv", List (Array.to_list (Array.map (fun a -> String a) Sys.argv)));
-    ]

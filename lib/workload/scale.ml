@@ -49,7 +49,6 @@ type config = {
   sc_senders : int;  (* total flood members across all aggregates *)
   sc_aggregates : int;
   sc_swarm_mode : Swarm.mode;
-  sc_batch_window : float;
   sc_attack_bps : float;  (* aggregate attack rate, split evenly over members *)
   sc_attack_pkt_bytes : int;
   sc_n_users : int;
@@ -68,7 +67,6 @@ let default =
     sc_senders = 1000;
     sc_aggregates = 4;
     sc_swarm_mode = Swarm.Coalesced;
-    sc_batch_window = 0.;
     sc_attack_bps = 40e6;
     sc_attack_pkt_bytes = 1000;
     sc_n_users = 10;
@@ -251,13 +249,13 @@ let run ?obs cfg =
           Some
             (Swarm.start ~sim ~n ~seed:(cfg.sc_seed + (1000 * k))
                ~rate_bps:member_rate ~pkt_bytes:cfg.sc_attack_pkt_bytes
-               ~batch_window:cfg.sc_batch_window ~mode:cfg.sc_swarm_mode ~emit ())
+               ~mode:cfg.sc_swarm_mode ~emit ())
         end)
   in
   (* Telemetry ticks ride an auxiliary event chain ({!Obs.Timeseries.attach}),
      so a telemetry-on run is bit-identical to a telemetry-off one.  The
-     footprint channels' maxima are BENCH_scale.json's peak-memory columns;
-     [heap_words] allocates one [Gc.stat] record per tick. *)
+     footprint channels' maxima are [tva_sim scale --stats]'s peak-memory
+     figures; [heap_words] allocates one [Gc.stat] record per tick. *)
   let series =
     Option.bind harness (fun h ->
         Experiment.Harness.telemetry h (fun () ->

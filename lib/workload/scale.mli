@@ -28,7 +28,6 @@ type config = {
           on *)
   sc_aggregates : int;  (** swarm objects the members are split over *)
   sc_swarm_mode : Swarm.mode;
-  sc_batch_window : float;  (** see {!Swarm.start} *)
   sc_attack_bps : float;  (** aggregate attack rate, split evenly over members *)
   sc_attack_pkt_bytes : int;
   sc_n_users : int;
@@ -65,5 +64,5 @@ val run : ?obs:Experiment.obs_config -> config -> result
     {!Experiment.Harness}, as in {!Experiment.run}.  With telemetry on, the
     series adds two footprint Level channels to the shared ones:
     [heap_words] (major-heap words, [Gc.quick_stat]) and [pending]
-    ({!Sim.pending}); their [s_max] in [sr_obs] is the scale benchmark's
-    peak-memory source. *)
+    ({!Sim.pending}); their [s_max] in [sr_obs] is where
+    [tva_sim scale --stats] reads its peak memory. *)

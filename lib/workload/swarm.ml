@@ -14,13 +14,7 @@
      load is independent of [n]; per-member state is three words.
    - [Independent]: one simulator timer per member.  Functionally identical
      stream; exists to put a million real timers in the pending queue —
-     the scheduler-stress leg of the scale benchmark.
-
-   [batch_window] (Coalesced only) drains every member due within [w]
-   seconds of the fired deadline in one event, trading event count for
-   admission jitter.  Deadlines and RNG draws still use each member's
-   nominal due time, so the per-member stream stays exact; only the
-   injection instant coarsens. *)
+     the scheduler-stress leg of e2e's scale_100k workload. *)
 
 type mode = Coalesced | Independent
 
@@ -37,7 +31,6 @@ type t = {
   n : int;
   interval : float;
   stop_at : float;
-  batch_window : float;
   emit : member:int -> due:float -> unit;
   (* Coalesced state; unused ([||]) in Independent mode. *)
   next : float array; (* member -> nominal next fire time *)
@@ -77,12 +70,12 @@ let heapify t =
 (* --- firing ------------------------------------------------------------- *)
 
 let rec coalesced_fire t () =
-  let horizon = Sim.now t.sim +. t.batch_window in
+  let now = Sim.now t.sim in
   let continue = ref true in
   while t.hsize > 0 && !continue do
     let m = t.heap.(0) in
     let due = t.next.(m) in
-    if due > horizon then continue := false
+    if due > now then continue := false
     else if due >= t.stop_at then begin
       (* Same check a real flooder makes at its fire time: past [stop_at]
          it neither sends nor draws, so the member retires. *)
@@ -117,10 +110,9 @@ let independent_start t ~start_at =
   done
 
 let start ~sim ~n ~seed ~rate_bps ?(pkt_bytes = 1000) ?(start_at = 0.) ?stop_at
-    ?(batch_window = 0.) ?(mode = Coalesced) ~emit () =
+    ?(mode = Coalesced) ~emit () =
   if n <= 0 then invalid_arg "Swarm.start: n must be positive";
   if rate_bps <= 0. then invalid_arg "Swarm.start: rate must be positive";
-  if batch_window < 0. then invalid_arg "Swarm.start: negative batch window";
   let interval = float_of_int pkt_bytes *. 8. /. rate_bps in
   let stop_at = match stop_at with Some s -> s | None -> infinity in
   let bank = Rng.Bank.create ~seed ~n in
@@ -133,7 +125,6 @@ let start ~sim ~n ~seed ~rate_bps ?(pkt_bytes = 1000) ?(start_at = 0.) ?stop_at
           n;
           interval;
           stop_at;
-          batch_window = 0.;
           emit;
           next = [||];
           heap = [||];
@@ -154,7 +145,6 @@ let start ~sim ~n ~seed ~rate_bps ?(pkt_bytes = 1000) ?(start_at = 0.) ?stop_at
           n;
           interval;
           stop_at;
-          batch_window;
           emit;
           next;
           heap = Array.init n (fun i -> i);

@@ -21,7 +21,7 @@ type mode =
           event pending per swarm. *)
   | Independent
       (** One simulator timer per member — same stream, maximal scheduler
-          load.  The scale benchmark's scheduler-stress leg. *)
+          load.  The scheduler-stress leg of e2e's [scale_100k]. *)
 
 val mode_of_string : string -> (mode, string) result
 (** ["coalesced"] or ["independent"]. *)
@@ -36,7 +36,6 @@ val start :
   ?pkt_bytes:int ->
   ?start_at:float ->
   ?stop_at:float ->
-  ?batch_window:float ->
   ?mode:mode ->
   emit:(member:int -> due:float -> unit) ->
   unit ->
@@ -45,13 +44,9 @@ val start :
     packets at [rate_bps] {e per member}, active from [start_at] (default
     0) until [stop_at] (default forever; a member whose deadline lands at
     or past it retires without sending, like a real flooder).  [emit] is
-    called once per packet with the member index and its nominal due time
-    ([Sim.now] at the call differs from [due] only under batching).
-    [batch_window] (default 0, [Coalesced] only) drains every member due
-    within that many seconds of the fired deadline in one event — member
-    deadlines and RNG draws stay nominal, only the injection instant
-    coarsens.  [seed] names the bank: member [i] reproduces a flooder
-    driven by [Rng.lane ~seed i]. *)
+    called once per packet with the member index and its due time.
+    [seed] names the bank: member [i] reproduces a flooder driven by
+    [Rng.lane ~seed i]. *)
 
 val members : t -> int
 val live_members : t -> int

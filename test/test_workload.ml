@@ -40,6 +40,27 @@ let tva_unaffected_by_legacy_flood () =
     true
     (r.Workload.Experiment.avg_transfer_time < 0.4)
 
+(* A client policy counts a renewal as contact (DESIGN §5): a pair that
+   keeps renewing one grant must stay authorized past the policy's 60 s
+   window, the 128 s secret rotation and the 256 s timestamp rollover, so
+   unattacked TVA keeps the Internet's pace for the whole run. *)
+let tva_client_policy_liveness () =
+  let run scheme =
+    Workload.Experiment.run
+      {
+        (quick_cfg ~transfers:1000 ~max_time:270. scheme 0 Workload.Experiment.No_attack) with
+        Workload.Experiment.n_users = 5;
+      }
+  in
+  let t = run tva and i = run internet in
+  let tt = t.Workload.Experiment.avg_transfer_time
+  and it = i.Workload.Experiment.avg_transfer_time in
+  Alcotest.(check bool) "ran past the rollover" true (t.Workload.Experiment.sim_end > 256.);
+  Alcotest.(check bool)
+    (Printf.sprintf "tva mean %.4f s within 10%% of internet %.4f s" tt it)
+    true
+    (tt <= 1.1 *. it)
+
 let internet_collapses_under_legacy_flood () =
   let r =
     Workload.Experiment.run
@@ -152,21 +173,29 @@ let experiment_deterministic () =
     r2.Workload.Experiment.fraction_completed
 
 let parallel_sweep_matches_sequential () =
-  (* The Pool.map determinism contract on a real (small) Fig. 8 grid: the
-     parallel sweep must render byte-for-byte the same table as the
-     sequential one. *)
-  let base =
-    {
-      Workload.Experiment.default with
-      Workload.Experiment.transfers_per_user = 3;
-      max_time = 30.;
-    }
+  (* The Pool.map determinism contract on real (small) grids: the parallel
+     sweep must render byte-for-byte the same table as the sequential one.
+     The second grid is a request flood over all five schemes, so every
+     attack packet runs capability or marking crypto at each router. *)
+  let check ~jobs ~schemes ~attacker_counts ~transfers ~max_time attack =
+    let base =
+      {
+        Workload.Experiment.default with
+        Workload.Experiment.transfers_per_user = transfers;
+        max_time;
+      }
+    in
+    let sweep jobs =
+      Stats.Table.render
+        (Workload.Scenario.render
+           (Workload.Scenario.flood_sweep ~jobs ~schemes ~attacker_counts ~base ~attack ()))
+    in
+    Alcotest.(check string) (Printf.sprintf "jobs=%d table = jobs=1 table" jobs) (sweep 1) (sweep jobs)
   in
-  let sweep jobs =
-    Stats.Table.render
-      (Workload.Scenario.render (Workload.Scenario.fig8 ~jobs ~attacker_counts:[ 1; 10 ] ~base ()))
-  in
-  Alcotest.(check string) "jobs=4 table = jobs=1 table" (sweep 1) (sweep 4)
+  check ~jobs:4 ~schemes:Workload.Scenario.paper_schemes ~attacker_counts:[ 1; 10 ] ~transfers:3
+    ~max_time:30. (fun ~rate_bps -> Workload.Experiment.Legacy_flood { rate_bps });
+  check ~jobs:2 ~schemes:Workload.Scenario.schemes ~attacker_counts:[ 1; 40 ] ~transfers:10
+    ~max_time:3. (fun ~rate_bps -> Workload.Experiment.Request_flood { rate_bps })
 
 let scenario_render_shapes () =
   let series =
@@ -261,12 +290,11 @@ let null_endpoint ~on_legacy =
   }
 
 (* 800 kb/s at 1000 B -> one packet per 10 ms per member. *)
-let swarm_stream ~mode ?(batch_window = 0.) ~n ~seed ~stop_at () =
+let swarm_stream ~mode ~n ~seed ~stop_at () =
   let sim = Sim.create ~seed:99 () in
   let log = ref [] in
   let sw =
-    Workload.Swarm.start ~sim ~n ~seed ~rate_bps:800_000. ~start_at:0.25 ~stop_at ~batch_window
-      ~mode
+    Workload.Swarm.start ~sim ~n ~seed ~rate_bps:800_000. ~start_at:0.25 ~stop_at ~mode
       ~emit:(fun ~member ~due -> log := (due, member) :: !log)
       ()
   in
@@ -311,15 +339,28 @@ let swarm_modes_agree () =
   let b, _ = swarm_stream ~mode:Workload.Swarm.Independent ~n ~seed ~stop_at () in
   check_streams "coalesced vs independent" a b
 
-(* Batching coarsens only the injection instant: the nominal per-member
-   (due, member) stream is unchanged. *)
-let swarm_batching_preserves_stream () =
-  let n = 9 and seed = 3 and stop_at = 1.5 in
-  let exact, _ = swarm_stream ~mode:Workload.Swarm.Coalesced ~n ~seed ~stop_at () in
-  let batched, _ =
-    swarm_stream ~mode:Workload.Swarm.Coalesced ~batch_window:0.005 ~n ~seed ~stop_at ()
+(* The same equivalence through the whole scale experiment at e2e's
+   scale_100k size: 100k members over 16 aggregates, one simulator timer
+   each or one event per aggregate, must give the same run. *)
+let scale_coalesced_matches_independent () =
+  let run mode =
+    Workload.Scale.run
+      {
+        Workload.Scale.default with
+        Workload.Scale.sc_senders = 100_000;
+        sc_aggregates = 16;
+        sc_swarm_mode = mode;
+        sc_transfers_per_user = 50;
+        sc_max_time = 10.;
+      }
   in
-  check_streams "batched vs exact" exact batched
+  let i = run Workload.Swarm.Independent and c = run Workload.Swarm.Coalesced in
+  Alcotest.(check bool) "attack ran" true (i.Workload.Scale.sr_attack_packets > 0);
+  Alcotest.(check int) "events" i.Workload.Scale.sr_events c.Workload.Scale.sr_events;
+  Alcotest.(check int) "attack packets" i.sr_attack_packets c.sr_attack_packets;
+  Alcotest.(check (float 0.)) "fraction completed" i.sr_fraction_completed c.sr_fraction_completed;
+  Alcotest.(check (float 0.)) "avg transfer time" i.sr_avg_transfer_time c.sr_avg_transfer_time;
+  Alcotest.(check (float 0.)) "sim end" i.sr_sim_end c.sr_sim_end
 
 (* --- scale experiment --------------------------------------------------- *)
 
@@ -351,8 +392,8 @@ let scale_topologies_smoke () =
       Workload.Scale.Power_law { routers = 24; edges_per_node = 2 };
     ]
 
-(* Scale's footprint channels: the scale benchmark's peak-memory columns
-   are these Level channels' maxima. *)
+(* Scale's footprint channels: [tva_sim scale --stats] reads its peak
+   memory as these Level channels' maxima. *)
 let scale_memory_peaks_reported () =
   let obs =
     { Workload.Experiment.obs_default with Workload.Experiment.obs_telemetry_interval = 0.05 }
@@ -562,6 +603,7 @@ let suite =
   [
     Alcotest.test_case "all schemes healthy unattacked" `Slow baseline_all_schemes_healthy;
     Alcotest.test_case "tva vs legacy flood" `Slow tva_unaffected_by_legacy_flood;
+    Alcotest.test_case "tva client policy liveness past 256 s" `Slow tva_client_policy_liveness;
     Alcotest.test_case "internet collapse" `Slow internet_collapses_under_legacy_flood;
     Alcotest.test_case "siff partial degradation" `Slow siff_partially_degrades_under_legacy_flood;
     Alcotest.test_case "tva vs request flood" `Slow tva_unaffected_by_request_flood;
@@ -578,7 +620,8 @@ let suite =
     Alcotest.test_case "report deterministic across jobs" `Slow report_deterministic_across_jobs;
     Alcotest.test_case "swarm = n real flooders" `Quick swarm_matches_real_flooders;
     Alcotest.test_case "swarm coalesced = independent" `Quick swarm_modes_agree;
-    Alcotest.test_case "swarm batching preserves stream" `Quick swarm_batching_preserves_stream;
+    Alcotest.test_case "scale coalesced = independent at 100k" `Slow
+      scale_coalesced_matches_independent;
     Alcotest.test_case "scale topologies smoke" `Slow scale_topologies_smoke;
     Alcotest.test_case "scale memory gauges" `Slow scale_memory_peaks_reported;
     Alcotest.test_case "telemetry does not perturb results" `Slow telemetry_does_not_perturb_results;
