@@ -56,56 +56,24 @@ let read_file path =
   close_in ic;
   s
 
-(* The reports are written by our own benches with one "key": value per
-   line, so a scan for the quoted key suffices — no JSON library in the
-   dependency set. *)
-let find_number ?(from = 0) text key =
-  let needle = "\"" ^ key ^ "\":" in
-  match
-    let rec search i =
-      if i + String.length needle > String.length text then None
-      else if String.sub text i (String.length needle) = needle then Some i
-      else search (i + 1)
-    in
-    search from
-  with
-  | None -> None
-  | Some i ->
-      let j = i + String.length needle in
-      let k = ref j in
-      while
-        !k < String.length text
-        && (match text.[!k] with '0' .. '9' | '.' | '-' | 'e' | '+' | ' ' -> true | _ -> false)
-      do
-        incr k
-      done;
-      float_of_string_opt (String.trim (String.sub text j (!k - j)))
+module J = Obs.Export
 
-let section_start text name =
-  let needle = "\"" ^ name ^ "\":" in
-  let rec search i =
-    if i + String.length needle > String.length text then None
-    else if String.sub text i (String.length needle) = needle then Some i
-    else search (i + 1)
-  in
-  search 0
+let bad fmt = Printf.ksprintf (fun m -> prerr_endline ("compare_bench: " ^ m); exit 2) fmt
 
-let section_pps text name =
-  match section_start text name with None -> None | Some i -> find_number ~from:i text "pps"
+let read_json path =
+  match J.parse (read_file path) with Ok j -> j | Error e -> bad "%s: %s" path e
 
 let paths = [ "cached_nonce"; "validate"; "request"; "legacy" ]
 
 (* The committed baseline vs a fresh per-packet report. *)
 let compare_baselines buf failed =
-  let old_text = read_file !old_pps and new_text = read_file !new_pps in
-  let get text name =
-    match section_pps text name with
+  let old_json = read_json !old_pps and new_json = read_json !new_pps in
+  let get json name =
+    match Option.bind (J.find json [ name; "pps" ]) J.number with
     | Some v -> v
-    | None ->
-        Printf.eprintf "compare_bench: no \"%s\" pps in report\n" name;
-        exit 2
+    | None -> bad "no \"%s\" pps in report" name
   in
-  let normalize text v = if !relative then v /. get text "legacy" else v in
+  let normalize json v = if !relative then v /. get json "legacy" else v in
   Buffer.add_string buf "### Router per-packet throughput vs committed baseline\n\n";
   if !relative then
     Buffer.add_string buf "_pps normalized by each report's legacy-path pps._\n\n";
@@ -113,8 +81,8 @@ let compare_baselines buf failed =
   Buffer.add_string buf "|---|---|---|---|---|\n";
   List.iter
     (fun name ->
-      let o = get old_text name and n = get new_text name in
-      let delta = (normalize new_text n /. normalize old_text o) -. 1. in
+      let o = get old_json name and n = get new_json name in
+      let delta = (normalize new_json n /. normalize old_json o) -. 1. in
       (* Legacy is the normalization denominator; gating it against itself
          would be vacuous under --relative-to-legacy, and raw machine speed
          otherwise, so it is informational. *)
@@ -135,24 +103,18 @@ let compare_baselines buf failed =
 let obs_budget = 1.25
 
 let gate_obs_cost buf failed =
-  let module J = Obs.Export in
-  let member k = function J.Obj kv -> List.assoc_opt k kv | _ -> None in
-  let bad fmt = Printf.ksprintf (fun m -> prerr_endline ("compare_bench: " ^ m); exit 2) fmt in
-  let report =
-    match J.parse (read_file !e2e_report) with Ok j -> j | Error e -> bad "%s: %s" !e2e_report e
-  in
-  let workloads = match member "workloads" report with Some (J.List l) -> l | _ -> [] in
+  let report = read_json !e2e_report in
+  let workloads = match J.find report [ "workloads" ] with Some (J.List l) -> l | _ -> [] in
   let wall name =
     let w =
-      match List.find_opt (fun w -> member "name" w = Some (J.String name)) workloads with
+      match List.find_opt (fun w -> J.find w [ "name" ] = Some (J.String name)) workloads with
       | Some w -> w
       | None -> bad "no %s workload in %s" name !e2e_report
     in
     let stat k =
-      match Option.bind (Option.bind (member "e2e" w) (member "wall_s")) (member k) with
-      | Some (J.Float f) -> f
-      | Some (J.Int i) -> float_of_int i
-      | _ -> bad "no %s wall_s %s in %s" name k !e2e_report
+      match Option.bind (J.find w [ "e2e"; "wall_s"; k ]) J.number with
+      | Some v -> v
+      | None -> bad "no %s wall_s %s in %s" name k !e2e_report
     in
     (stat "median", stat "q1", stat "q3")
   in

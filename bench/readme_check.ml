@@ -52,36 +52,7 @@ let read_file path =
   close_in ic;
   s
 
-(* Same scan-for-quoted-key parsing as compare_bench: our benches write one
-   "key": value per line. *)
-let find_number ?(from = 0) text key =
-  let needle = "\"" ^ key ^ "\":" in
-  let rec search i =
-    if i + String.length needle > String.length text then None
-    else if String.sub text i (String.length needle) = needle then Some i
-    else search (i + 1)
-  in
-  match search from with
-  | None -> None
-  | Some i ->
-      let j = i + String.length needle in
-      let k = ref j in
-      while
-        !k < String.length text
-        && (match text.[!k] with '0' .. '9' | '.' | '-' | 'e' | '+' | ' ' -> true | _ -> false)
-      do
-        incr k
-      done;
-      float_of_string_opt (String.trim (String.sub text j (!k - j)))
-
-let section_field text name field =
-  let needle = "\"" ^ name ^ "\":" in
-  let rec search i =
-    if i + String.length needle > String.length text then None
-    else if String.sub text i (String.length needle) = needle then Some i
-    else search (i + 1)
-  in
-  match search 0 with None -> None | Some i -> find_number ~from:i text field
+module J = Obs.Export
 
 (* The README row for a path looks like
      | `cached_nonce` | ... | ... | 96.4 ns, 11 words/pkt |
@@ -121,16 +92,20 @@ let row_cell readme_text key =
 
 let () =
   Arg.parse spec (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) usage;
-  let readme_text = read_file !readme and json_text = read_file !json in
   let failed = ref false and checked = ref 0 in
   let fatal fmt = Printf.ksprintf (fun s -> prerr_endline ("readme_check: " ^ s); exit 2) fmt in
+  let read_json path =
+    match J.parse (read_file path) with Ok j -> j | Error e -> fatal "%s: %s" path e
+  in
+  let readme_text = read_file !readme and pps = read_json !json in
   let check key =
     match row_cell readme_text key with
     | None -> fatal "README has no table row for `%s`" key
     | Some cell ->
         let table_ns, table_words = parse_cell cell in
-        let json_ns = section_field json_text key "ns_per_packet" in
-        let json_words = section_field json_text key "minor_words_per_packet" in
+        let field f = Option.bind (J.find pps [ key; f ]) J.number in
+        let json_ns = field "ns_per_packet" in
+        let json_words = field "minor_words_per_packet" in
         (match (table_ns, json_ns) with
         | Some t, Some j ->
             incr checked;
@@ -159,7 +134,7 @@ let () =
      "<scheme>_fraction/_median_s/_jain" keys of BENCH_report.json, both
      written in lockstep by `tva_sim report`.  The table renders three
      decimals, so only that quantization is tolerated. *)
-  let report_text = read_file !report_json in
+  let report = read_json !report_json in
   let report_section =
     match find_sub readme_text "Five-scheme comparison" 0 with
     | None -> fatal "README has no \"Five-scheme comparison\" section"
@@ -182,9 +157,9 @@ let () =
     List.iter
       (fun (field, cell) ->
         let key = scheme ^ "_" ^ field in
-        if find_sub report_text ("\"" ^ key ^ "\":") 0 = None then
-          fatal "no \"%s\" in %s" key !report_json;
-        match (float_of_string_opt cell, find_number report_text key) with
+        let value = J.find report [ key ] in
+        if value = None then fatal "no \"%s\" in %s" key !report_json;
+        match (float_of_string_opt cell, Option.bind value J.number) with
         | Some t, Some j ->
             incr checked;
             if Float.abs (t -. j) > 0.00051 then begin
@@ -211,20 +186,15 @@ let () =
      (first cell, backquoted), one column per workload (header cells,
      backquoted).  Each cell is the workload's [layers.<metric>.value]
      in BENCH_e2e.json, rounded to the digits the cell shows. *)
-  let module J = Obs.Export in
-  let e2e =
-    match J.parse (read_file !e2e_json) with Ok j -> j | Error e -> fatal "%s: %s" !e2e_json e
-  in
-  let member k = function J.Obj kv -> List.assoc_opt k kv | _ -> None in
+  let e2e = read_json !e2e_json in
   let layer_value workload metric =
-    let workloads = match member "workloads" e2e with Some (J.List l) -> l | _ -> [] in
-    match List.find_opt (fun w -> member "name" w = Some (J.String workload)) workloads with
+    let workloads = match J.find e2e [ "workloads" ] with Some (J.List l) -> l | _ -> [] in
+    match List.find_opt (fun w -> J.find w [ "name" ] = Some (J.String workload)) workloads with
     | None -> fatal "no %s workload in %s" workload !e2e_json
     | Some w -> (
-        match Option.bind (Option.bind (member "layers" w) (member metric)) (member "value") with
-        | Some (J.Float f) -> f
-        | Some (J.Int i) -> float_of_int i
-        | _ -> fatal "no %s layers.%s.value in %s" workload metric !e2e_json)
+        match Option.bind (J.find w [ "layers"; metric; "value" ]) J.number with
+        | Some v -> v
+        | None -> fatal "no %s layers.%s.value in %s" workload metric !e2e_json)
   in
   let unquote c =
     let n = String.length c in

@@ -102,45 +102,64 @@ let select_schemes names =
 let print_table csv table =
   print_string (if csv then Stats.Table.to_csv table else Stats.Table.render table)
 
+(* "-" writes to standard output, so a result can be piped straight into
+   a diff (results/dune does). *)
 let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
+  if path = "-" then print_string contents
+  else begin
+    let oc = open_out path in
+    output_string oc contents;
+    close_out oc
+  end
+
+(* Cells that ran with observability, tagged with their grid position:
+   scheme-major, then attacker count. *)
+let observed_cells series =
+  List.concat_map
+    (fun (s : Workload.Scenario.series) ->
+      List.filter_map
+        (fun (p : Workload.Scenario.point) ->
+          Option.map (fun r -> (s.scheme, p.n_attackers, r)) p.report)
+        s.points)
+    series
 
 (* Sweep stats file: the counters merged across every grid cell, then each
    cell's full report keyed by its grid position. *)
-let sweep_stats_json (o : Workload.Scenario.observed) =
+let sweep_stats_json series =
+  let cells = observed_cells series in
   Obs.Export.to_string_pretty
     (Obs.Export.Obj
        [
-         ("merged_counters", Obs.Report.counters_json o.Workload.Scenario.obs_counters);
+         ( "merged_counters",
+           Obs.Report.counters_json
+             (Obs.Report.merge_counters (List.map (fun (_, _, r) -> r) cells)) );
          ( "cells",
            Obs.Export.List
              (List.map
-                (fun (c : Workload.Scenario.cell_report) ->
+                (fun (scheme, attackers, report) ->
                   Obs.Export.Obj
                     [
-                      ("scheme", Obs.Export.String c.Workload.Scenario.cr_scheme);
-                      ("attackers", Obs.Export.Int c.cr_attackers);
-                      ("report", Obs.Report.to_json c.cr_report);
+                      ("scheme", Obs.Export.String scheme);
+                      ("attackers", Obs.Export.Int attackers);
+                      ("report", Obs.Report.to_json report);
                     ])
-                o.obs_cells) );
+                cells) );
        ])
 
 (* Sweep trace file: each cell's JSONL records, preceded by a cell-marker
    line (itself a JSON object, so the file stays line-delimited JSON). *)
-let sweep_trace_jsonl (o : Workload.Scenario.observed) =
+let sweep_trace_jsonl series =
   let buf = Buffer.create 4096 in
   List.iter
-    (fun (c : Workload.Scenario.cell_report) ->
-      match c.cr_report.Obs.Report.trace_jsonl with
+    (fun (scheme, attackers, (report : Obs.Report.t)) ->
+      match report.trace_jsonl with
       | None -> ()
       | Some body ->
           Buffer.add_string buf
-            (Printf.sprintf "{\"cell\": {\"scheme\": \"%s\", \"attackers\": %d}}\n"
-               c.Workload.Scenario.cr_scheme c.cr_attackers);
+            (Printf.sprintf "{\"cell\": {\"scheme\": \"%s\", \"attackers\": %d}}\n" scheme
+               attackers);
           Buffer.add_string buf body)
-    o.obs_cells;
+    (observed_cells series);
   Buffer.contents buf
 
 let sweep_obs_config ~trace ~trace_sample =
@@ -154,23 +173,16 @@ let sweep_cmd name ~doc ~attack =
   let run attackers transfers max_time seed csv schemes jobs stats trace trace_sample =
     let base = base_config transfers max_time seed in
     let schemes = select_schemes schemes in
-    match (stats, trace) with
-    | None, None ->
-        (* The unobserved path: nothing observability-related is installed,
-           so figure output stays byte-identical to the pre-obs driver. *)
-        let series =
-          Workload.Scenario.flood_sweep ~jobs ~schemes ~attacker_counts:attackers ~base ~attack ()
-        in
-        print_table csv (Workload.Scenario.render series)
-    | _ ->
-        let obs = sweep_obs_config ~trace ~trace_sample in
-        let observed =
-          Workload.Scenario.flood_sweep_observed ~jobs ~obs ~schemes ~attacker_counts:attackers
-            ~base ~attack ()
-        in
-        print_table csv (Workload.Scenario.render observed.Workload.Scenario.obs_series);
-        Option.iter (fun path -> write_file path (sweep_stats_json observed)) stats;
-        Option.iter (fun path -> write_file path (sweep_trace_jsonl observed)) trace
+    let obs =
+      if stats = None && trace = None then None
+      else Some (sweep_obs_config ~trace ~trace_sample)
+    in
+    let series =
+      Workload.Scenario.flood_sweep ~jobs ?obs ~schemes ~attacker_counts:attackers ~base ~attack ()
+    in
+    print_table csv (Workload.Scenario.render series);
+    Option.iter (fun path -> write_file path (sweep_stats_json series)) stats;
+    Option.iter (fun path -> write_file path (sweep_trace_jsonl series)) trace
   in
   Cmd.v
     (Cmd.info name ~doc)
@@ -178,9 +190,10 @@ let sweep_cmd name ~doc ~attack =
       const run $ attackers_arg $ transfers_arg $ max_time_arg $ seed_arg $ csv_arg $ schemes_arg
       $ jobs_arg $ stats_arg $ trace_arg $ trace_sample_arg)
 
+let legacy_flood ~rate_bps = Workload.Experiment.Legacy_flood { rate_bps }
+
 let fig8_cmd =
-  sweep_cmd "fig8" ~doc:"Legacy traffic floods (paper Fig. 8)."
-    ~attack:(fun ~rate_bps -> Workload.Experiment.Legacy_flood { rate_bps })
+  sweep_cmd "fig8" ~doc:"Legacy traffic floods (paper Fig. 8)." ~attack:legacy_flood
 
 let fig9_cmd =
   sweep_cmd "fig9" ~doc:"Request packet floods (paper Fig. 9)."
@@ -359,7 +372,6 @@ let run_cmd =
             obs_trace_sample = trace_sample;
             obs_profile = true;
             obs_telemetry_interval = ti;
-            obs_flight_windows = 64;
             obs_flight_dir = flight_dir;
             obs_flight_label = "run";
           }
@@ -409,7 +421,6 @@ let dashboard_cmd =
         obs_telemetry_interval =
           resolve_telemetry_interval ~telemetry:true ~interval:telemetry_interval
             ~flight_dir:None;
-        obs_flight_windows = 64;
         obs_flight_dir = None;
         obs_flight_label = "dashboard";
       }
@@ -702,21 +713,30 @@ let report_cmd =
     Arg.(value & opt (list string) all_scheme_names & info [ "schemes" ] ~doc)
   in
   let out_arg =
-    let doc = "Markdown report output path." in
+    let doc = "Markdown report output path ($(b,-) for standard output)." in
     Arg.(value & opt string "results/REPORT.md" & info [ "o"; "out" ] ~doc ~docv:"FILE")
   in
   let json_arg =
-    let doc = "JSON report output path (the file readme_check pins the README table to)." in
+    let doc =
+      "JSON report output path ($(b,-) for standard output; the file readme_check pins the \
+       README table to)."
+    in
     Arg.(value & opt string "BENCH_report.json" & info [ "json" ] ~doc ~docv:"FILE")
   in
   let run attackers transfers max_time seed schemes jobs out json_out =
     let base = base_config transfers max_time seed in
     let schemes = select_schemes schemes in
-    let report = Workload.Report.run ~jobs ~schemes ~attacker_counts:attackers ~base () in
-    write_file out (Workload.Report.to_markdown report);
-    write_file json_out (Workload.Report.to_json report);
-    List.iter print_endline (Workload.Report.headline_rows report);
-    Printf.printf "wrote %s and %s\n" out json_out
+    let series =
+      Workload.Scenario.flood_sweep ~jobs ~schemes ~attacker_counts:attackers ~base
+        ~attack:legacy_flood ()
+    in
+    write_file out (Workload.Report.to_markdown series);
+    write_file json_out (Workload.Report.to_json series);
+    (* A report written to stdout is the whole of stdout. *)
+    if out <> "-" && json_out <> "-" then begin
+      List.iter print_endline (Workload.Report.headline_rows series);
+      Printf.printf "wrote %s and %s\n" out json_out
+    end
   in
   Cmd.v (Cmd.info "report" ~doc)
     Term.(

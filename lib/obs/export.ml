@@ -244,3 +244,12 @@ let to_string_pretty v =
   to_buffer_pretty buf ~indent:0 v;
   Buffer.add_char buf '\n';
   Buffer.contents buf
+
+let rec find v = function
+  | [] -> Some v
+  | k :: rest -> (
+      match v with
+      | Obj kv -> Option.bind (List.assoc_opt k kv) (fun v -> find v rest)
+      | _ -> None)
+
+let number = function Int i -> Some (float_of_int i) | Float f -> Some f | _ -> None

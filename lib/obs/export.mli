@@ -21,7 +21,7 @@ val to_string : t -> string
 
 val to_string_pretty : t -> string
 (** One ["key": value] per line, two-space indent, trailing newline —
-    greppable by the bench comparators and diffable by humans. *)
+    diffable by humans. *)
 
 val parse : string -> (t, string) result
 (** Parse the subset of JSON this module emits (numbers written with a
@@ -29,3 +29,12 @@ val parse : string -> (t, string) result
     escapes decode, higher code points are rejected).  Round-trips
     everything {!to_string}/{!to_string_pretty} produce — how
     flight-recorder dumps are read back in tests and tooling. *)
+
+val find : t -> string list -> t option
+(** [find v [k1; k2; ...]] is the value under key [k1], then [k2], ... of
+    nested objects; [None] when a key is missing or a step is not an
+    object.  [find v []] is [Some v]. *)
+
+val number : t -> float option
+(** An [Int] or [Float] as a float; [None] for any other value ([Null]
+    included). *)

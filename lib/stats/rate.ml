@@ -20,30 +20,3 @@ module Ewma = struct
     let dt = now -. t.last in
     if dt <= 0. then t.rate else t.rate *. exp (-.dt /. t.tau)
 end
-
-module Window = struct
-  type t = {
-    width : float;
-    mutable epoch : int; (* index of the interval currently accumulating *)
-    mutable current : int; (* bytes in the accumulating interval *)
-    mutable previous : int; (* bytes in the last complete interval *)
-  }
-
-  let create ~width = { width; epoch = 0; current = 0; previous = 0 }
-
-  let rotate t ~now =
-    let e = int_of_float (now /. t.width) in
-    if e > t.epoch then begin
-      t.previous <- (if e = t.epoch + 1 then t.current else 0);
-      t.current <- 0;
-      t.epoch <- e
-    end
-
-  let observe t ~now ~bytes =
-    rotate t ~now;
-    t.current <- t.current + bytes
-
-  let rate t ~now =
-    rotate t ~now;
-    float_of_int t.previous /. t.width
-end

@@ -2,7 +2,7 @@
 
     Pushback's aggregate detection and the TVA router's accounting both need
     arrival-rate estimates.  [Ewma] is the standard exponentially weighted
-    estimator (TSW-style); [Window] counts bytes per fixed interval. *)
+    estimator (TSW-style). *)
 
 module Ewma : sig
   type t
@@ -15,14 +15,4 @@ module Ewma : sig
 
   val rate : t -> now:float -> float
   (** Estimated rate in bytes/second, decayed to [now]. *)
-end
-
-module Window : sig
-  type t
-
-  val create : width:float -> t
-  val observe : t -> now:float -> bytes:int -> unit
-  val rate : t -> now:float -> float
-  (** Bytes/second over the window that ended most recently; rotates
-      automatically as [now] advances. *)
 end

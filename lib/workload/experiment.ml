@@ -53,7 +53,6 @@ type obs_config = {
   obs_trace_sample : int; (* keep 1 record in k *)
   obs_profile : bool; (* event-loop wall-time profiler (Unix clock) *)
   obs_telemetry_interval : float; (* sim-seconds between interval windows; 0 = off *)
-  obs_flight_windows : int; (* telemetry windows frozen into a flight dump *)
   obs_flight_dir : string option; (* where dumps land; None = no flight recorder *)
   obs_flight_label : string; (* dump file stem, e.g. the chaos scenario label *)
 }
@@ -64,7 +63,6 @@ let obs_default =
     obs_trace_sample = 1;
     obs_profile = false;
     obs_telemetry_interval = 0.;
-    obs_flight_windows = 64;
     obs_flight_dir = None;
     obs_flight_label = "run";
   }
@@ -446,10 +444,7 @@ let run ?obs ?faults cfg =
             let flight =
               Option.map
                 (fun dir ->
-                  let f =
-                    Obs.Flight.create ~windows:oc.obs_flight_windows ~dir
-                      ~label:oc.obs_flight_label ()
-                  in
+                  let f = Obs.Flight.create ~dir ~label:oc.obs_flight_label () in
                   Obs.Flight.set_timeseries f ts;
                   Obs.Flight.set_trace f h.Harness.trace;
                   Obs.Flight.set_detect f det;

@@ -74,10 +74,10 @@ type obs_config = {
           request_bytes (TVA), drops, queue_depth, flow_cache, faults (when
           a hook is installed), events; detectors: demotion-storm,
           request-saturation, queue-buildup, fault-activity. *)
-  obs_flight_windows : int;  (** telemetry windows frozen into each flight dump *)
   obs_flight_dir : string option;
-      (** directory for flight-recorder dumps ([flight_<label>_<n>.json]);
-          [None] disables the recorder.  Requires telemetry. *)
+      (** directory for flight-recorder dumps ([flight_<label>_<n>.json],
+          each holding the last 64 telemetry windows); [None] disables the
+          recorder.  Requires telemetry. *)
   obs_flight_label : string;  (** dump file stem, e.g. the chaos scenario label *)
 }
 

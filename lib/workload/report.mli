@@ -1,55 +1,28 @@
 (** The unified cross-scheme fairness report.
 
     One deterministic artifact that puts all registered schemes side by
-    side on the fig8-style legacy-flood sweep, scored by the three
-    cross-scheme metrics: completion fraction, median transfer time, and
-    the Jain fairness index over per-user goodputs.  [tva_sim report]
-    renders it to [results/REPORT.md] and [BENCH_report.json];
-    [bench/report_bench] regenerates and gates it in CI. *)
-
-type cell = {
-  rc_scheme : string;
-  rc_attackers : int;
-  rc_fraction : float;  (** completion fraction *)
-  rc_median : float;  (** median transfer time, seconds; [nan] if none completed *)
-  rc_jain : float;  (** Jain index over per-user goodputs *)
-}
-
-type t = {
-  cells : cell list;  (** scheme-major, then attacker count *)
-  attacker_counts : int list;
-  scheme_names : string list;
-}
+    side on the fig8-style legacy-flood sweep ({!Scenario.flood_sweep}
+    over {!Scenario.schemes}), scored by the three cross-scheme metrics:
+    completion fraction, median transfer time, and the Jain fairness index
+    over per-user goodputs.  [tva_sim report] renders it to
+    [results/REPORT.md] and [BENCH_report.json]; [dune build @reproduce]
+    checks both byte for byte. *)
 
 val default_attacker_counts : int list
 (** [1; 10; 40; 100] — the fig8 sweep's decades, kept small enough for a
     CI smoke run at full fidelity. *)
 
-val run :
-  ?jobs:int ->
-  ?schemes:(string * Scheme.factory) list ->
-  ?attacker_counts:int list ->
-  ?base:Experiment.config ->
-  unit ->
-  t
-(** Run the sweep ([schemes] defaults to the full {!Scenario.schemes}
-    registry — all five).  Deterministic and bit-identical for every
-    [jobs] value, like every {!Scenario.flood_sweep}. *)
+val headline_rows : Scenario.series list -> string list
+(** One README-ready markdown row per scheme at the sweep's largest
+    attacker count ([| `scheme` | completed | median_s | jain |]) — the
+    rows the README comparison table shows. *)
 
-val headline : t -> cell list
-(** One cell per scheme at the largest attacker count — the rows the
-    README comparison table shows. *)
-
-val headline_rows : t -> string list
-(** {!headline} as README-ready markdown rows
-    ([| `scheme` | completed | median_s | jain |]). *)
-
-val to_markdown : t -> string
+val to_markdown : Scenario.series list -> string
 (** The full [results/REPORT.md] document: headline table plus the
     per-cell sweep table.  Contains no timestamps, so regeneration with
     the same parameters is byte-identical. *)
 
-val to_json : t -> string
+val to_json : Scenario.series list -> string
 (** [BENCH_report.json]: flat ["<scheme>_fraction" / "_median_s" /
     "_jain"] headline keys (what [readme_check] pins) plus the full cell
     list. *)

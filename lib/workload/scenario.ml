@@ -4,6 +4,7 @@ type point = {
   avg_transfer_time : float;
   median_transfer_time : float;
   jain : float;
+  report : Obs.Report.t option;
 }
 
 type series = { scheme : string; points : point list }
@@ -61,66 +62,28 @@ let chunk_series ~schemes ~per_scheme points =
   in
   chunk schemes points
 
-let flood_sweep ?(jobs = 1) ?(schemes = paper_schemes)
+(* Without [obs] nothing observability-related is installed, so figure
+   output stays byte-identical to the pre-obs driver.  With it, every cell
+   runs under [obs] and ships its report — plain data — back across the
+   worker domain in its point. *)
+let flood_sweep ?(jobs = 1) ?obs ?(schemes = paper_schemes)
     ?(attacker_counts = default_attacker_counts) ?(base = Experiment.default) ~attack () =
   let grid = sweep_grid ~schemes ~attacker_counts ~base ~attack in
   let points =
     Pool.map ~jobs
       (fun cfg ->
-        let r = Experiment.run cfg in
+        let r = Experiment.run ?obs cfg in
         {
           n_attackers = cfg.Experiment.n_attackers;
           fraction_completed = r.Experiment.fraction_completed;
           avg_transfer_time = r.Experiment.avg_transfer_time;
           median_transfer_time = Metrics.median_transfer_time r.Experiment.metrics;
           jain = r.Experiment.jain_index;
+          report = r.Experiment.obs;
         })
       grid
   in
   chunk_series ~schemes ~per_scheme:(List.length attacker_counts) points
-
-(* One sweep cell's observability report, tagged with its grid position. *)
-type cell_report = { cr_scheme : string; cr_attackers : int; cr_report : Obs.Report.t }
-
-type observed = {
-  obs_series : series list;
-  obs_cells : cell_report list; (* grid order: scheme-major, then attackers *)
-  obs_counters : Obs.Counters.snap; (* all cells merged, submission order *)
-}
-
-(* The observed sweep: every cell runs with counters on (and whatever else
-   [obs] asks for) and ships its report — plain data — back across the
-   worker domain.  [Pool.map] returns results in submission order, so the
-   merged counter aggregate is identical whatever [jobs] is. *)
-let flood_sweep_observed ?(jobs = 1) ?(obs = Experiment.obs_default) ?(schemes = paper_schemes)
-    ?(attacker_counts = default_attacker_counts) ?(base = Experiment.default) ~attack () =
-  let grid = sweep_grid ~schemes ~attacker_counts ~base ~attack in
-  let cells =
-    Pool.map ~jobs
-      (fun cfg ->
-        let r = Experiment.run ~obs cfg in
-        let report = match r.Experiment.obs with Some o -> o | None -> Obs.Report.empty in
-        ( {
-            n_attackers = cfg.Experiment.n_attackers;
-            fraction_completed = r.Experiment.fraction_completed;
-            avg_transfer_time = r.Experiment.avg_transfer_time;
-            median_transfer_time = Metrics.median_transfer_time r.Experiment.metrics;
-            jain = r.Experiment.jain_index;
-          },
-          {
-            cr_scheme = r.Experiment.scheme_name;
-            cr_attackers = cfg.Experiment.n_attackers;
-            cr_report = report;
-          } ))
-      grid
-  in
-  let points = List.map fst cells in
-  let reports = List.map snd cells in
-  {
-    obs_series = chunk_series ~schemes ~per_scheme:(List.length attacker_counts) points;
-    obs_cells = reports;
-    obs_counters = Obs.Report.merge_counters (List.map (fun c -> c.cr_report) reports);
-  }
 
 let fig8 ?jobs ?attacker_counts ?base () =
   flood_sweep ?jobs ?attacker_counts ?base

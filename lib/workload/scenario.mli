@@ -12,6 +12,7 @@ type point = {
   avg_transfer_time : float;
   median_transfer_time : float;  (** median of completed transfers; [nan] if none *)
   jain : float;  (** Jain fairness index over per-user goodputs *)
+  report : Obs.Report.t option;  (** the cell's observability report, iff swept with [obs] *)
 }
 
 type series = { scheme : string; points : point list }
@@ -34,6 +35,7 @@ val schemes : (string * Scheme.factory) list
 
 val flood_sweep :
   ?jobs:int ->
+  ?obs:Experiment.obs_config ->
   ?schemes:(string * Scheme.factory) list ->
   ?attacker_counts:int list ->
   ?base:Experiment.config ->
@@ -44,30 +46,12 @@ val flood_sweep :
     the grid runs on [jobs] worker domains via {!Pool.map} (default 1 =
     sequential).  Output is bit-identical for every [jobs] value: results
     return in submission order and each run owns its simulator and RNG.
-    [schemes] defaults to {!paper_schemes}. *)
-
-type cell_report = { cr_scheme : string; cr_attackers : int; cr_report : Obs.Report.t }
-
-type observed = {
-  obs_series : series list;
-  obs_cells : cell_report list;  (** grid order: scheme-major, then attackers *)
-  obs_counters : Obs.Counters.snap;  (** all cells merged, submission order *)
-}
-
-val flood_sweep_observed :
-  ?jobs:int ->
-  ?obs:Experiment.obs_config ->
-  ?schemes:(string * Scheme.factory) list ->
-  ?attacker_counts:int list ->
-  ?base:Experiment.config ->
-  attack:(rate_bps:float -> Experiment.attack) ->
-  unit ->
-  observed
-(** {!flood_sweep} with per-cell observability: each cell runs under
-    [obs] (default {!Experiment.obs_default}: counters only) and returns
-    its report alongside the series points.  Reports are plain data and
-    merge in submission order, so the aggregate counters are identical
-    for every [jobs] value. *)
+    [schemes] defaults to {!paper_schemes}.  Without [obs] no
+    observability is installed and every point's [report] is [None]; with
+    it, each cell runs under [obs] and its point carries the cell's
+    report.  Reports are plain data, so merging them in grid order
+    ({!Obs.Report.merge_counters}) gives the same aggregate for every
+    [jobs] value. *)
 
 val fig8 :
   ?jobs:int -> ?attacker_counts:int list -> ?base:Experiment.config -> unit -> series list

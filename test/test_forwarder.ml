@@ -22,25 +22,59 @@ let branch_check_catches_demotion () =
   | exception Failure _ -> ()
   | ns -> Alcotest.failf "reported %.0f ns for demoted packets" ns
 
+(* The prototype's crypto, counting its calls. *)
+module Counting_hash = struct
+  module P = Crypto.Keyed_hash.Prototype
+  include P
+
+  let precaps = ref 0
+  let caps = ref 0
+
+  let mac56_precap_p ~prep ~src ~dst ~ts =
+    incr precaps;
+    P.mac56_precap_p ~prep ~src ~dst ~ts
+
+  let mac56_cap_p ~prep ~precap_ts ~precap_hash ~n_kb ~t_sec =
+    incr caps;
+    P.mac56_cap_p ~prep ~precap_ts ~precap_hash ~n_kb ~t_sec
+end
+
 let cost_ordering_matches_table1 () =
   (* The paper's Table 1 ordering: cached << request ≈ renewal-hit <
-     regular-miss < renewal-miss.  Absolute values differ (pure-OCaml
-     crypto), the ordering must not. *)
-  let fp = Forwarder.Fastpath.create () in
+     regular-miss < renewal-miss.  What orders it is how many hashes each
+     packet type computes (DESIGN §2), so count them exactly: wall-clock
+     comparisons between the hashing types flip under other load on the
+     host.  Pre-capability mints and capability checks per packet: *)
+  let expected =
+    Forwarder.Fastpath.
+      [
+        (Legacy_forward, (0, 0));
+        (Request, (1, 0));
+        (Regular_cached, (0, 0));
+        (Regular_uncached, (1, 1));
+        (Renewal_cached, (1, 0));
+        (Renewal_uncached, (2, 1));
+      ]
+  in
+  let fp = Forwarder.Fastpath.create ~hash:(module Counting_hash) () in
+  let packets = 4 * Forwarder.Fastpath.flows in
+  List.iter
+    (fun (op, (precaps, caps)) ->
+      Counting_hash.precaps := 0;
+      Counting_hash.caps := 0;
+      Forwarder.Fastpath.on_branch fp op ~packets (fun () ->
+          for _ = 1 to packets do
+            Forwarder.Fastpath.run fp op
+          done);
+      let name = Forwarder.Fastpath.op_name op in
+      Alcotest.(check int) (name ^ " pre-capability hashes") (precaps * packets) !Counting_hash.precaps;
+      Alcotest.(check int) (name ^ " capability hashes") (caps * packets) !Counting_hash.caps)
+    expected;
+  (* The hash-free types against a hashing one, by a wide margin. *)
   let t op = Forwarder.Fastpath.calibrate ~iters:4000 fp op in
-  let legacy = t Forwarder.Fastpath.Legacy_forward in
-  let cached = t Forwarder.Fastpath.Regular_cached in
   let request = t Forwarder.Fastpath.Request in
-  let renewal_hit = t Forwarder.Fastpath.Renewal_cached in
-  let uncached = t Forwarder.Fastpath.Regular_uncached in
-  let renewal_miss = t Forwarder.Fastpath.Renewal_uncached in
-  Alcotest.(check bool) "cached is cheap" true (cached < request /. 5.);
-  Alcotest.(check bool) "legacy is cheap" true (legacy < request /. 5.);
-  Alcotest.(check bool) "request ≈ renewal-hit (one hash each)" true
-    (Float.abs (request -. renewal_hit) < Float.max request renewal_hit *. 0.5);
-  Alcotest.(check bool) "two hashes cost more than one" true (uncached > request *. 1.3);
-  Alcotest.(check bool) "renewal-miss is the worst" true
-    (renewal_miss > uncached && renewal_miss > renewal_hit)
+  Alcotest.(check bool) "cached is cheap" true (t Forwarder.Fastpath.Regular_cached < request /. 5.);
+  Alcotest.(check bool) "legacy is cheap" true (t Forwarder.Fastpath.Legacy_forward < request /. 5.)
 
 let siphash_variant_is_faster () =
   let heavy = Forwarder.Fastpath.create () in

@@ -723,6 +723,14 @@ let export_parse_roundtrip () =
           ("nested", Obj [ ("empty_list", List []); ("empty_obj", Obj []) ]);
         ])
   in
+  let num path = Option.bind (Obs.Export.find expect path) Obs.Export.number in
+  Alcotest.(check (option (float 0.))) "int as number" (Some 42.) (num [ "int" ]);
+  Alcotest.(check (option (float 0.))) "float as number" (Some 2.5) (num [ "float" ]);
+  Alcotest.(check (option (float 0.))) "null is no number" None (num [ "nan_as_null" ]);
+  Alcotest.(check bool) "nested find" true
+    (Obs.Export.find expect [ "nested"; "empty_list" ] = Some (Obs.Export.List []));
+  Alcotest.(check bool) "missing key" true (Obs.Export.find expect [ "nested"; "absent" ] = None);
+  Alcotest.(check bool) "through a non-object" true (Obs.Export.find expect [ "int"; "x" ] = None);
   (match Obs.Export.parse (Obs.Export.to_string v) with
   | Ok got -> Alcotest.(check bool) "compact round-trips" true (got = expect)
   | Error e -> Alcotest.failf "compact parse failed: %s" e);
@@ -730,8 +738,7 @@ let export_parse_roundtrip () =
   | Ok got -> Alcotest.(check bool) "pretty round-trips" true (got = expect)
   | Error e -> Alcotest.failf "pretty parse failed: %s" e
 
-let obj_field json name =
-  match json with Obs.Export.Obj fields -> List.assoc_opt name fields | _ -> None
+let obj_field json name = Obs.Export.find json [ name ]
 
 let flight_dump_roundtrip () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "tva_test_flight" in

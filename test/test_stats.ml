@@ -82,15 +82,6 @@ let ewma_decays () =
   let after = Stats.Rate.Ewma.rate e ~now:4.0 in
   Alcotest.(check bool) "decayed" true (after < before /. 10.)
 
-let window_rate () =
-  let w = Stats.Rate.Window.create ~width:1.0 in
-  Stats.Rate.Window.observe w ~now:0.2 ~bytes:500;
-  Stats.Rate.Window.observe w ~now:0.7 ~bytes:500;
-  (* The completed window [0,1) carried 1000 bytes. *)
-  Alcotest.(check (float 1e-9)) "rate" 1000. (Stats.Rate.Window.rate w ~now:1.5);
-  (* Two windows later with no traffic, the rate reads zero. *)
-  Alcotest.(check (float 1e-9)) "stale" 0. (Stats.Rate.Window.rate w ~now:3.5)
-
 (* --- Table ------------------------------------------------------------ *)
 
 let contains haystack needle =
@@ -135,7 +126,6 @@ let suite =
     Alcotest.test_case "timeseries csv" `Quick timeseries_csv;
     Alcotest.test_case "ewma constant rate" `Quick ewma_tracks_constant_rate;
     Alcotest.test_case "ewma decay" `Quick ewma_decays;
-    Alcotest.test_case "window rate" `Quick window_rate;
     Alcotest.test_case "table render" `Quick table_renders;
     Alcotest.test_case "table csv quoting" `Quick table_csv_quotes;
     Alcotest.test_case "table ragged" `Quick table_rejects_ragged_rows;

@@ -210,6 +210,7 @@ let scenario_render_shapes () =
               avg_transfer_time = 0.3;
               median_transfer_time = 0.3;
               jain = 1.;
+              report = None;
             };
           ];
       };
@@ -255,25 +256,28 @@ let report_deterministic_across_jobs () =
     }
   in
   let render jobs =
-    let r = Workload.Report.run ~jobs ~attacker_counts:[ 1; 10 ] ~base () in
+    let r =
+      Workload.Scenario.flood_sweep ~jobs ~schemes:Workload.Scenario.schemes
+        ~attacker_counts:[ 1; 10 ] ~base
+        ~attack:(fun ~rate_bps -> Workload.Experiment.Legacy_flood { rate_bps })
+        ()
+    in
     (Workload.Report.to_markdown r, Workload.Report.to_json r)
   in
   let md1, json1 = render 1 and md4, json4 = render 4 in
   Alcotest.(check string) "markdown jobs=4 = jobs=1" md1 md4;
   Alcotest.(check string) "json jobs=4 = jobs=1" json1 json4;
+  let json =
+    match Obs.Export.parse json1 with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "report JSON does not parse: %s" e
+  in
   List.iter
     (fun scheme ->
       Alcotest.(check bool)
         (scheme ^ " headline present") true
-        (let needle = "\"" ^ scheme ^ "_fraction\":" in
-         let len = String.length needle in
-         let rec scan i =
-           i + len <= String.length json1
-           && (String.sub json1 i len = needle || scan (i + 1))
-         in
-         scan 0))
+        (Obs.Export.find json [ scheme ^ "_fraction" ] <> None))
     (List.map fst Workload.Scenario.schemes)
-
 
 (* --- aggregate senders (DESIGN.md section 13) -------------------------- *)
 
