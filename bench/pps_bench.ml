@@ -10,7 +10,8 @@
      request       pre-capability minted and appended
      legacy        no shim, counted straight through
 
-   — the throughput and the minor-heap words allocated per packet.  The
+   — the throughput and the minor-heap words allocated per packet, with
+   the four paths timed in interleaved slices (see [slices]).  The
    driver's branch check makes the run FAIL (exit 1) if any packet leaves
    its path or is demoted.  The cached-nonce path is the line-rate path,
    so the benchmark also FAILS if it allocates more than [budget] minor
@@ -22,9 +23,9 @@
 
 let flows = ref 1024
 let passes = ref 512
-let budget = ref 12.
-let validate_budget = ref 42.
-let request_budget = ref 24.
+let budget = ref 1.
+let validate_budget = ref 7.
+let request_budget = ref 13.
 let out_path = ref "BENCH_pps.json"
 let profile_out = ref ""
 
@@ -37,13 +38,13 @@ let spec =
     ("--passes", Arg.Set_int passes, "K  timed passes over all flows per path (default 512)");
     ( "--budget",
       Arg.Set_float budget,
-      "W  max minor words/packet on the cached-nonce path (default 12)" );
+      "W  max minor words/packet on the cached-nonce path (default 1)" );
     ( "--validate-budget",
       Arg.Set_float validate_budget,
-      "W  max minor words/packet on the validate path (default 42)" );
+      "W  max minor words/packet on the validate path (default 7)" );
     ( "--request-budget",
       Arg.Set_float request_budget,
-      "W  max minor words/packet on the request path (default 24)" );
+      "W  max minor words/packet on the request path (default 13)" );
     ("--out", Arg.Set_string out_path, "PATH  where to write the JSON report");
     ( "--profile-out",
       Arg.Set_string profile_out,
@@ -56,24 +57,19 @@ let usage =
 
 type measurement = { pps : float; ns_per_packet : float; minor_words_per_packet : float }
 
-(* Time [passes] repetitions of [per_pass] (each processing [flows]
-   packets) and read the Gc's minor-words counter across the same loop so
-   timing and allocation come from one pass. *)
-let measure ~flows ~passes per_pass =
-  let packets = flows * passes in
-  Gc.full_major ();
-  let words0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  for pass = 0 to passes - 1 do
-    per_pass pass
-  done;
-  let wall = Unix.gettimeofday () -. t0 in
-  let words = Gc.minor_words () -. words0 in
-  {
-    pps = float_of_int packets /. wall;
-    ns_per_packet = wall *. 1e9 /. float_of_int packets;
-    minor_words_per_packet = words /. float_of_int packets;
-  }
+(* One timed path: two untimed warmup passes, then [slice n] times its
+   next [n] passes (after one more untimed pass); [result] totals the
+   slices. *)
+type path = { warm : unit -> unit; slice : int -> unit; result : unit -> measurement }
+
+(* The paths are timed in [slices] rounds.  Each round gives every path
+   its next share of the passes, one path after the other, so a change in
+   host load during the run (another tenant's burst on a shared core)
+   falls on all four paths alike.  Timed whole and one after the other,
+   the legacy path's few milliseconds could land in a quiet spell that
+   the validate path's tenth of a second missed, and on a shared 2-core
+   host its ratio below read anywhere from 20x to 38x on unchanged code. *)
+let slices = 16
 
 let () =
   Arg.parse spec (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) usage;
@@ -90,10 +86,13 @@ let () =
      rewound first (the router appends to and advances their shims);
      cached-nonce and legacy packets come back unchanged, so their loops
      do nothing else.  Two warmup passes keep the validate path's two
-     nonce sets alternating from pass 0. *)
-  let time op ~rewind =
-    let per_pass pass =
-      let packets = Forwarder.Fastpath.packets fp op ~pass in
+     nonce sets alternating from pass 0.  Each path counts its passes
+     across slices, so that alternation runs on unbroken. *)
+  let path op ~rewind =
+    let next = ref 0 and wall = ref 0. and words = ref 0. in
+    let per_pass () =
+      let packets = Forwarder.Fastpath.packets fp op ~pass:!next in
+      incr next;
       if rewind then
         for f = 0 to flows - 1 do
           let p = packets.(f) in
@@ -105,21 +104,59 @@ let () =
           Tva.Router.process router ~in_interface:0 packets.(f)
         done
     in
-    match
-      Forwarder.Fastpath.on_branch fp op ~packets:(flows * (passes + 2)) (fun () ->
-          per_pass 0;
-          per_pass 1;
-          measure ~flows ~passes per_pass)
-    with
-    | m -> m
-    | exception Failure msg ->
-        Printf.eprintf "FATAL: %s\n" msg;
-        exit 1
+    (* [n] passes, with the Gc's minor-words counter read across the same
+       loop so timing and allocation come from one run.  The collection
+       and the untimed pass before them leave the heap clean and the
+       path's packets and records back in cache, so a slice starts where
+       the path would stand had it run alone. *)
+    let run n =
+      Gc.full_major ();
+      per_pass ();
+      let words0 = Gc.minor_words () in
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to n do
+        per_pass ()
+      done;
+      wall := !wall +. (Unix.gettimeofday () -. t0);
+      words := !words +. (Gc.minor_words () -. words0)
+    in
+    let on_branch n f =
+      match Forwarder.Fastpath.on_branch fp op ~packets:(flows * n) f with
+      | () -> ()
+      | exception Failure msg ->
+          Printf.eprintf "FATAL: %s\n" msg;
+          exit 1
+    in
+    let warm () =
+      on_branch 2 (fun () ->
+          per_pass ();
+          per_pass ())
+    in
+    let slice n = on_branch (n + 1) (fun () -> run n) in
+    let result () =
+      let packets = float_of_int (flows * passes) in
+      {
+        pps = packets /. !wall;
+        ns_per_packet = !wall *. 1e9 /. packets;
+        minor_words_per_packet = !words /. packets;
+      }
+    in
+    { warm; slice; result }
   in
-  let request_m = time Forwarder.Fastpath.Request ~rewind:true in
-  let validate_m = time Forwarder.Fastpath.Regular_uncached ~rewind:true in
-  let cached_m = time Forwarder.Fastpath.Regular_cached ~rewind:false in
-  let legacy_m = time Forwarder.Fastpath.Legacy_forward ~rewind:false in
+  let request = path Forwarder.Fastpath.Request ~rewind:true in
+  let validate = path Forwarder.Fastpath.Regular_uncached ~rewind:true in
+  let cached = path Forwarder.Fastpath.Regular_cached ~rewind:false in
+  let legacy = path Forwarder.Fastpath.Legacy_forward ~rewind:false in
+  let paths = [ request; validate; cached; legacy ] in
+  List.iter (fun p -> p.warm ()) paths;
+  let slices = min slices passes in
+  for k = 0 to slices - 1 do
+    (* Slice [k] of [passes]: the shares differ by at most one pass. *)
+    let n = (passes * (k + 1) / slices) - (passes * k / slices) in
+    List.iter (fun p -> p.slice n) paths
+  done;
+  let request_m = request.result () and validate_m = validate.result () in
+  let cached_m = cached.result () and legacy_m = legacy.result () in
 
   (* --- report ---------------------------------------------------------- *)
   let pp_path name m =
@@ -184,8 +221,10 @@ let () =
   (* Each stage's ns/packet is accumulated in a [Stats.Summary] and gated
      as a multiple of the same report's legacy ns — the legacy path does
      no TVA work, so the ratio cancels machine speed and the budgets hold
-     on slow CI runners.  Multipliers leave about 2x headroom over the
-     committed ratios. *)
+     on slow CI runners.  The multipliers were set at about twice the
+     ratios of an -opaque build; the release build runs the short legacy
+     path relatively faster, so validate now sits near its budget
+     (README, Sec. 6.1). *)
   let stages =
     [
       ("cached_nonce", cached_m.ns_per_packet, 10.);

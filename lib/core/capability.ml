@@ -38,11 +38,11 @@ let pp_verdict fmt = function
 (* Age on the modulo-256 clock.  Values above half the clock period are
    indistinguishable from the future and treated as expired; the paper
    requires T <= half the rollover for exactly this reason. *)
-let mod_age ~now ~ts =
+let[@inline] mod_age ~now ~ts =
   let now_ts = Crypto.Secret.timestamp ~now in
   (now_ts - ts + 256) mod 256
 
-let expired ~now ~ts ~t_sec =
+let[@inline] expired ~now ~ts ~t_sec =
   let age = mod_age ~now ~ts in
   age > t_sec
 
@@ -51,14 +51,15 @@ let validate ~hash:(module H : Crypto.Keyed_hash.S) ~cache ~secret ~now ~src ~ds
   let ts = cap.Wire.Cap_shim.ts in
   if expired ~now ~ts ~t_sec then Expired
   else begin
-    match Crypto.Secret.validating_secret secret ~now ~ts with
-    | None -> Bad_hash
-    | Some key ->
-        let prep = Crypto.Keyed_hash.prepared_of (module H) cache key in
-        let ph =
-          H.mac56_precap_p ~prep ~src:(Wire.Addr.to_int src) ~dst:(Wire.Addr.to_int dst) ~ts
-        in
-        let pub = Crypto.Keyed_hash.prepared_of (module H) cache public_key in
-        let expect = H.mac56_cap_p ~prep:pub ~precap_ts:ts ~precap_hash:ph ~n_kb ~t_sec in
-        if Int64.equal expect cap.Wire.Cap_shim.hash then Valid else Bad_hash
+    let key = Crypto.Secret.validating_secret secret ~now ~ts in
+    if String.length key = 0 then Bad_hash
+    else begin
+      let prep = Crypto.Keyed_hash.prepared_of (module H) cache key in
+      let ph =
+        H.mac56_precap_p ~prep ~src:(Wire.Addr.to_int src) ~dst:(Wire.Addr.to_int dst) ~ts
+      in
+      let pub = Crypto.Keyed_hash.prepared_of (module H) cache public_key in
+      let expect = H.mac56_cap_p ~prep:pub ~precap_ts:ts ~precap_hash:ph ~n_kb ~t_sec in
+      if Int64.equal expect cap.Wire.Cap_shim.hash then Valid else Bad_hash
+    end
   end

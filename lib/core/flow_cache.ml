@@ -1,7 +1,7 @@
 type entry = {
   e_src : Wire.Addr.t;
   e_dst : Wire.Addr.t;
-  mutable nonce : int64;
+  mutable nonce : int;
   mutable n_bytes : int;
   mutable t_sec : int;
   mutable cap_ts : int;
@@ -11,10 +11,13 @@ type entry = {
 
 (* Open addressing with linear probing instead of a Hashtbl keyed on a
    boxed (src, dst) tuple: a lookup touches one flat array and allocates
-   nothing but the final [Some].  [Tomb] marks a deleted slot so probe
-   chains stay intact; tombs are recycled by [rehash].  The invariant
-   live + tombs <= length/2 guarantees every probe terminates at an
-   [Empty] slot.  [insert] restores it by rehashing, and grows the table
+   nothing.  A slot holds a live record or one of two sentinel records,
+   told apart by physical identity: [absent] (never used) and [tomb] (a
+   deleted slot, so probe chains stay intact; tombs are recycled by
+   [rehash]).  Holding records directly, not under a [Used] box, saves a
+   dependent load per probe.  The invariant live + tombs <= length/2
+   guarantees every probe terminates at an [absent] slot.  [insert]
+   restores it by rehashing, and grows the table
    whenever live records would fill more than a quarter of it: a
    same-size rehash then always frees at least a quarter of the slots
    for tombs, so a full cache under eviction churn rehashes once per
@@ -27,10 +30,8 @@ type entry = {
    allocation on the cached-nonce path (ROADMAP item 2).  Storing it SoA
    makes the charge path allocation-free and keeps every entry record
    all-scalar. *)
-type slot = Empty | Tomb | Used of entry
-
 type t = {
-  mutable slots : slot array; (* length always a power of two *)
+  mutable slots : entry array; (* length always a power of two *)
   mutable ttls : float array; (* unboxed; parallel to [slots] by index *)
   mutable live : int;
   mutable tombs : int;
@@ -41,13 +42,31 @@ type t = {
   obs : Obs.Counters.t;
 }
 
+let sentinel () =
+  {
+    e_src = Wire.Addr.of_int 0;
+    e_dst = Wire.Addr.of_int 0;
+    nonce = -1;
+    n_bytes = 0;
+    t_sec = 0;
+    cap_ts = 0;
+    bytes_used = 0;
+    slot = -1;
+  }
+
+(* The two slot sentinels.  [absent] is also [find]'s miss result, so a
+   lookup returns a bare record and allocates no [Some]. *)
+let absent = sentinel ()
+let tomb = sentinel ()
+let[@inline] live e = e != absent && e != tomb
+
 let rec next_pow2 n k = if k >= n then k else next_pow2 n (2 * k)
 
 let create ?(obs = Obs.Counters.nop) ~max_entries () =
   if max_entries <= 0 then invalid_arg "Flow_cache.create: capacity must be positive";
   let len = next_pow2 (min (2 * max_entries) 1024) 16 in
   {
-    slots = Array.make len Empty;
+    slots = Array.make len absent;
     ttls = Array.make len neg_infinity;
     live = 0;
     tombs = 0;
@@ -73,40 +92,31 @@ let[@inline] slot_hash src dst =
 let[@inline] home t ~src ~dst =
   slot_hash (Wire.Addr.to_int src) (Wire.Addr.to_int dst) land (Array.length t.slots - 1)
 
-(* Physical-identity miss sentinel for [probe], so the probe loop returns
-   a bare record and only [lookup]'s final [Some] allocates.  Nothing ever
-   inserts it. *)
-let absent =
-  {
-    e_src = Wire.Addr.of_int 0;
-    e_dst = Wire.Addr.of_int 0;
-    nonce = -1L;
-    n_bytes = 0;
-    t_sec = 0;
-    cap_ts = 0;
-    bytes_used = 0;
-    slot = -1;
-  }
-
 (* A top-level tail-recursive probe on purpose: the natural local [rec go]
    closes over [slots]/[mask]/[src]/[dst], and that closure is 7 minor
    words on every lookup.  With everything passed as arguments the tail
    call compiles to a jump and the probe itself allocates nothing. *)
 let rec probe slots mask src dst i =
-  match Array.unsafe_get slots i with
-  | Empty -> absent
-  | Used e when Wire.Addr.equal e.e_src src && Wire.Addr.equal e.e_dst dst -> e
-  | Used _ | Tomb -> probe slots mask src dst ((i + 1) land mask)
+  let e = Array.unsafe_get slots i in
+  if e == absent || (e != tomb && Wire.Addr.equal e.e_src src && Wire.Addr.equal e.e_dst dst)
+  then e
+  else probe slots mask src dst ((i + 1) land mask)
 
-let lookup t ~src ~dst =
-  let e = probe t.slots (Array.length t.slots - 1) src dst (home t ~src ~dst) in
-  if e == absent then None else Some e
+let[@inline] find t ~src ~dst = probe t.slots (Array.length t.slots - 1) src dst (home t ~src ~dst)
 
-let ttl_remaining t entry ~now = t.ttls.(entry.slot) -. now
+(* [absent] and [tomb] sit at slot -1.  Each operation on a record checks
+   for them before it writes anything, so a missed [== absent] test in a
+   caller fails loudly instead of scribbling on the shared sentinel. *)
+let[@inline] check_record fn entry =
+  if entry.slot < 0 then invalid_arg ("Flow_cache." ^ fn ^ ": absent record")
+
+let ttl_remaining t entry ~now =
+  check_record "ttl_remaining" entry;
+  t.ttls.(entry.slot) -. now
 
 (* The byte->time conversion at the heart of the bound: a packet of L bytes
    under a grant of N bytes / T seconds extends the ttl by L*T/N. *)
-let time_value ~bytes ~n_bytes ~t_sec =
+let[@inline] time_value ~bytes ~n_bytes ~t_sec =
   float_of_int bytes *. float_of_int t_sec /. float_of_int n_bytes
 
 let[@inline] reclaimable_at t i entry ~now =
@@ -114,7 +124,7 @@ let[@inline] reclaimable_at t i entry ~now =
   || Capability.expired ~now ~ts:entry.cap_ts ~t_sec:entry.t_sec
 
 let[@inline] kill t i =
-  t.slots.(i) <- Tomb;
+  t.slots.(i) <- tomb;
   t.live <- t.live - 1;
   t.tombs <- t.tombs + 1
 
@@ -129,11 +139,11 @@ let sweep t ~now =
   let slots = t.slots in
   let reclaimed = ref 0 in
   for i = 0 to Array.length slots - 1 do
-    match slots.(i) with
-    | Used e when reclaimable_at t i e ~now ->
-        evict t i;
-        incr reclaimed
-    | Used _ | Empty | Tomb -> ()
+    let e = slots.(i) in
+    if live e && reclaimable_at t i e ~now then begin
+      evict t i;
+      incr reclaimed
+    end
   done;
   !reclaimed
 
@@ -148,19 +158,20 @@ let reclaim_one t ~now =
   let rec go remaining i =
     if remaining = 0 then false
     else
-      match slots.(i) with
-      | Used e when reclaimable_at t i e ~now ->
-          evict t i;
-          t.cursor <- (i + 1) land mask;
-          true
-      | Used _ | Empty | Tomb -> go (remaining - 1) ((i + 1) land mask)
+      let e = slots.(i) in
+      if live e && reclaimable_at t i e ~now then begin
+        evict t i;
+        t.cursor <- (i + 1) land mask;
+        true
+      end
+      else go (remaining - 1) ((i + 1) land mask)
   in
   go len (t.cursor land mask)
 
 let rehash t new_len =
   let old = t.slots in
   let old_ttls = t.ttls in
-  let slots = Array.make new_len Empty in
+  let slots = Array.make new_len absent in
   let ttls = Array.make new_len neg_infinity in
   let mask = new_len - 1 in
   t.slots <- slots;
@@ -168,19 +179,19 @@ let rehash t new_len =
   t.tombs <- 0;
   t.cursor <- 0;
   Array.iter
-    (function
-      | Used e ->
-          let ttl = old_ttls.(e.slot) in
-          let rec place i =
-            match slots.(i) with
-            | Empty ->
-                slots.(i) <- Used e;
-                ttls.(i) <- ttl;
-                e.slot <- i
-            | Used _ | Tomb -> place ((i + 1) land mask)
-          in
-          place (slot_hash (Wire.Addr.to_int e.e_src) (Wire.Addr.to_int e.e_dst) land mask)
-      | Empty | Tomb -> ())
+    (fun e ->
+      if live e then begin
+        let ttl = old_ttls.(e.slot) in
+        let rec place i =
+          if slots.(i) == absent then begin
+            slots.(i) <- e;
+            ttls.(i) <- ttl;
+            e.slot <- i
+          end
+          else place ((i + 1) land mask)
+        in
+        place (slot_hash (Wire.Addr.to_int e.e_src) (Wire.Addr.to_int e.e_dst) land mask)
+      end)
     old
 
 type insert_result = Inserted of entry | Cache_full | Over_limit
@@ -210,22 +221,24 @@ let insert t ~now ~src ~dst ~nonce ~n_kb ~t_sec ~cap_ts ~packet_bytes =
     let mask = Array.length slots - 1 in
     (* Replace an existing record for the flow if there is one; otherwise
        reuse the first tombstone on the chain or claim the empty slot. *)
-    let rec place i tomb =
-      match slots.(i) with
-      | Empty ->
-          let dest = if tomb >= 0 then tomb else i in
-          if tomb >= 0 then t.tombs <- t.tombs - 1;
-          slots.(dest) <- Used entry;
-          entry.slot <- dest;
-          t.ttls.(dest) <- ttl;
-          t.live <- t.live + 1;
-          if t.live > t.hwm then t.hwm <- t.live
-      | Used e when Wire.Addr.equal e.e_src src && Wire.Addr.equal e.e_dst dst ->
-          slots.(i) <- Used entry;
-          entry.slot <- i;
-          t.ttls.(i) <- ttl
-      | Tomb -> place ((i + 1) land mask) (if tomb >= 0 then tomb else i)
-      | Used _ -> place ((i + 1) land mask) tomb
+    let rec place i first_tomb =
+      let e = slots.(i) in
+      if e == absent then begin
+        let dest = if first_tomb >= 0 then first_tomb else i in
+        if first_tomb >= 0 then t.tombs <- t.tombs - 1;
+        slots.(dest) <- entry;
+        entry.slot <- dest;
+        t.ttls.(dest) <- ttl;
+        t.live <- t.live + 1;
+        if t.live > t.hwm then t.hwm <- t.live
+      end
+      else if e == tomb then place ((i + 1) land mask) (if first_tomb >= 0 then first_tomb else i)
+      else if Wire.Addr.equal e.e_src src && Wire.Addr.equal e.e_dst dst then begin
+        slots.(i) <- entry;
+        entry.slot <- i;
+        t.ttls.(i) <- ttl
+      end
+      else place ((i + 1) land mask) first_tomb
     in
     place (home t ~src ~dst) (-1);
     Inserted entry
@@ -233,7 +246,8 @@ let insert t ~now ~src ~dst ~nonce ~n_kb ~t_sec ~cap_ts ~packet_bytes =
 
 type charge_result = Charged | Byte_limit
 
-let charge t entry ~now:_ ~bytes =
+let[@inline] charge t entry ~now:_ ~bytes =
+  check_record "charge" entry;
   if entry.bytes_used + bytes > entry.n_bytes then Byte_limit
   else begin
     entry.bytes_used <- entry.bytes_used + bytes;
@@ -244,7 +258,8 @@ let charge t entry ~now:_ ~bytes =
     Charged
   end
 
-let renew t entry ~now ~nonce ~n_kb ~t_sec ~cap_ts ~packet_bytes =
+let[@inline] renew t entry ~now ~nonce ~n_kb ~t_sec ~cap_ts ~packet_bytes =
+  check_record "renew" entry;
   let n_bytes = n_kb * 1024 in
   if packet_bytes > n_bytes then Byte_limit
   else begin
@@ -254,9 +269,12 @@ let renew t entry ~now ~nonce ~n_kb ~t_sec ~cap_ts ~packet_bytes =
     entry.cap_ts <- cap_ts;
     entry.bytes_used <- packet_bytes;
     (* A fresh capability's clock starts now; stale credit from the old
-       grant must not carry over. *)
+       grant must not carry over.  (A plain comparison, not [Float.max]:
+       neither side is NaN or -0., and [Float.max]'s sign checks are C
+       calls.) *)
+    let ttl = t.ttls.(entry.slot) in
     t.ttls.(entry.slot) <-
-      Float.max t.ttls.(entry.slot) now +. time_value ~bytes:packet_bytes ~n_bytes ~t_sec;
+      (if now > ttl then now else ttl) +. time_value ~bytes:packet_bytes ~n_bytes ~t_sec;
     Charged
   end
 
@@ -264,18 +282,15 @@ let remove t entry =
   let slots = t.slots in
   let mask = Array.length slots - 1 in
   let rec go i =
-    match slots.(i) with
-    | Empty -> ()
-    | Used e when e == entry -> kill t i
-    | Used _ | Tomb -> go ((i + 1) land mask)
+    let e = slots.(i) in
+    if e == entry then kill t i else if e != absent then go ((i + 1) land mask)
   in
   go (home t ~src:entry.e_src ~dst:entry.e_dst)
 
-let iter t f =
-  Array.iter (function Used e -> f e | Empty | Tomb -> ()) t.slots
+let iter t f = Array.iter (fun e -> if live e then f e) t.slots
 
 let clear t =
-  Array.fill t.slots 0 (Array.length t.slots) Empty;
+  Array.fill t.slots 0 (Array.length t.slots) absent;
   t.live <- 0;
   t.tombs <- 0;
   t.cursor <- 0

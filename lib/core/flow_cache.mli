@@ -19,7 +19,7 @@ type t
 type entry = {
   e_src : Wire.Addr.t;
   e_dst : Wire.Addr.t;
-  mutable nonce : int64;
+  mutable nonce : int; (* the grant's 48-bit nonce *)
   mutable n_bytes : int; (* the grant's N, in bytes *)
   mutable t_sec : int;
   mutable cap_ts : int; (* router timestamp inside the validated capability *)
@@ -48,7 +48,13 @@ val hwm : t -> int
 (** Live-record high-water mark, for checking the Sec. 3.6 state bound
     [records <= C/(N/T)_min] empirically. *)
 
-val lookup : t -> src:Wire.Addr.t -> dst:Wire.Addr.t -> entry option
+val absent : entry
+(** The miss sentinel {!find} returns; test for it with [==].  It is never
+    stored in a cache, and {!charge}, {!renew} and {!ttl_remaining} raise
+    [Invalid_argument] on it without changing it. *)
+
+val find : t -> src:Wire.Addr.t -> dst:Wire.Addr.t -> entry
+(** The flow's record, or {!absent}.  Allocates nothing. *)
 
 type insert_result =
   | Inserted of entry
@@ -60,7 +66,7 @@ val insert :
   now:float ->
   src:Wire.Addr.t ->
   dst:Wire.Addr.t ->
-  nonce:int64 ->
+  nonce:int ->
   n_kb:int ->
   t_sec:int ->
   cap_ts:int ->
@@ -75,18 +81,21 @@ type charge_result =
 
 val charge : t -> entry -> now:float -> bytes:int -> charge_result
 (** The table parameter locates the SoA ttl store the entry charges into
-    ([entry] must belong to [t]). *)
+    ([entry] must belong to [t]).  Raises [Invalid_argument] on
+    {!absent}. *)
 
 val renew :
-  t -> entry -> now:float -> nonce:int64 -> n_kb:int -> t_sec:int -> cap_ts:int ->
+  t -> entry -> now:float -> nonce:int -> n_kb:int -> t_sec:int -> cap_ts:int ->
   packet_bytes:int -> charge_result
 (** Replace the entry's capability with a freshly validated one (first
-    packet of a renewed grant): byte accounting restarts for the new N. *)
+    packet of a renewed grant): byte accounting restarts for the new N.
+    Raises [Invalid_argument] on {!absent}. *)
 
 val remove : t -> entry -> unit
 
 val ttl_remaining : t -> entry -> now:float -> float
-(** Negative values mean the record is reclaimable. *)
+(** Negative values mean the record is reclaimable.  Raises
+    [Invalid_argument] on {!absent}. *)
 
 val sweep : t -> now:float -> int
 (** Reclaim every record whose ttl has run out or whose capability has

@@ -7,6 +7,16 @@ type counters = {
   mutable legacy : int;
 }
 
+(* Keyed by interface (a node id, or -1): the id is its own hash.  The
+   polymorphic [Hashtbl] would hash and compare the key through C calls on
+   every request packet. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash i = i land max_int
+end)
+
 type t = {
   params : Params.t;
   hash : Capability.keyed;
@@ -24,7 +34,7 @@ type t = {
      functions of stable inputs, so they are caches in the strict sense —
      hits and misses produce identical packets. *)
   prep : Crypto.Keyed_hash.prep_cache;
-  tags : (int, int) Hashtbl.t;
+  tags : int Itbl.t;
 }
 
 let create ?(params = Params.default) ?(hash = (module Crypto.Keyed_hash.Fast : Crypto.Keyed_hash.S))
@@ -44,7 +54,7 @@ let create ?(params = Params.default) ?(hash = (module Crypto.Keyed_hash.Fast : 
       { requests = 0; regular_cached = 0; regular_validated = 0; renewals = 0; demotions = 0; legacy = 0 };
     obs;
     prep = Crypto.Keyed_hash.prep_cache ();
-    tags = Hashtbl.create 16;
+    tags = Itbl.create 16;
   }
 
 let counters t = t.counters
@@ -69,20 +79,15 @@ let demote t (shim : Wire.Cap_shim.t) ~(reason : Obs.Event.t) =
   Obs.Counters.incr t.obs reason;
   Obs.Counters.incr t.obs Obs.Event.Demoted
 
-(* The capability addressed to this router sits at [ptr] in the array. *)
-let my_cap (shim : Wire.Cap_shim.t) (caps : Wire.Cap_shim.cap array) =
-  let ptr = shim.Wire.Cap_shim.ptr in
-  if ptr >= 0 && ptr < Array.length caps then Some caps.(ptr) else None
-
 (* [Path_id.tag] is a SipHash over a formatted string; it is a pure
    function of (router, interface), so each interface's tag is computed
    once and then served from [t.tags]. *)
 let tag_of_interface t ~in_interface =
-  match Hashtbl.find t.tags in_interface with
+  match Itbl.find t.tags in_interface with
   | tag -> tag
   | exception Not_found ->
       let tag = Path_id.tag ~router_id:t.router_id ~interface_id:in_interface in
-      Hashtbl.add t.tags in_interface tag;
+      Itbl.add t.tags in_interface tag;
       tag
 
 let process_request t ~in_interface (p : Wire.Packet.t) (shim : Wire.Cap_shim.t) =
@@ -103,96 +108,82 @@ let process_request t ~in_interface (p : Wire.Packet.t) (shim : Wire.Cap_shim.t)
       end
   | Wire.Cap_shim.Regular _ -> assert false
 
-(* The outcome of checking the capability addressed to this router, with
-   the failure reason preserved so demotions can be attributed. *)
-type listed =
-  | L_ok of Wire.Cap_shim.cap
-  | L_no_cap (* nothing at [ptr]: sender listed no capability for us *)
-  | L_expired
-  | L_bad
-
-(* Validate the capability at [ptr] against this router's secret and the
-   packet's addresses / N / T.  Two hash computations, per the paper. *)
-let validate_listed t (p : Wire.Packet.t) (shim : Wire.Cap_shim.t) ~caps ~n_kb ~t_sec =
-  match my_cap shim caps with
-  | None -> L_no_cap
-  | Some cap -> begin
-      let now = Sim.now t.sim in
-      match
-        Capability.validate ~hash:t.hash ~cache:t.prep ~secret:t.secret ~now
-          ~src:p.Wire.Packet.src ~dst:p.Wire.Packet.dst ~n_kb ~t_sec cap
-      with
-      | Capability.Valid -> L_ok cap
-      | Capability.Expired -> L_expired
-      | Capability.Bad_hash -> L_bad
-    end
-
-let listed_failure = function
-  | L_no_cap -> Obs.Event.Demoted_no_cap
-  | L_expired -> Obs.Event.Demoted_cap_expired
-  | L_bad | L_ok _ -> Obs.Event.Demoted_bad_cap
-
 (* The "no demotion" sentinel: [valid = true] iff reason is physically this
    value, so the hot path carries no allocated option. *)
 let no_demotion = Obs.Event.Packets_in
+
+(* Validate the capability addressed to this router (at [ptr] in [caps])
+   against its secret and the packet's addresses / N / T: two hash
+   computations, per the paper.  [no_demotion] if it checks out, else the
+   demotion reason. *)
+let validate_listed t ~now (p : Wire.Packet.t) (shim : Wire.Cap_shim.t) ~caps ~n_kb ~t_sec =
+  let ptr = shim.Wire.Cap_shim.ptr in
+  if ptr < 0 || ptr >= Array.length caps then Obs.Event.Demoted_no_cap
+  else
+    match
+      Capability.validate ~hash:t.hash ~cache:t.prep ~secret:t.secret ~now
+        ~src:p.Wire.Packet.src ~dst:p.Wire.Packet.dst ~n_kb ~t_sec caps.(ptr)
+    with
+    | Capability.Valid -> no_demotion
+    | Capability.Expired -> Obs.Event.Demoted_cap_expired
+    | Capability.Bad_hash -> Obs.Event.Demoted_bad_cap
 
 let process_regular t (p : Wire.Packet.t) (shim : Wire.Cap_shim.t) ~nonce ~caps ~n_kb ~t_sec
     ~renewal =
   let now = Sim.now t.sim in
   let size = Wire.Packet.size p in
   let src = p.Wire.Packet.src and dst = p.Wire.Packet.dst in
+  let nonce = Int64.to_int nonce in
+  let entry = Flow_cache.find t.cache ~src ~dst in
   let reason =
-    match Flow_cache.lookup t.cache ~src ~dst with
-    | Some entry when Int64.equal entry.Flow_cache.nonce nonce ->
-        (* Fast path: nonce match.  Still subject to expiry and the byte
-           limit. *)
-        Obs.Counters.incr t.obs Obs.Event.Nonce_hit;
-        if Capability.expired ~now ~ts:entry.Flow_cache.cap_ts ~t_sec:entry.Flow_cache.t_sec then
-          Obs.Event.Demoted_cap_expired
-        else begin
-          match Flow_cache.charge t.cache entry ~now ~bytes:size with
+    if entry != Flow_cache.absent && entry.Flow_cache.nonce = nonce then begin
+      (* Fast path: nonce match.  Still subject to expiry and the byte
+         limit. *)
+      Obs.Counters.incr t.obs Obs.Event.Nonce_hit;
+      if Capability.expired ~now ~ts:entry.Flow_cache.cap_ts ~t_sec:entry.Flow_cache.t_sec then
+        Obs.Event.Demoted_cap_expired
+      else begin
+        match Flow_cache.charge t.cache entry ~now ~bytes:size with
+        | Flow_cache.Charged ->
+            t.counters.regular_cached <- t.counters.regular_cached + 1;
+            no_demotion
+        | Flow_cache.Byte_limit -> Obs.Event.Demoted_bytes_exhausted
+      end
+    end
+    else begin
+      Obs.Counters.incr t.obs Obs.Event.Nonce_miss;
+      let fail = validate_listed t ~now p shim ~caps ~n_kb ~t_sec in
+      if fail != no_demotion then fail
+      else begin
+        let cap_ts = caps.(shim.Wire.Cap_shim.ptr).Wire.Cap_shim.ts in
+        if entry != Flow_cache.absent then begin
+          (* Nonce mismatch: possibly the first packet of a renewed grant.
+             The listed capability checked out, so replace the entry's. *)
+          match
+            Flow_cache.renew t.cache entry ~now ~nonce ~n_kb ~t_sec ~cap_ts ~packet_bytes:size
+          with
           | Flow_cache.Charged ->
-              t.counters.regular_cached <- t.counters.regular_cached + 1;
+              t.counters.regular_validated <- t.counters.regular_validated + 1;
+              Obs.Counters.incr t.obs Obs.Event.Regular_validated;
+              Obs.Counters.incr t.obs Obs.Event.Cache_renewed;
               no_demotion
           | Flow_cache.Byte_limit -> Obs.Event.Demoted_bytes_exhausted
         end
-    | Some entry -> begin
-        (* Nonce mismatch: possibly the first packet of a renewed grant.
-           Validate the listed capability and replace the entry. *)
-        Obs.Counters.incr t.obs Obs.Event.Nonce_miss;
-        match validate_listed t p shim ~caps ~n_kb ~t_sec with
-        | (L_no_cap | L_expired | L_bad) as fail -> listed_failure fail
-        | L_ok cap -> begin
-            match
-              Flow_cache.renew t.cache entry ~now ~nonce ~n_kb ~t_sec ~cap_ts:cap.Wire.Cap_shim.ts
-                ~packet_bytes:size
-            with
-            | Flow_cache.Charged ->
-                t.counters.regular_validated <- t.counters.regular_validated + 1;
-                Obs.Counters.incr t.obs Obs.Event.Regular_validated;
-                Obs.Counters.incr t.obs Obs.Event.Cache_renewed;
-                no_demotion
-            | Flow_cache.Byte_limit -> Obs.Event.Demoted_bytes_exhausted
-          end
+        else begin
+          match
+            Flow_cache.insert t.cache ~now ~src ~dst ~nonce ~n_kb ~t_sec ~cap_ts
+              ~packet_bytes:size
+          with
+          | Flow_cache.Inserted _ ->
+              t.counters.regular_validated <- t.counters.regular_validated + 1;
+              Obs.Counters.incr t.obs Obs.Event.Regular_validated;
+              Obs.Counters.incr t.obs Obs.Event.Cache_inserted;
+              no_demotion
+          | Flow_cache.Cache_full -> Obs.Event.Demoted_cache_full
+          | Flow_cache.Over_limit -> Obs.Event.Demoted_over_limit
+        end
       end
-    | None -> begin
-        Obs.Counters.incr t.obs Obs.Event.Nonce_miss;
-        match validate_listed t p shim ~caps ~n_kb ~t_sec with
-        | (L_no_cap | L_expired | L_bad) as fail -> listed_failure fail
-        | L_ok cap -> begin
-            match
-              Flow_cache.insert t.cache ~now ~src ~dst ~nonce ~n_kb ~t_sec
-                ~cap_ts:cap.Wire.Cap_shim.ts ~packet_bytes:size
-            with
-            | Flow_cache.Inserted _ ->
-                t.counters.regular_validated <- t.counters.regular_validated + 1;
-                Obs.Counters.incr t.obs Obs.Event.Regular_validated;
-                Obs.Counters.incr t.obs Obs.Event.Cache_inserted;
-                no_demotion
-            | Flow_cache.Cache_full -> Obs.Event.Demoted_cache_full
-            | Flow_cache.Over_limit -> Obs.Event.Demoted_over_limit
-          end
-      end
+    end
   in
   if reason != no_demotion then demote t shim ~reason
   else begin

@@ -80,36 +80,27 @@ module Fast = struct
   let mac56_bytes ~key buf ~len =
     Int64.logand (Siphash.mac_bytes ~key:(normalize key) buf ~len) mask56
 
-  let[@inline] bswap32 x =
-    ((x lsr 24) land 0xff)
-    lor ((x lsr 8) land 0xff00)
-    lor ((x lsl 8) land 0xff0000)
-    lor ((x land 0xff) lsl 24)
+  (* The compiler primitive behind a single [bswap] instruction. *)
+  external bswap64 : int64 -> int64 = "%bswap_int64"
 
   (* Direct word-packed equivalents of hashing the preimage strings: byte i
-     of the message lands in bits [8i, 8i+8) of the little-endian word. *)
+     of the message lands in bits [8i, 8i+8) of the little-endian word, so
+     a big-endian field packed into a word is one byte swap away. *)
 
   let mac56_precap_p ~prep ~src ~dst ~ts =
-    let w0 =
-      Int64.logor
-        (Int64.of_int (bswap32 src))
-        (Int64.shift_left (Int64.of_int (bswap32 dst)) 32)
-    in
+    (* src (BE) | dst (BE): the big-endian bytes of [src lsl 32 lor dst]. *)
+    let w0 = bswap64 (Int64.logor (Int64.shift_left (Int64.of_int src) 32) (Int64.of_int dst)) in
     let tail = Int64.of_int (ts land 0xff) in
     Int64.logand (Siphash.mac_short_k ~k0:prep.k0 ~k1:prep.k1 ~len:9 ~w0 ~tail) mask56
 
   let mac56_cap_p ~prep ~precap_ts ~precap_hash ~n_kb ~t_sec =
-    let h = Int64.to_int precap_hash in
-    let lo =
-      (precap_ts land 0xff)
-      lor (((h lsr 48) land 0xff) lsl 8)
-      lor (((h lsr 40) land 0xff) lsl 16)
-      lor (((h lsr 32) land 0xff) lsl 24)
-      lor (((h lsr 24) land 0xff) lsl 32)
-      lor (((h lsr 16) land 0xff) lsl 40)
-      lor (((h lsr 8) land 0xff) lsl 48)
+    (* ts | the hash's low 56 bits (BE): byte 0 of the swapped word is the
+       cleared top byte, which [ts] fills. *)
+    let w0 =
+      Int64.logor
+        (bswap64 (Int64.logand precap_hash mask56))
+        (Int64.of_int (precap_ts land 0xff))
     in
-    let w0 = Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int (h land 0xff)) 56) in
     let tail =
       Int64.of_int
         (((n_kb lsr 8) land 0x03) lor ((n_kb land 0xff) lsl 8) lor ((t_sec land 0x3f) lsl 16))
@@ -174,17 +165,19 @@ let empty_prepared = { pk = ""; k0 = 0L; k1 = 0L }
 let prep_cache () =
   { s0 = ""; p0 = empty_prepared; s1 = ""; p1 = empty_prepared; s2 = ""; p2 = empty_prepared }
 
-let prepared_of (module H : S) cache key =
+let prepare_into (module H : S) cache key =
+  let p = H.prepare key in
+  cache.s2 <- cache.s1;
+  cache.p2 <- cache.p1;
+  cache.s1 <- cache.s0;
+  cache.p1 <- cache.p0;
+  cache.s0 <- key;
+  cache.p0 <- p;
+  p
+
+(* The hit probe inlines into each caller; a miss is an epoch rotation. *)
+let[@inline] prepared_of hash cache key =
   if cache.s0 == key then cache.p0
   else if cache.s1 == key then cache.p1
   else if cache.s2 == key then cache.p2
-  else begin
-    let p = H.prepare key in
-    cache.s2 <- cache.s1;
-    cache.p2 <- cache.p1;
-    cache.s1 <- cache.s0;
-    cache.p1 <- cache.p0;
-    cache.s0 <- key;
-    cache.p0 <- p;
-    p
-  end
+  else prepare_into hash cache key

@@ -17,9 +17,18 @@ let rotation_period = 128.
 
 let create ~master = { master; e_cur = -1; k_cur = ""; e_prev = -1; k_prev = "" }
 
-let epoch ~now = int_of_float (floor (now /. rotation_period))
+(* [floor] without the libm call: truncation rounds toward zero, so step
+   down once for negative non-integers.  Equal to [int_of_float (floor x)]
+   for every [x] in int range. *)
+let[@inline] floor_int x =
+  let i = int_of_float x in
+  if float_of_int i > x then i - 1 else i
 
-let timestamp ~now = int_of_float (floor now) land 0xff
+(* The period is a power of two, so multiplying by its reciprocal is
+   exact and skips a division. *)
+let[@inline] epoch ~now = floor_int (now *. (1. /. rotation_period))
+
+let[@inline] timestamp ~now = floor_int now land 0xff
 
 let derive t e =
   (* Epoch secrets are a keyed hash of the epoch under the master key:
@@ -27,17 +36,17 @@ let derive t e =
   Siphash.mac_string ~key:"TVA secret deriv" (t.master ^ string_of_int e)
   ^ Siphash.mac_string ~key:"ation epoch key." (t.master ^ string_of_int e)
 
-let secret_of_epoch t e =
-  if e = t.e_cur then t.k_cur
-  else if e = t.e_prev then t.k_prev
-  else begin
-    let k = derive t e in
-    t.e_prev <- t.e_cur;
-    t.k_prev <- t.k_cur;
-    t.e_cur <- e;
-    t.k_cur <- k;
-    k
-  end
+let rotate_to t e =
+  let k = derive t e in
+  t.e_prev <- t.e_cur;
+  t.k_prev <- t.k_cur;
+  t.e_cur <- e;
+  t.k_cur <- k;
+  k
+
+(* The hit path inlines into the per-packet callers; a miss is a rotation. *)
+let[@inline] secret_of_epoch t e =
+  if e = t.e_cur then t.k_cur else if e = t.e_prev then t.k_prev else rotate_to t e
 
 let issuing_secret t ~now = secret_of_epoch t (epoch ~now)
 
@@ -46,13 +55,13 @@ let issuing_secret t ~now = secret_of_epoch t (epoch ~now)
    (high bit 0) come from even epochs and 128..255 from odd ones. *)
 let epoch_parity e = e land 1
 
-let validating_secret t ~now ~ts =
+(* [""] rather than [None] for "no secret", so a hit returns the memoized
+   string itself with no [Some] box on the per-packet path. *)
+let[@inline] validating_secret t ~now ~ts =
   let e_now = epoch ~now in
   let high_bit = (ts lsr 7) land 1 in
-  if epoch_parity e_now = high_bit then Some (secret_of_epoch t e_now)
-  else if e_now > 0 && epoch_parity (e_now - 1) = high_bit then Some (secret_of_epoch t (e_now - 1))
-  else if e_now = 0 then None
-  else
-    (* Parity alternates every epoch, so one of current/previous always
-       matches; this branch is unreachable but kept total. *)
-    None
+  if epoch_parity e_now = high_bit then secret_of_epoch t e_now
+  else if e_now > 0 then
+    (* Parity alternates every epoch, so the previous one matches. *)
+    secret_of_epoch t (e_now - 1)
+  else ""

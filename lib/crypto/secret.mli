@@ -27,12 +27,14 @@ val timestamp : now:float -> int
 val issuing_secret : t -> now:float -> string
 (** The secret a router uses to mint a pre-capability at time [now]. *)
 
-val validating_secret : t -> now:float -> ts:int -> string option
+val validating_secret : t -> now:float -> ts:int -> string
 (** [validating_secret t ~now ~ts] is the secret to check a capability whose
     embedded timestamp is [ts], given the validator's clock [now] — selected
-    by the high bit of [ts] as the paper describes.  [None] if the implied
-    epoch is neither current nor previous (the capability is too old: the
-    secret has been retired). *)
+    by the high bit of [ts] as the paper describes.  [""] (never a secret:
+    secrets are 16 bytes) if the implied epoch is neither current nor
+    previous, which happens only in epoch 0 for a high-bit timestamp.  A
+    capability older than one epoch is caught by its hash instead: its
+    parity maps to a newer secret. *)
 
 val epoch : now:float -> int
 (** The rotation epoch index [floor (now / 128)]. *)

@@ -92,7 +92,7 @@ let mac_bytes ~key buf ~len =
    SipRounds are unrolled as shadowing [let]s on purpose: a mutable state
    record would box an int64 on every field store (~100 allocations per
    call), while this form compiles to register arithmetic. *)
-let mac_short_k ~k0 ~k1 ~len ~w0 ~tail =
+let[@inline] mac_short_k ~k0 ~k1 ~len ~w0 ~tail =
   if len < 8 || len > 15 then invalid_arg "Siphash.mac_short_k: len must be in 8..15";
   let v0 = Int64.logxor k0 0x736f6d6570736575L in
   let v1 = Int64.logxor k1 0x646f72616e646f6dL in

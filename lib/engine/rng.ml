@@ -51,7 +51,7 @@ let split t = of_splitmix (ref (next t))
 let[@inline] unit_float bits =
   Int64.to_float (Int64.shift_right_logical bits 11) /. 9007199254740992.
 
-let float t bound = unit_float (next t) *. bound
+let[@inline] float t bound = unit_float (next t) *. bound
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

@@ -50,7 +50,9 @@ let lane t = function
 let packets t op ~pass = (lane t op).sets.(pass land 1)
 
 (* Undo what the router wrote into the shim, so a packet can be sent
-   again: the capability pointer and the lists routers append to. *)
+   again: the capability pointer and the lists routers append to.  A list
+   store is a [caml_modify] call, so a list already empty (a regular
+   packet that is not a renewal) is left alone. *)
 let rewind (p : Wire.Packet.t) =
   match p.Wire.Packet.shim with
   | None -> ()
@@ -60,7 +62,10 @@ let rewind (p : Wire.Packet.t) =
       | Wire.Cap_shim.Request req ->
           req.Wire.Cap_shim.rev_path_ids <- [];
           req.Wire.Cap_shim.rev_precaps <- []
-      | Wire.Cap_shim.Regular r -> r.Wire.Cap_shim.rev_fresh_precaps <- []
+      | Wire.Cap_shim.Regular r -> (
+          match r.Wire.Cap_shim.rev_fresh_precaps with
+          | [] -> ()
+          | _ :: _ -> r.Wire.Cap_shim.rev_fresh_precaps <- [])
     end
 
 let send router p =

@@ -118,16 +118,15 @@ let validate t ~now (tok : Wire.Nf_feedback.token) ~src =
   let age = (Crypto.Secret.timestamp ~now - tok.Wire.Nf_feedback.nf_ts) land 0xff in
   if age > t.params.token_lifetime then reject ()
   else
-    match Crypto.Secret.validating_secret t.secret ~now ~ts:tok.Wire.Nf_feedback.nf_ts with
-    | None -> reject ()
-    | Some key ->
-        let expect =
-          token_mac t ~key ~src ~router:tok.Wire.Nf_feedback.nf_router
-            ~ts:tok.Wire.Nf_feedback.nf_ts ~action:tok.Wire.Nf_feedback.nf_action
-        in
-        if Int64.equal expect tok.Wire.Nf_feedback.nf_mac then
-          Some tok.Wire.Nf_feedback.nf_action
-        else reject ()
+    let key = Crypto.Secret.validating_secret t.secret ~now ~ts:tok.Wire.Nf_feedback.nf_ts in
+    if String.length key = 0 then reject ()
+    else
+      let expect =
+        token_mac t ~key ~src ~router:tok.Wire.Nf_feedback.nf_router
+          ~ts:tok.Wire.Nf_feedback.nf_ts ~action:tok.Wire.Nf_feedback.nf_action
+      in
+      if Int64.equal expect tok.Wire.Nf_feedback.nf_mac then Some tok.Wire.Nf_feedback.nf_action
+      else reject ()
 
 (* --- access-side AIMD policing --------------------------------------- *)
 

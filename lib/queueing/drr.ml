@@ -15,7 +15,10 @@ let create ?(name = "drr") ?(quantum = 1500) ?(queue_capacity_bytes = 65536) ?(m
          d_capacity = queue_capacity_bytes;
          d_max_queues = max_queues;
          d_classify = classify;
-         d_table = Hashtbl.create 64;
+         (* Backlogged classes only, and it grows on demand: a small
+            initial table keeps set-up cheap, since every TVA link
+            direction builds two DRRs. *)
+         d_table = Hashtbl.create 8;
          d_ring = Intring.create ();
          d_current = 0;
          d_has_current = false;

@@ -82,13 +82,13 @@ let n_bits = 10
 let t_bits = 6
 let return_type_bits = 8
 
-let return_info_bits = function
+let[@inline] return_info_bits = function
   | None -> 0
   | Some Demotion_notice -> return_type_bits
   | Some (Grant { caps; _ }) ->
       return_type_bits + count_bits + n_bits + t_bits + (cap_bits * List.length caps)
 
-let kind_bits = function
+let[@inline] kind_bits = function
   | Request req ->
       (2 * count_bits)
       + (path_id_bits * List.length req.rev_path_ids)
@@ -98,7 +98,7 @@ let kind_bits = function
       + (cap_bits * Array.length r.caps)
       + (if r.renewal then count_bits + (cap_bits * List.length r.rev_fresh_precaps) else 0)
 
-let wire_size t = (common_bits + kind_bits t.kind + return_info_bits t.return_info + 7) / 8
+let[@inline] wire_size t = (common_bits + kind_bits t.kind + return_info_bits t.return_info + 7) / 8
 
 (* Type nibble per Fig. 5: bit3 = demoted, bit2 = return info present,
    bits 1..0 = 00 request / 01 regular w/ capabilities / 10 regular w/

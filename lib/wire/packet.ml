@@ -33,9 +33,9 @@ let copy t =
     nf = (match t.nf with None -> None | Some s -> Some (Nf_feedback.copy s));
   }
 
-let body_size = function Raw n -> n | Tcp seg -> Tcp_segment.wire_size seg
+let[@inline] body_size = function Raw n -> n | Tcp seg -> Tcp_segment.wire_size seg
 
-let size t =
+let[@inline] size t =
   body_size t.body
   + (match t.shim with None -> 0 | Some s -> Cap_shim.wire_size s)
   + (match t.siff with None -> 0 | Some s -> Siff_marking.wire_size s)

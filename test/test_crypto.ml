@@ -198,9 +198,24 @@ let siphash_mac_bytes_rejects_bad_len () =
       ignore (Crypto.Siphash.mac_bytes ~key (Bytes.create 4) ~len:5))
 
 (* The general path keeps its state unboxed: a call allocates only its
-   boxed int64 result (3 words), at every message length. *)
+   boxed int64 result (3 words), at every message length.  [mac_short_k]
+   inlines into its caller, so its result stays unboxed too: nothing. *)
 let siphash_mac_allocation_budget () =
   let key = String.make 16 'k' and iters = 2000 in
+  let acc = ref 0L in
+  let w0 = Gc.minor_words () in
+  for i = 1 to iters do
+    acc :=
+      Int64.logxor !acc
+        (Crypto.Siphash.mac_short_k ~k0:1L ~k1:2L ~len:9 ~w0:(Int64.of_int i) ~tail:0L)
+  done;
+  let w_short = (Gc.minor_words () -. w0) /. float_of_int iters in
+  ignore (Sys.opaque_identity !acc);
+  if w_short > 0. then
+    Alcotest.failf
+      "mac_short_k allocates %.2f minor words/call (budget 0): not inlined, e.g. built with \
+       the dev profile's -opaque"
+      w_short;
   for len = 0 to 64 do
     let msg = String.init len (fun i -> Char.chr (i * 37 land 0xff)) in
     let buf = Bytes.of_string msg in
@@ -378,13 +393,11 @@ let secret_high_bit_selects () =
      t=150 (epoch 1): the validator must pick the previous secret. *)
   let issue = Crypto.Secret.issuing_secret s ~now:100. in
   let ts = Crypto.Secret.timestamp ~now:100. in
-  (match Crypto.Secret.validating_secret s ~now:150. ~ts with
-  | Some key -> Alcotest.(check string) "previous secret selected" issue key
-  | None -> Alcotest.fail "no validating secret");
+  Alcotest.(check string) "previous secret selected" issue
+    (Crypto.Secret.validating_secret s ~now:150. ~ts);
   (* And at t=120 (same epoch) it picks the current secret. *)
-  match Crypto.Secret.validating_secret s ~now:120. ~ts with
-  | Some key -> Alcotest.(check string) "current secret selected" issue key
-  | None -> Alcotest.fail "no validating secret"
+  Alcotest.(check string) "current secret selected" issue
+    (Crypto.Secret.validating_secret s ~now:120. ~ts)
 
 let secret_expires_after_two_epochs () =
   let s = Crypto.Secret.create ~master:"m" in
@@ -392,13 +405,21 @@ let secret_expires_after_two_epochs () =
   let ts = Crypto.Secret.timestamp ~now:100. in
   (* Two epochs later the same parity maps to a *newer* secret, so the old
      one can never validate again. *)
-  match Crypto.Secret.validating_secret s ~now:(100. +. 256.) ~ts with
-  | Some key -> Alcotest.(check bool) "secret retired" false (String.equal issue key)
-  | None -> ()
+  Alcotest.(check bool) "secret retired" false
+    (String.equal issue (Crypto.Secret.validating_secret s ~now:(100. +. 256.) ~ts))
 
 let secret_timestamp_is_modulo_256 () =
   Alcotest.(check int) "ts at 300s" (300 mod 256) (Crypto.Secret.timestamp ~now:300.);
   Alcotest.(check int) "ts at 255.9" 255 (Crypto.Secret.timestamp ~now:255.9)
+
+(* [timestamp] and [epoch] round down without libm's [floor]; they must
+   agree with it on every clock, negative and fractional ones included. *)
+let secret_clock_matches_floor =
+  QCheck.Test.make ~name:"secret: timestamp and epoch round down like floor" ~count:1000
+    QCheck.(oneof [ float_range (-1e6) 1e6; map float_of_int (int_range (-100_000) 100_000) ])
+    (fun now ->
+      Crypto.Secret.timestamp ~now = int_of_float (floor now) land 0xff
+      && Crypto.Secret.epoch ~now = int_of_float (floor (now /. Crypto.Secret.rotation_period)))
 
 let secret_deterministic_from_master () =
   let a = Crypto.Secret.create ~master:"same" and b = Crypto.Secret.create ~master:"same" in
@@ -419,11 +440,10 @@ let secret_epoch_cache_is_transparent () =
         (Crypto.Secret.issuing_secret fresh ~now)
         (Crypto.Secret.issuing_secret cached ~now);
       let ts = Crypto.Secret.timestamp ~now in
-      let opt = function None -> "none" | Some s -> s in
       Alcotest.(check string)
         (Printf.sprintf "validating at t=%g" now)
-        (opt (Crypto.Secret.validating_secret fresh ~now ~ts))
-        (opt (Crypto.Secret.validating_secret cached ~now ~ts)))
+        (Crypto.Secret.validating_secret fresh ~now ~ts)
+        (Crypto.Secret.validating_secret cached ~now ~ts))
     times
 
 let suite =
@@ -458,6 +478,7 @@ let suite =
     Alcotest.test_case "secret high-bit selection" `Quick secret_high_bit_selects;
     Alcotest.test_case "secret retired after 2 epochs" `Quick secret_expires_after_two_epochs;
     Alcotest.test_case "timestamp modulo 256" `Quick secret_timestamp_is_modulo_256;
+    QCheck_alcotest.to_alcotest secret_clock_matches_floor;
     Alcotest.test_case "secret deterministic" `Quick secret_deterministic_from_master;
     Alcotest.test_case "secret epoch cache transparent" `Quick secret_epoch_cache_is_transparent;
     QCheck_alcotest.to_alcotest siphash_mac_matches_reference;

@@ -492,8 +492,11 @@ let rng_golden () =
   Alcotest.check i64 "bank bits64" 0x1bc52aeefc73fc07L (Rng.Bank.bits64 b 3);
   Alcotest.check fl "bank float" 0x1.59c1f2f83365cp-2 (Rng.Bank.float b 3 1.0)
 
-(* A draw allocates only its result: [float] boxes one double on the way
-   out, and [split] a 32-byte state block plus the SplitMix64 scratch. *)
+(* A draw allocates only what it returns: [float] inlines into its caller,
+   so its double stays unboxed and a draw allocates nothing, and [split]
+   allocates a 32-byte state block plus the SplitMix64 scratch.  The zero
+   pins the build: compiled with -opaque (dune's dev profile),
+   [Rng.float] is an out-of-line call that boxes its result. *)
 let rng_draw_words () =
   let r = Rng.create ~seed:5 in
   let n = 10_000 in
@@ -509,7 +512,11 @@ let rng_draw_words () =
   done;
   let per_split = (Gc.minor_words () -. w1) /. float_of_int n in
   ignore (Sys.opaque_identity !acc);
-  Alcotest.(check bool) (Printf.sprintf "float %.1f words <= 2" per_float) true (per_float <= 2.);
+  if per_float > 0. then
+    Alcotest.failf
+      "Rng.float allocates %.1f words/draw (budget 0): it was not inlined across modules. Was \
+       this built with -opaque, i.e. dune's dev profile? The root dune-workspace selects release."
+      per_float;
   Alcotest.(check bool) (Printf.sprintf "split %.1f words <= 40" per_split) true (per_split <= 40.)
 
 (* --- auxiliary (telemetry) events ---------------------------------------- *)

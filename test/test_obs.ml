@@ -164,7 +164,7 @@ let flow_cache_eviction_stats () =
   let insert i ~now =
     match
       Tva.Flow_cache.insert cache ~now ~src:(Wire.Addr.of_int (100 + i))
-        ~dst:(Wire.Addr.of_int 1) ~nonce:(Int64.of_int i) ~n_kb:10 ~t_sec:1 ~cap_ts:0
+        ~dst:(Wire.Addr.of_int 1) ~nonce:i ~n_kb:10 ~t_sec:1 ~cap_ts:0
         ~packet_bytes:100
     with
     | Tva.Flow_cache.Inserted _ -> true
@@ -191,7 +191,7 @@ let flow_cache_eviction_stats () =
   (* Explicit removal is not an eviction. *)
   (match
      Tva.Flow_cache.insert cache ~now:20. ~src:(Wire.Addr.of_int 200) ~dst:(Wire.Addr.of_int 1)
-       ~nonce:9L ~n_kb:10 ~t_sec:1 ~cap_ts:0 ~packet_bytes:100
+       ~nonce:9 ~n_kb:10 ~t_sec:1 ~cap_ts:0 ~packet_bytes:100
    with
   | Tva.Flow_cache.Inserted e -> Tva.Flow_cache.remove cache e
   | _ -> Alcotest.fail "insert into empty cache");

@@ -137,7 +137,7 @@ let path_id_ignores_regular () =
 let cache_charges_and_limits () =
   let cache = Tva.Flow_cache.create ~max_entries:16 () in
   match
-    Tva.Flow_cache.insert cache ~now:0. ~src ~dst ~nonce:1L ~n_kb:4 ~t_sec:10
+    Tva.Flow_cache.insert cache ~now:0. ~src ~dst ~nonce:1 ~n_kb:4 ~t_sec:10
       ~cap_ts:0 ~packet_bytes:1000
   with
   | Tva.Flow_cache.Inserted entry ->
@@ -154,14 +154,14 @@ let cache_charges_and_limits () =
 let cache_over_limit_first_packet () =
   let cache = Tva.Flow_cache.create ~max_entries:4 () in
   Alcotest.(check bool) "oversized first packet" true
-    (Tva.Flow_cache.insert cache ~now:0. ~src ~dst ~nonce:1L ~n_kb:1 ~t_sec:10 ~cap_ts:0
+    (Tva.Flow_cache.insert cache ~now:0. ~src ~dst ~nonce:1 ~n_kb:1 ~t_sec:10 ~cap_ts:0
        ~packet_bytes:2000
     = Tva.Flow_cache.Over_limit)
 
 let cache_ttl_reclaim () =
   let cache = Tva.Flow_cache.create ~max_entries:4 () in
   (match
-     Tva.Flow_cache.insert cache ~now:0. ~src ~dst ~nonce:1L ~n_kb:10 ~t_sec:10 ~cap_ts:0
+     Tva.Flow_cache.insert cache ~now:0. ~src ~dst ~nonce:1 ~n_kb:10 ~t_sec:10 ~cap_ts:0
        ~packet_bytes:1024
    with
   | Tva.Flow_cache.Inserted entry ->
@@ -175,7 +175,7 @@ let cache_ttl_reclaim () =
 let cache_bounded_size () =
   let cache = Tva.Flow_cache.create ~max_entries:2 () in
   let insert i =
-    Tva.Flow_cache.insert cache ~now:0. ~src:(Wire.Addr.of_int i) ~dst ~nonce:1L ~n_kb:10
+    Tva.Flow_cache.insert cache ~now:0. ~src:(Wire.Addr.of_int i) ~dst ~nonce:1 ~n_kb:10
       ~t_sec:10 ~cap_ts:0 ~packet_bytes:5120
   in
   (match insert 1 with Tva.Flow_cache.Inserted _ -> () | _ -> Alcotest.fail "1");
@@ -190,14 +190,14 @@ let cache_bounded_size () =
 let cache_full_reclaims_expired () =
   let cache = Tva.Flow_cache.create ~max_entries:1 () in
   (match
-     Tva.Flow_cache.insert cache ~now:0. ~src ~dst ~nonce:1L ~n_kb:10 ~t_sec:10 ~cap_ts:0
+     Tva.Flow_cache.insert cache ~now:0. ~src ~dst ~nonce:1 ~n_kb:10 ~t_sec:10 ~cap_ts:0
        ~packet_bytes:1024
    with
   | Tva.Flow_cache.Inserted _ -> ()
   | _ -> Alcotest.fail "insert");
   (* At t=2 the 1 s ttl has lapsed: insertion of a new flow evicts it. *)
   match
-    Tva.Flow_cache.insert cache ~now:2. ~src:(Wire.Addr.of_int 9) ~dst ~nonce:2L ~n_kb:10
+    Tva.Flow_cache.insert cache ~now:2. ~src:(Wire.Addr.of_int 9) ~dst ~nonce:2 ~n_kb:10
       ~t_sec:10 ~cap_ts:2 ~packet_bytes:1024
   with
   | Tva.Flow_cache.Inserted _ -> ()
@@ -206,18 +206,42 @@ let cache_full_reclaims_expired () =
 let cache_lookup_and_remove () =
   let cache = Tva.Flow_cache.create ~max_entries:4 () in
   (match
-     Tva.Flow_cache.insert cache ~now:0. ~src ~dst ~nonce:7L ~n_kb:10 ~t_sec:10 ~cap_ts:0
+     Tva.Flow_cache.insert cache ~now:0. ~src ~dst ~nonce:7 ~n_kb:10 ~t_sec:10 ~cap_ts:0
        ~packet_bytes:100
    with
   | Tva.Flow_cache.Inserted entry ->
-      (match Tva.Flow_cache.lookup cache ~src ~dst with
-      | Some e -> Alcotest.(check bool) "lookup hits" true (e == entry)
-      | None -> Alcotest.fail "lookup missed");
+      Alcotest.(check bool) "lookup hits" true (Tva.Flow_cache.find cache ~src ~dst == entry);
       Alcotest.(check bool) "reverse direction is a different flow" true
-        (Tva.Flow_cache.lookup cache ~src:dst ~dst:src = None);
+        (Tva.Flow_cache.find cache ~src:dst ~dst:src == Tva.Flow_cache.absent);
       Tva.Flow_cache.remove cache entry;
-      Alcotest.(check bool) "gone" true (Tva.Flow_cache.lookup cache ~src ~dst = None)
+      Alcotest.(check bool) "gone" true
+        (Tva.Flow_cache.find cache ~src ~dst == Tva.Flow_cache.absent)
   | _ -> Alcotest.fail "insert failed")
+
+(* [find]'s miss result is one shared sentinel record.  A caller that
+   skips the [== absent] test must get an exception from every record
+   operation, and the sentinel must come out unchanged. *)
+let cache_miss_sentinel () =
+  let cache = Tva.Flow_cache.create ~max_entries:4 () in
+  let a = Tva.Flow_cache.find cache ~src ~dst in
+  Alcotest.(check bool) "miss is absent" true (a == Tva.Flow_cache.absent);
+  let fields (e : Tva.Flow_cache.entry) =
+    [ e.nonce; e.n_bytes; e.t_sec; e.cap_ts; e.bytes_used; e.slot ]
+  in
+  let before = fields a in
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s on absent did not raise" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "charge" (fun () -> ignore (Tva.Flow_cache.charge cache a ~now:0. ~bytes:0));
+  raises "renew" (fun () ->
+      ignore
+        (Tva.Flow_cache.renew cache a ~now:0. ~nonce:5 ~n_kb:10 ~t_sec:10 ~cap_ts:3
+           ~packet_bytes:100));
+  raises "ttl_remaining" (fun () -> ignore (Tva.Flow_cache.ttl_remaining cache a ~now:0.));
+  Alcotest.(check (list int)) "sentinel untouched" before (fields a);
+  Alcotest.(check int) "nothing cached" 0 (Tva.Flow_cache.size cache)
 
 (* A full cache under churn must not rehash its whole table on every
    insert.  The growth rule used to let [live] sit at exactly half the
@@ -228,7 +252,7 @@ let cache_churn_allocation () =
   let budget = 2048. and inserts = 2000 in
   let insert cache i ~now ~packet_bytes =
     match
-      Tva.Flow_cache.insert cache ~now ~src:(Wire.Addr.of_int i) ~dst ~nonce:1L ~n_kb:1 ~t_sec:10
+      Tva.Flow_cache.insert cache ~now ~src:(Wire.Addr.of_int i) ~dst ~nonce:1 ~n_kb:1 ~t_sec:10
         ~cap_ts:0 ~packet_bytes
     with
     | Tva.Flow_cache.Inserted e -> e
@@ -268,17 +292,17 @@ let cache_churn_allocation () =
 let cache_renew_resets_budget () =
   let cache = Tva.Flow_cache.create ~max_entries:4 () in
   match
-    Tva.Flow_cache.insert cache ~now:0. ~src ~dst ~nonce:1L ~n_kb:4 ~t_sec:10 ~cap_ts:0
+    Tva.Flow_cache.insert cache ~now:0. ~src ~dst ~nonce:1 ~n_kb:4 ~t_sec:10 ~cap_ts:0
       ~packet_bytes:4000
   with
   | Tva.Flow_cache.Inserted entry ->
       Alcotest.(check bool) "old budget nearly spent" true
         (Tva.Flow_cache.charge cache entry ~now:0.1 ~bytes:1000 = Tva.Flow_cache.Byte_limit);
       Alcotest.(check bool) "renewal accepted" true
-        (Tva.Flow_cache.renew cache entry ~now:0.2 ~nonce:2L ~n_kb:4 ~t_sec:10 ~cap_ts:0
+        (Tva.Flow_cache.renew cache entry ~now:0.2 ~nonce:2 ~n_kb:4 ~t_sec:10 ~cap_ts:0
            ~packet_bytes:1000
         = Tva.Flow_cache.Charged);
-      Alcotest.(check int64) "new nonce" 2L entry.Tva.Flow_cache.nonce;
+      Alcotest.(check int) "new nonce" 2 entry.Tva.Flow_cache.nonce;
       Alcotest.(check int) "budget restarted" 1000 entry.Tva.Flow_cache.bytes_used
   | _ -> Alcotest.fail "insert failed"
 
@@ -306,20 +330,20 @@ let two_n_byte_bound =
         (fun (now, ev) ->
           match ev with
           | `Send size -> begin
-              match Tva.Flow_cache.lookup cache ~src ~dst with
-              | Some entry -> begin
-                  match Tva.Flow_cache.charge cache entry ~now ~bytes:size with
-                  | Tva.Flow_cache.Charged -> accepted := !accepted + size
-                  | Tva.Flow_cache.Byte_limit -> ()
-                end
-              | None -> begin
-                  match
-                    Tva.Flow_cache.insert cache ~now ~src ~dst ~nonce:1L ~n_kb ~t_sec ~cap_ts:0
-                      ~packet_bytes:size
-                  with
-                  | Tva.Flow_cache.Inserted _ -> accepted := !accepted + size
-                  | Tva.Flow_cache.Cache_full | Tva.Flow_cache.Over_limit -> ()
-                end
+              let entry = Tva.Flow_cache.find cache ~src ~dst in
+              if entry != Tva.Flow_cache.absent then begin
+                match Tva.Flow_cache.charge cache entry ~now ~bytes:size with
+                | Tva.Flow_cache.Charged -> accepted := !accepted + size
+                | Tva.Flow_cache.Byte_limit -> ()
+              end
+              else begin
+                match
+                  Tva.Flow_cache.insert cache ~now ~src ~dst ~nonce:1 ~n_kb ~t_sec ~cap_ts:0
+                    ~packet_bytes:size
+                with
+                | Tva.Flow_cache.Inserted _ -> accepted := !accepted + size
+                | Tva.Flow_cache.Cache_full | Tva.Flow_cache.Over_limit -> ()
+              end
             end
           | `Evict ->
               (* The router may reclaim any record whose ttl has lapsed —
@@ -339,20 +363,20 @@ let no_eviction_means_exactly_n =
       List.iter
         (fun size ->
           now := !now +. 0.001;
-          match Tva.Flow_cache.lookup cache ~src ~dst with
-          | Some entry -> begin
-              match Tva.Flow_cache.charge cache entry ~now:!now ~bytes:size with
-              | Tva.Flow_cache.Charged -> accepted := !accepted + size
-              | Tva.Flow_cache.Byte_limit -> ()
-            end
-          | None -> begin
-              match
-                Tva.Flow_cache.insert cache ~now:!now ~src ~dst ~nonce:1L ~n_kb ~t_sec:10
-                  ~cap_ts:0 ~packet_bytes:size
-              with
-              | Tva.Flow_cache.Inserted _ -> accepted := !accepted + size
-              | Tva.Flow_cache.Cache_full | Tva.Flow_cache.Over_limit -> ()
-            end)
+          let entry = Tva.Flow_cache.find cache ~src ~dst in
+          if entry != Tva.Flow_cache.absent then begin
+            match Tva.Flow_cache.charge cache entry ~now:!now ~bytes:size with
+            | Tva.Flow_cache.Charged -> accepted := !accepted + size
+            | Tva.Flow_cache.Byte_limit -> ()
+          end
+          else begin
+            match
+              Tva.Flow_cache.insert cache ~now:!now ~src ~dst ~nonce:1 ~n_kb ~t_sec:10 ~cap_ts:0
+                ~packet_bytes:size
+            with
+            | Tva.Flow_cache.Inserted _ -> accepted := !accepted + size
+            | Tva.Flow_cache.Cache_full | Tva.Flow_cache.Over_limit -> ()
+          end)
         sizes;
       !accepted <= n_kb * 1024)
 
@@ -551,9 +575,14 @@ let router_two_rotations_distinct () =
 
 (* Regression guard for the zero-allocation hot path: a nonce-only packet
    hitting the flow cache must stay within the same minor-words budget the
-   pps benchmark enforces (bench/pps_bench.ml). *)
+   pps benchmark enforces (bench/pps_bench.ml).  The three router budgets
+   are the measured words plus one, less than the smallest heap block, so
+   any new allocation on a path fails them: cached 0; validate 6 (the two
+   boxed hash results); request 12 (the pre-capability, its boxed hash and
+   two list cells).  Built with the dev profile's -opaque, validate and
+   request read 24 and 21. *)
 let router_cached_path_allocation_budget () =
-  let budget = 12. in
+  let budget = 1. in
   let sim = Sim.create () in
   let router = make_router sim in
   let mk = granted_regular sim router ~n_kb:1023 ~t_sec:32 ~nonce:14L in
@@ -583,7 +612,7 @@ let router_cached_path_allocation_budget () =
    Alternating two nonces against one flow-cache entry forces every packet
    through full validation, as in bench/pps_bench.ml. *)
 let router_validate_path_allocation_budget () =
-  let budget = 42. in
+  let budget = 7. in
   let sim = Sim.create () in
   let router = make_router sim in
   let mk_a = granted_regular sim router ~n_kb:1023 ~t_sec:32 ~nonce:15L in
@@ -614,7 +643,7 @@ let router_validate_path_allocation_budget () =
 (* And for the request path (path-id tag + pre-capability mint).  The shim's
    accumulated lists are rewound in place so only the router's work counts. *)
 let router_request_path_allocation_budget () =
-  let budget = 24. in
+  let budget = 13. in
   let sim = Sim.create () in
   let router = make_router sim in
   let p = request_packet () in
@@ -888,6 +917,7 @@ let suite =
     Alcotest.test_case "cache bounded" `Quick cache_bounded_size;
     Alcotest.test_case "cache full reclaims" `Quick cache_full_reclaims_expired;
     Alcotest.test_case "cache lookup/remove" `Quick cache_lookup_and_remove;
+    Alcotest.test_case "cache miss sentinel" `Quick cache_miss_sentinel;
     Alcotest.test_case "cache renew" `Quick cache_renew_resets_budget;
     Alcotest.test_case "cache churn allocation" `Quick cache_churn_allocation;
     QCheck_alcotest.to_alcotest two_n_byte_bound;
