@@ -1,4 +1,5 @@
-(* One event queue: a 4-ary min-heap keyed by (time, seq).
+(* One event queue: a binary min-heap of one-off events keyed by (time,
+   seq), merged at fire time with the heads of the constant-delay lanes.
 
    The sequence number breaks ties in scheduling order so that behaviour
    never depends on heap internals.  Cancellation marks the event and lets
@@ -18,10 +19,12 @@
 
    A constant-delay lane is a FIFO of events that each fire exactly the
    lane's [delay] after they were scheduled.  Its keys are nondecreasing
-   (the clock never goes back), so only the lane's head sits in the heap,
-   under the negative slot [-(lane index + 1)].  Firing the head writes
-   the lane's next key over the root and sifts it down — one shallow sift
-   instead of a pop and a push, since the next key is usually close. *)
+   (the clock never goes back), so its head is its earliest event and the
+   lane never enters the heap.  The loop fires whichever comes first by
+   (time, seq): the heap root or the earliest lane head, found by a scan
+   over the lanes.  [Net] makes one lane per distinct link delay, so the
+   scan reads one or two lanes, and a delivery costs a ring write and a
+   ring read instead of a heap push and pop. *)
 
 (* Scheduling-site tags for the event-loop profiler.  A kind is one int
    per event slot, read only when a probe is attached, so tagging costs
@@ -68,7 +71,7 @@ type probe = { pr_clock : unit -> float; pr_hit : kind:int -> dt:float -> unit }
 type sched = Heap | Wheel
 
 type t = {
-  (* The heap, in heap order.  A slot [< 0] is lane [-(slot + 1)]'s head. *)
+  (* The heap of one-off events, in heap order. *)
   mutable times : float array;
   mutable seqs : int array;
   mutable slots : int array;
@@ -97,7 +100,6 @@ type t = {
    slot, a fired entry keeps its callback until the ring reuses it. *)
 and lane = {
   owner : t;
-  tag : int; (* the lane's heap slot, [-(index + 1)] *)
   delay : float;
   lkind : int;
   mutable l_times : float array; (* capacity 0 or a power of two *)
@@ -163,8 +165,10 @@ let grow t =
   t.slot_seq <- extend t.slot_seq vacant;
   t.free <- extend t.free 0
 
-(* The sift loops index only heap positions below [size], which never
-   exceeds the arrays' length, so they skip the bounds checks. *)
+(* The heap is indexed only at positions below [size], which never
+   exceeds the arrays' length, the per-slot arrays only at slots below
+   [nslots], and a lane's ring only at its head while it is non-empty, so
+   these accesses skip the bounds checks. *)
 external get : 'a array -> int -> 'a = "%array_unsafe_get"
 external set : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 
@@ -174,7 +178,7 @@ let sift_up t i =
   let time = get times i and seq = get seqs i and slot = get slots i in
   let i = ref i and continue = ref true in
   while !continue && !i > 0 do
-    let parent = (!i - 1) / 4 in
+    let parent = (!i - 1) / 2 in
     let pt = get times parent in
     if time < pt || (time = pt && seq < get seqs parent) then begin
       set times !i pt;
@@ -188,21 +192,11 @@ let sift_up t i =
   set seqs !i seq;
   set slots !i slot
 
-(* Add the key [(time, seq)] for [slot] to the heap.  Inlined, so the
-   time goes straight into the unboxed [times] array and [schedule]'s
-   [now + delay] is never boxed. *)
-let[@inline] push_key t ~time ~seq slot =
-  if t.size = Array.length t.times then grow t;
-  let i = t.size in
-  t.size <- i + 1;
-  t.times.(i) <- time;
-  t.seqs.(i) <- seq;
-  t.slots.(i) <- slot;
-  sift_up t i
-
 (* Queue an event under a key that is already counted in [live]; returns
    its slot.  Every slot in use holds a distinct heap entry, so [nslots]
-   never outgrows the per-slot arrays, which grow with the heap's. *)
+   never outgrows the per-slot arrays, which grow with the heap's.
+   Inlined, so the time goes straight into the unboxed [times] array and
+   [schedule]'s [now + delay] is never boxed. *)
 let[@inline] push t ~time ~seq ~kind action =
   if t.size = Array.length t.times then grow t;
   let slot =
@@ -220,59 +214,56 @@ let[@inline] push t ~time ~seq ~kind action =
   t.actions.(slot) <- action;
   t.kinds.(slot) <- kind;
   t.slot_seq.(slot) <- seq;
-  push_key t ~time ~seq slot;
+  let i = t.size in
+  t.size <- i + 1;
+  t.times.(i) <- time;
+  t.seqs.(i) <- seq;
+  t.slots.(i) <- slot;
+  sift_up t i;
   slot
 
-(* Fill the hole at the root with the key at heap index [src] — the root
-   itself after its key grew, or the entry just past the shrunk end — and
-   sift it down, pulling the earliest of up to four children up one level
-   each step.  The key is read from the arrays here, not passed in, so the
-   float is never boxed. *)
-let sift_down t src =
-  let times = t.times and seqs = t.seqs and slots = t.slots in
-  let n = t.size in
-  let time = get times src and seq = get seqs src and slot = get slots src in
-  let i = ref 0 and continue = ref true in
-  while !continue do
-    let first = (4 * !i) + 1 in
-    if first >= n then continue := false
-    else begin
-      let last = if first + 3 < n then first + 3 else n - 1 in
-      let best = ref first in
-      for c = first + 1 to last do
-        let tc = get times c and tb = get times !best in
-        if tc < tb || (tc = tb && get seqs c < get seqs !best) then best := c
-      done;
-      let b = !best in
-      let tb = get times b in
-      if time < tb || (time = tb && seq < get seqs b) then continue := false
-      else begin
-        set times !i tb;
-        set seqs !i (get seqs b);
-        set slots !i (get slots b);
-        i := b
-      end
-    end
-  done;
-  set times !i time;
-  set seqs !i seq;
-  set slots !i slot
-
-(* Drop the root's heap entry. *)
-let remove_root t =
-  let n = t.size - 1 in
-  t.size <- n;
-  if n > 0 then sift_down t n
-
-(* Remove the root and free its slot.  The slot keeps its action until it
-   is reused, so the arrays retain at most the high-water mark of closures
+(* Remove the root and free its slot: fill the hole at the root with the
+   last entry and sift it down, pulling the earlier of the two children up
+   one level each step.  The key is read from the arrays here, not passed
+   in, so the float is never boxed.  The slot keeps its action until it is
+   reused, so the arrays retain at most the high-water mark of closures
    and never an unbounded history. *)
 let pop t =
-  let freed = t.slots.(0) in
-  t.slot_seq.(freed) <- vacant;
-  t.free.(t.nfree) <- freed;
+  let freed = get t.slots 0 in
+  set t.slot_seq freed vacant;
+  set t.free t.nfree freed;
   t.nfree <- t.nfree + 1;
-  remove_root t
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then begin
+    let times = t.times and seqs = t.seqs and slots = t.slots in
+    let time = get times n and seq = get seqs n and slot = get slots n in
+    let i = ref 0 and continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        let r = l + 1 in
+        let b =
+          if r < n then
+            let tl = get times l and tr = get times r in
+            if tr < tl || (tr = tl && get seqs r < get seqs l) then r else l
+          else l
+        in
+        let tb = get times b in
+        if time < tb || (time = tb && seq < get seqs b) then continue := false
+        else begin
+          set times !i tb;
+          set seqs !i (get seqs b);
+          set slots !i (get slots b);
+          i := b
+        end
+      end
+    done;
+    set times !i time;
+    set seqs !i seq;
+    set slots !i slot
+  end
 
 (* --- Scheduling ------------------------------------------------------------ *)
 
@@ -332,7 +323,6 @@ let lane ?(kind = Kind.other) t ~delay =
   let ln =
     {
       owner = t;
-      tag = -(t.nlanes + 1);
       delay;
       lkind = kind;
       l_times = [||];
@@ -370,7 +360,7 @@ let lane_grow ln =
   ln.l_head <- 0
 
 (* The key is exactly [schedule ~delay]'s: the next normal seq and
-   [now + delay].  Only an empty lane's first entry touches the heap. *)
+   [now + delay]. *)
 let lane_schedule ln action =
   let t = ln.owner in
   let seq = take_seq t in
@@ -381,8 +371,7 @@ let lane_schedule ln action =
   ln.l_times.(i) <- time;
   ln.l_seqs.(i) <- seq;
   ln.l_actions.(i) <- action;
-  ln.l_len <- len + 1;
-  if len = 0 then push_key t ~time ~seq ln.tag
+  ln.l_len <- len + 1
 
 (* --- Cancellation ---------------------------------------------------------- *)
 
@@ -406,61 +395,88 @@ let probed pr ~kind action =
 (* Fire the root event, whose slot holds an uncancelled action.  The slot
    is freed before the action runs, so the action may reuse it. *)
 let[@inline] fire t slot =
-  let action = t.actions.(slot) in
-  t.clock <- t.times.(0);
+  let action = get t.actions slot in
+  t.clock <- get t.times 0;
   pop t;
   t.live <- t.live - 1;
   t.fired <- t.fired + 1;
   match t.probe with None -> action () | Some pr -> probed pr ~kind:t.kinds.(slot) action
 
-(* Fire the head of the lane whose tag is at the root: its next entry, if
-   any, takes over the root's heap entry. *)
-let fire_lane t tag =
-  let ln = get t.lanes (-tag - 1) in
-  t.clock <- t.times.(0);
+(* Fire the head of a non-empty lane. *)
+let fire_lane t ln =
   let i = ln.l_head in
-  let action = ln.l_actions.(i) in
-  let h = (i + 1) land (Array.length ln.l_actions - 1) in
-  let n = ln.l_len - 1 in
-  ln.l_head <- h;
-  ln.l_len <- n;
-  if n > 0 then begin
-    t.times.(0) <- ln.l_times.(h);
-    t.seqs.(0) <- ln.l_seqs.(h);
-    sift_down t 0
-  end
-  else remove_root t;
+  let action = get ln.l_actions i in
+  t.clock <- get ln.l_times i;
+  ln.l_head <- (i + 1) land (Array.length ln.l_actions - 1);
+  ln.l_len <- ln.l_len - 1;
   t.live <- t.live - 1;
   t.fired <- t.fired + 1;
   match t.probe with None -> action () | Some pr -> probed pr ~kind:ln.lkind action
 
-let rec step t =
-  t.size > 0
-  &&
-  let slot = t.slots.(0) in
-  if slot >= 0 && t.actions.(slot) == cancelled_action then begin
+(* What fires next: [root] for the heap's root, a lane index for that
+   lane's head, [none] when nothing is queued.  Cancelled events are
+   dropped from the root first (lanes hold none), then the root and the
+   non-empty lanes' heads are compared by (time, seq) in one scan.  The
+   comparisons are spelled out: a helper taking the times as arguments
+   would box them. *)
+let root = -1
+let none = -2
+
+let rec next t =
+  if t.size > 0 && get t.actions (get t.slots 0) == cancelled_action then begin
     pop t;
-    step t
+    next t
   end
   else begin
-    if slot < 0 then fire_lane t slot else fire t slot;
-    true
+    let lanes = t.lanes in
+    let best = ref (if t.size > 0 then root else none) in
+    for k = 0 to t.nlanes - 1 do
+      let ln = get lanes k in
+      if ln.l_len > 0 then begin
+        let h = ln.l_head in
+        let time = get ln.l_times h and seq = get ln.l_seqs h in
+        let b = !best in
+        if b = none then best := k
+        else if b = root then begin
+          let tr = get t.times 0 in
+          if time < tr || (time = tr && seq < get t.seqs 0) then best := k
+        end
+        else begin
+          let bl = get lanes b in
+          let bh = bl.l_head in
+          let tb = get bl.l_times bh in
+          if time < tb || (time = tb && seq < get bl.l_seqs bh) then best := k
+        end
+      end
+    done;
+    !best
   end
+
+let step t =
+  let k = next t in
+  if k = root then fire t (get t.slots 0) else if k >= 0 then fire_lane t (get t.lanes k);
+  k <> none
 
 let run ?until t =
   t.stopping <- false;
   let horizon = match until with Some h -> h | None -> infinity in
   let rec loop () =
-    if (not t.stopping) && t.size > 0 then begin
-      let slot = t.slots.(0) in
-      if slot >= 0 && t.actions.(slot) == cancelled_action then begin
-        pop t;
-        loop ()
+    if not t.stopping then begin
+      let k = next t in
+      if k = root then begin
+        if get t.times 0 > horizon then t.clock <- horizon
+        else begin
+          fire t (get t.slots 0);
+          loop ()
+        end
       end
-      else if t.times.(0) > horizon then t.clock <- horizon
-      else begin
-        if slot < 0 then fire_lane t slot else fire t slot;
-        loop ()
+      else if k >= 0 then begin
+        let ln = get t.lanes k in
+        if get ln.l_times ln.l_head > horizon then t.clock <- horizon
+        else begin
+          fire_lane t ln;
+          loop ()
+        end
       end
     end
   in

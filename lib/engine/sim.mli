@@ -5,17 +5,20 @@
     makes runs deterministic.  All network components (links, hosts,
     routers) hang their behaviour off this module.
 
-    The queue is one 4-ary min-heap keyed by [(time, seq)] whose sift loops
-    move only unboxed keys; a scheduled event allocates no record.  Plain
-    scheduling returns [unit]; only {!timer}/{!timer_at} return a
-    cancellable {!handle}.
+    One-off events sit in one binary min-heap keyed by [(time, seq)] whose
+    sift loops move only unboxed keys; a scheduled event allocates no
+    record.  Plain scheduling returns [unit]; only {!timer}/{!timer_at}
+    return a cancellable {!handle}.
 
     A constant-delay {!lane} is a FIFO of events that each fire exactly
     the lane's delay after they were scheduled, under the key {!schedule}
-    would give them.  Only the lane's head occupies the heap: firing it
-    re-keys the root with the lane's next entry instead of a pop and a
-    push.  Link propagation is the client: a link delivers in FIFO order
-    after a constant delay. *)
+    would give them.  Lanes stay out of the heap: each event, the loop
+    fires whichever comes first by [(time, seq)], the heap's root or the
+    earliest lane head, found by a scan over every lane.  The scan is
+    linear in the number of lanes, so lanes are for a few long-lived
+    delays, not one per event source.  Link propagation is the client: a
+    link delivers in FIFO order after a constant delay, and [Net] makes
+    one lane per distinct link delay (one or two per topology). *)
 
 type t
 
@@ -102,7 +105,8 @@ val lane : ?kind:int -> t -> delay:float -> lane
 (** A new, empty lane whose events fire [delay] seconds after they are
     scheduled.  Raises [Invalid_argument] unless [delay >= 0] (so also on
     NaN).  [kind] (default {!Kind.other}) tags all its events for the
-    profiler {!probe}.  A lane lives as long as its simulator. *)
+    profiler {!probe}.  A lane lives as long as its simulator, and each
+    lane adds one comparison to the scan before every fire. *)
 
 val lane_delay : lane -> float
 (** The delay the lane was made with. *)
@@ -113,8 +117,8 @@ val lane_schedule : lane -> (unit -> unit) -> unit
     [(time, seq)] key, {!pending} and {!events_processed} are exactly
     what {!schedule} would give, and events on a lane interleave with
     every other event in key order.  Since {!now} never decreases, a
-    lane's keys are nondecreasing, and the event costs the heap nothing
-    unless the lane was empty. *)
+    lane's keys are nondecreasing, so the event is a ring write and never
+    touches the heap. *)
 
 val schedule_aux : ?kind:int -> t -> time:float -> (unit -> unit) -> unit
 (** Fire the callback at absolute virtual [time], drawing from a separate

@@ -119,7 +119,7 @@ let heap_survives_many_events =
       let fired = List.rev !fired in
       List.sort compare times = fired)
 
-(* Guards the 4-ary heap: 10k random schedule/cancel/step operations, then
+(* Guards the binary heap: 10k random schedule/cancel/step operations, then
    a full drain, asserting every fired event is nondecreasing in (time,
    creation order) — creation order equals the heap's tie-breaking [seq]. *)
 let heap_order_under_random_schedule_cancel =
@@ -269,16 +269,24 @@ let print_cmd = function
   | Step -> "Step"
   | Until d -> Printf.sprintf "Until %h" d
 
-(* A script and its one to three lane delays, shrinkable as a command
+(* A script and its one to sixteen lane delays, shrinkable as a command
    list.  Lane delays are often [0.] or shared with the script's own
-   delays, so lane entries tie with plain events. *)
+   delays, so lane heads tie with plain events and with each other, and
+   half the scripts repeat their first lane's delay on a last lane, so two
+   lanes share one delay. *)
 let script_arb ~len delay_gen =
   let open QCheck in
   let chain = Gen.(map (fun n -> n = 0) (int_bound 4)) in
+  let lane_delays =
+    Gen.(
+      map2
+        (fun ds twin -> if twin then ds @ [ List.hd ds ] else ds)
+        (list_size (int_range 1 15) (frequency [ (1, oneofl [ 0.; 0.5; 3e-7 ]); (1, delay_gen) ]))
+        bool)
+  in
   let gen =
     Gen.(
-      pair
-        (list_size (int_range 1 3) (frequency [ (1, oneofl [ 0.; 0.5; 3e-7 ]); (1, delay_gen) ]))
+      pair lane_delays
         (list_size (int_range 1 len)
            (frequency
               [
@@ -286,7 +294,7 @@ let script_arb ~len delay_gen =
                 (3, map (fun d -> Timer d) delay_gen);
                 (1, map2 (fun n d -> Burst (n, d)) (int_range 2 12) delay_gen);
                 (1, map (fun d -> Aux d) delay_gen);
-                (3, map2 (fun i c -> Lane (i, c)) (int_bound 2) chain);
+                (3, map2 (fun i c -> Lane (i, c)) (int_bound 15) chain);
                 (2, map (fun i -> Cancel i) (int_bound 1_000_000));
                 (3, return Step);
                 (1, map (fun d -> Until d) delay_gen);
@@ -603,6 +611,90 @@ let lane_contract () =
   Alcotest.(check int) "fired" 4 (Sim.events_processed sim);
   Alcotest.(check int) "drained" 0 (Sim.pending sim)
 
+(* Lane heads merged with the heap: a lane head that comes first by
+   (time, seq) fires first under [step] and under [run ~until], before a
+   heap event at the same time with a later seq and across two lanes with
+   one delay; a head past the horizon stops [run ~until] at the horizon
+   whether or not the heap still holds a later event. *)
+let lane_head_first () =
+  let sim = Sim.create () in
+  let a = Sim.lane sim ~delay:1. and b = Sim.lane sim ~delay:1. and c = Sim.lane sim ~delay:5. in
+  let log = ref [] in
+  let note name () = log := name :: !log in
+  let fired () = List.rev !log in
+  Sim.schedule_at sim ~time:2. (note "h2");
+  Sim.lane_schedule b (note "b1");
+  Sim.lane_schedule a (note "a1");
+  Sim.schedule_at sim ~time:1. (note "h1");
+  Sim.lane_schedule b (note "b1'");
+  Sim.lane_schedule c (note "c5");
+  Sim.schedule_at sim ~time:7. (note "h7");
+  List.iter (fun _ -> Alcotest.(check bool) "step" true (Sim.step sim)) [ 1; 2; 3; 4 ];
+  Alcotest.(check (list string)) "steps by (time, seq)" [ "b1"; "a1"; "h1"; "b1'" ] (fired ());
+  Alcotest.(check (float 0.)) "clock after steps" 1. (Sim.now sim);
+  Sim.run ~until:4. sim;
+  Alcotest.(check (list string)) "head past the horizon waits" [ "b1"; "a1"; "h1"; "b1'"; "h2" ] (fired ());
+  Alcotest.(check (float 0.)) "clock at the horizon" 4. (Sim.now sim);
+  Alcotest.(check int) "head and heap event pending" 2 (Sim.pending sim);
+  Sim.run ~until:6. sim;
+  Alcotest.(check (list string)) "head before the heap root" [ "b1"; "a1"; "h1"; "b1'"; "h2"; "c5" ] (fired ());
+  Alcotest.(check (float 0.)) "clock at the second horizon" 6. (Sim.now sim);
+  Sim.lane_schedule c (note "c11");
+  Sim.run ~until:10. sim;
+  Alcotest.(check (float 0.)) "head past the horizon, heap empty" 10. (Sim.now sim);
+  Alcotest.(check int) "the head is still pending" 1 (Sim.pending sim);
+  Alcotest.(check bool) "last step" true (Sim.step sim);
+  Alcotest.(check bool) "drained" false (Sim.step sim);
+  Alcotest.(check (list string))
+    "all fired" [ "b1"; "a1"; "h1"; "b1'"; "h2"; "c5"; "h7"; "c11" ] (fired ());
+  Alcotest.(check (float 0.)) "clock at the last head" 11. (Sim.now sim);
+  Alcotest.(check int) "events" 8 (Sim.events_processed sim)
+
+(* What the scheduler allocates per event, in a steady chain of 64
+   pending events that each reschedule themselves: a lane event and a
+   [schedule_at] event allocate only the boxed clock written at each fire
+   (2 words), and [schedule_at] also its boxed [time] argument (2 words).
+   A far-off heap event and a far-off lane entry stay pending throughout,
+   so every fire compares the chain's next event with a heap root and
+   with another lane's head.  Measured at these values before lanes left
+   the heap; any change moves where minor collections fall in every run,
+   so the budgets are exact (the 0.01 is the runs' one-off loop closures,
+   spread over 100k events). *)
+let scheduler_minor_words () =
+  let words_per_event make =
+    let sim = Sim.create () in
+    Sim.schedule_at sim ~time:1e9 ignore;
+    Sim.lane_schedule (Sim.lane sim ~delay:1e9) ignore;
+    let schedule = make sim in
+    let left = ref 0 in
+    let rec fire () =
+      if !left > 0 then begin
+        decr left;
+        schedule fire
+      end
+    in
+    let go n =
+      left := n;
+      for _ = 1 to 64 do
+        schedule fire
+      done;
+      Sim.run ~until:(Sim.now sim +. 1e6) sim
+    in
+    go 10_000;
+    let n = 100_000 in
+    let w0 = Gc.minor_words () in
+    go n;
+    let words = (Gc.minor_words () -. w0) /. float_of_int (n + 64) in
+    Alcotest.(check int) "bystanders still pending" 2 (Sim.pending sim);
+    words
+  in
+  let lane = words_per_event (fun sim -> Sim.lane_schedule (Sim.lane sim ~delay:1e-3)) in
+  let at =
+    words_per_event (fun sim f -> Sim.schedule_at sim ~time:(Sim.now sim +. 1e-3) f)
+  in
+  Alcotest.(check bool) (Printf.sprintf "lane %.3f words/event <= 2" lane) true (lane <= 2.01);
+  Alcotest.(check bool) (Printf.sprintf "schedule_at %.3f words/event <= 4" at) true (at <= 4.01)
+
 (* The cancelled sentinel: [cancelled] is false while queued and true once
    cancelled or fired; a second cancel, or a cancel after firing, changes
    neither [pending] nor what fires. *)
@@ -657,6 +749,8 @@ let suite =
       aux_fires_first_and_does_not_perturb;
     Alcotest.test_case "aux chain observes cut" `Quick aux_chain_observes_cut;
     Alcotest.test_case "lane contract" `Quick lane_contract;
+    Alcotest.test_case "lane head first" `Quick lane_head_first;
+    Alcotest.test_case "scheduler minor words" `Quick scheduler_minor_words;
     Alcotest.test_case "cancel sentinel" `Quick cancel_sentinel_semantics;
     Alcotest.test_case "rng deterministic" `Quick rng_deterministic;
     Alcotest.test_case "rng seeds differ" `Quick rng_seeds_differ;
