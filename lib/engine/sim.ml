@@ -20,11 +20,16 @@
    A constant-delay lane is a FIFO of events that each fire exactly the
    lane's [delay] after they were scheduled.  Its keys are nondecreasing
    (the clock never goes back), so its head is its earliest event and the
-   lane never enters the heap.  The loop fires whichever comes first by
-   (time, seq): the heap root or the earliest lane head, found by a scan
-   over the lanes.  [Net] makes one lane per distinct link delay, so the
-   scan reads one or two lanes, and a delivery costs a ring write and a
-   ring read instead of a heap push and pop. *)
+   lane never enters the event heap.  The non-empty lanes sit in a second
+   binary heap, keyed by their heads' (time, seq) in the same unboxed
+   layout, with the lane's id in place of the slot: a lane enters it when
+   it turns non-empty, and firing a head re-keys the root or removes it.
+   The loop fires whichever of the two roots comes first.  [Net] puts
+   every link delivery on a lane per distinct link delay and every
+   transmit completion on a lane per distinct serialization time, a few
+   dozen lanes at most, so an event on a lane costs a ring write, a ring
+   read and a sift through that small heap (under one level on average)
+   instead of a push and pop through the event heap. *)
 
 (* Scheduling-site tags for the event-loop profiler.  A kind is one int
    per event slot, read only when a probe is attached, so tagging costs
@@ -83,8 +88,14 @@ type t = {
   mutable free : int array; (* popped slots, a stack of [nfree] *)
   mutable nfree : int;
   mutable nslots : int; (* slots ever handed out: [0, nslots) *)
-  mutable lanes : lane array; (* the first [nlanes] are live *)
+  mutable lanes : lane array; (* every lane made, by id: the first [nlanes] *)
   mutable nlanes : int;
+  (* The lane heap: the non-empty lanes by their heads' keys, in heap
+     order; [lh_ids] holds lane ids.  Its arrays have [lanes]' length. *)
+  mutable lh_times : float array;
+  mutable lh_seqs : int array;
+  mutable lh_ids : int array;
+  mutable lh_size : int;
   mutable clock : float;
   mutable next_seq : int;
   mutable aux_seq : int; (* negative, descending: auxiliary (telemetry) events *)
@@ -100,6 +111,7 @@ type t = {
    slot, a fired entry keeps its callback until the ring reuses it. *)
 and lane = {
   owner : t;
+  id : int; (* index in [owner.lanes] *)
   delay : float;
   lkind : int;
   mutable l_times : float array; (* capacity 0 or a power of two *)
@@ -130,6 +142,10 @@ let create ?(seed = 1) ?sched:_ () =
     nslots = 0;
     lanes = [||];
     nlanes = 0;
+    lh_times = [||];
+    lh_seqs = [||];
+    lh_ids = [||];
+    lh_size = 0;
     clock = 0.;
     next_seq = 0;
     aux_seq = -1;
@@ -148,7 +164,79 @@ let pending t = t.live
 let events_processed t = t.fired
 let set_probe t probe = t.probe <- probe
 
-(* --- The heap ------------------------------------------------------------ *)
+(* --- The heaps ------------------------------------------------------------ *)
+
+(* A heap is indexed only at positions below its size, which never
+   exceeds its arrays' length, the per-slot arrays only at slots below
+   [nslots], and a lane's ring only at its head while it is non-empty, so
+   these accesses skip the bounds checks. *)
+external get : 'a array -> int -> 'a = "%array_unsafe_get"
+external set : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
+
+(* Both heaps share these two sifts.  A heap is three arrays in heap
+   order: [times] and [seqs] hold the keys, [ids] the event slot or lane
+   id.  The key is read from the arrays, never passed in, so the float is
+   never boxed. *)
+
+(* Sift the entry just written at index [i] towards the root. *)
+let sift_up (times : float array) (seqs : int array) (ids : int array) i =
+  let time = get times i and seq = get seqs i and id = get ids i in
+  let i = ref i and continue = ref true in
+  while !continue && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let pt = get times parent in
+    if time < pt || (time = pt && seq < get seqs parent) then begin
+      set times !i pt;
+      set seqs !i (get seqs parent);
+      set ids !i (get ids parent);
+      i := parent
+    end
+    else continue := false
+  done;
+  set times !i time;
+  set seqs !i seq;
+  set ids !i id
+
+(* Sift the root of a heap of [n] entries down, pulling the earlier of
+   the two children up one level each step. *)
+let sift_down (times : float array) (seqs : int array) (ids : int array) n =
+  let time = get times 0 and seq = get seqs 0 and id = get ids 0 in
+  let i = ref 0 and continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    if l >= n then continue := false
+    else begin
+      let r = l + 1 in
+      let b =
+        if r < n then
+          let tl = get times l and tr = get times r in
+          if tr < tl || (tr = tl && get seqs r < get seqs l) then r else l
+        else l
+      in
+      let tb = get times b in
+      if time < tb || (time = tb && seq < get seqs b) then continue := false
+      else begin
+        set times !i tb;
+        set seqs !i (get seqs b);
+        set ids !i (get ids b);
+        i := b
+      end
+    end
+  done;
+  set times !i time;
+  set seqs !i seq;
+  set ids !i id
+
+(* Move the last of [n + 1] entries to the root and sift it down. *)
+let[@inline] refill_root (times : float array) (seqs : int array) (ids : int array) n =
+  if n > 0 then begin
+    set times 0 (get times n);
+    set seqs 0 (get seqs n);
+    set ids 0 (get ids n);
+    sift_down times seqs ids n
+  end
+
+(* --- The event heap ------------------------------------------------------ *)
 
 let grow t =
   let n = Array.length t.times in
@@ -164,33 +252,6 @@ let grow t =
   t.kinds <- extend t.kinds 0;
   t.slot_seq <- extend t.slot_seq vacant;
   t.free <- extend t.free 0
-
-(* The heap is indexed only at positions below [size], which never
-   exceeds the arrays' length, the per-slot arrays only at slots below
-   [nslots], and a lane's ring only at its head while it is non-empty, so
-   these accesses skip the bounds checks. *)
-external get : 'a array -> int -> 'a = "%array_unsafe_get"
-external set : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
-
-(* Sift the key just written at heap index [i] towards the root. *)
-let sift_up t i =
-  let times = t.times and seqs = t.seqs and slots = t.slots in
-  let time = get times i and seq = get seqs i and slot = get slots i in
-  let i = ref i and continue = ref true in
-  while !continue && !i > 0 do
-    let parent = (!i - 1) / 2 in
-    let pt = get times parent in
-    if time < pt || (time = pt && seq < get seqs parent) then begin
-      set times !i pt;
-      set seqs !i (get seqs parent);
-      set slots !i (get slots parent);
-      i := parent
-    end
-    else continue := false
-  done;
-  set times !i time;
-  set seqs !i seq;
-  set slots !i slot
 
 (* Queue an event under a key that is already counted in [live]; returns
    its slot.  Every slot in use holds a distinct heap entry, so [nslots]
@@ -219,14 +280,11 @@ let[@inline] push t ~time ~seq ~kind action =
   t.times.(i) <- time;
   t.seqs.(i) <- seq;
   t.slots.(i) <- slot;
-  sift_up t i;
+  sift_up t.times t.seqs t.slots i;
   slot
 
-(* Remove the root and free its slot: fill the hole at the root with the
-   last entry and sift it down, pulling the earlier of the two children up
-   one level each step.  The key is read from the arrays here, not passed
-   in, so the float is never boxed.  The slot keeps its action until it is
-   reused, so the arrays retain at most the high-water mark of closures
+(* Remove the root and free its slot.  The slot keeps its action until it
+   is reused, so the arrays retain at most the high-water mark of closures
    and never an unbounded history. *)
 let pop t =
   let freed = get t.slots 0 in
@@ -235,35 +293,7 @@ let pop t =
   t.nfree <- t.nfree + 1;
   let n = t.size - 1 in
   t.size <- n;
-  if n > 0 then begin
-    let times = t.times and seqs = t.seqs and slots = t.slots in
-    let time = get times n and seq = get seqs n and slot = get slots n in
-    let i = ref 0 and continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 in
-      if l >= n then continue := false
-      else begin
-        let r = l + 1 in
-        let b =
-          if r < n then
-            let tl = get times l and tr = get times r in
-            if tr < tl || (tr = tl && get seqs r < get seqs l) then r else l
-          else l
-        in
-        let tb = get times b in
-        if time < tb || (time = tb && seq < get seqs b) then continue := false
-        else begin
-          set times !i tb;
-          set seqs !i (get seqs b);
-          set slots !i (get slots b);
-          i := b
-        end
-      end
-    done;
-    set times !i time;
-    set seqs !i seq;
-    set slots !i slot
-  end
+  refill_root t.times t.seqs t.slots n
 
 (* --- Scheduling ------------------------------------------------------------ *)
 
@@ -323,6 +353,7 @@ let lane ?(kind = Kind.other) t ~delay =
   let ln =
     {
       owner = t;
+      id = t.nlanes;
       delay;
       lkind = kind;
       l_times = [||];
@@ -332,16 +363,25 @@ let lane ?(kind = Kind.other) t ~delay =
       l_len = 0;
     }
   in
-  if t.nlanes = Array.length t.lanes then begin
-    let b = Array.make (max 2 (2 * t.nlanes)) ln in
-    Array.blit t.lanes 0 b 0 t.nlanes;
-    t.lanes <- b
+  let n = t.nlanes in
+  if n = Array.length t.lanes then begin
+    let cap = max 4 (2 * n) in
+    let extend a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    t.lanes <- extend t.lanes ln;
+    t.lh_times <- extend t.lh_times 0.;
+    t.lh_seqs <- extend t.lh_seqs 0;
+    t.lh_ids <- extend t.lh_ids 0
   end;
-  t.lanes.(t.nlanes) <- ln;
-  t.nlanes <- t.nlanes + 1;
+  t.lanes.(n) <- ln;
+  t.nlanes <- n + 1;
   ln
 
 let lane_delay ln = ln.delay
+let lane_count t = t.nlanes
 
 let lane_grow ln =
   let cap = Array.length ln.l_actions in
@@ -360,7 +400,9 @@ let lane_grow ln =
   ln.l_head <- 0
 
 (* The key is exactly [schedule ~delay]'s: the next normal seq and
-   [now + delay]. *)
+   [now + delay].  A lane that was empty enters the lane heap under its
+   new head's key; the lane heap has room, since it holds each lane at
+   most once. *)
 let lane_schedule ln action =
   let t = ln.owner in
   let seq = take_seq t in
@@ -371,7 +413,15 @@ let lane_schedule ln action =
   ln.l_times.(i) <- time;
   ln.l_seqs.(i) <- seq;
   ln.l_actions.(i) <- action;
-  ln.l_len <- len + 1
+  ln.l_len <- len + 1;
+  if len = 0 then begin
+    let k = t.lh_size in
+    t.lh_size <- k + 1;
+    set t.lh_times k time;
+    set t.lh_seqs k seq;
+    set t.lh_ids k ln.id;
+    sift_up t.lh_times t.lh_seqs t.lh_ids k
+  end
 
 (* --- Cancellation ---------------------------------------------------------- *)
 
@@ -402,59 +452,56 @@ let[@inline] fire t slot =
   t.fired <- t.fired + 1;
   match t.probe with None -> action () | Some pr -> probed pr ~kind:t.kinds.(slot) action
 
-(* Fire the head of a non-empty lane. *)
-let fire_lane t ln =
+(* Fire the head of the lane at the lane heap's root, after re-keying
+   the root with the lane's next entry or, when that was its last,
+   removing it, so the action may schedule on any lane. *)
+let fire_lane t =
+  let ln = get t.lanes (get t.lh_ids 0) in
   let i = ln.l_head in
   let action = get ln.l_actions i in
   t.clock <- get ln.l_times i;
-  ln.l_head <- (i + 1) land (Array.length ln.l_actions - 1);
-  ln.l_len <- ln.l_len - 1;
+  let h = (i + 1) land (Array.length ln.l_actions - 1) in
+  ln.l_head <- h;
+  let len = ln.l_len - 1 in
+  ln.l_len <- len;
+  if len > 0 then begin
+    set t.lh_times 0 (get ln.l_times h);
+    set t.lh_seqs 0 (get ln.l_seqs h);
+    sift_down t.lh_times t.lh_seqs t.lh_ids t.lh_size
+  end
+  else begin
+    let n = t.lh_size - 1 in
+    t.lh_size <- n;
+    refill_root t.lh_times t.lh_seqs t.lh_ids n
+  end;
   t.live <- t.live - 1;
   t.fired <- t.fired + 1;
   match t.probe with None -> action () | Some pr -> probed pr ~kind:ln.lkind action
 
-(* What fires next: [root] for the heap's root, a lane index for that
-   lane's head, [none] when nothing is queued.  Cancelled events are
-   dropped from the root first (lanes hold none), then the root and the
-   non-empty lanes' heads are compared by (time, seq) in one scan.  The
-   comparisons are spelled out: a helper taking the times as arguments
-   would box them. *)
-let root = -1
-let none = -2
+(* What fires next: [event_root] for the event heap's root, [lane_root]
+   for the head of the lane at the lane heap's root, [none] when nothing
+   is queued.  Cancelled events are dropped from the event root first
+   (lanes hold none), then the two roots are compared by (time, seq),
+   spelled out: a helper taking the times as arguments would box them. *)
+let event_root = 0
+let lane_root = 1
+let none = 2
 
 let rec next t =
   if t.size > 0 && get t.actions (get t.slots 0) == cancelled_action then begin
     pop t;
     next t
   end
+  else if t.lh_size = 0 then if t.size > 0 then event_root else none
+  else if t.size = 0 then lane_root
   else begin
-    let lanes = t.lanes in
-    let best = ref (if t.size > 0 then root else none) in
-    for k = 0 to t.nlanes - 1 do
-      let ln = get lanes k in
-      if ln.l_len > 0 then begin
-        let h = ln.l_head in
-        let time = get ln.l_times h and seq = get ln.l_seqs h in
-        let b = !best in
-        if b = none then best := k
-        else if b = root then begin
-          let tr = get t.times 0 in
-          if time < tr || (time = tr && seq < get t.seqs 0) then best := k
-        end
-        else begin
-          let bl = get lanes b in
-          let bh = bl.l_head in
-          let tb = get bl.l_times bh in
-          if time < tb || (time = tb && seq < get bl.l_seqs bh) then best := k
-        end
-      end
-    done;
-    !best
+    let tl = get t.lh_times 0 and tr = get t.times 0 in
+    if tl < tr || (tl = tr && get t.lh_seqs 0 < get t.seqs 0) then lane_root else event_root
   end
 
 let step t =
   let k = next t in
-  if k = root then fire t (get t.slots 0) else if k >= 0 then fire_lane t (get t.lanes k);
+  if k = event_root then fire t (get t.slots 0) else if k = lane_root then fire_lane t;
   k <> none
 
 let run ?until t =
@@ -463,18 +510,17 @@ let run ?until t =
   let rec loop () =
     if not t.stopping then begin
       let k = next t in
-      if k = root then begin
+      if k = event_root then begin
         if get t.times 0 > horizon then t.clock <- horizon
         else begin
           fire t (get t.slots 0);
           loop ()
         end
       end
-      else if k >= 0 then begin
-        let ln = get t.lanes k in
-        if get ln.l_times ln.l_head > horizon then t.clock <- horizon
+      else if k = lane_root then begin
+        if get t.lh_times 0 > horizon then t.clock <- horizon
         else begin
-          fire_lane t ln;
+          fire_lane t;
           loop ()
         end
       end

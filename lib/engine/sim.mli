@@ -12,13 +12,15 @@
 
     A constant-delay {!lane} is a FIFO of events that each fire exactly
     the lane's delay after they were scheduled, under the key {!schedule}
-    would give them.  Lanes stay out of the heap: each event, the loop
-    fires whichever comes first by [(time, seq)], the heap's root or the
-    earliest lane head, found by a scan over every lane.  The scan is
-    linear in the number of lanes, so lanes are for a few long-lived
-    delays, not one per event source.  Link propagation is the client: a
-    link delivers in FIFO order after a constant delay, and [Net] makes
-    one lane per distinct link delay (one or two per topology). *)
+    would give them.  Lanes stay out of the event heap: the non-empty
+    lanes sit in a second binary heap keyed by their heads, and each
+    event the loop fires whichever of the two roots comes first by
+    [(time, seq)].  An event on a lane costs a ring write, a ring read and
+    O(log non-empty lanes) sift steps, independent of how many one-off
+    events are pending.  [Net] is the client: a link delivers in FIFO
+    order after a constant delay, and a packet's transmit completes a
+    constant serialization time after it starts, so [Net] makes one lane
+    per distinct link delay and one per distinct serialization time. *)
 
 type t
 
@@ -105,11 +107,14 @@ val lane : ?kind:int -> t -> delay:float -> lane
 (** A new, empty lane whose events fire [delay] seconds after they are
     scheduled.  Raises [Invalid_argument] unless [delay >= 0] (so also on
     NaN).  [kind] (default {!Kind.other}) tags all its events for the
-    profiler {!probe}.  A lane lives as long as its simulator, and each
-    lane adds one comparison to the scan before every fire. *)
+    profiler {!probe}.  A lane lives as long as its simulator; only
+    non-empty lanes cost anything at fire time. *)
 
 val lane_delay : lane -> float
 (** The delay the lane was made with. *)
+
+val lane_count : t -> int
+(** The number of lanes made on this simulator. *)
 
 val lane_schedule : lane -> (unit -> unit) -> unit
 (** [lane_schedule l f] is [schedule ~delay:(lane_delay l) f] of [l]'s
@@ -118,7 +123,7 @@ val lane_schedule : lane -> (unit -> unit) -> unit
     what {!schedule} would give, and events on a lane interleave with
     every other event in key order.  Since {!now} never decreases, a
     lane's keys are nondecreasing, so the event is a ring write and never
-    touches the heap. *)
+    touches the event heap; a lane that was empty enters the lane heap. *)
 
 val schedule_aux : ?kind:int -> t -> time:float -> (unit -> unit) -> unit
 (** Fire the callback at absolute virtual [time], drawing from a separate

@@ -7,7 +7,9 @@ type t = {
   mutable next_slot : int; (* dense index over addressed nodes *)
   by_addr : node Wire.Addr.Tbl.t;
   mutable trace : (event -> unit) option;
-  mutable lanes : Sim.lane list; (* one per distinct link delay *)
+  lanes : (int * float, Sim.lane) Hashtbl.t;
+      (* the network's lanes by (kind, delay): one per distinct link delay
+         and one per distinct serialization time, made on first use *)
 }
 
 and node = {
@@ -36,7 +38,6 @@ and link = {
   bandwidth : float;
   delay : float;
   qdisc : Qdisc.t;
-  lane : Sim.lane; (* the network's lane for [delay] *)
   mutable busy : bool;
   mutable up : bool;
   mutable poll : Sim.handle option;
@@ -56,6 +57,13 @@ and pipe = {
   on_tx_done : unit -> unit;
   on_deliver : unit -> unit;
   on_poll : unit -> unit;
+  deliver_lane : Sim.lane; (* the network's lane for the link's delay *)
+  (* The transmit-completion lanes of recent packet sizes, direct-mapped
+     by [tx_slot]: [tx_lanes.(j)] is the lane for [tx_sizes.(j)]-byte
+     packets, and [tx_sizes.(j)] is [-1] while the entry is empty.  On
+     one link a size always takes the same serialization time. *)
+  tx_sizes : int array;
+  tx_lanes : Sim.lane array;
   (* The packet serializing ([Qdisc.none] when idle), its fault decision,
      and the copy a [Fault_dup] delivers beside it. *)
   mutable wire : Wire.Packet.t;
@@ -88,7 +96,7 @@ let create sim =
     next_slot = 0;
     by_addr = Wire.Addr.Tbl.create 64;
     trace = None;
-    lanes = [];
+    lanes = Hashtbl.create 8;
   }
 
 let sim t = t.sim
@@ -147,16 +155,33 @@ let node_id node = node.id
 let min_poll_delay = 1e-6
 
 (* Profiler tags, boxed once: passing [~kind] would build a [Some] per call. *)
-let k_transmit = Some Sim.Kind.net_transmit
 let k_deliver = Some Sim.Kind.net_deliver
 let k_poll = Some Sim.Kind.net_poll
 
-let make_pipe ~self ~on_tx_done ~on_deliver ~on_poll =
+(* The network's lane of [kind] for [delay], made on first use. *)
+let lane_for t kind delay =
+  match Hashtbl.find_opt t.lanes (kind, delay) with
+  | Some l -> l
+  | None ->
+      let l = Sim.lane ~kind t.sim ~delay in
+      Hashtbl.add t.lanes (kind, delay) l;
+      l
+
+let tx_cache = 16
+
+(* A lane nothing is ever scheduled on: [no_pipe]'s, and the one in every
+   empty cache entry. *)
+let no_lane = Sim.lane (Sim.create ()) ~delay:0.
+
+let make_pipe ~self ~on_tx_done ~on_deliver ~on_poll ~deliver_lane =
   {
     self;
     on_tx_done;
     on_deliver;
     on_poll;
+    deliver_lane;
+    tx_sizes = Array.make tx_cache (-1);
+    tx_lanes = Array.make tx_cache no_lane;
     wire = Qdisc.none;
     wire_fault = Fault_pass;
     wire_dup = Qdisc.none;
@@ -165,7 +190,8 @@ let make_pipe ~self ~on_tx_done ~on_deliver ~on_poll =
     fl_len = 0;
   }
 
-let no_pipe = make_pipe ~self:None ~on_tx_done:ignore ~on_deliver:ignore ~on_poll:ignore
+let no_pipe =
+  make_pipe ~self:None ~on_tx_done:ignore ~on_deliver:ignore ~on_poll:ignore ~deliver_lane:no_lane
 
 let arrive link p =
   if tracing link.src.net then emit link.src.net (Deliver (link.dst, p));
@@ -186,11 +212,11 @@ let flight_grow pp =
    FIFO order, so the ring needs no keys: the link's lane fires one
    [on_deliver] per packet under the key [Sim.schedule ~delay] would give,
    in the order they were launched, and each pops the ring's head. *)
-let launch link pp p =
+let launch pp p =
   if pp.fl_len = Array.length pp.fl_pkts then flight_grow pp;
   pp.fl_pkts.((pp.fl_head + pp.fl_len) land (Array.length pp.fl_pkts - 1)) <- p;
   pp.fl_len <- pp.fl_len + 1;
-  Sim.lane_schedule link.lane pp.on_deliver
+  Sim.lane_schedule pp.deliver_lane pp.on_deliver
 
 let deliver_head link =
   let pp = link.pipe in
@@ -202,6 +228,27 @@ let deliver_head link =
   arrive link p
 
 (* --- The transmitter --------------------------------------------------- *)
+
+(* A multiplicative hash, so that sizes a few bytes apart (40, 44, 52,
+   1040, 1044, 1052, ...) spread over the cache. *)
+let[@inline] tx_slot size = ((size * 0x9E3779B1) lsr 16) land (tx_cache - 1)
+
+let tx_lane_miss link pp size j =
+  let l =
+    lane_for link.src.net Sim.Kind.net_transmit
+      (float_of_int size *. 8. /. link.bandwidth)
+  in
+  pp.tx_sizes.(j) <- size;
+  pp.tx_lanes.(j) <- l;
+  l
+
+(* The lane on which a [size]-byte packet's transmit completes: its delay
+   is the serialization time [size * 8 / bandwidth], computed exactly as a
+   one-off [done_at] would be, so the completion keeps its key. *)
+let[@inline] tx_lane link pp size =
+  let j = tx_slot size in
+  if Array.unsafe_get pp.tx_sizes j = size then Array.unsafe_get pp.tx_lanes j
+  else tx_lane_miss link pp size j
 
 (* Serialize the head packet, then propagate.  [kick] starts service if the
    link is idle and administratively up; when the qdisc is unready it arms
@@ -227,9 +274,9 @@ let rec kick link =
     if p != Qdisc.none then begin
       link.busy <- true;
       link.tx_packets <- link.tx_packets + 1;
-      link.tx_bytes <- link.tx_bytes + Wire.Packet.size p;
+      let size = Wire.Packet.size p in
+      link.tx_bytes <- link.tx_bytes + size;
       if tracing net then emit net (Transmit (link, p));
-      let done_at = time +. (float_of_int (Wire.Packet.size p) *. 8. /. link.bandwidth) in
       let fault = match link.fault with None -> Fault_pass | Some f -> f p in
       if fault != Fault_pass then begin
         if tracing net then emit net (Link_fault (link, p));
@@ -237,7 +284,7 @@ let rec kick link =
       end;
       pp.wire <- p;
       pp.wire_fault <- fault;
-      Sim.schedule_at ?kind:k_transmit sim ~time:done_at pp.on_tx_done
+      Sim.lane_schedule (tx_lane link pp size) pp.on_tx_done
     end
     else begin
       let at = Qdisc.next_ready link.qdisc ~now:time in
@@ -261,7 +308,7 @@ and tx_done link =
   let p = pp.wire in
   pp.wire <- Qdisc.none;
   (match pp.wire_fault with
-  | Fault_pass -> launch link pp p
+  | Fault_pass -> launch pp p
   | Fault_lose -> ()
   | Fault_dup ->
       let p2 = pp.wire_dup in
@@ -283,21 +330,10 @@ and open_pipe link =
       ~on_poll:(fun () ->
         link.poll <- None;
         kick link)
+      ~deliver_lane:(lane_for link.src.net Sim.Kind.net_deliver link.delay)
   in
   link.pipe <- pp;
   pp
-
-(* The network's lane for [delay], made on first use: the dumbbell, chain
-   and scale topologies need one or two. *)
-let lane_for t delay =
-  let rec find = function
-    | l :: rest -> if Sim.lane_delay l = delay then l else find rest
-    | [] ->
-        let l = Sim.lane ~kind:Sim.Kind.net_deliver t.sim ~delay in
-        t.lanes <- l :: t.lanes;
-        l
-  in
-  find t.lanes
 
 let link_oneway t ~src ~dst ~bandwidth_bps ~delay ~qdisc =
   if bandwidth_bps <= 0. then invalid_arg "Net.link_oneway: bandwidth must be positive";
@@ -310,7 +346,6 @@ let link_oneway t ~src ~dst ~bandwidth_bps ~delay ~qdisc =
       bandwidth = bandwidth_bps;
       delay;
       qdisc;
-      lane = lane_for t delay;
       busy = false;
       up = true;
       poll = None;
@@ -386,7 +421,9 @@ let originate node p = forward node p
    reaches, through that link, exactly the link's far end and what the far
    end reaches, except itself.  So routers are searched first, and each
    single-homed node copies its neighbour's table, when the neighbour was
-   searched, in one pass over the slots. *)
+   searched, in one pass over the slots.  The copy starts filled with the
+   node's one route, so only the few slots the neighbour cannot reach are
+   written, and no reachable slot pays a write barrier. *)
 let compute_routes t =
   let nodes = List.rev t.node_list in
   let n = t.next_node_id in
@@ -438,9 +475,9 @@ let compute_routes t =
         if single far then run_bfs node
         else begin
           let hop = some_link.(link.lid) and far_routes = far.routes in
-          let routes = Array.make n_slots None in
+          let routes = Array.make n_slots hop in
           for i = 0 to n_slots - 1 do
-            if far_routes.(i) != None then routes.(i) <- hop
+            if far_routes.(i) == None then routes.(i) <- None
           done;
           if far.slot >= 0 then routes.(far.slot) <- hop;
           if node.slot >= 0 then routes.(node.slot) <- None;

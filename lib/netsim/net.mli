@@ -12,7 +12,10 @@
     packets propagating on it wait in a per-link FIFO ring, and each has
     one delivery on the network's constant-delay {!Sim.lane} for the
     link's delay (one lane per distinct delay), which fires it under the
-    key [Sim.schedule ~delay] would give, so events fire in exactly the
+    key [Sim.schedule ~delay] would give.  Likewise each transmit
+    completes on the network's lane for its serialization time, [size * 8
+    / bandwidth] (one lane per distinct time).  Lanes are made on first
+    use, so building a topology makes none.  Events fire in exactly the
     order one event per packet would give.  A [Fault_delay] or
     [Fault_dup] packet gets its own event.  With no trace hook set, no
     {!event} value is built (DESIGN.md §9.1). *)

@@ -28,14 +28,14 @@ let dumbbell ?(bottleneck_bps = 10e6) ?(bottleneck_delay = 0.010) ?(access_bps =
   in
   let users =
     Array.init n_users (fun i ->
-        let u = Net.add_node ~addr:(user_addr i) ~name:(Printf.sprintf "user%d" i) net sink_handler in
+        let u = Net.add_node ~addr:(user_addr i) ~name:("user" ^ string_of_int i) net sink_handler in
         attach u access_bps access_delay;
         u)
   in
   let attackers =
     Array.init n_attackers (fun i ->
         let a =
-          Net.add_node ~addr:(attacker_addr i) ~name:(Printf.sprintf "attacker%d" i) net sink_handler
+          Net.add_node ~addr:(attacker_addr i) ~name:("attacker" ^ string_of_int i) net sink_handler
         in
         attach a access_bps access_delay;
         a)
@@ -89,7 +89,7 @@ let chain ?(hops = 4) ?(bandwidth_bps = 10e6) ?(delay = 0.005) ?(attacker_entry 
     invalid_arg "Topology.chain: attacker entry out of range";
   let net = Net.create sim in
   let routers =
-    Array.init hops (fun i -> Net.add_node ~name:(Printf.sprintf "router%d" i) net sink_handler)
+    Array.init hops (fun i -> Net.add_node ~name:("router" ^ string_of_int i) net sink_handler)
   in
   let connect a b =
     ignore
@@ -148,7 +148,7 @@ let fanin ?(depth = 3) ?(fanout = 4) ?(bottleneck_bps = 10e6) ?(link_bps = 100e6
   done;
   let routers =
     Array.init !n_routers (fun i ->
-        Net.add_node ~name:(Printf.sprintf "fanin-r%d" i) net sink_handler)
+        Net.add_node ~name:("fanin-r" ^ string_of_int i) net sink_handler)
   in
   for i = 1 to !n_routers - 1 do
     let parent = (i - 1) / fanout in
@@ -191,7 +191,7 @@ let parking_lot ?(segments = 3) ?(bottleneck_bps = 10e6) ?(access_bps = 100e6) ?
   let net = Net.create sim in
   let routers =
     Array.init (segments + 1) (fun i ->
-        Net.add_node ~name:(Printf.sprintf "pl-r%d" i) net sink_handler)
+        Net.add_node ~name:("pl-r" ^ string_of_int i) net sink_handler)
   in
   let seg_links =
     Array.init segments (fun i ->
@@ -208,7 +208,7 @@ let parking_lot ?(segments = 3) ?(bottleneck_bps = 10e6) ?(access_bps = 100e6) ?
     Array.init segments (fun i ->
         attach_host ~bandwidth_bps:access_bps ~delay ~make_qdisc ~net ~router:routers.(i + 1)
           ~addr:(parking_exit_addr i)
-          ~name:(Printf.sprintf "pl-exit%d" i)
+          ~name:("pl-exit" ^ string_of_int i)
           ())
   in
   let destination =
@@ -242,7 +242,7 @@ let power_law ?(routers = 64) ?(edges_per_node = 2) ?(link_bps = 100e6) ?(bottle
   let net = Net.create sim in
   let nodes =
     Array.init routers (fun i ->
-        Net.add_node ~name:(Printf.sprintf "as%d" i) net sink_handler)
+        Net.add_node ~name:("as" ^ string_of_int i) net sink_handler)
   in
   let degrees = Array.make routers 0 in
   (* Preferential attachment (Barabasi-Albert): the chance a new node links

@@ -171,7 +171,7 @@ let run ?obs cfg =
     Array.init cfg.sc_n_users (fun i ->
         Topology.attach_host ~bandwidth_bps:cfg.sc_access_bps ~make_qdisc ~net:b.b_net
           ~router:(pick i) ~addr:(Topology.user_addr i)
-          ~name:(Printf.sprintf "user%d" i)
+          ~name:("user" ^ string_of_int i)
           ())
   in
   (* The swarm ingress nodes carry the whole attack share of their members,
@@ -182,7 +182,7 @@ let run ?obs cfg =
   in
   let swarm_nodes =
     Array.init aggregates (fun k ->
-        let node = Net.add_node ~name:(Printf.sprintf "swarm%d" k) b.b_net (fun _ ~in_link:_ _ -> ()) in
+        let node = Net.add_node ~name:("swarm" ^ string_of_int k) b.b_net (fun _ ~in_link:_ _ -> ()) in
         ignore
           (Net.duplex b.b_net node (pick k) ~bandwidth_bps:swarm_uplink_bps ~delay:0.010
              ~qdisc:(fun () -> make_qdisc ~bandwidth_bps:swarm_uplink_bps));

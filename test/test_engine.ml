@@ -269,11 +269,14 @@ let print_cmd = function
   | Step -> "Step"
   | Until d -> Printf.sprintf "Until %h" d
 
-(* A script and its one to sixteen lane delays, shrinkable as a command
-   list.  Lane delays are often [0.] or shared with the script's own
-   delays, so lane heads tie with plain events and with each other, and
-   half the scripts repeat their first lane's delay on a last lane, so two
-   lanes share one delay. *)
+(* A script and its 1 to 64 lane delays, shrinkable as a command list.
+   Lane delays are often [0.], [0.5], [1.] or shared with the script's
+   own delays, so lane heads tie with plain events and, scheduled at
+   different times, with each other's heads; half the scripts repeat
+   their first lane's delay on a last lane, so two lanes share one delay.
+   Most [Lane] commands pick one of the first four lanes, so those fill
+   while the rest hold an entry or two and drain and refill between
+   steps, and the lane heap both re-keys and removes its root. *)
 let script_arb ~len delay_gen =
   let open QCheck in
   let chain = Gen.(map (fun n -> n = 0) (int_bound 4)) in
@@ -281,7 +284,7 @@ let script_arb ~len delay_gen =
     Gen.(
       map2
         (fun ds twin -> if twin then ds @ [ List.hd ds ] else ds)
-        (list_size (int_range 1 15) (frequency [ (1, oneofl [ 0.; 0.5; 3e-7 ]); (1, delay_gen) ]))
+        (list_size (int_range 1 63) (frequency [ (1, oneofl [ 0.; 0.5; 1.; 3e-7 ]); (1, delay_gen) ]))
         bool)
   in
   let gen =
@@ -294,7 +297,7 @@ let script_arb ~len delay_gen =
                 (3, map (fun d -> Timer d) delay_gen);
                 (1, map2 (fun n d -> Burst (n, d)) (int_range 2 12) delay_gen);
                 (1, map (fun d -> Aux d) delay_gen);
-                (3, map2 (fun i c -> Lane (i, c)) (int_bound 15) chain);
+                (3, map2 (fun i c -> Lane (i, c)) (frequency [ (2, int_bound 3); (1, int_bound 63) ]) chain);
                 (2, map (fun i -> Cancel i) (int_bound 1_000_000));
                 (3, return Step);
                 (1, map (fun d -> Until d) delay_gen);
@@ -615,7 +618,9 @@ let lane_contract () =
    (time, seq) fires first under [step] and under [run ~until], before a
    heap event at the same time with a later seq and across two lanes with
    one delay; a head past the horizon stops [run ~until] at the horizon
-   whether or not the heap still holds a later event. *)
+   whether or not the heap still holds a later event.  Then the same
+   over 48 lanes: heads tie across lanes of one delay and of different
+   delays, lanes drain and refill, and a horizon falls among them. *)
 let lane_head_first () =
   let sim = Sim.create () in
   let a = Sim.lane sim ~delay:1. and b = Sim.lane sim ~delay:1. and c = Sim.lane sim ~delay:5. in
@@ -648,18 +653,53 @@ let lane_head_first () =
   Alcotest.(check (list string))
     "all fired" [ "b1"; "a1"; "h1"; "b1'"; "h2"; "c5"; "h7"; "c11" ] (fired ());
   Alcotest.(check (float 0.)) "clock at the last head" 11. (Sim.now sim);
-  Alcotest.(check int) "events" 8 (Sim.events_processed sim)
+  Alcotest.(check int) "events" 8 (Sim.events_processed sim);
+  let sim = Sim.create () in
+  let lanes = Array.init 48 (fun k -> Sim.lane sim ~delay:(float_of_int (1 + (k * 5 mod 6)))) in
+  let log = ref [] and want = ref [] and seq = ref 0 in
+  let add k =
+    let l = lanes.(k) in
+    want := ((Sim.now sim +. Sim.lane_delay l, !seq), (Sim.now sim +. Sim.lane_delay l, k)) :: !want;
+    incr seq;
+    Sim.lane_schedule l (fun () -> log := (Sim.now sim, k) :: !log)
+  in
+  let batch stride =
+    for j = 0 to 47 do
+      add (j * stride mod 48)
+    done
+  in
+  let fired () = List.rev !log in
+  let order = Alcotest.(list (pair (float 0.) int)) in
+  batch 7;
+  Sim.run ~until:0.5 sim;
+  batch 11;
+  Sim.run ~until:2. sim;
+  batch 13;
+  let all = List.map snd (List.sort compare !want) in
+  let upto h = List.filter (fun (time, _) -> time <= h) all in
+  Alcotest.(check order) "48 lanes up to 2" (upto 2.) (fired ());
+  Sim.run ~until:4.25 sim;
+  Alcotest.(check order) "48 lanes up to the horizon" (upto 4.25) (fired ());
+  Alcotest.(check (float 0.)) "clock at the 48-lane horizon" 4.25 (Sim.now sim);
+  Alcotest.(check int) "heads past the horizon pending"
+    (List.length all - List.length (upto 4.25))
+    (Sim.pending sim);
+  Sim.run sim;
+  Alcotest.(check order) "48 lanes by (time, seq)" all (fired ())
 
 (* What the scheduler allocates per event, in a steady chain of 64
    pending events that each reschedule themselves: a lane event and a
    [schedule_at] event allocate only the boxed clock written at each fire
    (2 words), and [schedule_at] also its boxed [time] argument (2 words).
-   A far-off heap event and a far-off lane entry stay pending throughout,
-   so every fire compares the chain's next event with a heap root and
-   with another lane's head.  Measured at these values before lanes left
-   the heap; any change moves where minor collections fall in every run,
-   so the budgets are exact (the 0.01 is the runs' one-off loop closures,
-   spread over 100k events). *)
+   The lane chain runs on one lane and, round-robin, on eight lanes of
+   different delays, where every fire re-keys the lane heap's root and
+   sifts it down among the eight.  A far-off heap event
+   and a far-off lane entry stay pending throughout, so every fire
+   compares the two heaps' roots.  Measured at these values before lanes
+   left the event heap and again with the lane heap; any change moves
+   where minor collections fall in every run, so the budgets are exact
+   (the 0.01 is the runs' one-off loop closures, spread over 100k
+   events). *)
 let scheduler_minor_words () =
   let words_per_event make =
     let sim = Sim.create () in
@@ -689,10 +729,19 @@ let scheduler_minor_words () =
     words
   in
   let lane = words_per_event (fun sim -> Sim.lane_schedule (Sim.lane sim ~delay:1e-3)) in
+  let lanes =
+    words_per_event (fun sim ->
+        let ls = Array.init 8 (fun k -> Sim.lane sim ~delay:(float_of_int (k + 1) *. 1e-3)) in
+        let next = ref 0 in
+        fun f ->
+          next := (!next + 1) land 7;
+          Sim.lane_schedule ls.(!next) f)
+  in
   let at =
     words_per_event (fun sim f -> Sim.schedule_at sim ~time:(Sim.now sim +. 1e-3) f)
   in
   Alcotest.(check bool) (Printf.sprintf "lane %.3f words/event <= 2" lane) true (lane <= 2.01);
+  Alcotest.(check bool) (Printf.sprintf "8 lanes %.3f words/event <= 2" lanes) true (lanes <= 2.01);
   Alcotest.(check bool) (Printf.sprintf "schedule_at %.3f words/event <= 4" at) true (at <= 4.01)
 
 (* The cancelled sentinel: [cancelled] is false while queued and true once
