@@ -1,14 +1,14 @@
-(* Guard against metadata drift between the committed bench reports and
-   the README tables: both are regenerated in lockstep on the same host,
-   so the figures quoted in the README's "Committed" columns must match
-   the JSON within a small tolerance.  Three tables are covered: the §6.1
-   per-packet table against BENCH_pps.json, the five-scheme table against
-   BENCH_report.json, and the end-to-end layer breakdown
-   against the per-layer values of BENCH_e2e.json (a traced e2e_bench
-   report).
+(* Guard against metadata drift between the committed reports and the
+   README tables: both are regenerated in lockstep on the same host, so
+   the figures quoted in the README's "Committed" columns must match the
+   reports within a small tolerance.  Three tables are covered: the §6.1
+   per-packet table against the SipHash columns of results/table1.txt
+   (`tva_sim table1`), the five-scheme table against BENCH_report.json,
+   and the end-to-end layer breakdown against the per-layer values of
+   BENCH_e2e.json (a traced e2e_bench report).
 
      dune exec bench/readme_check.exe -- \
-       [--readme README.md] [--json BENCH_pps.json] \
+       [--readme README.md] [--table1 results/table1.txt] \
        [--ns-tol 0.05] [--words-tol 1.0] \
        [--report-json BENCH_report.json] [--e2e-json BENCH_e2e.json]
 
@@ -17,7 +17,7 @@
    cheap enough for every CI run. *)
 
 let readme = ref "README.md"
-let json = ref "BENCH_pps.json"
+let table1 = ref "results/table1.txt"
 let ns_tol = ref 0.05
 let words_tol = ref 1.0
 let report_json = ref "BENCH_report.json"
@@ -26,13 +26,13 @@ let e2e_json = ref "BENCH_e2e.json"
 let spec =
   [
     ("--readme", Arg.Set_string readme, "FILE  the README carrying the §6.1 table");
-    ("--json", Arg.Set_string json, "FILE  the committed per-packet report");
+    ("--table1", Arg.Set_string table1, "FILE  the committed `tva_sim table1` output");
     ( "--ns-tol",
       Arg.Set_float ns_tol,
-      "F  max fractional ns drift between table and JSON (default 0.05)" );
+      "F  max fractional ns drift between README and table1 (default 0.05)" );
     ( "--words-tol",
       Arg.Set_float words_tol,
-      "W  max absolute words/pkt drift between table and JSON (default 1.0)" );
+      "W  max absolute words/pkt drift between README and table1 (default 1.0)" );
     ( "--report-json",
       Arg.Set_string report_json,
       "FILE  the committed cross-scheme fairness report (default BENCH_report.json)" );
@@ -42,7 +42,7 @@ let spec =
   ]
 
 let usage =
-  "readme_check [--readme FILE] [--json FILE] [--ns-tol F] [--words-tol W] [--report-json FILE] \
+  "readme_check [--readme FILE] [--table1 FILE] [--ns-tol F] [--words-tol W] [--report-json FILE] \
    [--e2e-json FILE]"
 
 let read_file path =
@@ -54,8 +54,8 @@ let read_file path =
 
 module J = Obs.Export
 
-(* The README row for a path looks like
-     | `cached_nonce` | ... | ... | 96.4 ns, 11 words/pkt |
+(* The README row for a packet type looks like
+     | `regular w/ cached entry` | ... | ... | 48.5 ns, 0 words/pkt |
    The committed column is the last nonempty cell; the float before " ns"
    is the latency and the float before " words" the allocation. *)
 let split_cells line =
@@ -97,39 +97,51 @@ let () =
   let read_json path =
     match J.parse (read_file path) with Ok j -> j | Error e -> fatal "%s: %s" path e
   in
-  let readme_text = read_file !readme and pps = read_json !json in
-  let check key =
-    match row_cell readme_text key with
-    | None -> fatal "README has no table row for `%s`" key
-    | Some cell ->
-        let table_ns, table_words = parse_cell cell in
-        let field f = Option.bind (J.find pps [ key; f ]) J.number in
-        let json_ns = field "ns_per_packet" in
-        let json_words = field "minor_words_per_packet" in
-        (match (table_ns, json_ns) with
-        | Some t, Some j ->
-            incr checked;
-            if Float.abs (t -. j) > (!ns_tol *. j) +. 0.051 (* quantization of one decimal *)
-            then begin
-              Printf.eprintf "readme_check: `%s` ns drifted: README says %.1f, JSON says %.2f\n"
-                key t j;
-              failed := true
-            end
-        | None, _ -> fatal "no ns figure in README row `%s` (cell %S)" key cell
-        | _, None -> fatal "no \"%s\".ns_per_packet in %s" key !json);
-        match (table_words, json_words) with
-        | Some t, Some j ->
-            incr checked;
-            if Float.abs (t -. j) > !words_tol then begin
-              Printf.eprintf
-                "readme_check: `%s` words/pkt drifted: README says %g, JSON says %.3f\n" key t j;
-              failed := true
-            end
-        | None, _ -> fatal "no words figure in README row `%s` (cell %S)" key cell
-        | _, None -> fatal "no \"%s\".minor_words_per_packet in %s" key !json
+  let readme_text = read_file !readme and table1_text = read_file !table1 in
+  (* A table1 row is the packet type, padded, then its prototype ns,
+     SipHash ns and SipHash minor words/packet. *)
+  let table1_row name =
+    let prefix = name ^ "  " in
+    match List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' table1_text) with
+    | None -> fatal "%s has no row for `%s`" !table1 name
+    | Some line -> (
+        let rest = String.sub line (String.length name) (String.length line - String.length name) in
+        try Scanf.sscanf rest " %f %f %f" (fun _prototype ns words -> (ns, words))
+        with Scanf.Scan_failure _ | Failure _ | End_of_file ->
+          fatal "malformed %s row for `%s`: %S" !table1 name line)
   in
-  List.iter check [ "cached_nonce"; "validate"; "request"; "legacy" ];
-  let pps_checked = !checked in
+  let check name =
+    let cell =
+      match row_cell readme_text name with
+      | Some cell -> cell
+      | None -> fatal "README has no table row for `%s`" name
+    in
+    let compare what readme table ~tol =
+      match readme with
+      | None -> fatal "no %s figure in README row `%s` (cell %S)" what name cell
+      | Some t ->
+          incr checked;
+          if Float.abs (t -. table) > tol then begin
+            Printf.eprintf "readme_check: `%s` %s drifted: README says %g, %s says %g\n" name what
+              t !table1 table;
+            failed := true
+          end
+    in
+    let readme_ns, readme_words = parse_cell cell and ns, words = table1_row name in
+    (* The ns tolerance adds the quantization of one decimal. *)
+    compare "ns" readme_ns ns ~tol:((!ns_tol *. ns) +. 0.051);
+    compare "words/pkt" readme_words words ~tol:!words_tol
+  in
+  List.iter check
+    [
+      "legacy IP forward";
+      "request";
+      "regular w/ cached entry";
+      "regular w/o cached entry";
+      "renewal w/ cached entry";
+      "renewal w/o cached entry";
+    ];
+  let table1_checked = !checked in
   (* The README's five-scheme comparison table quotes the headline
      "<scheme>_fraction/_median_s/_jain" keys of BENCH_report.json, both
      written in lockstep by `tva_sim report`.  The table renders three
@@ -181,7 +193,7 @@ let () =
       cells
   in
   List.iter check_report [ "internet"; "siff"; "pushback"; "tva"; "netfence" ];
-  let report_checked = !checked - pps_checked in
+  let report_checked = !checked - table1_checked in
   (* The README's layer-breakdown table: one row per per-layer metric
      (first cell, backquoted), one column per workload (header cells,
      backquoted).  Each cell is the workload's [layers.<metric>.value]
@@ -254,12 +266,12 @@ let () =
     [ "engine.loop_self_ns_per_hop"; "gc.minor_words_per_hop" ];
   if !failed then begin
     prerr_endline
-      "readme_check: regenerate in lockstep: dune exec bench/pps_bench.exe (§6.1 table), dune \
-       exec bin/tva_sim.exe -- report (five-scheme table), or dune exec \
-       bench/e2e/e2e_bench.exe -- --traced --out BENCH_e2e.json (layer table), then update the \
-       README from the fresh JSON";
+      "readme_check: regenerate in lockstep: dune exec bin/tva_sim.exe -- table1 > \
+       results/table1.txt (§6.1 table), dune exec bin/tva_sim.exe -- report (five-scheme table), \
+       or dune exec bench/e2e/e2e_bench.exe -- --traced --out BENCH_e2e.json (layer table), then \
+       update the README from the fresh report";
     exit 1
   end;
   Printf.printf "readme_check: %d figures in the README §6.1 table match %s, %d in the \
                  five-scheme table match %s, %d in the layer table match %s\n"
-    pps_checked !json report_checked !report_json (!checked - pps_checked - report_checked) !e2e_json
+    table1_checked !table1 report_checked !report_json (!checked - table1_checked - report_checked) !e2e_json

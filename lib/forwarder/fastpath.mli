@@ -18,7 +18,8 @@
     The cached pair and the uncached pair each share one destination's
     flows and records; the four groups use distinct destinations, so one
     group's records never steer another's packets.  Between sends only
-    the shim's router-written fields are reset ({!rewind}); the router's
+    the shim's router-written fields are reset (the capability pointer,
+    the request lists and the fresh pre-capabilities); the router's
     state is never touched. *)
 
 type t
@@ -43,12 +44,8 @@ val create : ?hash:(module Crypto.Keyed_hash.S) -> unit -> t
 
 val router : t -> Tva.Router.t
 
-val run : t -> op -> unit
-(** Send [op]'s next packet, cycling over its flows. *)
-
-val calibrate : ?iters:int -> t -> op -> float
-(** Wall-clock nanoseconds per packet over [iters] (default 20000)
-    packets after a warmup.  Raises [Failure] as {!on_branch} does. *)
+val pass : t -> op -> unit
+(** Send [op]'s packet for each of its {!flows} flows, once. *)
 
 val on_branch : t -> op -> packets:int -> (unit -> 'a) -> 'a
 (** [on_branch t op ~packets f] runs [f], which must send exactly
@@ -56,14 +53,27 @@ val on_branch : t -> op -> packets:int -> (unit -> 'a) -> 'a
     counters in {!Tva.Router.counters} moved by exactly [packets], no
     packet was demoted and the flow cache gained no record. *)
 
-val packets : t -> op -> pass:int -> Wire.Packet.t array
-(** [op]'s packet for each flow on pass [pass], for harnesses that loop
-    over {!Tva.Router.process} themselves.  Only the uncached ops
-    alternate between two sets: a harness that sends whole passes over a
-    prefix of the flows, from pass 0 on a fresh [t], keeps them on their
-    branch, as long as it does not also call {!run} for either of them. *)
+type measurement = {
+  ns_per_packet : float;  (** The median of [slice_ns]. *)
+  slice_ns : float array;  (** Nanoseconds per packet in each slice, in slice order. *)
+  minor_words_per_packet : float;  (** Over every timed pass. *)
+}
 
-val rewind : Wire.Packet.t -> unit
-(** Reset what routers write into a packet's shim — the capability
-    pointer, the request lists and the fresh pre-capabilities — so it can
-    be sent again. *)
+val measure : t -> passes:int -> op list -> (op * measurement) list
+(** [measure t ~passes ops] sends [passes] passes over each op's
+    {!flows} packets and returns, in [ops]' order, the wall-clock
+    nanoseconds and the minor-heap words per packet.  The ops are timed
+    in interleaved slices (at most 16): every op gets its share of each
+    slice in turn, and each share starts with [Gc.full_major] and one
+    untimed pass, then reads the wall clock and [Gc.minor_words] across
+    the same loop.  Each share runs under {!on_branch}, so [Failure] is
+    raised as there. *)
+
+val stage_ratios : (op * measurement) list -> (op * float * float) list
+(** [(op, ratio, budget)] for each of the SipHash router's stage budgets,
+    multiples of the legacy op's ns/packet: regular w/ cached entry 10x,
+    regular w/o cached entry (validate) 25x, request 20x.  The legacy op
+    does no TVA work, so the ratio cancels machine speed.  A stage's
+    ratio is the median, over the slices, of its ns/packet over the
+    legacy op's in the same slice.  Raises [Not_found] unless the results
+    hold the legacy op and every budgeted one, measured in one call. *)

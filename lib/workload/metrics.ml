@@ -61,16 +61,15 @@ let bytes_completed t = t.bytes_completed
 
 (* Jain's fairness index (x1..xn) = (Σx)² / (n·Σx²): 1.0 for equal
    shares, 1/n when one sender hogs everything.  The empty list and the
-   all-zero list are "no information", reported as perfectly fair so an
-   idle cell does not plot as unfair. *)
-let jain_index shares =
-  match shares with
-  | [] -> 1.0
-  | _ ->
-      let sum = List.fold_left ( +. ) 0. shares in
-      let sumsq = List.fold_left (fun acc x -> acc +. (x *. x)) 0. shares in
-      if sumsq = 0. then 1.0
-      else sum *. sum /. (float_of_int (List.length shares) *. sumsq)
+   all-zero list carry no information, so the honest form is an option;
+   the float form reports them as perfectly fair so an idle cell does not
+   plot as unfair, as [fraction_completed] does. *)
+let jain_index_opt shares =
+  let sum = List.fold_left ( +. ) 0. shares in
+  let sumsq = List.fold_left (fun acc x -> acc +. (x *. x)) 0. shares in
+  if sumsq = 0. then None else Some (sum *. sum /. (float_of_int (List.length shares) *. sumsq))
+
+let jain_index shares = match jain_index_opt shares with None -> 1.0 | Some j -> j
 
 let transfer_times t = t.times
 let timeline t = t.timeline

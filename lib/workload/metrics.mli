@@ -41,7 +41,12 @@ val bytes_completed : t -> int
 val jain_index : float list -> float
 (** Jain's fairness index [(Σx)² / (n·Σx²)] over per-sender shares: 1.0
     for equal shares (and for the empty or all-zero list), [1/n] when one
-    sender takes everything. *)
+    sender takes everything.  Exports that must tell "no shares" from a
+    fair split use {!jain_index_opt}. *)
+
+val jain_index_opt : float list -> float option
+(** [None] for the empty or all-zero list; JSON exports render it as
+    [null] rather than a fabricated 1.0. *)
 
 val transfer_times : t -> Stats.Summary.t
 

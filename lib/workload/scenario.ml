@@ -78,7 +78,7 @@ let flood_sweep ?(jobs = 1) ?obs ?(schemes = paper_schemes)
           fraction_completed = r.Experiment.fraction_completed;
           avg_transfer_time = r.Experiment.avg_transfer_time;
           median_transfer_time = Metrics.median_transfer_time r.Experiment.metrics;
-          jain = r.Experiment.jain_index;
+          jain = Option.value ~default:nan (Metrics.jain_index_opt r.Experiment.user_goodputs);
           report = r.Experiment.obs;
         })
       grid

@@ -11,7 +11,9 @@ type point = {
   fraction_completed : float;
   avg_transfer_time : float;
   median_transfer_time : float;  (** median of completed transfers; [nan] if none *)
-  jain : float;  (** Jain fairness index over per-user goodputs *)
+  jain : float;
+      (** Jain fairness index over per-user goodputs; [nan] when no user
+          completed anything ({!Metrics.jain_index_opt}) *)
   report : Obs.Report.t option;  (** the cell's observability report, iff swept with [obs] *)
 }
 

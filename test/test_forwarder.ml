@@ -5,22 +5,49 @@ let all_ops_run () =
   let fp = Forwarder.Fastpath.create () in
   List.iter
     (fun op ->
-      (* Each op must stay on its branch across many passes over its
-         flows; run a few thousand as a smoke check. *)
-      Forwarder.Fastpath.on_branch fp op ~packets:3000 (fun () ->
-          for _ = 1 to 3000 do
-            Forwarder.Fastpath.run fp op
+      (* Each op must stay on its branch across passes over its flows;
+         three make a smoke check. *)
+      Forwarder.Fastpath.on_branch fp op ~packets:(3 * Forwarder.Fastpath.flows) (fun () ->
+          for _ = 1 to 3 do
+            Forwarder.Fastpath.pass fp op
           done))
     Forwarder.Fastpath.all_ops
 
 let branch_check_catches_demotion () =
-  (* A lost flow cache demotes the nonce-only packets: calibrate must
+  (* A lost flow cache demotes the nonce-only packets: measure must
      refuse to report a cost for a branch its packets did not take. *)
   let fp = Forwarder.Fastpath.create () in
   Tva.Router.flush_cache (Forwarder.Fastpath.router fp);
-  match Forwarder.Fastpath.calibrate ~iters:10 fp Forwarder.Fastpath.Regular_cached with
+  match Forwarder.Fastpath.measure fp ~passes:1 [ Forwarder.Fastpath.Regular_cached ] with
   | exception Failure _ -> ()
-  | ns -> Alcotest.failf "reported %.0f ns for demoted packets" ns
+  | _ -> Alcotest.fail "reported a cost for demoted packets"
+
+(* The SipHash stage budgets are legacy multiples: a validate op at 26x
+   legacy is over its 25x, one at 21x is not. *)
+let stage_check () =
+  let timed ns = { Forwarder.Fastpath.ns_per_packet = ns; slice_ns = [| ns |]; minor_words_per_packet = 0. } in
+  let over validate =
+    Forwarder.Fastpath.(
+      stage_ratios
+        [
+          (Legacy_forward, timed 10.);
+          (Request, timed 160.);
+          (Regular_cached, timed 60.);
+          (Regular_uncached, timed validate);
+        ])
+    |> List.filter (fun (_, ratio, budget) -> ratio > budget)
+  in
+  (match over 260. with
+  | [ (Forwarder.Fastpath.Regular_uncached, ratio, budget) ] ->
+      Alcotest.(check (float 1e-9)) "validate ratio" 26. ratio;
+      Alcotest.(check (float 0.)) "validate budget" 25. budget
+  | l -> Alcotest.failf "26x validate: %d stages over budget, expected validate alone" (List.length l));
+  Alcotest.(check int) "21x validate passes" 0 (List.length (over 210.))
+
+(* ns/packet of each of [ops], measured together. *)
+let ns fp ~passes ops =
+  let results = Forwarder.Fastpath.measure fp ~passes ops in
+  fun op -> (List.assoc op results).Forwarder.Fastpath.ns_per_packet
 
 (* The prototype's crypto, counting its calls. *)
 module Counting_hash = struct
@@ -63,24 +90,23 @@ let cost_ordering_matches_table1 () =
       Counting_hash.precaps := 0;
       Counting_hash.caps := 0;
       Forwarder.Fastpath.on_branch fp op ~packets (fun () ->
-          for _ = 1 to packets do
-            Forwarder.Fastpath.run fp op
+          for _ = 1 to 4 do
+            Forwarder.Fastpath.pass fp op
           done);
       let name = Forwarder.Fastpath.op_name op in
       Alcotest.(check int) (name ^ " pre-capability hashes") (precaps * packets) !Counting_hash.precaps;
       Alcotest.(check int) (name ^ " capability hashes") (caps * packets) !Counting_hash.caps)
     expected;
   (* The hash-free types against a hashing one, by a wide margin. *)
-  let t op = Forwarder.Fastpath.calibrate ~iters:4000 fp op in
+  let t = ns fp ~passes:4 Forwarder.Fastpath.[ Request; Regular_cached; Legacy_forward ] in
   let request = t Forwarder.Fastpath.Request in
   Alcotest.(check bool) "cached is cheap" true (t Forwarder.Fastpath.Regular_cached < request /. 5.);
   Alcotest.(check bool) "legacy is cheap" true (t Forwarder.Fastpath.Legacy_forward < request /. 5.)
 
 let siphash_variant_is_faster () =
-  let heavy = Forwarder.Fastpath.create () in
-  let light = Forwarder.Fastpath.create ~hash:(module Crypto.Keyed_hash.Fast) () in
-  let th = Forwarder.Fastpath.calibrate ~iters:3000 heavy Forwarder.Fastpath.Regular_uncached in
-  let tl = Forwarder.Fastpath.calibrate ~iters:3000 light Forwarder.Fastpath.Regular_uncached in
+  let t fp = ns fp ~passes:3 [ Forwarder.Fastpath.Regular_uncached ] Forwarder.Fastpath.Regular_uncached in
+  let th = t (Forwarder.Fastpath.create ()) in
+  let tl = t (Forwarder.Fastpath.create ~hash:(module Crypto.Keyed_hash.Fast) ()) in
   Alcotest.(check bool) (Printf.sprintf "siphash (%.0fns) < aes+sha (%.0fns)" tl th) true (tl < th)
 
 (* --- Livelock model -------------------------------------------------------- *)
@@ -178,6 +204,7 @@ let suite =
   [
     Alcotest.test_case "all ops run" `Quick all_ops_run;
     Alcotest.test_case "branch check catches demotion" `Quick branch_check_catches_demotion;
+    Alcotest.test_case "stage check" `Quick stage_check;
     Alcotest.test_case "table1 ordering" `Slow cost_ordering_matches_table1;
     Alcotest.test_case "siphash faster" `Slow siphash_variant_is_faster;
     Alcotest.test_case "below peak lossless" `Quick output_equals_input_below_peak;

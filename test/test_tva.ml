@@ -573,104 +573,33 @@ let router_two_rotations_distinct () =
   Alcotest.(check bool) "second rotation yields a distinct secret" true
     (match p2.Wire.Packet.shim with Some s -> s.Wire.Cap_shim.demoted | None -> false)
 
-(* Regression guard for the zero-allocation hot path: a nonce-only packet
-   hitting the flow cache must stay within the same minor-words budget the
-   pps benchmark enforces (bench/pps_bench.ml).  The three router budgets
-   are the measured words plus one, less than the smallest heap block, so
-   any new allocation on a path fails them: cached 0; validate 6 (the two
-   boxed hash results); request 12 (the pre-capability, its boxed hash and
-   two list cells).  Built with the dev profile's -opaque, validate and
-   request read 24 and 21. *)
-let router_cached_path_allocation_budget () =
-  let budget = 1. in
-  let sim = Sim.create () in
-  let router = make_router sim in
-  let mk = granted_regular sim router ~n_kb:1023 ~t_sec:32 ~nonce:14L in
-  let p0 = mk ~bytes:100 () in
-  Tva.Router.process router ~in_interface:0 p0;
-  Alcotest.(check bool) "entry established" false
-    (match p0.Wire.Packet.shim with Some s -> s.Wire.Cap_shim.demoted | None -> true);
-  (* Small body so the loop stays far below the 1023 KB byte budget. *)
-  let p = mk ~with_caps:false ~bytes:10 () in
-  for _ = 1 to 100 do
-    Tva.Router.process router ~in_interface:0 p
-  done;
-  let iters = 8000 in
-  Gc.full_major ();
-  let words0 = Gc.minor_words () in
-  for _ = 1 to iters do
-    Tva.Router.process router ~in_interface:0 p
-  done;
-  let per_packet = (Gc.minor_words () -. words0) /. float_of_int iters in
-  Alcotest.(check bool) "stayed on the cached path" false
-    (match p.Wire.Packet.shim with Some s -> s.Wire.Cap_shim.demoted | None -> true);
-  if per_packet > budget then
-    Alcotest.failf "cached-nonce path allocates %.2f minor words/packet (budget %g)" per_packet
-      budget
+(* Regression guards for the allocation-free router paths: Table 1's
+   driver on the simulator's SipHash ([Forwarder.Fastpath.measure], the
+   harness behind `tva_sim table1`) sends eight passes over 1024 flows of
+   one packet type, checking that every packet stayed on its branch and
+   none was demoted, and each path must stay within its minor-words
+   budget.  The budgets are the measured words plus one, less than the
+   smallest heap block, so any new allocation on a path fails them:
+   cached 0; validate 6 (the two boxed hash results); request 12 (the
+   pre-capability, its boxed hash and two list cells).  Built with the
+   dev profile's -opaque, validate and request read 24 and 21. *)
+let router_path_words op ~budget () =
+  let fp = Forwarder.Fastpath.create ~hash:(module Crypto.Keyed_hash.Fast) () in
+  let m = List.assoc op (Forwarder.Fastpath.measure fp ~passes:8 [ op ]) in
+  let words = m.Forwarder.Fastpath.minor_words_per_packet in
+  if words > budget then
+    Alcotest.failf "%s allocates %.2f minor words/packet (budget %g)"
+      (Forwarder.Fastpath.op_name op) words budget
 
-(* Same guard for the validate path (nonce mismatch, two hash checks).
-   Alternating two nonces against one flow-cache entry forces every packet
-   through full validation, as in bench/pps_bench.ml. *)
-let router_validate_path_allocation_budget () =
-  let budget = 7. in
-  let sim = Sim.create () in
-  let router = make_router sim in
-  let mk_a = granted_regular sim router ~n_kb:1023 ~t_sec:32 ~nonce:15L in
-  let mk_b = granted_regular sim router ~n_kb:1023 ~t_sec:32 ~nonce:16L in
-  let p_a = mk_a ~bytes:10 () and p_b = mk_b ~bytes:10 () in
-  let reset (p : Wire.Packet.t) =
-    match p.Wire.Packet.shim with Some s -> s.Wire.Cap_shim.ptr <- 0 | None -> ()
-  in
-  let one p =
-    Tva.Router.process router ~in_interface:0 p;
-    reset p
-  in
-  one p_a;
-  one p_b;
-  let iters = 4000 in
-  Gc.full_major ();
-  let words0 = Gc.minor_words () in
-  for _ = 1 to iters do
-    one p_a;
-    one p_b
-  done;
-  let per_packet = (Gc.minor_words () -. words0) /. float_of_int (2 * iters) in
-  Alcotest.(check bool) "packets kept validating" false
-    (match p_a.Wire.Packet.shim with Some s -> s.Wire.Cap_shim.demoted | None -> true);
-  if per_packet > budget then
-    Alcotest.failf "validate path allocates %.2f minor words/packet (budget %g)" per_packet budget
+let router_cached_path_allocation_budget =
+  router_path_words Forwarder.Fastpath.Regular_cached ~budget:1.
 
-(* And for the request path (path-id tag + pre-capability mint).  The shim's
-   accumulated lists are rewound in place so only the router's work counts. *)
-let router_request_path_allocation_budget () =
-  let budget = 13. in
-  let sim = Sim.create () in
-  let router = make_router sim in
-  let p = request_packet () in
-  let reset (p : Wire.Packet.t) =
-    match p.Wire.Packet.shim with
-    | Some ({ Wire.Cap_shim.kind = Wire.Cap_shim.Request req; _ } as shim) ->
-        req.Wire.Cap_shim.rev_path_ids <- [];
-        req.Wire.Cap_shim.rev_precaps <- [];
-        shim.Wire.Cap_shim.demoted <- false
-    | _ -> Alcotest.fail "not a request"
-  in
-  let one () =
-    reset p;
-    Tva.Router.process router ~in_interface:0 p
-  in
-  for _ = 1 to 100 do
-    one ()
-  done;
-  let iters = 8000 in
-  Gc.full_major ();
-  let words0 = Gc.minor_words () in
-  for _ = 1 to iters do
-    one ()
-  done;
-  let per_packet = (Gc.minor_words () -. words0) /. float_of_int iters in
-  if per_packet > budget then
-    Alcotest.failf "request path allocates %.2f minor words/packet (budget %g)" per_packet budget
+(* Every packet takes the validate branch: two nonce sets alternate
+   against each flow's record. *)
+let router_validate_path_allocation_budget =
+  router_path_words Forwarder.Fastpath.Regular_uncached ~budget:7.
+
+let router_request_path_allocation_budget = router_path_words Forwarder.Fastpath.Request ~budget:13.
 
 let router_passes_legacy () =
   let sim = Sim.create () in

@@ -231,6 +231,15 @@ let jain_index_algebra () =
   Alcotest.(check (float 1e-12)) "one hog of 4" 0.25 (jain [ 10.; 0.; 0.; 0. ]);
   Alcotest.(check (float 1e-12)) "scale invariant" (jain [ 1.; 2.; 3. ]) (jain [ 10.; 20.; 30. ])
 
+(* "No shares" is not "fair shares": the report's jain cells read [None]
+   where nothing completed. *)
+let jain_index_opt_no_data () =
+  let jain = Workload.Metrics.jain_index_opt in
+  let opt = Alcotest.(option (float 1e-12)) in
+  Alcotest.check opt "empty has no index" None (jain []);
+  Alcotest.check opt "all idle has no index" None (jain [ 0.; 0. ]);
+  Alcotest.check opt "equal shares" (Some 1.) (jain [ 1.; 1. ])
+
 let median_transfer_time_shapes () =
   let m = Workload.Metrics.create () in
   Alcotest.(check bool) "no transfers is nan" true
@@ -620,6 +629,7 @@ let suite =
     Alcotest.test_case "parallel sweep = sequential sweep" `Slow parallel_sweep_matches_sequential;
     Alcotest.test_case "scenario render" `Quick scenario_render_shapes;
     Alcotest.test_case "jain index algebra" `Quick jain_index_algebra;
+    Alcotest.test_case "jain index no data" `Quick jain_index_opt_no_data;
     Alcotest.test_case "median transfer time" `Quick median_transfer_time_shapes;
     Alcotest.test_case "report deterministic across jobs" `Slow report_deterministic_across_jobs;
     Alcotest.test_case "swarm = n real flooders" `Quick swarm_matches_real_flooders;
