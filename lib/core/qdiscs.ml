@@ -1,6 +1,20 @@
 let request_path_id (p : Wire.Packet.t) =
   match p.Wire.Packet.shim with None -> 0 | Some shim -> Path_id.most_recent shim
 
+(* TVA's shim classifier, as the class index of the [Priority] link
+   scheduler: requests 0, regular 1, and legacy 2.  Routers demote invalid
+   packets before they are queued, so a demoted shim is legacy. *)
+let classify_by_shim (p : Wire.Packet.t) =
+  match p.Wire.Packet.shim with
+  | None -> 2
+  | Some shim ->
+      if shim.Wire.Cap_shim.demoted then 2
+      else begin
+        match shim.Wire.Cap_shim.kind with
+        | Wire.Cap_shim.Request _ -> 0
+        | Wire.Cap_shim.Regular _ -> 1
+      end
+
 let dst_key (p : Wire.Packet.t) = Wire.Addr.to_int p.Wire.Packet.dst
 let src_key (p : Wire.Packet.t) = Wire.Addr.to_int p.Wire.Packet.src
 
@@ -24,8 +38,8 @@ let build ?(regular_key = `Destination) ~(params : Params.t) ~bandwidth_bps ~req
   let legacy =
     Droptail.create ~name:"legacy-fifo" ~capacity_bytes:params.Params.queue_capacity_bytes ()
   in
-  Tri_class.create ~name:"tva-link" ~classify:Tri_class.classify_by_shim ~request ~regular
-    ~legacy ()
+  Priority.create ~name:"tva-link" ~classify:classify_by_shim
+    ~classes:[ request; regular; legacy ] ()
 
 let make ?regular_key ~params ~bandwidth_bps () =
   let request_inner =

@@ -3,7 +3,12 @@
     identifier behind a token bucket capped at [params.request_fraction] of
     the link; regular packets are DRR-fair-queued by destination address
     over at most the flow-cache bound of classes; legacy (and demoted)
-    traffic takes a FIFO served last. *)
+    traffic takes a FIFO served last.  The three are the classes of one
+    strict-priority qdisc, served in that order. *)
+
+val classify_by_shim : Wire.Packet.t -> int
+(** The link scheduler's class index: 0 for a request shim, 1 for an
+    undemoted regular shim, 2 (legacy) for a demoted or shimless packet. *)
 
 val make :
   ?regular_key:[ `Destination | `Source ] ->

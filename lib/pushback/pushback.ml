@@ -13,7 +13,7 @@ type link_state = {
   mutable window_drops : int;
   drops_by_dst : (int, int) Hashtbl.t;
   limits : (int, filter) Hashtbl.t; (* destination -> shaper *)
-  mutable staged : Wire.Packet.t option;
+  mutable staged : Wire.Packet.t; (* head awaiting its limit's tokens; [Qdisc.none] if absent *)
 }
 
 type node_state = {
@@ -68,7 +68,7 @@ let make_qdisc t ~bandwidth_bps =
       window_drops = 0;
       drops_by_dst = Hashtbl.create 16;
       limits = Hashtbl.create 4;
-      staged = None;
+      staged = Qdisc.none;
     }
   in
   let enqueue ~now p =
@@ -77,8 +77,8 @@ let make_qdisc t ~bandwidth_bps =
     else begin
       ls.window_drops <- ls.window_drops + 1;
       let dst = Wire.Addr.to_int p.Wire.Packet.dst in
-      Hashtbl.replace ls.drops_by_dst dst
-        (1 + Option.value ~default:0 (Hashtbl.find_opt ls.drops_by_dst dst))
+      let n = match Hashtbl.find ls.drops_by_dst dst with n -> n | exception Not_found -> 0 in
+      Hashtbl.replace ls.drops_by_dst dst (n + 1)
     end;
     accepted
   in
@@ -88,59 +88,57 @@ let make_qdisc t ~bandwidth_bps =
       f.last <- now
     end
   in
+  (* The staged head, unless a limit on its destination holds it back for
+     tokens ([Qdisc.none]). *)
   let release_staged ~now =
-    match ls.staged with
-    | None -> None
-    | Some p -> begin
-        match Hashtbl.find_opt ls.limits (Wire.Addr.to_int p.Wire.Packet.dst) with
-        | None ->
-            ls.staged <- None;
-            Some p
-        | Some f ->
-            refill f ~now;
-            let size = float_of_int (Wire.Packet.size p) in
-            if f.tokens >= size then begin
-              f.tokens <- f.tokens -. size;
-              ls.staged <- None;
-              Some p
-            end
-            else None
-      end
+    let p = ls.staged in
+    if p == Qdisc.none then Qdisc.none
+    else begin
+      match Hashtbl.find ls.limits (Wire.Addr.to_int p.Wire.Packet.dst) with
+      | exception Not_found ->
+          ls.staged <- Qdisc.none;
+          p
+      | f ->
+          refill f ~now;
+          let size = float_of_int (Wire.Packet.size p) in
+          if f.tokens >= size then begin
+            f.tokens <- f.tokens -. size;
+            ls.staged <- Qdisc.none;
+            p
+          end
+          else Qdisc.none
+    end
   in
   let dequeue ~now =
-    match release_staged ~now with
-    | Some p -> p
-    | None -> begin
-        match ls.staged with
-        | Some _ -> Qdisc.none
-        | None -> begin
-            let p = Qdisc.dequeue inner ~now in
-            if p == Qdisc.none then Qdisc.none
-            else begin
-              ls.staged <- Some p;
-              match release_staged ~now with Some p -> p | None -> Qdisc.none
-            end
-          end
+    if ls.staged != Qdisc.none then release_staged ~now
+    else begin
+      let p = Qdisc.dequeue inner ~now in
+      if p == Qdisc.none then Qdisc.none
+      else begin
+        ls.staged <- p;
+        release_staged ~now
       end
+    end
   in
   let next_ready ~now =
-    match ls.staged with
-    | Some p -> begin
-        match Hashtbl.find_opt ls.limits (Wire.Addr.to_int p.Wire.Packet.dst) with
-        | None -> now
-        | Some f ->
-            refill f ~now;
-            let size = float_of_int (Wire.Packet.size p) in
-            if f.tokens >= size then now else now +. ((size -. f.tokens) /. f.rate)
-      end
-    | None -> Qdisc.next_ready inner ~now
+    let p = ls.staged in
+    if p == Qdisc.none then Qdisc.next_ready inner ~now
+    else begin
+      match Hashtbl.find ls.limits (Wire.Addr.to_int p.Wire.Packet.dst) with
+      | exception Not_found -> now
+      | f ->
+          refill f ~now;
+          let size = float_of_int (Wire.Packet.size p) in
+          if f.tokens >= size then now else now +. ((size -. f.tokens) /. f.rate)
+    end
   in
   let qdisc =
     Qdisc.make_custom ~name:"pushback-link" ~enqueue ~dequeue ~next_ready
-      ~packet_count:(fun () -> Qdisc.packet_count inner + if ls.staged = None then 0 else 1)
+      ~packet_count:(fun () ->
+        Qdisc.packet_count inner + if ls.staged == Qdisc.none then 0 else 1)
       ~byte_count:(fun () ->
         Qdisc.byte_count inner
-        + match ls.staged with None -> 0 | Some p -> Wire.Packet.size p)
+        + if ls.staged == Qdisc.none then 0 else Wire.Packet.size ls.staged)
       ()
   in
   t.registry <- (qdisc.Qdisc.stats, ls) :: t.registry;

@@ -5,13 +5,14 @@
    returning a freshly boxed [option].  It is now a concrete variant: the
    disciplines' state lives here and [enqueue]/[dequeue]/[next_ready]
    dispatch over [kind] as a match chain, so the TVA link scheduler
-   (tri-class -> token bucket -> DRR) runs as straight-line code.
+   (strict priority -> token bucket -> DRR) runs as straight-line code.
 
    Allocation discipline (DESIGN.md Sec. 9): steady-state enqueue/dequeue
    allocate nothing.  FIFOs are ring buffers ([Pktring]), DRR's round-robin
-   ring is an int ring ([Intring]), the token bucket counts fixed-point
-   integer tokens, "no packet" is the physical sentinel [none] instead of
-   [option], and "never ready" is [infinity] instead of [float option]. *)
+   ring is an int ring ([Intring]), the token bucket meters with a
+   fixed-point [Policer], "no packet" is the physical sentinel [none]
+   instead of [option], and "never ready" is [infinity] instead of
+   [float option]. *)
 
 type stats = {
   mutable enqueued : int;
@@ -49,7 +50,6 @@ and kind =
   | Fifo of fifo
   | Drr of drr
   | Token_bucket of token_bucket
-  | Tri_class of tri_class
   | Priority of priority
   | Custom of custom
 
@@ -89,24 +89,13 @@ and drr_class = {
 
 (* --- token bucket ------------------------------------------------------ *)
 and token_bucket = {
-  tb_rate_bytes : float; (* bytes per second, for readiness arithmetic *)
-  tb_rate_fp : float; (* bytes/s scaled by 2^fp_shift, for refill *)
-  tb_burst_fp : int;
-  tb_horizon_fp : int; (* min(burst, mtu): poll horizon for an unstaged head *)
-  mutable tb_tokens : int; (* fixed-point: bytes * 2^fp_shift, an immediate *)
-  tb_last : float array; (* [|last refill time|]: flat float, unboxed store *)
+  tb_meter : Policer.t;
+  tb_horizon : int; (* min(burst, mtu) bytes: poll horizon for an unstaged head *)
   mutable tb_staged : Wire.Packet.t; (* head awaiting tokens; [none] if absent *)
   tb_inner : t;
 }
 
-(* --- strict classifiers ------------------------------------------------ *)
-and tri_class = {
-  tc_classify : Wire.Packet.t -> int; (* 0 request / 1 regular / _ legacy *)
-  tc_request : t;
-  tc_regular : t;
-  tc_legacy : t;
-}
-
+(* --- strict priority ---------------------------------------------------- *)
 and priority = {
   p_classify : Wire.Packet.t -> int; (* clamped into [0, classes-1] *)
   p_classes : t array;
@@ -120,39 +109,6 @@ and custom = {
   c_packet_count : unit -> int;
   c_byte_count : unit -> int;
 }
-
-(* --- token-bucket fixed point ------------------------------------------ *)
-
-(* Tokens are bytes scaled by 2^20: sub-microbyte resolution, so the
-   truncation on refill shifts a release time by well under a nanosecond
-   of virtual time, while a 4 GB burst still fits an immediate int with
-   twenty bits to spare.  Being an immediate is the point — a mutable
-   int64 or float record field would box on every store. *)
-let tb_fp_shift = 20
-
-let tb_refill tb ~now =
-  let last = Array.unsafe_get tb.tb_last 0 in
-  if now > last then begin
-    let grant = tb.tb_rate_fp *. (now -. last) in
-    let deficit = tb.tb_burst_fp - tb.tb_tokens in
-    if grant >= float_of_int deficit then begin
-      tb.tb_tokens <- tb.tb_burst_fp;
-      Array.unsafe_set tb.tb_last 0 now
-    end
-    else begin
-      (* Advance [last] only over the interval the whole units account
-         for, so the fractional remainder keeps accruing.  Truncating it
-         away (last <- now) live-locks: when a staged packet is one unit
-         short, the re-poll interval is 1/rate_fp seconds, over which the
-         truncated grant is 0 whole units — tokens freeze and the
-         transmitter polls forever. *)
-      let g = int_of_float grant in
-      if g > 0 then begin
-        tb.tb_tokens <- tb.tb_tokens + g;
-        Array.unsafe_set tb.tb_last 0 (last +. (float_of_int g /. tb.tb_rate_fp))
-      end
-    end
-  end
 
 (* --- DRR class pool ---------------------------------------------------- *)
 
@@ -232,12 +188,6 @@ let rec enqueue t ~now p =
           true
         end
     | Token_bucket tb -> enqueue tb.tb_inner ~now p
-    | Tri_class tc -> begin
-        match tc.tc_classify p with
-        | 0 -> enqueue tc.tc_request ~now p
-        | 1 -> enqueue tc.tc_regular ~now p
-        | _ -> enqueue tc.tc_legacy ~now p
-      end
     | Priority pr ->
         let n = Array.length pr.p_classes in
         let i = pr.p_classify p in
@@ -256,7 +206,7 @@ let rec enqueue t ~now p =
         let n = Pktring.length f.f_ring in
         if n > stats.hwm_packets then stats.hwm_packets <- n
     | Drr d -> if d.d_packets > stats.hwm_packets then stats.hwm_packets <- d.d_packets
-    | Token_bucket _ | Tri_class _ | Priority _ | Custom _ -> ()
+    | Token_bucket _ | Priority _ | Custom _ -> ()
   end
   else begin
     stats.dropped <- stats.dropped + 1;
@@ -330,53 +280,28 @@ and dequeue t ~now =
         if p != none then f.f_bytes <- f.f_bytes - Wire.Packet.size p;
         p
     | Drr d -> drr_dequeue d
-    | Token_bucket tb -> begin
-        tb_refill tb ~now;
-        match tb.tb_staged with
-        | staged when staged != none ->
-            let size_fp = Wire.Packet.size staged lsl tb_fp_shift in
-            if tb.tb_tokens >= size_fp then begin
-              tb.tb_tokens <- tb.tb_tokens - size_fp;
-              tb.tb_staged <- none;
-              staged
-            end
-            else none
-        | _ -> begin
-            match dequeue tb.tb_inner ~now with
-            | p when p == none -> none
-            | p ->
-                let size_fp = Wire.Packet.size p lsl tb_fp_shift in
-                if tb.tb_tokens >= size_fp then begin
-                  tb.tb_tokens <- tb.tb_tokens - size_fp;
-                  p
-                end
-                else begin
-                  (* Stage the head until tokens accrue; a one-slot buffer
-                     rate-limits without a peek operation on the inner. *)
-                  tb.tb_staged <- p;
-                  none
-                end
+    | Token_bucket tb ->
+        let m = tb.tb_meter in
+        Policer.refill m ~now;
+        let staged = tb.tb_staged in
+        if staged != none then begin
+          if Policer.take m ~bytes:(Wire.Packet.size staged) then begin
+            tb.tb_staged <- none;
+            staged
           end
-      end
-    | Tri_class tc -> begin
-        (* Requests first — their own rate limiter keeps them below their
-           link share — then regular, then legacy scavenges. *)
-        match dequeue tc.tc_request ~now with
-        | p when p != none -> p
-        | _ -> begin
-            match dequeue tc.tc_regular ~now with
-            | p when p != none -> p
-            | _ -> dequeue tc.tc_legacy ~now
+          else none
+        end
+        else begin
+          let p = dequeue tb.tb_inner ~now in
+          if p == none || Policer.take m ~bytes:(Wire.Packet.size p) then p
+          else begin
+            (* Stage the head until tokens accrue; a one-slot buffer
+               rate-limits without a peek operation on the inner. *)
+            tb.tb_staged <- p;
+            none
           end
-      end
-    | Priority pr ->
-        let n = Array.length pr.p_classes in
-        let rec go i = if i >= n then none else
-          match dequeue pr.p_classes.(i) ~now with
-          | p when p != none -> p
-          | _ -> go (i + 1)
-        in
-        go 0
+        end
+    | Priority pr -> priority_dequeue pr.p_classes 0 ~now
     | Custom c -> c.c_dequeue ~now
   in
   if p != none then begin
@@ -385,6 +310,16 @@ and dequeue t ~now =
     stats.bytes_dequeued <- stats.bytes_dequeued + Wire.Packet.size p
   end;
   p
+
+(* Strict priority: the first class with a servable packet wins.  A
+   top-level function rather than a local loop, so a dequeue builds no
+   closure. *)
+and priority_dequeue classes i ~now =
+  if i >= Array.length classes then none
+  else begin
+    let p = dequeue (Array.unsafe_get classes i) ~now in
+    if p != none then p else priority_dequeue classes (i + 1) ~now
+  end
 
 let dequeue_opt t ~now =
   match dequeue t ~now with p when p == none -> None | p -> Some p
@@ -397,13 +332,10 @@ let rec next_ready t ~now =
   | Fifo f -> if Pktring.is_empty f.f_ring then infinity else now
   | Drr d -> if d.d_packets > 0 then now else infinity
   | Token_bucket tb ->
-      tb_refill tb ~now;
-      let ready_at size_fp =
-        if tb.tb_tokens >= size_fp then now
-        else now +. (float_of_int (size_fp - tb.tb_tokens) /. tb.tb_rate_fp)
-      in
+      let m = tb.tb_meter in
+      Policer.refill m ~now;
       let staged = tb.tb_staged in
-      if staged != none then ready_at (Wire.Packet.size staged lsl tb_fp_shift)
+      if staged != none then Policer.ready_at m ~now ~bytes:(Wire.Packet.size staged)
       else begin
         let at = next_ready tb.tb_inner ~now in
         if at = infinity then infinity
@@ -412,12 +344,8 @@ let rec next_ready t ~now =
              the later of the inner readiness and a one-MTU token horizon.
              The transmitter will stage-and-recheck, so this is only a
              lower bound on readiness, never a miss. *)
-          Float.max at (ready_at tb.tb_horizon_fp)
+          Float.max at (Policer.ready_at m ~now ~bytes:tb.tb_horizon)
       end
-  | Tri_class tc ->
-      Float.min
-        (next_ready tc.tc_request ~now)
-        (Float.min (next_ready tc.tc_regular ~now) (next_ready tc.tc_legacy ~now))
   | Priority pr ->
       let acc = ref infinity in
       for i = 0 to Array.length pr.p_classes - 1 do
@@ -431,7 +359,6 @@ let rec packet_count t =
   | Fifo f -> Pktring.length f.f_ring
   | Drr d -> d.d_packets
   | Token_bucket tb -> packet_count tb.tb_inner + if tb.tb_staged == none then 0 else 1
-  | Tri_class tc -> packet_count tc.tc_request + packet_count tc.tc_regular + packet_count tc.tc_legacy
   | Priority pr -> Array.fold_left (fun acc c -> acc + packet_count c) 0 pr.p_classes
   | Custom c -> c.c_packet_count ()
 
@@ -442,12 +369,11 @@ let rec byte_count t =
   | Token_bucket tb ->
       byte_count tb.tb_inner
       + if tb.tb_staged == none then 0 else Wire.Packet.size tb.tb_staged
-  | Tri_class tc -> byte_count tc.tc_request + byte_count tc.tc_regular + byte_count tc.tc_legacy
   | Priority pr -> Array.fold_left (fun acc c -> acc + byte_count c) 0 pr.p_classes
   | Custom c -> c.c_byte_count ()
 
 (* Walk a composite qdisc, parent before children, depth-first in service
-   order (request, regular, legacy for the tri-class).  Observability reads
+   order (request, regular, legacy for the TVA link).  Observability reads
    per-level stats and residual occupancy through this without knowing the
    composite's shape. *)
 let rec iter_nested t f =
@@ -456,10 +382,6 @@ let rec iter_nested t f =
   | Fifo _ | Custom _ -> ()
   | Drr _ -> ()
   | Token_bucket tb -> iter_nested tb.tb_inner f
-  | Tri_class tc ->
-      iter_nested tc.tc_request f;
-      iter_nested tc.tc_regular f;
-      iter_nested tc.tc_legacy f
   | Priority pr -> Array.iter (fun c -> iter_nested c f) pr.p_classes
 
 (* --- constructors ------------------------------------------------------ *)

@@ -8,9 +8,9 @@
 
     The type is a concrete variant rather than a record of closures: the
     datapath functions dispatch over [kind] directly, so a composite like
-    the TVA link scheduler (tri-class over token bucket over DRR) dequeues
-    through one match chain with no indirect calls and — by design — no
-    steady-state allocation: "no packet" is the physical sentinel {!none}
+    the TVA link scheduler (strict priority over token bucket over DRR)
+    dequeues through one match chain with no indirect calls and — by
+    design — no steady-state allocation: "no packet" is the physical sentinel {!none}
     (never a boxed [option]) and "never ready" is [infinity]. *)
 
 type stats = {
@@ -32,7 +32,6 @@ and kind =
   | Fifo of fifo
   | Drr of drr
   | Token_bucket of token_bucket
-  | Tri_class of tri_class
   | Priority of priority
   | Custom of custom
 
@@ -67,21 +66,10 @@ and drr_class = {
 }
 
 and token_bucket = {
-  tb_rate_bytes : float;
-  tb_rate_fp : float;  (** bytes/s scaled by [2{^fp_shift}] *)
-  tb_burst_fp : int;
-  tb_horizon_fp : int;  (** min(burst, mtu): poll horizon when unstaged *)
-  mutable tb_tokens : int;  (** fixed point: bytes * [2{^fp_shift}] *)
-  tb_last : float array;  (** single cell: last refill time *)
+  tb_meter : Policer.t;  (** the rate and the tokens *)
+  tb_horizon : int;  (** min(burst, mtu) bytes: poll horizon when unstaged *)
   mutable tb_staged : Wire.Packet.t;  (** head awaiting tokens, or {!none} *)
   tb_inner : t;
-}
-
-and tri_class = {
-  tc_classify : Wire.Packet.t -> int;  (** 0 request / 1 regular / _ legacy *)
-  tc_request : t;
-  tc_regular : t;
-  tc_legacy : t;
 }
 
 and priority = {
@@ -123,10 +111,6 @@ val iter_nested : t -> (t -> unit) -> unit
 (** Visit [t] and every nested qdisc, parent first, children in service
     order.  Lets observability walk a composite's per-level stats and
     residual occupancy without knowing its shape. *)
-
-val tb_fp_shift : int
-(** Token-bucket fixed-point scale: tokens are bytes times [2{^tb_fp_shift}],
-    kept in an immediate [int] so refills do not box. *)
 
 val overflow_key : int
 (** DRR key under which packets share one queue once [d_max_queues]

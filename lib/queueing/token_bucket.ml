@@ -1,22 +1,14 @@
-(* Thin constructor: the token-bucket datapath lives in [Qdisc].  Tokens
-   are fixed-point bytes (an immediate int) and the last-refill time sits
-   in a flat float array, so refills never box — see DESIGN.md Sec. 9. *)
+(* Thin constructor: the token-bucket datapath lives in [Qdisc], which
+   meters with a [Policer] (fixed-point tokens, no boxing on refill — see
+   DESIGN.md Sec. 9). *)
 
 let create ?(name = "token-bucket") ?(mtu = 1500) ~rate_bps ~burst_bytes ~inner () =
-  if rate_bps <= 0. then invalid_arg "Token_bucket.create: rate must be positive";
-  if burst_bytes <= 0 then invalid_arg "Token_bucket.create: burst must be positive";
   if mtu <= 0 then invalid_arg "Token_bucket.create: mtu must be positive";
-  let rate_bytes = rate_bps /. 8. in
-  let burst_fp = burst_bytes lsl Qdisc.tb_fp_shift in
   Qdisc.make ~name
     (Qdisc.Token_bucket
        {
-         Qdisc.tb_rate_bytes = rate_bytes;
-         tb_rate_fp = rate_bytes *. float_of_int (1 lsl Qdisc.tb_fp_shift);
-         tb_burst_fp = burst_fp;
-         tb_horizon_fp = min burst_fp (mtu lsl Qdisc.tb_fp_shift);
-         tb_tokens = burst_fp;
-         tb_last = [| 0. |];
+         Qdisc.tb_meter = Policer.create ~rate_bps ~burst_bytes;
+         tb_horizon = min burst_bytes mtu;
          tb_staged = Qdisc.none;
          tb_inner = inner;
        })

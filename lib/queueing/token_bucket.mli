@@ -4,7 +4,7 @@
     also caps them at that fraction (paper Sec. 3.2, 5% default; the
     simulations use 1%).  The limiter shapes the *service* rate: packets
     stay queued in the inner qdisc and are released only when the bucket
-    holds enough tokens, with [next_ready] telling the link transmitter
+    (a {!Policer.t}) holds enough tokens, with [next_ready] telling the link transmitter
     when to poll again. *)
 
 val create :

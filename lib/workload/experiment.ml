@@ -422,7 +422,7 @@ let run ?obs ?faults cfg =
                   (match limiter with
                   | Some { Qdisc.kind = Qdisc.Token_bucket tb; _ } ->
                       (* Saturation relative to the channel's configured rate. *)
-                      let cap = tb.Qdisc.tb_rate_bytes in
+                      let cap = Policer.rate_bps tb.Qdisc.tb_meter /. 8. in
                       [
                         Obs.Detect.rule ~name:"request-saturation" ~chan:"request_bytes"
                           ~on:(0.9 *. cap) ~off:(0.3 *. cap) ();

@@ -1,6 +1,7 @@
 (* Queueing disciplines: FIFO semantics, DRR fairness, the token-bucket
-   request limiter, the Fig. 2 tri-class scheduler, strict priority and
-   SFQ collisions. *)
+   request limiter and its policer meter, strict priority and the Fig. 2
+   TVA link built from it, SFQ collisions, and the allocation-free
+   datapath of every scheme's link. *)
 
 let mk_packet ?(src = 1) ?(dst = 2) ?(bytes = 1000) () =
   Wire.Packet.make ~src:(Wire.Addr.of_int src) ~dst:(Wire.Addr.of_int dst)
@@ -220,18 +221,18 @@ let tva_shim kind =
 
 let tri_class_classifier () =
   let p_legacy = mk_packet () in
-  Alcotest.(check bool) "legacy" true (Tri_class.classify_by_shim p_legacy = Tri_class.Legacy);
+  Alcotest.(check int) "legacy" 2 (Tva.Qdiscs.classify_by_shim p_legacy);
   let p_req = mk_packet () in
   p_req.Wire.Packet.shim <- Some (tva_shim `Request);
-  Alcotest.(check bool) "request" true (Tri_class.classify_by_shim p_req = Tri_class.Request);
+  Alcotest.(check int) "request" 0 (Tva.Qdiscs.classify_by_shim p_req);
   let p_reg = mk_packet () in
   p_reg.Wire.Packet.shim <- Some (tva_shim `Regular);
-  Alcotest.(check bool) "regular" true (Tri_class.classify_by_shim p_reg = Tri_class.Regular);
+  Alcotest.(check int) "regular" 1 (Tva.Qdiscs.classify_by_shim p_reg);
   let p_dem = mk_packet () in
   let shim = tva_shim `Regular in
   shim.Wire.Cap_shim.demoted <- true;
   p_dem.Wire.Packet.shim <- Some shim;
-  Alcotest.(check bool) "demoted is legacy" true (Tri_class.classify_by_shim p_dem = Tri_class.Legacy)
+  Alcotest.(check int) "demoted is legacy" 2 (Tva.Qdiscs.classify_by_shim p_dem)
 
 let tri_class_legacy_is_lowest_priority () =
   let q = Tva.Qdiscs.make ~params:Tva.Params.default ~bandwidth_bps:10e6 () in
@@ -284,7 +285,7 @@ let tri_class_regular_unaffected_by_request_backlog () =
   for i = 1 to 25 do
     match Qdisc.dequeue_opt q ~now:0. with
     | Some p ->
-        if !found_at = None && Tri_class.classify_by_shim p = Tri_class.Regular then
+        if !found_at = None && Tva.Qdiscs.classify_by_shim p = 1 then
           found_at := Some i
     | None -> ()
   done;
@@ -485,6 +486,126 @@ let drr_overflow_key_is_reachable () =
   let pos id = Option.get (List.find_index (fun x -> x = id) order) in
   Alcotest.(check bool) "overflow is FIFO" true (pos c.Wire.Packet.id < pos d.Wire.Packet.id)
 
+(* --- TVA link differential model ---------------------------------------------- *)
+
+(* Reference model: the tri-class scheduler the TVA link was before it
+   became a three-class [Priority] — the shim dispatch on enqueue and the
+   request -> regular -> legacy match chain on dequeue — over the three
+   children of a second link built the same way.  The production link must
+   agree with it on every accept, every release and every readiness time. *)
+module Tri_class_model = struct
+  type t = { request : Qdisc.t; regular : Qdisc.t; legacy : Qdisc.t }
+
+  let of_link (q : Qdisc.t) =
+    match q.Qdisc.kind with
+    | Qdisc.Priority { Qdisc.p_classes = [| request; regular; legacy |]; _ } ->
+        { request; regular; legacy }
+    | _ -> invalid_arg "Tri_class_model.of_link"
+
+  let enqueue m ~now (p : Wire.Packet.t) =
+    let child =
+      match p.Wire.Packet.shim with
+      | Some { Wire.Cap_shim.demoted = false; kind = Wire.Cap_shim.Request _; _ } -> m.request
+      | Some { Wire.Cap_shim.demoted = false; kind = Wire.Cap_shim.Regular _; _ } -> m.regular
+      | Some _ | None -> m.legacy
+    in
+    Qdisc.enqueue child ~now p
+
+  let dequeue m ~now =
+    match Qdisc.dequeue m.request ~now with
+    | p when p != Qdisc.none -> p
+    | _ -> begin
+        match Qdisc.dequeue m.regular ~now with
+        | p when p != Qdisc.none -> p
+        | _ -> Qdisc.dequeue m.legacy ~now
+      end
+
+  let next_ready m ~now =
+    Float.min
+      (Qdisc.next_ready m.request ~now)
+      (Float.min (Qdisc.next_ready m.regular ~now) (Qdisc.next_ready m.legacy ~now))
+end
+
+type tva_op =
+  | T_enq of [ `Request | `Regular | `Legacy | `Demoted ] * int * int
+  | T_deq
+  | T_ready
+  | T_tick of int
+
+let tva_op_gen =
+  (* Small queues and a 1 KB request burst at 1% of 10 Mb/s, so drops,
+     the request limiter's staging and its readiness times all show up
+     within a few hundred operations. *)
+  QCheck.Gen.(
+    frequency
+      [
+        ( 4,
+          map3
+            (fun c dst bytes -> T_enq (c, dst, bytes))
+            (oneofl [ `Request; `Regular; `Legacy; `Demoted ])
+            (int_range 1 4) (int_range 40 1500) );
+        (3, return T_deq);
+        (1, return T_ready);
+        (1, map (fun dt -> T_tick dt) (int_range 0 50));
+      ])
+
+let tva_op_print = function
+  | T_enq (c, dst, bytes) ->
+      let c =
+        match c with
+        | `Request -> "request"
+        | `Regular -> "regular"
+        | `Legacy -> "legacy"
+        | `Demoted -> "demoted"
+      in
+      Printf.sprintf "Enq(%s,dst=%d,%dB)" c dst bytes
+  | T_deq -> "Deq"
+  | T_ready -> "Ready"
+  | T_tick dt -> Printf.sprintf "Tick(%.1fms)" (float_of_int dt *. 0.1)
+
+let tva_link_matches_tri_class_model =
+  QCheck.Test.make ~name:"tva link: three-class priority matches the tri-class reference model"
+    ~count:300
+    (QCheck.make ~print:QCheck.Print.(list tva_op_print) QCheck.Gen.(list_size (int_range 1 300) tva_op_gen))
+    (fun ops ->
+      let params =
+        {
+          Tva.Params.default with
+          Tva.Params.request_fraction = 0.01;
+          request_burst_bytes = 1000;
+          queue_capacity_bytes = 8000;
+        }
+      in
+      let link () = Tva.Qdiscs.make ~params ~bandwidth_bps:10e6 () in
+      let q = link () in
+      let m = Tri_class_model.of_link (link ()) in
+      let now = ref 0. in
+      List.for_all
+        (fun op ->
+          match op with
+          | T_enq (c, dst, bytes) ->
+              let p = mk_packet ~dst ~bytes () in
+              (match c with
+              | `Request -> p.Wire.Packet.shim <- Some (tva_shim `Request)
+              | `Regular -> p.Wire.Packet.shim <- Some (tva_shim `Regular)
+              | `Legacy -> ()
+              | `Demoted ->
+                  let shim = tva_shim `Regular in
+                  shim.Wire.Cap_shim.demoted <- true;
+                  p.Wire.Packet.shim <- Some shim);
+              Qdisc.enqueue q ~now:!now p = Tri_class_model.enqueue m ~now:!now p
+          | T_deq -> Qdisc.dequeue q ~now:!now == Tri_class_model.dequeue m ~now:!now
+          | T_ready ->
+              Float.equal (Qdisc.next_ready q ~now:!now) (Tri_class_model.next_ready m ~now:!now)
+          | T_tick dt ->
+              now := !now +. (float_of_int dt *. 1e-4);
+              true)
+        ops
+      && Qdisc.packet_count q
+         = Qdisc.packet_count m.request + Qdisc.packet_count m.regular + Qdisc.packet_count m.legacy
+      && Qdisc.byte_count q
+         = Qdisc.byte_count m.request + Qdisc.byte_count m.regular + Qdisc.byte_count m.legacy)
+
 (* --- Token bucket conformance --------------------------------------------------- *)
 
 let token_bucket_window_conformance =
@@ -540,6 +661,137 @@ let token_bucket_window_conformance =
         done
       done;
       !ok)
+
+(* --- Policer --------------------------------------------------------------------- *)
+
+let policer_script =
+  QCheck.(
+    triple (int_range 1 40) (* rate, units of 10 KB/s *)
+      (int_range 1500 20_000) (* burst bytes *)
+      (list_of_size Gen.(int_range 1 300) (pair (int_range 0 50) (int_range 40 1500))))
+
+let policer_conformance =
+  (* What the meter admits over [0, t] is at most the burst it starts
+     with plus what the rate earns: refills grant whole units only, never
+     more than the elapsed time pays for. *)
+  QCheck.Test.make ~name:"policer: bytes admitted over [0, t] within burst + rate*t" ~count:200
+    policer_script
+    (fun (rate10k, burst, script) ->
+      let rate_bytes = float_of_int rate10k *. 10_000. in
+      let m = Policer.create ~rate_bps:(rate_bytes *. 8.) ~burst_bytes:burst in
+      let t = ref 0. and admitted = ref 0 in
+      List.for_all
+        (fun (dt_tenth_ms, bytes) ->
+          t := !t +. (float_of_int dt_tenth_ms *. 1e-4);
+          if Policer.admit m ~now:!t ~bytes then admitted := !admitted + bytes;
+          (* 1-byte slack for float rounding in the bound itself. *)
+          float_of_int !admitted <= float_of_int burst +. (rate_bytes *. !t) +. 1.)
+        script)
+
+let policer_set_rate_keeps_tokens () =
+  (* 1000 B/s, 1000 B burst: spend the burst at 0, earn exactly 500 B by
+     0.5 s, then drop the rate a thousandfold.  The 500 B already earned
+     still conform at 0.5 s; one byte more does not. *)
+  let m = Policer.create ~rate_bps:8000. ~burst_bytes:1000 in
+  Alcotest.(check bool) "burst" true (Policer.admit m ~now:0. ~bytes:1000);
+  Alcotest.(check bool) "empty" false (Policer.admit m ~now:0. ~bytes:1);
+  Alcotest.(check bool) "not yet 501" false (Policer.admit m ~now:0.5 ~bytes:501);
+  Policer.set_rate m ~rate_bps:8.;
+  Alcotest.(check (float 0.)) "new rate" 8. (Policer.rate_bps m);
+  Alcotest.(check bool) "accrued 500 kept" true (Policer.admit m ~now:0.5 ~bytes:500);
+  Alcotest.(check bool) "nothing more" false (Policer.admit m ~now:0.5 ~bytes:1)
+
+let policer_rejects_bad_arguments () =
+  let invalid f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  let create ~rate_bps ~burst_bytes () = ignore (Policer.create ~rate_bps ~burst_bytes) in
+  Alcotest.(check bool) "zero rate" true (invalid (create ~rate_bps:0. ~burst_bytes:1000));
+  Alcotest.(check bool) "negative rate" true (invalid (create ~rate_bps:(-8.) ~burst_bytes:1000));
+  Alcotest.(check bool) "zero burst" true (invalid (create ~rate_bps:8000. ~burst_bytes:0));
+  Alcotest.(check bool) "negative burst" true (invalid (create ~rate_bps:8000. ~burst_bytes:(-1)));
+  let m = Policer.create ~rate_bps:8000. ~burst_bytes:1000 in
+  Alcotest.(check bool) "set zero rate" true (invalid (fun () -> Policer.set_rate m ~rate_bps:0.));
+  Alcotest.(check bool) "set negative rate" true
+    (invalid (fun () -> Policer.set_rate m ~rate_bps:(-8.)));
+  Alcotest.(check (float 0.)) "rate unchanged" 8000. (Policer.rate_bps m)
+
+let policer_matches_token_bucket =
+  (* The shaper and the policer share one meter: on one backlog polled at
+     one schedule, the token-bucket qdisc releases its head exactly when a
+     policer at the same rate and burst admits the same packet. *)
+  QCheck.Test.make ~name:"policer: token bucket releases where the policer admits" ~count:200
+    policer_script
+    (fun (rate10k, burst, script) ->
+      let rate_bps = float_of_int rate10k *. 80_000. in
+      let inner = Droptail.create ~capacity_bytes:max_int () in
+      let q = Token_bucket.create ~rate_bps ~burst_bytes:burst ~inner () in
+      let m = Policer.create ~rate_bps ~burst_bytes:burst in
+      let pending = ref (List.map (fun (_, bytes) -> mk_packet ~bytes ()) script) in
+      List.iter (fun p -> ignore (Qdisc.enqueue q ~now:0. p)) !pending;
+      let t = ref 0. in
+      List.for_all
+        (fun (dt_tenth_ms, _) ->
+          t := !t +. (float_of_int dt_tenth_ms *. 1e-4);
+          match !pending with
+          | [] -> true
+          | p :: rest ->
+              let shaped = Qdisc.dequeue q ~now:!t in
+              let policed = Policer.admit m ~now:!t ~bytes:(Wire.Packet.size p) in
+              if policed then pending := rest;
+              if policed then shaped == p else shaped == Qdisc.none)
+        script)
+
+(* --- Link qdisc allocation --------------------------------------------------------- *)
+
+(* Every scheme's link qdisc, fed at a fixed [now] one packet of each
+   class the five schemes tell apart (legacy, TVA request, regular and
+   demoted, SIFF data, NetFence-stamped) and drained as often, allocates
+   nothing per packet once its rings and tables have grown.  A [Priority]
+   dequeue that built its loop as a closure cost SIFF's and NetFence's
+   links 7 words a packet; pushback's shaper staging its head as an
+   [option] cost 4.  One allocation is left, and it is pinned: TVA's
+   per-destination DRR class for the regular packet drains every round
+   and comes back the next, and [Hashtbl.add] files a fresh 4-word bucket
+   each time it does. *)
+let link_qdiscs_allocate_nothing () =
+  let pkts =
+    let shim kind demoted =
+      let p = mk_packet ~dst:3 () in
+      let s = tva_shim kind in
+      s.Wire.Cap_shim.demoted <- demoted;
+      p.Wire.Packet.shim <- Some s;
+      p
+    in
+    let siff = mk_packet ~dst:4 () in
+    siff.Wire.Packet.siff <- Some (Wire.Siff_marking.dta ~markings:[]);
+    let nf = mk_packet ~dst:5 () in
+    nf.Wire.Packet.nf <- Some (Wire.Nf_feedback.empty ());
+    [| mk_packet (); shim `Request false; shim `Regular false; shim `Regular true; siff; nf |]
+  in
+  let now = 1. in
+  List.iter
+    (fun (name, factory) ->
+      let scheme = factory (Sim.create ()) in
+      let q = scheme.Workload.Scheme.make_qdisc ~bandwidth_bps:10e6 in
+      let round () =
+        for i = 0 to Array.length pkts - 1 do
+          ignore (Qdisc.enqueue q ~now pkts.(i))
+        done;
+        for _ = 1 to Array.length pkts do
+          ignore (Sys.opaque_identity (Qdisc.dequeue q ~now))
+        done
+      in
+      for _ = 1 to 200 do
+        round ()
+      done;
+      let rounds = 2000 in
+      let before = Gc.minor_words () in
+      for _ = 1 to rounds do
+        round ()
+      done;
+      let words = (Gc.minor_words () -. before) /. float_of_int (rounds * Array.length pkts) in
+      let expected = if name = "tva" then 4. /. float_of_int (Array.length pkts) else 0. in
+      Alcotest.(check (float 1e-9)) (name ^ " words per packet") expected words)
+    Workload.Scheme.all
 
 (* --- SFQ ----------------------------------------------------------------------- *)
 
@@ -625,6 +877,12 @@ let suite =
     Alcotest.test_case "tri-class legacy lowest" `Quick tri_class_legacy_is_lowest_priority;
     Alcotest.test_case "tri-class request limiter" `Quick tri_class_requests_rate_limited;
     Alcotest.test_case "tri-class regular protected" `Quick tri_class_regular_unaffected_by_request_backlog;
+    QCheck_alcotest.to_alcotest tva_link_matches_tri_class_model;
+    QCheck_alcotest.to_alcotest policer_conformance;
+    Alcotest.test_case "policer set_rate keeps tokens" `Quick policer_set_rate_keeps_tokens;
+    Alcotest.test_case "policer bad arguments" `Quick policer_rejects_bad_arguments;
+    QCheck_alcotest.to_alcotest policer_matches_token_bucket;
+    Alcotest.test_case "link qdiscs allocate nothing" `Quick link_qdiscs_allocate_nothing;
     Alcotest.test_case "sfq collisions" `Quick sfq_collisions_share_fate;
     Alcotest.test_case "sfq seed breaks collisions" `Quick sfq_seed_breaks_collision_set;
     Alcotest.test_case "sfq stable" `Quick sfq_hash_stable;
