@@ -7,68 +7,17 @@ type comparison = {
 
 let params = Scenario.sim_params
 
-(* A hand-rolled experiment skeleton for the ablations that need attacks
-   the standard harness does not model (spoofing, state exhaustion).
-   Returns the per-user metrics and the dumbbell so callers can wire in
-   custom attackers before the run starts. *)
-let run_custom ?(n_users = 10) ?(with_colluder = false) ?(transfers = 20) ?(max_time = 60.)
-    ?(seed = 1) ?(user_start = 0.01) ~scheme ~attach_attack () =
-  let sim = Sim.create ~seed () in
-  let scheme = scheme sim in
-  let topo =
-    Topology.dumbbell ~n_users ~with_colluder ~n_attackers:0
-      ~make_qdisc:(fun ~bandwidth_bps -> scheme.Scheme.make_qdisc ~bandwidth_bps)
-      sim
-  in
-  scheme.Scheme.install_router topo.Topology.left ~link_bps:10e6;
-  scheme.Scheme.install_router topo.Topology.right ~link_bps:10e6;
-  let dest_endpoint =
-    scheme.Scheme.make_endpoint topo.Topology.destination ~role:Scheme.Destination
-      ~policy:(Tva.Policy.server ~suspicious:Experiment.attacker_oracle ())
-  in
-  let _server = Agents.Transfer_server.create ~sim ~endpoint:dest_endpoint () in
-  let metrics = Metrics.create () in
-  let per_user =
-    Array.to_list
-      (Array.mapi
-         (fun i user ->
-           let endpoint =
-             scheme.Scheme.make_endpoint user ~role:Scheme.User ~policy:(Tva.Policy.client ())
-           in
-           let m = Metrics.create () in
-           ignore
-             (Agents.Transfer_client.create ~sim ~endpoint ~server:Topology.destination_addr
-                ~transfer_bytes:(20 * 1024) ~max_transfers:transfers
-                ~start_at:(user_start +. (0.011 *. float_of_int i))
-                ~conn_base:((i + 1) * 1_000_000)
-                ~metrics:m ());
-           m)
-         topo.Topology.users)
-  in
-  attach_attack ~sim ~topo;
-  Sim.run ~until:max_time sim;
-  List.iter (Metrics.merge_into metrics) per_user;
-  let horizon = Float.max (Sim.now sim) 1e-9 in
-  let goodputs =
-    List.map (fun m -> float_of_int (Metrics.bytes_completed m) *. 8. /. horizon) per_user
-  in
-  let result user_metrics =
-    {
-      Experiment.scheme_name = scheme.Scheme.name;
-      fraction_completed = Metrics.fraction_completed user_metrics;
-      avg_transfer_time = Metrics.avg_transfer_time user_metrics;
-      metrics = user_metrics;
-      user_goodputs = goodputs;
-      jain_index = Metrics.jain_index goodputs;
-      sim_end = Sim.now sim;
-      events = Sim.events_processed sim;
-      obs = None;
-      flight = None;
-    }
-  in
-  (result metrics, List.map result per_user)
-
-(* --- Sec. 7: per-source vs per-destination queueing -------------------- *)
+(* The standard dumbbell with a variant's scheme and attack; every variant
+   of every ablation is one [Experiment.run] of such a config. *)
+let config ~transfers ~max_time ~seed scheme attack =
+  {
+    Experiment.default with
+    Experiment.scheme;
+    attack;
+    transfers_per_user = transfers;
+    max_time;
+    seed;
+  }
 
 (* Each ablation compares two self-contained variant runs; [Pool.map] over
    the two-element variant list keeps A/B labelling (and output) identical
@@ -77,6 +26,8 @@ let ab_pair ~jobs run variant_a variant_b =
   match Pool.map ~jobs run [ variant_a; variant_b ] with
   | [ a; b ] -> (a, b)
   | _ -> assert false
+
+(* --- Sec. 7: per-source vs per-destination queueing -------------------- *)
 
 let queueing_discipline ?(jobs = 1) ?(n_attackers = 20) ?(transfers = 20) ?(max_time = 60.)
     ?(seed = 1) () =
@@ -89,9 +40,9 @@ let queueing_discipline ?(jobs = 1) ?(n_attackers = 20) ?(transfers = 20) ?(max_
           (fun ~bandwidth_bps -> Tva.Qdiscs.make ~regular_key:key ~params ~bandwidth_bps ());
       }
     in
-    let attach_attack ~sim ~(topo : Topology.t) =
-      let colluder = match topo.Topology.colluder with Some c -> c | None -> assert false in
-      let colluder_addr = match Net.node_addr colluder with Some a -> a | None -> assert false in
+    let attack sim (scheme : Scheme.t) (topo : Topology.t) =
+      let colluder = Option.get topo.Topology.colluder in
+      let colluder_addr = Topology.colluder_addr in
       let victim_addr = Topology.user_addr 0 in
       let fast = (module Crypto.Keyed_hash.Fast : Crypto.Keyed_hash.S) in
       let n_kb = 1023 and t_sec = 63 in
@@ -99,19 +50,18 @@ let queueing_discipline ?(jobs = 1) ?(n_attackers = 20) ?(transfers = 20) ?(max_
          and scales its flood rate. *)
       let net = topo.Topology.net in
       let attacker_addr = Topology.attacker_addr 0 in
-      let caps_ref = ref None in
       let attacker =
-        Net.add_node ~addr:attacker_addr ~name:"spoofer" net (fun _ ~in_link:_ p ->
-            match p.Wire.Packet.shim with
-            | Some { Wire.Cap_shim.return_info = Some (Wire.Cap_shim.Grant { caps; _ }); _ }
-              when caps <> [] ->
-                caps_ref := Some caps
-            | Some _ | None -> ())
+        Topology.attach_host ~bandwidth_bps:100e6 ~make_qdisc:scheme.Scheme.make_qdisc ~net
+          ~router:topo.Topology.left ~addr:attacker_addr ~name:"spoofer" ()
       in
-      ignore
-        (Net.duplex net attacker topo.Topology.left ~bandwidth_bps:100e6 ~delay:0.010
-           ~qdisc:(fun () -> Tva.Qdiscs.make ~regular_key:key ~params ~bandwidth_bps:100e6 ()));
       Net.compute_routes net;
+      let caps_ref = ref None in
+      Net.set_handler attacker (fun _ ~in_link:_ p ->
+          match p.Wire.Packet.shim with
+          | Some { Wire.Cap_shim.return_info = Some (Wire.Cap_shim.Grant { caps; _ }); _ }
+            when caps <> [] ->
+              caps_ref := Some caps
+          | Some _ | None -> ());
       (* The colluder grants (src = S, dst = colluder) requests, returning
          the capabilities to the attacker's real address. *)
       Net.set_handler colluder (fun _ ~in_link:_ p ->
@@ -166,11 +116,15 @@ let queueing_discipline ?(jobs = 1) ?(n_attackers = 20) ?(transfers = 20) ?(max_
       in
       Sim.schedule_at ~kind:Sim.Kind.agent sim ~time:(Rng.float rng interval) tick
     in
-    let _, per_user =
-      run_custom ~with_colluder:true ~transfers ~max_time ~seed ~scheme ~attach_attack ()
-    in
+    let r = Experiment.run (config ~transfers ~max_time ~seed scheme (Experiment.Custom attack)) in
     (* The victim is user 0 — the one whose address is spoofed. *)
-    List.hd per_user
+    let m = List.hd r.Experiment.user_metrics in
+    {
+      r with
+      Experiment.fraction_completed = Metrics.fraction_completed m;
+      avg_transfer_time = Metrics.avg_transfer_time m;
+      metrics = m;
+    }
   in
   let result_a, result_b = ab_pair ~jobs run `Destination `Source in
   { label_a = "per-destination (TVA default)"; result_a; label_b = "per-source"; result_b }
@@ -180,82 +134,58 @@ let queueing_discipline ?(jobs = 1) ?(n_attackers = 20) ?(transfers = 20) ?(max_
 let state_provisioning ?(jobs = 1) ?(n_attacker_flows = 100) ?(transfers = 20) ?(max_time = 60.)
     ?(seed = 1) () =
   let run router_params =
+    (* [router_params] sizes the routers' flow caches only: the link
+       schedulers size their per-source queues from the same rate floor, so
+       they keep the default params. *)
     let scheme sim =
-      let base = Scheme.tva ~params () sim in
+      let base = Scheme.tva ~params:router_params () sim in
       {
         base with
-        Scheme.install_router =
-          (fun ?obs:_ node ~link_bps ->
-            let router =
-              Tva.Router.create ~params:router_params
-                ~secret_master:("tva-secret-" ^ string_of_int (Net.node_id node))
-                ~router_id:(Net.node_id node) ~sim ~link_bps ()
-            in
-            Net.set_handler node (Tva.Router.handler router));
+        Scheme.make_qdisc = (fun ~bandwidth_bps -> Tva.Qdiscs.make ~params ~bandwidth_bps ());
       }
     in
-    let attach_attack ~sim ~(topo : Topology.t) =
-      let scheme_for_attackers = Scheme.tva ~params () sim in
-      let colluder = match topo.Topology.colluder with Some c -> c | None -> assert false in
-      let colluder_addr = match Net.node_addr colluder with Some a -> a | None -> assert false in
+    let attack sim (scheme : Scheme.t) (topo : Topology.t) =
+      let colluder = Option.get topo.Topology.colluder in
       (* The colluder hands out the smallest conforming grants so attacker
          flows are cheap to keep alive (4 KB / 10 s ≈ 410 B/s each). *)
-      let _colluder_ep =
-        scheme_for_attackers.Scheme.make_endpoint colluder ~role:Scheme.Colluder
-          ~policy:(Tva.Policy.allow_all ~n_kb:4 ~t_sec:10 ())
-      in
-      let net = topo.Topology.net in
-      for i = 0 to n_attacker_flows - 1 do
+      ignore
+        (scheme.Scheme.make_endpoint colluder ~role:Scheme.Colluder
+           ~policy:(Tva.Policy.allow_all ~n_kb:4 ~t_sec:10 ()));
+      let flooder ~addr ~name =
         let node =
-          Net.add_node ~addr:(Topology.attacker_addr i)
-            ~name:(Printf.sprintf "flow%d" i)
-            net
-            (fun _ ~in_link:_ _ -> ())
+          Topology.attach_host ~make_qdisc:scheme.Scheme.make_qdisc ~net:topo.Topology.net
+            ~router:topo.Topology.left ~addr ~name ()
         in
-        ignore
-          (Net.duplex net node topo.Topology.left ~bandwidth_bps:10e6 ~delay:0.010
-             ~qdisc:(fun () -> Tva.Qdiscs.make ~params ~bandwidth_bps:10e6 ()));
-        Net.compute_routes net;
-        let ep =
-          scheme_for_attackers.Scheme.make_endpoint node ~role:Scheme.Attacker
-            ~policy:(Tva.Policy.client ())
-        in
-        (* Send just above N/T so the cache entry never becomes
-           reclaimable. *)
-        Agents.Flooder.start ~sim ~endpoint:ep ~dst:colluder_addr ~rate_bps:4000. ~pkt_bytes:250
+        scheme.Scheme.make_endpoint node ~role:Scheme.Attacker ~policy:(Tva.Policy.client ())
+      in
+      (* Send just above N/T so the cache entry never becomes
+         reclaimable. *)
+      for i = 0 to n_attacker_flows - 1 do
+        Agents.Flooder.start ~sim
+          ~endpoint:(flooder ~addr:(Topology.attacker_addr i) ~name:(Printf.sprintf "flow%d" i))
+          ~dst:Topology.colluder_addr ~rate_bps:4000. ~pkt_bytes:250
           ~mode:Agents.Flooder.Authorized ()
       done;
-      Net.compute_routes net;
       (* Plus a plain legacy flood to make demotion hurt: demoted users
          share the lowest class with this. *)
       for i = 0 to 39 do
-        let node =
-          Net.add_node
-            ~addr:(Topology.attacker_addr (1000 + i))
-            ~name:(Printf.sprintf "legacy%d" i)
-            net
-            (fun _ ~in_link:_ _ -> ())
-        in
-        ignore
-          (Net.duplex net node topo.Topology.left ~bandwidth_bps:10e6 ~delay:0.010
-             ~qdisc:(fun () -> Tva.Qdiscs.make ~params ~bandwidth_bps:10e6 ()));
-        Net.compute_routes net;
-        let ep =
-          scheme_for_attackers.Scheme.make_endpoint node ~role:Scheme.Attacker
-            ~policy:(Tva.Policy.client ())
-        in
-        Agents.Flooder.start ~sim ~endpoint:ep ~dst:Topology.destination_addr ~rate_bps:1e6
-          ~mode:Agents.Flooder.Legacy ()
-      done
+        Agents.Flooder.start ~sim
+          ~endpoint:
+            (flooder
+               ~addr:(Topology.attacker_addr (1000 + i))
+               ~name:(Printf.sprintf "legacy%d" i))
+          ~dst:Topology.destination_addr ~rate_bps:1e6 ~mode:Agents.Flooder.Legacy ()
+      done;
+      Net.compute_routes topo.Topology.net
     in
     (* The legitimate users are *new* flows arriving after the attacker
        flows have been running for a while: the cache-exhaustion attack
        targets flow setup, not flows already in cache. *)
-    let all, _ =
-      run_custom ~with_colluder:true ~transfers ~max_time ~seed ~user_start:5.0 ~scheme
-        ~attach_attack ()
-    in
-    all
+    Experiment.run
+      {
+        (config ~transfers ~max_time ~seed scheme (Experiment.Custom attack)) with
+        Experiment.user_start = 5.0;
+      }
   in
   let result_a, result_b =
     (* An absurd rate floor shrinks C/(N/T)min to the 64-record minimum. *)
@@ -272,28 +202,18 @@ let state_provisioning ?(jobs = 1) ?(n_attacker_flows = 100) ?(transfers = 20) ?
 
 let request_queueing ?(jobs = 1) ?(n_attackers = 100) ?(buckets = 8) ?(transfers = 20)
     ?(max_time = 60.) ?(seed = 1) () =
-  let run (make_qdisc, label) =
-    ignore label;
+  let run make_qdisc =
     let scheme sim =
       let base = Scheme.tva ~params () sim in
       { base with Scheme.make_qdisc }
     in
-    Experiment.run
-      {
-        Experiment.default with
-        Experiment.scheme;
-        n_attackers;
-        attack = Experiment.Request_flood { rate_bps = 1e6 };
-        transfers_per_user = transfers;
-        max_time;
-        seed;
-      }
+    let attack = Experiment.Request_flood { rate_bps = 1e6 } in
+    Experiment.run { (config ~transfers ~max_time ~seed scheme attack) with Experiment.n_attackers }
   in
   let result_a, result_b =
     ab_pair ~jobs run
-      ((fun ~bandwidth_bps -> Tva.Qdiscs.make ~params ~bandwidth_bps ()), "drr")
-      ( (fun ~bandwidth_bps -> Tva.Qdiscs.make_sfq_requests ~params ~bandwidth_bps ~buckets ~seed:1),
-        "sfq" )
+      (fun ~bandwidth_bps -> Tva.Qdiscs.make ~params ~bandwidth_bps ())
+      (fun ~bandwidth_bps -> Tva.Qdiscs.make_sfq_requests ~params ~bandwidth_bps ~buckets ~seed:1)
   in
   {
     label_a = "requests fair-queued per path-id";

@@ -1,5 +1,7 @@
 (** Ablations of TVA's design choices, beyond the paper's headline figures
-    (each backs a claim the paper makes in prose).
+    (each backs a claim the paper makes in prose).  Every variant is one
+    {!Experiment.run} on the standard dumbbell; the attacks the harness
+    does not model are {!Experiment.Custom} ones.
 
     - {!queueing_discipline}: Sec. 7's spoofed-authorized-traffic attack.
       An attacker spoofs sender S's address, gets a colluder to authorize

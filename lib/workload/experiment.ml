@@ -4,6 +4,7 @@ type attack =
   | Request_flood of { rate_bps : float }
   | Authorized_flood of { rate_bps : float }
   | Imprecise_flood of { rate_bps : float; groups : int; group_interval : float; start_at : float }
+  | Custom of (Sim.t -> Scheme.t -> Topology.t -> unit)
 
 type config = {
   scheme : Scheme.factory;
@@ -16,6 +17,7 @@ type config = {
   seed : int;
   bottleneck_bps : float;
   access_bps : float;
+  user_start : float;
 }
 
 let default =
@@ -30,6 +32,7 @@ let default =
     seed = 1;
     bottleneck_bps = 10e6;
     access_bps = 10e6;
+    user_start = 0.01;
   }
 
 type result = {
@@ -37,6 +40,7 @@ type result = {
   fraction_completed : float;
   avg_transfer_time : float;
   metrics : Metrics.t;
+  user_metrics : Metrics.t list;
   user_goodputs : float list;
   jain_index : float;
   sim_end : float;
@@ -232,15 +236,16 @@ let destination_policy cfg =
                 t_sec = Tva.Params.default.Tva.Params.default_t_sec;
               })
         ()
-  | No_attack | Legacy_flood _ | Authorized_flood _ | Imprecise_flood _ ->
+  | No_attack | Legacy_flood _ | Authorized_flood _ | Imprecise_flood _ | Custom _ ->
       (* Sec. 5.4's public-server policy: grant everyone once, stop
          renewing recognized misbehavers. *)
       Tva.Policy.server ~suspicious:attacker_oracle ()
 
-let install_attack cfg sim (topo : Topology.t) attacker_endpoints =
+let install_attack cfg sim scheme (topo : Topology.t) attacker_endpoints =
   let destination = Topology.destination_addr in
   match cfg.attack with
   | No_attack -> ()
+  | Custom attach -> attach sim scheme topo
   | Legacy_flood { rate_bps } ->
       List.iter
         (fun ep ->
@@ -283,7 +288,7 @@ let install_attack cfg sim (topo : Topology.t) attacker_endpoints =
 let run ?obs ?faults cfg =
   let sim = Sim.create ~seed:cfg.seed () in
   let scheme = cfg.scheme sim in
-  let with_colluder = match cfg.attack with Authorized_flood _ -> true | _ -> false in
+  let with_colluder = match cfg.attack with Authorized_flood _ | Custom _ -> true | _ -> false in
   let topo =
     Topology.dumbbell ~bottleneck_bps:cfg.bottleneck_bps ~access_bps:cfg.access_bps
       ~n_users:cfg.n_users ~with_colluder ~n_attackers:cfg.n_attackers
@@ -304,14 +309,13 @@ let run ?obs ?faults cfg =
       topo.Topology.destination ~role:Scheme.Destination ~policy:(destination_policy cfg)
   in
   let _server = Agents.Transfer_server.create ~sim ~endpoint:dest_endpoint () in
-  (match topo.Topology.colluder with
-  | Some c ->
-      let colluder_endpoint =
-        scheme.Scheme.make_endpoint ?obs:(ep_obs c) c ~role:Scheme.Colluder
-          ~policy:(Tva.Policy.allow_all ~n_kb:1023 ~t_sec:63 ())
-      in
-      ignore colluder_endpoint
-  | None -> ());
+  (* A [Custom] attack makes its own colluder endpoint, if it wants one. *)
+  (match (cfg.attack, topo.Topology.colluder) with
+  | Authorized_flood _, Some c ->
+      ignore
+        (scheme.Scheme.make_endpoint ?obs:(ep_obs c) c ~role:Scheme.Colluder
+           ~policy:(Tva.Policy.allow_all ~n_kb:1023 ~t_sec:63 ()))
+  | _ -> ());
   let metrics = Metrics.create () in
   let users_left = ref cfg.n_users in
   let per_user =
@@ -326,7 +330,7 @@ let run ?obs ?faults cfg =
            let _client =
              Agents.Transfer_client.create ~sim ~endpoint ~server:Topology.destination_addr
                ~transfer_bytes:cfg.transfer_bytes ~max_transfers:cfg.transfers_per_user
-               ~start_at:(0.01 +. (0.011 *. float_of_int i))
+               ~start_at:(cfg.user_start +. (0.011 *. float_of_int i))
                ~conn_base:((i + 1) * 1_000_000)
                ~metrics:m
                ~on_all_done:(fun () ->
@@ -347,7 +351,7 @@ let run ?obs ?faults cfg =
              ~policy:(Tva.Policy.client ()))
          topo.Topology.attackers)
   in
-  install_attack cfg sim topo attacker_endpoints;
+  install_attack cfg sim scheme topo attacker_endpoints;
   (match faults with
   | None -> ()
   | Some hook ->
@@ -486,6 +490,7 @@ let run ?obs ?faults cfg =
     fraction_completed = Metrics.fraction_completed metrics;
     avg_transfer_time = Metrics.avg_transfer_time metrics;
     metrics;
+    user_metrics = per_user_metrics;
     user_goodputs;
     jain_index = Metrics.jain_index user_goodputs;
     sim_end = Sim.now sim;

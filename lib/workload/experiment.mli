@@ -24,6 +24,15 @@ type attack =
           once (32 KB / 10 s) but never renews attackers; attackers flood
           past their budget.  [groups = 1] is the high-intensity attack;
           [groups = 10] staggers group starts by [group_interval]. *)
+  | Custom of (Sim.t -> Scheme.t -> Topology.t -> unit)
+      (** An attack the constructors above do not model (the ablations'
+          address spoofer and flow-cache exhaustion).  {!run} calls it
+          once, where it starts the other attacks: after the routers, the
+          destination and the users exist and before the fault hook and
+          the clock start.  It gets the run's own scheme, so the nodes and
+          endpoints it adds are the run's.  The dumbbell always has a
+          colluder, with no endpoint on it; the attack makes one if it
+          wants one.  Nodes it adds need a {!Net.compute_routes} call. *)
 
 type config = {
   scheme : Scheme.factory;
@@ -36,18 +45,22 @@ type config = {
   seed : int;
   bottleneck_bps : float;
   access_bps : float;
+  user_start : float;
+      (** user 0's first transfer starts here; user [i] starts [0.011 * i]
+          s later *)
 }
 
 val default : config
 (** The paper's setup: 10 users, 10 Mb/s bottleneck, 60 ms RTT, 20 KB
     transfers, TVA scheme, no attack; 50 transfers per user and a 120 s
-    cutoff to keep runs laptop-sized. *)
+    cutoff to keep runs laptop-sized; users start at 10 ms. *)
 
 type result = {
   scheme_name : string;
   fraction_completed : float;
   avg_transfer_time : float;
-  metrics : Metrics.t;
+  metrics : Metrics.t;  (** all users' transfers, merged *)
+  user_metrics : Metrics.t list;  (** each user's own transfers, user order *)
   user_goodputs : float list;
       (** per-user completed-payload goodput (bits/s of simulated time),
           user order — the shares the Jain index is computed over *)

@@ -575,6 +575,62 @@ let harness_counters_memo () =
   Alcotest.(check bool) "trace falls back to the id of a late node" true
     (has (string_of_int (Net.node_id late)))
 
+(* The ablations' prose claims at runtest size: per-destination queueing
+   shields the spoofed sender (Sec. 7) and a C/(N/T)min flow cache cannot
+   be exhausted (Sec. 3.6), while the other variant of each loses.  A cell
+   that attempted nothing reads [None] and fails rather than passing. *)
+let ablation_claims () =
+  let completed label (r : Workload.Experiment.result) =
+    match Workload.Metrics.fraction_completed_opt r.Workload.Experiment.metrics with
+    | Some f -> f
+    | None -> Alcotest.failf "%s: no transfer attempted" label
+  in
+  let check (c : Workload.Ablation.comparison) =
+    let a = completed c.Workload.Ablation.label_a c.Workload.Ablation.result_a in
+    let b = completed c.Workload.Ablation.label_b c.Workload.Ablation.result_b in
+    Alcotest.(check bool) (Printf.sprintf "%s completes (%.3f)" c.label_a a) true (a >= 0.99);
+    Alcotest.(check bool) (Printf.sprintf "%s loses (%.3f)" c.label_b b) true (b <= 0.6)
+  in
+  check (Workload.Ablation.queueing_discipline ~transfers:5 ~max_time:20. ());
+  check (Workload.Ablation.state_provisioning ~transfers:5 ~max_time:20. ())
+
+(* A [Custom] attack adds its nodes after the obs harness is set up: an
+   observed run must read exactly what an unobserved one does, and its
+   counters must name the node the attack added. *)
+let custom_attack_under_obs () =
+  let attack sim (scheme : Workload.Scheme.t) (topo : Topology.t) =
+    let net = topo.Topology.net in
+    let node =
+      Topology.attach_host ~make_qdisc:scheme.Workload.Scheme.make_qdisc ~net
+        ~router:topo.Topology.left ~addr:(Topology.attacker_addr 0) ~name:"custom-flooder" ()
+    in
+    Net.compute_routes net;
+    let endpoint =
+      scheme.Workload.Scheme.make_endpoint node ~role:Workload.Scheme.Attacker
+        ~policy:(Tva.Policy.client ())
+    in
+    Workload.Agents.Flooder.start ~sim ~endpoint ~dst:Topology.destination_addr ~rate_bps:5e6
+      ~mode:Workload.Agents.Flooder.Legacy ()
+  in
+  let cfg = quick_cfg ~transfers:5 ~max_time:20. tva 0 (Workload.Experiment.Custom attack) in
+  let plain = Workload.Experiment.run cfg in
+  let observed = Workload.Experiment.run ~obs:Workload.Experiment.obs_default cfg in
+  let module E = Workload.Experiment in
+  Alcotest.(check (float 0.)) "fraction identical" plain.E.fraction_completed
+    observed.E.fraction_completed;
+  Alcotest.(check (float 0.)) "avg time identical" plain.E.avg_transfer_time
+    observed.E.avg_transfer_time;
+  Alcotest.(check int) "events identical" plain.E.events observed.E.events;
+  Alcotest.(check (float 0.)) "sim end identical" plain.E.sim_end observed.E.sim_end;
+  match observed.E.obs with
+  | None -> Alcotest.fail "expected an obs report"
+  | Some rep ->
+      let counters = List.assoc_opt "custom-flooder" rep.Obs.Report.counters in
+      Alcotest.(check bool) "the attack's node is counted" true
+        (match counters with
+        | Some c -> c.(Obs.Event.to_int Obs.Event.Transmitted) > 0
+        | None -> false)
+
 (* Scale telemetry baselines its cumulative channels before the run, so
    window 1 holds the events of (0, interval] rather than a zero delta
    against itself; the windows together never exceed the run's total. *)
@@ -643,4 +699,6 @@ let suite =
     Alcotest.test_case "scale telemetry first window counts" `Slow
       scale_telemetry_first_window_counts;
     Alcotest.test_case "harness counters memo" `Quick harness_counters_memo;
+    Alcotest.test_case "ablation claims" `Slow ablation_claims;
+    Alcotest.test_case "custom attack under obs" `Slow custom_attack_under_obs;
   ]
