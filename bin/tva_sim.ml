@@ -618,8 +618,7 @@ let ablation_sfq_cmd =
 
 let scale_cmd =
   let doc = "Aggregate-attacker scale run: swarms of spoofed flood members on generated topologies." in
-  let run scheme_name topology senders aggregates mode attack_mbps users transfers max_time
-      seed stats telemetry telemetry_interval =
+  let run scheme_name topology senders aggregates attack_mbps users transfers max_time seed stats telemetry telemetry_interval =
     let scheme =
       match List.assoc_opt scheme_name Workload.Scenario.schemes with
       | Some s -> s
@@ -630,9 +629,6 @@ let scale_cmd =
       | Ok t -> t
       | Error e -> failwith e
     in
-    let mode =
-      match Workload.Swarm.mode_of_string mode with Ok m -> m | Error e -> failwith e
-    in
     let cfg =
       {
         Workload.Scale.default with
@@ -640,7 +636,6 @@ let scale_cmd =
         sc_topology = topology;
         sc_senders = senders;
         sc_aggregates = aggregates;
-        sc_swarm_mode = mode;
         sc_attack_bps = attack_mbps *. 1e6;
         sc_n_users = users;
         sc_transfers_per_user = transfers;
@@ -714,19 +709,13 @@ let scale_cmd =
   let aggregates_arg =
     Arg.(value & opt int 8 & info [ "aggregates" ] ~doc:"Swarm objects the members fold into.")
   in
-  let mode_arg =
-    Arg.(
-      value
-      & opt string "coalesced"
-      & info [ "mode" ] ~doc:"coalesced (one event per swarm) | independent (one timer per member)")
-  in
   let attack_mbps_arg =
     Arg.(value & opt float 40. & info [ "attack-mbps" ] ~doc:"Aggregate attack rate, Mb/s.")
   in
   let users_arg = Arg.(value & opt int 10 & info [ "users" ] ~doc:"Legitimate users.") in
   Cmd.v (Cmd.info "scale" ~doc)
     Term.(
-      const run $ scheme_arg $ topology_arg $ senders_arg $ aggregates_arg $ mode_arg
+      const run $ scheme_arg $ topology_arg $ senders_arg $ aggregates_arg
       $ attack_mbps_arg $ users_arg $ transfers_arg $ max_time_arg $ seed_arg $ stats_arg
       $ telemetry_arg $ telemetry_interval_arg)
 

@@ -31,10 +31,10 @@ val lane : seed:int -> int -> t
     [n > i].  Real per-member agents use this to reproduce exactly the
     draws an aggregate sender makes on their behalf. *)
 
-(** A structure-of-arrays bank of per-member generators: four flat int64
-    Bigarrays instead of a record per member, so a 10^6-member bank is
-    32 MB of GC-invisible state.  Lane [i]'s stream equals {!lane}
-    [~seed i]'s. *)
+(** A bank of per-member generators in one flat int64 Bigarray, each
+    lane's four state words together, instead of a record per member: a
+    10^6-member bank is 32 MB of GC-invisible state, and a draw touches
+    one 32-byte run.  Lane [i]'s stream equals {!lane} [~seed i]'s. *)
 module Bank : sig
   type t
 
@@ -42,7 +42,10 @@ module Bank : sig
   (** Raises [Invalid_argument] unless [n > 0]. *)
 
   val n : t -> int
+
   val bits64 : t -> int -> int64
+  (** The next draw of lane [i].  Raises [Invalid_argument] unless
+      [0 <= i < n]. *)
 
   val float : t -> int -> float -> float
   (** [float t i bound] is uniform in [\[0, bound)] from lane [i], same

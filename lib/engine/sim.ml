@@ -1,5 +1,6 @@
 (* One event queue: a binary min-heap of one-off events keyed by (time,
-   seq), merged at fire time with the heads of the constant-delay lanes.
+   seq), merged at fire time with the heads of the constant-delay lanes
+   and with the armed members of the source groups.
 
    The sequence number breaks ties in scheduling order so that behaviour
    never depends on heap internals.  Cancellation marks the event and lets
@@ -29,7 +30,17 @@
    transmit completion on a lane per distinct serialization time, a few
    dozen lanes at most, so an event on a lane costs a ring write, a ring
    read and a sift through that small heap (under one level on average)
-   instead of a push and pop through the event heap. *)
+   instead of a push and pop through the event heap.
+
+   A source group is a repeating event source with no closure per event:
+   one [int -> unit] action registered once, and a member index per armed
+   entry.  The armed members sit in a third binary heap in the same
+   unboxed layout, with [group lor (member lsl group_bits)] in place of
+   the slot.  A firing member stays at that heap's root while its action
+   runs (every key taken meanwhile is later), so a re-arm from inside the
+   action re-keys the root in place and sifts it down: no push, no pop,
+   no closure, and the same [(time, seq)] key {!schedule} would give.
+   The loop fires whichever of the three roots comes first. *)
 
 (* Scheduling-site tags for the event-loop profiler.  A kind is one int
    per event slot, read only when a probe is attached, so tagging costs
@@ -96,6 +107,17 @@ type t = {
   mutable lh_seqs : int array;
   mutable lh_ids : int array;
   mutable lh_size : int;
+  (* Source groups by id: the first [ngroups] entries. *)
+  mutable g_actions : (int -> unit) array;
+  mutable g_kinds : int array;
+  mutable ngroups : int;
+  (* The source heap: armed members by (time, seq), in heap order;
+     [sh_ids] holds [group lor (member lsl group_bits)]. *)
+  mutable sh_times : float array;
+  mutable sh_seqs : int array;
+  mutable sh_ids : int array;
+  mutable sh_size : int;
+  mutable src_firing : bool; (* the source root's action is running, not re-armed *)
   mutable clock : float;
   mutable next_seq : int;
   mutable aux_seq : int; (* negative, descending: auxiliary (telemetry) events *)
@@ -123,6 +145,14 @@ and lane = {
 
 type handle = { sim : t; slot : int; seq : int }
 
+type group = { gsim : t; gid : int }
+
+(* A source heap id packs the group into its low [group_bits] bits and
+   the member above them. *)
+let group_bits = 20
+let group_mask = (1 lsl group_bits) - 1
+let max_member = max_int lsr group_bits
+
 (* Small on purpose: most simulators are short-lived sweep cells, and the
    arrays double on demand. *)
 let initial_capacity = 32
@@ -146,6 +176,14 @@ let create ?(seed = 1) ?sched:_ () =
     lh_seqs = [||];
     lh_ids = [||];
     lh_size = 0;
+    g_actions = [||];
+    g_kinds = [||];
+    ngroups = 0;
+    sh_times = [||];
+    sh_seqs = [||];
+    sh_ids = [||];
+    sh_size = 0;
+    src_firing = false;
     clock = 0.;
     next_seq = 0;
     aux_seq = -1;
@@ -173,9 +211,9 @@ let set_probe t probe = t.probe <- probe
 external get : 'a array -> int -> 'a = "%array_unsafe_get"
 external set : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 
-(* Both heaps share these two sifts.  A heap is three arrays in heap
-   order: [times] and [seqs] hold the keys, [ids] the event slot or lane
-   id.  The key is read from the arrays, never passed in, so the float is
+(* All three heaps share these two sifts.  A heap is three arrays in heap
+   order: [times] and [seqs] hold the keys, [ids] the event slot, lane
+   id or source id.  The key is read from the arrays, never passed in, so the float is
    never boxed. *)
 
 (* Sift the entry just written at index [i] towards the root. *)
@@ -423,6 +461,73 @@ let lane_schedule ln action =
     sift_up t.lh_times t.lh_seqs t.lh_ids k
   end
 
+(* --- Source groups ----------------------------------------------------------- *)
+
+let group ?(kind = Kind.other) t action =
+  let g = t.ngroups in
+  if g > group_mask then invalid_arg "Sim.group: too many groups";
+  if g = Array.length t.g_actions then begin
+    let cap = max 4 (2 * g) in
+    let extend a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 g;
+      b
+    in
+    t.g_actions <- extend t.g_actions ignore;
+    t.g_kinds <- extend t.g_kinds 0
+  end;
+  t.g_actions.(g) <- action;
+  t.g_kinds.(g) <- kind;
+  t.ngroups <- g + 1;
+  { gsim = t; gid = g }
+
+let source_grow t =
+  let n = Array.length t.sh_times in
+  let cap = max 16 (2 * n) in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  t.sh_times <- extend t.sh_times 0.;
+  t.sh_seqs <- extend t.sh_seqs 0;
+  t.sh_ids <- extend t.sh_ids 0
+
+let source_at g ~member ~time =
+  let t = g.gsim in
+  check_time "source_at" t time;
+  if member < 0 || member > max_member then
+    invalid_arg (Printf.sprintf "Sim.source_at: member %d out of range" member);
+  let seq = take_seq t in
+  let k = t.sh_size in
+  if k = Array.length t.sh_times then source_grow t;
+  t.sh_size <- k + 1;
+  set t.sh_times k time;
+  set t.sh_seqs k seq;
+  set t.sh_ids k (g.gid lor (member lsl group_bits));
+  sift_up t.sh_times t.sh_seqs t.sh_ids k
+
+let not_firing () = invalid_arg "Sim.rearm: no source group member is firing"
+
+(* The firing member is still the source heap's root: anything armed by
+   its action took a later seq at a time no earlier than [now], so it
+   sifted up no further than below the root.  Inlined, so the delay
+   stays unboxed. *)
+let[@inline] rearm t ~delay =
+  if not t.src_firing then not_firing ();
+  check_delay "rearm" delay;
+  t.src_firing <- false;
+  let seq = take_seq t in
+  set t.sh_times 0 (t.clock +. delay);
+  set t.sh_seqs 0 seq;
+  sift_down t.sh_times t.sh_seqs t.sh_ids t.sh_size
+
+(* Remove the source heap's root. *)
+let drop_source_root t =
+  let n = t.sh_size - 1 in
+  t.sh_size <- n;
+  refill_root t.sh_times t.sh_seqs t.sh_ids n
+
 (* --- Cancellation ---------------------------------------------------------- *)
 
 let cancelled h = h.sim.slot_seq.(h.slot) <> h.seq || h.sim.actions.(h.slot) == cancelled_action
@@ -478,30 +583,82 @@ let fire_lane t =
   t.fired <- t.fired + 1;
   match t.probe with None -> action () | Some pr -> probed pr ~kind:ln.lkind action
 
+(* Fire the member at the source heap's root.  It stays the root while
+   its action runs, for {!rearm} to re-key; unless the action re-armed it
+   (or raised), it leaves the heap afterwards. *)
+let fire_source t =
+  let id = get t.sh_ids 0 in
+  let g = id land group_mask and member = id lsr group_bits in
+  t.clock <- get t.sh_times 0;
+  t.live <- t.live - 1;
+  t.fired <- t.fired + 1;
+  t.src_firing <- true;
+  let action = get t.g_actions g in
+  match
+    match t.probe with
+    | None -> action member
+    | Some pr ->
+        let t0 = pr.pr_clock () in
+        action member;
+        pr.pr_hit ~kind:(get t.g_kinds g) ~dt:(pr.pr_clock () -. t0)
+  with
+  | () ->
+      if t.src_firing then begin
+        t.src_firing <- false;
+        drop_source_root t
+      end
+  | exception e ->
+      if t.src_firing then begin
+        t.src_firing <- false;
+        drop_source_root t
+      end;
+      raise e
+
 (* What fires next: [event_root] for the event heap's root, [lane_root]
-   for the head of the lane at the lane heap's root, [none] when nothing
-   is queued.  Cancelled events are dropped from the event root first
-   (lanes hold none), then the two roots are compared by (time, seq),
-   spelled out: a helper taking the times as arguments would box them. *)
+   for the head of the lane at the lane heap's root, [source_root] for
+   the source heap's root, [none] when nothing is queued.  Cancelled
+   events are dropped from the event root first (lanes and sources hold
+   none), then the roots are compared by (time, seq), spelled out: a
+   helper taking the times as arguments would box them. *)
 let event_root = 0
 let lane_root = 1
-let none = 2
+let source_root = 2
+let none = 3
 
 let rec next t =
   if t.size > 0 && get t.actions (get t.slots 0) == cancelled_action then begin
     pop t;
     next t
   end
-  else if t.lh_size = 0 then if t.size > 0 then event_root else none
-  else if t.size = 0 then lane_root
   else begin
-    let tl = get t.lh_times 0 and tr = get t.times 0 in
-    if tl < tr || (tl = tr && get t.lh_seqs 0 < get t.seqs 0) then lane_root else event_root
+    let k =
+      if t.lh_size = 0 then if t.size > 0 then event_root else none
+      else if t.size = 0 then lane_root
+      else begin
+        let tl = get t.lh_times 0 and tr = get t.times 0 in
+        if tl < tr || (tl = tr && get t.lh_seqs 0 < get t.seqs 0) then lane_root else event_root
+      end
+    in
+    if t.sh_size = 0 then k
+    else if k = none then source_root
+    else begin
+      let ts = get t.sh_times 0 and ss = get t.sh_seqs 0 in
+      if k = event_root then begin
+        let tr = get t.times 0 in
+        if ts < tr || (ts = tr && ss < get t.seqs 0) then source_root else event_root
+      end
+      else begin
+        let tl = get t.lh_times 0 in
+        if ts < tl || (ts = tl && ss < get t.lh_seqs 0) then source_root else lane_root
+      end
+    end
   end
 
 let step t =
   let k = next t in
-  if k = event_root then fire t (get t.slots 0) else if k = lane_root then fire_lane t;
+  if k = event_root then fire t (get t.slots 0)
+  else if k = lane_root then fire_lane t
+  else if k = source_root then fire_source t;
   k <> none
 
 let run ?until t =
@@ -521,6 +678,13 @@ let run ?until t =
         if get t.lh_times 0 > horizon then t.clock <- horizon
         else begin
           fire_lane t;
+          loop ()
+        end
+      end
+      else if k = source_root then begin
+        if get t.sh_times 0 > horizon then t.clock <- horizon
+        else begin
+          fire_source t;
           loop ()
         end
       end

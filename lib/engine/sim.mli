@@ -125,6 +125,31 @@ val lane_schedule : lane -> (unit -> unit) -> unit
     lane's keys are nondecreasing, so the event is a ring write and never
     touches the event heap; a lane that was empty enters the lane heap. *)
 
+type group
+(** A source group: one action shared by all its members. *)
+
+val group : ?kind:int -> t -> (int -> unit) -> group
+(** [group t action] registers a group whose armed members fire
+    [action member].  [kind] (default {!Kind.other}) tags all its events
+    for the profiler {!probe}.  A group lives as long as its simulator;
+    at most 2^20 groups per simulator. *)
+
+val source_at : group -> member:int -> time:float -> unit
+(** Arm [member] (in [\[0, 2^42)]) of the group at absolute virtual
+    [time]: {!schedule_at} of [fun () -> action member], without the
+    closure.  It takes the next sequence number, and counts in {!pending}
+    until it fires.  A member may be armed more than once; each entry
+    fires once.  Raises [Invalid_argument] if [time] is in the past or
+    NaN, or [member] is out of range. *)
+
+val rearm : t -> delay:float -> unit
+(** Called from inside a group member's action: arm the firing entry
+    again, [delay] seconds from {!now}, exactly as
+    [schedule ~delay (fun () -> action member)] at this point would,
+    without a push or a closure.  At most once per firing; a member whose
+    action does not re-arm it is done.  Raises [Invalid_argument] outside
+    a member's action, on a second call, or unless [delay >= 0]. *)
+
 val schedule_aux : ?kind:int -> t -> time:float -> (unit -> unit) -> unit
 (** Fire the callback at absolute virtual [time], drawing from a separate
     {e negative, descending} sequence counter.  Scheduling an auxiliary

@@ -84,7 +84,8 @@ let queueing_discipline ?(jobs = 1) ?(n_attackers = 20) ?(transfers = 20) ?(max_
       let budget = ref 0 in
       let last_request = ref neg_infinity in
       let rng = Rng.split (Sim.rng sim) in
-      let rec tick () =
+      (* A one-member source group, like {!Agents.Flooder}. *)
+      let tick _ =
         let now = Sim.now sim in
         (match !caps_ref with
         | Some caps when !budget > 2000 ->
@@ -112,9 +113,9 @@ let queueing_discipline ?(jobs = 1) ?(n_attackers = 20) ?(transfers = 20) ?(max_
                 (Wire.Packet.make ~shim ~src:victim_addr ~dst:colluder_addr
                    (Wire.Packet.Raw 64))
             end);
-        Sim.schedule ~kind:Sim.Kind.agent sim ~delay:(interval *. (0.95 +. Rng.float rng 0.1)) tick
+        Sim.rearm sim ~delay:(interval *. (0.95 +. Rng.float rng 0.1))
       in
-      Sim.schedule_at ~kind:Sim.Kind.agent sim ~time:(Rng.float rng interval) tick
+      Sim.source_at (Sim.group ~kind:Sim.Kind.agent sim tick) ~member:0 ~time:(Rng.float rng interval)
     in
     let r = Experiment.run (config ~transfers ~max_time ~seed scheme (Experiment.Custom attack)) in
     (* The victim is user 0 — the one whose address is spoofed. *)

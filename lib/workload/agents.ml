@@ -108,7 +108,9 @@ module Flooder = struct
       | Misbehaving -> endpoint.Scheme.ep_flood_misbehaving
     in
     let rng = match rng with Some r -> r | None -> Rng.split (Sim.rng sim) in
-    let rec tick () =
+    (* A one-member source group: the tick re-arms itself, so a packet
+       costs no closure and no event-heap push. *)
+    let tick _ =
       let now = Sim.now sim in
       let stopped = match stop_at with Some s -> now >= s | None -> false in
       if not stopped then begin
@@ -117,12 +119,12 @@ module Flooder = struct
            phase-locks with TCP's whole-second timers, which makes losses
            systematically repeat instead of being independent per try. *)
         let jitter = 0.95 +. Rng.float rng 0.1 in
-        Sim.schedule ~kind:Sim.Kind.agent sim ~delay:(interval *. jitter) tick
+        Sim.rearm sim ~delay:(interval *. jitter)
       end
     in
     (* A random phase per flooder: otherwise all CBR sources fire in
        lockstep and the victim queue drains between synchronized bursts,
        making the flood artificially harmless. *)
     let phase = Rng.float rng interval in
-    Sim.schedule_at ~kind:Sim.Kind.agent sim ~time:(start_at +. phase) tick
+    Sim.source_at (Sim.group ~kind:Sim.Kind.agent sim tick) ~member:0 ~time:(start_at +. phase)
 end

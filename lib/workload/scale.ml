@@ -48,7 +48,7 @@ type config = {
   sc_topology : topology_kind;
   sc_senders : int;  (* total flood members across all aggregates *)
   sc_aggregates : int;
-  sc_swarm_mode : Swarm.mode;
+  sc_swarm_mode : Swarm.mode; (* inert, see [Swarm.mode] *)
   sc_attack_bps : float;  (* aggregate attack rate, split evenly over members *)
   sc_attack_pkt_bytes : int;
   sc_n_users : int;
@@ -248,8 +248,7 @@ let run ?obs cfg =
           in
           Some
             (Swarm.start ~sim ~n ~seed:(cfg.sc_seed + (1000 * k))
-               ~rate_bps:member_rate ~pkt_bytes:cfg.sc_attack_pkt_bytes
-               ~mode:cfg.sc_swarm_mode ~emit ())
+               ~rate_bps:member_rate ~pkt_bytes:cfg.sc_attack_pkt_bytes ~emit ())
         end)
   in
   (* Telemetry ticks ride an auxiliary event chain ({!Obs.Timeseries.attach}),

@@ -28,6 +28,7 @@ type config = {
           on *)
   sc_aggregates : int;  (** swarm objects the members are split over *)
   sc_swarm_mode : Swarm.mode;
+      (** inert: kept only because [bench/e2e] sets it (see {!Swarm.mode}) *)
   sc_attack_bps : float;  (** aggregate attack rate, split evenly over members *)
   sc_attack_pkt_bytes : int;
   sc_n_users : int;
@@ -40,7 +41,7 @@ type config = {
 }
 
 val default : config
-(** TVA, 3x4 fan-in, 1000 senders over 4 coalesced aggregates, 40 Mb/s
+(** TVA, 3x4 fan-in, 1000 senders over 4 aggregates, 40 Mb/s
     attack against a 10 Mb/s bottleneck, 10 users x 5 transfers. *)
 
 type result = {

@@ -2,8 +2,9 @@
    tests: the pending events are a [Map] keyed by [(time, seq)], so firing
    order is the map's order by construction.  Sequence numbers, auxiliary
    keys, [pending] and [events_processed] follow the contract in sim.mli;
-   a lane is plain [schedule ~delay], and cancellation removes the binding
-   at once. *)
+   a lane is plain [schedule ~delay], a source group member is a plain
+   event whose action may re-arm it with [schedule ~delay], and
+   cancellation removes the binding at once. *)
 
 module Key = struct
   type t = float * int
@@ -20,11 +21,12 @@ type t = {
   mutable live : int;
   mutable fired : int;
   mutable queue : (unit -> unit) Q.t;
+  mutable firing : (unit -> unit) option; (* the firing member's event, until re-armed *)
 }
 
 type handle = { sim : t; key : Key.t }
 
-let create () = { clock = 0.; next_seq = 0; aux_seq = -1; live = 0; fired = 0; queue = Q.empty }
+let create () = { clock = 0.; next_seq = 0; aux_seq = -1; live = 0; fired = 0; queue = Q.empty; firing = None }
 let now t = t.clock
 let pending t = t.live
 let events_processed t = t.fired
@@ -51,6 +53,25 @@ type lane = { owner : t; delay : float }
 
 let lane t ~delay = { owner = t; delay }
 let lane_schedule l action = schedule l.owner ~delay:l.delay action
+
+type group = { gowner : t; gaction : int -> unit }
+
+let group t action = { gowner = t; gaction = action }
+
+let rec member_event g member () =
+  let t = g.gowner in
+  t.firing <- Some (member_event g member);
+  g.gaction member;
+  t.firing <- None
+
+let source_at g ~member ~time = schedule_at g.gowner ~time (member_event g member)
+
+let rearm t ~delay =
+  match t.firing with
+  | Some event ->
+      t.firing <- None;
+      schedule t ~delay event
+  | None -> invalid_arg "Sim_oracle.rearm: no member is firing"
 
 let schedule_aux t ~time action =
   let seq = t.aux_seq in

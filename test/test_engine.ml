@@ -179,6 +179,13 @@ type cmd =
   | Cancel of int (* a pool handle, newest first, index mod pool size *)
   | Step
   | Until of float
+  | Source of int * int * float * src_step list
+      (** arm member [m] of group [g] after a delay, appending to its plan *)
+
+(* What a source member does on each fire, in order: arm member [m + 1]
+   of the other group at the same instant ([spawn]), then re-arm itself
+   ([Some delay]) or stop ([None]).  A member past its plan stops. *)
+and src_step = { again : float option; spawn : bool }
 
 module type SIM = sig
   type t
@@ -194,6 +201,12 @@ module type SIM = sig
   val lane : t -> delay:float -> lane
   val lane_schedule : lane -> (unit -> unit) -> unit
   val schedule_aux : t -> time:float -> (unit -> unit) -> unit
+
+  type group
+
+  val group : t -> (int -> unit) -> group
+  val source_at : group -> member:int -> time:float -> unit
+  val rearm : t -> delay:float -> unit
   val cancel : handle -> unit
   val step : t -> bool
   val run : ?until:float -> t -> unit
@@ -210,6 +223,7 @@ module Real : SIM = struct
   let timer t ~delay f = Sim.timer t ~delay f
   let lane t ~delay = Sim.lane t ~delay
   let schedule_aux t ~time f = Sim.schedule_aux t ~time f
+  let group t f = Sim.group t f
 end
 
 module Drive (S : SIM) = struct
@@ -225,6 +239,18 @@ module Drive (S : SIM) = struct
     let pool = ref [] and pool_size = ref 0 in
     let lanes = Array.of_list (List.map (fun delay -> S.lane sim ~delay) lane_delays) in
     let n_lanes = Array.length lanes in
+    (* Two source groups; a member's fire is noted as a key naming it. *)
+    let plans = Hashtbl.create 16 and groups = ref [||] in
+    let member_fires g m =
+      note ((1_000_000 * (g + 1)) + m) ();
+      match Hashtbl.find_opt plans (g, m) with
+      | Some ({ again; spawn } :: rest) ->
+          Hashtbl.replace plans (g, m) rest;
+          if spawn then S.source_at !groups.(1 - g) ~member:(m + 1) ~time:(S.now sim);
+          Option.iter (fun delay -> S.rearm sim ~delay) again
+      | Some [] | None -> ()
+    in
+    groups := [| S.group sim (member_fires 0); S.group sim (member_fires 1) |];
     List.iter
       (fun cmd ->
         (match cmd with
@@ -249,7 +275,11 @@ module Drive (S : SIM) = struct
                 if chain then S.lane_schedule lanes.((i + 1) mod n_lanes) (note (fresh ())))
         | Cancel i -> if !pool_size > 0 then S.cancel (List.nth !pool (i mod !pool_size))
         | Step -> ignore (S.step sim)
-        | Until d -> S.run ~until:(S.now sim +. d) sim);
+        | Until d -> S.run ~until:(S.now sim +. d) sim
+        | Source (g, m, delay, plan) ->
+            let old = Option.value ~default:[] (Hashtbl.find_opt plans (g, m)) in
+            Hashtbl.replace plans (g, m) (old @ plan);
+            S.source_at !groups.(g) ~member:m ~time:(S.now sim +. delay));
         states := (S.now sim, S.pending sim, S.events_processed sim) :: !states)
       cmds;
     S.run sim;
@@ -268,6 +298,15 @@ let print_cmd = function
   | Cancel i -> Printf.sprintf "Cancel %d" i
   | Step -> "Step"
   | Until d -> Printf.sprintf "Until %h" d
+  | Source (g, m, d, plan) ->
+      Printf.sprintf "Source (%d, %d, %h, [%s])" g m d
+        (String.concat "; "
+           (List.map
+              (fun { again; spawn } ->
+                Printf.sprintf "%s%s"
+                  (match again with Some d -> Printf.sprintf "again %h" d | None -> "stop")
+                  (if spawn then " +spawn" else ""))
+              plan))
 
 (* A script and its 1 to 64 lane delays, shrinkable as a command list.
    Lane delays are often [0.], [0.5], [1.] or shared with the script's
@@ -276,10 +315,28 @@ let print_cmd = function
    their first lane's delay on a last lane, so two lanes share one delay.
    Most [Lane] commands pick one of the first four lanes, so those fill
    while the rest hold an entry or two and drain and refill between
-   steps, and the lane heap both re-keys and removes its root. *)
+   steps, and the lane heap both re-keys and removes its root.  [Source]
+   commands arm members 0..5 of two groups with plans of up to five
+   fires: re-arms (often at delay 0), stops, and hand-offs that arm a
+   member of the other group at the firing instant. *)
 let script_arb ~len delay_gen =
   let open QCheck in
   let chain = Gen.(map (fun n -> n = 0) (int_bound 4)) in
+  let plan =
+    Gen.(
+      list_size (int_bound 5)
+        (map2
+           (fun again spawn -> { again; spawn })
+           (frequency [ (2, map Option.some delay_gen); (1, return (Some 0.)); (1, return None) ])
+           (map (fun n -> n = 0) (int_bound 3))))
+  in
+  let source =
+    Gen.(
+      map2
+        (fun (g, m) (d, p) -> Source (g, m, d, p))
+        (pair (int_bound 1) (int_bound 5))
+        (pair delay_gen plan))
+  in
   let lane_delays =
     Gen.(
       map2
@@ -301,6 +358,7 @@ let script_arb ~len delay_gen =
                 (2, map (fun i -> Cancel i) (int_bound 1_000_000));
                 (3, return Step);
                 (1, map (fun d -> Until d) delay_gen);
+                (3, source);
               ])))
   in
   make
@@ -355,7 +413,8 @@ let dense_until_differential =
     matches_oracle
 
 (* Most of what is scheduled dies before firing: each timer is cancelled
-   at once 60% of the time, sometimes with a random older one too. *)
+   at once 60% of the time, sometimes with a random older one too, while
+   source group members fire and re-arm among them. *)
 let cancel_heavy_differential =
   QCheck.Test.make ~name:"sim: >=50% cancelled fires like oracle" ~count:50 QCheck.small_int
     (fun seed ->
@@ -370,14 +429,25 @@ let cancel_heavy_differential =
                  | 1 -> float_of_int (Rng.int rng 1000) *. 1e-7
                  | _ -> Rng.float rng 50.
                in
-               Timer delay
+               (if Rng.int rng 10 = 0 then
+                  [
+                    Source
+                      ( Rng.int rng 2,
+                        Rng.int rng 6,
+                        delay,
+                        List.init (Rng.int rng 4) (fun _ ->
+                            { again = Some (float_of_int (Rng.int rng 3)); spawn = Rng.int rng 5 = 0 }) );
+                  ]
+                else [])
+               @ Timer delay
                :: (if Rng.int rng 10 < 6 then
                      Cancel 0 :: (if Rng.int rng 4 = 0 then [ Cancel (Rng.int rng 1_000_000) ] else [])
                    else [])
                @ if Rng.int rng 8 = 0 then [ Step ] else []))
       in
       let ((fired, _, _, _, _) as real) = Drive_real.run ~lane_delays:[ 0. ] cmds in
-      List.length fired * 2 <= total && real = Drive_oracle.run ~lane_delays:[ 0. ] cmds)
+      let timers_fired = List.filter (fun (k, _) -> k < 1_000_000) fired in
+      List.length timers_fired * 2 <= total && real = Drive_oracle.run ~lane_delays:[ 0. ] cmds)
 
 (* NaN compares false with everything, so a NaN key would silently break
    heap order: every scheduling entry point rejects it, consuming nothing. *)
@@ -740,7 +810,40 @@ let scheduler_minor_words () =
   let at =
     words_per_event (fun sim f -> Sim.schedule_at sim ~time:(Sim.now sim +. 1e-3) f)
   in
+  (* 64 members of one source group, each re-arming itself from its
+     action: no closure and no push, so a tick costs what a lane event
+     does. *)
+  let source =
+    let sim = Sim.create () in
+    Sim.schedule_at sim ~time:1e9 ignore;
+    Sim.lane_schedule (Sim.lane sim ~delay:1e9) ignore;
+    let left = ref 0 in
+    let g =
+      Sim.group sim (fun _ ->
+          if !left > 0 then begin
+            decr left;
+            Sim.rearm sim ~delay:1e-3
+          end)
+    in
+    let go n =
+      left := n;
+      for m = 0 to 63 do
+        Sim.source_at g ~member:m ~time:(Sim.now sim)
+      done;
+      Sim.run ~until:(Sim.now sim +. 1e6) sim
+    in
+    go 10_000;
+    let n = 100_000 in
+    let w0 = Gc.minor_words () in
+    go n;
+    let words = (Gc.minor_words () -. w0) /. float_of_int (n + 64) in
+    Alcotest.(check int) "source bystanders still pending" 2 (Sim.pending sim);
+    words
+  in
   Alcotest.(check bool) (Printf.sprintf "lane %.3f words/event <= 2" lane) true (lane <= 2.01);
+  Alcotest.(check bool)
+    (Printf.sprintf "source tick %.3f words/event <= 2" source)
+    true (source <= 2.01);
   Alcotest.(check bool) (Printf.sprintf "8 lanes %.3f words/event <= 2" lanes) true (lanes <= 2.01);
   Alcotest.(check bool) (Printf.sprintf "schedule_at %.3f words/event <= 4" at) true (at <= 4.01)
 

@@ -303,16 +303,16 @@ let null_endpoint ~on_legacy =
   }
 
 (* 800 kb/s at 1000 B -> one packet per 10 ms per member. *)
-let swarm_stream ~mode ~n ~seed ~stop_at () =
+let swarm_stream ~n ~seed ~stop_at () =
   let sim = Sim.create ~seed:99 () in
   let log = ref [] in
   let sw =
-    Workload.Swarm.start ~sim ~n ~seed ~rate_bps:800_000. ~start_at:0.25 ~stop_at ~mode
+    Workload.Swarm.start ~sim ~n ~seed ~rate_bps:800_000. ~start_at:0.25 ~stop_at
       ~emit:(fun ~member ~due -> log := (due, member) :: !log)
       ()
   in
   Sim.run ~until:10. sim;
-  (List.rev !log, sw)
+  (List.rev !log, sw, Sim.events_processed sim)
 
 let flooder_stream ~n ~seed ~stop_at () =
   let sim = Sim.create ~seed:99 () in
@@ -335,45 +335,64 @@ let check_streams name a b =
   Alcotest.(check int) (name ^ " packet count") (List.length a) (List.length b);
   Alcotest.(check bool) (name ^ " identical (time, member) stream") true (sorted a = sorted b)
 
-(* The tentpole equivalence: one Coalesced swarm emits bit-for-bit the
-   stream n real flooders driven by the matching Rng lanes would. *)
+(* The tentpole equivalence: one swarm emits bit-for-bit the stream n
+   real flooders driven by the matching Rng lanes would. *)
 let swarm_matches_real_flooders () =
   let n = 7 and seed = 42 and stop_at = 2.0 in
-  let agg, sw = swarm_stream ~mode:Workload.Swarm.Coalesced ~n ~seed ~stop_at () in
+  let agg, sw, _ = swarm_stream ~n ~seed ~stop_at () in
   let real = flooder_stream ~n ~seed ~stop_at () in
   Alcotest.(check bool) "emitted something" true (List.length real > 1000);
   check_streams "swarm vs flooders" agg real;
   Alcotest.(check int) "sent counter" (List.length agg) (Workload.Swarm.packets_sent sw);
   Alcotest.(check int) "all retired at stop_at" 0 (Workload.Swarm.live_members sw)
 
-let swarm_modes_agree () =
+(* The swarm's source group against the closure timers it replaced: one
+   [Sim.schedule] timer per member drawing from the same bank emits the
+   same stream in the same order, with the same event count, because a
+   member's re-arm takes its key where the timer's [schedule] did. *)
+let swarm_matches_member_timers () =
   let n = 11 and seed = 5 and stop_at = 1.5 in
-  let a, _ = swarm_stream ~mode:Workload.Swarm.Coalesced ~n ~seed ~stop_at () in
-  let b, _ = swarm_stream ~mode:Workload.Swarm.Independent ~n ~seed ~stop_at () in
-  check_streams "coalesced vs independent" a b
+  let a, _, events = swarm_stream ~n ~seed ~stop_at () in
+  let sim = Sim.create ~seed:99 () in
+  let log = ref [] in
+  let interval = 1000. *. 8. /. 800_000. in
+  let bank = Rng.Bank.create ~seed ~n in
+  for i = 0 to n - 1 do
+    let phase = Rng.Bank.float bank i interval in
+    let rec tick () =
+      let now = Sim.now sim in
+      if now < stop_at then begin
+        log := (now, i) :: !log;
+        Sim.schedule sim ~delay:(interval *. (0.95 +. Rng.Bank.float bank i 0.1)) tick
+      end
+    in
+    Sim.schedule_at sim ~time:(0.25 +. phase) tick
+  done;
+  Sim.run ~until:10. sim;
+  Alcotest.(check bool) "same stream, same order" true (a = List.rev !log);
+  Alcotest.(check int) "same events" (Sim.events_processed sim) events
 
-(* The same equivalence through the whole scale experiment at e2e's
-   scale_100k size: 100k members over 16 aggregates, one simulator timer
-   each or one event per aggregate, must give the same run. *)
-let scale_coalesced_matches_independent () =
-  let run mode =
+(* The scale experiment at e2e's scale_100k size (100k members over 16
+   aggregates, 10 s), pinned to the figures the per-member timers and the
+   coalesced swarm both gave before the swarm became a source group. *)
+let scale_100k_pinned () =
+  let r =
     Workload.Scale.run
       {
         Workload.Scale.default with
         Workload.Scale.sc_senders = 100_000;
         sc_aggregates = 16;
-        sc_swarm_mode = mode;
         sc_transfers_per_user = 50;
         sc_max_time = 10.;
       }
   in
-  let i = run Workload.Swarm.Independent and c = run Workload.Swarm.Coalesced in
-  Alcotest.(check bool) "attack ran" true (i.Workload.Scale.sr_attack_packets > 0);
-  Alcotest.(check int) "events" i.Workload.Scale.sr_events c.Workload.Scale.sr_events;
-  Alcotest.(check int) "attack packets" i.sr_attack_packets c.sr_attack_packets;
-  Alcotest.(check (float 0.)) "fraction completed" i.sr_fraction_completed c.sr_fraction_completed;
-  Alcotest.(check (float 0.)) "avg transfer time" i.sr_avg_transfer_time c.sr_avg_transfer_time;
-  Alcotest.(check (float 0.)) "sim end" i.sr_sim_end c.sr_sim_end
+  Alcotest.(check int) "events" 485_950 r.Workload.Scale.sr_events;
+  Alcotest.(check int) "attack packets" 49_986 r.sr_attack_packets;
+  Alcotest.(check string) "fraction completed" "0.9728"
+    (Printf.sprintf "%.4f" r.sr_fraction_completed);
+  Alcotest.(check string) "avg transfer time" "0.2752"
+    (Printf.sprintf "%.4f" r.sr_avg_transfer_time);
+  Alcotest.(check (float 0.)) "sim end" 10. r.sr_sim_end
 
 (* --- scale experiment --------------------------------------------------- *)
 
@@ -689,9 +708,8 @@ let suite =
     Alcotest.test_case "median transfer time" `Quick median_transfer_time_shapes;
     Alcotest.test_case "report deterministic across jobs" `Slow report_deterministic_across_jobs;
     Alcotest.test_case "swarm = n real flooders" `Quick swarm_matches_real_flooders;
-    Alcotest.test_case "swarm coalesced = independent" `Quick swarm_modes_agree;
-    Alcotest.test_case "scale coalesced = independent at 100k" `Slow
-      scale_coalesced_matches_independent;
+    Alcotest.test_case "swarm = per-member timers" `Quick swarm_matches_member_timers;
+    Alcotest.test_case "scale 100k pinned figures" `Slow scale_100k_pinned;
     Alcotest.test_case "scale topologies smoke" `Slow scale_topologies_smoke;
     Alcotest.test_case "scale memory gauges" `Slow scale_memory_peaks_reported;
     Alcotest.test_case "telemetry does not perturb results" `Slow telemetry_does_not_perturb_results;
