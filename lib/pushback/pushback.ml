@@ -122,7 +122,10 @@ let make_qdisc t ~bandwidth_bps =
   in
   let next_ready ~now =
     let p = ls.staged in
-    if p == Qdisc.none then Qdisc.next_ready inner ~now
+    (* [inner] is a FIFO, ready whenever it holds a packet; answering
+       from its count returns [now] or [infinity] as they came, where
+       re-boxing [Qdisc.next_ready]'s result would allocate per call. *)
+    if p == Qdisc.none then if Qdisc.packet_count inner = 0 then infinity else now
     else begin
       match Hashtbl.find ls.limits (Wire.Addr.to_int p.Wire.Packet.dst) with
       | exception Not_found -> now

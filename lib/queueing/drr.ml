@@ -18,7 +18,8 @@ let create ?(name = "drr") ?(quantum = 1500) ?(queue_capacity_bytes = 65536) ?(m
          (* Backlogged classes only, and it grows on demand: a small
             initial table keeps set-up cheap, since every TVA link
             direction builds two DRRs. *)
-         d_table = Hashtbl.create 8;
+         d_slots = Qdisc.drr_table ();
+         d_count = 0;
          d_ring = Intring.create ();
          d_current = 0;
          d_has_current = false;
@@ -31,5 +32,7 @@ let create ?(name = "drr") ?(quantum = 1500) ?(queue_capacity_bytes = 65536) ?(m
 let active_queues (qdisc : Qdisc.t) =
   match qdisc.Qdisc.kind with
   | Qdisc.Drr d ->
-      Hashtbl.fold (fun _ sq acc -> if sq.Qdisc.dc_active then acc + 1 else acc) d.Qdisc.d_table 0
+      Array.fold_left
+        (fun acc sq -> if sq != Qdisc.drr_vacant && sq.Qdisc.dc_active then acc + 1 else acc)
+        0 d.Qdisc.d_slots
   | _ -> invalid_arg "Drr.active_queues: not a DRR qdisc"

@@ -44,7 +44,10 @@ let pp_stats fmt s =
    are the same value. *)
 let none = Pktring.nil
 
-type t = { name : string; stats : stats; kind : kind }
+(* [ready] is [next_ready]'s result cell: each level of a composite
+   writes its readiness there and its parent reads it back unboxed, where
+   a float returned from a recursive call is boxed at every level. *)
+type t = { name : string; stats : stats; kind : kind; ready : float array }
 
 and kind =
   | Fifo of fifo
@@ -67,7 +70,9 @@ and drr = {
   d_capacity : int; (* per-class byte capacity *)
   d_max_queues : int;
   d_classify : Wire.Packet.t -> int;
-  d_table : (int, drr_class) Hashtbl.t; (* backlogged classes only *)
+  (* The backlogged classes, open-addressed by key ([drr_find]). *)
+  mutable d_slots : drr_class array;
+  mutable d_count : int; (* classes filed in [d_slots] *)
   d_ring : Intring.t; (* keys awaiting service, round-robin order *)
   mutable d_current : int; (* key being served within its deficit... *)
   mutable d_has_current : bool; (* ...valid only when this is set *)
@@ -80,7 +85,7 @@ and drr = {
 }
 
 and drr_class = {
-  mutable dc_key : int; (* the table key this record is filed under *)
+  mutable dc_key : int; (* the key this record is filed under *)
   dc_ring : Pktring.t;
   mutable dc_bytes : int;
   mutable dc_deficit : int;
@@ -143,20 +148,83 @@ let overflow_key = min_int
 (* Shared queue for keys arriving once [d_max_queues] distinct classes
    exist. *)
 
+(* --- DRR class table ---------------------------------------------------- *)
+
+(* The backlogged classes sit in [d_slots], open-addressed by key with
+   linear probing: a power-of-two array at most half full, [drr_vacant]
+   in every empty slot.  Filing and removing a class write slots only, so
+   a class that drains and comes back allocates nothing (a [Hashtbl]
+   filed a fresh bucket each time, and hashed and compared its key
+   polymorphically on every lookup). *)
+let drr_vacant = drr_fresh_class ()
+
+let drr_table () = Array.make 8 drr_vacant
+
+(* A multiplicative hash, so that consecutive keys spread. *)
+let[@inline] drr_home key mask = ((key * 0x9E3779B97F4A7C1) lsr 29) land mask
+
+(* The slot holding [key], or the first vacant one on its probe chain. *)
+let rec drr_probe slots mask key i =
+  let c = Array.unsafe_get slots i in
+  if c == drr_vacant || c.dc_key = key then i else drr_probe slots mask key ((i + 1) land mask)
+
+(* The class filed under [key], or [drr_vacant]. *)
+let drr_find d key =
+  let slots = d.d_slots in
+  let mask = Array.length slots - 1 in
+  Array.unsafe_get slots (drr_probe slots mask key (drr_home key mask))
+
+let drr_place slots sq =
+  let mask = Array.length slots - 1 in
+  Array.unsafe_set slots (drr_probe slots mask sq.dc_key (drr_home sq.dc_key mask)) sq
+
+(* File [sq], whose key is not filed, doubling the table first if it
+   would be more than half full. *)
+let drr_file d sq =
+  if 2 * (d.d_count + 1) > Array.length d.d_slots then begin
+    let old = d.d_slots in
+    let slots = Array.make (2 * Array.length old) drr_vacant in
+    Array.iter (fun c -> if c != drr_vacant then drr_place slots c) old;
+    d.d_slots <- slots
+  end;
+  drr_place d.d_slots sq;
+  d.d_count <- d.d_count + 1
+
+(* Remove the filed [key].  Backward-shift deletion: each later entry of
+   the probe run moves into the hole unless its home lies cyclically in
+   (hole, entry], so every remaining chain stays unbroken with no
+   tombstones. *)
+let drr_unfile d key =
+  let slots = d.d_slots in
+  let mask = Array.length slots - 1 in
+  let hole = ref (drr_probe slots mask key (drr_home key mask)) in
+  Array.unsafe_set slots !hole drr_vacant;
+  d.d_count <- d.d_count - 1;
+  let j = ref ((!hole + 1) land mask) in
+  while Array.unsafe_get slots !j != drr_vacant do
+    let c = Array.unsafe_get slots !j in
+    let h = drr_home c.dc_key mask in
+    let stays = if !hole <= !j then h > !hole && h <= !j else h > !hole || h <= !j in
+    if not stays then begin
+      Array.unsafe_set slots !hole c;
+      Array.unsafe_set slots !j drr_vacant;
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done
+
 (* Find or create the class for [key]; once the class table is full, new
    keys share the overflow class.  (Mirrors the paper's bounded per-path-id
    and per-destination queues, Sec. 3.2/3.6.) *)
 let rec drr_slot d key =
-  match Hashtbl.find d.d_table key with
-  | sq -> sq
-  | exception Not_found ->
-      if Hashtbl.length d.d_table >= d.d_max_queues && key <> overflow_key then
-        drr_slot d overflow_key
-      else begin
-        let sq = drr_take_class d ~key in
-        Hashtbl.add d.d_table key sq;
-        sq
-      end
+  let sq = drr_find d key in
+  if sq != drr_vacant then sq
+  else if d.d_count >= d.d_max_queues && key <> overflow_key then drr_slot d overflow_key
+  else begin
+    let sq = drr_take_class d ~key in
+    drr_file d sq;
+    sq
+  end
 
 (* --- the datapath ------------------------------------------------------ *)
 
@@ -223,9 +291,8 @@ and drr_dequeue d =
     if Intring.is_empty d.d_ring then none
     else begin
       let key = Intring.pop d.d_ring in
-      (match Hashtbl.find d.d_table key with
-      | sq -> sq.dc_deficit <- sq.dc_deficit + d.d_quantum
-      | exception Not_found -> ());
+      let sq = drr_find d key in
+      if sq != drr_vacant then sq.dc_deficit <- sq.dc_deficit + d.d_quantum;
       d.d_current <- key;
       d.d_has_current <- true;
       drr_dequeue d
@@ -233,43 +300,45 @@ and drr_dequeue d =
   end
   else begin
     let key = d.d_current in
-    match Hashtbl.find d.d_table key with
-    | exception Not_found ->
+    let sq = drr_find d key in
+    if sq == drr_vacant then begin
+      d.d_has_current <- false;
+      drr_dequeue d
+    end
+    else begin
+      let head = Pktring.peek sq.dc_ring in
+      if head == none then begin
+        (* Served dry within its deficit: leaves the ring and its record
+           is reclaimed. *)
+        drr_unfile d key;
+        drr_release_class d sq;
         d.d_has_current <- false;
         drr_dequeue d
-    | sq ->
-        let head = Pktring.peek sq.dc_ring in
-        if head == none then begin
-          (* Served dry within its deficit: leaves the ring and its record
-             is reclaimed. *)
-          Hashtbl.remove d.d_table key;
-          drr_release_class d sq;
+      end
+      else begin
+        let size = Wire.Packet.size head in
+        if size <= sq.dc_deficit then begin
+          let p = Pktring.pop sq.dc_ring in
+          sq.dc_deficit <- sq.dc_deficit - size;
+          sq.dc_bytes <- sq.dc_bytes - size;
+          d.d_packets <- d.d_packets - 1;
+          d.d_bytes <- d.d_bytes - size;
+          if Pktring.is_empty sq.dc_ring then begin
+            drr_unfile d key;
+            drr_release_class d sq;
+            d.d_has_current <- false
+          end;
+          p
+        end
+        else begin
+          (* Deficit exhausted: back to the tail of the ring, keeping the
+             accumulated deficit for the next round. *)
+          Intring.push d.d_ring key;
           d.d_has_current <- false;
           drr_dequeue d
         end
-        else begin
-          let size = Wire.Packet.size head in
-          if size <= sq.dc_deficit then begin
-            let p = Pktring.pop sq.dc_ring in
-            sq.dc_deficit <- sq.dc_deficit - size;
-            sq.dc_bytes <- sq.dc_bytes - size;
-            d.d_packets <- d.d_packets - 1;
-            d.d_bytes <- d.d_bytes - size;
-            if Pktring.is_empty sq.dc_ring then begin
-              Hashtbl.remove d.d_table key;
-              drr_release_class d sq;
-              d.d_has_current <- false
-            end;
-            p
-          end
-          else begin
-            (* Deficit exhausted: back to the tail of the ring, keeping the
-               accumulated deficit for the next round. *)
-            Intring.push d.d_ring key;
-            d.d_has_current <- false;
-            drr_dequeue d
-          end
-        end
+      end
+    end
   end
 
 and dequeue t ~now =
@@ -325,34 +394,45 @@ let dequeue_opt t ~now =
   match dequeue t ~now with p when p == none -> None | p -> Some p
 
 (* Earliest time the head packet could be released, or [infinity] when the
-   qdisc is empty.  The value may be conservative (the transmitter
-   re-polls), never late. *)
-let rec next_ready t ~now =
+   qdisc is empty, written to [t.ready].  The value may be conservative
+   (the transmitter re-polls), never late.  A composite recurses into its
+   children's cells and reads them unboxed, so no level boxes a float. *)
+let rec ready_into t ~now =
+  let cell = t.ready in
   match t.kind with
-  | Fifo f -> if Pktring.is_empty f.f_ring then infinity else now
-  | Drr d -> if d.d_packets > 0 then now else infinity
+  | Fifo f -> Array.unsafe_set cell 0 (if Pktring.is_empty f.f_ring then infinity else now)
+  | Drr d -> Array.unsafe_set cell 0 (if d.d_packets > 0 then now else infinity)
   | Token_bucket tb ->
       let m = tb.tb_meter in
       Policer.refill m ~now;
       let staged = tb.tb_staged in
-      if staged != none then Policer.ready_at m ~now ~bytes:(Wire.Packet.size staged)
+      if staged != none then
+        Array.unsafe_set cell 0 (Policer.ready_at m ~now ~bytes:(Wire.Packet.size staged))
       else begin
-        let at = next_ready tb.tb_inner ~now in
-        if at = infinity then infinity
-        else
-          (* The inner head's exact size is unknown until staged; poll at
-             the later of the inner readiness and a one-MTU token horizon.
-             The transmitter will stage-and-recheck, so this is only a
-             lower bound on readiness, never a miss. *)
-          Float.max at (Policer.ready_at m ~now ~bytes:tb.tb_horizon)
+        let inner = tb.tb_inner in
+        ready_into inner ~now;
+        let at = Array.unsafe_get inner.ready 0 in
+        (* The inner head's exact size is unknown until staged; poll at
+           the later of the inner readiness and a one-MTU token horizon.
+           The transmitter will stage-and-recheck, so this is only a
+           lower bound on readiness, never a miss. *)
+        Array.unsafe_set cell 0
+          (if at = infinity then infinity
+           else Float.max at (Policer.ready_at m ~now ~bytes:tb.tb_horizon))
       end
   | Priority pr ->
       let acc = ref infinity in
       for i = 0 to Array.length pr.p_classes - 1 do
-        acc := Float.min !acc (next_ready pr.p_classes.(i) ~now)
+        let c = Array.unsafe_get pr.p_classes i in
+        ready_into c ~now;
+        acc := Float.min !acc (Array.unsafe_get c.ready 0)
       done;
-      !acc
-  | Custom c -> c.c_next_ready ~now
+      Array.unsafe_set cell 0 !acc
+  | Custom c -> Array.unsafe_set cell 0 (c.c_next_ready ~now)
+
+let[@inline] next_ready t ~now =
+  ready_into t ~now;
+  Array.unsafe_get t.ready 0
 
 let rec packet_count t =
   match t.kind with
@@ -386,7 +466,7 @@ let rec iter_nested t f =
 
 (* --- constructors ------------------------------------------------------ *)
 
-let make ~name kind = { name; stats = fresh_stats (); kind }
+let make ~name kind = { name; stats = fresh_stats (); kind; ready = [| infinity |] }
 
 let make_custom ?(name = "custom") ~enqueue ~dequeue ~next_ready ~packet_count ~byte_count () =
   make ~name

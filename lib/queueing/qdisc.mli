@@ -26,7 +26,14 @@ type stats = {
           levels leave it 0 and report through their children. *)
 }
 
-type t = { name : string; stats : stats; kind : kind }
+type t = {
+  name : string;
+  stats : stats;
+  kind : kind;
+  ready : float array;
+      (** [[|r|]]: {!next_ready}'s result cell, where each level of a
+          composite leaves its readiness for its parent to read unboxed *)
+}
 
 and kind =
   | Fifo of fifo
@@ -47,7 +54,10 @@ and drr = {
   d_capacity : int;  (** per-class byte capacity *)
   d_max_queues : int;
   d_classify : Wire.Packet.t -> int;
-  d_table : (int, drr_class) Hashtbl.t;  (** backlogged classes only *)
+  mutable d_slots : drr_class array;
+      (** the backlogged classes, open-addressed by key: a power-of-two
+          array at most half full, {!drr_vacant} in every empty slot *)
+  mutable d_count : int;  (** classes filed in [d_slots] *)
   d_ring : Intring.t;  (** keys awaiting service, round-robin order *)
   mutable d_current : int;
   mutable d_has_current : bool;
@@ -85,6 +95,12 @@ and custom = {
   c_byte_count : unit -> int;
 }
 
+val drr_vacant : drr_class
+(** The empty slot of a DRR class table, compared by physical identity. *)
+
+val drr_table : unit -> drr_class array
+(** A fresh, empty DRR class table. *)
+
 val none : Wire.Packet.t
 (** The "no packet" sentinel (= {!Pktring.nil}), compared by physical
     identity: [dequeue q ~now == Qdisc.none] means nothing was servable. *)
@@ -102,7 +118,9 @@ val dequeue_opt : t -> now:float -> Wire.Packet.t option
 val next_ready : t -> now:float -> float
 (** Earliest virtual time a packet could become servable (may be [now]),
     or [infinity] when the qdisc is empty.  May be conservative — the
-    transmitter re-polls — but never later than actual readiness. *)
+    transmitter re-polls — but never later than actual readiness.
+    Inlined: a caller that compares or computes with the result reads it
+    unboxed, and no level of a composite allocates. *)
 
 val packet_count : t -> int
 val byte_count : t -> int

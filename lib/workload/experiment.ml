@@ -84,7 +84,7 @@ module Harness = struct
     trace : Obs.Trace.t;
     profile : Obs.Profile.t option;
     names : string array; (* node name by [Net.node_id], for trace dumps *)
-    by_id : Obs.Counters.t option array; (* [counters_for] memo by [Net.node_id] *)
+    mutable by_id : Obs.Counters.t option array; (* [counters_for] memo by [Net.node_id] *)
   }
 
   type channel = string * Obs.Timeseries.mode * Obs.Timeseries.source
@@ -97,18 +97,22 @@ module Harness = struct
     | None -> Obs.Counters.register t.registry ~name
 
   (* The bridge calls this on every forwarding event, so the name lookup
-     runs once per node, on its first touch; a node added after [setup]
-     has no slot and pays the lookup each time. *)
+     runs once per node, on its first touch.  A node added after [setup]
+     (every node a [Custom] attack makes) grows the memo, which node ids
+     fill densely. *)
   let counters_for t node =
     let id = Net.node_id node in
-    if id >= Array.length t.by_id then counters t (Net.node_name node)
-    else
-      match t.by_id.(id) with
-      | Some c -> c
-      | None ->
-          let c = counters t (Net.node_name node) in
-          t.by_id.(id) <- Some c;
-          c
+    if id >= Array.length t.by_id then begin
+      let by_id = Array.make (max (id + 1) (2 * Array.length t.by_id)) None in
+      Array.blit t.by_id 0 by_id 0 (Array.length t.by_id);
+      t.by_id <- by_id
+    end;
+    match t.by_id.(id) with
+    | Some c -> c
+    | None ->
+        let c = counters t (Net.node_name node) in
+        t.by_id.(id) <- Some c;
+        c
 
   let node_name t id =
     if id >= 0 && id < Array.length t.names then t.names.(id) else string_of_int id

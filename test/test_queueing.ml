@@ -419,25 +419,21 @@ end
 
 type drr_op = Enq of int * int | Deq
 
-let drr_op_gen =
-  (* Keys 0-5 against max_queues 3 exercises the overflow class; sizes up
-     to 2600 against a 2500-byte class capacity exercises rejects,
-     including the oversized-first-packet edge. *)
+let drr_op_gen keys =
   QCheck.Gen.(
-    frequency
-      [ (3, map2 (fun k s -> Enq (k, s)) (int_range 0 5) (int_range 100 2600)); (2, return Deq) ])
+    frequency [ (3, map2 (fun k s -> Enq (k, s)) keys (int_range 100 2600)); (2, return Deq) ])
 
 let drr_op_print = function
   | Enq (k, s) -> Printf.sprintf "Enq(key=%d,%dB)" k s
   | Deq -> "Deq"
 
-let drr_matches_reference_model =
-  QCheck.Test.make ~name:"drr: ring-buffer datapath matches the queue-based reference model"
-    ~count:300
-    (QCheck.make ~print:QCheck.Print.(list drr_op_print) QCheck.Gen.(list_size (int_range 1 200) drr_op_gen))
+let drr_differential ~name ~max_queues ~len keys =
+  QCheck.Test.make ~name ~count:300
+    (QCheck.make ~print:QCheck.Print.(list drr_op_print)
+       QCheck.Gen.(list_size (int_range 1 len) (drr_op_gen keys)))
     (fun ops ->
       let classify p = Wire.Addr.to_int p.Wire.Packet.src in
-      let quantum = 1500 and capacity = 2500 and max_queues = 3 in
+      let quantum = 1500 and capacity = 2500 in
       let q =
         Drr.create ~quantum ~queue_capacity_bytes:capacity ~max_queues ~classify ()
       in
@@ -461,6 +457,21 @@ let drr_matches_reference_model =
         ops
       && Qdisc.packet_count q = m.Drr_model.packets
       && Qdisc.byte_count q = m.Drr_model.bytes)
+
+(* Keys 0-5 against max_queues 3 exercises the overflow class; sizes up
+   to 2600 against a 2500-byte class capacity exercises rejects,
+   including the oversized-first-packet edge. *)
+let drr_matches_reference_model =
+  drr_differential ~name:"drr: ring-buffer datapath matches the queue-based reference model"
+    ~max_queues:3 ~len:200 (QCheck.Gen.int_range 0 5)
+
+(* Up to 40 backlogged classes: the open-addressed class table grows
+   from 8 slots, and its probe runs collide and close up as classes
+   drain and return. *)
+let drr_table_matches_reference_model =
+  drr_differential ~name:"drr: class table under many keys matches the reference model"
+    ~max_queues:40 ~len:600
+    QCheck.Gen.(frequency [ (3, int_range 0 63); (1, map (fun k -> k * 1024) (int_range 0 15)) ])
 
 let drr_overflow_key_is_reachable () =
   (* Once [max_queues] classes are backlogged, further keys all share the
@@ -744,14 +755,15 @@ let policer_matches_token_bucket =
 
 (* Every scheme's link qdisc, fed at a fixed [now] one packet of each
    class the five schemes tell apart (legacy, TVA request, regular and
-   demoted, SIFF data, NetFence-stamped) and drained as often, allocates
-   nothing per packet once its rings and tables have grown.  A [Priority]
-   dequeue that built its loop as a closure cost SIFF's and NetFence's
-   links 7 words a packet; pushback's shaper staging its head as an
-   [option] cost 4.  One allocation is left, and it is pinned: TVA's
-   per-destination DRR class for the regular packet drains every round
-   and comes back the next, and [Hashtbl.add] files a fresh 4-word bucket
-   each time it does. *)
+   demoted, SIFF data, NetFence-stamped), asked once for its readiness,
+   and drained as often, allocates nothing per packet once its rings and
+   tables have grown.  A [Priority] dequeue that built its loop as a
+   closure cost SIFF's and NetFence's links 7 words a packet; pushback's
+   shaper staging its head as an [option] cost 4; TVA's per-destination
+   DRR class, draining every round and filed again the next, cost a
+   4-word [Hashtbl] bucket a round; and [next_ready] boxing its result at
+   each composite level cost 2 words a call on SIFF's and NetFence's
+   links and 4 on TVA's. *)
 let link_qdiscs_allocate_nothing () =
   let pkts =
     let shim kind demoted =
@@ -772,10 +784,12 @@ let link_qdiscs_allocate_nothing () =
     (fun (name, factory) ->
       let scheme = factory (Sim.create ()) in
       let q = scheme.Workload.Scheme.make_qdisc ~bandwidth_bps:10e6 in
+      let ready = ref 0 in
       let round () =
         for i = 0 to Array.length pkts - 1 do
           ignore (Qdisc.enqueue q ~now pkts.(i))
         done;
+        if Qdisc.next_ready q ~now < infinity then incr ready;
         for _ = 1 to Array.length pkts do
           ignore (Sys.opaque_identity (Qdisc.dequeue q ~now))
         done
@@ -784,13 +798,14 @@ let link_qdiscs_allocate_nothing () =
         round ()
       done;
       let rounds = 2000 in
+      ready := 0;
       let before = Gc.minor_words () in
       for _ = 1 to rounds do
         round ()
       done;
       let words = (Gc.minor_words () -. before) /. float_of_int (rounds * Array.length pkts) in
-      let expected = if name = "tva" then 4. /. float_of_int (Array.length pkts) else 0. in
-      Alcotest.(check (float 1e-9)) (name ^ " words per packet") expected words)
+      Alcotest.(check int) (name ^ " ready every round") rounds !ready;
+      Alcotest.(check (float 0.)) (name ^ " words per packet") 0. words)
     Workload.Scheme.all
 
 (* --- SFQ ----------------------------------------------------------------------- *)
@@ -867,6 +882,7 @@ let suite =
     Alcotest.test_case "drr overflow fifo" `Quick drr_overflow_key_is_reachable;
     Alcotest.test_case "drr active queues" `Quick drr_active_queue_count;
     QCheck_alcotest.to_alcotest drr_matches_reference_model;
+    QCheck_alcotest.to_alcotest drr_table_matches_reference_model;
     Alcotest.test_case "token bucket burst" `Quick token_bucket_limits_rate;
     Alcotest.test_case "token bucket rate" `Quick token_bucket_long_run_rate;
     Alcotest.test_case "token bucket inner stats" `Quick token_bucket_passes_stats_through;
