@@ -44,10 +44,7 @@ let pp_stats fmt s =
    are the same value. *)
 let none = Pktring.nil
 
-(* [ready] is [next_ready]'s result cell: each level of a composite
-   writes its readiness there and its parent reads it back unboxed, where
-   a float returned from a recursive call is boxed at every level. *)
-type t = { name : string; stats : stats; kind : kind; ready : float array }
+type t = { name : string; stats : stats; kind : kind }
 
 and kind =
   | Fifo of fifo
@@ -394,11 +391,12 @@ let dequeue_opt t ~now =
   match dequeue t ~now with p when p == none -> None | p -> Some p
 
 (* Earliest time the head packet could be released, or [infinity] when the
-   qdisc is empty, written to [t.ready].  The value may be conservative
-   (the transmitter re-polls), never late.  A composite recurses into its
-   children's cells and reads them unboxed, so no level boxes a float. *)
-let rec ready_into t ~now =
-  let cell = t.ready in
+   qdisc is empty, written to [cell.(0)].  The value may be conservative
+   (the transmitter re-polls), never late.  A float returned from a
+   recursive call is boxed at every level, so each level writes its
+   answer to the one cell instead, and its parent reads it back unboxed
+   before the next child overwrites it. *)
+let rec ready_into t ~now (cell : float array) =
   match t.kind with
   | Fifo f -> Array.unsafe_set cell 0 (if Pktring.is_empty f.f_ring then infinity else now)
   | Drr d -> Array.unsafe_set cell 0 (if d.d_packets > 0 then now else infinity)
@@ -409,9 +407,8 @@ let rec ready_into t ~now =
       if staged != none then
         Array.unsafe_set cell 0 (Policer.ready_at m ~now ~bytes:(Wire.Packet.size staged))
       else begin
-        let inner = tb.tb_inner in
-        ready_into inner ~now;
-        let at = Array.unsafe_get inner.ready 0 in
+        ready_into tb.tb_inner ~now cell;
+        let at = Array.unsafe_get cell 0 in
         (* The inner head's exact size is unknown until staged; poll at
            the later of the inner readiness and a one-MTU token horizon.
            The transmitter will stage-and-recheck, so this is only a
@@ -423,16 +420,20 @@ let rec ready_into t ~now =
   | Priority pr ->
       let acc = ref infinity in
       for i = 0 to Array.length pr.p_classes - 1 do
-        let c = Array.unsafe_get pr.p_classes i in
-        ready_into c ~now;
-        acc := Float.min !acc (Array.unsafe_get c.ready 0)
+        ready_into (Array.unsafe_get pr.p_classes i) ~now cell;
+        acc := Float.min !acc (Array.unsafe_get cell 0)
       done;
       Array.unsafe_set cell 0 !acc
   | Custom c -> Array.unsafe_set cell 0 (c.c_next_ready ~now)
 
+(* One result cell per domain: simulations run in parallel on [Pool]'s
+   domains, and a qdisc belongs to one simulation. *)
+let ready_cell = Domain.DLS.new_key (fun () -> [| infinity |])
+
 let[@inline] next_ready t ~now =
-  ready_into t ~now;
-  Array.unsafe_get t.ready 0
+  let cell = Domain.DLS.get ready_cell in
+  ready_into t ~now cell;
+  Array.unsafe_get cell 0
 
 let rec packet_count t =
   match t.kind with
@@ -466,7 +467,7 @@ let rec iter_nested t f =
 
 (* --- constructors ------------------------------------------------------ *)
 
-let make ~name kind = { name; stats = fresh_stats (); kind; ready = [| infinity |] }
+let make ~name kind = { name; stats = fresh_stats (); kind }
 
 let make_custom ?(name = "custom") ~enqueue ~dequeue ~next_ready ~packet_count ~byte_count () =
   make ~name

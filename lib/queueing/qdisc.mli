@@ -26,14 +26,7 @@ type stats = {
           levels leave it 0 and report through their children. *)
 }
 
-type t = {
-  name : string;
-  stats : stats;
-  kind : kind;
-  ready : float array;
-      (** [[|r|]]: {!next_ready}'s result cell, where each level of a
-          composite leaves its readiness for its parent to read unboxed *)
-}
+type t = { name : string; stats : stats; kind : kind }
 
 and kind =
   | Fifo of fifo
@@ -119,8 +112,9 @@ val next_ready : t -> now:float -> float
 (** Earliest virtual time a packet could become servable (may be [now]),
     or [infinity] when the qdisc is empty.  May be conservative — the
     transmitter re-polls — but never later than actual readiness.
-    Inlined: a caller that compares or computes with the result reads it
-    unboxed, and no level of a composite allocates. *)
+    Inlined: the levels of a composite pass their readiness through a
+    per-domain result cell, so none allocates, and a caller that compares
+    or computes with the result reads it unboxed. *)
 
 val packet_count : t -> int
 val byte_count : t -> int
