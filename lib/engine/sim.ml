@@ -274,22 +274,23 @@ let[@inline] refill_root (times : float array) (seqs : int array) (ids : int arr
     sift_down times seqs ids n
   end
 
+(* [a] copied into a fresh array of [cap] entries, the rest [fill]. *)
+let extend a cap fill =
+  let b = Array.make cap fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 (* --- The event heap ------------------------------------------------------ *)
 
 let grow t =
-  let n = Array.length t.times in
-  let extend a fill =
-    let b = Array.make (2 * n) fill in
-    Array.blit a 0 b 0 n;
-    b
-  in
-  t.times <- extend t.times 0.;
-  t.seqs <- extend t.seqs 0;
-  t.slots <- extend t.slots 0;
-  t.actions <- extend t.actions cancelled_action;
-  t.kinds <- extend t.kinds 0;
-  t.slot_seq <- extend t.slot_seq vacant;
-  t.free <- extend t.free 0
+  let cap = 2 * Array.length t.times in
+  t.times <- extend t.times cap 0.;
+  t.seqs <- extend t.seqs cap 0;
+  t.slots <- extend t.slots cap 0;
+  t.actions <- extend t.actions cap cancelled_action;
+  t.kinds <- extend t.kinds cap 0;
+  t.slot_seq <- extend t.slot_seq cap vacant;
+  t.free <- extend t.free cap 0
 
 (* Queue an event under a key that is already counted in [live]; returns
    its slot.  Every slot in use holds a distinct heap entry, so [nslots]
@@ -404,15 +405,10 @@ let lane ?(kind = Kind.other) t ~delay =
   let n = t.nlanes in
   if n = Array.length t.lanes then begin
     let cap = max 4 (2 * n) in
-    let extend a fill =
-      let b = Array.make cap fill in
-      Array.blit a 0 b 0 n;
-      b
-    in
-    t.lanes <- extend t.lanes ln;
-    t.lh_times <- extend t.lh_times 0.;
-    t.lh_seqs <- extend t.lh_seqs 0;
-    t.lh_ids <- extend t.lh_ids 0
+    t.lanes <- extend t.lanes cap ln;
+    t.lh_times <- extend t.lh_times cap 0.;
+    t.lh_seqs <- extend t.lh_seqs cap 0;
+    t.lh_ids <- extend t.lh_ids cap 0
   end;
   t.lanes.(n) <- ln;
   t.nlanes <- n + 1;
@@ -468,13 +464,8 @@ let group ?(kind = Kind.other) t action =
   if g > group_mask then invalid_arg "Sim.group: too many groups";
   if g = Array.length t.g_actions then begin
     let cap = max 4 (2 * g) in
-    let extend a fill =
-      let b = Array.make cap fill in
-      Array.blit a 0 b 0 g;
-      b
-    in
-    t.g_actions <- extend t.g_actions ignore;
-    t.g_kinds <- extend t.g_kinds 0
+    t.g_actions <- extend t.g_actions cap ignore;
+    t.g_kinds <- extend t.g_kinds cap 0
   end;
   t.g_actions.(g) <- action;
   t.g_kinds.(g) <- kind;
@@ -482,16 +473,10 @@ let group ?(kind = Kind.other) t action =
   { gsim = t; gid = g }
 
 let source_grow t =
-  let n = Array.length t.sh_times in
-  let cap = max 16 (2 * n) in
-  let extend a fill =
-    let b = Array.make cap fill in
-    Array.blit a 0 b 0 n;
-    b
-  in
-  t.sh_times <- extend t.sh_times 0.;
-  t.sh_seqs <- extend t.sh_seqs 0;
-  t.sh_ids <- extend t.sh_ids 0
+  let cap = max 16 (2 * Array.length t.sh_times) in
+  t.sh_times <- extend t.sh_times cap 0.;
+  t.sh_seqs <- extend t.sh_seqs cap 0;
+  t.sh_ids <- extend t.sh_ids cap 0
 
 let source_at g ~member ~time =
   let t = g.gsim in
@@ -522,11 +507,15 @@ let[@inline] rearm t ~delay =
   set t.sh_seqs 0 seq;
   sift_down t.sh_times t.sh_seqs t.sh_ids t.sh_size
 
-(* Remove the source heap's root. *)
-let drop_source_root t =
-  let n = t.sh_size - 1 in
-  t.sh_size <- n;
-  refill_root t.sh_times t.sh_seqs t.sh_ids n
+(* After a member's action: unless it re-armed, the member leaves the
+   source heap's root. *)
+let retire_source t =
+  if t.src_firing then begin
+    t.src_firing <- false;
+    let n = t.sh_size - 1 in
+    t.sh_size <- n;
+    refill_root t.sh_times t.sh_seqs t.sh_ids n
+  end
 
 (* --- Cancellation ---------------------------------------------------------- *)
 
@@ -584,8 +573,8 @@ let fire_lane t =
   match t.probe with None -> action () | Some pr -> probed pr ~kind:ln.lkind action
 
 (* Fire the member at the source heap's root.  It stays the root while
-   its action runs, for {!rearm} to re-key; unless the action re-armed it
-   (or raised), it leaves the heap afterwards. *)
+   its action runs, for {!rearm} to re-key; unless the action re-armed it,
+   it leaves the heap afterwards, also when the action raises. *)
 let fire_source t =
   let id = get t.sh_ids 0 in
   let g = id land group_mask and member = id lsr group_bits in
@@ -594,25 +583,16 @@ let fire_source t =
   t.fired <- t.fired + 1;
   t.src_firing <- true;
   let action = get t.g_actions g in
-  match
-    match t.probe with
-    | None -> action member
-    | Some pr ->
-        let t0 = pr.pr_clock () in
-        action member;
-        pr.pr_hit ~kind:(get t.g_kinds g) ~dt:(pr.pr_clock () -. t0)
-  with
-  | () ->
-      if t.src_firing then begin
-        t.src_firing <- false;
-        drop_source_root t
-      end
+  (match
+     match t.probe with
+     | None -> action member
+     | Some pr -> probed pr ~kind:(get t.g_kinds g) (fun () -> action member)
+   with
+  | () -> ()
   | exception e ->
-      if t.src_firing then begin
-        t.src_firing <- false;
-        drop_source_root t
-      end;
-      raise e
+      retire_source t;
+      raise e);
+  retire_source t
 
 (* What fires next: [event_root] for the event heap's root, [lane_root]
    for the head of the lane at the lane heap's root, [source_root] for

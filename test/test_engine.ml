@@ -464,6 +464,7 @@ let nan_rejected () =
   rejects "timer" (fun () -> ignore (Sim.timer sim ~delay:nan ignore));
   rejects "schedule_aux" (fun () -> Sim.schedule_aux sim ~time:nan ignore);
   rejects "lane" (fun () -> ignore (Sim.lane sim ~delay:nan));
+  rejects "source_at" (fun () -> Sim.source_at (Sim.group sim ignore) ~member:0 ~time:nan);
   Alcotest.(check int) "nothing pending" 0 (Sim.pending sim);
   Sim.schedule sim ~delay:1. ignore;
   Sim.run sim;
@@ -847,6 +848,42 @@ let scheduler_minor_words () =
   Alcotest.(check bool) (Printf.sprintf "8 lanes %.3f words/event <= 2" lanes) true (lanes <= 2.01);
   Alcotest.(check bool) (Printf.sprintf "schedule_at %.3f words/event <= 4" at) true (at <= 4.01)
 
+(* A source member's contract beyond the oracle's: [rearm] works only
+   once, inside the firing member's action; an action that raises leaves
+   its member retired, with the other members and [pending] intact. *)
+let source_group_contract () =
+  let sim = Sim.create () in
+  let invalid f = match f () with () -> false | exception Invalid_argument _ -> true in
+  let fired = ref [] in
+  let twice = ref false and nan_rearm = ref false in
+  let g =
+    Sim.group sim (fun m ->
+        fired := (m, Sim.now sim) :: !fired;
+        match m with
+        | 0 ->
+            Sim.rearm sim ~delay:1.;
+            twice := invalid (fun () -> Sim.rearm sim ~delay:1.)
+        | 1 -> nan_rearm := invalid (fun () -> Sim.rearm sim ~delay:nan)
+        | _ -> failwith "boom")
+  in
+  Alcotest.(check bool) "rearm outside an action" true (invalid (fun () -> Sim.rearm sim ~delay:1.));
+  Alcotest.(check bool) "negative member" true
+    (invalid (fun () -> Sim.source_at g ~member:(-1) ~time:0.));
+  Sim.source_at g ~member:2 ~time:0.5;
+  Sim.source_at g ~member:0 ~time:1.;
+  Sim.source_at g ~member:1 ~time:1.;
+  Alcotest.(check int) "armed" 3 (Sim.pending sim);
+  (match Sim.run ~until:1.5 sim with
+  | () -> Alcotest.fail "the raising action's exception was lost"
+  | exception Failure _ -> ());
+  Alcotest.(check int) "raiser retired" 2 (Sim.pending sim);
+  Sim.run ~until:2.5 sim;
+  Alcotest.(check bool) "second rearm rejected" true !twice;
+  Alcotest.(check bool) "NaN rearm rejected" true !nan_rearm;
+  Alcotest.(check (list (pair int (float 0.))))
+    "fired" [ (2, 0.5); (0, 1.); (1, 1.); (0, 2.) ] (List.rev !fired);
+  Alcotest.(check int) "member 0 re-armed, member 1 done" 1 (Sim.pending sim)
+
 (* The cancelled sentinel: [cancelled] is false while queued and true once
    cancelled or fired; a second cancel, or a cancel after firing, changes
    neither [pending] nor what fires. *)
@@ -903,6 +940,7 @@ let suite =
     Alcotest.test_case "lane contract" `Quick lane_contract;
     Alcotest.test_case "lane head first" `Quick lane_head_first;
     Alcotest.test_case "scheduler minor words" `Quick scheduler_minor_words;
+    Alcotest.test_case "source group contract" `Quick source_group_contract;
     Alcotest.test_case "cancel sentinel" `Quick cancel_sentinel_semantics;
     Alcotest.test_case "rng deterministic" `Quick rng_deterministic;
     Alcotest.test_case "rng seeds differ" `Quick rng_seeds_differ;
