@@ -212,9 +212,9 @@ external get : 'a array -> int -> 'a = "%array_unsafe_get"
 external set : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 
 (* All three heaps share these two sifts.  A heap is three arrays in heap
-   order: [times] and [seqs] hold the keys, [ids] the event slot, lane
-   id or source id.  The key is read from the arrays, never passed in, so the float is
-   never boxed. *)
+   order: [times] and [seqs] hold the keys, [ids] the event slot, lane id
+   or source id.  The key is read from the arrays, never passed in, so
+   the float is never boxed. *)
 
 (* Sift the entry just written at index [i] towards the root. *)
 let sift_up (times : float array) (seqs : int array) (ids : int array) i =

@@ -430,10 +430,16 @@ let rec ready_into t ~now (cell : float array) =
    domains, and a qdisc belongs to one simulation. *)
 let ready_cell = Domain.DLS.new_key (fun () -> [| infinity |])
 
+(* A leaf, the common case, answers inline; only a composite goes
+   through the cell. *)
 let[@inline] next_ready t ~now =
-  let cell = Domain.DLS.get ready_cell in
-  ready_into t ~now cell;
-  Array.unsafe_get cell 0
+  match t.kind with
+  | Fifo f -> if Pktring.is_empty f.f_ring then infinity else now
+  | Drr d -> if d.d_packets > 0 then now else infinity
+  | Token_bucket _ | Priority _ | Custom _ ->
+      let cell = Domain.DLS.get ready_cell in
+      ready_into t ~now cell;
+      Array.unsafe_get cell 0
 
 let rec packet_count t =
   match t.kind with
