@@ -459,7 +459,19 @@ let lane_schedule ln action =
 
 (* --- Source groups ----------------------------------------------------------- *)
 
-let group ?(kind = Kind.other) t action =
+(* Room for [more] entries beyond the armed ones: at least doubled, so
+   arming one member at a time stays amortized O(1). *)
+let source_reserve t more =
+  let needed = t.sh_size + more in
+  if needed > Array.length t.sh_times then begin
+    let cap = max needed (max 16 (2 * Array.length t.sh_times)) in
+    t.sh_times <- extend t.sh_times cap 0.;
+    t.sh_seqs <- extend t.sh_seqs cap 0;
+    t.sh_ids <- extend t.sh_ids cap 0
+  end
+
+let group ?(kind = Kind.other) ?(members = 1) t action =
+  source_reserve t members;
   let g = t.ngroups in
   if g > group_mask then invalid_arg "Sim.group: too many groups";
   if g = Array.length t.g_actions then begin
@@ -472,20 +484,14 @@ let group ?(kind = Kind.other) t action =
   t.ngroups <- g + 1;
   { gsim = t; gid = g }
 
-let source_grow t =
-  let cap = max 16 (2 * Array.length t.sh_times) in
-  t.sh_times <- extend t.sh_times cap 0.;
-  t.sh_seqs <- extend t.sh_seqs cap 0;
-  t.sh_ids <- extend t.sh_ids cap 0
-
 let source_at g ~member ~time =
   let t = g.gsim in
   check_time "source_at" t time;
   if member < 0 || member > max_member then
     invalid_arg (Printf.sprintf "Sim.source_at: member %d out of range" member);
   let seq = take_seq t in
+  source_reserve t 1;
   let k = t.sh_size in
-  if k = Array.length t.sh_times then source_grow t;
   t.sh_size <- k + 1;
   set t.sh_times k time;
   set t.sh_seqs k seq;

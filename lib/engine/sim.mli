@@ -128,11 +128,13 @@ val lane_schedule : lane -> (unit -> unit) -> unit
 type group
 (** A source group: one action shared by all its members. *)
 
-val group : ?kind:int -> t -> (int -> unit) -> group
+val group : ?kind:int -> ?members:int -> t -> (int -> unit) -> group
 (** [group t action] registers a group whose armed members fire
     [action member].  [kind] (default {!Kind.other}) tags all its events
-    for the profiler {!probe}.  A group lives as long as its simulator;
-    at most 2^20 groups per simulator. *)
+    for the profiler {!probe}.  [members] (default 1) reserves room in
+    the source heap for that many armed entries, so arming a large group
+    grows it once instead of doubling its way there.  A group lives as
+    long as its simulator; at most 2^20 groups per simulator. *)
 
 val source_at : group -> member:int -> time:float -> unit
 (** Arm [member] (in [\[0, 2^42)]) of the group at absolute virtual

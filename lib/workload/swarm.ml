@@ -47,7 +47,7 @@ let start ~sim ~n ~seed ~rate_bps ?(pkt_bytes = 1000) ?(start_at = 0.) ?stop_at 
   let stop_at = match stop_at with Some s -> s | None -> infinity in
   let bank = Rng.Bank.create ~seed ~n in
   let t = { sim; bank; n; interval; stop_at; emit; live = n; sent = 0 } in
-  let group = Sim.group ~kind:Sim.Kind.agent sim (fire t) in
+  let group = Sim.group ~kind:Sim.Kind.agent ~members:n sim (fire t) in
   (* Phases draw and members arm in ascending member order, as [n] real
      flooders constructed in a loop would. *)
   for i = 0 to n - 1 do
