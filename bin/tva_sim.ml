@@ -741,10 +741,7 @@ let report_cmd =
     Arg.(value & opt string "results/REPORT.md" & info [ "o"; "out" ] ~doc ~docv:"FILE")
   in
   let json_arg =
-    let doc =
-      "JSON report output path ($(b,-) for standard output; the file readme_check pins the \
-       README table to)."
-    in
+    let doc = "JSON report output path ($(b,-) for standard output)." in
     Arg.(value & opt string "BENCH_report.json" & info [ "json" ] ~doc ~docv:"FILE")
   in
   let run attackers transfers max_time seed schemes jobs out json_out =
@@ -767,6 +764,21 @@ let report_cmd =
       const run $ report_attackers_arg $ transfers_arg $ max_time_arg $ seed_arg
       $ report_schemes_arg $ jobs_arg $ out_arg $ json_arg)
 
+let docs_cmd =
+  let doc =
+    "Print FILE with each generated block re-rendered from the committed artifact that the \
+     block's begin comment names, as a path relative to FILE.  Re-runs nothing."
+  in
+  let file_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
+  let run file =
+    match Docs.render file with
+    | Ok text -> print_string text
+    | Error e ->
+        prerr_endline ("tva_sim docs: " ^ e);
+        exit 1
+  in
+  Cmd.v (Cmd.info "docs" ~doc) Term.(const run $ file_arg)
+
 let default_info =
   Cmd.info "tva_sim" ~version:"1.0.0"
     ~doc:"Reproduce the evaluation of 'A DoS-limiting Network Architecture' (SIGCOMM 2005)."
@@ -783,6 +795,7 @@ let () =
             table1_cmd;
             fig12_cmd;
             report_cmd;
+            docs_cmd;
             run_cmd;
             scale_cmd;
             chaos_cmd;

@@ -127,9 +127,7 @@ type fanin = {
   fi_net : Net.t;
   fi_routers : Net.node array;
   fi_leaves : Net.node array;
-  fi_root : Net.node;
   fi_destination : Net.node;
-  fi_bottleneck : Net.link;
 }
 
 let fanin_destination_addr = Wire.Addr.of_int 0xc0ac0001
@@ -161,23 +159,14 @@ let fanin ?(depth = 3) ?(fanout = 4) ?(bottleneck_bps = 10e6) ?(link_bps = 100e6
   let destination =
     Net.add_node ~addr:fanin_destination_addr ~name:"destination" net sink_handler
   in
-  let bottleneck, _ =
-    Net.duplex net routers.(0) destination ~bandwidth_bps:bottleneck_bps ~delay
-      ~qdisc:(fun () -> make_qdisc ~bandwidth_bps:bottleneck_bps)
-  in
-  {
-    fi_net = net;
-    fi_routers = routers;
-    fi_leaves = leaves;
-    fi_root = routers.(0);
-    fi_destination = destination;
-    fi_bottleneck = bottleneck;
-  }
+  ignore
+    (Net.duplex net routers.(0) destination ~bandwidth_bps:bottleneck_bps ~delay
+       ~qdisc:(fun () -> make_qdisc ~bandwidth_bps:bottleneck_bps));
+  { fi_net = net; fi_routers = routers; fi_leaves = leaves; fi_destination = destination }
 
 type parking_lot = {
   pl_net : Net.t;
   pl_routers : Net.node array;
-  pl_segments : Net.link array;
   pl_exits : Net.node array;
   pl_destination : Net.node;
 }
@@ -193,14 +182,11 @@ let parking_lot ?(segments = 3) ?(bottleneck_bps = 10e6) ?(access_bps = 100e6) ?
     Array.init (segments + 1) (fun i ->
         Net.add_node ~name:("pl-r" ^ string_of_int i) net sink_handler)
   in
-  let seg_links =
-    Array.init segments (fun i ->
-        let fwd, _ =
-          Net.duplex net routers.(i) routers.(i + 1) ~bandwidth_bps:bottleneck_bps ~delay
-            ~qdisc:(fun () -> make_qdisc ~bandwidth_bps:bottleneck_bps)
-        in
-        fwd)
-  in
+  for i = 0 to segments - 1 do
+    ignore
+      (Net.duplex net routers.(i) routers.(i + 1) ~bandwidth_bps:bottleneck_bps ~delay
+         ~qdisc:(fun () -> make_qdisc ~bandwidth_bps:bottleneck_bps))
+  done;
   (* A sink host off each interior/egress router: a short flow entering at
      router [i] and exiting at router [i + 1] crosses exactly segment [i],
      which is what makes the chain multi-bottleneck. *)
@@ -215,21 +201,12 @@ let parking_lot ?(segments = 3) ?(bottleneck_bps = 10e6) ?(access_bps = 100e6) ?
     attach_host ~bandwidth_bps:access_bps ~delay ~make_qdisc ~net ~router:routers.(segments)
       ~addr:parking_destination_addr ~name:"destination" ()
   in
-  {
-    pl_net = net;
-    pl_routers = routers;
-    pl_segments = seg_links;
-    pl_exits = exits;
-    pl_destination = destination;
-  }
+  { pl_net = net; pl_routers = routers; pl_exits = exits; pl_destination = destination }
 
 type power_law = {
   pw_net : Net.t;
   pw_routers : Net.node array;
-  pw_degrees : int array;
-  pw_core : Net.node;
   pw_destination : Net.node;
-  pw_bottleneck : Net.link;
 }
 
 let power_law_destination_addr = Wire.Addr.of_int 0xc0ad0001
@@ -302,15 +279,7 @@ let power_law ?(routers = 64) ?(edges_per_node = 2) ?(link_bps = 100e6) ?(bottle
   let destination =
     Net.add_node ~addr:power_law_destination_addr ~name:"destination" net sink_handler
   in
-  let bottleneck, _ =
-    Net.duplex net nodes.(!core) destination ~bandwidth_bps:bottleneck_bps ~delay
-      ~qdisc:(fun () -> make_qdisc ~bandwidth_bps:bottleneck_bps)
-  in
-  {
-    pw_net = net;
-    pw_routers = nodes;
-    pw_degrees = degrees;
-    pw_core = nodes.(!core);
-    pw_destination = destination;
-    pw_bottleneck = bottleneck;
-  }
+  ignore
+    (Net.duplex net nodes.(!core) destination ~bandwidth_bps:bottleneck_bps ~delay
+       ~qdisc:(fun () -> make_qdisc ~bandwidth_bps:bottleneck_bps));
+  { pw_net = net; pw_routers = nodes; pw_destination = destination }

@@ -113,12 +113,11 @@ type fanin = {
       (** BFS order; the children of router [i] are
           [i * fanout + 1 .. i * fanout + fanout] *)
   fi_leaves : Net.node array;  (** the deepest level — sender attach points *)
-  fi_root : Net.node;
   fi_destination : Net.node;
-  fi_bottleneck : Net.link;  (** root -> destination, the congested hop *)
 }
 (** An ISP-style fan-in tree: edge routers aggregate through [depth]
-    levels into one root whose link to the destination is the bottleneck. *)
+    levels into one root, [fi_routers.(0)], whose link to the destination
+    is the bottleneck. *)
 
 val fanin_destination_addr : Wire.Addr.t
 
@@ -136,9 +135,9 @@ val fanin :
 
 type parking_lot = {
   pl_net : Net.t;
-  pl_routers : Net.node array;  (** [segments + 1] routers in path order *)
-  pl_segments : Net.link array;
-      (** forward links [routers.(i) -> routers.(i+1)], each a bottleneck *)
+  pl_routers : Net.node array;
+      (** [segments + 1] routers in path order; each forward link
+          [routers.(i) -> routers.(i+1)] is a bottleneck segment *)
   pl_exits : Net.node array;
       (** a sink host off [routers.(i + 1)]: traffic entering at router [i]
           addressed to exit [i] crosses exactly segment [i] *)
@@ -165,10 +164,9 @@ val parking_lot :
 type power_law = {
   pw_net : Net.t;
   pw_routers : Net.node array;
-  pw_degrees : int array;  (** final degree of each router, same order *)
-  pw_core : Net.node;  (** the highest-degree router *)
-  pw_destination : Net.node;  (** host off the core *)
-  pw_bottleneck : Net.link;  (** core -> destination *)
+  pw_destination : Net.node;
+      (** host off the core, the highest-degree router; the core ->
+          destination link is the bottleneck *)
 }
 (** An AS-like graph grown by preferential attachment (Barabasi-Albert),
     so router degrees follow a power law; the destination hangs off the

@@ -83,7 +83,6 @@ module Harness = struct
     registry : Obs.Counters.registry;
     trace : Obs.Trace.t;
     profile : Obs.Profile.t option;
-    names : string array; (* node name by [Net.node_id], for trace dumps *)
     mutable by_id : Obs.Counters.t option array; (* [counters_for] memo by [Net.node_id] *)
   }
 
@@ -114,13 +113,16 @@ module Harness = struct
         t.by_id.(id) <- Some c;
         c
 
-  let node_name t id =
-    if id >= 0 && id < Array.length t.names then t.names.(id) else string_of_int id
-
-  let setup config ~sim ~net ~scheme =
-    let nodes = Net.nodes net in
+  (* Node names by [Net.node_id] for a trace or flight dump, read from
+     [Net.nodes] when the dump asks, so a node added after [setup] is named
+     too.  Apply it once per dump. *)
+  let node_name t =
+    let nodes = Net.nodes t.net in
     let names = Array.make (List.length nodes) "" in
     List.iter (fun node -> names.(Net.node_id node) <- Net.node_name node) nodes;
+    fun id -> if id >= 0 && id < Array.length names then names.(id) else string_of_int id
+
+  let setup config ~sim ~net ~scheme =
     let t =
       {
         config;
@@ -135,8 +137,7 @@ module Harness = struct
         profile =
           (if config.obs_profile then Some (Obs.Profile.create ~clock:Unix.gettimeofday ())
            else None);
-        names;
-        by_id = Array.make (Array.length names) None;
+        by_id = [||];
       }
     in
     Obs.Bridge.install ~trace:t.trace ~counters_for:(counters_for t) net;

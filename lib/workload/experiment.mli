@@ -99,7 +99,8 @@ val obs_default : obs_config
 
 (** The observability set-up and report assembly shared by {!run} and
     {!Scale.run}: the counter registry, the trace ring, the net-event
-    bridge, the profiler, the node-id→name table, the channels both
+    bridge, the profiler, node names for trace and flight dumps, the
+    channels both
     drivers record, and the {!Obs.Report.t}.  Each driver adds only its
     own telemetry channels. *)
 module Harness : sig
@@ -110,14 +111,14 @@ module Harness : sig
       takes them. *)
 
   val setup : obs_config -> sim:Sim.t -> net:Net.t -> scheme:Scheme.t -> t
-  (** Call once every node exists.  Installs the bridge and, when
-      [obs_profile] is set, attaches the profiler. *)
+  (** Call once the routers and users exist.  Installs the bridge and,
+      when [obs_profile] is set, attaches the profiler.  Nodes added later
+      (a [Custom] attack's) are counted and named like the others. *)
 
   val counters_for : t -> Net.node -> Obs.Counters.t
   (** The node's registry row, keyed by {!Net.node_name} and registered
-      on first touch.  Memoized by {!Net.node_id} for the nodes that
-      existed at {!setup}, so repeated calls are an array load; later
-      nodes resolve by name on every call. *)
+      on first touch.  Memoized by {!Net.node_id}, so repeated calls are
+      an array load. *)
 
   val demoted : t -> Net.node list -> channel
   (** ["demoted"]: demotions summed over the given routers. *)

@@ -24,5 +24,4 @@ val to_markdown : Scenario.series list -> string
 
 val to_json : Scenario.series list -> string
 (** [BENCH_report.json]: flat ["<scheme>_fraction" / "_median_s" /
-    "_jain"] headline keys (what [readme_check] pins) plus the full cell
-    list. *)
+    "_jain"] headline keys plus the full cell list. *)

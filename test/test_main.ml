@@ -16,4 +16,5 @@ let () =
       ("obs", Test_obs.suite);
       ("faults", Test_faults.suite);
       ("forwarder", Test_forwarder.suite);
+      ("docs", Test_docs.suite);
     ]
