@@ -61,23 +61,20 @@ let trace_sample_arg =
 
 let telemetry_arg =
   let doc =
-    "Record interval telemetry (counter deltas, queue depths, flow-cache occupancy) and run \
-     the incident detectors.  Telemetry ticks ride auxiliary scheduler events, so results are \
-     bit-identical to a run without this flag."
+    "Record interval telemetry every $(docv) sim-seconds (0.1 when given without a value): \
+     counter deltas, queue depths and flow-cache occupancy, watched by the incident \
+     detectors.  Telemetry ticks ride auxiliary scheduler events, so results are \
+     bit-identical to a run without this option."
   in
-  Arg.(value & flag & info [ "telemetry" ] ~doc)
+  Arg.(value & opt ~vopt:(Some 0.1) (some float) None & info [ "telemetry" ] ~doc ~docv:"SECONDS")
 
-let telemetry_interval_arg =
-  let doc = "Sim-seconds between telemetry windows (default 0.1; implies $(b,--telemetry))." in
-  Arg.(value & opt (some float) None & info [ "telemetry-interval" ] ~doc ~docv:"SECONDS")
-
-(* The three flags collapse to one number: 0 = telemetry off. *)
-let resolve_telemetry_interval ~telemetry ~interval ~flight_dir =
-  match interval with
+(* The interval in sim-seconds, 0 = telemetry off; [implied] turns it on
+   at 0.1 without the option (a flight recorder needs the series). *)
+let resolve_telemetry_interval ~implied = function
   | Some s ->
-      if s <= 0. then failwith "--telemetry-interval must be positive";
+      if s <= 0. then failwith "--telemetry must be positive";
       s
-  | None -> if telemetry || flight_dir <> None then 0.1 else 0.
+  | None -> if implied then 0.1 else 0.
 
 let flight_dir_arg =
   let doc =
@@ -389,11 +386,9 @@ let run_stats_json (r : Workload.Experiment.result) ~attackers report =
 let run_cmd =
   let doc = "One custom experiment run." in
   let run scheme_name n attack transfers max_time seed stats trace trace_sample telemetry
-      telemetry_interval flight_dir =
+      flight_dir =
     let cfg = single_config scheme_name n attack transfers max_time seed in
-    let ti =
-      resolve_telemetry_interval ~telemetry ~interval:telemetry_interval ~flight_dir
-    in
+    let ti = resolve_telemetry_interval ~implied:(flight_dir <> None) telemetry in
     let r =
       if stats = None && trace = None && ti = 0. then Workload.Experiment.run cfg
       else
@@ -438,24 +433,21 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ scheme_arg $ nattackers_arg $ attack_arg $ transfers_arg $ max_time_arg
-      $ seed_arg $ stats_arg $ trace_arg $ trace_sample_arg $ telemetry_arg
-      $ telemetry_interval_arg $ flight_dir_arg)
+      $ seed_arg $ stats_arg $ trace_arg $ trace_sample_arg $ telemetry_arg $ flight_dir_arg)
 
 let dashboard_cmd =
   let doc =
     "Run one experiment with full observability (counters, profiler, interval telemetry and \
      incident detection) and render a text dashboard."
   in
-  let run scheme_name n attack transfers max_time seed stats telemetry_interval =
+  let run scheme_name n attack transfers max_time seed stats telemetry =
     let cfg = single_config scheme_name n attack transfers max_time seed in
     let obs =
       {
         Workload.Experiment.obs_trace_capacity = 0;
         obs_trace_sample = 1;
         obs_profile = true;
-        obs_telemetry_interval =
-          resolve_telemetry_interval ~telemetry:true ~interval:telemetry_interval
-            ~flight_dir:None;
+        obs_telemetry_interval = resolve_telemetry_interval ~implied:true telemetry;
         obs_flight_dir = None;
         obs_flight_label = "dashboard";
       }
@@ -472,7 +464,7 @@ let dashboard_cmd =
   Cmd.v (Cmd.info "dashboard" ~doc)
     Term.(
       const run $ scheme_arg $ nattackers_arg $ attack_arg $ transfers_arg $ max_time_arg
-      $ seed_arg $ stats_arg $ telemetry_interval_arg)
+      $ seed_arg $ stats_arg $ telemetry_arg)
 
 (* --- chaos: fault injection + recovery checking ---------------------- *)
 
@@ -557,13 +549,21 @@ let chaos_cmd =
     let base = single_config scheme_name n attack transfers max_time seed in
     let outcomes =
       match faults with
-      | None -> Workload.Scenario.chaos_suite ~jobs ?flight_dir ~base ()
+      | None -> Workload.Chaos.run_suite ~jobs ?flight_dir ~base Workload.Chaos.default_suite
       | Some spec_str -> (
           match Faults.Spec.parse spec_str with
           | Error e ->
               prerr_endline ("tva_sim chaos: bad --faults spec: " ^ e);
               exit 2
-          | Ok spec -> [ Workload.Scenario.chaos_single ?flight_dir ~base spec ])
+          | Ok spec ->
+              [
+                Workload.Chaos.run_cell ?flight_dir ~base
+                  {
+                    Workload.Chaos.cl_label = "custom";
+                    cl_spec = spec;
+                    cl_expect = Faults.Invariants.relaxed;
+                  };
+              ])
     in
     print_table csv (Workload.Chaos.render outcomes);
     List.iter
@@ -618,7 +618,7 @@ let ablation_sfq_cmd =
 
 let scale_cmd =
   let doc = "Aggregate-attacker scale run: swarms of spoofed flood members on generated topologies." in
-  let run scheme_name topology senders aggregates attack_mbps users transfers max_time seed stats telemetry telemetry_interval =
+  let run scheme_name topology senders aggregates attack_mbps users transfers max_time seed stats telemetry =
     let scheme =
       match List.assoc_opt scheme_name Workload.Scenario.schemes with
       | Some s -> s
@@ -643,9 +643,7 @@ let scale_cmd =
         sc_seed = seed;
       }
     in
-    let ti =
-      resolve_telemetry_interval ~telemetry ~interval:telemetry_interval ~flight_dir:None
-    in
+    let ti = resolve_telemetry_interval ~implied:false telemetry in
     let obs =
       if stats = None && ti = 0. then None
       else
@@ -717,7 +715,7 @@ let scale_cmd =
     Term.(
       const run $ scheme_arg $ topology_arg $ senders_arg $ aggregates_arg
       $ attack_mbps_arg $ users_arg $ transfers_arg $ max_time_arg $ seed_arg $ stats_arg
-      $ telemetry_arg $ telemetry_interval_arg)
+      $ telemetry_arg)
 
 let report_cmd =
   let doc =

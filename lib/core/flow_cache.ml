@@ -287,8 +287,6 @@ let remove t entry =
   in
   go (home t ~src:entry.e_src ~dst:entry.e_dst)
 
-let iter t f = Array.iter (fun e -> if live e then f e) t.slots
-
 let clear t =
   Array.fill t.slots 0 (Array.length t.slots) absent;
   t.live <- 0;

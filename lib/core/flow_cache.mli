@@ -101,7 +101,5 @@ val sweep : t -> now:float -> int
 (** Reclaim every record whose ttl has run out or whose capability has
     expired on the modulo clock; returns how many were reclaimed. *)
 
-val iter : t -> (entry -> unit) -> unit
-
 val clear : t -> unit
 (** Drop every record (router restart / route change, Sec. 3.8). *)

@@ -57,7 +57,6 @@ type t = {
 
 let addr t = t.addr
 let node t = t.node
-let policy t = t.policy
 let counters t = t.counters
 
 let set_segment_handler t f = t.on_segment <- f
@@ -73,7 +72,6 @@ let dest_state t dst =
       ds
 
 let grant_for t ~dst = (dest_state t dst).grant
-let invalidate_grant t ~dst = (dest_state t dst).grant <- None
 let reacquire_latencies t = List.rev t.rev_reacquire_latencies
 
 let fresh_nonce t = Int64.logand (Rng.bits64 t.rng) 0xffffffffffffL

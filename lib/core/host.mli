@@ -69,7 +69,6 @@ val create :
 
 val addr : t -> Wire.Addr.t
 val node : t -> Net.node
-val policy : t -> Policy.t
 val counters : t -> counters
 
 val set_segment_handler : t -> (src:Wire.Addr.t -> Wire.Tcp_segment.t -> unit) -> unit
@@ -91,9 +90,6 @@ val send_request_flood_packet : t -> dst:Wire.Addr.t -> bytes:int -> unit
 val grant_for : t -> dst:Wire.Addr.t -> grant option
 (** The current sender-side grant towards [dst], if any (flooders read this
     to craft their own over-budget packets). *)
-
-val invalidate_grant : t -> dst:Wire.Addr.t -> unit
-(** Forget the grant (the sender will re-request). *)
 
 val reacquire_latencies : t -> float list
 (** One entry per reacquisition, in order: seconds from the first request

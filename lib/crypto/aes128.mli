@@ -19,6 +19,3 @@ val encrypt_block : key -> bytes -> src_off:int -> bytes -> dst_off:int -> unit
 
 val encrypt : key -> string -> string
 (** Convenience one-shot encryption of a single 16-byte block. *)
-
-val block_size : int
-(** 16 bytes. *)

@@ -3,8 +3,6 @@
    strengthening (0x80 + 64-bit length) prevents trivial extension of the
    padding. *)
 
-let digest_size = 16
-
 let iv = "TVA aes-hash IV\000"
 
 let pad msg =

@@ -19,6 +19,3 @@ val mac : key:string -> string -> string
 (** [mac ~key msg] is a keyed hash: the MMO digest of [key || msg] with the
     key block also mixed into the IV.  [key] may be any length; 16 bytes is
     canonical. *)
-
-val digest_size : int
-(** 16 bytes. *)

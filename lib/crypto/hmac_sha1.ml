@@ -1,4 +1,3 @@
-let digest_size = 20
 let block_size = 64
 
 let mac ~key msg =

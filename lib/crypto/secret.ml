@@ -12,7 +12,6 @@ type t = {
   mutable k_prev : string;
 }
 
-let rollover_period = 256.
 let rotation_period = 128.
 
 let create ~master = { master; e_cur = -1; k_cur = ""; e_prev = -1; k_prev = "" }

@@ -15,9 +15,6 @@ val create : master:string -> t
     [master], so that a router restarted with the same master key behaves
     identically (and tests are reproducible). *)
 
-val rollover_period : float
-(** 256 s: the timestamp clock period. *)
-
 val rotation_period : float
 (** 128 s: how often the secret changes (twice per rollover). *)
 

@@ -14,8 +14,6 @@ type ctx = {
   w : int32 array; (* 80-entry message schedule, reused across blocks *)
 }
 
-let digest_size = 20
-
 let init () =
   {
     h0 = 0x67452301l;

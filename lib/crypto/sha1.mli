@@ -12,14 +12,9 @@ val init : unit -> ctx
 val feed : ctx -> string -> unit
 (** [feed ctx s] absorbs all bytes of [s]. *)
 
-val feed_bytes : ctx -> ?off:int -> ?len:int -> bytes -> unit
-
 val get : ctx -> string
 (** [get ctx] finalizes a copy of [ctx] and returns the 20-byte digest.
     The context remains usable for further [feed]s. *)
 
 val digest : string -> string
 (** One-shot hash: 20-byte digest of the argument. *)
-
-val digest_size : int
-(** 20 bytes. *)

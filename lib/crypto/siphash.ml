@@ -16,8 +16,6 @@
      little-endian words (the TVA capability preimages): one
      straight-line chain of immutable [let]-bindings, fully unrolled. *)
 
-let digest_size = 8
-
 let[@inline] rotl x b = Int64.logor (Int64.shift_left x b) (Int64.shift_right_logical x (64 - b))
 
 (* The general path, over the first [len] bytes of [buf].  A mutable state

@@ -40,6 +40,3 @@ val mac_short_k : k0:int64 -> k1:int64 -> len:int -> w0:int64 -> tail:int64 -> i
 val key_words : string -> int64 * int64
 (** The two little-endian 64-bit words of a 16-byte key, for
     {!mac_short_k}.  Raises [Invalid_argument] on any other length. *)
-
-val digest_size : int
-(** 8 bytes. *)

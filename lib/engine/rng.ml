@@ -105,7 +105,6 @@ module Bank = struct
     done;
     { s; n }
 
-  let n t = t.n
   let bad_lane i = invalid_arg (Printf.sprintf "Rng.Bank: lane %d out of range" i)
 
   external get : lanes -> int -> int64 = "%caml_ba_unsafe_ref_1"

@@ -41,8 +41,6 @@ module Bank : sig
   val create : seed:int -> n:int -> t
   (** Raises [Invalid_argument] unless [n > 0]. *)
 
-  val n : t -> int
-
   val bits64 : t -> int -> int64
   (** The next draw of lane [i].  Raises [Invalid_argument] unless
       [0 <= i < n]. *)

@@ -68,7 +68,6 @@ let clause_to_string c =
   else head ^ ":" ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) params)
 
 let to_string t = String.concat ";" (List.map clause_to_string t)
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 (* --- parsing --------------------------------------------------------- *)
 

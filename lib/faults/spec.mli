@@ -81,8 +81,3 @@ val to_string : t -> string
 (** Canonical form; [parse (to_string s)] recovers [s] exactly. *)
 
 val clause_to_string : clause -> string
-
-val kind_name : kind -> string
-(** The clause's grammar keyword: ["loss"], ["burst"], ..., ["restart"]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -15,7 +15,6 @@ type t = {
 let addr t = t.addr
 let node t = t.node
 let set_segment_handler t f = t.on_segment <- f
-let feedback_for t ~dst = Wire.Addr.Tbl.find_opt t.feedback dst
 
 let make_header t ~dst =
   let nf =

@@ -30,7 +30,3 @@ val send_legacy : t -> dst:Wire.Addr.t -> bytes:int -> unit
 
 val set_segment_handler : t -> (src:Wire.Addr.t -> Wire.Tcp_segment.t -> unit) -> unit
 (** Demux for received TCP segments. *)
-
-val feedback_for : t -> dst:Wire.Addr.t -> Wire.Nf_feedback.token option
-(** The token currently presented on packets to [dst], if any — test
-    observability for the echo loop. *)

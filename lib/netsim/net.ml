@@ -41,7 +41,6 @@ and link = {
   mutable busy : bool;
   mutable up : bool;
   mutable poll : Sim.handle option;
-  mutable limiter : (Wire.Packet.t -> bool) option;
   mutable fault : (Wire.Packet.t -> fault_action) option;
   mutable tx_packets : int;
   mutable tx_bytes : int;
@@ -99,7 +98,6 @@ let create sim =
     lanes = Hashtbl.create 8;
   }
 
-let sim t = t.sim
 let now t = Sim.now t.sim
 let set_trace t hook = t.trace <- hook
 
@@ -349,7 +347,6 @@ let link_oneway t ~src ~dst ~bandwidth_bps ~delay ~qdisc =
       busy = false;
       up = true;
       poll = None;
-      limiter = None;
       fault = None;
       tx_packets = 0;
       tx_bytes = 0;
@@ -369,14 +366,7 @@ let duplex t a b ~bandwidth_bps ~delay ~qdisc =
 
 let enqueue_on link p =
   let net = link.src.net in
-  let admitted = match link.limiter with None -> true | Some f -> f p in
-  if not admitted then begin
-    link.qdisc.Qdisc.stats.Qdisc.dropped <- link.qdisc.Qdisc.stats.Qdisc.dropped + 1;
-    link.qdisc.Qdisc.stats.Qdisc.bytes_dropped <-
-      link.qdisc.Qdisc.stats.Qdisc.bytes_dropped + Wire.Packet.size p;
-    if tracing net then emit net (Queue_drop (link, p))
-  end
-  else if Qdisc.enqueue link.qdisc ~now:(Sim.now net.sim) p then kick link
+  if Qdisc.enqueue link.qdisc ~now:(Sim.now net.sim) p then kick link
   else if tracing net then emit net (Queue_drop (link, p))
 
 let charge_hop node p =
@@ -493,12 +483,9 @@ let link_src link = link.src
 let link_dst link = link.dst
 let link_qdisc link = link.qdisc
 let link_bandwidth link = link.bandwidth
-let link_delay link = link.delay
 let link_tx_packets link = link.tx_packets
 let link_tx_bytes link = link.tx_bytes
-let link_set_limiter link f = link.limiter <- f
 let link_set_fault link f = link.fault <- f
-let link_is_up link = link.up
 
 let link_set_up link v =
   if link.up <> v then begin

@@ -59,11 +59,8 @@ type event =
 val create : Sim.t -> t
 (** An empty network scheduled on the given simulator. *)
 
-val sim : t -> Sim.t
-(** The simulator this network runs on. *)
-
 val now : t -> float
-(** Current virtual time, [Sim.now (sim t)]. *)
+(** Current virtual time of the network's simulator. *)
 
 val set_trace : t -> (event -> unit) option -> unit
 (** A global observation hook for tests and debugging; [None] disables. *)
@@ -158,19 +155,11 @@ val link_qdisc : link -> Qdisc.t
 val link_bandwidth : link -> float
 (** Serialization rate in bits per second. *)
 
-val link_delay : link -> float
-(** Propagation delay in seconds. *)
-
 val link_tx_packets : link -> int
 (** Packets fully serialized onto the wire so far (faulted ones included). *)
 
 val link_tx_bytes : link -> int
 (** Bytes fully serialized onto the wire so far. *)
-
-val link_set_limiter : link -> (Wire.Packet.t -> bool) option -> unit
-(** An admission predicate consulted before the qdisc on every enqueue
-    ([false] = drop).  Pushback installs its per-upstream-link rate limits
-    here. *)
 
 (** {1 Fault hooks}
 
@@ -189,9 +178,6 @@ val link_set_up : link -> bool -> unit
     stalls (the qdisc keeps queueing and tail-drops when full) but a packet
     already serializing finishes, and packets already propagating are
     delivered.  Raising a downed link restarts service immediately. *)
-
-val link_is_up : link -> bool
-(** Whether the link is administratively up (the default). *)
 
 val nodes : t -> node list
 (** Every node in the network, in creation order. *)

@@ -70,48 +70,9 @@ let labeled_links t =
          if l == t.bottleneck || l == t.bottleneck_reverse then None else Some (label l, l))
        (Net.links t.net)
 
-type chain = {
-  chain_net : Net.t;
-  chain_routers : Net.node array;
-  chain_source : Net.node;
-  chain_attacker : Net.node;
-  chain_destination : Net.node;
-}
-
-let chain_source_addr = Wire.Addr.of_int 0x0a010001
-let chain_attacker_addr = Wire.Addr.of_int 0x0b010001
-let chain_destination_addr = Wire.Addr.of_int 0xc0a90001
-
-let chain ?(hops = 4) ?(bandwidth_bps = 10e6) ?(delay = 0.005) ?(attacker_entry = 0) ~make_qdisc sim
-    =
-  if hops < 1 then invalid_arg "Topology.chain: need at least one router";
-  if attacker_entry < 0 || attacker_entry >= hops then
-    invalid_arg "Topology.chain: attacker entry out of range";
-  let net = Net.create sim in
-  let routers =
-    Array.init hops (fun i -> Net.add_node ~name:("router" ^ string_of_int i) net sink_handler)
-  in
-  let connect a b =
-    ignore
-      (Net.duplex net a b ~bandwidth_bps ~delay ~qdisc:(fun () -> make_qdisc ~bandwidth_bps))
-  in
-  for i = 0 to hops - 2 do
-    connect routers.(i) routers.(i + 1)
-  done;
-  let chain_source = Net.add_node ~addr:chain_source_addr ~name:"source" net sink_handler in
-  connect chain_source routers.(0);
-  let chain_attacker = Net.add_node ~addr:chain_attacker_addr ~name:"attacker" net sink_handler in
-  connect chain_attacker routers.(attacker_entry);
-  let chain_destination =
-    Net.add_node ~addr:chain_destination_addr ~name:"destination" net sink_handler
-  in
-  connect routers.(hops - 1) chain_destination;
-  Net.compute_routes net;
-  { chain_net = net; chain_routers = routers; chain_source; chain_attacker; chain_destination }
-
 (* --- scale topologies --------------------------------------------------- *)
 (* Generators for the million-sender scale experiments (DESIGN.md section
-   13).  Unlike [dumbbell]/[chain] these do NOT compute routes: the caller
+   13).  Unlike [dumbbell] these do NOT compute routes: the caller
    attaches host nodes (users, aggregate-attacker ingress points) first and
    runs [Net.compute_routes] once, paying the O(V * E) relaxation a single
    time. *)
@@ -123,11 +84,12 @@ let attach_host ?(bandwidth_bps = 10e6) ?(delay = 0.010) ~make_qdisc ~net ~route
     (Net.duplex net h router ~bandwidth_bps ~delay ~qdisc:(fun () -> make_qdisc ~bandwidth_bps));
   h
 
-type fanin = {
-  fi_net : Net.t;
-  fi_routers : Net.node array;
-  fi_leaves : Net.node array;
-  fi_destination : Net.node;
+type scale = {
+  s_net : Net.t;
+  s_routers : Net.node array;
+  s_ingress : Net.node array;
+  s_destination : Net.node;
+  s_destination_addr : Wire.Addr.t;
 }
 
 let fanin_destination_addr = Wire.Addr.of_int 0xc0ac0001
@@ -162,14 +124,13 @@ let fanin ?(depth = 3) ?(fanout = 4) ?(bottleneck_bps = 10e6) ?(link_bps = 100e6
   ignore
     (Net.duplex net routers.(0) destination ~bandwidth_bps:bottleneck_bps ~delay
        ~qdisc:(fun () -> make_qdisc ~bandwidth_bps:bottleneck_bps));
-  { fi_net = net; fi_routers = routers; fi_leaves = leaves; fi_destination = destination }
-
-type parking_lot = {
-  pl_net : Net.t;
-  pl_routers : Net.node array;
-  pl_exits : Net.node array;
-  pl_destination : Net.node;
-}
+  {
+    s_net = net;
+    s_routers = routers;
+    s_ingress = leaves;
+    s_destination = destination;
+    s_destination_addr = fanin_destination_addr;
+  }
 
 let parking_exit_addr i = Wire.Addr.of_int (0xc0aa0000 + i)
 let parking_destination_addr = Wire.Addr.of_int 0xc0ab0001
@@ -190,24 +151,26 @@ let parking_lot ?(segments = 3) ?(bottleneck_bps = 10e6) ?(access_bps = 100e6) ?
   (* A sink host off each interior/egress router: a short flow entering at
      router [i] and exiting at router [i + 1] crosses exactly segment [i],
      which is what makes the chain multi-bottleneck. *)
-  let exits =
-    Array.init segments (fun i ->
-        attach_host ~bandwidth_bps:access_bps ~delay ~make_qdisc ~net ~router:routers.(i + 1)
-          ~addr:(parking_exit_addr i)
-          ~name:("pl-exit" ^ string_of_int i)
-          ())
-  in
+  for i = 0 to segments - 1 do
+    ignore
+      (attach_host ~bandwidth_bps:access_bps ~delay ~make_qdisc ~net ~router:routers.(i + 1)
+         ~addr:(parking_exit_addr i)
+         ~name:("pl-exit" ^ string_of_int i)
+         ())
+  done;
   let destination =
     attach_host ~bandwidth_bps:access_bps ~delay ~make_qdisc ~net ~router:routers.(segments)
       ~addr:parking_destination_addr ~name:"destination" ()
   in
-  { pl_net = net; pl_routers = routers; pl_exits = exits; pl_destination = destination }
-
-type power_law = {
-  pw_net : Net.t;
-  pw_routers : Net.node array;
-  pw_destination : Net.node;
-}
+  (* Hosts enter at every router but the last, so traffic to the far
+     destination loads later segments cumulatively. *)
+  {
+    s_net = net;
+    s_routers = routers;
+    s_ingress = Array.sub routers 0 segments;
+    s_destination = destination;
+    s_destination_addr = parking_destination_addr;
+  }
 
 let power_law_destination_addr = Wire.Addr.of_int 0xc0ad0001
 
@@ -282,4 +245,10 @@ let power_law ?(routers = 64) ?(edges_per_node = 2) ?(link_bps = 100e6) ?(bottle
   ignore
     (Net.duplex net nodes.(!core) destination ~bandwidth_bps:bottleneck_bps ~delay
        ~qdisc:(fun () -> make_qdisc ~bandwidth_bps:bottleneck_bps));
-  { pw_net = net; pw_routers = nodes; pw_destination = destination }
+  {
+    s_net = net;
+    s_routers = nodes;
+    s_ingress = nodes;
+    s_destination = destination;
+    s_destination_addr = power_law_destination_addr;
+  }

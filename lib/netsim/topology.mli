@@ -54,45 +54,13 @@ val labeled_links : t -> (string * Net.link) list
     creation order.  The fault layer ({!module:Faults}) resolves spec
     targets against these labels. *)
 
-type chain = {
-  chain_net : Net.t;
-  chain_routers : Net.node array;
-  chain_source : Net.node;
-  chain_attacker : Net.node;
-  chain_destination : Net.node;
-}
-(** A built linear chain (see {!chain}): routers in path order plus the
-    three endpoints hanging off it. *)
-
-val chain_source_addr : Wire.Addr.t
-(** Address of the chain's legitimate source. *)
-
-val chain_attacker_addr : Wire.Addr.t
-(** Address of the chain's attacker. *)
-
-val chain_destination_addr : Wire.Addr.t
-(** Address of the chain's destination. *)
-
-val chain :
-  ?hops:int ->
-  ?bandwidth_bps:float ->
-  ?delay:float ->
-  ?attacker_entry:int ->
-  make_qdisc:(bandwidth_bps:float -> Qdisc.t) ->
-  Sim.t ->
-  chain
-(** A linear chain of [hops] routers with the source on router 0, the
-    destination past the last router, and an attacker joining at router
-    [attacker_entry].  Used by the incremental-deployment example: upgrade
-    a prefix/suffix of the routers and observe attack localization. *)
-
 (** {1 Scale topologies}
 
     Generators for the million-sender scale experiments (DESIGN.md
-    section 13).  Unlike {!dumbbell} and {!chain} they do {e not} compute
-    routes: attach host nodes first (e.g. with {!attach_host}), then run
-    {!Net.compute_routes} once, paying the O(V * E) relaxation a single
-    time. *)
+    section 13).  Each returns one {!scale} record.  Unlike {!dumbbell}
+    they do {e not} compute routes: attach host nodes first (e.g. with
+    {!attach_host}), then run {!Net.compute_routes} once, paying the
+    O(V * E) relaxation a single time. *)
 
 val attach_host :
   ?bandwidth_bps:float ->
@@ -107,19 +75,15 @@ val attach_host :
 (** A host node duplex-linked to [router] (defaults: 10 Mb/s, 10 ms),
     starting with a sink handler like every generator-made node. *)
 
-type fanin = {
-  fi_net : Net.t;
-  fi_routers : Net.node array;
-      (** BFS order; the children of router [i] are
-          [i * fanout + 1 .. i * fanout + fanout] *)
-  fi_leaves : Net.node array;  (** the deepest level — sender attach points *)
-  fi_destination : Net.node;
+type scale = {
+  s_net : Net.t;
+  s_routers : Net.node array;  (** every router, in creation order *)
+  s_ingress : Net.node array;  (** where senders attach, round-robin *)
+  s_destination : Net.node;  (** the victim host, behind the bottleneck *)
+  s_destination_addr : Wire.Addr.t;
 }
-(** An ISP-style fan-in tree: edge routers aggregate through [depth]
-    levels into one root, [fi_routers.(0)], whose link to the destination
-    is the bottleneck. *)
-
-val fanin_destination_addr : Wire.Addr.t
+(** A built scale topology: the routers a scheme installs on, the ingress
+    routers hosts attach to, and the destination with its address. *)
 
 val fanin :
   ?depth:int ->
@@ -129,26 +93,14 @@ val fanin :
   ?delay:float ->
   make_qdisc:(bandwidth_bps:float -> Qdisc.t) ->
   Sim.t ->
-  fanin
-(** Defaults: 3 levels of 4-way fan-in (21 routers, 16 leaves), 100 Mb/s
-    interior links, a 10 Mb/s bottleneck, 5 ms per hop. *)
-
-type parking_lot = {
-  pl_net : Net.t;
-  pl_routers : Net.node array;
-      (** [segments + 1] routers in path order; each forward link
-          [routers.(i) -> routers.(i+1)] is a bottleneck segment *)
-  pl_exits : Net.node array;
-      (** a sink host off [routers.(i + 1)]: traffic entering at router [i]
-          addressed to exit [i] crosses exactly segment [i] *)
-  pl_destination : Net.node;  (** past the last router — the full-path target *)
-}
-(** The multi-bottleneck parking lot: every segment link has the same
-    (bottleneck) capacity, so cross-traffic entering mid-chain congests
-    individual segments independently. *)
-
-val parking_exit_addr : int -> Wire.Addr.t
-val parking_destination_addr : Wire.Addr.t
+  scale
+(** An ISP-style fan-in tree: edge routers aggregate through [depth]
+    levels into one root, whose link to the destination is the
+    bottleneck.  [s_routers] is in BFS order (the root first; the
+    children of router [i] are [i * fanout + 1 .. i * fanout + fanout]),
+    and [s_ingress] is the deepest level.  Defaults: 3 levels of 4-way
+    fan-in (21 routers, 16 leaves), 100 Mb/s interior links, a 10 Mb/s
+    bottleneck, 5 ms per hop. *)
 
 val parking_lot :
   ?segments:int ->
@@ -157,22 +109,14 @@ val parking_lot :
   ?delay:float ->
   make_qdisc:(bandwidth_bps:float -> Qdisc.t) ->
   Sim.t ->
-  parking_lot
-(** Defaults: 3 segments at 10 Mb/s, 100 Mb/s host access links, 5 ms per
-    hop. *)
-
-type power_law = {
-  pw_net : Net.t;
-  pw_routers : Net.node array;
-  pw_destination : Net.node;
-      (** host off the core, the highest-degree router; the core ->
-          destination link is the bottleneck *)
-}
-(** An AS-like graph grown by preferential attachment (Barabasi-Albert),
-    so router degrees follow a power law; the destination hangs off the
-    emergent highest-degree core.  Deterministic under [seed]. *)
-
-val power_law_destination_addr : Wire.Addr.t
+  scale
+(** The multi-bottleneck parking lot: [segments + 1] routers in path
+    order, and every forward link between neighbours a bottleneck segment
+    of the same capacity, so cross-traffic entering mid-chain congests
+    segments independently.  A sink host hangs off each router past the
+    first, and the destination off the last; [s_ingress] is every router
+    but the last.  Defaults: 3 segments at 10 Mb/s, 100 Mb/s host access
+    links, 5 ms per hop. *)
 
 val power_law :
   ?routers:int ->
@@ -183,6 +127,10 @@ val power_law :
   seed:int ->
   make_qdisc:(bandwidth_bps:float -> Qdisc.t) ->
   Sim.t ->
-  power_law
-(** Defaults: 64 routers, 2 edges per new node, 100 Mb/s interior links,
-    a 10 Mb/s bottleneck, 5 ms per hop. *)
+  scale
+(** An AS-like graph grown by preferential attachment (Barabasi-Albert),
+    so router degrees follow a power law; the destination hangs off the
+    emergent highest-degree router, and that link is the bottleneck.
+    Every router is an ingress.  Deterministic under [seed].  Defaults:
+    64 routers, 2 edges per new node, 100 Mb/s interior links, a 10 Mb/s
+    bottleneck, 5 ms per hop. *)

@@ -42,5 +42,3 @@ let install ?(trace = Trace.nop) ~counters_for net =
          | Net.Transmit (link, p) -> record (Net.link_src link) Event.Transmitted p
          | Net.Deliver (node, p) -> record node Event.Delivered p
          | Net.Link_fault (link, p) -> record (Net.link_src link) Event.Fault_injected p))
-
-let remove net = Net.set_trace net None

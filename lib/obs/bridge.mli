@@ -13,5 +13,3 @@ val install :
     node to its counter instance — return {!Counters.nop} for nodes not
     being observed.  Events are also offered to [trace] (default
     {!Trace.nop}). *)
-
-val remove : Net.t -> unit

@@ -52,7 +52,6 @@ val find : registry -> name:string -> t option
 type snap = (string * int array) list
 (** Counter arrays keyed by instance name, indexed by [Event.to_int]. *)
 
-val snapshot : t -> string * int array
 val snapshot_all : registry -> snap
 
 val merge_snaps : snap -> snap -> snap

@@ -144,17 +144,16 @@ let finish t ~time =
 
 let incidents t = List.rev t.incidents
 
-(* Engagement/recovery summary over all incidents: time of first onset,
-   and span from first onset to last clear.  [None] without incidents. *)
-let engage_recover t =
-  match incidents t with
+(* The chaos harness's measured engagement and recovery: first onset, span
+   from it to the last clear, and whether every incident truly cleared.
+   Over finalized incidents ([finish] ran) every clear is a time; an
+   incident still active has a NaN clear, which makes the span NaN. *)
+let engage_recover = function
   | [] -> None
   | incs ->
       let onset = List.fold_left (fun a i -> Float.min a i.in_onset) infinity incs in
-      let clear =
-        List.fold_left (fun a i -> if Float.is_nan i.in_clear then a else Float.max a i.in_clear) onset incs
-      in
-      Some (onset, clear -. onset)
+      let clear = List.fold_left (fun a i -> Float.max a i.in_clear) neg_infinity incs in
+      Some (onset, clear -. onset, List.for_all (fun i -> not i.in_open) incs)
 
 let incident_json i =
   Export.Obj

@@ -63,10 +63,15 @@ val finish : t -> time:float -> unit
 val incidents : t -> incident list
 (** Onset order. *)
 
-val engage_recover : t -> (float * float) option
-(** [(first onset, last clear - first onset)] over all incidents — the
-    chaos harness's measured engage/recover pair.  [None] without
-    incidents. *)
+val engage_recover : incident list -> (float * float * bool) option
+(** [(first onset, last clear - first onset, every incident cleared)] —
+    the chaos harness's measured engagement and recovery.  An incident
+    {!finish} closed at run end counts as not cleared, and its clear is
+    the run end, so the span is then a floor.  A still-active incident's
+    NaN clear makes the span NaN.  [None] without incidents. *)
 
 val incident_json : incident -> Export.t
+(** The keys [rule], [onset], [clear], [peak], [peak_at] and [open]; a
+    NaN clear or peak is [null]. *)
+
 val to_json : t -> Export.t

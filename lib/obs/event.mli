@@ -49,7 +49,6 @@ val count : int
 val to_int : t -> int
 (** Dense index in [\[0, count)]. *)
 
-val name : t -> string
 val name_of_int : int -> string
 val all : t list
 (** In [to_int] order. *)

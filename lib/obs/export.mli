@@ -16,7 +16,6 @@ val number_or_null : float -> t
     a genuine zero (e.g. {!Workload.Metrics.fraction_completed_opt} when
     nothing was attempted). *)
 
-val to_buffer : Buffer.t -> t -> unit
 val to_string : t -> string
 
 val to_string_pretty : t -> string

@@ -27,7 +27,6 @@ let detach sim = Sim.set_probe sim None
 let events t ~kind = t.counts.(kind)
 let wall_s t ~kind = t.wall.(kind)
 let total_events t = Array.fold_left ( + ) 0 t.counts
-let total_wall_s t = Array.fold_left ( +. ) 0. t.wall
 
 let kind_rows t =
   let rows = ref [] in

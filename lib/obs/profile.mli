@@ -20,7 +20,6 @@ val hit : t -> kind:int -> dt:float -> unit
 val events : t -> kind:int -> int
 val wall_s : t -> kind:int -> float
 val total_events : t -> int
-val total_wall_s : t -> float
 
 val kind_rows : t -> (string * int * float * float) list
 (** Nonzero kinds in kind order: (name, events, wall seconds, ns/event). *)

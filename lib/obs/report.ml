@@ -46,15 +46,6 @@ type series_row = {
   s_spark : string; (* sparkline over the surviving windows, oldest first *)
 }
 
-type incident_row = {
-  i_rule : string;
-  i_onset : float;
-  i_clear : float; (* NaN = still open at report time *)
-  i_peak : float;
-  i_peak_at : float;
-  i_open : bool;
-}
-
 type t = {
   counters : Counters.snap;
   links : link_row list;
@@ -66,7 +57,7 @@ type t = {
   series : series_row list; (* empty unless telemetry was on *)
   series_interval : float; (* 0. unless telemetry was on *)
   series_json : Export.t option; (* the full interval dump, for --stats *)
-  incidents : incident_row list;
+  incidents : Detect.incident list; (* finalized by [Detect.finish] *)
 }
 
 let empty =
@@ -179,19 +170,6 @@ let series_rows ts =
       })
     (Timeseries.channels ts)
 
-let incident_rows detect =
-  List.map
-    (fun (i : Detect.incident) ->
-      {
-        i_rule = i.Detect.in_rule;
-        i_onset = i.Detect.in_onset;
-        i_clear = i.Detect.in_clear;
-        i_peak = i.Detect.in_peak;
-        i_peak_at = i.Detect.in_peak_at;
-        i_open = i.Detect.in_open;
-      })
-    (Detect.incidents detect)
-
 let trace_jsonl ?node_name trace =
   if Trace.is_nop trace || Trace.length trace = 0 then None
   else begin
@@ -275,17 +253,6 @@ let series_row_json s =
       ("p99", Export.number_or_null s.s_p99);
     ]
 
-let incident_json i =
-  Export.Obj
-    [
-      ("rule", Export.String i.i_rule);
-      ("onset", Export.Float i.i_onset);
-      ("clear", Export.number_or_null i.i_clear);
-      ("peak", Export.number_or_null i.i_peak);
-      ("peak_at", Export.Float i.i_peak_at);
-      ("open", Export.Bool i.i_open);
-    ]
-
 let to_json t =
   Export.Obj
     ([
@@ -301,9 +268,7 @@ let to_json t =
     @ (match t.series_json with None -> [] | Some j -> [ ("telemetry", j) ])
     @
     if t.incidents = [] then []
-    else [ ("incidents", Export.List (List.map incident_json t.incidents)) ])
-
-let to_json_string t = Export.to_string_pretty (to_json t)
+    else [ ("incidents", Export.List (List.map Detect.incident_json t.incidents)) ])
 
 (* --- dashboard ---------------------------------------------------------- *)
 
@@ -375,15 +340,15 @@ let pp_incidents fmt incidents =
   if incidents <> [] then begin
     Format.fprintf fmt "== incidents ==@.";
     List.iter
-      (fun i ->
-        if Float.is_nan i.i_clear then
-          Format.fprintf fmt "  %-24s onset=%.3fs open peak=%.2f@%.3fs@." i.i_rule i.i_onset
-            i.i_peak i.i_peak_at
+      (fun (i : Detect.incident) ->
+        if Float.is_nan i.in_clear then
+          Format.fprintf fmt "  %-24s onset=%.3fs open peak=%.2f@%.3fs@." i.in_rule i.in_onset
+            i.in_peak i.in_peak_at
         else
-          Format.fprintf fmt "  %-24s onset=%.3fs clear=%.3fs%s peak=%.2f@%.3fs@." i.i_rule
-            i.i_onset i.i_clear
-            (if i.i_open then " (run end)" else "")
-            i.i_peak i.i_peak_at)
+          Format.fprintf fmt "  %-24s onset=%.3fs clear=%.3fs%s peak=%.2f@%.3fs@." i.in_rule
+            i.in_onset i.in_clear
+            (if i.in_open then " (run end)" else "")
+            i.in_peak i.in_peak_at)
       incidents
   end
 

@@ -44,15 +44,6 @@ type series_row = {
 }
 (** One telemetry channel summarized over its interval windows. *)
 
-type incident_row = {
-  i_rule : string;
-  i_onset : float;
-  i_clear : float;  (** NaN = still open at report time *)
-  i_peak : float;
-  i_peak_at : float;
-  i_open : bool;
-}
-
 type t = {
   counters : Counters.snap;
   links : link_row list;
@@ -64,14 +55,16 @@ type t = {
   series : series_row list;  (** empty unless telemetry was on *)
   series_interval : float;  (** [0.] unless telemetry was on *)
   series_json : Export.t option;  (** the full interval dump, for [--stats] *)
-  incidents : incident_row list;
+  incidents : Detect.incident list;
+      (** the detectors' incidents, onset order, finalized by
+          {!Detect.finish}: none is still active, so every [in_clear] is a
+          time *)
 }
 
 val empty : t
 
 (** {1 Builders} — snapshot live structures into plain data. *)
 
-val qdisc_rows : Qdisc.t -> qdisc_row list
 val link_rows_of_net : Net.t -> link_row list
 val profile_rows : Profile.t -> profile_row list
 
@@ -82,8 +75,6 @@ val series_rows : Timeseries.t -> series_row list
 (** Summarize every channel over its surviving windows — cumulative
     channels over their per-second rates, level channels over raw values
     (exact percentiles; runs once, at report build). *)
-
-val incident_rows : Detect.t -> incident_row list
 
 val sparkline : ?width:int -> float array -> string
 (** The last [width] (default 48) values as block glyphs scaled to their
@@ -97,7 +88,6 @@ val merge_counters : t list -> Counters.snap
 (** {1 Rendering} *)
 
 val to_json : t -> Export.t
-val to_json_string : t -> string
 
 val counters_json : Counters.snap -> Export.t
 (** The counter section alone (nonzero events only), for aggregates that
@@ -110,4 +100,4 @@ val pp_series : Format.formatter -> t -> unit
     [tva_sim scale --telemetry] print); included in {!pp_dashboard} when
     telemetry was on. *)
 
-val pp_incidents : Format.formatter -> incident_row list -> unit
+val pp_incidents : Format.formatter -> Detect.incident list -> unit

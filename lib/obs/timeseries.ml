@@ -59,7 +59,6 @@ let create ?(capacity = 4096) ~interval () =
   }
 
 let interval t = t.interval
-let capacity t = t.mask + 1
 
 let add t ~name ~mode source =
   if t.frozen <> [||] then invalid_arg "Timeseries.add: channels are frozen (already ticking)";
@@ -169,13 +168,6 @@ let mode t ~chan =
   freeze t;
   t.frozen.(chan).ch_mode
 
-let chan_name t ~chan =
-  freeze t;
-  t.frozen.(chan).ch_name
-
-(* Latest window, without index arithmetic at call sites. *)
-let last_value t ~chan = value t ~chan (length t - 1)
-let last_rate t ~chan = rate t ~chan (length t - 1)
 let last_time t = time_at t (length t - 1)
 
 (* --- export ------------------------------------------------------------- *)
@@ -216,28 +208,3 @@ let to_json ?last t =
                 t.frozen)) );
       ("windows", Export.List (rows ?last t));
     ]
-
-let to_jsonl t buf =
-  List.iter
-    (fun row ->
-      Export.to_buffer buf row;
-      Buffer.add_char buf '\n')
-    (rows t)
-
-let to_csv t buf =
-  freeze t;
-  Buffer.add_string buf "t";
-  Array.iter
-    (fun ch ->
-      Buffer.add_char buf ',';
-      Buffer.add_string buf ch.ch_name)
-    t.frozen;
-  Buffer.add_char buf '\n';
-  let n = length t in
-  for i = 0 to n - 1 do
-    Buffer.add_string buf (Printf.sprintf "%.9g" (time_at t i));
-    Array.iteri
-      (fun c _ -> Buffer.add_string buf (Printf.sprintf ",%.9g" (value t ~chan:c i)))
-      t.frozen;
-    Buffer.add_char buf '\n'
-  done

@@ -35,7 +35,6 @@ val create : ?capacity:int -> interval:float -> unit -> t
     simulated seconds. *)
 
 val interval : t -> float
-val capacity : t -> int
 
 val add : t -> name:string -> mode:mode -> source -> unit
 (** Register a channel.  Raises [Invalid_argument] after the first tick
@@ -65,7 +64,6 @@ val length : t -> int
 val time_at : t -> int -> float
 val channels : t -> string list
 val chan_index : t -> string -> int option
-val chan_name : t -> chan:int -> string
 val mode : t -> chan:int -> mode
 
 val value : t -> chan:int -> int -> float
@@ -76,18 +74,11 @@ val rate : t -> chan:int -> int -> float
 (** [value / interval] for [Cumulative] channels (a per-second rate);
     [value] unchanged for [Level] channels. *)
 
-val last_value : t -> chan:int -> float
-val last_rate : t -> chan:int -> float
 val last_time : t -> float
 
 (** {1 Export} *)
 
-val rows : ?last:int -> t -> Export.t list
-(** One [Obj] per window, oldest first: [{"t": ..., "<chan>": ...}].
-    [last] keeps only the newest [last] windows. *)
-
 val to_json : ?last:int -> t -> Export.t
-(** [{interval; channels: [{name; mode}]; windows: rows}]. *)
-
-val to_jsonl : t -> Buffer.t -> unit
-val to_csv : t -> Buffer.t -> unit
+(** [{interval; channels: [{name; mode}]; windows}], with one
+    [{"t": ..., "<chan>": ...}] object per window, oldest first; [last]
+    keeps only the newest [last] windows. *)

@@ -68,7 +68,6 @@ let capacity t = t.mask + 1
 let seen t = t.seen
 let written t = t.written
 let length t = min t.written (t.mask + 1)
-let sample t = t.sample
 
 let record t ~time ~node ~event ~src ~dst ~size =
   if t.enabled && Array.unsafe_get t.filter (Event.to_int event) then begin
@@ -104,10 +103,3 @@ let to_jsonl ?(node_name = default_node_name) t buf =
         (Printf.sprintf
            "{\"t\":%.9f,\"node\":\"%s\",\"event\":\"%s\",\"src\":%d,\"dst\":%d,\"size\":%d}\n" time
            (node_name node) (Event.name_of_int event) src dst size))
-
-let to_csv ?(node_name = default_node_name) t buf =
-  Buffer.add_string buf "time,node,event,src,dst,size\n";
-  iter t (fun ~time ~node ~event ~src ~dst ~size ->
-      Buffer.add_string buf
-        (Printf.sprintf "%.9f,%s,%s,%d,%d,%d\n" time (node_name node) (Event.name_of_int event)
-           src dst size))

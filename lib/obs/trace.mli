@@ -19,7 +19,6 @@ val create : ?capacity:int -> ?sample:int -> ?filter:(Event.t -> bool) -> unit -
 
 val is_nop : t -> bool
 val capacity : t -> int
-val sample : t -> int
 
 val record :
   t -> time:float -> node:int -> event:Event.t -> src:int -> dst:int -> size:int -> unit
@@ -45,5 +44,3 @@ val iter :
 val to_jsonl : ?node_name:(int -> string) -> t -> Buffer.t -> unit
 (** One JSON object per line:
     [{"t":…,"node":…,"event":…,"src":…,"dst":…,"size":…}]. *)
-
-val to_csv : ?node_name:(int -> string) -> t -> Buffer.t -> unit

@@ -1,8 +1,6 @@
 (* Thin constructor: the DRR datapath itself lives in [Qdisc] (direct
    dispatch over the concrete variant). *)
 
-let overflow_key = Qdisc.overflow_key
-
 let create ?(name = "drr") ?(quantum = 1500) ?(queue_capacity_bytes = 65536) ?(max_queues = 4096)
     ~classify () =
   if quantum <= 0 then invalid_arg "Drr.create: quantum must be positive";

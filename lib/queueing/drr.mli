@@ -11,10 +11,6 @@
     themselves), mirroring the paper's observation that uncached low-rate
     flows effectively receive FIFO service. *)
 
-val overflow_key : int
-(** Key under which packets share one queue once [max_queues] distinct
-    classes are backlogged. *)
-
 val create :
   ?name:string ->
   ?quantum:int ->

@@ -12,7 +12,6 @@ let initial_capacity = 8 (* power of two *)
 
 let create () = { buf = Array.make initial_capacity 0; head = 0; len = 0 }
 
-let length t = t.len
 let is_empty t = t.len = 0
 
 let[@inline] mask t i = i land (Array.length t.buf - 1)

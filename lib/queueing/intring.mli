@@ -4,7 +4,6 @@
 type t
 
 val create : unit -> t
-val length : t -> int
 val is_empty : t -> bool
 
 val push : t -> int -> unit

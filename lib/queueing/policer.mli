@@ -6,14 +6,10 @@
     limiters instead {e police}: {!admit} is a conformance check that
     drops non-conforming packets on the spot, with a fill rate an AIMD
     controller adjusts every control interval.  Tokens are bytes times
-    [2{^fp_shift}] in an immediate [int], and refills grant whole units
+    [2{^20}] in an immediate [int], and refills grant whole units
     only, so fractional credit accrues instead of being truncated away. *)
 
 type t
-
-val fp_shift : int
-(** Fixed-point scale: tokens are bytes times [2{^fp_shift}], kept in an
-    immediate [int] so refills do not box. *)
 
 val create : rate_bps:float -> burst_bytes:int -> t
 (** Fresh meter, bucket full, last refilled at time 0.  Raises

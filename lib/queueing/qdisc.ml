@@ -35,10 +35,6 @@ let fresh_stats () =
     hwm_packets = 0;
   }
 
-let pp_stats fmt s =
-  Format.fprintf fmt "enq=%d deq=%d drop=%d hwm=%d (%dB in, %dB out, %dB dropped)" s.enqueued
-    s.dequeued s.dropped s.hwm_packets s.bytes_enqueued s.bytes_dequeued s.bytes_dropped
-
 (* "No packet", by physical identity.  Shared with the rings' empty-slot
    filler so [Pktring.pop] on an empty ring and "dequeue found nothing"
    are the same value. *)

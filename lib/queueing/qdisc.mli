@@ -124,10 +124,6 @@ val iter_nested : t -> (t -> unit) -> unit
     order.  Lets observability walk a composite's per-level stats and
     residual occupancy without knowing its shape. *)
 
-val overflow_key : int
-(** DRR key under which packets share one queue once [d_max_queues]
-    distinct classes are backlogged ([min_int], outside the tag space). *)
-
 val make : name:string -> kind -> t
 
 val make_custom :
@@ -142,6 +138,3 @@ val make_custom :
 (** A discipline defined outside this module (e.g. pushback shapers, test
     doubles).  The callbacks use the sentinel conventions of {!dequeue} and
     {!next_ready}; stats accounting is layered on automatically. *)
-
-val fresh_stats : unit -> stats
-val pp_stats : Format.formatter -> stats -> unit

@@ -42,7 +42,6 @@ let create ?(rotation_period = default_rotation_period) ~secret_master ~router_i
   write_epoch t 0;
   t
 
-let rotation_period t = t.rotation
 let dropped_dta t = t.dropped_dta
 
 let epoch t ~now = int_of_float (floor (now /. t.rotation))

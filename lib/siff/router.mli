@@ -40,4 +40,3 @@ val make_qdisc : bandwidth_bps:float -> Qdisc.t
 (** The two-class priority scheduler: verified DTA above EXP + legacy. *)
 
 val dropped_dta : t -> int
-val rotation_period : t -> float

@@ -19,7 +19,6 @@ let add t x =
 let count t = t.n
 let mean t = if t.n = 0 then 0. else t.mean
 let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
-let stddev t = sqrt (variance t)
 let min t = t.mn
 let max t = t.mx
 let sum t = t.mean *. float_of_int t.n
@@ -36,6 +35,3 @@ let merge a b =
     in
     { n; mean; m2; mn = Float.min a.mn b.mn; mx = Float.max a.mx b.mx }
   end
-
-let pp fmt t =
-  Format.fprintf fmt "n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g" t.n (mean t) (stddev t) t.mn t.mx

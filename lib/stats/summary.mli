@@ -12,7 +12,6 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; 0 with fewer than two samples. *)
 
-val stddev : t -> float
 val min : t -> float
 (** [infinity] when empty. *)
 
@@ -22,5 +21,3 @@ val max : t -> float
 val sum : t -> float
 val merge : t -> t -> t
 (** Combine two summaries as if all samples were added to one. *)
-
-val pp : Format.formatter -> t -> unit

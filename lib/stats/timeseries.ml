@@ -1,7 +1,6 @@
-type t = { name : string; mutable items : (float * float) list; mutable n : int }
+type t = { mutable items : (float * float) list; mutable n : int }
 
-let create ?(name = "") () = { name; items = []; n = 0 }
-let name t = t.name
+let create () = { items = []; n = 0 }
 
 let add t ~time v =
   t.items <- (time, v) :: t.items;
@@ -21,8 +20,3 @@ let to_csv t =
   Buffer.add_string b "time,value\n";
   Array.iter (fun (time, v) -> Buffer.add_string b (Printf.sprintf "%.6f,%.6f\n" time v)) (points t);
   Buffer.contents b
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>%s (%d points)@," t.name t.n;
-  Array.iter (fun (time, v) -> Format.fprintf fmt "%8.3f %10.4f@," time v) (points t);
-  Format.fprintf fmt "@]"

@@ -3,8 +3,7 @@
 
 type t
 
-val create : ?name:string -> unit -> t
-val name : t -> string
+val create : unit -> t
 val add : t -> time:float -> float -> unit
 val length : t -> int
 val points : t -> (float * float) array
@@ -18,5 +17,3 @@ val max_value : t -> float
 
 val to_csv : t -> string
 (** "time,value\n" rows with a header line. *)
-
-val pp : Format.formatter -> t -> unit

@@ -243,7 +243,6 @@ let create_server ~sim ~conn_id ~tx ?on_data () =
     got_syn = false;
   }
 
-let server_conn_id s = s.s_conn_id
 let server_bytes_received s = s.expected
 
 let server_receive s (seg : Wire.Tcp_segment.t) =

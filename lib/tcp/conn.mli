@@ -3,11 +3,10 @@
 
     Connection establishment and abort behaviour follow the evaluation
     setup of Sec. 5 exactly:
-    - SYN timeout fixed at 1 s (no exponential backoff), at most
-      {!max_syn_retransmissions} retransmissions;
+    - SYN timeout fixed at 1 s (no exponential backoff), at most 8
+      retransmissions;
     - data transfer aborts when the backed-off RTO would exceed 64 s or
-      any single segment has been transmitted more than
-      {!max_segment_transmissions} times.
+      any single segment has been transmitted 10 times.
 
     Loss recovery is Reno-style: slow start, congestion avoidance, fast
     retransmit on three duplicate ACKs, go-back-to-one on timeout.
@@ -24,12 +23,6 @@ type outcome =
 
 type client
 type server
-
-val max_syn_retransmissions : int
-(** 8 (plus the initial SYN). *)
-
-val max_segment_transmissions : int
-(** 10: transmitting the same data segment more often aborts. *)
 
 val create_client :
   sim:Sim.t ->
@@ -62,5 +55,4 @@ val create_server :
     cumulatively.  [on_data] reports in-order delivery progress. *)
 
 val server_receive : server -> Wire.Tcp_segment.t -> unit
-val server_conn_id : server -> int
 val server_bytes_received : server -> int

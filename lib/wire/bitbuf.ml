@@ -1,7 +1,7 @@
 module Writer = struct
-  type t = { buf : Buffer.t; mutable acc : int; mutable acc_bits : int; mutable total : int }
+  type t = { buf : Buffer.t; mutable acc : int; mutable acc_bits : int }
 
-  let create () = { buf = Buffer.create 32; acc = 0; acc_bits = 0; total = 0 }
+  let create () = { buf = Buffer.create 32; acc = 0; acc_bits = 0 }
 
   let flush_full_bytes t =
     while t.acc_bits >= 8 do
@@ -21,7 +21,6 @@ module Writer = struct
       let chunk = (v lsr (!remaining - take)) land ((1 lsl take) - 1) in
       t.acc <- (t.acc lsl take) lor chunk;
       t.acc_bits <- t.acc_bits + take;
-      t.total <- t.total + take;
       remaining := !remaining - take;
       flush_full_bytes t
     done
@@ -41,8 +40,6 @@ module Writer = struct
         put t ~bits:32 (Int64.to_int v land 0xffffffff)
       end
     end
-
-  let bit_length t = t.total
 
   let contents t =
     let s = Buffer.contents t.buf in
@@ -77,6 +74,4 @@ module Reader = struct
       let lo = get t ~bits:32 in
       Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
 
-  let bits_left t = (8 * String.length t.data) - t.bit
-  let byte_pos t = (t.bit + 7) / 8
 end

@@ -15,8 +15,6 @@ module Writer : sig
   val put64 : t -> bits:int -> int64 -> unit
   (** Same for up to 64 bits. *)
 
-  val bit_length : t -> int
-
   val contents : t -> string
   (** Zero-padded to a whole number of bytes. *)
 end
@@ -31,7 +29,4 @@ module Reader : sig
   (** Reads 1–62 bits, MSB first.  Raises {!Truncated} past the end. *)
 
   val get64 : t -> bits:int -> int64
-  val bits_left : t -> int
-  val byte_pos : t -> int
-  (** Bytes fully or partially consumed so far. *)
 end

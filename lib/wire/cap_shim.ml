@@ -1,8 +1,5 @@
 type cap = { ts : int; hash : int64 }
 
-let pp_cap fmt c = Format.fprintf fmt "cap(ts=%d,h=%014Lx)" c.ts c.hash
-let cap_equal a b = a.ts = b.ts && Int64.equal a.hash b.hash
-
 type return_info =
   | Demotion_notice
   | Grant of { n_kb : int; t_sec : int; caps : cap list }
@@ -59,8 +56,6 @@ let regular ?(fresh_precaps = []) ~nonce ~caps ~n_kb ~t_sec ~renewal () =
     return_info = None;
     ptr = 0;
   }
-
-let fresh_precap = { ts = 0; hash = 0L }
 
 let copy t =
   let kind =
@@ -247,22 +242,3 @@ let decode s =
   | result -> result
   | exception Bitbuf.Reader.Truncated -> Error "truncated header"
   | exception Invalid_argument msg -> Error msg
-
-let pp fmt t =
-  let pp_kind fmt = function
-    | Request req ->
-        Format.fprintf fmt "request paths=[%s] precaps=%d"
-          (String.concat ";" (List.map string_of_int (path_ids req)))
-          (precap_count req)
-    | Regular r ->
-        Format.fprintf fmt "%s nonce=%012Lx caps=%d N=%dKB T=%ds fresh=%d"
-          (if r.renewal then "renewal" else if r.caps = [||] then "regular/nonce" else "regular/caps")
-          r.nonce (Array.length r.caps) r.n_kb r.t_sec
-          (List.length r.rev_fresh_precaps)
-  in
-  Format.fprintf fmt "@[<h>%a%s%s@]" pp_kind t.kind
-    (if t.demoted then " DEMOTED" else "")
-    (match t.return_info with
-    | None -> ""
-    | Some Demotion_notice -> " +demotion-notice"
-    | Some (Grant { caps; _ }) -> Printf.sprintf " +grant(%d caps)" (List.length caps))

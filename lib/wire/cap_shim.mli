@@ -12,9 +12,6 @@ type cap = { ts : int; hash : int64 }
 (** One per-router capability (or pre-capability): [ts] is the router's
     8-bit timestamp, [hash] the 56-bit keyed hash. *)
 
-val pp_cap : Format.formatter -> cap -> unit
-val cap_equal : cap -> cap -> bool
-
 type return_info =
   | Demotion_notice
       (** The destination echoes a demotion so the sender re-requests. *)
@@ -95,9 +92,6 @@ val regular :
   unit ->
   t
 
-val fresh_precap : cap
-(** Placeholder for renewal: routers replace the pre-capability in place. *)
-
 val copy : t -> t
 (** A shim whose mutable state (kind record, capability array, pointer) is
     independent of the original, so a duplicated packet's hop-by-hop
@@ -113,8 +107,3 @@ val encode : t -> string
 
 val decode : string -> (t, string) result
 (** Inverse of [encode]; [Error] describes a malformed header. *)
-
-val upper_protocol : int
-(** The demultiplexing value carried in the common header (6 = TCP). *)
-
-val pp : Format.formatter -> t -> unit

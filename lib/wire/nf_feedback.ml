@@ -33,14 +33,3 @@ let wire_size t =
 let pp_action fmt = function
   | Incr -> Format.pp_print_string fmt "incr"
   | Decr -> Format.pp_print_string fmt "decr"
-
-let pp_token fmt tok =
-  Format.fprintf fmt "r%d/ts%d/%a" tok.nf_router tok.nf_ts pp_action tok.nf_action
-
-let pp fmt t =
-  let pp_slot name fmt = function
-    | None -> ()
-    | Some tok -> Format.fprintf fmt " %s=%a" name pp_token tok
-  in
-  Format.fprintf fmt "@[<h>nf%a%a%a@]" (pp_slot "tok") t.token (pp_slot "stamp") t.stamped
-    (pp_slot "ret") t.returned

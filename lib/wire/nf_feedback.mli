@@ -54,4 +54,3 @@ val wire_size : t -> int
     link time the same way capability shims do. *)
 
 val pp_action : Format.formatter -> action -> unit
-val pp : Format.formatter -> t -> unit

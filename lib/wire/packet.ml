@@ -41,19 +41,6 @@ let[@inline] size t =
   + (match t.siff with None -> 0 | Some s -> Siff_marking.wire_size s)
   + (match t.nf with None -> 0 | Some s -> Nf_feedback.wire_size s)
 
-let is_tcp t = match t.body with Tcp _ -> true | Raw _ -> false
-let tcp t = match t.body with Tcp seg -> Some seg | Raw _ -> None
-
 let flow_key_of ~src ~dst = (Addr.to_int src * 1_048_573) lxor Addr.to_int dst
 let flow_key t = flow_key_of ~src:t.src ~dst:t.dst
 let reverse_flow_key t = flow_key_of ~src:t.dst ~dst:t.src
-
-let pp fmt t =
-  let pp_body fmt = function
-    | Raw n -> Format.fprintf fmt "raw(%dB)" n
-    | Tcp seg -> Tcp_segment.pp fmt seg
-  in
-  Format.fprintf fmt "@[<h>#%d %a->%a %a size=%d%a@]" t.id Addr.pp t.src Addr.pp t.dst pp_body
-    t.body (size t)
-    (fun fmt -> function None -> () | Some s -> Format.fprintf fmt " [%a]" Cap_shim.pp s)
-    t.shim

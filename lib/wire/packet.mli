@@ -39,15 +39,8 @@ val copy : t -> t
     two packets whose hop counts and header mutations evolve
     independently. *)
 
-val is_tcp : t -> bool
-val tcp : t -> Tcp_segment.t option
-
 val flow_key : t -> int
 (** A flow is a (source, destination) address pair (paper Sec. 3.5). *)
 
 val flow_key_of : src:Addr.t -> dst:Addr.t -> int
 val reverse_flow_key : t -> int
-
-val default_hops : int
-
-val pp : Format.formatter -> t -> unit

@@ -5,14 +5,3 @@ type t = { conn : int; flags : flags; seq : int; ack : int; payload : int }
 let header_size = 40
 
 let wire_size t = header_size + t.payload
-
-let flags_to_string = function
-  | Syn -> "SYN"
-  | Syn_ack -> "SYN/ACK"
-  | Ack -> "ACK"
-  | Fin -> "FIN"
-  | Rst -> "RST"
-
-let pp fmt t =
-  Format.fprintf fmt "%s conn=%d seq=%d ack=%d len=%d" (flags_to_string t.flags) t.conn t.seq
-    t.ack t.payload

@@ -18,10 +18,5 @@ type t = {
   payload : int; (* payload length in bytes *)
 }
 
-val header_size : int
-(** 40 bytes of TCP/IP header, as the paper's packet-size arithmetic uses. *)
-
 val wire_size : t -> int
-(** [header_size + payload]. *)
-
-val pp : Format.formatter -> t -> unit
+(** The 40-byte TCP/IP header plus [payload]. *)

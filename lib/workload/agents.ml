@@ -13,7 +13,6 @@ module Transfer_client = struct
   }
 
   let finished t = t.done_count >= t.max_transfers
-  let transfers_done t = t.done_count
 
   let rec start_next t =
     if not (finished t) then begin
@@ -70,8 +69,6 @@ module Transfer_server = struct
     endpoint : Scheme.endpoint;
     conns : (int * int, Tcp.Conn.server) Hashtbl.t;
   }
-
-  let connections_seen t = Hashtbl.length t.conns
 
   let create ~sim ~endpoint () =
     let t = { sim; endpoint; conns = Hashtbl.create 64 } in

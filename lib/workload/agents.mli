@@ -20,9 +20,6 @@ module Transfer_client : sig
   (** Starts transfer 1 at [start_at]; each subsequent transfer starts the
       moment the previous completes or aborts (paper Sec. 5).  Installs the
       endpoint demux. *)
-
-  val finished : t -> bool
-  val transfers_done : t -> int
 end
 
 module Transfer_server : sig
@@ -31,8 +28,6 @@ module Transfer_server : sig
   val create : sim:Sim.t -> endpoint:Scheme.endpoint -> unit -> t
   (** Accepts any number of concurrent connections from any source,
       keyed by (source, connection id). *)
-
-  val connections_seen : t -> int
 end
 
 module Flooder : sig

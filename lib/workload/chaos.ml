@@ -23,10 +23,8 @@ type outcome = {
   oc_flight_dumps : string list;
 }
 
-let sim_params = { Tva.Params.default with Tva.Params.request_fraction = 0.01 }
-
 let base_config =
-  { Experiment.default with Experiment.scheme = Scheme.tva ~params:sim_params () }
+  { Experiment.default with Experiment.scheme = Scheme.tva ~params:Scenario.sim_params () }
 
 (* Chaos runs telemetry by default: the detectors are what turn a fault
    scenario's raw series into the measured engage/recover columns.  The
@@ -48,33 +46,18 @@ let run_cell ?(obs = obs_default) ?flight_dir ?(base = base_config) cell =
       obs_flight_label = cell.cl_label;
     }
   in
-  let injector = ref None in
-  let fault_env = ref None in
+  let installed = ref None in
   let r =
     Experiment.run ~obs
-      ~faults:(fun env ->
-        fault_env := Some env;
-        injector :=
-          Some
-            (Faults.Inject.install
-               {
-                 Faults.Inject.env_sim = env.Experiment.fe_sim;
-                 env_rng = env.Experiment.fe_rng;
-                 env_links = env.Experiment.fe_links;
-                 env_routers = env.Experiment.fe_routers;
-                 env_obs = env.Experiment.fe_obs;
-               }
-               cell.cl_spec))
+      ~faults:(fun env users ->
+        installed := Some (env, users, Faults.Inject.install env cell.cl_spec))
       base
   in
-  let env = match !fault_env with Some e -> e | None -> assert false in
-  let inj = match !injector with Some i -> i | None -> assert false in
-  let latencies =
-    List.concat_map (fun ep -> ep.Scheme.ep_reacquire_latencies ()) env.Experiment.fe_users
-  in
+  let env, users, inj = Option.get !installed in
+  let latencies = List.concat_map (fun ep -> ep.Scheme.ep_reacquire_latencies ()) users in
   let report = match r.Experiment.obs with Some o -> o | None -> Obs.Report.empty in
   let router_names =
-    List.map (fun site -> site.Faults.Inject.rs_name) env.Experiment.fe_routers
+    List.map (fun site -> site.Faults.Inject.rs_name) env.Faults.Inject.env_routers
   in
   let verdict =
     Faults.Invariants.check cell.cl_expect ~counters:report.Obs.Report.counters
@@ -89,28 +72,15 @@ let run_cell ?(obs = obs_default) ?flight_dir ?(base = base_config) cell =
   | Some f when not verdict.Faults.Invariants.ok ->
       ignore (Obs.Flight.trigger f ~reason:"invariant-failure" ~time:r.Experiment.sim_end)
   | Some _ | None -> ());
-  (* Measured engagement and recovery, from the detectors' incidents:
-     engage = first onset, recover = last clear - first onset.  For
-     continuous faults (loss, burst) the detectors stay engaged to run
-     end: [Detect.finish] closes those incidents at run-end time but
-     leaves [i_open] set, so [recovered] distinguishes a true clear from
-     a clear stamped at the end of the run. *)
+  (* Measured engagement and recovery, from the detectors' incidents.  For
+     continuous faults (loss, burst) the detectors stay engaged to run end:
+     [Detect.finish] closes those incidents at run-end time but leaves
+     [in_open] set, so [recovered] tells a true clear from a clear stamped
+     at the end of the run. *)
   let engage, recover, recovered =
-    match report.Obs.Report.incidents with
-    | [] -> (None, None, true)
-    | rows ->
-        let onset =
-          List.fold_left (fun a (r : Obs.Report.incident_row) -> Float.min a r.i_onset) infinity
-            rows
-        in
-        let clear =
-          List.fold_left
-            (fun a (r : Obs.Report.incident_row) -> Float.max a r.i_clear)
-            neg_infinity rows
-        in
-        ( Some onset,
-          Some (clear -. onset),
-          List.for_all (fun (r : Obs.Report.incident_row) -> not r.i_open) rows )
+    match Obs.Detect.engage_recover report.Obs.Report.incidents with
+    | None -> (None, None, true)
+    | Some (onset, span, cleared) -> (Some onset, Some span, cleared)
   in
   {
     oc_label = cell.cl_label;

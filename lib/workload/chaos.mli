@@ -47,20 +47,17 @@ val base_config : Experiment.config
     parameters (1% request channel) — the suite's default workload: 10
     users, no attack, so every degradation is the fault's doing. *)
 
-val obs_default : Experiment.obs_config
-(** {!Experiment.obs_default} plus a 100 ms telemetry interval — counters,
-    interval series and incident detectors, no trace or profiler.  The
-    tick chain rides auxiliary events, so chaos numbers are bit-identical
-    to a telemetry-off run. *)
-
 val run_cell :
   ?obs:Experiment.obs_config -> ?flight_dir:string -> ?base:Experiment.config -> cell -> outcome
-(** One scenario: run [base] with the cell's spec installed ([obs] defaults
-    to {!obs_default}; the flight label is always the cell's label), then
-    check the cell's expectation over the counters, the senders'
-    re-acquisition latencies and the completion fraction.  [flight_dir]
+(** One scenario: run [base] with the cell's spec installed, then check
+    the cell's expectation over the counters, the senders' re-acquisition
+    latencies and the completion fraction.  [flight_dir]
     turns the flight recorder on: a dump per incident onset plus one on an
-    invariant failure, capped per run. *)
+    invariant failure, capped per run; the flight label is always the
+    cell's label.  [obs] defaults to {!Experiment.obs_default} plus a
+    100 ms telemetry interval: counters, interval series and incident
+    detectors, no trace or profiler.  The tick chain rides auxiliary
+    events, so chaos numbers are bit-identical to a telemetry-off run. *)
 
 val run_suite :
   ?jobs:int ->

@@ -193,7 +193,7 @@ module Harness = struct
       | None -> []
       | Some det ->
           Obs.Detect.finish det ~time:(Sim.now t.sim);
-          Obs.Report.incident_rows det
+          Obs.Detect.incidents det
     in
     {
       Obs.Report.counters = Obs.Counters.snapshot_all t.registry;
@@ -209,20 +209,6 @@ module Harness = struct
       incidents;
     }
 end
-
-(* Everything a fault-injection hook needs, handed over after the topology,
-   routers, endpoints and attack are wired but before the clock starts.
-   The rng is split off the simulation stream only when a hook is present,
-   so unfaulted runs consume exactly the draws they always did. *)
-type fault_env = {
-  fe_sim : Sim.t;
-  fe_rng : Rng.t;
-  fe_links : Faults.Inject.link_site list;
-  fe_routers : Faults.Inject.router_site list;
-  fe_users : Scheme.endpoint list;
-  fe_destination : Scheme.endpoint;
-  fe_obs : Obs.Counters.t;
-}
 
 let attacker_oracle a = Wire.Addr.to_int a lsr 24 = 0x0b
 
@@ -357,20 +343,23 @@ let run ?obs ?faults cfg =
          topo.Topology.attackers)
   in
   install_attack cfg sim scheme topo attacker_endpoints;
+  (* The fault hook gets its sites after the topology, routers, endpoints
+     and attack are wired but before the clock starts.  The rng is split
+     off the simulation stream only when a hook is present, so unfaulted
+     runs consume exactly the draws they always did. *)
   (match faults with
   | None -> ()
   | Some hook ->
       hook
         {
-          fe_sim = sim;
-          fe_rng = Rng.split (Sim.rng sim);
-          fe_links = Faults.Inject.link_sites topo;
-          fe_routers = scheme.Scheme.fault_targets ();
-          fe_users = user_endpoints;
-          fe_destination = dest_endpoint;
-          fe_obs =
+          Faults.Inject.env_sim = sim;
+          env_rng = Rng.split (Sim.rng sim);
+          env_links = Faults.Inject.link_sites topo;
+          env_routers = scheme.Scheme.fault_targets ();
+          env_obs =
             (match harness with None -> Obs.Counters.nop | Some h -> Harness.counters h "faults");
-        });
+        }
+        user_endpoints);
   (* Telemetry: interval windows over the hot counters and queues, online
      incident detection, and (optionally) a flight recorder.  Set up last so
      the channels can watch the "faults" counter the hook just registered.

@@ -144,37 +144,27 @@ module Harness : sig
       own wall time. *)
 end
 
-type fault_env = {
-  fe_sim : Sim.t;
-  fe_rng : Rng.t;
-      (** a private stream split off the simulation rng — injector draws
-          never perturb workload randomness *)
-  fe_links : Faults.Inject.link_site list;  (** every link, labeled/classified *)
-  fe_routers : Faults.Inject.router_site list;
-      (** {!Scheme.t.fault_targets} — empty for schemes without wipeable
-          router state *)
-  fe_users : Scheme.endpoint list;
-      (** the legitimate senders, user order; read their
-          [ep_reacquire_latencies] after the run *)
-  fe_destination : Scheme.endpoint;
-  fe_obs : Obs.Counters.t;
-      (** registry row ["faults"] when observability is on, else a nop *)
-}
-(** Everything a fault-injection hook needs, snapshotted after the
-    topology, routers, endpoints and attack are installed but before
-    [Sim.run] (see {!Faults.Inject.env}). *)
-
-val run : ?obs:obs_config -> ?faults:(fault_env -> unit) -> config -> result
+val run :
+  ?obs:obs_config ->
+  ?faults:(Faults.Inject.env -> Scheme.endpoint list -> unit) ->
+  config ->
+  result
 (** With [?obs] absent, nothing observability-related is installed and the
     run is byte-identical to the pre-observability harness.  [obs_config]
     is pure data, so sweep cells can carry it across [Pool] domains and
     each run builds private counter/trace/profiler state.
 
-    With [?faults] present the hook runs once, just before the clock
-    starts; typically it calls {!Faults.Inject.install} with the env and
-    stashes what it needs for post-run checks.  With it absent no fault
-    state is created and no rng is split, so unfaulted runs stay
-    byte-identical. *)
+    With [?faults] present the hook runs once, after the topology,
+    routers, endpoints and attack are installed and just before the clock
+    starts.  It gets the fault sites as a {!Faults.Inject.env}: every
+    link, labeled and classified; {!Scheme.t.fault_targets}; the
+    ["faults"] registry row when observability is on, else a nop; and a
+    private rng stream split off the simulation's, so injector draws never
+    perturb workload randomness.  It also gets the legitimate senders in
+    user order, whose [ep_reacquire_latencies] can be read after the run.
+    Typically it calls {!Faults.Inject.install} and stashes what it needs
+    for post-run checks.  With it absent no fault state is created and no
+    rng is split, so unfaulted runs stay byte-identical. *)
 
 val attacker_oracle : Wire.Addr.t -> bool
 (** True for addresses in the attacker range — the "destination can

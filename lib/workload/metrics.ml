@@ -14,7 +14,7 @@ let create () =
     aborted = 0;
     bytes_completed = 0;
     times = Stats.Summary.create ();
-    timeline = Stats.Timeseries.create ~name:"transfer-time" ();
+    timeline = Stats.Timeseries.create ();
   }
 
 let record_start t = t.attempted <- t.attempted + 1
@@ -71,7 +71,6 @@ let jain_index_opt shares =
 
 let jain_index shares = match jain_index_opt shares with None -> 1.0 | Some j -> j
 
-let transfer_times t = t.times
 let timeline t = t.timeline
 
 let merge_into acc x =

@@ -48,8 +48,6 @@ val jain_index_opt : float list -> float option
 (** [None] for the empty or all-zero list; JSON exports render it as
     [null] rather than a fabricated 1.0. *)
 
-val transfer_times : t -> Stats.Summary.t
-
 val timeline : t -> Stats.Timeseries.t
 (** One point per completed transfer: (completion time, duration). *)
 

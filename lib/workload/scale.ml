@@ -93,16 +93,6 @@ type result = {
   sr_obs : Obs.Report.t option;
 }
 
-(* One view over every generator: where senders plug in, where the scheme
-   routers go, and who the victim is. *)
-type built = {
-  b_net : Net.t;
-  b_routers : Net.node list;
-  b_attach : Net.node array; (* round-robin ingress points for hosts *)
-  b_destination : Net.node;
-  b_dest_addr : Wire.Addr.t;
-}
-
 let build_topology cfg scheme sim =
   let make_qdisc ~bandwidth_bps = scheme.Scheme.make_qdisc ~bandwidth_bps in
   match cfg.sc_topology with
@@ -112,49 +102,20 @@ let build_topology cfg scheme sim =
           ~n_users:0 ~n_attackers:0 ~make_qdisc sim
       in
       {
-        b_net = topo.Topology.net;
-        b_routers = [ topo.Topology.left; topo.Topology.right ];
-        b_attach = [| topo.Topology.left |];
-        b_destination = topo.Topology.destination;
-        b_dest_addr = Topology.destination_addr;
+        Topology.s_net = topo.Topology.net;
+        s_routers = [| topo.Topology.left; topo.Topology.right |];
+        s_ingress = [| topo.Topology.left |];
+        s_destination = topo.Topology.destination;
+        s_destination_addr = Topology.destination_addr;
       }
   | Fan_in { depth; fanout } ->
-      let t =
-        Topology.fanin ~depth ~fanout ~bottleneck_bps:cfg.sc_bottleneck_bps ~make_qdisc sim
-      in
-      {
-        b_net = t.Topology.fi_net;
-        b_routers = Array.to_list t.Topology.fi_routers;
-        b_attach = t.Topology.fi_leaves;
-        b_destination = t.Topology.fi_destination;
-        b_dest_addr = Topology.fanin_destination_addr;
-      }
+      Topology.fanin ~depth ~fanout ~bottleneck_bps:cfg.sc_bottleneck_bps ~make_qdisc sim
   | Parking_lot { segments } ->
-      let t =
-        Topology.parking_lot ~segments ~bottleneck_bps:cfg.sc_bottleneck_bps
-          ~access_bps:cfg.sc_access_bps ~make_qdisc sim
-      in
-      (* Hosts enter at every router but the last, so traffic to the far
-         destination loads later segments cumulatively. *)
-      {
-        b_net = t.Topology.pl_net;
-        b_routers = Array.to_list t.Topology.pl_routers;
-        b_attach = Array.sub t.Topology.pl_routers 0 segments;
-        b_destination = t.Topology.pl_destination;
-        b_dest_addr = Topology.parking_destination_addr;
-      }
+      Topology.parking_lot ~segments ~bottleneck_bps:cfg.sc_bottleneck_bps
+        ~access_bps:cfg.sc_access_bps ~make_qdisc sim
   | Power_law { routers; edges_per_node } ->
-      let t =
-        Topology.power_law ~routers ~edges_per_node ~bottleneck_bps:cfg.sc_bottleneck_bps
-          ~seed:cfg.sc_seed ~make_qdisc sim
-      in
-      {
-        b_net = t.Topology.pw_net;
-        b_routers = Array.to_list t.Topology.pw_routers;
-        b_attach = t.Topology.pw_routers;
-        b_destination = t.Topology.pw_destination;
-        b_dest_addr = Topology.power_law_destination_addr;
-      }
+      Topology.power_law ~routers ~edges_per_node ~bottleneck_bps:cfg.sc_bottleneck_bps
+        ~seed:cfg.sc_seed ~make_qdisc sim
 
 let run ?obs cfg =
   if cfg.sc_senders <= 0 then invalid_arg "Scale.run: need at least one sender";
@@ -165,11 +126,12 @@ let run ?obs cfg =
   let sim = Sim.create ~seed:cfg.sc_seed () in
   let scheme = cfg.sc_scheme sim in
   let b = build_topology cfg scheme sim in
+  let net = b.Topology.s_net and routers = Array.to_list b.Topology.s_routers in
   let make_qdisc ~bandwidth_bps = scheme.Scheme.make_qdisc ~bandwidth_bps in
-  let pick i = b.b_attach.(i mod Array.length b.b_attach) in
+  let pick i = b.Topology.s_ingress.(i mod Array.length b.Topology.s_ingress) in
   let users =
     Array.init cfg.sc_n_users (fun i ->
-        Topology.attach_host ~bandwidth_bps:cfg.sc_access_bps ~make_qdisc ~net:b.b_net
+        Topology.attach_host ~bandwidth_bps:cfg.sc_access_bps ~make_qdisc ~net
           ~router:(pick i) ~addr:(Topology.user_addr i)
           ~name:("user" ^ string_of_int i)
           ())
@@ -182,22 +144,22 @@ let run ?obs cfg =
   in
   let swarm_nodes =
     Array.init aggregates (fun k ->
-        let node = Net.add_node ~name:("swarm" ^ string_of_int k) b.b_net (fun _ ~in_link:_ _ -> ()) in
+        let node = Net.add_node ~name:("swarm" ^ string_of_int k) net (fun _ ~in_link:_ _ -> ()) in
         ignore
-          (Net.duplex b.b_net node (pick k) ~bandwidth_bps:swarm_uplink_bps ~delay:0.010
+          (Net.duplex net node (pick k) ~bandwidth_bps:swarm_uplink_bps ~delay:0.010
              ~qdisc:(fun () -> make_qdisc ~bandwidth_bps:swarm_uplink_bps));
         node)
   in
-  Net.compute_routes b.b_net;
+  Net.compute_routes net;
   let harness =
-    Option.map (fun oc -> Experiment.Harness.setup oc ~sim ~net:b.b_net ~scheme) obs
+    Option.map (fun oc -> Experiment.Harness.setup oc ~sim ~net ~scheme) obs
   in
   let router_obs node = Option.map (fun h -> Experiment.Harness.counters_for h node) harness in
   List.iter
     (fun r -> scheme.Scheme.install_router ?obs:(router_obs r) r ~link_bps:cfg.sc_bottleneck_bps)
-    b.b_routers;
+    routers;
   let dest_endpoint =
-    scheme.Scheme.make_endpoint ?obs:(router_obs b.b_destination) b.b_destination
+    scheme.Scheme.make_endpoint ?obs:(router_obs b.Topology.s_destination) b.Topology.s_destination
       ~role:Scheme.Destination
       ~policy:(Tva.Policy.server ~suspicious:Experiment.attacker_oracle ())
   in
@@ -217,7 +179,7 @@ let run ?obs cfg =
               are those of a fixed horizon whatever the users' outcome. *)
            let _client =
              Agents.Transfer_client.create ~sim ~endpoint
-               ~server:b.b_dest_addr ~transfer_bytes:cfg.sc_transfer_bytes
+               ~server:b.Topology.s_destination_addr ~transfer_bytes:cfg.sc_transfer_bytes
                ~max_transfers:cfg.sc_transfers_per_user
                ~start_at:(0.01 +. (0.011 *. float_of_int i))
                ~conn_base:((i + 1) * 1_000_000)
@@ -243,7 +205,7 @@ let run ?obs cfg =
           let emit ~member ~due:_ =
             let src = Topology.attacker_addr (base + member) in
             Net.originate node
-              (Wire.Packet.make ~src ~dst:b.b_dest_addr
+              (Wire.Packet.make ~src ~dst:b.Topology.s_destination_addr
                  (Wire.Packet.Raw cfg.sc_attack_pkt_bytes))
           in
           Some
@@ -259,8 +221,8 @@ let run ?obs cfg =
     Option.bind harness (fun h ->
         Experiment.Harness.telemetry h (fun () ->
             [
-              Experiment.Harness.demoted h b.b_routers;
-              Experiment.Harness.drops (List.map Net.link_qdisc (Net.links b.b_net));
+              Experiment.Harness.demoted h routers;
+              Experiment.Harness.drops (List.map Net.link_qdisc (Net.links net));
               Experiment.Harness.flow_cache h;
               Experiment.Harness.events h;
               ( "heap_words",
@@ -290,7 +252,7 @@ let run ?obs cfg =
     sr_sim_end = Sim.now sim;
     sr_events = Sim.events_processed sim;
     sr_attack_packets = attack_packets;
-    sr_routers = List.length b.b_routers;
+    sr_routers = Array.length b.Topology.s_routers;
     sr_wall_s = wall_s;
     sr_obs = obs_report;
   }

@@ -13,8 +13,6 @@ type topology_kind =
   | Parking_lot of { segments : int }  (** {!Topology.parking_lot} *)
   | Power_law of { routers : int; edges_per_node : int }  (** {!Topology.power_law} *)
 
-val topology_kind_to_string : topology_kind -> string
-
 val topology_kind_of_string : string -> (topology_kind, string) result
 (** ["dumbbell"], ["fanin[:depth:fanout]"], ["parking-lot[:segments]"],
     ["power-law[:routers:edges]"]. *)

@@ -85,21 +85,6 @@ let flood_sweep ?(jobs = 1) ?obs ?(schemes = paper_schemes)
   in
   chunk_series ~schemes ~per_scheme:(List.length attacker_counts) points
 
-let fig8 ?jobs ?attacker_counts ?base () =
-  flood_sweep ?jobs ?attacker_counts ?base
-    ~attack:(fun ~rate_bps -> Experiment.Legacy_flood { rate_bps })
-    ()
-
-let fig9 ?jobs ?attacker_counts ?base () =
-  flood_sweep ?jobs ?attacker_counts ?base
-    ~attack:(fun ~rate_bps -> Experiment.Request_flood { rate_bps })
-    ()
-
-let fig10 ?jobs ?attacker_counts ?base () =
-  flood_sweep ?jobs ?attacker_counts ?base
-    ~attack:(fun ~rate_bps -> Experiment.Authorized_flood { rate_bps })
-    ()
-
 type fig11_run = { label : string; timeline : Stats.Timeseries.t }
 
 let fig11 ?(jobs = 1) ?(base = Experiment.default) ?(duration = 60.) () =
@@ -129,15 +114,6 @@ let fig11 ?(jobs = 1) ?(base = Experiment.default) ?(duration = 60.) () =
       let r = Experiment.run cfg in
       { label; timeline = Metrics.timeline r.Experiment.metrics })
     runs
-
-(* --- Chaos scenarios (Sec. 3.8 robustness; DESIGN.md §11) ------------- *)
-
-let chaos_suite ?jobs ?obs ?flight_dir ?base () =
-  Chaos.run_suite ?jobs ?obs ?flight_dir ?base Chaos.default_suite
-
-let chaos_single ?obs ?flight_dir ?base ?(expect = Faults.Invariants.relaxed) spec =
-  Chaos.run_cell ?obs ?flight_dir ?base
-    { Chaos.cl_label = "custom"; cl_spec = spec; cl_expect = expect }
 
 let render series_list =
   let table =

@@ -1,7 +1,8 @@
 (** Canned reproductions of the paper's simulation figures.
 
-    Each function sweeps the attack intensity (number of 1 Mb/s attackers)
-    across the paper's four schemes and reports its two metrics; Fig. 11
+    {!flood_sweep} sweeps the attack intensity (number of 1 Mb/s
+    attackers) across the paper's four schemes and reports its two
+    metrics (Figs. 8-10, with the attack as an argument); {!fig11}
     instead produces transfer-time-vs-time series.  Simulation parameters
     follow Sec. 5: the dumbbell of Fig. 7, requests limited to 1% of
     capacity for TVA, 20 KB transfers, 60 ms RTT. *)
@@ -55,18 +56,6 @@ val flood_sweep :
     ({!Obs.Report.merge_counters}) gives the same aggregate for every
     [jobs] value. *)
 
-val fig8 :
-  ?jobs:int -> ?attacker_counts:int list -> ?base:Experiment.config -> unit -> series list
-(** Legacy traffic floods. *)
-
-val fig9 :
-  ?jobs:int -> ?attacker_counts:int list -> ?base:Experiment.config -> unit -> series list
-(** Request packet floods. *)
-
-val fig10 :
-  ?jobs:int -> ?attacker_counts:int list -> ?base:Experiment.config -> unit -> series list
-(** Authorized floods via a colluder. *)
-
 type fig11_run = {
   label : string; (* e.g. "tva/all-at-once" *)
   timeline : Stats.Timeseries.t; (* (completion time, duration) points *)
@@ -78,29 +67,6 @@ val fig11 :
     attackers) vs SIFF (3 s secret rotation), each under an all-at-once
     100-attacker flood and a 10-groups-of-10 staggered flood starting at
     t = 10 s. *)
-
-val chaos_suite :
-  ?jobs:int ->
-  ?obs:Experiment.obs_config ->
-  ?flight_dir:string ->
-  ?base:Experiment.config ->
-  unit ->
-  Chaos.outcome list
-(** {!Chaos.default_suite} over {!Chaos.run_suite}: the eight stock fault
-    scenarios against the TVA dumbbell, each an independent deterministic
-    run (telemetry + detectors on by default — {!Chaos.obs_default}).
-    [tva_sim chaos] without [--faults]. *)
-
-val chaos_single :
-  ?obs:Experiment.obs_config ->
-  ?flight_dir:string ->
-  ?base:Experiment.config ->
-  ?expect:Faults.Invariants.expectation ->
-  Faults.Spec.t ->
-  Chaos.outcome
-(** One custom fault spec under {!Faults.Invariants.relaxed} expectations
-    (accounting invariants only) unless [expect] says otherwise.
-    [tva_sim chaos --faults <spec>]. *)
 
 val render : series list -> Stats.Table.t
 (** One row per (attackers, scheme): completion fraction and mean time. *)

@@ -301,12 +301,3 @@ let internet () : factory =
     fault_targets = (fun () -> []);
     make_endpoint = (fun ?obs:_ node ~role:_ ~policy:_ -> plain_endpoint node);
   }
-
-let all =
-  [
-    ("internet", internet ());
-    ("siff", siff ());
-    ("pushback", pushback ());
-    ("tva", tva ());
-    ("netfence", netfence ());
-  ]

@@ -70,7 +70,3 @@ val netfence : ?params:Netfence.Router.params -> unit -> factory
     feedback stamped at the bottleneck, per-sender AIMD
     rate limiters at the access router, headerless traffic demoted to a
     low-priority legacy channel. *)
-
-val all : (string * factory) list
-(** The paper's four schemes in plotting order — internet, siff,
-    pushback, tva — followed by netfence. *)

@@ -24,7 +24,6 @@ type t = {
   mutable sent : int;
 }
 
-let members t = t.n
 let packets_sent t = t.sent
 let live_members t = t.live
 

@@ -39,7 +39,6 @@ val start :
     current virtual time).  [seed] names the bank: member [i] reproduces
     a flooder driven by [Rng.lane ~seed i]. *)
 
-val members : t -> int
 val live_members : t -> int
 (** Members that have not yet retired at [stop_at]. *)
 

@@ -173,14 +173,10 @@ let topology_routes_match_bfs () =
     net
   in
   check "dumbbell" (Topology.dumbbell ~n_attackers:5 ~with_colluder:true ~make_qdisc:q sim).Topology.net;
-  check "chain"
-    (Topology.chain ~hops:4 ~attacker_entry:2 ~make_qdisc:q sim).Topology.chain_net;
-  let f = Topology.fanin ~make_qdisc:q sim in
-  check "fanin" (with_hosts f.Topology.fi_net f.Topology.fi_leaves);
-  let p = Topology.parking_lot ~make_qdisc:q sim in
-  check "parking lot" (with_hosts p.Topology.pl_net p.Topology.pl_routers);
-  let w = Topology.power_law ~routers:24 ~seed:3 ~make_qdisc:q sim in
-  check "power law" (with_hosts w.Topology.pw_net w.Topology.pw_routers)
+  let scale name (t : Topology.scale) = check name (with_hosts t.s_net t.s_routers) in
+  scale "fanin" (Topology.fanin ~make_qdisc:q sim);
+  scale "parking lot" (Topology.parking_lot ~make_qdisc:q sim);
+  scale "power law" (Topology.power_law ~routers:24 ~seed:3 ~make_qdisc:q sim)
 
 let hop_limit_drops_loops () =
   let sim, net = mk_net () in
@@ -234,22 +230,6 @@ let queue_drop_traced () =
   done;
   Sim.run ~until:1. sim;
   Alcotest.(check bool) (Printf.sprintf "%d drops" !drops) true (!drops >= 3)
-
-let limiter_blocks_packets () =
-  let sim, net = mk_net () in
-  let a = Net.add_node ~addr:a_addr ~name:"a" net (fun _ ~in_link:_ _ -> ()) in
-  let got = ref 0 in
-  let b = Net.add_node ~addr:b_addr ~name:"b" net (fun _ ~in_link:_ _ -> incr got) in
-  let link = Net.link_oneway net ~src:a ~dst:b ~bandwidth_bps:1e6 ~delay:0.001 ~qdisc:(plain_qdisc ()) in
-  Net.compute_routes net;
-  Net.link_set_limiter link (Some (fun _ -> false));
-  Net.originate a (mk_packet ~src:a_addr ~dst:b_addr ());
-  Sim.run sim;
-  Alcotest.(check int) "blocked" 0 !got;
-  Net.link_set_limiter link None;
-  Net.originate a (mk_packet ~src:a_addr ~dst:b_addr ());
-  Sim.run sim;
-  Alcotest.(check int) "released" 1 !got
 
 let duplicate_address_rejected () =
   let _, net = mk_net () in
@@ -323,16 +303,6 @@ let dumbbell_end_to_end_rtt () =
     (Printf.sprintf "one-way %.4fs ≈ 30ms" !arrival)
     true
     (!arrival > 0.030 && !arrival < 0.032)
-
-let chain_shape () =
-  let sim = Sim.create () in
-  let chain =
-    Topology.chain ~hops:4 ~make_qdisc:(fun ~bandwidth_bps:_ -> plain_qdisc ()) sim
-  in
-  Alcotest.(check int) "routers" 4 (Array.length chain.Topology.chain_routers);
-  match Net.route_for chain.Topology.chain_source Topology.chain_destination_addr with
-  | Some _ -> ()
-  | None -> Alcotest.fail "chain not routed"
 
 (* Regression for the [Net.min_poll_delay] floor: a token-bucket-style
    qdisc that holds a packet and claims readiness *now* yet refuses every
@@ -712,13 +682,11 @@ let suite =
     Alcotest.test_case "hop limit" `Quick hop_limit_drops_loops;
     Alcotest.test_case "no route" `Quick no_route_traced;
     Alcotest.test_case "queue drops traced" `Quick queue_drop_traced;
-    Alcotest.test_case "limiter" `Quick limiter_blocks_packets;
     Alcotest.test_case "duplicate addr" `Quick duplicate_address_rejected;
     Alcotest.test_case "bad link params" `Quick bad_link_params_rejected;
     Alcotest.test_case "find by addr" `Quick find_node_by_addr;
     Alcotest.test_case "dumbbell shape" `Quick dumbbell_shape;
     Alcotest.test_case "dumbbell rtt" `Quick dumbbell_end_to_end_rtt;
-    Alcotest.test_case "chain shape" `Quick chain_shape;
     Alcotest.test_case "link pipeline golden" `Quick link_pipeline_matches_golden;
     Alcotest.test_case "in-flight ring growth" `Quick inflight_ring_grows_in_order;
     Alcotest.test_case "transmit lanes" `Quick transmit_lanes;

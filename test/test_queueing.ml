@@ -806,7 +806,7 @@ let link_qdiscs_allocate_nothing () =
       let words = (Gc.minor_words () -. before) /. float_of_int (rounds * Array.length pkts) in
       Alcotest.(check int) (name ^ " ready every round") rounds !ready;
       Alcotest.(check (float 0.)) (name ^ " words per packet") 0. words)
-    Workload.Scheme.all
+    Workload.Scenario.schemes
 
 (* --- SFQ ----------------------------------------------------------------------- *)
 

@@ -45,7 +45,7 @@ let summary_sum () =
 (* --- Timeseries ------------------------------------------------------- *)
 
 let timeseries_roundtrip () =
-  let ts = Stats.Timeseries.create ~name:"t" () in
+  let ts = Stats.Timeseries.create () in
   Stats.Timeseries.add ts ~time:1. 10.;
   Stats.Timeseries.add ts ~time:2. 20.;
   Stats.Timeseries.add ts ~time:3. 30.;

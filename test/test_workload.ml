@@ -533,7 +533,7 @@ let chaos_measures_engage_recover () =
      Detect.finish must not pass for a measured recovery *)
   Alcotest.(check bool) "recovered consistent with incidents"
     (List.for_all
-       (fun (r : Obs.Report.incident_row) -> not r.Obs.Report.i_open)
+       (fun (i : Obs.Detect.incident) -> not i.Obs.Detect.in_open)
        o.Workload.Chaos.oc_report.Obs.Report.incidents)
     o.Workload.Chaos.oc_recovered
 
