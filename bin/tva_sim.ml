@@ -41,11 +41,14 @@ let jobs_arg =
 let all_scheme_names = List.map fst Workload.Scenario.schemes
 let paper_scheme_names = List.map fst Workload.Scenario.paper_schemes
 
+(* Bad values are usage errors: Cmdliner names the option and exits 124. *)
+let scheme_conv = Arg.enum (List.map (fun n -> (n, n)) all_scheme_names)
+
 let schemes_arg =
   let doc =
     Printf.sprintf "Comma-separated subset of schemes (%s)." (String.concat "," all_scheme_names)
   in
-  Arg.(value & opt (list string) paper_scheme_names & info [ "schemes" ] ~doc)
+  Arg.(value & opt (list scheme_conv) paper_scheme_names & info [ "schemes" ] ~doc)
 
 let stats_arg =
   let doc = "Write an observability report (counters, per-link queue stats, flow caches) as JSON to $(docv)." in
@@ -66,14 +69,17 @@ let telemetry_arg =
      detectors.  Telemetry ticks ride auxiliary scheduler events, so results are \
      bit-identical to a run without this option."
   in
-  Arg.(value & opt ~vopt:(Some 0.1) (some float) None & info [ "telemetry" ] ~doc ~docv:"SECONDS")
+  let positive s =
+    Result.bind (Arg.conv_parser Arg.float s) (fun x ->
+        if x > 0. then Ok x else Error (`Msg "the interval must be positive"))
+  in
+  let seconds = Arg.conv (positive, Arg.conv_printer Arg.float) in
+  Arg.(value & opt ~vopt:(Some 0.1) (some seconds) None & info [ "telemetry" ] ~doc ~docv:"SECONDS")
 
 (* The interval in sim-seconds, 0 = telemetry off; [implied] turns it on
    at 0.1 without the option (a flight recorder needs the series). *)
 let resolve_telemetry_interval ~implied = function
-  | Some s ->
-      if s <= 0. then failwith "--telemetry must be positive";
-      s
+  | Some s -> s
   | None -> if implied then 0.1 else 0.
 
 let flight_dir_arg =
@@ -88,12 +94,6 @@ let base_config transfers max_time seed =
   { Workload.Experiment.default with Workload.Experiment.transfers_per_user = transfers; max_time; seed }
 
 let select_schemes names =
-  List.iter
-    (fun n ->
-      if not (List.mem n all_scheme_names) then
-        failwith
-          (Printf.sprintf "unknown scheme %s (known: %s)" n (String.concat "," all_scheme_names)))
-    names;
   List.filter (fun (n, _) -> List.mem n names) Workload.Scenario.schemes
 
 let print_table csv table =
@@ -321,37 +321,32 @@ let fig12_cmd =
 let scheme_arg =
   Arg.(
     value
-    & opt string "tva"
+    & opt scheme_conv "tva"
     & info [ "scheme" ] ~doc:(String.concat " | " all_scheme_names))
 
 let nattackers_arg = Arg.(value & opt int 10 & info [ "n" ] ~doc:"Number of attackers.")
 
-let attack_arg =
+let attacks =
+  [
+    ("none", Workload.Experiment.No_attack);
+    ("legacy", Workload.Experiment.Legacy_flood { rate_bps = 1e6 });
+    ("request", Workload.Experiment.Request_flood { rate_bps = 1e6 });
+    ("authorized", Workload.Experiment.Authorized_flood { rate_bps = 1e6 });
+    ( "imprecise",
+      Workload.Experiment.Imprecise_flood
+        { rate_bps = 1e6; groups = 1; group_interval = 3.; start_at = 10. } );
+  ]
+
+let attack_arg default =
   Arg.(
     value
-    & opt string "legacy"
-    & info [ "attack" ] ~doc:"none | legacy | request | authorized | imprecise")
+    & opt (enum attacks) (List.assoc default attacks)
+    & info [ "attack" ] ~doc:(String.concat " | " (List.map fst attacks)))
 
 let single_config scheme_name n attack transfers max_time seed =
-  let scheme =
-    match List.assoc_opt scheme_name Workload.Scenario.schemes with
-    | Some s -> s
-    | None -> failwith ("unknown scheme " ^ scheme_name)
-  in
-  let attack =
-    match attack with
-    | "none" -> Workload.Experiment.No_attack
-    | "legacy" -> Workload.Experiment.Legacy_flood { rate_bps = 1e6 }
-    | "request" -> Workload.Experiment.Request_flood { rate_bps = 1e6 }
-    | "authorized" -> Workload.Experiment.Authorized_flood { rate_bps = 1e6 }
-    | "imprecise" ->
-        Workload.Experiment.Imprecise_flood
-          { rate_bps = 1e6; groups = 1; group_interval = 3.; start_at = 10. }
-    | other -> failwith ("unknown attack " ^ other)
-  in
   {
     (base_config transfers max_time seed) with
-    Workload.Experiment.scheme;
+    Workload.Experiment.scheme = List.assoc scheme_name Workload.Scenario.schemes;
     n_attackers = n;
     attack;
   }
@@ -432,7 +427,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ scheme_arg $ nattackers_arg $ attack_arg $ transfers_arg $ max_time_arg
+      const run $ scheme_arg $ nattackers_arg $ attack_arg "legacy" $ transfers_arg $ max_time_arg
       $ seed_arg $ stats_arg $ trace_arg $ trace_sample_arg $ telemetry_arg $ flight_dir_arg)
 
 let dashboard_cmd =
@@ -463,7 +458,7 @@ let dashboard_cmd =
   in
   Cmd.v (Cmd.info "dashboard" ~doc)
     Term.(
-      const run $ scheme_arg $ nattackers_arg $ attack_arg $ transfers_arg $ max_time_arg
+      const run $ scheme_arg $ nattackers_arg $ attack_arg "legacy" $ transfers_arg $ max_time_arg
       $ seed_arg $ stats_arg $ telemetry_arg)
 
 (* --- chaos: fault injection + recovery checking ---------------------- *)
@@ -539,12 +534,6 @@ let chaos_cmd =
   let chaos_nattackers_arg =
     Arg.(value & opt int 0 & info [ "n" ] ~doc:"Number of attackers (default 0).")
   in
-  let chaos_attack_arg =
-    Arg.(
-      value
-      & opt string "none"
-      & info [ "attack" ] ~doc:"none | legacy | request | authorized | imprecise")
-  in
   let run faults scheme_name n attack transfers max_time seed csv jobs stats flight_dir =
     let base = single_config scheme_name n attack transfers max_time seed in
     let outcomes =
@@ -577,7 +566,7 @@ let chaos_cmd =
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
-      const run $ faults_arg $ scheme_arg $ chaos_nattackers_arg $ chaos_attack_arg
+      const run $ faults_arg $ scheme_arg $ chaos_nattackers_arg $ attack_arg "none"
       $ transfers_arg $ max_time_arg $ seed_arg $ csv_arg $ jobs_arg $ stats_arg
       $ flight_dir_arg)
 
@@ -619,21 +608,11 @@ let ablation_sfq_cmd =
 let scale_cmd =
   let doc = "Aggregate-attacker scale run: swarms of spoofed flood members on generated topologies." in
   let run scheme_name topology senders aggregates attack_mbps users transfers max_time seed stats telemetry =
-    let scheme =
-      match List.assoc_opt scheme_name Workload.Scenario.schemes with
-      | Some s -> s
-      | None -> failwith ("unknown scheme " ^ scheme_name)
-    in
-    let topology =
-      match Workload.Scale.topology_kind_of_string topology with
-      | Ok t -> t
-      | Error e -> failwith e
-    in
     let cfg =
       {
         Workload.Scale.default with
-        Workload.Scale.sc_scheme = scheme;
-        sc_topology = topology;
+        Workload.Scale.sc_scheme = List.assoc scheme_name Workload.Scenario.schemes;
+        sc_topology = snd topology;
         sc_senders = senders;
         sc_aggregates = aggregates;
         sc_attack_bps = attack_mbps *. 1e6;
@@ -695,9 +674,16 @@ let scale_cmd =
     | _ -> ()
   in
   let topology_arg =
+    (* The spelling rides along with the parsed kind for the help's default. *)
+    let parse s =
+      match Workload.Scale.topology_kind_of_string s with
+      | Ok kind -> Ok (s, kind)
+      | Error e -> Error (`Msg e)
+    in
+    let topology = Arg.conv (parse, fun ppf (s, _) -> Format.pp_print_string ppf s) in
     Arg.(
       value
-      & opt string "fanin"
+      & opt topology (Result.get_ok (parse "fanin"))
       & info [ "topology" ]
           ~doc:"dumbbell | fanin[:depth:fanout] | parking-lot[:segments] | power-law[:n:m]")
   in
@@ -732,7 +718,7 @@ let report_cmd =
       Printf.sprintf "Comma-separated subset of schemes (default: all of %s)."
         (String.concat "," all_scheme_names)
     in
-    Arg.(value & opt (list string) all_scheme_names & info [ "schemes" ] ~doc)
+    Arg.(value & opt (list scheme_conv) all_scheme_names & info [ "schemes" ] ~doc)
   in
   let out_arg =
     let doc = "Markdown report output path ($(b,-) for standard output)." in

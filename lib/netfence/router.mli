@@ -21,7 +21,16 @@
     MAC under [Crypto.Secret] epoch keys, exactly the machinery the TVA
     router uses for pre-capabilities; all routers of a run share one
     [secret_master], modeling NetFence's pairwise inter-AS key agreement
-    (DESIGN.md Sec. 16). *)
+    (DESIGN.md Sec. 16).
+
+    Tokens are cached per flow and epoch key.  Each router keeps
+    direct-mapped memos of {!Crypto.Mac_memo.size} entries: minted tokens
+    keyed by (sender, timestamp, action, epoch key), validation verdicts
+    by (sender, token, epoch key), and the per-sender policing entries by
+    sender.  Epoch keys are compared by identity, so {!rotate_secret}
+    misses every cached MAC; {!flush_senders} clears the sender entries.
+    A hit returns exactly what the MAC would compute, and a rejected token
+    still counts in {!rejected}. *)
 
 type t
 

@@ -3,7 +3,12 @@ let default_rotation_period = 128.
 (* The marking preimage is [secret_master ^ router_id ^ "|" ^ epoch ^ "|"]
    followed by the 4-byte wire forms of src and dst.  It is written into a
    per-router scratch buffer: the text prefix once per epoch, the two
-   addresses per packet, so a marking allocates only the boxed hash. *)
+   addresses per miss, so a marking allocates only the boxed hash.
+
+   A marking is a pure function of (src, dst, epoch) at one router, so
+   [memo] caches it per flow and epoch: entry [i] is the four ints
+   (src, dst, epoch, bits) at [4 * i], src = -1 when empty.  It is [[||]]
+   until the first marking. *)
 type t = {
   rotation : float;
   router_id : int;
@@ -13,6 +18,7 @@ type t = {
   id_end : int; (* end of [secret_master ^ router_id ^ "|"] *)
   mutable prefix_epoch : int;
   mutable prefix_end : int; (* end of the epoch's text prefix *)
+  mutable memo : int array;
 }
 
 let write_epoch t epoch =
@@ -37,6 +43,7 @@ let create ?(rotation_period = default_rotation_period) ~secret_master ~router_i
       id_end;
       prefix_epoch = 0;
       prefix_end = id_end;
+      memo = [||];
     }
   in
   write_epoch t 0;
@@ -46,12 +53,26 @@ let dropped_dta t = t.dropped_dta
 
 let epoch t ~now = int_of_float (floor (now /. t.rotation))
 
-let bits_for t ~epoch ~src ~dst =
+let compute_bits t ~epoch ~src ~dst =
   if epoch <> t.prefix_epoch then write_epoch t epoch;
-  let pos = Crypto.Preimage.put_be32 t.preimage t.prefix_end (Wire.Addr.to_int src) in
-  let len = Crypto.Preimage.put_be32 t.preimage pos (Wire.Addr.to_int dst) in
+  let pos = Crypto.Preimage.put_be32 t.preimage t.prefix_end src in
+  let len = Crypto.Preimage.put_be32 t.preimage pos dst in
   Int64.to_int (Crypto.Siphash.mac_bytes ~key:"SIFF marking key" t.preimage ~len)
   land ((1 lsl Wire.Siff_marking.bits_per_router) - 1)
+
+let bits_for t ~epoch ~src ~dst =
+  let src = Wire.Addr.to_int src and dst = Wire.Addr.to_int dst in
+  if Array.length t.memo = 0 then t.memo <- Array.make (4 * Crypto.Mac_memo.size) (-1);
+  let m = t.memo and i = 4 * Crypto.Mac_memo.slot src dst epoch in
+  if m.(i) = src && m.(i + 1) = dst && m.(i + 2) = epoch then m.(i + 3)
+  else begin
+    let bits = compute_bits t ~epoch ~src ~dst in
+    m.(i) <- src;
+    m.(i + 1) <- dst;
+    m.(i + 2) <- epoch;
+    m.(i + 3) <- bits;
+    bits
+  end
 
 let marking_bits t ~now ~src ~dst = bits_for t ~epoch:(epoch t ~now) ~src ~dst
 

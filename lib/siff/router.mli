@@ -13,7 +13,13 @@
       per-destination balancing, and revocation only happens when the
       router secret rotates (every [rotation_period] seconds; Fig. 11 uses
       3 s).  A marking is accepted for the current or previous secret
-      epoch. *)
+      epoch.
+
+    Markings are cached per flow and epoch: a direct-mapped memo of
+    {!Crypto.Mac_memo.size} entries, keyed by (src, dst, epoch), holds the
+    marking this router computed, so a flow's packets after its first in
+    an epoch compute no MAC.  The memo is a pure-function cache, not
+    protocol state: a hit returns exactly the bits the MAC gives. *)
 
 type t
 

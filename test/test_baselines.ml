@@ -34,19 +34,36 @@ let siff_marking_rotates () =
   Alcotest.(check bool) "rotation changes markings" true !differs
 
 (* The marking preimage lives in a per-router scratch buffer: a marking
-   allocates only the boxed hash, not a per-packet string. *)
-let siff_marking_allocation_budget () =
-  let budget = 4. and iters = 4000 in
+   allocates only the boxed hash, not a per-packet string.  [src_of i] is
+   the source of call [i]: one flow measures the memo's hit path, a fresh
+   source per call its miss path. *)
+let marking_words ~src_of =
+  let iters = 4000 in
   let sim = Sim.create () in
   let r = Siff.Router.create ~secret_master:"s" ~router_id:1 ~sim () in
-  ignore (Siff.Router.marking_bits r ~now:1. ~src ~dst);
+  ignore (Siff.Router.marking_bits r ~now:1. ~src:(src_of 0) ~dst);
   let w0 = Gc.minor_words () in
-  for _ = 1 to iters do
-    ignore (Sys.opaque_identity (Siff.Router.marking_bits r ~now:1. ~src ~dst))
+  for i = 1 to iters do
+    ignore (Sys.opaque_identity (Siff.Router.marking_bits r ~now:1. ~src:(src_of i) ~dst))
   done;
-  let per_call = (Gc.minor_words () -. w0) /. float_of_int iters in
+  (Gc.minor_words () -. w0) /. float_of_int iters
+
+let check_marking_words name ~budget ~src_of =
+  let per_call = marking_words ~src_of in
   if per_call > budget then
-    Alcotest.failf "marking_bits allocates %.2f minor words/call (budget %g)" per_call budget
+    Alcotest.failf "marking_bits (%s) allocates %.2f minor words/call (budget %g)" name per_call
+      budget
+
+let siff_marking_allocation_budget () =
+  check_marking_words "one flow" ~budget:4. ~src_of:(fun _ -> src)
+
+let siff_marking_miss_allocation () =
+  check_marking_words "fresh sources" ~budget:4. ~src_of:(fun i ->
+      Wire.Addr.of_int (0x0b000000 + i))
+
+(* A memo hit computes no MAC: measured 0 words. *)
+let siff_marking_hit_allocation () =
+  check_marking_words "memo hit" ~budget:1. ~src_of:(fun _ -> src)
 
 let siff_sim () =
   let sim = Sim.create () in
@@ -180,6 +197,104 @@ let siff_host_data_uses_markings () =
   Sim.run ~until:2. sim;
   Alcotest.(check bool) "data is DTA" true !dta_seen
 
+(* --- SIFF marking memo -------------------------------------------------- *)
+
+(* The reference model: the marking computed without the router's memo,
+   the SipHash of the text preimage [secret_master ^ router_id ^ "|" ^
+   epoch ^ "|"] then src and dst as 4 wire bytes. *)
+let siff_uncached_bits ~epoch ~src ~dst =
+  let wire a =
+    String.init 4 (fun i -> Char.chr ((Wire.Addr.to_int a lsr (8 * (3 - i))) land 0xff))
+  in
+  let msg = Printf.sprintf "s7|%d|%s%s" epoch (wire src) (wire dst) in
+  Int64.to_int (Crypto.Siphash.mac ~key:"SIFF marking key" msg)
+  land ((1 lsl Wire.Siff_marking.bits_per_router) - 1)
+
+(* How far a step moves the clock: not at all, within the epoch, past a
+   128 s rotation, or onto the next epoch boundary exactly. *)
+let advance now = function
+  | 0 -> now
+  | 1 -> now +. 0.5
+  | 2 -> now +. 1.75
+  | 3 -> now +. 130.
+  | _ -> 128. *. (floor (now /. 128.) +. 1.)
+
+let advance_gen =
+  QCheck.Gen.frequencyl [ (3, 0); (3, 1); (2, 2); (1, 3); (1, 4) ]
+
+(* A few hot sources that hit the memo, mixed with more distinct cold
+   ones than it has slots, which evict and collide. *)
+let memo_src_gen =
+  QCheck.Gen.(map Wire.Addr.of_int (frequency [ (1, int_range 0 7); (2, int_range 0 100_000) ]))
+
+(* One long-lived router under (clock advance, src, dst, op) steps.  Ops:
+   0 [marking_bits]; 1 an EXP packet through the handler; 2-4 a DTA packet
+   carrying the current epoch's marking, the previous epoch's, or
+   arbitrary bits.  Markings, stamped EXP markings and DTA verdicts must
+   equal the uncached model's at every step. *)
+let siff_memo_matches_uncached =
+  let step = QCheck.Gen.(quad advance_gen memo_src_gen (int_range 0 3) (int_range 0 4)) in
+  let print steps =
+    String.concat "; "
+      (List.map
+         (fun (a, s, d, op) -> Printf.sprintf "(%d,%d,%d,%d)" a (Wire.Addr.to_int s) d op)
+         steps)
+  in
+  QCheck.Test.make ~name:"siff: memoized markings = uncached MAC" ~count:50
+    (QCheck.make ~print QCheck.Gen.(list_size (int_range 300 1000) step))
+    (fun steps ->
+      let sim = Sim.create () in
+      let net = Net.create sim in
+      let node = Net.add_node ~name:"r" net (fun _ ~in_link:_ _ -> ()) in
+      let router = Siff.Router.create ~secret_master:"s" ~router_id:7 ~sim () in
+      let handle = Siff.Router.handler router node ~in_link:None in
+      let run_step (_, src, d, op) () =
+        let now = Sim.now sim in
+        let dst = Wire.Addr.of_int (0xc0a80000 + d) in
+        let epoch = int_of_float (floor (now /. 128.)) in
+        let expect = siff_uncached_bits ~epoch ~src ~dst in
+        let fail what got want =
+          QCheck.Test.fail_reportf "t=%g src=%d dst=%d: %s %d, uncached %d" now
+            (Wire.Addr.to_int src) d what got want
+        in
+        match op with
+        | 0 ->
+            let got = Siff.Router.marking_bits router ~now ~src ~dst in
+            if got <> expect then fail "marking_bits" got expect
+        | 1 -> (
+            let siff = Wire.Siff_marking.exp_packet () in
+            handle (Wire.Packet.make ~siff ~src ~dst (Wire.Packet.Raw 100));
+            match Wire.Siff_marking.marking_of siff ~router:7 with
+            | Some got when got = expect -> ()
+            | Some got -> fail "stamped" got expect
+            | None -> fail "stamped nothing" (-1) expect)
+        | _ ->
+            let bits =
+              match op with
+              | 2 -> expect
+              | 3 -> siff_uncached_bits ~epoch:(epoch - 1) ~src ~dst
+              | _ -> (Wire.Addr.to_int src + d) land 3
+            in
+            let verified =
+              bits = expect || (epoch > 0 && bits = siff_uncached_bits ~epoch:(epoch - 1) ~src ~dst)
+            in
+            let before = Siff.Router.dropped_dta router in
+            let siff = Wire.Siff_marking.dta ~markings:[ (7, bits) ] in
+            handle (Wire.Packet.make ~siff ~src ~dst (Wire.Packet.Raw 100));
+            let dropped = Siff.Router.dropped_dta router - before in
+            let want = Bool.to_int (not verified) in
+            if dropped <> want then fail "DTA drops" dropped want
+      in
+      ignore
+        (List.fold_left
+           (fun now ((a, _, _, _) as st) ->
+             let now = advance now a in
+             Sim.schedule_at sim ~time:now (run_step st);
+             now)
+           0. steps);
+      Sim.run sim;
+      true)
+
 (* --- Pushback -------------------------------------------------------------- *)
 
 let pushback_qdisc_is_fifo_when_unlimited () =
@@ -301,4 +416,7 @@ let suite =
     Alcotest.test_case "pushback releases" `Quick pushback_releases_after_quiet;
     Alcotest.test_case "internet host" `Quick internet_host_roundtrip;
     Alcotest.test_case "siff marking allocation" `Quick siff_marking_allocation_budget;
+    Alcotest.test_case "siff marking miss allocation" `Quick siff_marking_miss_allocation;
+    Alcotest.test_case "siff marking hit allocation" `Quick siff_marking_hit_allocation;
+    QCheck_alcotest.to_alcotest siff_memo_matches_uncached;
   ]
