@@ -523,7 +523,7 @@ let chaos_cmd =
       & opt (some string) None
       & info [ "faults" ]
           ~doc:
-            "Fault spec: semicolon-separated $(i,kind:target\\[:k=v,...\\]) clauses, e.g. \
+            "Fault spec: semicolon-separated $(i,kind:target[:k=v,...]) clauses, e.g. \
              'loss:bottleneck:p=0.01;wipe:all:at=10'.  Kinds: loss, burst, corrupt, dup, \
              reorder, down, flap (link targets: bottleneck, rbottleneck, access, all); wipe, \
              rotate, restart (router targets: left, right, all)."

@@ -29,26 +29,31 @@ let () =
   connect r2 server_node;
   Net.compute_routes net;
 
+  (* Every router and host counts its verdicts in its own counters. *)
+  let counters node = Obs.Counters.create ~name:(Net.node_name node) () in
+
   (* Capability routers. *)
   let install node =
+    let obs = counters node in
     let router =
-      Tva.Router.create ~params ~secret_master:("secret" ^ Net.node_name node)
+      Tva.Router.create ~params ~obs ~secret_master:("secret" ^ Net.node_name node)
         ~router_id:(Net.node_id node) ~sim ~link_bps:10e6 ()
     in
     Net.set_handler node (Tva.Router.handler router);
-    router
+    obs
   in
   let router1 = install r1 in
   let router2 = install r2 in
 
   (* Hosts: the client accepts reverse requests from servers it contacted;
      the server grants every first request a default budget. *)
+  let client_obs = counters client_node and server_obs = counters server_node in
   let client_host =
-    Tva.Host.create ~params ~policy:(Tva.Policy.client ()) ~node:client_node
+    Tva.Host.create ~params ~obs:client_obs ~policy:(Tva.Policy.client ()) ~node:client_node
       ~rng:(Rng.split (Sim.rng sim)) ()
   in
   let server_host =
-    Tva.Host.create ~params ~policy:(Tva.Policy.server ()) ~node:server_node
+    Tva.Host.create ~params ~obs:server_obs ~policy:(Tva.Policy.server ()) ~node:server_node
       ~rng:(Rng.split (Sim.rng sim)) ()
   in
 
@@ -74,18 +79,18 @@ let () =
 
   Sim.run ~until:10. sim;
 
-  let c = Tva.Host.counters client_host in
+  let c = Obs.Counters.get client_obs and s = Obs.Counters.get server_obs in
   Printf.printf "client: %d requests sent, %d grants received, %d renewals sent\n"
-    c.Tva.Host.requests_sent c.Tva.Host.grants_received c.Tva.Host.renewals_sent;
-  let s = Tva.Host.counters server_host in
-  Printf.printf "server: %d grants issued, %d requests refused\n" s.Tva.Host.grants_issued
-    s.Tva.Host.requests_refused;
-  let pr name router =
-    let k = Tva.Router.counters router in
+    (c Obs.Event.Request_sent) (c Obs.Event.Grant_received) (c Obs.Event.Renewal_sent);
+  Printf.printf "server: %d grants issued, %d requests refused\n" (s Obs.Event.Grant_issued)
+    (s Obs.Event.Request_refused);
+  (* A nonce hit that was not demoted is a packet accepted from the cache. *)
+  let pr name obs =
+    let k = Obs.Counters.get obs in
     Printf.printf
-      "%s: %d requests stamped, %d packets validated from cache, %d via capability hashes, %d demoted\n"
-      name k.Tva.Router.requests k.Tva.Router.regular_cached k.Tva.Router.regular_validated
-      k.Tva.Router.demotions
+      "%s: %d requests stamped, %d nonce hits, %d validated via capability hashes, %d demoted\n"
+      name (k Obs.Event.Request_in) (k Obs.Event.Nonce_hit) (k Obs.Event.Regular_validated)
+      (k Obs.Event.Demoted)
   in
   pr "r1" router1;
   pr "r2" router2

@@ -20,19 +20,6 @@ type dest_state = {
          time we merely sat without traffic to send does not. *)
 }
 
-type counters = {
-  mutable requests_sent : int;
-  mutable renewals_sent : int;
-  mutable grants_received : int;
-  mutable refusals_received : int;
-  mutable demotions_seen : int;
-  mutable demotion_echoes_sent : int;
-  mutable grants_issued : int;
-  mutable requests_refused : int;
-  mutable reacquired : int;
-  mutable demoted_recovered : int;
-}
-
 type t = {
   params : Params.t;
   hash : Capability.keyed;
@@ -50,14 +37,12 @@ type t = {
          cleared (counting [Demoted_recovered]) on the next clean regular
          packet from them *)
   mutable on_segment : src:Wire.Addr.t -> Wire.Tcp_segment.t -> unit;
-  counters : counters;
   obs : Obs.Counters.t;
   mutable rev_reacquire_latencies : float list;
 }
 
 let addr t = t.addr
 let node t = t.node
-let counters t = t.counters
 
 let set_segment_handler t f = t.on_segment <- f
 
@@ -93,7 +78,7 @@ let choose_shim t ~dst =
       | Some _, None -> ds.reacquire_request_at <- Some now
       | _, _ -> ());
       Policy.note_outgoing_request t.policy ~now ~dst;
-      t.counters.requests_sent <- t.counters.requests_sent + 1;
+      Obs.Counters.incr t.obs Obs.Event.Request_sent;
       Wire.Cap_shim.request ()
   | Some g ->
       let n_bytes = g.n_kb * 1024 in
@@ -111,7 +96,7 @@ let choose_shim t ~dst =
            first request would refuse the peer's return-path requests
            [window] seconds into a conversation that keeps renewing. *)
         Policy.note_outgoing_request t.policy ~now ~dst;
-        t.counters.renewals_sent <- t.counters.renewals_sent + 1;
+        Obs.Counters.incr t.obs Obs.Event.Renewal_sent;
         g.caps_carried <- true;
         Wire.Cap_shim.regular ~nonce:g.nonce ~caps:g.caps ~n_kb:g.n_kb ~t_sec:g.t_sec
           ~renewal:true ()
@@ -134,7 +119,7 @@ let attach_return_info t ~dst (shim : Wire.Cap_shim.t) =
   | None ->
       if Wire.Addr.Tbl.mem t.pending_demotion_echo dst then begin
         Wire.Addr.Tbl.remove t.pending_demotion_echo dst;
-        t.counters.demotion_echoes_sent <- t.counters.demotion_echoes_sent + 1;
+        Obs.Counters.incr t.obs Obs.Event.Demotion_echo_sent;
         shim.Wire.Cap_shim.return_info <- Some Wire.Cap_shim.Demotion_notice
       end
 
@@ -170,11 +155,11 @@ let handle_request t ~src ~renewal precaps =
       let caps =
         List.map (fun precap -> Capability.cap_of_precap ~hash:t.hash ~precap ~n_kb ~t_sec) precaps
       in
-      t.counters.grants_issued <- t.counters.grants_issued + 1;
+      Obs.Counters.incr t.obs Obs.Event.Grant_issued;
       Wire.Addr.Tbl.replace t.pending_return src (Wire.Cap_shim.Grant { n_kb; t_sec; caps })
   | Policy.Refused ->
       (* An empty capability list is the explicit refusal of Sec. 4.2. *)
-      t.counters.requests_refused <- t.counters.requests_refused + 1;
+      Obs.Counters.incr t.obs Obs.Event.Request_refused;
       Wire.Addr.Tbl.replace t.pending_return src
         (Wire.Cap_shim.Grant { n_kb = 0; t_sec = 0; caps = [] })
 
@@ -192,16 +177,15 @@ let handle_return_info t ~src info =
         ds.reacquire_request_at <- None
       end
   | Wire.Cap_shim.Grant { caps = []; _ } ->
-      t.counters.refusals_received <- t.counters.refusals_received + 1;
+      Obs.Counters.incr t.obs Obs.Event.Refusal_received;
       ds.grant <- None
   | Wire.Cap_shim.Grant { n_kb; t_sec; caps } ->
-      t.counters.grants_received <- t.counters.grants_received + 1;
+      Obs.Counters.incr t.obs Obs.Event.Grant_received;
       (match ds.lost_at with
       | Some _ ->
           (* End of a demotion episode: measure from the first re-request
              (grant piggybacked with no request in flight measures 0). *)
           let from = match ds.reacquire_request_at with Some at -> at | None -> now in
-          t.counters.reacquired <- t.counters.reacquired + 1;
           Obs.Counters.incr t.obs Obs.Event.Reacquired;
           t.rev_reacquire_latencies <- (now -. from) :: t.rev_reacquire_latencies;
           ds.lost_at <- None;
@@ -228,7 +212,7 @@ let handle_packet t _node ~in_link:_ (p : Wire.Packet.t) =
     | None -> Policy.note_traffic t.policy ~now ~src ~bytes:(Wire.Packet.size p) ~demoted:false
     | Some shim ->
         (if shim.Wire.Cap_shim.demoted then begin
-           t.counters.demotions_seen <- t.counters.demotions_seen + 1;
+           Obs.Counters.incr t.obs Obs.Event.Demotion_seen;
            Wire.Addr.Tbl.replace t.pending_demotion_echo src ();
            Wire.Addr.Tbl.replace t.demoted_srcs src ()
          end
@@ -238,7 +222,6 @@ let handle_packet t _node ~in_link:_ (p : Wire.Packet.t) =
                (* The source's traffic validates again: its demotion episode
                   at this receiver is over. *)
                Wire.Addr.Tbl.remove t.demoted_srcs src;
-               t.counters.demoted_recovered <- t.counters.demoted_recovered + 1;
                Obs.Counters.incr t.obs Obs.Event.Demoted_recovered
            | _ -> ());
         (match shim.Wire.Cap_shim.kind with
@@ -286,19 +269,6 @@ let create ?(params = Params.default) ?(hash = (module Crypto.Keyed_hash.Fast : 
       pending_demotion_echo = Wire.Addr.Tbl.create 16;
       demoted_srcs = Wire.Addr.Tbl.create 16;
       on_segment = (fun ~src:_ _ -> ());
-      counters =
-        {
-          requests_sent = 0;
-          renewals_sent = 0;
-          grants_received = 0;
-          refusals_received = 0;
-          demotions_seen = 0;
-          demotion_echoes_sent = 0;
-          grants_issued = 0;
-          requests_refused = 0;
-          reacquired = 0;
-          demoted_recovered = 0;
-        };
       obs;
       rev_reacquire_latencies = [];
     }

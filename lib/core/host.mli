@@ -28,23 +28,6 @@ type grant = {
           sender models router caches as warm (Sec. 3.7, optimistic). *)
 }
 
-type counters = {
-  mutable requests_sent : int;
-  mutable renewals_sent : int;
-  mutable grants_received : int;
-  mutable refusals_received : int;
-  mutable demotions_seen : int; (* demoted packets that reached us *)
-  mutable demotion_echoes_sent : int;
-  mutable grants_issued : int;
-  mutable requests_refused : int;
-  mutable reacquired : int;
-      (** grants received that ended a demotion episode (the grant was
-          previously cancelled by a demotion echo) *)
-  mutable demoted_recovered : int;
-      (** receive side: sources whose traffic was arriving demoted and then
-          validated again *)
-}
-
 val create :
   ?params:Params.t ->
   ?hash:Capability.keyed ->
@@ -64,12 +47,12 @@ val create :
     request floods with grants.  TCP-based hosts leave it off; their
     SYN/ACKs and ACKs carry the return channel.
 
-    [obs] (default {!Obs.Counters.nop}) receives the recovery events
-    [Reacquired] and [Demoted_recovered]. *)
+    [obs] (default {!Obs.Counters.nop}) is where the host counts its
+    protocol events ({!Obs.Event}'s host group, [Reacquired] and
+    [Demoted_recovered]). *)
 
 val addr : t -> Wire.Addr.t
 val node : t -> Net.node
-val counters : t -> counters
 
 val set_segment_handler : t -> (src:Wire.Addr.t -> Wire.Tcp_segment.t -> unit) -> unit
 (** Where inbound TCP segments are delivered (the workload's demux). *)

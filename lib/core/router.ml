@@ -1,12 +1,3 @@
-type counters = {
-  mutable requests : int;
-  mutable regular_cached : int;
-  mutable regular_validated : int;
-  mutable renewals : int;
-  mutable demotions : int;
-  mutable legacy : int;
-}
-
 (* Keyed by interface (a node id, or -1): the id is its own hash.  The
    polymorphic [Hashtbl] would hash and compare the key through C calls on
    every request packet. *)
@@ -27,7 +18,6 @@ type t = {
   router_id : int;
   sim : Sim.t;
   cache : Flow_cache.t;
-  counters : counters;
   obs : Obs.Counters.t; (* event-coded registry; [Obs.Counters.nop] when off *)
   (* Per-packet hot-path memos: prepared hash keys (per epoch secret) and
      this router's path-id tag per incoming interface.  Both hold pure
@@ -50,14 +40,11 @@ let create ?(params = Params.default) ?(hash = (module Crypto.Keyed_hash.Fast : 
     router_id;
     sim;
     cache = Flow_cache.create ~obs ~max_entries ();
-    counters =
-      { requests = 0; regular_cached = 0; regular_validated = 0; renewals = 0; demotions = 0; legacy = 0 };
     obs;
     prep = Crypto.Keyed_hash.prep_cache ();
     tags = Itbl.create 16;
   }
 
-let counters t = t.counters
 let cache t = t.cache
 
 let flush_cache t = Flow_cache.clear t.cache
@@ -72,10 +59,9 @@ let rotate_secret t =
     Crypto.Secret.create ~master:(t.secret_master ^ "/rotated/" ^ string_of_int t.rotations)
 
 (* Every demotion carries a reason event; the total under [Obs.Event.Demoted]
-   always equals the sum of the reasons (and [counters.demotions]). *)
+   always equals the sum of the reasons. *)
 let demote t (shim : Wire.Cap_shim.t) ~(reason : Obs.Event.t) =
   shim.Wire.Cap_shim.demoted <- true;
-  t.counters.demotions <- t.counters.demotions + 1;
   Obs.Counters.incr t.obs reason;
   Obs.Counters.incr t.obs Obs.Event.Demoted
 
@@ -91,7 +77,6 @@ let tag_of_interface t ~in_interface =
       tag
 
 let process_request t ~in_interface (p : Wire.Packet.t) (shim : Wire.Cap_shim.t) =
-  t.counters.requests <- t.counters.requests + 1;
   if t.trust_boundary then Path_id.push shim (tag_of_interface t ~in_interface);
   let now = Sim.now t.sim in
   let precap =
@@ -144,9 +129,7 @@ let process_regular t (p : Wire.Packet.t) (shim : Wire.Cap_shim.t) ~nonce ~caps 
         Obs.Event.Demoted_cap_expired
       else begin
         match Flow_cache.charge t.cache entry ~now ~bytes:size with
-        | Flow_cache.Charged ->
-            t.counters.regular_cached <- t.counters.regular_cached + 1;
-            no_demotion
+        | Flow_cache.Charged -> no_demotion
         | Flow_cache.Byte_limit -> Obs.Event.Demoted_bytes_exhausted
       end
     end
@@ -163,7 +146,6 @@ let process_regular t (p : Wire.Packet.t) (shim : Wire.Cap_shim.t) ~nonce ~caps 
             Flow_cache.renew t.cache entry ~now ~nonce ~n_kb ~t_sec ~cap_ts ~packet_bytes:size
           with
           | Flow_cache.Charged ->
-              t.counters.regular_validated <- t.counters.regular_validated + 1;
               Obs.Counters.incr t.obs Obs.Event.Regular_validated;
               Obs.Counters.incr t.obs Obs.Event.Cache_renewed;
               no_demotion
@@ -175,7 +157,6 @@ let process_regular t (p : Wire.Packet.t) (shim : Wire.Cap_shim.t) ~nonce ~caps 
               ~packet_bytes:size
           with
           | Flow_cache.Inserted _ ->
-              t.counters.regular_validated <- t.counters.regular_validated + 1;
               Obs.Counters.incr t.obs Obs.Event.Regular_validated;
               Obs.Counters.incr t.obs Obs.Event.Cache_inserted;
               no_demotion
@@ -189,7 +170,6 @@ let process_regular t (p : Wire.Packet.t) (shim : Wire.Cap_shim.t) ~nonce ~caps 
   else begin
     if Array.length caps > 0 then shim.Wire.Cap_shim.ptr <- shim.Wire.Cap_shim.ptr + 1;
     if renewal then begin
-      t.counters.renewals <- t.counters.renewals + 1;
       Obs.Counters.incr t.obs Obs.Event.Renewal;
       let precap =
         Capability.mint_precap ~hash:t.hash ~cache:t.prep ~secret:t.secret ~now ~src ~dst
@@ -203,12 +183,8 @@ let process_regular t (p : Wire.Packet.t) (shim : Wire.Cap_shim.t) ~nonce ~caps 
 let process t ~in_interface (p : Wire.Packet.t) =
   Obs.Counters.incr t.obs Obs.Event.Packets_in;
   match p.Wire.Packet.shim with
-  | None ->
-      t.counters.legacy <- t.counters.legacy + 1;
-      Obs.Counters.incr t.obs Obs.Event.Legacy_in
-  | Some shim when shim.Wire.Cap_shim.demoted ->
-      t.counters.legacy <- t.counters.legacy + 1;
-      Obs.Counters.incr t.obs Obs.Event.Legacy_in
+  | None -> Obs.Counters.incr t.obs Obs.Event.Legacy_in
+  | Some shim when shim.Wire.Cap_shim.demoted -> Obs.Counters.incr t.obs Obs.Event.Legacy_in
   | Some shim -> begin
       match shim.Wire.Cap_shim.kind with
       | Wire.Cap_shim.Request _ ->

@@ -30,10 +30,11 @@ val create :
   t
 (** [link_bps] provisions the flow cache ([C/(N/T)_min] records).
     [trust_boundary] defaults to [true] (edge router).  [obs] (default
-    {!Obs.Counters.nop}) receives per-event increments — packet class on
-    arrival, validation outcomes, reason-coded demotions, flow-cache
-    activity; with the default sink the increments are blind stores and
-    the processing path stays allocation-free. *)
+    {!Obs.Counters.nop}) is where the router counts — packet class on
+    arrival, validation outcomes (a [Nonce_hit] not demoted is a cache
+    accept), reason-coded demotions, flow-cache activity; with the default
+    sink the increments are blind stores and the path stays
+    allocation-free. *)
 
 val handler : t -> Net.handler
 (** A drop-in node handler: processes the packet then forwards it along
@@ -46,16 +47,6 @@ val process : t -> in_interface:int -> Wire.Packet.t -> unit
 
 (** {1 Introspection and fault injection} *)
 
-type counters = {
-  mutable requests : int;
-  mutable regular_cached : int; (* validated via nonce match *)
-  mutable regular_validated : int; (* validated via capability hashes *)
-  mutable renewals : int;
-  mutable demotions : int;
-  mutable legacy : int;
-}
-
-val counters : t -> counters
 val cache : t -> Flow_cache.t
 
 val flush_cache : t -> unit

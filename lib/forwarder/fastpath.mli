@@ -50,8 +50,9 @@ val pass : t -> op -> unit
 val on_branch : t -> op -> packets:int -> (unit -> 'a) -> 'a
 (** [on_branch t op ~packets f] runs [f], which must send exactly
     [packets] of [op]'s packets, and raises [Failure] unless [op]'s
-    counters in {!Tva.Router.counters} moved by exactly [packets], no
-    packet was demoted and the flow cache gained no record. *)
+    events in the router's own {!Obs.Counters.t} moved by exactly
+    [packets] ([Nonce_hit] for a cache accept), no packet was demoted and
+    the flow cache gained no record. *)
 
 type measurement = {
   ns_per_packet : float;  (** The median of [slice_ns]. *)

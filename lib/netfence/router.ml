@@ -95,8 +95,7 @@ type t = {
      threshold in packets, resolved on the link's first packet *)
   mutable cong : (Qdisc.t * int) option array;
   mutable memo : memo;
-  mutable policed : int;
-  mutable rejected : int;
+  obs : Obs.Counters.t;
   (* Scratch buffer for token preimages: "nf|" once, then per MAC the
      fields [mint] and [validate] bind. *)
   preimage : Bytes.t;
@@ -104,7 +103,8 @@ type t = {
 
 let preimage_tag = "nf|"
 
-let create ?(params = default_params) ~secret_master ~router_id ~sim ~link_bps () =
+let create ?(params = default_params) ?(obs = Obs.Counters.nop) ~secret_master ~router_id ~sim
+    ~link_bps () =
   {
     params;
     secret_master;
@@ -116,14 +116,11 @@ let create ?(params = default_params) ~secret_master ~router_id ~sim ~link_bps (
     senders = Wire.Addr.Tbl.create 64;
     cong = [||];
     memo = unallocated;
-    policed = 0;
-    rejected = 0;
+    obs;
     preimage =
       Bytes.extend (Bytes.of_string preimage_tag) 0 (4 * (Crypto.Preimage.max_decimal_len + 1));
   }
 
-let policed t = t.policed
-let rejected t = t.rejected
 let sender_count t = Wire.Addr.Tbl.length t.senders
 
 let sender_rates t =
@@ -210,7 +207,7 @@ let mac_valid t ~key (tok : Wire.Nf_feedback.token) ~src =
    the sender's access router without any per-pair state here. *)
 let validate t ~now (tok : Wire.Nf_feedback.token) ~src =
   let reject () =
-    t.rejected <- t.rejected + 1;
+    Obs.Counters.incr t.obs Obs.Event.Nf_token_rejected;
     None
   in
   let age = (Crypto.Secret.timestamp ~now - tok.Wire.Nf_feedback.nf_ts) land 0xff in
@@ -345,6 +342,7 @@ let from_attached_host in_link =
   | Some l -> Option.is_some (Net.node_addr (Net.link_src l))
 
 let handler t node ~in_link (p : Wire.Packet.t) =
+  Obs.Counters.incr t.obs Obs.Event.Packets_in;
   let now = Sim.now t.sim in
   match p.Wire.Packet.nf with
   | None ->
@@ -366,7 +364,7 @@ let handler t node ~in_link (p : Wire.Packet.t) =
             Net.forward_on node out p
         | None -> Net.forward node p
       end
-      else t.policed <- t.policed + 1
+      else Obs.Counters.incr t.obs Obs.Event.Nf_policed
 
 (* --- link scheduler --------------------------------------------------- *)
 

@@ -30,7 +30,7 @@
     sender.  Epoch keys are compared by identity, so {!rotate_secret}
     misses every cached MAC; {!flush_senders} clears the sender entries.
     A hit returns exactly what the MAC would compute, and a rejected token
-    still counts in {!rejected}. *)
+    still counts as [Nf_token_rejected]. *)
 
 type t
 
@@ -59,6 +59,7 @@ val default_params : params
 
 val create :
   ?params:params ->
+  ?obs:Obs.Counters.t ->
   secret_master:string ->
   router_id:int ->
   sim:Sim.t ->
@@ -67,7 +68,12 @@ val create :
   t
 (** A router for one node.  [link_bps] is the bottleneck rate the AIMD
     constants scale from; [secret_master] must be shared by every router
-    of the run for cross-router token validation. *)
+    of the run for cross-router token validation.  [obs] (default
+    {!Obs.Counters.nop}) is where the router counts: [Packets_in] for
+    every packet {!handler} takes, [Nf_policed] for each packet dropped
+    over its sender's policed rate (the only drop, so packets in minus
+    [Nf_policed] are forwarded), and [Nf_token_rejected] for each
+    presented token {!validate} discards as forged or stale. *)
 
 val handler : t -> Net.handler
 (** The node handler: access-side policing for packets arriving from an
@@ -96,12 +102,6 @@ val sender_count : t -> int
 val sender_rates : t -> (Wire.Addr.t * float) list
 (** Current policed rate per tracked sender, sorted by address — the
     AIMD-convergence observable the tests assert on. *)
-
-val policed : t -> int
-(** Packets dropped for exceeding the sender's policed rate. *)
-
-val rejected : t -> int
-(** Presented tokens discarded as forged or stale. *)
 
 val flush_senders : t -> unit
 (** Drop all policing state (fault injection: state wipe). *)

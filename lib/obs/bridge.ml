@@ -1,22 +1,25 @@
 (* The net-event bridge: subscribes to [Net.set_trace] and turns the
    forwarding plane's events into per-node counter increments and trace
-   records.  The TVA routers count their own processing-path events; this
+   records.  Routers and hosts count their own verdicts; this
    bridge covers what only the network layer sees — queue drops (classified
    by packet class, mirroring the tri-class scheduler), routing failures,
    transmissions and deliveries. *)
 
-(* Which per-class drop counter a dropped packet lands on: the same
-   classification the tri-class qdisc applies (shimless or demoted ->
-   legacy; else by shim kind). *)
+(* Which per-class drop counter a dropped packet lands on.  A TVA shim
+   classifies as the tri-class qdisc does (demoted -> legacy; else by shim
+   kind); a SIFF EXP packet is a request and a SIFF DTA packet a regular
+   one, as is any packet with a NetFence header; the rest are legacy. *)
 let drop_event (p : Wire.Packet.t) =
   match p.Wire.Packet.shim with
-  | None -> Event.Queue_drop_legacy
   | Some shim when shim.Wire.Cap_shim.demoted -> Event.Queue_drop_legacy
-  | Some shim -> begin
-      match shim.Wire.Cap_shim.kind with
-      | Wire.Cap_shim.Request _ -> Event.Queue_drop_request
-      | Wire.Cap_shim.Regular _ -> Event.Queue_drop_regular
-    end
+  | Some { Wire.Cap_shim.kind = Wire.Cap_shim.Request _; _ } -> Event.Queue_drop_request
+  | Some { Wire.Cap_shim.kind = Wire.Cap_shim.Regular _; _ } -> Event.Queue_drop_regular
+  | None -> (
+      match (p.Wire.Packet.siff, p.Wire.Packet.nf) with
+      | Some { Wire.Siff_marking.flavor = Wire.Siff_marking.Exp; _ }, _ -> Event.Queue_drop_request
+      | Some { Wire.Siff_marking.flavor = Wire.Siff_marking.Dta; _ }, _ | None, Some _ ->
+          Event.Queue_drop_regular
+      | None, None -> Event.Queue_drop_legacy)
 
 (* The record function is chosen once: with the trace off an event only
    bumps a counter, and the record's arguments (clock, node id, address

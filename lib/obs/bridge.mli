@@ -1,8 +1,10 @@
 (** Subscribes to the network's event hook ({!Net.set_trace}) and maps
     forwarding-plane events onto the {!Event} taxonomy: queue drops are
     classified per packet class (request / regular / legacy, mirroring the
-    tri-class scheduler), and routing failures, transmissions and
-    deliveries are counted at the node where they happen. *)
+    tri-class scheduler for TVA; a SIFF EXP packet is a request, a SIFF DTA
+    or NetFence-headed packet regular), and routing failures,
+    transmissions and deliveries are counted at the node where they
+    happen. *)
 
 val drop_event : Wire.Packet.t -> Event.t
 (** The per-class drop counter a dropped packet belongs to. *)

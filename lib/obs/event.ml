@@ -1,7 +1,7 @@
 (* The static taxonomy of datapath events.  Counter arrays and trace-ring
    filters are indexed by [to_int], so the enumeration must stay dense:
-   adding a constructor means extending [to_int], [name] and [count]
-   together (the [all]-roundtrip test pins the three in sync). *)
+   adding a constructor means extending [to_int] and [named] together
+   (test_obs's "counters basics" pins the two in sync). *)
 
 type t =
   (* router ingress, one per packet *)
@@ -40,6 +40,21 @@ type t =
   | Fault_injected
   | Demoted_recovered
   | Reacquired
+  (* TVA host protocol (Host) *)
+  | Request_sent
+  | Renewal_sent
+  | Grant_received
+  | Refusal_received
+  | Demotion_seen
+  | Demotion_echo_sent
+  | Grant_issued
+  | Request_refused
+  (* comparator verdicts (Siff.Router, Netfence.Router, Pushback) *)
+  | Siff_no_marking
+  | Siff_bad_marking
+  | Nf_policed
+  | Nf_token_rejected
+  | Filter_slot_refused
 
 let to_int = function
   | Packets_in -> 0
@@ -72,75 +87,69 @@ let to_int = function
   | Fault_injected -> 27
   | Demoted_recovered -> 28
   | Reacquired -> 29
+  | Request_sent -> 30
+  | Renewal_sent -> 31
+  | Grant_received -> 32
+  | Refusal_received -> 33
+  | Demotion_seen -> 34
+  | Demotion_echo_sent -> 35
+  | Grant_issued -> 36
+  | Request_refused -> 37
+  | Siff_no_marking -> 38
+  | Siff_bad_marking -> 39
+  | Nf_policed -> 40
+  | Nf_token_rejected -> 41
+  | Filter_slot_refused -> 42
 
-let count = 30
-
-let all =
+let named =
   [
-    Packets_in;
-    Legacy_in;
-    Request_in;
-    Regular_in;
-    Request_minted;
-    Demoted_header_full;
-    Nonce_hit;
-    Nonce_miss;
-    Regular_validated;
-    Renewal;
-    Demoted_bad_cap;
-    Demoted_cap_expired;
-    Demoted_no_cap;
-    Demoted_bytes_exhausted;
-    Demoted_cache_full;
-    Demoted_over_limit;
-    Demoted;
-    Cache_inserted;
-    Cache_renewed;
-    Cache_evicted;
-    Queue_drop_request;
-    Queue_drop_regular;
-    Queue_drop_legacy;
-    No_route;
-    Hops_exceeded;
-    Transmitted;
-    Delivered;
-    Fault_injected;
-    Demoted_recovered;
-    Reacquired;
+    (Packets_in, "packets_in");
+    (Legacy_in, "legacy_in");
+    (Request_in, "request_in");
+    (Regular_in, "regular_in");
+    (Request_minted, "request_minted");
+    (Demoted_header_full, "demoted_header_full");
+    (Nonce_hit, "nonce_hit");
+    (Nonce_miss, "nonce_miss");
+    (Regular_validated, "regular_validated");
+    (Renewal, "renewal");
+    (Demoted_bad_cap, "demoted_bad_cap");
+    (Demoted_cap_expired, "demoted_cap_expired");
+    (Demoted_no_cap, "demoted_no_cap");
+    (Demoted_bytes_exhausted, "demoted_bytes_exhausted");
+    (Demoted_cache_full, "demoted_cache_full");
+    (Demoted_over_limit, "demoted_over_limit");
+    (Demoted, "demoted");
+    (Cache_inserted, "cache_inserted");
+    (Cache_renewed, "cache_renewed");
+    (Cache_evicted, "cache_evicted");
+    (Queue_drop_request, "queue_drop_request");
+    (Queue_drop_regular, "queue_drop_regular");
+    (Queue_drop_legacy, "queue_drop_legacy");
+    (No_route, "no_route");
+    (Hops_exceeded, "hops_exceeded");
+    (Transmitted, "transmitted");
+    (Delivered, "delivered");
+    (Fault_injected, "fault_injected");
+    (Demoted_recovered, "demoted_recovered");
+    (Reacquired, "reacquired");
+    (Request_sent, "request_sent");
+    (Renewal_sent, "renewal_sent");
+    (Grant_received, "grant_received");
+    (Refusal_received, "refusal_received");
+    (Demotion_seen, "demotion_seen");
+    (Demotion_echo_sent, "demotion_echo_sent");
+    (Grant_issued, "grant_issued");
+    (Request_refused, "request_refused");
+    (Siff_no_marking, "siff_no_marking");
+    (Siff_bad_marking, "siff_bad_marking");
+    (Nf_policed, "nf_policed");
+    (Nf_token_rejected, "nf_token_rejected");
+    (Filter_slot_refused, "filter_slot_refused");
   ]
 
-let name = function
-  | Packets_in -> "packets_in"
-  | Legacy_in -> "legacy_in"
-  | Request_in -> "request_in"
-  | Regular_in -> "regular_in"
-  | Request_minted -> "request_minted"
-  | Demoted_header_full -> "demoted_header_full"
-  | Nonce_hit -> "nonce_hit"
-  | Nonce_miss -> "nonce_miss"
-  | Regular_validated -> "regular_validated"
-  | Renewal -> "renewal"
-  | Demoted_bad_cap -> "demoted_bad_cap"
-  | Demoted_cap_expired -> "demoted_cap_expired"
-  | Demoted_no_cap -> "demoted_no_cap"
-  | Demoted_bytes_exhausted -> "demoted_bytes_exhausted"
-  | Demoted_cache_full -> "demoted_cache_full"
-  | Demoted_over_limit -> "demoted_over_limit"
-  | Demoted -> "demoted"
-  | Cache_inserted -> "cache_inserted"
-  | Cache_renewed -> "cache_renewed"
-  | Cache_evicted -> "cache_evicted"
-  | Queue_drop_request -> "queue_drop_request"
-  | Queue_drop_regular -> "queue_drop_regular"
-  | Queue_drop_legacy -> "queue_drop_legacy"
-  | No_route -> "no_route"
-  | Hops_exceeded -> "hops_exceeded"
-  | Transmitted -> "transmitted"
-  | Delivered -> "delivered"
-  | Fault_injected -> "fault_injected"
-  | Demoted_recovered -> "demoted_recovered"
-  | Reacquired -> "reacquired"
-
-let names = Array.of_list (List.map name all)
+let count = List.length named
+let all = List.map fst named
+let names = Array.of_list (List.map snd named)
 
 let name_of_int i = if i >= 0 && i < count then names.(i) else "?"

@@ -2,10 +2,12 @@
 
     Counters ({!Counters}) and the trace ring ({!Trace}) index preallocated
     arrays by {!to_int}, which is why the enumeration is closed and dense:
-    an increment is one unsafe array load/store, never a hash or a lookup. *)
+    an increment is one unsafe array load/store, never a hash or a lookup.
+    A router's drop reasons sum to its [Packets_in] minus the packets it
+    forwards (TVA demotes and drops nothing). *)
 
 type t =
-  | Packets_in  (** every packet entering [Router.process] *)
+  | Packets_in  (** every packet a TVA, SIFF or NetFence router handles *)
   | Legacy_in  (** shimless or already-demoted arrivals *)
   | Request_in
   | Regular_in
@@ -42,6 +44,21 @@ type t =
   | Reacquired
       (** a sender whose grant was cancelled by a demotion echo received a
           fresh grant; {!Tva.Host.reacquire_latencies} records the delay *)
+  (* TVA host protocol, counted by [Tva.Host] *)
+  | Request_sent
+  | Renewal_sent
+  | Grant_received
+  | Refusal_received  (** an empty grant came back *)
+  | Demotion_seen  (** a demoted packet arrived for this host *)
+  | Demotion_echo_sent
+  | Grant_issued
+  | Request_refused
+  (* the comparators' verdicts *)
+  | Siff_no_marking  (** SIFF dropped a DTA packet with no marking for it *)
+  | Siff_bad_marking  (** SIFF dropped a DTA packet whose marking failed *)
+  | Nf_policed  (** NetFence dropped a packet over its sender's policed rate *)
+  | Nf_token_rejected  (** a forged or stale NetFence token (not a drop) *)
+  | Filter_slot_refused  (** pushback had no filter slot left (its [max_filters]) *)
 
 val count : int
 (** Number of constructors; the length of every counter array. *)

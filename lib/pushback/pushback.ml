@@ -18,6 +18,7 @@ type link_state = {
 
 type node_state = {
   node : Net.node;
+  obs : Obs.Counters.t; (* counts the filter slots refused at this node *)
   arrivals : (int * int, int) Hashtbl.t; (* (in-link id, dst) -> bytes this window *)
   mutable installed : (int * int) list; (* (in-link id, dst) limits we own *)
 }
@@ -186,6 +187,7 @@ let set_limit t st in_link ~dst ~rate =
         Hashtbl.replace t.ages key 0;
         if not already then st.installed <- key :: st.installed
       end
+      else Obs.Counters.incr st.obs Obs.Event.Filter_slot_refused
 
 let clear_limit t st in_link ~dst =
   match link_state_of t (Net.link_qdisc in_link) with
@@ -328,8 +330,8 @@ let handler st node ~in_link (p : Wire.Packet.t) =
         (Wire.Packet.size p + Option.value ~default:0 (Hashtbl.find_opt st.arrivals key)));
   Net.forward node p
 
-let install t node =
-  let st = { node; arrivals = Hashtbl.create 64; installed = [] } in
+let install ?(obs = Obs.Counters.nop) t node =
+  let st = { node; obs; arrivals = Hashtbl.create 64; installed = [] } in
   t.nodes <- st :: t.nodes;
   Net.set_handler node (handler st);
   let rec loop () =

@@ -46,9 +46,12 @@ val make_qdisc : t -> bandwidth_bps:float -> Qdisc.t
 (** A FIFO that additionally attributes drops to destination aggregates,
     feeding the controller. *)
 
-val install : t -> Net.node -> unit
+val install : ?obs:Obs.Counters.t -> t -> Net.node -> unit
 (** Attach the plain forwarding handler plus the periodic ACC controller
-    to this node.  Call after the topology (links) is built. *)
+    to this node.  Call after the topology (links) is built.  [obs]
+    (default {!Obs.Counters.nop}) counts [Filter_slot_refused]: each
+    filter the controller wanted but did not install because the node
+    already held [max_filters]. *)
 
 val active_filters : t -> int
 (** Number of per-link rate limiters currently installed (all routers). *)

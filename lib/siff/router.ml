@@ -13,7 +13,7 @@ type t = {
   rotation : float;
   router_id : int;
   sim : Sim.t;
-  mutable dropped_dta : int;
+  obs : Obs.Counters.t;
   preimage : Bytes.t;
   id_end : int; (* end of [secret_master ^ router_id ^ "|"] *)
   mutable prefix_epoch : int;
@@ -26,7 +26,8 @@ let write_epoch t epoch =
   t.prefix_end <- Crypto.Preimage.put_char t.preimage pos '|';
   t.prefix_epoch <- epoch
 
-let create ?(rotation_period = default_rotation_period) ~secret_master ~router_id ~sim () =
+let create ?(rotation_period = default_rotation_period) ?(obs = Obs.Counters.nop) ~secret_master
+    ~router_id ~sim () =
   let preimage =
     Bytes.create (String.length secret_master + (2 * (Crypto.Preimage.max_decimal_len + 1)) + 8)
   in
@@ -38,7 +39,7 @@ let create ?(rotation_period = default_rotation_period) ~secret_master ~router_i
       rotation = rotation_period;
       router_id;
       sim;
-      dropped_dta = 0;
+      obs;
       preimage;
       id_end;
       prefix_epoch = 0;
@@ -48,8 +49,6 @@ let create ?(rotation_period = default_rotation_period) ~secret_master ~router_i
   in
   write_epoch t 0;
   t
-
-let dropped_dta t = t.dropped_dta
 
 let epoch t ~now = int_of_float (floor (now /. t.rotation))
 
@@ -81,6 +80,7 @@ let verify t ~now ~src ~dst ~bits =
   bits = bits_for t ~epoch:e ~src ~dst || (e > 0 && bits = bits_for t ~epoch:(e - 1) ~src ~dst)
 
 let handler t node ~in_link:_ (p : Wire.Packet.t) =
+  Obs.Counters.incr t.obs Obs.Event.Packets_in;
   let now = Sim.now t.sim in
   match p.Wire.Packet.siff with
   | None -> Net.forward node p (* legacy *)
@@ -95,9 +95,9 @@ let handler t node ~in_link:_ (p : Wire.Packet.t) =
           | Some bits
             when verify t ~now ~src:p.Wire.Packet.src ~dst:p.Wire.Packet.dst ~bits ->
               Net.forward node p
-          | Some _ | None ->
-              (* SIFF drops unverifiable data packets outright. *)
-              t.dropped_dta <- t.dropped_dta + 1
+          (* SIFF drops unverifiable data packets outright. *)
+          | Some _ -> Obs.Counters.incr t.obs Obs.Event.Siff_bad_marking
+          | None -> Obs.Counters.incr t.obs Obs.Event.Siff_no_marking
         end
     end
 

@@ -25,11 +25,17 @@ type t
 
 val create :
   ?rotation_period:float ->
+  ?obs:Obs.Counters.t ->
   secret_master:string ->
   router_id:int ->
   sim:Sim.t ->
   unit ->
   t
+(** [obs] (default {!Obs.Counters.nop}) is where the router counts:
+    [Packets_in] for every packet it handles, and each dropped DTA packet
+    as [Siff_no_marking] (no marking for this router) or
+    [Siff_bad_marking] (a marking that fails for the current and previous
+    epoch).  The two drops are the packets in minus those forwarded. *)
 
 val default_rotation_period : float
 (** 128 s, matching TVA's secret rotation for the non-Fig.-11 scenarios. *)
@@ -44,5 +50,3 @@ val handler : t -> Net.handler
 
 val make_qdisc : bandwidth_bps:float -> Qdisc.t
 (** The two-class priority scheduler: verified DTA above EXP + legacy. *)
-
-val dropped_dta : t -> int

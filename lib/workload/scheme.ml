@@ -173,9 +173,9 @@ let siff ?(rotation_period = Siff.Router.default_rotation_period) () : factory =
     report_caches = (fun () -> []);
     cache_occupancy = (fun () -> 0);
     install_router =
-      (fun ?obs:_ node ~link_bps:_ ->
+      (fun ?obs node ~link_bps:_ ->
         let router =
-          Siff.Router.create ~rotation_period
+          Siff.Router.create ~rotation_period ?obs
             ~secret_master:("siff-secret-" ^ string_of_int (Net.node_id node))
             ~router_id:(Net.node_id node) ~sim:(Net.node_sim node) ()
         in
@@ -213,9 +213,9 @@ let netfence ?(params = Netfence.Router.default_params) () : factory =
     name = "netfence";
     make_qdisc = (fun ~bandwidth_bps -> Netfence.Router.make_qdisc ~bandwidth_bps);
     install_router =
-      (fun ?obs:_ node ~link_bps ->
+      (fun ?obs node ~link_bps ->
         let router =
-          Netfence.Router.create ~params ~secret_master:"netfence-as-pairwise-key"
+          Netfence.Router.create ~params ?obs ~secret_master:"netfence-as-pairwise-key"
             ~router_id:(Net.node_id node) ~sim:(Net.node_sim node) ~link_bps ()
         in
         routers := (Net.node_name node, node, router) :: !routers;
@@ -282,7 +282,7 @@ let pushback ?(interval = 1.0) () : factory =
   {
     name = "pushback";
     make_qdisc = (fun ~bandwidth_bps -> Pushback.make_qdisc controller ~bandwidth_bps);
-    install_router = (fun ?obs:_ node ~link_bps:_ -> Pushback.install controller node);
+    install_router = (fun ?obs node ~link_bps:_ -> Pushback.install ?obs controller node);
     report_caches = (fun () -> []);
     cache_occupancy = (fun () -> 0);
     fault_targets = (fun () -> []);

@@ -34,12 +34,16 @@ type t = {
   make_qdisc : bandwidth_bps:float -> Qdisc.t;
   install_router : ?obs:Obs.Counters.t -> Net.node -> link_bps:float -> unit;
       (** Set the router handler (and start any controller) on a router
-          node; call after links exist.  [obs] threads a counter instance
-          into the router's processing path (TVA only; the other schemes
-          ignore it). *)
+          node; call after links exist.  [obs] is the counter instance the
+          router counts its verdicts in: TVA, SIFF and NetFence count
+          [Packets_in] and their reasons, pushback its refused filter
+          slots.  The internet router is a bare [Net.forward] and counts
+          nothing. *)
   make_endpoint : ?obs:Obs.Counters.t -> Net.node -> role:role -> policy:Tva.Policy.t -> endpoint;
-      (** [obs] threads a counter instance into the host protocol layer
-          (recovery events; TVA only). *)
+      (** [obs] is the counter instance a TVA host counts its protocol
+          events in (requests, renewals, grants, refusals, demotions and
+          recoveries; {!Tva.Host.create}).  The other schemes' hosts count
+          nothing. *)
   report_caches : unit -> Obs.Report.cache_row list;
       (** Flow-cache statistics for every router this scheme instance has
           installed, in creation order (empty for schemes without

@@ -80,12 +80,15 @@ let siff_sim () =
   connect a r;
   connect r b;
   Net.compute_routes net;
-  let router = Siff.Router.create ~rotation_period:3. ~secret_master:"s" ~router_id:7 ~sim () in
+  let obs = Obs.Counters.create ~name:"r" () in
+  let router =
+    Siff.Router.create ~rotation_period:3. ~obs ~secret_master:"s" ~router_id:7 ~sim ()
+  in
   Net.set_handler r (Siff.Router.handler router);
-  (sim, net, a, b, router)
+  (sim, net, a, b, router, Obs.Counters.get obs)
 
 let siff_exp_collects_markings () =
-  let sim, _net, a, b, router = siff_sim () in
+  let sim, _net, a, b, router, _ = siff_sim () in
   let got = ref None in
   Net.set_handler b (fun _ ~in_link:_ p -> got := p.Wire.Packet.siff);
   let siff = Wire.Siff_marking.exp_packet () in
@@ -99,7 +102,7 @@ let siff_exp_collects_markings () =
   | None -> Alcotest.fail "explorer lost"
 
 let siff_valid_dta_passes_invalid_dropped () =
-  let sim, _net, a, b, router = siff_sim () in
+  let sim, _net, a, b, router, count = siff_sim () in
   let delivered = ref 0 in
   Net.set_handler b (fun _ ~in_link:_ _ -> incr delivered);
   let good = Siff.Router.marking_bits router ~now:0. ~src ~dst in
@@ -111,10 +114,16 @@ let siff_valid_dta_passes_invalid_dropped () =
   Net.originate a (Wire.Packet.make ~siff:bad ~src ~dst (Wire.Packet.Raw 100));
   Sim.run sim;
   Alcotest.(check int) "invalid dropped" 1 !delivered;
-  Alcotest.(check int) "drop counted" 1 (Siff.Router.dropped_dta router)
+  Alcotest.(check int) "drop counted" 1 (count Obs.Event.Siff_bad_marking);
+  let unmarked = Wire.Siff_marking.dta ~markings:[ (8, good) ] in
+  Net.originate a (Wire.Packet.make ~siff:unmarked ~src ~dst (Wire.Packet.Raw 100));
+  Sim.run sim;
+  Alcotest.(check int) "unmarked dropped" 1 !delivered;
+  Alcotest.(check int) "no-marking drop counted" 1 (count Obs.Event.Siff_no_marking);
+  Alcotest.(check int) "every packet counted in" 3 (count Obs.Event.Packets_in)
 
 let siff_stale_marking_dies_after_two_epochs () =
-  let sim, _net, a, b, router = siff_sim () in
+  let sim, _net, a, b, router, _ = siff_sim () in
   let delivered = ref 0 in
   Net.set_handler b (fun _ ~in_link:_ _ -> incr delivered);
   let good = Siff.Router.marking_bits router ~now:0. ~src ~dst in
@@ -246,8 +255,13 @@ let siff_memo_matches_uncached =
       let sim = Sim.create () in
       let net = Net.create sim in
       let node = Net.add_node ~name:"r" net (fun _ ~in_link:_ _ -> ()) in
-      let router = Siff.Router.create ~secret_master:"s" ~router_id:7 ~sim () in
+      let obs = Obs.Counters.create ~name:"r" () in
+      let router = Siff.Router.create ~obs ~secret_master:"s" ~router_id:7 ~sim () in
       let handle = Siff.Router.handler router node ~in_link:None in
+      let drops () =
+        Obs.Counters.get obs Obs.Event.Siff_no_marking
+        + Obs.Counters.get obs Obs.Event.Siff_bad_marking
+      in
       let run_step (_, src, d, op) () =
         let now = Sim.now sim in
         let dst = Wire.Addr.of_int (0xc0a80000 + d) in
@@ -278,10 +292,10 @@ let siff_memo_matches_uncached =
             let verified =
               bits = expect || (epoch > 0 && bits = siff_uncached_bits ~epoch:(epoch - 1) ~src ~dst)
             in
-            let before = Siff.Router.dropped_dta router in
+            let before = drops () in
             let siff = Wire.Siff_marking.dta ~markings:[ (7, bits) ] in
             handle (Wire.Packet.make ~siff ~src ~dst (Wire.Packet.Raw 100));
-            let dropped = Siff.Router.dropped_dta router - before in
+            let dropped = drops () - before in
             let want = Bool.to_int (not verified) in
             if dropped <> want then fail "DTA drops" dropped want
       in

@@ -21,7 +21,9 @@ let mac_roundtrip () =
     [ Wire.Nf_feedback.Incr; Wire.Nf_feedback.Decr ]
 
 let forgery_rejected () =
-  let _sim, r = make_router () in
+  let sim = Sim.create () in
+  let obs = Obs.Counters.create ~name:"r" () in
+  let r = Netfence.Router.create ~obs ~secret_master:"k" ~router_id:7 ~sim ~link_bps:10e6 () in
   let tok = Netfence.Router.mint r ~now:1. ~src Wire.Nf_feedback.Decr in
   let check name t expected = Alcotest.(check (option action)) name expected (Netfence.Router.validate r ~now:1.2 t ~src) in
   check "intact token accepted" tok (Some Wire.Nf_feedback.Decr);
@@ -39,7 +41,7 @@ let forgery_rejected () =
   Alcotest.(check (option action))
     "stale token rejected" None
     (Netfence.Router.validate r ~now:(1. +. lifetime +. 2.) tok ~src);
-  Alcotest.(check bool) "rejections counted" true (Netfence.Router.rejected r > 0)
+  Alcotest.(check int) "rejections counted" 4 (Obs.Counters.get obs Obs.Event.Nf_token_rejected)
 
 let shared_master_validates_across_routers () =
   (* NetFence's pairwise keys, modeled as one shared master: a token
@@ -75,15 +77,16 @@ let aimd_converges_to_equal_rates () =
       ~make_qdisc:(fun ~bandwidth_bps -> Netfence.Router.make_qdisc ~bandwidth_bps)
       sim
   in
-  let router node =
+  let left_obs = Obs.Counters.create ~name:"left" () in
+  let router ?obs node =
     let r =
-      Netfence.Router.create ~secret_master:"k" ~router_id:(Net.node_id node) ~sim
+      Netfence.Router.create ?obs ~secret_master:"k" ~router_id:(Net.node_id node) ~sim
         ~link_bps:10e6 ()
     in
     Net.set_handler node (Netfence.Router.handler r);
     r
   in
-  let left = router topo.Topology.left in
+  let left = router ~obs:left_obs topo.Topology.left in
   let _right = router topo.Topology.right in
   let _dst_host = Netfence.Host.create ~auto_reply:true ~node:topo.Topology.destination () in
   let start_flood host ~at =
@@ -109,7 +112,8 @@ let aimd_converges_to_equal_rates () =
         (Printf.sprintf "combined rate tracks the bottleneck (%.0f bps)" (r1 +. r2))
         true
         (r1 +. r2 <= 1.3 *. 10e6 && r1 +. r2 >= 2e6);
-      Alcotest.(check bool) "overload was policed" true (Netfence.Router.policed left > 0)
+      Alcotest.(check bool) "overload was policed" true
+        (Obs.Counters.get left_obs Obs.Event.Nf_policed > 0)
   | rates -> Alcotest.failf "expected 2 policed senders, got %d" (List.length rates)
 
 (* Tokens: the old per-packet [Printf] preimage against the router's
@@ -302,7 +306,8 @@ let memos_match_uncached =
       let far = Net.add_node ~addr:dst ~name:"d" net sink in
       ignore (Net.duplex net node far ~bandwidth_bps:10e6 ~delay:0.001 ~qdisc);
       Net.compute_routes net;
-      let r = Netfence.Router.create ~secret_master:"k" ~router_id:7 ~sim ~link_bps:10e6 () in
+      let obs = Obs.Counters.create ~name:"r" () in
+      let r = Netfence.Router.create ~obs ~secret_master:"k" ~router_id:7 ~sim ~link_bps:10e6 () in
       let rotations = ref 0 and secret = ref (chain ~rotations:0) in
       let rejected = ref 0 and pool = ref [] in
       let per_source = Hashtbl.create 64 in
@@ -310,12 +315,15 @@ let memos_match_uncached =
         match Hashtbl.find_opt per_source src with
         | Some x -> x
         | None ->
-            let x = Netfence.Router.create ~secret_master:"k" ~router_id:7 ~sim ~link_bps:10e6 () in
+            let c = Obs.Counters.create ~name:"per-source" () in
+            let x =
+              Netfence.Router.create ~obs:c ~secret_master:"k" ~router_id:7 ~sim ~link_bps:10e6 ()
+            in
             for _ = 1 to !rotations do
               Netfence.Router.rotate_secret x
             done;
-            Hashtbl.add per_source src x;
-            x
+            Hashtbl.add per_source src (x, c);
+            (x, c)
       in
       let fail fmt = QCheck.Test.fail_reportf ("t=%g: " ^^ fmt) (Sim.now sim) in
       let pick (k, tamper) ~src =
@@ -334,18 +342,19 @@ let memos_match_uncached =
         let want = uncached_validate !secret ~now tok ~src in
         if want = None then incr rejected;
         if got <> want then fail "validate verdict differs from the uncached MAC's";
-        if Netfence.Router.rejected r <> !rejected then
-          fail "rejected %d, model %d" (Netfence.Router.rejected r) !rejected
+        let got = Obs.Counters.get obs Obs.Event.Nf_token_rejected in
+        if got <> !rejected then fail "rejected %d, model %d" got !rejected
       in
       let check_senders () =
         let rates =
-          Hashtbl.fold (fun _ x acc -> Netfence.Router.sender_rates x @ acc) per_source []
+          Hashtbl.fold (fun _ (x, _) acc -> Netfence.Router.sender_rates x @ acc) per_source []
           |> List.sort (fun (a, _) (b, _) -> Wire.Addr.compare a b)
         in
         if Netfence.Router.sender_rates r <> rates then fail "sender rates differ per source";
-        let policed = Hashtbl.fold (fun _ x n -> n + Netfence.Router.policed x) per_source 0 in
-        if Netfence.Router.policed r <> policed then
-          fail "policed %d, per source %d" (Netfence.Router.policed r) policed
+        let policed c = Obs.Counters.get c Obs.Event.Nf_policed in
+        let per_source = Hashtbl.fold (fun _ (_, c) n -> n + policed c) per_source 0 in
+        if policed obs <> per_source then
+          fail "policed %d, per source %d" (policed obs) per_source
       in
       let run_step (_, src, op) () =
         let now = Sim.now sim in
@@ -373,7 +382,7 @@ let memos_match_uncached =
             let nf = header () in
             Netfence.Router.handler r node ~in_link:(Some from_host)
               (Wire.Packet.make ~nf ~src ~dst (Wire.Packet.Raw 500));
-            Netfence.Router.handler (router_for src) node ~in_link:(Some from_host)
+            Netfence.Router.handler (fst (router_for src)) node ~in_link:(Some from_host)
               (Wire.Packet.make ~nf:(header ()) ~src ~dst (Wire.Packet.Raw 500));
             (match tok with
             | Some tok -> check_validate ~now ~src tok (uncached_validate !secret ~now tok ~src)
@@ -387,12 +396,12 @@ let memos_match_uncached =
             check_senders ()
         | Rotate ->
             Netfence.Router.rotate_secret r;
-            Hashtbl.iter (fun _ x -> Netfence.Router.rotate_secret x) per_source;
+            Hashtbl.iter (fun _ (x, _) -> Netfence.Router.rotate_secret x) per_source;
             incr rotations;
             secret := chain ~rotations:!rotations
         | Flush ->
             Netfence.Router.flush_senders r;
-            Hashtbl.iter (fun _ x -> Netfence.Router.flush_senders x) per_source;
+            Hashtbl.iter (fun _ (x, _) -> Netfence.Router.flush_senders x) per_source;
             if Netfence.Router.sender_count r <> 0 then fail "senders survive a flush";
             check_senders ()
       in

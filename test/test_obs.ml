@@ -7,6 +7,9 @@ let ev snap name e =
   | None -> 0
   | Some arr -> arr.(Obs.Event.to_int e)
 
+let src = Wire.Addr.of_int 0x0a000001
+let dst = Wire.Addr.of_int 0x0a000002
+
 (* --- Counters ------------------------------------------------------------ *)
 
 let counters_basics () =
@@ -22,7 +25,15 @@ let counters_basics () =
   (* the nop sink absorbs increments without being observable *)
   Obs.Counters.incr Obs.Counters.nop Obs.Event.Packets_in;
   Obs.Counters.reset c;
-  Alcotest.(check int) "reset" 0 (Obs.Counters.total c)
+  Alcotest.(check int) "reset" 0 (Obs.Counters.total c);
+  (* the taxonomy is dense: [all] lists every index once, in order, and
+     every index has its own name *)
+  Alcotest.(check (list int)) "all in to_int order"
+    (List.init Obs.Event.count Fun.id)
+    (List.map Obs.Event.to_int Obs.Event.all);
+  let names = List.init Obs.Event.count Obs.Event.name_of_int in
+  Alcotest.(check int) "distinct names" Obs.Event.count
+    (List.length (List.sort_uniq String.compare names))
 
 let counters_registry_and_merge () =
   let reg = Obs.Counters.registry () in
@@ -233,6 +244,18 @@ let run_with_obs () =
 
 let routers = [ "left-router"; "right-router" ]
 
+let demotion_reasons =
+  Obs.Event.
+    [
+      Demoted_bad_cap;
+      Demoted_cap_expired;
+      Demoted_no_cap;
+      Demoted_bytes_exhausted;
+      Demoted_cache_full;
+      Demoted_over_limit;
+      Demoted_header_full;
+    ]
+
 let conservation_packet_classes () =
   let _, report = run_with_obs () in
   let snap = report.Obs.Report.counters in
@@ -247,39 +270,213 @@ let conservation_packet_classes () =
       Alcotest.(check int)
         (name ^ ": demoted = sum of reasons")
         (c Obs.Event.Demoted)
-        (c Obs.Event.Demoted_bad_cap + c Obs.Event.Demoted_cap_expired + c Obs.Event.Demoted_no_cap
-       + c Obs.Event.Demoted_bytes_exhausted + c Obs.Event.Demoted_cache_full
-       + c Obs.Event.Demoted_over_limit + c Obs.Event.Demoted_header_full))
+        (List.fold_left (fun acc e -> acc + c e) 0 demotion_reasons))
     routers
 
+(* The packets node [name] sent on: transmitted on some out-link, dropped
+   by a qdisc (or unroutable), or still queued when the run ended. *)
+let forwarded (report : Obs.Report.t) name =
+  let c = ev report.Obs.Report.counters name in
+  let residual =
+    List.fold_left
+      (fun acc (l : Obs.Report.link_row) ->
+        if String.starts_with ~prefix:(name ^ "->") l.l_name then
+          (* the first row is the link's root qdisc; nested rows would
+             double-count *)
+          acc + (List.hd l.l_qdiscs).Obs.Report.q_residual_packets
+        else acc)
+      0 report.Obs.Report.links
+  in
+  c Obs.Event.Transmitted + c Obs.Event.Queue_drop_request + c Obs.Event.Queue_drop_regular
+  + c Obs.Event.Queue_drop_legacy + c Obs.Event.No_route + c Obs.Event.Hops_exceeded + residual
+
 let conservation_forwarding () =
-  (* Every packet handed to a router is accounted for: transmitted on some
-     out-link, dropped by a qdisc (or unroutable), or still queued when the
-     run ended. *)
+  (* Every packet handed to a router is accounted for. *)
   let _, report = run_with_obs () in
-  let snap = report.Obs.Report.counters in
   List.iter
     (fun name ->
-      let c e = ev snap name e in
-      let residual =
-        List.fold_left
-          (fun acc (l : Obs.Report.link_row) ->
-            if String.length l.l_name >= String.length name + 2
-               && String.sub l.l_name 0 (String.length name + 2) = name ^ "->"
-            then
-              (* the first row is the link's root qdisc; nested rows would
-                 double-count *)
-              acc + (List.hd l.l_qdiscs).Obs.Report.q_residual_packets
-            else acc)
-          0 report.Obs.Report.links
-      in
       Alcotest.(check int)
         (name ^ ": delivered = transmitted + drops + residual")
-        (c Obs.Event.Delivered)
-        (c Obs.Event.Transmitted + c Obs.Event.Queue_drop_request + c Obs.Event.Queue_drop_regular
-       + c Obs.Event.Queue_drop_legacy + c Obs.Event.No_route + c Obs.Event.Hops_exceeded
-       + residual))
+        (ev report.Obs.Report.counters name Obs.Event.Delivered)
+        (forwarded report name))
     routers
+
+(* Each router's drop reasons: what it counts for packets it took in and
+   did not forward.  TVA demotes instead of dropping; pushback and the
+   internet router count no arrivals. *)
+let drop_reasons = function
+  | "siff" -> Some [ Obs.Event.Siff_no_marking; Obs.Event.Siff_bad_marking ]
+  | "netfence" -> Some [ Obs.Event.Nf_policed ]
+  | "tva" -> Some []
+  | _ -> None
+
+(* One short observed run per scheme: every TVA, SIFF and NetFence router
+   counts each packet it is handed, and its drop reasons sum to the
+   packets in minus the packets it forwarded. *)
+let every_router_counts () =
+  List.iter
+    (fun (scheme, factory) ->
+      let cfg =
+        {
+          obs_cfg with
+          Workload.Experiment.scheme = factory;
+          attack = Workload.Experiment.Request_flood { rate_bps = 1e6 };
+          max_time = 5.;
+        }
+      in
+      let report =
+        match (Workload.Experiment.run ~obs:Workload.Experiment.obs_default cfg).obs with
+        | Some report -> report
+        | None -> Alcotest.fail "obs run produced no report"
+      in
+      List.iter
+        (fun router ->
+          let name = scheme ^ " " ^ router in
+          let c = ev report.Obs.Report.counters router in
+          let sum = List.fold_left (fun acc e -> acc + c e) 0 in
+          match drop_reasons scheme with
+          | None ->
+              Alcotest.(check int) (name ^ ": counts no arrivals") 0 (c Obs.Event.Packets_in)
+          | Some reasons ->
+              Alcotest.(check bool) (name ^ ": packets_in > 0") true (c Obs.Event.Packets_in > 0);
+              Alcotest.(check int) (name ^ ": every delivery counted in") (c Obs.Event.Delivered)
+                (c Obs.Event.Packets_in);
+              Alcotest.(check int)
+                (name ^ ": drop reasons = packets in - forwarded")
+                (c Obs.Event.Packets_in - forwarded report router)
+                (sum reasons);
+              if scheme = "tva" then begin
+                Alcotest.(check int)
+                  (name ^ ": in = legacy + request + regular")
+                  (c Obs.Event.Packets_in)
+                  (sum Obs.Event.[ Legacy_in; Request_in; Regular_in ]);
+                Alcotest.(check int) (name ^ ": demoted = sum of reasons") (c Obs.Event.Demoted)
+                  (sum demotion_reasons)
+              end)
+        routers)
+    Workload.Scenario.schemes
+
+(* A router node with an attached host and no route to the packets'
+   destination, so every packet the handler forwards shows as one
+   [No_route] at the node: the packets seen leaving it. *)
+let verdict_net () =
+  let sim = Sim.create () in
+  let net = Net.create sim in
+  let sink _ ~in_link:_ _ = () in
+  let host = Net.add_node ~addr:src ~name:"h" net sink in
+  let r = Net.add_node ~name:"r" net sink in
+  let from_host, _ =
+    Net.duplex net host r ~bandwidth_bps:10e6 ~delay:0.001 ~qdisc:(fun () ->
+        Droptail.create ~capacity_bytes:1_000_000 ())
+  in
+  Net.compute_routes net;
+  let left = ref 0 in
+  Net.set_trace net
+    (Some (function Net.No_route (n, _) when n == r -> incr left | _ -> ()));
+  (sim, r, from_host, left)
+
+(* Run [steps] (clock advance, step) in simulated time, then check the
+   router's drop reasons against the packets it took in and let out. *)
+let check_verdict_sum ~sim ~obs ~left ~reasons ~handled run_step steps =
+  ignore
+    (List.fold_left
+       (fun now (dt, st) ->
+         let now = now +. dt in
+         Sim.schedule_at sim ~time:now (fun () -> run_step st);
+         now)
+       0. steps);
+  Sim.run sim;
+  let c = Obs.Counters.get obs in
+  let dropped = List.fold_left (fun acc e -> acc + c e) 0 reasons in
+  if c Obs.Event.Packets_in <> handled then
+    QCheck.Test.fail_reportf "packets_in %d, handled %d" (c Obs.Event.Packets_in) handled;
+  if dropped <> c Obs.Event.Packets_in - !left then
+    QCheck.Test.fail_reportf "reasons %d, packets in %d, left %d" dropped
+      (c Obs.Event.Packets_in) !left;
+  true
+
+let clock_step =
+  QCheck.Gen.frequencyl [ (6, 0.); (6, 0.001); (3, 0.01); (2, 0.3); (1, 1.5); (1, 70.) ]
+
+(* SIFF: legacy, EXP, and DTA packets carrying the current or previous
+   epoch's marking, arbitrary bits, another router's marking only, or
+   none. *)
+let siff_verdicts_sum =
+  QCheck.Test.make ~name:"siff: drop reasons = packets in - packets out" ~count:100
+    QCheck.(make Gen.(list_size (int_range 1 300) (pair clock_step (int_range 0 6))))
+    (fun steps ->
+      let sim, r, _, left = verdict_net () in
+      let obs = Obs.Counters.create ~name:"r" () in
+      let router =
+        Siff.Router.create ~rotation_period:60. ~obs ~secret_master:"s" ~router_id:7 ~sim ()
+      in
+      let handle = Siff.Router.handler router r ~in_link:None in
+      let run_step kind =
+        let now = Sim.now sim in
+        let bits = Siff.Router.marking_bits router ~now ~src ~dst in
+        let siff =
+          match kind with
+          | 0 -> None
+          | 1 -> Some (Wire.Siff_marking.exp_packet ())
+          | 2 -> Some (Wire.Siff_marking.dta ~markings:[ (7, bits) ])
+          | 3 ->
+              let prev =
+                Siff.Router.marking_bits router ~now:(Float.max 0. (now -. 60.)) ~src ~dst
+              in
+              Some (Wire.Siff_marking.dta ~markings:[ (3, 0); (7, prev) ])
+          | 4 -> Some (Wire.Siff_marking.dta ~markings:[ (7, (bits + 1) land 3) ])
+          | 5 -> Some (Wire.Siff_marking.dta ~markings:[ (3, bits) ])
+          | _ -> Some (Wire.Siff_marking.dta ~markings:[])
+        in
+        handle (Wire.Packet.make ?siff ~src ~dst (Wire.Packet.Raw 500))
+      in
+      check_verdict_sum ~sim ~obs ~left
+        ~reasons:Obs.Event.[ Siff_no_marking; Siff_bad_marking ]
+        ~handled:(List.length steps) run_step steps)
+
+(* NetFence: legacy packets, and headed packets from the attached host
+   (presenting no token, the router's own token, or a tampered or stale
+   one) or from the core, in bursts of up to 60 that cross the policed
+   rate. *)
+let netfence_verdicts_sum =
+  QCheck.Test.make ~name:"netfence: drop reasons = packets in - packets out" ~count:100
+    QCheck.(
+      make
+        Gen.(
+          list_size (int_range 1 200)
+            (pair clock_step
+               (quad (int_range 1 60) (int_range 0 4) (frequencyl [ (3, false); (1, true) ])
+                  (int_range 40 1500)))))
+    (fun steps ->
+      let sim, r, from_host, left = verdict_net () in
+      let obs = Obs.Counters.create ~name:"r" () in
+      let router =
+        Netfence.Router.create ~obs ~secret_master:"k" ~router_id:7 ~sim ~link_bps:10e6 ()
+      in
+      let run_step (burst, kind, from_core, bytes) =
+        let now = Sim.now sim in
+        let token () = Netfence.Router.mint router ~now ~src Wire.Nf_feedback.Incr in
+        let nf =
+          match kind with
+          | 0 -> None
+          | 1 -> Some (Wire.Nf_feedback.empty ())
+          | 2 -> Some (Wire.Nf_feedback.with_token (token ()))
+          | 3 ->
+              let tok = token () in
+              let forged = Int64.logxor tok.Wire.Nf_feedback.nf_mac 1L in
+              Some (Wire.Nf_feedback.with_token { tok with Wire.Nf_feedback.nf_mac = forged })
+          | _ -> Some (Wire.Nf_feedback.with_token { (token ()) with Wire.Nf_feedback.nf_ts = 0 })
+        in
+        let in_link = if from_core then None else Some from_host in
+        for _ = 1 to burst do
+          let nf = Option.map Wire.Nf_feedback.copy nf in
+          Netfence.Router.handler router r ~in_link
+            (Wire.Packet.make ?nf ~src ~dst (Wire.Packet.Raw bytes))
+        done
+      in
+      check_verdict_sum ~sim ~obs ~left ~reasons:[ Obs.Event.Nf_policed ]
+        ~handled:(List.fold_left (fun n (_, (burst, _, _, _)) -> n + burst) 0 steps)
+        run_step steps)
 
 let conservation_caches () =
   let _, report = run_with_obs () in
@@ -322,10 +519,9 @@ let obs_counters_do_not_perturb_results () =
 
 (* --- Demotions vs the host protocol -------------------------------------- *)
 
-let src = Wire.Addr.of_int 0x0a000001
-let dst = Wire.Addr.of_int 0x0a000002
 
-(* The 4-node TVA line of test_tva, with obs counters on both routers. *)
+(* The 4-node TVA line of test_tva, with obs counters on both routers and
+   on the receiving host. *)
 let demotions_match_host_echoes () =
   let sim = Sim.create ~seed:77 () in
   let net = Net.create sim in
@@ -360,8 +556,9 @@ let demotions_match_host_echoes () =
     Tva.Host.create ~params ~policy:(Tva.Policy.client ()) ~node:a ~rng:(Rng.split (Sim.rng sim))
       ()
   in
-  let host_b =
-    Tva.Host.create ~params ~auto_reply:true ~policy:(Tva.Policy.server ()) ~node:b
+  let obs_b = Obs.Counters.create ~name:"b" () in
+  let _host_b =
+    Tva.Host.create ~params ~obs:obs_b ~auto_reply:true ~policy:(Tva.Policy.server ()) ~node:b
       ~rng:(Rng.split (Sim.rng sim)) ()
   in
   Tva.Host.send_raw host_a ~dst ~bytes:100;
@@ -380,12 +577,9 @@ let demotions_match_host_echoes () =
   Alcotest.(check int) "one demotion, counted once" 1 (demoted ());
   Alcotest.(check int) "r1 reason: no capability" 1
     (Obs.Counters.get obs1 Obs.Event.Demoted_no_cap);
-  Alcotest.(check int) "obs matches router counters"
-    ((Tva.Router.counters router1).Tva.Router.demotions
-    + (Tva.Router.counters router2).Tva.Router.demotions)
-    (demoted ());
-  Alcotest.(check int) "obs matches host demotions_seen"
-    (Tva.Host.counters host_b).Tva.Host.demotions_seen (demoted ())
+  Alcotest.(check int) "host demotions seen match the routers' demoted"
+    (Obs.Counters.get obs_b Obs.Event.Demotion_seen)
+    (demoted ())
 
 (* --- The net-event bridge -------------------------------------------------- *)
 
@@ -490,6 +684,44 @@ let bridge_live_trace_records_every_event () =
       got := (time, node, event, src, dst, size) :: !got);
   Alcotest.(check bool) "records unchanged" true (List.rev !got = expected)
 
+(* A burst at a SIFF link's full queue: each dropped packet lands on its
+   class's counter, an EXP packet on the request one (SIFF queues it with
+   legacy traffic, but it is a request). *)
+let bridge_classifies_comparator_drops () =
+  let drops make =
+    let sim = Sim.create () in
+    let net = Net.create sim in
+    let r = Net.add_node ~name:"r" net (fun _ ~in_link:_ _ -> ()) in
+    let b = Net.add_node ~addr:dst ~name:"b" net (fun _ ~in_link:_ _ -> ()) in
+    ignore
+      (Net.link_oneway net ~src:r ~dst:b ~bandwidth_bps:1e6 ~delay:0.001
+         ~qdisc:(Siff.Router.make_qdisc ~bandwidth_bps:1e6));
+    Net.compute_routes net;
+    let cs, counters_for = per_node net in
+    Obs.Bridge.install ~counters_for net;
+    for _ = 1 to 500 do
+      Net.originate r (make ())
+    done;
+    Obs.Counters.get cs.(Net.node_id r)
+  in
+  let check what expected make =
+    let c = drops make in
+    let total =
+      c Obs.Event.Queue_drop_request + c Obs.Event.Queue_drop_regular
+      + c Obs.Event.Queue_drop_legacy
+    in
+    Alcotest.(check bool) (what ^ " dropped") true (total > 0);
+    Alcotest.(check int) (what ^ " drops in one class") total (c expected)
+  in
+  let packet ?siff ?nf () = Wire.Packet.make ?siff ?nf ~src ~dst (Wire.Packet.Raw 1000) in
+  check "siff exp" Obs.Event.Queue_drop_request (fun () ->
+      packet ~siff:(Wire.Siff_marking.exp_packet ()) ());
+  check "siff dta" Obs.Event.Queue_drop_regular (fun () ->
+      packet ~siff:(Wire.Siff_marking.dta ~markings:[]) ());
+  check "netfence" Obs.Event.Queue_drop_regular (fun () ->
+      packet ~nf:(Wire.Nf_feedback.empty ()) ());
+  check "legacy" Obs.Event.Queue_drop_legacy packet
+
 (* --- In-run telemetry: Timeseries / Detect / Flight (DESIGN.md §15) ----- *)
 
 (* Counters are unconditional stores into a preallocated array, so a
@@ -522,19 +754,16 @@ let router_counters_allocate_nothing () =
     Tva.Router.process router ~in_interface:0 (regular [ cap ]);
     let p = regular [] in
     Tva.Router.process router ~in_interface:0 p;
-    let hits = (Tva.Router.counters router).Tva.Router.regular_cached in
     let before = Gc.minor_words () in
     for _ = 1 to iters do
       Tva.Router.process router ~in_interface:0 p
     done;
-    let words = Gc.minor_words () -. before in
-    Alcotest.(check int) "cached path" iters
-      ((Tva.Router.counters router).Tva.Router.regular_cached - hits);
-    words
+    Gc.minor_words () -. before
   in
   let live = Obs.Counters.create ~name:"router" () in
   let bare = words Obs.Counters.nop and counted = words live in
-  Alcotest.(check int) "registry ticked" (iters + 1) (Obs.Counters.get live Obs.Event.Nonce_hit);
+  Alcotest.(check int) "cached path" (iters + 1) (Obs.Counters.get live Obs.Event.Nonce_hit);
+  Alcotest.(check int) "nothing demoted" 0 (Obs.Counters.get live Obs.Event.Demoted);
   Alcotest.(check (float 0.)) "same minor words as nop" bare counted
 
 (* A tick over counter cells is one unboxed float store per channel into
@@ -937,6 +1166,9 @@ let suite =
     Alcotest.test_case "conservation: packet classes" `Quick conservation_packet_classes;
     Alcotest.test_case "conservation: forwarding" `Quick conservation_forwarding;
     Alcotest.test_case "conservation: flow caches" `Quick conservation_caches;
+    Alcotest.test_case "every router counts" `Quick every_router_counts;
+    QCheck_alcotest.to_alcotest siff_verdicts_sum;
+    QCheck_alcotest.to_alcotest netfence_verdicts_sum;
     Alcotest.test_case "counters do not perturb results" `Quick obs_counters_do_not_perturb_results;
     Alcotest.test_case "demotions match host echoes" `Quick demotions_match_host_echoes;
     Alcotest.test_case "bridge: trace off allocates nothing" `Quick
@@ -945,6 +1177,8 @@ let suite =
       bridge_live_trace_records_every_event;
     Alcotest.test_case "timeseries basics" `Quick timeseries_basics;
     Alcotest.test_case "router counters allocate nothing" `Quick router_counters_allocate_nothing;
+    Alcotest.test_case "bridge: comparator drops by class" `Quick
+      bridge_classifies_comparator_drops;
     Alcotest.test_case "timeseries tick allocates nothing" `Quick
       timeseries_tick_allocates_nothing;
     QCheck_alcotest.to_alcotest detect_no_flapping;

@@ -382,8 +382,14 @@ let no_eviction_means_exactly_n =
 
 (* --- Router processing (Fig. 6) ----------------------------------------- *)
 
-let make_router ?(trust_boundary = true) ?(secret = "router-secret") sim =
-  Tva.Router.create ~trust_boundary ~secret_master:secret ~router_id:1 ~sim ~link_bps:10e6 ()
+let make_router ?(trust_boundary = true) ?(secret = "router-secret") ?obs sim =
+  Tva.Router.create ~trust_boundary ?obs ~secret_master:secret ~router_id:1 ~sim ~link_bps:10e6
+    ()
+
+(* A router with its own counters, and a reader of them. *)
+let counted_router sim =
+  let obs = Obs.Counters.create ~name:"router" () in
+  (make_router ~obs sim, Obs.Counters.get obs)
 
 let advance sim t =
   Sim.schedule_at sim ~time:t (fun () -> ());
@@ -439,7 +445,7 @@ let granted_regular sim router ~n_kb ~t_sec ~nonce =
 
 let router_validates_and_caches () =
   let sim = Sim.create () in
-  let router = make_router sim in
+  let router, count = counted_router sim in
   let mk = granted_regular sim router ~n_kb:32 ~t_sec:10 ~nonce:42L in
   let p1 = mk ~bytes:1000 () in
   Tva.Router.process router ~in_interface:0 p1;
@@ -447,17 +453,18 @@ let router_validates_and_caches () =
     (match p1.Wire.Packet.shim with Some s -> s.Wire.Cap_shim.demoted | None -> true);
   Alcotest.(check int) "ptr advanced" 1
     (match p1.Wire.Packet.shim with Some s -> s.Wire.Cap_shim.ptr | None -> -1);
-  Alcotest.(check int) "validated via hashes" 1 (Tva.Router.counters router).Tva.Router.regular_validated;
+  Alcotest.(check int) "validated via hashes" 1 (count Obs.Event.Regular_validated);
   (* Nonce-only packet hits the cache. *)
   let p2 = mk ~with_caps:false ~bytes:1000 () in
   Tva.Router.process router ~in_interface:0 p2;
   Alcotest.(check bool) "cached accept" false
     (match p2.Wire.Packet.shim with Some s -> s.Wire.Cap_shim.demoted | None -> true);
-  Alcotest.(check int) "cache hit counted" 1 (Tva.Router.counters router).Tva.Router.regular_cached
+  Alcotest.(check int) "cache hit counted" 1 (count Obs.Event.Nonce_hit);
+  Alcotest.(check int) "nothing demoted" 0 (count Obs.Event.Demoted)
 
 let router_demotes_forgeries () =
   let sim = Sim.create () in
-  let router = make_router sim in
+  let router, count = counted_router sim in
   let shim =
     Wire.Cap_shim.regular ~nonce:1L
       ~caps:[ { Wire.Cap_shim.ts = 0; hash = 0x1234L } ]
@@ -466,7 +473,7 @@ let router_demotes_forgeries () =
   let p = Wire.Packet.make ~shim ~src ~dst (Wire.Packet.Raw 1000) in
   Tva.Router.process router ~in_interface:0 p;
   Alcotest.(check bool) "demoted" true shim.Wire.Cap_shim.demoted;
-  Alcotest.(check int) "counted" 1 (Tva.Router.counters router).Tva.Router.demotions
+  Alcotest.(check int) "counted" 1 (count Obs.Event.Demoted)
 
 let router_demotes_unknown_nonce () =
   let sim = Sim.create () in
@@ -603,20 +610,20 @@ let router_request_path_allocation_budget = router_path_words Forwarder.Fastpath
 
 let router_passes_legacy () =
   let sim = Sim.create () in
-  let router = make_router sim in
+  let router, count = counted_router sim in
   let p = Wire.Packet.make ~src ~dst (Wire.Packet.Raw 1000) in
   Tva.Router.process router ~in_interface:0 p;
-  Alcotest.(check int) "legacy counted" 1 (Tva.Router.counters router).Tva.Router.legacy;
+  Alcotest.(check int) "legacy counted" 1 (count Obs.Event.Legacy_in);
   Alcotest.(check bool) "no shim added" true (p.Wire.Packet.shim = None)
 
 let router_skips_demoted () =
   let sim = Sim.create () in
-  let router = make_router sim in
+  let router, count = counted_router sim in
   let shim = Wire.Cap_shim.regular ~nonce:1L ~caps:[] ~n_kb:1 ~t_sec:1 ~renewal:false () in
   shim.Wire.Cap_shim.demoted <- true;
   let p = Wire.Packet.make ~shim ~src ~dst (Wire.Packet.Raw 100) in
   Tva.Router.process router ~in_interface:0 p;
-  Alcotest.(check int) "treated as legacy" 1 (Tva.Router.counters router).Tva.Router.legacy
+  Alcotest.(check int) "treated as legacy" 1 (count Obs.Event.Legacy_in)
 
 (* --- Policies ------------------------------------------------------------ *)
 
@@ -683,7 +690,9 @@ let policy_manual_blacklist () =
 
 (* --- Host protocol end to end --------------------------------------------- *)
 
-(* A 4-node line: clientA - router - router - serverB, all TVA. *)
+(* A 4-node line: clientA - router - router - serverB, all TVA.  Each
+   node counts in its own counters; [count name event] reads node [name]'s
+   ("a", "r1", "r2" or "b"). *)
 let make_tva_net ?(policy_b = Tva.Policy.server ()) () =
   let sim = Sim.create ~seed:77 () in
   let net = Net.create sim in
@@ -702,36 +711,44 @@ let make_tva_net ?(policy_b = Tva.Policy.server ()) () =
   connect r1 r2;
   connect r2 b;
   Net.compute_routes net;
+  let reg = Obs.Counters.registry () in
+  let obs node = Obs.Counters.register reg ~name:(Net.node_name node) in
+  let count name e =
+    match Obs.Counters.find reg ~name with Some c -> Obs.Counters.get c e | None -> 0
+  in
   let router1 =
-    Tva.Router.create ~params ~secret_master:"r1" ~router_id:(Net.node_id r1) ~sim ~link_bps:10e6 ()
+    Tva.Router.create ~params ~obs:(obs r1) ~secret_master:"r1" ~router_id:(Net.node_id r1) ~sim
+      ~link_bps:10e6 ()
   in
   Net.set_handler r1 (Tva.Router.handler router1);
   let router2 =
-    Tva.Router.create ~params ~secret_master:"r2" ~router_id:(Net.node_id r2) ~sim ~link_bps:10e6 ()
+    Tva.Router.create ~params ~obs:(obs r2) ~secret_master:"r2" ~router_id:(Net.node_id r2) ~sim
+      ~link_bps:10e6 ()
   in
   Net.set_handler r2 (Tva.Router.handler router2);
   let host_a =
-    Tva.Host.create ~params ~policy:(Tva.Policy.client ()) ~node:a ~rng:(Rng.split (Sim.rng sim)) ()
-  in
-  let host_b =
-    Tva.Host.create ~params ~auto_reply:true ~policy:policy_b ~node:b
+    Tva.Host.create ~params ~obs:(obs a) ~policy:(Tva.Policy.client ()) ~node:a
       ~rng:(Rng.split (Sim.rng sim)) ()
   in
-  (sim, host_a, host_b, router1, router2)
+  let host_b =
+    Tva.Host.create ~params ~obs:(obs b) ~auto_reply:true ~policy:policy_b ~node:b
+      ~rng:(Rng.split (Sim.rng sim)) ()
+  in
+  (sim, host_a, host_b, router1, router2, count)
 
 let host_bootstrap_and_grant () =
-  let sim, host_a, host_b, _, _ = make_tva_net () in
+  let sim, host_a, _host_b, _, _, count = make_tva_net () in
   Tva.Host.send_raw host_a ~dst ~bytes:100;
   Sim.run ~until:1. sim;
-  Alcotest.(check int) "request sent" 1 (Tva.Host.counters host_a).Tva.Host.requests_sent;
-  Alcotest.(check int) "grant issued" 1 (Tva.Host.counters host_b).Tva.Host.grants_issued;
-  Alcotest.(check int) "grant received" 1 (Tva.Host.counters host_a).Tva.Host.grants_received;
+  Alcotest.(check int) "request sent" 1 (count "a" Obs.Event.Request_sent);
+  Alcotest.(check int) "grant issued" 1 (count "b" Obs.Event.Grant_issued);
+  Alcotest.(check int) "grant received" 1 (count "a" Obs.Event.Grant_received);
   match Tva.Host.grant_for host_a ~dst with
   | Some g -> Alcotest.(check int) "two routers, two caps" 2 (List.length g.Tva.Host.caps)
   | None -> Alcotest.fail "no grant installed"
 
 let host_regular_packets_validated () =
-  let sim, host_a, _host_b, router1, router2 = make_tva_net () in
+  let sim, host_a, _host_b, _, _, count = make_tva_net () in
   Tva.Host.send_raw host_a ~dst ~bytes:100;
   Sim.run ~until:1. sim;
   (* Now send data: first regular packet carries caps, later ones nonce
@@ -740,13 +757,12 @@ let host_regular_packets_validated () =
     Tva.Host.send_raw host_a ~dst ~bytes:1000
   done;
   Sim.run ~until:2. sim;
-  Alcotest.(check int) "no demotions at r1" 0 (Tva.Router.counters router1).Tva.Router.demotions;
-  Alcotest.(check int) "no demotions at r2" 0 (Tva.Router.counters router2).Tva.Router.demotions;
-  Alcotest.(check bool) "r1 used its cache" true
-    ((Tva.Router.counters router1).Tva.Router.regular_cached >= 9)
+  Alcotest.(check int) "no demotions at r1" 0 (count "r1" Obs.Event.Demoted);
+  Alcotest.(check int) "no demotions at r2" 0 (count "r2" Obs.Event.Demoted);
+  Alcotest.(check bool) "r1 used its cache" true (count "r1" Obs.Event.Nonce_hit >= 9)
 
 let host_renews_before_exhaustion () =
-  let sim, host_a, host_b, _, _ = make_tva_net () in
+  let sim, host_a, _host_b, _, _, count = make_tva_net () in
   Tva.Host.send_raw host_a ~dst ~bytes:100;
   Sim.run ~until:1. sim;
   (* Push ~28 KB through a 32 KB grant: a renewal must fire and be granted,
@@ -755,13 +771,12 @@ let host_renews_before_exhaustion () =
     Tva.Host.send_raw host_a ~dst ~bytes:1000
   done;
   Sim.run ~until:3. sim;
-  Alcotest.(check bool) "renewal sent" true ((Tva.Host.counters host_a).Tva.Host.renewals_sent >= 1);
-  Alcotest.(check bool) "renewal granted" true
-    ((Tva.Host.counters host_a).Tva.Host.grants_received >= 2);
-  Alcotest.(check int) "no demotions seen at B" 0 (Tva.Host.counters host_b).Tva.Host.demotions_seen
+  Alcotest.(check bool) "renewal sent" true (count "a" Obs.Event.Renewal_sent >= 1);
+  Alcotest.(check bool) "renewal granted" true (count "a" Obs.Event.Grant_received >= 2);
+  Alcotest.(check int) "no demotions seen at B" 0 (count "b" Obs.Event.Demotion_seen)
 
 let host_demotion_echo_recovers () =
-  let sim, host_a, host_b, router1, router2 = make_tva_net () in
+  let sim, host_a, host_b, router1, router2, count = make_tva_net () in
   Tva.Host.send_raw host_a ~dst ~bytes:100;
   Sim.run ~until:1. sim;
   Tva.Host.send_raw host_a ~dst ~bytes:1000;
@@ -772,29 +787,26 @@ let host_demotion_echo_recovers () =
   Tva.Router.flush_cache router2;
   Tva.Host.send_raw host_a ~dst ~bytes:1000;
   Sim.run ~until:3. sim;
-  Alcotest.(check bool) "demoted packet reached B" true
-    ((Tva.Host.counters host_b).Tva.Host.demotions_seen >= 1);
+  Alcotest.(check bool) "demoted packet reached B" true (count "b" Obs.Event.Demotion_seen >= 1);
   (* B owes A a demotion echo; it rides B's next packet (auto-reply covers
      the raw-traffic case only for grants, so send something from B). *)
   Tva.Host.send_raw host_b ~dst:src ~bytes:100;
   Sim.run ~until:4. sim;
-  Alcotest.(check bool) "echo delivered" true
-    ((Tva.Host.counters host_b).Tva.Host.demotion_echoes_sent >= 1);
+  Alcotest.(check bool) "echo delivered" true (count "b" Obs.Event.Demotion_echo_sent >= 1);
   Tva.Host.send_raw host_a ~dst ~bytes:1000;
   Sim.run ~until:6. sim;
-  Alcotest.(check bool) "A re-requested" true ((Tva.Host.counters host_a).Tva.Host.requests_sent >= 2);
-  Alcotest.(check bool) "fresh grant works" true
-    ((Tva.Host.counters host_a).Tva.Host.grants_received >= 2)
+  Alcotest.(check bool) "A re-requested" true (count "a" Obs.Event.Request_sent >= 2);
+  Alcotest.(check bool) "fresh grant works" true (count "a" Obs.Event.Grant_received >= 2)
 
 let host_refusal_blocks_sender () =
-  let sim, host_a, host_b, _, _ = make_tva_net ~policy_b:(Tva.Policy.refuse_all ()) () in
+  let sim, host_a, _host_b, _, _, count = make_tva_net ~policy_b:(Tva.Policy.refuse_all ()) () in
   Tva.Host.send_raw host_a ~dst ~bytes:100;
   Sim.run ~until:1. sim;
-  Alcotest.(check int) "refused" 1 (Tva.Host.counters host_b).Tva.Host.requests_refused;
+  Alcotest.(check int) "refused" 1 (count "b" Obs.Event.Request_refused);
   Alcotest.(check bool) "no grant" true (Tva.Host.grant_for host_a ~dst = None)
 
 let host_tcp_transfer_over_tva () =
-  let sim, host_a, host_b, _, _ = make_tva_net () in
+  let sim, host_a, host_b, _, _, _ = make_tva_net () in
   let outcome = ref None in
   let server = ref None in
   Tva.Host.set_segment_handler host_b (fun ~src:from seg ->
