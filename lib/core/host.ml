@@ -125,11 +125,14 @@ let attach_return_info t ~dst (shim : Wire.Cap_shim.t) =
 
 let dispatch t ~dst ?shim body =
   let p = Wire.Packet.make ?shim ~src:t.addr ~dst body in
-  (* Charge the grant for what the routers will see on the wire. *)
-  (match (shim, grant_for t ~dst) with
-  | Some { Wire.Cap_shim.kind = Wire.Cap_shim.Regular _; _ }, Some g ->
-      g.bytes_sent <- g.bytes_sent + Wire.Packet.size p
-  | _, _ -> ());
+  (* Charge the grant for what the routers will see on the wire.  Only a
+     regular packet charges one, so only a regular packet looks it up. *)
+  (match shim with
+  | Some { Wire.Cap_shim.kind = Wire.Cap_shim.Regular _; _ } -> (
+      match grant_for t ~dst with
+      | Some g -> g.bytes_sent <- g.bytes_sent + Wire.Packet.size p
+      | None -> ())
+  | Some _ | None -> ());
   Net.originate t.node p
 
 let send_body t ~dst body =
@@ -143,6 +146,7 @@ let send_raw t ~dst ~bytes = send_body t ~dst (Wire.Packet.Raw bytes)
 let send_legacy t ~dst ~bytes = dispatch t ~dst (Wire.Packet.Raw bytes)
 
 let send_request_flood_packet t ~dst ~bytes =
+  Obs.Counters.incr t.obs Obs.Event.Request_sent;
   let shim = Wire.Cap_shim.request () in
   dispatch t ~dst ~shim (Wire.Packet.Raw bytes)
 

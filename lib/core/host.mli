@@ -68,7 +68,8 @@ val send_legacy : t -> dst:Wire.Addr.t -> bytes:int -> unit
 (** No shim at all: legacy traffic (also what legacy-flood attackers emit). *)
 
 val send_request_flood_packet : t -> dst:Wire.Addr.t -> bytes:int -> unit
-(** A fresh request shim on an opaque payload — the Sec. 5.2 request flood. *)
+(** A fresh request shim on an opaque payload — the Sec. 5.2 request
+    flood.  Counts [Request_sent], as every request a host sends does. *)
 
 val grant_for : t -> dst:Wire.Addr.t -> grant option
 (** The current sender-side grant towards [dst], if any (flooders read this

@@ -268,30 +268,34 @@ let rec kick link =
         link.poll <- None
     | None -> ());
     let pp = if link.pipe == no_pipe then open_pipe link else link.pipe in
-    let p = Qdisc.dequeue link.qdisc ~now:time in
-    if p != Qdisc.none then begin
-      link.busy <- true;
-      link.tx_packets <- link.tx_packets + 1;
-      let size = Wire.Packet.size p in
-      link.tx_bytes <- link.tx_bytes + size;
-      if tracing net then emit net (Transmit (link, p));
-      let fault = match link.fault with None -> Fault_pass | Some f -> f p in
-      if fault != Fault_pass then begin
-        if tracing net then emit net (Link_fault (link, p));
-        match fault with Fault_dup -> pp.wire_dup <- Wire.Packet.copy p | _ -> ()
-      end;
-      pp.wire <- p;
-      pp.wire_fault <- fault;
-      Sim.lane_schedule (tx_lane link pp size) pp.on_tx_done
-    end
-    else begin
-      let at = Qdisc.next_ready link.qdisc ~now:time in
-      if at < infinity then begin
-        let delay = Float.max 0. (at -. time) in
-        (* Never arm a zero-delay self-poll after an empty dequeue: the
-           qdisc is momentarily unservable, so wait a token tick. *)
-        let delay = if delay <= 0. then min_poll_delay else delay in
-        link.poll <- Some (Sim.timer ?kind:k_poll sim ~delay pp.on_poll)
+    (* A quiet qdisc has nothing to send and nothing to poll for: this is
+       the kick at the end of every transmit that drained the link. *)
+    if not (Qdisc.quiet link.qdisc) then begin
+      let p = Qdisc.dequeue link.qdisc ~now:time in
+      if p != Qdisc.none then begin
+        link.busy <- true;
+        link.tx_packets <- link.tx_packets + 1;
+        let size = Wire.Packet.size p in
+        link.tx_bytes <- link.tx_bytes + size;
+        if tracing net then emit net (Transmit (link, p));
+        let fault = match link.fault with None -> Fault_pass | Some f -> f p in
+        if fault != Fault_pass then begin
+          if tracing net then emit net (Link_fault (link, p));
+          match fault with Fault_dup -> pp.wire_dup <- Wire.Packet.copy p | _ -> ()
+        end;
+        pp.wire <- p;
+        pp.wire_fault <- fault;
+        Sim.lane_schedule (tx_lane link pp size) pp.on_tx_done
+      end
+      else begin
+        let at = Qdisc.next_ready link.qdisc ~now:time in
+        if at < infinity then begin
+          let delay = Float.max 0. (at -. time) in
+          (* Never arm a zero-delay self-poll after an empty dequeue: the
+             qdisc is momentarily unservable, so wait a token tick. *)
+          let delay = if delay <= 0. then min_poll_delay else delay in
+          link.poll <- Some (Sim.timer ?kind:k_poll sim ~delay pp.on_poll)
+        end
       end
     end
   end

@@ -65,6 +65,11 @@ let refill t ~now =
     end
   end
 
+(* A full bucket's refill only moves [last] to [now], and the next refill
+   of a full bucket leaves the same state whatever [last] was, so a caller
+   may skip refills while this holds. *)
+let full t = t.tokens = t.burst_fp [@@inline]
+
 let take t ~bytes =
   let need = bytes lsl fp_shift in
   if t.tokens >= need then begin

@@ -19,6 +19,14 @@ val refill : t -> now:float -> unit
 (** Credit the tokens earned since the last refill, capped at the burst.
     [now] must not go backwards between calls. *)
 
+val full : t -> bool
+(** The bucket holds its whole burst.  While it does, a {!refill} changes
+    nothing a later call can observe: it sets the refill clock to [now],
+    and the next refill of a full bucket yields the same state whatever
+    that clock read.  So a caller may skip refills exactly while the
+    bucket is full; a bucket still refilling must get every one, since
+    its fractional carry depends on when each refill ran. *)
+
 val take : t -> bytes:int -> bool
 (** Debit [bytes] if the bucket holds them ([true]); otherwise leave it as
     it is ([false]).  Does not refill. *)

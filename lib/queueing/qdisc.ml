@@ -221,8 +221,29 @@ let rec drr_slot d key =
 
 (* --- the datapath ------------------------------------------------------ *)
 
-let rec enqueue t ~now p =
-  let size = Wire.Packet.size p in
+(* Every token bucket in [t] holds its full burst.  A [Custom] level may
+   hold state this module cannot see, so it never counts as full. *)
+let rec buckets_full t =
+  match t.kind with
+  | Fifo _ | Drr _ -> true
+  | Token_bucket tb -> Policer.full tb.tb_meter && buckets_full tb.tb_inner
+  | Priority pr -> classes_full pr.p_classes 0
+  | Custom _ -> false
+
+and classes_full classes i =
+  i >= Array.length classes
+  || (buckets_full (Array.unsafe_get classes i) && classes_full classes (i + 1))
+
+(* Quiet: no packet held at this level or below (every level counts what
+   it hands up, and a staged head is still held) and every meter full.  A
+   dequeue would return [none], a readiness query [infinity], and neither
+   would change any state that a later call can observe: an empty FIFO or
+   DRR pops nothing, and a full bucket's refill only moves its clock
+   ([Policer.full]).  So both may be skipped. *)
+let[@inline] quiet t = t.stats.enqueued = t.stats.dequeued && buckets_full t
+
+(* The size is computed once, at the top, and handed down the levels. *)
+let rec enqueue_sized t ~now p size =
   let accepted =
     match t.kind with
     | Fifo f ->
@@ -248,12 +269,12 @@ let rec enqueue t ~now p =
           end;
           true
         end
-    | Token_bucket tb -> enqueue tb.tb_inner ~now p
+    | Token_bucket tb -> enqueue_sized tb.tb_inner ~now p size
     | Priority pr ->
         let n = Array.length pr.p_classes in
         let i = pr.p_classify p in
         let i = if i < 0 then 0 else if i >= n then n - 1 else i in
-        enqueue pr.p_classes.(i) ~now p
+        enqueue_sized pr.p_classes.(i) ~now p size
     | Custom c -> c.c_enqueue ~now p
   in
   let stats = t.stats in
@@ -275,11 +296,13 @@ let rec enqueue t ~now p =
   end;
   accepted
 
+let enqueue t ~now p = enqueue_sized t ~now p (Wire.Packet.size p)
+
 (* DRR dequeue, structured exactly like the closure version it replaces:
    pick up the ring head as [current], spend its deficit, rotate it to the
    tail when the deficit runs dry, and reclaim its record (into the pool)
    the moment it goes empty so the table only holds backlogged classes. *)
-and drr_dequeue d =
+let rec drr_dequeue d =
   if not d.d_has_current then begin
     if Intring.is_empty d.d_ring then none
     else begin
@@ -373,14 +396,18 @@ and dequeue t ~now =
   end;
   p
 
-(* Strict priority: the first class with a servable packet wins.  A
-   top-level function rather than a local loop, so a dequeue builds no
-   closure. *)
+(* Strict priority: the first class with a servable packet wins, and a
+   quiet class is passed over without a dequeue.  A top-level function
+   rather than a local loop, so a dequeue builds no closure. *)
 and priority_dequeue classes i ~now =
   if i >= Array.length classes then none
   else begin
-    let p = dequeue (Array.unsafe_get classes i) ~now in
-    if p != none then p else priority_dequeue classes (i + 1) ~now
+    let c = Array.unsafe_get classes i in
+    if quiet c then priority_dequeue classes (i + 1) ~now
+    else begin
+      let p = dequeue c ~now in
+      if p != none then p else priority_dequeue classes (i + 1) ~now
+    end
   end
 
 let dequeue_opt t ~now =
@@ -416,8 +443,11 @@ let rec ready_into t ~now (cell : float array) =
   | Priority pr ->
       let acc = ref infinity in
       for i = 0 to Array.length pr.p_classes - 1 do
-        ready_into (Array.unsafe_get pr.p_classes i) ~now cell;
-        acc := Float.min !acc (Array.unsafe_get cell 0)
+        let c = Array.unsafe_get pr.p_classes i in
+        if not (quiet c) then begin
+          ready_into c ~now cell;
+          acc := Float.min !acc (Array.unsafe_get cell 0)
+        end
       done;
       Array.unsafe_set cell 0 !acc
   | Custom c -> Array.unsafe_set cell 0 (c.c_next_ready ~now)
@@ -426,16 +456,19 @@ let rec ready_into t ~now (cell : float array) =
    domains, and a qdisc belongs to one simulation. *)
 let ready_cell = Domain.DLS.new_key (fun () -> [| infinity |])
 
-(* A leaf, the common case, answers inline; only a composite goes
-   through the cell. *)
+(* A leaf, the common case, answers inline; only a composite that is not
+   quiet goes through the cell. *)
 let[@inline] next_ready t ~now =
   match t.kind with
   | Fifo f -> if Pktring.is_empty f.f_ring then infinity else now
   | Drr d -> if d.d_packets > 0 then now else infinity
   | Token_bucket _ | Priority _ | Custom _ ->
-      let cell = Domain.DLS.get ready_cell in
-      ready_into t ~now cell;
-      Array.unsafe_get cell 0
+      if quiet t then infinity
+      else begin
+        let cell = Domain.DLS.get ready_cell in
+        ready_into t ~now cell;
+        Array.unsafe_get cell 0
+      end
 
 let rec packet_count t =
   match t.kind with

@@ -116,6 +116,16 @@ val next_ready : t -> now:float -> float
     per-domain result cell, so none allocates, and a caller that compares
     or computes with the result reads it unboxed. *)
 
+val quiet : t -> bool
+(** [t] holds no packet (at every level, [stats.enqueued = stats.dequeued];
+    a token bucket's staged head still counts as held) and every token
+    bucket in it holds its full burst ({!Policer.full}).  A quiet qdisc's
+    {!dequeue} returns {!none} and its {!next_ready} [infinity], and
+    neither changes any state a later call can observe, so a caller may
+    skip both: {!Priority}'s levels pass over quiet classes, a composite's
+    [next_ready] answers [infinity] at once, and the link transmitter
+    stops there.  A [Custom] level is never quiet. *)
+
 val packet_count : t -> int
 val byte_count : t -> int
 

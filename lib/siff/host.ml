@@ -92,7 +92,7 @@ let handle_packet t _node ~in_link:_ (p : Wire.Packet.t) =
         | Wire.Siff_marking.Exp -> begin
             match Tva.Policy.decide t.policy ~now ~src ~renewal:false with
             | Tva.Policy.Granted _ ->
-                Wire.Addr.Tbl.replace t.pending_return src m.Wire.Siff_marking.markings
+                Wire.Addr.Tbl.replace t.pending_return src (Wire.Siff_marking.path_markings m)
             | Tva.Policy.Refused -> ()
           end
         | Wire.Siff_marking.Dta -> ());

@@ -14,7 +14,11 @@ type flavor =
 
 type t = {
   flavor : flavor;
-  mutable markings : (int * int) list; (* router id -> marking bits, path order *)
+  mutable markings : (int * int) list;
+      (* router id -> marking bits.  A DTA packet carries them in path
+         order; an EXP packet collects them most recent router first, so
+         each router's {!add_marking} is one cons.  {!path_markings} reads
+         either in path order. *)
   mutable returned : (int * int) list option;
       (* markings the receiver echoes back to authorize the sender's
          forward direction (SIFF's handshake piggyback) *)
@@ -28,9 +32,15 @@ val copy : t -> t
     association lists themselves are immutable and shared). *)
 
 val marking_of : t -> router:int -> int option
+(** The bits of [router]'s first entry in path order, if any. *)
+
+val path_markings : t -> (int * int) list
+(** The markings in path order: what the destination echoes back to an
+    EXP packet's sender, for its DTA packets to carry. *)
 
 val add_marking : t -> router:int -> bits:int -> unit
-(** Appends (used by routers on EXP packets). *)
+(** Adds [router]'s entry after every earlier one in path order (used by
+    routers on EXP packets, whose list is most recent first). *)
 
 val bits_per_router : int
 (** 2, as the TVA paper notes when comparing against SIFF. *)

@@ -747,6 +747,18 @@ let host_bootstrap_and_grant () =
   | Some g -> Alcotest.(check int) "two routers, two caps" 2 (List.length g.Tva.Host.caps)
   | None -> Alcotest.fail "no grant installed"
 
+(* A request flooder's requests are requests sent: k flood packets count
+   k, as k requests from [choose_shim] would. *)
+let host_request_flood_counts_requests () =
+  let sim, host_a, _host_b, _, _, count = make_tva_net () in
+  let k = 7 in
+  for _ = 1 to k do
+    Tva.Host.send_request_flood_packet host_a ~dst ~bytes:250
+  done;
+  Alcotest.(check int) "k requests counted" k (count "a" Obs.Event.Request_sent);
+  Sim.run ~until:1. sim;
+  Alcotest.(check int) "still k after delivery" k (count "a" Obs.Event.Request_sent)
+
 let host_regular_packets_validated () =
   let sim, host_a, _host_b, _, _, count = make_tva_net () in
   Tva.Host.send_raw host_a ~dst ~bytes:100;
@@ -888,6 +900,7 @@ let suite =
     Alcotest.test_case "policy flood detector" `Quick policy_server_flood_detector;
     Alcotest.test_case "policy manual blacklist" `Quick policy_manual_blacklist;
     Alcotest.test_case "host bootstrap" `Quick host_bootstrap_and_grant;
+    Alcotest.test_case "host flood requests counted" `Quick host_request_flood_counts_requests;
     Alcotest.test_case "host regular traffic" `Quick host_regular_packets_validated;
     Alcotest.test_case "host renewal" `Quick host_renews_before_exhaustion;
     Alcotest.test_case "host demotion echo" `Quick host_demotion_echo_recovers;

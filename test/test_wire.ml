@@ -317,7 +317,13 @@ let siff_markings () =
   Alcotest.(check (option int)) "router 1" (Some 2) (Wire.Siff_marking.marking_of m ~router:1);
   Alcotest.(check (option int)) "router 2" (Some 3) (Wire.Siff_marking.marking_of m ~router:2);
   Alcotest.(check (option int)) "unknown" None (Wire.Siff_marking.marking_of m ~router:9);
-  Alcotest.(check int) "order preserved" 1 (fst (List.hd m.Wire.Siff_marking.markings))
+  Alcotest.(check (list (pair int int))) "order preserved" [ (1, 2); (2, 3) ]
+    (Wire.Siff_marking.path_markings m);
+  (* A router on the path twice: its first entry in path order counts. *)
+  Wire.Siff_marking.add_marking m ~router:1 ~bits:0;
+  Alcotest.(check (option int)) "first visit" (Some 2) (Wire.Siff_marking.marking_of m ~router:1);
+  let d = Wire.Siff_marking.dta ~markings:(Wire.Siff_marking.path_markings m) in
+  Alcotest.(check (option int)) "dta first visit" (Some 2) (Wire.Siff_marking.marking_of d ~router:1)
 
 let suite =
   [
