@@ -12,6 +12,9 @@ module type S = sig
 
   val mac56_cap_p :
     prep:prepared -> precap_ts:int -> precap_hash:int64 -> n_kb:int -> t_sec:int -> int64
+
+  val cap_valid :
+    prep:prepared -> pub:prepared -> src:int -> dst:int -> ts:int -> n_kb:int -> t_sec:int -> int64 -> bool
 end
 
 module type Reference = sig
@@ -87,13 +90,13 @@ module Fast = struct
      of the message lands in bits [8i, 8i+8) of the little-endian word, so
      a big-endian field packed into a word is one byte swap away. *)
 
-  let mac56_precap_p ~prep ~src ~dst ~ts =
+  let[@inline] mac56_precap_p ~prep ~src ~dst ~ts =
     (* src (BE) | dst (BE): the big-endian bytes of [src lsl 32 lor dst]. *)
     let w0 = bswap64 (Int64.logor (Int64.shift_left (Int64.of_int src) 32) (Int64.of_int dst)) in
     let tail = Int64.of_int (ts land 0xff) in
     Int64.logand (Siphash.mac_short_k ~k0:prep.k0 ~k1:prep.k1 ~len:9 ~w0 ~tail) mask56
 
-  let mac56_cap_p ~prep ~precap_ts ~precap_hash ~n_kb ~t_sec =
+  let[@inline] mac56_cap_p ~prep ~precap_ts ~precap_hash ~n_kb ~t_sec =
     (* ts | the hash's low 56 bits (BE): byte 0 of the swapped word is the
        cleared top byte, which [ts] fills. *)
     let w0 =
@@ -107,6 +110,12 @@ module Fast = struct
     in
     Int64.logand (Siphash.mac_short_k ~k0:prep.k0 ~k1:prep.k1 ~len:11 ~w0 ~tail) mask56
 
+  (* Both entry points inline here, so the two tags stay unboxed; [=] at
+     [int64] compares them without boxing, unlike [Int64.equal]. *)
+  let cap_valid ~prep ~pub ~src ~dst ~ts ~n_kb ~t_sec (hash : int64) =
+    let precap_hash = mac56_precap_p ~prep ~src ~dst ~ts in
+    mac56_cap_p ~prep:pub ~precap_ts:ts ~precap_hash ~n_kb ~t_sec = hash
+
   let prepare key =
     let key = normalize key in
     let k0, k1 = Siphash.key_words key in
@@ -114,7 +123,12 @@ module Fast = struct
 end
 
 (* Aes and Sha serve the prototype-fidelity benchmarks, not the hot path,
-   so their fixed-preimage entry points just build the string preimage. *)
+   so their fixed-preimage entry points just build the string preimage,
+   and their [cap_valid] is the two calls composed. *)
+
+let cap_valid_by mac56_precap_p mac56_cap_p ~prep ~pub ~src ~dst ~ts ~n_kb ~t_sec hash =
+  let precap_hash = mac56_precap_p ~prep ~src ~dst ~ts in
+  Int64.equal (mac56_cap_p ~prep:pub ~precap_ts:ts ~precap_hash ~n_kb ~t_sec) hash
 
 module Aes = struct
   let name = "aes-hash-mmo"
@@ -124,6 +138,8 @@ module Aes = struct
 
   let mac56_cap_p ~prep ~precap_ts ~precap_hash ~n_kb ~t_sec =
     mac56 ~key:prep.pk (cap_preimage ~precap_ts ~precap_hash ~n_kb ~t_sec)
+
+  let cap_valid = cap_valid_by mac56_precap_p mac56_cap_p
 end
 
 module Sha = struct
@@ -134,6 +150,8 @@ module Sha = struct
 
   let mac56_cap_p ~prep ~precap_ts ~precap_hash ~n_kb ~t_sec =
     mac56 ~key:prep.pk (cap_preimage ~precap_ts ~precap_hash ~n_kb ~t_sec)
+
+  let cap_valid = cap_valid_by mac56_precap_p mac56_cap_p
 end
 
 (* The paper's prototype pairing: AES-hash for pre-capabilities, HMAC-SHA1
@@ -144,6 +162,7 @@ module Prototype = struct
   let prepare = Aes.prepare
   let mac56_precap_p = Aes.mac56_precap_p
   let mac56_cap_p = Sha.mac56_cap_p
+  let cap_valid = cap_valid_by mac56_precap_p mac56_cap_p
 end
 
 (* A three-slot memo from key strings to their prepared form, keyed by

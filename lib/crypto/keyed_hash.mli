@@ -29,6 +29,14 @@ module type S = sig
     prep:prepared -> precap_ts:int -> precap_hash:int64 -> n_kb:int -> t_sec:int -> int64
   (** The capability tag over (pre-capability, N, T) against a prepared
       key: the tag of {!cap_preimage}. *)
+
+  val cap_valid :
+    prep:prepared -> pub:prepared -> src:int -> dst:int -> ts:int -> n_kb:int -> t_sec:int -> int64 -> bool
+  (** [cap_valid ~prep ~pub ~src ~dst ~ts ~n_kb ~t_sec hash] is whether
+      [hash] equals [mac56_cap_p ~prep:pub ~precap_ts:ts ~precap_hash
+      ~n_kb ~t_sec], where [precap_hash] is [mac56_precap_p ~prep ~src
+      ~dst ~ts]: a router's whole capability check in one call, so
+      {!Fast} boxes neither tag and allocates nothing. *)
 end
 
 module type Reference = sig

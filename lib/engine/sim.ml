@@ -19,7 +19,10 @@
    last-in first-out.
 
    A constant-delay lane is a FIFO of events that each fire exactly the
-   lane's [delay] after they were scheduled.  Its keys are nondecreasing
+   lane's [delay] after they were scheduled.  Like a source group, it has
+   one [int -> unit] action registered once, and each entry of its ring
+   is a key and an int member, so scheduling on a lane stores no pointer
+   and runs no write barrier.  Its keys are nondecreasing
    (the clock never goes back), so its head is its earliest event and the
    lane never enters the event heap.  The non-empty lanes sit in a second
    binary heap, keyed by their heads' (time, seq) in the same unboxed
@@ -129,16 +132,17 @@ type t = {
 }
 
 (* Entry [i] of a lane's ring is at [(head + i) land (capacity - 1)]; its
-   key is [(l_times, l_seqs)] and its callback [l_actions].  Like a popped
-   slot, a fired entry keeps its callback until the ring reuses it. *)
+   key is [(l_times, l_seqs)] and its member [l_members], the argument the
+   lane's one [laction] fires with. *)
 and lane = {
   owner : t;
   id : int; (* index in [owner.lanes] *)
   delay : float;
   lkind : int;
+  laction : int -> unit;
   mutable l_times : float array; (* capacity 0 or a power of two *)
   mutable l_seqs : int array;
-  mutable l_actions : (unit -> unit) array;
+  mutable l_members : int array;
   mutable l_head : int;
   mutable l_len : int;
 }
@@ -387,7 +391,7 @@ let schedule_aux ?(kind = Kind.telemetry) t ~time action =
 
 (* --- Lanes ----------------------------------------------------------------- *)
 
-let lane ?(kind = Kind.other) t ~delay =
+let lane ?(kind = Kind.other) t ~delay action =
   check_delay "lane" delay;
   let ln =
     {
@@ -395,9 +399,10 @@ let lane ?(kind = Kind.other) t ~delay =
       id = t.nlanes;
       delay;
       lkind = kind;
+      laction = action;
       l_times = [||];
       l_seqs = [||];
-      l_actions = [||];
+      l_members = [||];
       l_head = 0;
       l_len = 0;
     }
@@ -418,35 +423,35 @@ let lane_delay ln = ln.delay
 let lane_count t = t.nlanes
 
 let lane_grow ln =
-  let cap = Array.length ln.l_actions in
+  let cap = Array.length ln.l_members in
   let ncap = max 16 (2 * cap) in
   let times = Array.make ncap 0. and seqs = Array.make ncap 0 in
-  let actions = Array.make ncap cancelled_action in
+  let members = Array.make ncap 0 in
   for k = 0 to ln.l_len - 1 do
     let j = (ln.l_head + k) land (cap - 1) in
     times.(k) <- ln.l_times.(j);
     seqs.(k) <- ln.l_seqs.(j);
-    actions.(k) <- ln.l_actions.(j)
+    members.(k) <- ln.l_members.(j)
   done;
   ln.l_times <- times;
   ln.l_seqs <- seqs;
-  ln.l_actions <- actions;
+  ln.l_members <- members;
   ln.l_head <- 0
 
 (* The key is exactly [schedule ~delay]'s: the next normal seq and
    [now + delay].  A lane that was empty enters the lane heap under its
    new head's key; the lane heap has room, since it holds each lane at
    most once. *)
-let lane_schedule ln action =
+let lane_schedule ln member =
   let t = ln.owner in
   let seq = take_seq t in
   let time = t.clock +. ln.delay in
   let len = ln.l_len in
-  if len = Array.length ln.l_actions then lane_grow ln;
-  let i = (ln.l_head + len) land (Array.length ln.l_actions - 1) in
+  if len = Array.length ln.l_members then lane_grow ln;
+  let i = (ln.l_head + len) land (Array.length ln.l_members - 1) in
   ln.l_times.(i) <- time;
   ln.l_seqs.(i) <- seq;
-  ln.l_actions.(i) <- action;
+  ln.l_members.(i) <- member;
   ln.l_len <- len + 1;
   if len = 0 then begin
     let k = t.lh_size in
@@ -558,9 +563,9 @@ let[@inline] fire t slot =
 let fire_lane t =
   let ln = get t.lanes (get t.lh_ids 0) in
   let i = ln.l_head in
-  let action = get ln.l_actions i in
+  let member = get ln.l_members i in
   t.clock <- get ln.l_times i;
-  let h = (i + 1) land (Array.length ln.l_actions - 1) in
+  let h = (i + 1) land (Array.length ln.l_members - 1) in
   ln.l_head <- h;
   let len = ln.l_len - 1 in
   ln.l_len <- len;
@@ -576,7 +581,9 @@ let fire_lane t =
   end;
   t.live <- t.live - 1;
   t.fired <- t.fired + 1;
-  match t.probe with None -> action () | Some pr -> probed pr ~kind:ln.lkind action
+  match t.probe with
+  | None -> ln.laction member
+  | Some pr -> probed pr ~kind:ln.lkind (fun () -> ln.laction member)
 
 (* Fire the member at the source heap's root.  It stays the root while
    its action runs, for {!rearm} to re-key; unless the action re-armed it,

@@ -12,7 +12,10 @@
 
     A constant-delay {!lane} is a FIFO of events that each fire exactly
     the lane's delay after they were scheduled, under the key {!schedule}
-    would give them.  Lanes stay out of the event heap: the non-empty
+    would give them.  Like a source {!group}, a lane has one [int -> unit]
+    action, registered when it is made, and each event on it is an int
+    member the action fires with, so scheduling one stores no closure.
+    Lanes stay out of the event heap: the non-empty
     lanes sit in a second binary heap keyed by their heads, and each
     event the loop fires whichever of the two roots comes first by
     [(time, seq)].  An event on a lane costs a ring write, a ring read and
@@ -20,7 +23,8 @@
     events are pending.  [Net] is the client: a link delivers in FIFO
     order after a constant delay, and a packet's transmit completes a
     constant serialization time after it starts, so [Net] makes one lane
-    per distinct link delay and one per distinct serialization time. *)
+    per distinct link delay and one per distinct serialization time, and
+    schedules link ids on them. *)
 
 type t
 
@@ -101,11 +105,13 @@ val timer : ?kind:int -> t -> delay:float -> (unit -> unit) -> handle
 (** {!schedule} that returns a handle for {!cancel}. *)
 
 type lane
-(** A constant-delay FIFO of events on one simulator. *)
+(** A constant-delay FIFO of events on one simulator: one action, and an
+    int member per event. *)
 
-val lane : ?kind:int -> t -> delay:float -> lane
-(** A new, empty lane whose events fire [delay] seconds after they are
-    scheduled.  Raises [Invalid_argument] unless [delay >= 0] (so also on
+val lane : ?kind:int -> t -> delay:float -> (int -> unit) -> lane
+(** [lane t ~delay action] is a new, empty lane whose events fire
+    [action member] [delay] seconds after {!lane_schedule} queued
+    [member].  Raises [Invalid_argument] unless [delay >= 0] (so also on
     NaN).  [kind] (default {!Kind.other}) tags all its events for the
     profiler {!probe}.  A lane lives as long as its simulator; only
     non-empty lanes cost anything at fire time. *)
@@ -116,14 +122,16 @@ val lane_delay : lane -> float
 val lane_count : t -> int
 (** The number of lanes made on this simulator. *)
 
-val lane_schedule : lane -> (unit -> unit) -> unit
-(** [lane_schedule l f] is [schedule ~delay:(lane_delay l) f] of [l]'s
-    simulator: it takes the next sequence number, so the event's
-    [(time, seq)] key, {!pending} and {!events_processed} are exactly
-    what {!schedule} would give, and events on a lane interleave with
-    every other event in key order.  Since {!now} never decreases, a
-    lane's keys are nondecreasing, so the event is a ring write and never
-    touches the event heap; a lane that was empty enters the lane heap. *)
+val lane_schedule : lane -> int -> unit
+(** [lane_schedule l member] is [schedule ~delay:(lane_delay l) (fun ()
+    -> action member)] of [l]'s simulator, without the closure, where
+    [action] is the one [l] was made with: it takes the next sequence
+    number, so the event's [(time, seq)] key, {!pending} and
+    {!events_processed} are exactly what {!schedule} would give, and
+    events on a lane interleave with every other event in key order.
+    Since {!now} never decreases, a lane's keys are nondecreasing, so the
+    event is a write of three unboxed ring entries and never touches the
+    event heap; a lane that was empty enters the lane heap. *)
 
 type group
 (** A source group: one action shared by all its members. *)

@@ -9,7 +9,12 @@ type t = {
   mutable trace : (event -> unit) option;
   lanes : (int * float, Sim.lane) Hashtbl.t;
       (* the network's lanes by (kind, delay): one per distinct link delay
-         and one per distinct serialization time, made on first use *)
+         and one per distinct serialization time, made on first use.  Their
+         events are link ids. *)
+  mutable by_lid : link array;
+      (* the links by id, for the lane actions: a link is entered when its
+         transmitter first runs ([open_pipe]), so building a topology
+         allocates none of it *)
 }
 
 and node = {
@@ -27,6 +32,12 @@ and node = {
          per-node Hashtbl: route lookup is one shared address resolution
          plus an array load, with no per-node hashing on the forwarding
          path. *)
+  (* The route memo: the last destination [route_for] resolved at this
+     node ([-1] for none) and its route.  Consecutive packets through a
+     node mostly share a destination, and a hit skips the address
+     resolution.  [compute_routes] clears it. *)
+  mutable memo_dst : int;
+  mutable memo_route : link option;
 }
 
 and handler = node -> in_link:link option -> Wire.Packet.t -> unit
@@ -51,10 +62,8 @@ and link = {
    the link (normally its first enqueue), so building a topology
    allocates none of it. *)
 and pipe = {
-  (* Allocated once, so a hop schedules no closure. *)
+  (* Allocated once: a hop allocates no [Some] and no closure. *)
   self : link option; (* [Some link], the [in_link] handlers receive *)
-  on_tx_done : unit -> unit;
-  on_deliver : unit -> unit;
   on_poll : unit -> unit;
   deliver_lane : Sim.lane; (* the network's lane for the link's delay *)
   (* The transmit-completion lanes of recent packet sizes, direct-mapped
@@ -63,13 +72,14 @@ and pipe = {
      one link a size always takes the same serialization time. *)
   tx_sizes : int array;
   tx_lanes : Sim.lane array;
-  (* The packet serializing ([Qdisc.none] when idle), its fault decision,
-     and the copy a [Fault_dup] delivers beside it. *)
-  mutable wire : Wire.Packet.t;
+  (* The fault decision of the packet serializing, and the copy a
+     [Fault_dup] delivers beside it. *)
   mutable wire_fault : fault_action;
   mutable wire_dup : Wire.Packet.t;
-  (* The in-flight ring: packets propagating at the link's constant delay,
-     in send order.  Each has one [on_deliver] on the link's lane. *)
+  (* The in-flight ring: the packets propagating at the link's constant
+     delay, in send order, each with one delivery of the link's id on
+     [deliver_lane]; and behind them, while the link is busy, the packet
+     serializing, which has no delivery yet. *)
   mutable fl_pkts : Wire.Packet.t array; (* capacity 0 or a power of two *)
   mutable fl_head : int;
   mutable fl_len : int;
@@ -96,6 +106,7 @@ let create sim =
     by_addr = Wire.Addr.Tbl.create 64;
     trace = None;
     lanes = Hashtbl.create 8;
+    by_lid = [||];
   }
 
 let now t = Sim.now t.sim
@@ -131,6 +142,8 @@ let add_node ?addr ~name t handler =
       out_links = [];
       in_links = [];
       routes = [||];
+      memo_dst = -1;
+      memo_route = None;
     }
   in
   t.next_node_id <- t.next_node_id + 1;
@@ -156,31 +169,19 @@ let min_poll_delay = 1e-6
 let k_deliver = Some Sim.Kind.net_deliver
 let k_poll = Some Sim.Kind.net_poll
 
-(* The network's lane of [kind] for [delay], made on first use. *)
-let lane_for t kind delay =
-  match Hashtbl.find_opt t.lanes (kind, delay) with
-  | Some l -> l
-  | None ->
-      let l = Sim.lane ~kind t.sim ~delay in
-      Hashtbl.add t.lanes (kind, delay) l;
-      l
-
 let tx_cache = 16
 
 (* A lane nothing is ever scheduled on: [no_pipe]'s, and the one in every
    empty cache entry. *)
-let no_lane = Sim.lane (Sim.create ()) ~delay:0.
+let no_lane = Sim.lane (Sim.create ()) ~delay:0. ignore
 
-let make_pipe ~self ~on_tx_done ~on_deliver ~on_poll ~deliver_lane =
+let make_pipe ~self ~on_poll ~deliver_lane =
   {
     self;
-    on_tx_done;
-    on_deliver;
     on_poll;
     deliver_lane;
     tx_sizes = Array.make tx_cache (-1);
     tx_lanes = Array.make tx_cache no_lane;
-    wire = Qdisc.none;
     wire_fault = Fault_pass;
     wire_dup = Qdisc.none;
     fl_pkts = [||];
@@ -188,8 +189,11 @@ let make_pipe ~self ~on_tx_done ~on_deliver ~on_poll ~deliver_lane =
     fl_len = 0;
   }
 
-let no_pipe =
-  make_pipe ~self:None ~on_tx_done:ignore ~on_deliver:ignore ~on_poll:ignore ~deliver_lane:no_lane
+let no_pipe = make_pipe ~self:None ~on_poll:ignore ~deliver_lane:no_lane
+
+(* The link a lane event names.  A lane carries a link's id only once
+   [open_pipe] has entered the link. *)
+let[@inline] link_of t lid = Array.unsafe_get t.by_lid lid
 
 let arrive link p =
   if tracing link.src.net then emit link.src.net (Deliver (link.dst, p));
@@ -206,15 +210,26 @@ let flight_grow pp =
   pp.fl_pkts <- pkts;
   pp.fl_head <- 0
 
-(* Put a serialized packet on the wire.  A constant-delay link delivers in
-   FIFO order, so the ring needs no keys: the link's lane fires one
-   [on_deliver] per packet under the key [Sim.schedule ~delay] would give,
-   in the order they were launched, and each pops the ring's head. *)
-let launch pp p =
+(* Put a packet that starts serializing at the ring's tail.  Its delivery
+   is scheduled when it is serialized, so until then it is the one entry
+   with none.  A constant-delay link delivers in FIFO order, so the ring
+   needs no keys: the link's lane fires one delivery per packet under the
+   key [Sim.schedule ~delay] would give, in the order they were launched,
+   and each pops the ring's head. *)
+let flight_push pp p =
   if pp.fl_len = Array.length pp.fl_pkts then flight_grow pp;
   pp.fl_pkts.((pp.fl_head + pp.fl_len) land (Array.length pp.fl_pkts - 1)) <- p;
-  pp.fl_len <- pp.fl_len + 1;
-  Sim.lane_schedule pp.deliver_lane pp.on_deliver
+  pp.fl_len <- pp.fl_len + 1
+
+(* Take the packet that just serialized back off the ring's tail: it
+   leaves the FIFO ([Fault_lose], [Fault_dup], [Fault_delay]). *)
+let flight_pop_tail pp =
+  let n = pp.fl_len - 1 in
+  let i = (pp.fl_head + n) land (Array.length pp.fl_pkts - 1) in
+  let p = pp.fl_pkts.(i) in
+  pp.fl_pkts.(i) <- Qdisc.none;
+  pp.fl_len <- n;
+  p
 
 let deliver_head link =
   let pp = link.pipe in
@@ -231,26 +246,14 @@ let deliver_head link =
    1040, 1044, 1052, ...) spread over the cache. *)
 let[@inline] tx_slot size = ((size * 0x9E3779B1) lsr 16) land (tx_cache - 1)
 
-let tx_lane_miss link pp size j =
-  let l =
-    lane_for link.src.net Sim.Kind.net_transmit
-      (float_of_int size *. 8. /. link.bandwidth)
-  in
-  pp.tx_sizes.(j) <- size;
-  pp.tx_lanes.(j) <- l;
-  l
-
-(* The lane on which a [size]-byte packet's transmit completes: its delay
-   is the serialization time [size * 8 / bandwidth], computed exactly as a
-   one-off [done_at] would be, so the completion keeps its key. *)
-let[@inline] tx_lane link pp size =
-  let j = tx_slot size in
-  if Array.unsafe_get pp.tx_sizes j = size then Array.unsafe_get pp.tx_lanes j
-  else tx_lane_miss link pp size j
-
 (* Serialize the head packet, then propagate.  [kick] starts service if the
    link is idle and administratively up; when the qdisc is unready it arms
    a single poll timer at [next_ready].
+
+   The packet's transmit completes on the network's lane for its
+   serialization time [size * 8 / bandwidth], computed exactly as a
+   one-off [done_at] would be, so the completion keeps its key.  The pipe
+   finds that lane in its size cache, direct-mapped by [tx_slot].
 
    The per-link fault hook is consulted once per packet, after the packet
    has been dequeued and charged serialization time (a lost or duplicated
@@ -283,9 +286,15 @@ let rec kick link =
           if tracing net then emit net (Link_fault (link, p));
           match fault with Fault_dup -> pp.wire_dup <- Wire.Packet.copy p | _ -> ()
         end;
-        pp.wire <- p;
-        pp.wire_fault <- fault;
-        Sim.lane_schedule (tx_lane link pp size) pp.on_tx_done
+        (* Unchanged on a link with no fault hook, so not written. *)
+        if fault != pp.wire_fault then pp.wire_fault <- fault;
+        flight_push pp p;
+        let j = tx_slot size in
+        let lane =
+          if Array.unsafe_get pp.tx_sizes j = size then Array.unsafe_get pp.tx_lanes j
+          else tx_lane_miss link pp size j
+        in
+        Sim.lane_schedule lane link.lid
       end
       else begin
         let at = Qdisc.next_ready link.qdisc ~now:time in
@@ -300,39 +309,67 @@ let rec kick link =
     end
   end
 
-(* Serialization done: the link is free again.  [Fault_dup] and
-   [Fault_delay] schedule their own delivery: a duplicate delivers two
+(* Serialization done: the link is free again, and the packet at the
+   ring's tail propagates.  [Fault_dup] and [Fault_delay] take it back off
+   the ring and schedule their own delivery: a duplicate delivers two
    packets in one event, and a delayed packet leaves the FIFO order that
    the ring relies on (later packets may overtake it). *)
 and tx_done link =
   link.busy <- false;
   let pp = link.pipe in
-  let p = pp.wire in
-  pp.wire <- Qdisc.none;
   (match pp.wire_fault with
-  | Fault_pass -> launch pp p
-  | Fault_lose -> ()
+  | Fault_pass -> Sim.lane_schedule pp.deliver_lane link.lid
+  | Fault_lose -> ignore (flight_pop_tail pp)
   | Fault_dup ->
-      let p2 = pp.wire_dup in
+      let p = flight_pop_tail pp and p2 = pp.wire_dup in
       pp.wire_dup <- Qdisc.none;
       Sim.schedule ?kind:k_deliver link.src.net.sim ~delay:link.delay (fun () ->
           arrive link p;
           arrive link p2)
   | Fault_delay extra ->
+      let p = flight_pop_tail pp in
       Sim.schedule ?kind:k_deliver link.src.net.sim
         ~delay:(link.delay +. Float.max 0. extra)
         (fun () -> arrive link p));
   kick link
 
+and tx_lane_miss link pp size j =
+  let l = lane_for link.src.net Sim.Kind.net_transmit (float_of_int size *. 8. /. link.bandwidth) in
+  pp.tx_sizes.(j) <- size;
+  pp.tx_lanes.(j) <- l;
+  l
+
+(* The network's lane of [kind] for [delay], made on first use: a
+   transmit lane completes the named link's transmit, a delivery lane
+   pops the named link's ring. *)
+and lane_for t kind delay =
+  match Hashtbl.find_opt t.lanes (kind, delay) with
+  | Some l -> l
+  | None ->
+      let action =
+        if kind = Sim.Kind.net_transmit then fun lid -> tx_done (link_of t lid)
+        else fun lid -> deliver_head (link_of t lid)
+      in
+      let l = Sim.lane ~kind t.sim ~delay action in
+      Hashtbl.add t.lanes (kind, delay) l;
+      l
+
+(* The link's transmitter, and its entry in [by_lid], which grows to
+   cover every link made so far. *)
 and open_pipe link =
+  let net = link.src.net in
+  if link.lid >= Array.length net.by_lid then begin
+    let by_lid = Array.make (max net.next_link_id (2 * Array.length net.by_lid)) link in
+    Array.blit net.by_lid 0 by_lid 0 (Array.length net.by_lid);
+    net.by_lid <- by_lid
+  end;
+  net.by_lid.(link.lid) <- link;
   let pp =
     make_pipe ~self:(Some link)
-      ~on_tx_done:(fun () -> tx_done link)
-      ~on_deliver:(fun () -> deliver_head link)
       ~on_poll:(fun () ->
         link.poll <- None;
         kick link)
-      ~deliver_lane:(lane_for link.src.net Sim.Kind.net_deliver link.delay)
+      ~deliver_lane:(lane_for net Sim.Kind.net_deliver link.delay)
   in
   link.pipe <- pp;
   pp
@@ -388,13 +425,21 @@ let forward_on node link p =
   if charge_hop node p then enqueue_on link p
 
 (* [find], not [find_opt]: a hit returns the node without a [Some] box,
-   so a lookup allocates nothing. *)
-let route_for node addr =
-  match Wire.Addr.Tbl.find node.net.by_addr addr with
-  | dst when dst.slot < Array.length node.routes ->
-      Array.unsafe_get node.routes dst.slot (* slot >= 0: addressed node *)
-  | _ -> None
-  | exception Not_found -> None
+   so a lookup allocates nothing.  The answer becomes the node's memo. *)
+let route_miss node (addr : Wire.Addr.t) =
+  let route =
+    match Wire.Addr.Tbl.find node.net.by_addr addr with
+    | dst when dst.slot < Array.length node.routes ->
+        Array.unsafe_get node.routes dst.slot (* slot >= 0: addressed node *)
+    | _ -> None
+    | exception Not_found -> None
+  in
+  node.memo_dst <- (addr :> int);
+  node.memo_route <- route;
+  route
+
+let[@inline] route_for node (addr : Wire.Addr.t) =
+  if (addr :> int) = node.memo_dst then node.memo_route else route_miss node addr
 
 let forward node p =
   if charge_hop node p then begin
@@ -420,6 +465,11 @@ let originate node p = forward node p
    written, and no reachable slot pays a write barrier. *)
 let compute_routes t =
   let nodes = List.rev t.node_list in
+  List.iter
+    (fun node ->
+      node.memo_dst <- -1;
+      node.memo_route <- None)
+    nodes;
   let n = t.next_node_id in
   let n_slots = t.next_slot in
   let adj = Array.make n [||] in

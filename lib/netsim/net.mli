@@ -7,18 +7,19 @@
     limiter out of tokens), the transmitter re-polls at the qdisc's
     [next_ready] time.
 
-    A hop schedules no closure.  Each link allocates its tx-done, deliver
-    and poll actions once, when it first has a packet to send.  The
-    packets propagating on it wait in a per-link FIFO ring, and each has
-    one delivery on the network's constant-delay {!Sim.lane} for the
-    link's delay (one lane per distinct delay), which fires it under the
-    key [Sim.schedule ~delay] would give.  Likewise each transmit
-    completes on the network's lane for its serialization time, [size * 8
-    / bandwidth] (one lane per distinct time).  Lanes are made on first
-    use, so building a topology makes none.  Events fire in exactly the
-    order one event per packet would give.  A [Fault_delay] or
-    [Fault_dup] packet gets its own event.  With no trace hook set, no
-    {!event} value is built (DESIGN.md §9.1). *)
+    A hop schedules no closure.  The packet serializing on a link and the
+    packets propagating on it wait in a per-link FIFO ring, and each
+    propagating one has one delivery of the link's id on the network's
+    constant-delay {!Sim.lane} for the link's delay (one lane per
+    distinct delay), which fires it under the key [Sim.schedule ~delay]
+    would give.  Likewise each transmit completes on the network's lane
+    for its serialization time, [size * 8 / bandwidth] (one lane per
+    distinct time).  Lanes are made on first use, so building a topology
+    makes none.  Each node remembers the last destination {!route_for}
+    resolved.  Events fire in exactly the order one event per packet
+    would give.  A [Fault_delay] or [Fault_dup] packet gets its own
+    event.  With no trace hook set, no {!event} value is built
+    (DESIGN.md §9.1). *)
 
 type t
 (** A network: the node/link tables plus the simulator driving them. *)
@@ -106,7 +107,8 @@ val compute_routes : t -> unit
     ties by link creation order) towards every addressed node.  Call after
     the topology is complete; may be called again after changes.  Only
     nodes without exactly one out-link are searched; a single-homed node
-    copies its neighbour's table, which gives the same routes. *)
+    copies its neighbour's table, which gives the same routes.  Clears
+    every node's {!route_for} memo. *)
 
 (** {1 Moving packets} *)
 
@@ -122,7 +124,9 @@ val forward_on : node -> link -> Wire.Packet.t -> unit
 
 val route_for : node -> Wire.Addr.t -> link option
 (** The node's current next hop towards an address, if any.  Allocates
-    nothing: every route through a link shares one [Some link]. *)
+    nothing: every route through a link shares one [Some link].  The
+    node remembers the last address asked and its answer, so a repeat
+    skips the address table. *)
 
 val min_poll_delay : float
 (** The minimum self-poll backoff (in virtual seconds) a link transmitter

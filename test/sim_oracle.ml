@@ -2,9 +2,10 @@
    tests: the pending events are a [Map] keyed by [(time, seq)], so firing
    order is the map's order by construction.  Sequence numbers, auxiliary
    keys, [pending] and [events_processed] follow the contract in sim.mli;
-   a lane is plain [schedule ~delay], a source group member is a plain
-   event whose action may re-arm it with [schedule ~delay], and
-   cancellation removes the binding at once. *)
+   a lane event is a plain [schedule ~delay] of the lane's action on its
+   member, a source group member is a plain event whose action may re-arm
+   it with [schedule ~delay], and cancellation removes the binding at
+   once. *)
 
 module Key = struct
   type t = float * int
@@ -49,10 +50,10 @@ let timer t ~delay action =
   add t ~time ~seq action;
   { sim = t; key = (time, seq) }
 
-type lane = { owner : t; delay : float }
+type lane = { owner : t; delay : float; laction : int -> unit }
 
-let lane t ~delay = { owner = t; delay }
-let lane_schedule l action = schedule l.owner ~delay:l.delay action
+let lane t ~delay action = { owner = t; delay; laction = action }
+let lane_schedule l member = schedule l.owner ~delay:l.delay (fun () -> l.laction member)
 
 type group = { gowner : t; gaction : int -> unit }
 

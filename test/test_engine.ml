@@ -164,12 +164,13 @@ let heap_order_under_random_schedule_cancel =
    [Drive] functor; both must fire the same events at the same times and agree on
    [now], [pending] and [events_processed] after every command.  Scripts
    mix plain, timer, burst, auxiliary and constant-delay lane scheduling
-   with cancels, single steps and horizons; the oracle's lane is plain
-   [schedule ~delay].  A [Schedule] with [chain] set schedules a
+   with cancels, single steps and horizons; the oracle's lane event is
+   plain [schedule ~delay].  A [Schedule] with [chain] set schedules a
    zero-delay follow-up from inside its handler, and a [Lane] with
-   [chain] set schedules on the next lane from inside its handler (on
-   itself when there is one lane), so ties and lane entries are also
-   created mid-run. *)
+   [chain] set schedules on the next lane from inside its lane's action
+   (on itself when there is one lane), so ties and lane entries are also
+   created mid-run.  A lane event's member carries its stamp and its
+   chain flag. *)
 type cmd =
   | Schedule of float * bool (* delay, chain *)
   | Timer of float (* delay; the handle joins the cancel pool *)
@@ -198,8 +199,8 @@ module type SIM = sig
   val timer : t -> delay:float -> (unit -> unit) -> handle
   type lane
 
-  val lane : t -> delay:float -> lane
-  val lane_schedule : lane -> (unit -> unit) -> unit
+  val lane : t -> delay:float -> (int -> unit) -> lane
+  val lane_schedule : lane -> int -> unit
   val schedule_aux : t -> time:float -> (unit -> unit) -> unit
 
   type group
@@ -221,7 +222,7 @@ module Real : SIM = struct
   let schedule t ~delay f = Sim.schedule t ~delay f
   let schedule_at t ~time f = Sim.schedule_at t ~time f
   let timer t ~delay f = Sim.timer t ~delay f
-  let lane t ~delay = Sim.lane t ~delay
+  let lane t ~delay f = Sim.lane t ~delay f
   let schedule_aux t ~time f = Sim.schedule_aux t ~time f
   let group t f = Sim.group t f
 end
@@ -237,8 +238,14 @@ module Drive (S : SIM) = struct
     in
     let note k () = fired := (k, S.now sim) :: !fired in
     let pool = ref [] and pool_size = ref 0 in
-    let lanes = Array.of_list (List.map (fun delay -> S.lane sim ~delay) lane_delays) in
-    let n_lanes = Array.length lanes in
+    (* Lane [i]'s member [2 k + c] notes stamp [k] and, when [c] is 1,
+       chains a fresh stamp onto lane [i + 1]. *)
+    let n_lanes = List.length lane_delays and lanes = ref [||] in
+    let lane_fires i m =
+      note (m lsr 1) ();
+      if m land 1 = 1 then S.lane_schedule !lanes.((i + 1) mod n_lanes) (fresh () lsl 1)
+    in
+    lanes := Array.of_list (List.mapi (fun i delay -> S.lane sim ~delay (lane_fires i)) lane_delays);
     (* Two source groups; a member's fire is noted as a key naming it. *)
     let plans = Hashtbl.create 16 and groups = ref [||] in
     let member_fires g m =
@@ -269,10 +276,7 @@ module Drive (S : SIM) = struct
             done
         | Aux delay -> S.schedule_aux sim ~time:(S.now sim +. delay) (note (fresh ()))
         | Lane (i, chain) ->
-            let k = fresh () in
-            S.lane_schedule lanes.(i mod n_lanes) (fun () ->
-                note k ();
-                if chain then S.lane_schedule lanes.((i + 1) mod n_lanes) (note (fresh ())))
+            S.lane_schedule !lanes.(i mod n_lanes) ((fresh () lsl 1) lor Bool.to_int chain)
         | Cancel i -> if !pool_size > 0 then S.cancel (List.nth !pool (i mod !pool_size))
         | Step -> ignore (S.step sim)
         | Until d -> S.run ~until:(S.now sim +. d) sim
@@ -463,7 +467,7 @@ let nan_rejected () =
   rejects "timer_at" (fun () -> ignore (Sim.timer_at sim ~time:nan ignore));
   rejects "timer" (fun () -> ignore (Sim.timer sim ~delay:nan ignore));
   rejects "schedule_aux" (fun () -> Sim.schedule_aux sim ~time:nan ignore);
-  rejects "lane" (fun () -> ignore (Sim.lane sim ~delay:nan));
+  rejects "lane" (fun () -> ignore (Sim.lane sim ~delay:nan ignore));
   rejects "source_at" (fun () -> Sim.source_at (Sim.group sim ignore) ~member:0 ~time:nan);
   Alcotest.(check int) "nothing pending" 0 (Sim.pending sim);
   Sim.schedule sim ~delay:1. ignore;
@@ -659,6 +663,24 @@ let aux_chain_observes_cut () =
 
 (* --- constant-delay lanes ------------------------------------------- *)
 
+(* A lane whose members index a table of thunks, and the function that
+   queues a thunk on it: a test can give each lane event its own action,
+   as with [Sim.schedule]. *)
+let thunk_lane ?kind sim ~delay =
+  let thunks = Hashtbl.create 16 and next = ref 0 in
+  let lane =
+    Sim.lane ?kind sim ~delay (fun k ->
+        let f = Hashtbl.find thunks k in
+        Hashtbl.remove thunks k;
+        f ())
+  in
+  let queue f =
+    Hashtbl.replace thunks !next f;
+    Sim.lane_schedule lane !next;
+    incr next
+  in
+  (lane, queue)
+
 (* A lane's contract in one script: it rejects a negative delay, its
    entries take [schedule]'s keys (so a lane entry and a plain event at
    the same due time fire in scheduling order), count in [pending] and
@@ -666,18 +688,18 @@ let aux_chain_observes_cut () =
    handler lands behind the entries already queued. *)
 let lane_contract () =
   let sim = Sim.create () in
-  (match Sim.lane sim ~delay:(-1.) with
+  (match Sim.lane sim ~delay:(-1.) ignore with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative lane delay accepted");
-  let lane = Sim.lane ~kind:Sim.Kind.net_deliver sim ~delay:1. in
+  let lane, queue = thunk_lane ~kind:Sim.Kind.net_deliver sim ~delay:1. in
   Alcotest.(check (float 0.)) "delay" 1. (Sim.lane_delay lane);
   let log = ref [] in
   let note name () = log := (name, Sim.now sim) :: !log in
-  Sim.lane_schedule lane (fun () ->
+  queue (fun () ->
       note "l1" ();
-      Sim.lane_schedule lane (note "l4"));
+      queue (note "l4"));
   Sim.schedule sim ~delay:1. (note "p2");
-  Sim.lane_schedule lane (note "l3");
+  queue (note "l3");
   Alcotest.(check int) "lane entries count as pending" 3 (Sim.pending sim);
   Sim.run sim;
   Alcotest.(check (list (pair string (float 0.))))
@@ -694,16 +716,18 @@ let lane_contract () =
    delays, lanes drain and refill, and a horizon falls among them. *)
 let lane_head_first () =
   let sim = Sim.create () in
-  let a = Sim.lane sim ~delay:1. and b = Sim.lane sim ~delay:1. and c = Sim.lane sim ~delay:5. in
+  let _, a = thunk_lane sim ~delay:1. in
+  let _, b = thunk_lane sim ~delay:1. in
+  let _, c = thunk_lane sim ~delay:5. in
   let log = ref [] in
   let note name () = log := name :: !log in
   let fired () = List.rev !log in
   Sim.schedule_at sim ~time:2. (note "h2");
-  Sim.lane_schedule b (note "b1");
-  Sim.lane_schedule a (note "a1");
+  b (note "b1");
+  a (note "a1");
   Sim.schedule_at sim ~time:1. (note "h1");
-  Sim.lane_schedule b (note "b1'");
-  Sim.lane_schedule c (note "c5");
+  b (note "b1'");
+  c (note "c5");
   Sim.schedule_at sim ~time:7. (note "h7");
   List.iter (fun _ -> Alcotest.(check bool) "step" true (Sim.step sim)) [ 1; 2; 3; 4 ];
   Alcotest.(check (list string)) "steps by (time, seq)" [ "b1"; "a1"; "h1"; "b1'" ] (fired ());
@@ -715,7 +739,7 @@ let lane_head_first () =
   Sim.run ~until:6. sim;
   Alcotest.(check (list string)) "head before the heap root" [ "b1"; "a1"; "h1"; "b1'"; "h2"; "c5" ] (fired ());
   Alcotest.(check (float 0.)) "clock at the second horizon" 6. (Sim.now sim);
-  Sim.lane_schedule c (note "c11");
+  c (note "c11");
   Sim.run ~until:10. sim;
   Alcotest.(check (float 0.)) "head past the horizon, heap empty" 10. (Sim.now sim);
   Alcotest.(check int) "the head is still pending" 1 (Sim.pending sim);
@@ -726,13 +750,16 @@ let lane_head_first () =
   Alcotest.(check (float 0.)) "clock at the last head" 11. (Sim.now sim);
   Alcotest.(check int) "events" 8 (Sim.events_processed sim);
   let sim = Sim.create () in
-  let lanes = Array.init 48 (fun k -> Sim.lane sim ~delay:(float_of_int (1 + (k * 5 mod 6)))) in
   let log = ref [] and want = ref [] and seq = ref 0 in
+  let lanes =
+    Array.init 48 (fun k ->
+        Sim.lane sim ~delay:(float_of_int (1 + (k * 5 mod 6))) (fun m -> log := (Sim.now sim, m) :: !log))
+  in
   let add k =
     let l = lanes.(k) in
     want := ((Sim.now sim +. Sim.lane_delay l, !seq), (Sim.now sim +. Sim.lane_delay l, k)) :: !want;
     incr seq;
-    Sim.lane_schedule l (fun () -> log := (Sim.now sim, k) :: !log)
+    Sim.lane_schedule l k
   in
   let batch stride =
     for j = 0 to 47 do
@@ -772,22 +799,23 @@ let lane_head_first () =
    (the 0.01 is the runs' one-off loop closures, spread over 100k
    events). *)
 let scheduler_minor_words () =
+  (* [make sim fire] is what queues one more event that calls [fire]. *)
   let words_per_event make =
     let sim = Sim.create () in
     Sim.schedule_at sim ~time:1e9 ignore;
-    Sim.lane_schedule (Sim.lane sim ~delay:1e9) ignore;
-    let schedule = make sim in
-    let left = ref 0 in
-    let rec fire () =
+    Sim.lane_schedule (Sim.lane sim ~delay:1e9 ignore) 0;
+    let left = ref 0 and schedule = ref ignore in
+    let fire () =
       if !left > 0 then begin
         decr left;
-        schedule fire
+        !schedule ()
       end
     in
+    schedule := make sim fire;
     let go n =
       left := n;
       for _ = 1 to 64 do
-        schedule fire
+        !schedule ()
       done;
       Sim.run ~until:(Sim.now sim +. 1e6) sim
     in
@@ -799,17 +827,21 @@ let scheduler_minor_words () =
     Alcotest.(check int) "bystanders still pending" 2 (Sim.pending sim);
     words
   in
-  let lane = words_per_event (fun sim -> Sim.lane_schedule (Sim.lane sim ~delay:1e-3)) in
+  let lane =
+    words_per_event (fun sim fire ->
+        let l = Sim.lane sim ~delay:1e-3 (fun _ -> fire ()) in
+        fun () -> Sim.lane_schedule l 0)
+  in
   let lanes =
-    words_per_event (fun sim ->
-        let ls = Array.init 8 (fun k -> Sim.lane sim ~delay:(float_of_int (k + 1) *. 1e-3)) in
+    words_per_event (fun sim fire ->
+        let ls = Array.init 8 (fun k -> Sim.lane sim ~delay:(float_of_int (k + 1) *. 1e-3) (fun _ -> fire ())) in
         let next = ref 0 in
-        fun f ->
+        fun () ->
           next := (!next + 1) land 7;
-          Sim.lane_schedule ls.(!next) f)
+          Sim.lane_schedule ls.(!next) !next)
   in
   let at =
-    words_per_event (fun sim f -> Sim.schedule_at sim ~time:(Sim.now sim +. 1e-3) f)
+    words_per_event (fun sim fire () -> Sim.schedule_at sim ~time:(Sim.now sim +. 1e-3) fire)
   in
   (* 64 members of one source group, each re-arming itself from its
      action: no closure and no push, so a tick costs what a lane event
@@ -817,7 +849,7 @@ let scheduler_minor_words () =
   let source =
     let sim = Sim.create () in
     Sim.schedule_at sim ~time:1e9 ignore;
-    Sim.lane_schedule (Sim.lane sim ~delay:1e9) ignore;
+    Sim.lane_schedule (Sim.lane sim ~delay:1e9 ignore) 0;
     let left = ref 0 in
     let g =
       Sim.group sim (fun _ ->

@@ -82,6 +82,33 @@ let shortest_path_chosen () =
   | Some link -> Alcotest.(check int) "direct link" (Net.link_id direct) (Net.link_id link)
   | None -> Alcotest.fail "no route"
 
+(* A node remembers the last destination it routed to; [compute_routes]
+   must make it forget.  [a] first reaches [b] through [r]; once a direct
+   link is added and routes are recomputed, the next packet to [b] takes
+   it. *)
+let route_memo_follows_recompute () =
+  let sim, net = mk_net () in
+  let a = Net.add_node ~addr:a_addr ~name:"a" net (fun _ ~in_link:_ _ -> ()) in
+  let r = Net.add_node ~name:"r" net (fun node ~in_link:_ p -> Net.forward node p) in
+  let via = ref [] in
+  let b =
+    Net.add_node ~addr:b_addr ~name:"b" net (fun _ ~in_link _ ->
+        via := Option.map Net.link_id in_link :: !via)
+  in
+  ignore (Net.duplex net a r ~bandwidth_bps:1e6 ~delay:0.001 ~qdisc:plain_qdisc);
+  let rb, _ = Net.duplex net r b ~bandwidth_bps:1e6 ~delay:0.001 ~qdisc:plain_qdisc in
+  Net.compute_routes net;
+  Net.originate a (mk_packet ~src:a_addr ~dst:b_addr ());
+  Sim.run sim;
+  let direct, _ = Net.duplex net a b ~bandwidth_bps:1e6 ~delay:0.001 ~qdisc:plain_qdisc in
+  Net.compute_routes net;
+  Net.originate a (mk_packet ~src:a_addr ~dst:b_addr ());
+  Sim.run sim;
+  Alcotest.(check (list (option int)))
+    "first through r, then direct"
+    [ Some (Net.link_id rb); Some (Net.link_id direct) ]
+    (List.rev !via)
+
 (* Routes on random directed graphs, recomputed after more links are
    added, equal a plain per-source BFS whose ties go to the
    earliest-created link.  Many nodes have a single out-link, so this
@@ -677,6 +704,7 @@ let suite =
     Alcotest.test_case "serialization" `Quick link_serializes_back_to_back;
     Alcotest.test_case "multi-hop" `Quick multi_hop_routing;
     Alcotest.test_case "shortest path" `Quick shortest_path_chosen;
+    Alcotest.test_case "route memo follows recompute" `Quick route_memo_follows_recompute;
     QCheck_alcotest.to_alcotest routes_match_bfs;
     Alcotest.test_case "topology routes match bfs" `Quick topology_routes_match_bfs;
     Alcotest.test_case "hop limit" `Quick hop_limit_drops_loops;

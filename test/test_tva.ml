@@ -587,9 +587,10 @@ let router_two_rotations_distinct () =
    none was demoted, and each path must stay within its minor-words
    budget.  The budgets are the measured words plus one, less than the
    smallest heap block, so any new allocation on a path fails them:
-   cached 0; validate 6 (the two boxed hash results); request 12 (the
-   pre-capability, its boxed hash and two list cells).  Built with the
-   dev profile's -opaque, validate and request read 24 and 21. *)
+   cached 0; validate 0 (one [cap_valid] call computes and compares both
+   tags unboxed); request 12 (the pre-capability, its boxed hash and two
+   list cells).  Built with the dev profile's -opaque, validate and
+   request read 24 and 21. *)
 let router_path_words op ~budget () =
   let fp = Forwarder.Fastpath.create ~hash:(module Crypto.Keyed_hash.Fast) () in
   let m = List.assoc op (Forwarder.Fastpath.measure fp ~passes:8 [ op ]) in
@@ -604,7 +605,7 @@ let router_cached_path_allocation_budget =
 (* Every packet takes the validate branch: two nonce sets alternate
    against each flow's record. *)
 let router_validate_path_allocation_budget =
-  router_path_words Forwarder.Fastpath.Regular_uncached ~budget:7.
+  router_path_words Forwarder.Fastpath.Regular_uncached ~budget:1.
 
 let router_request_path_allocation_budget = router_path_words Forwarder.Fastpath.Request ~budget:13.
 
