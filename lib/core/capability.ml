@@ -55,11 +55,11 @@ let validate ~hash:(module H : Crypto.Keyed_hash.S) ~cache ~secret ~now ~src ~ds
     if String.length key = 0 then Bad_hash
     else begin
       let prep = Crypto.Keyed_hash.prepared_of (module H) cache key in
+      let ph =
+        H.mac56_precap_p ~prep ~src:(Wire.Addr.to_int src) ~dst:(Wire.Addr.to_int dst) ~ts
+      in
       let pub = Crypto.Keyed_hash.prepared_of (module H) cache public_key in
-      if
-        H.cap_valid ~prep ~pub ~src:(Wire.Addr.to_int src) ~dst:(Wire.Addr.to_int dst) ~ts ~n_kb
-          ~t_sec cap.Wire.Cap_shim.hash
-      then Valid
-      else Bad_hash
+      let expect = H.mac56_cap_p ~prep:pub ~precap_ts:ts ~precap_hash:ph ~n_kb ~t_sec in
+      if expect = cap.Wire.Cap_shim.hash then Valid else Bad_hash
     end
   end

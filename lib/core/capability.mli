@@ -48,9 +48,8 @@ val validate :
   t_sec:int ->
   Wire.Cap_shim.cap ->
   verdict
-(** The router's per-packet check: two hash computations in one
-    [cap_valid] call of [hash], with the epoch secrets and the
-    public capability key prepared once through [cache].
+(** The router's per-packet check: two hash computations, with the epoch
+    secrets and the public capability key prepared once through [cache].
     With {!Crypto.Keyed_hash.Prototype} the two steps use the prototype's
     two hash functions. *)
 

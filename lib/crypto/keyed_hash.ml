@@ -8,13 +8,10 @@ type prepared = { pk : string; k0 : int64; k1 : int64 }
 module type S = sig
   val name : string
   val prepare : string -> prepared
-  val mac56_precap_p : prep:prepared -> src:int -> dst:int -> ts:int -> int64
+  val mac56_precap_p : prep:prepared -> src:int -> dst:int -> ts:int -> int
 
   val mac56_cap_p :
-    prep:prepared -> precap_ts:int -> precap_hash:int64 -> n_kb:int -> t_sec:int -> int64
-
-  val cap_valid :
-    prep:prepared -> pub:prepared -> src:int -> dst:int -> ts:int -> n_kb:int -> t_sec:int -> int64 -> bool
+    prep:prepared -> precap_ts:int -> precap_hash:int -> n_kb:int -> t_sec:int -> int
 end
 
 module type Reference = sig
@@ -54,8 +51,8 @@ let precap_preimage ~src ~dst ~ts =
 
 let cap_preimage ~precap_ts ~precap_hash ~n_kb ~t_sec =
   (* ts (1) | precap hash (7 bytes BE) | N (10 bits in 2 bytes) | T (1) —
-     11 bytes.  The hash is 56 bits wide so it fits an OCaml int. *)
-  let h = Int64.to_int precap_hash in
+     11 bytes. *)
+  let h = precap_hash in
   let b = Bytes.create 11 in
   Bytes.set b 0 (Char.chr (precap_ts land 0xff));
   for i = 0 to 6 do
@@ -88,33 +85,29 @@ module Fast = struct
 
   (* Direct word-packed equivalents of hashing the preimage strings: byte i
      of the message lands in bits [8i, 8i+8) of the little-endian word, so
-     a big-endian field packed into a word is one byte swap away. *)
+     a big-endian field packed into a word is one byte swap away.  A
+     56-bit tag fits an OCaml int, so the tags leave as ints and no
+     caller boxes them. *)
 
   let[@inline] mac56_precap_p ~prep ~src ~dst ~ts =
     (* src (BE) | dst (BE): the big-endian bytes of [src lsl 32 lor dst]. *)
     let w0 = bswap64 (Int64.logor (Int64.shift_left (Int64.of_int src) 32) (Int64.of_int dst)) in
     let tail = Int64.of_int (ts land 0xff) in
-    Int64.logand (Siphash.mac_short_k ~k0:prep.k0 ~k1:prep.k1 ~len:9 ~w0 ~tail) mask56
+    Int64.to_int (Int64.logand (Siphash.mac_short_k ~k0:prep.k0 ~k1:prep.k1 ~len:9 ~w0 ~tail) mask56)
 
   let[@inline] mac56_cap_p ~prep ~precap_ts ~precap_hash ~n_kb ~t_sec =
     (* ts | the hash's low 56 bits (BE): byte 0 of the swapped word is the
        cleared top byte, which [ts] fills. *)
     let w0 =
       Int64.logor
-        (bswap64 (Int64.logand precap_hash mask56))
+        (bswap64 (Int64.of_int (precap_hash land 0xff_ffff_ffff_ffff)))
         (Int64.of_int (precap_ts land 0xff))
     in
     let tail =
       Int64.of_int
         (((n_kb lsr 8) land 0x03) lor ((n_kb land 0xff) lsl 8) lor ((t_sec land 0x3f) lsl 16))
     in
-    Int64.logand (Siphash.mac_short_k ~k0:prep.k0 ~k1:prep.k1 ~len:11 ~w0 ~tail) mask56
-
-  (* Both entry points inline here, so the two tags stay unboxed; [=] at
-     [int64] compares them without boxing, unlike [Int64.equal]. *)
-  let cap_valid ~prep ~pub ~src ~dst ~ts ~n_kb ~t_sec (hash : int64) =
-    let precap_hash = mac56_precap_p ~prep ~src ~dst ~ts in
-    mac56_cap_p ~prep:pub ~precap_ts:ts ~precap_hash ~n_kb ~t_sec = hash
+    Int64.to_int (Int64.logand (Siphash.mac_short_k ~k0:prep.k0 ~k1:prep.k1 ~len:11 ~w0 ~tail) mask56)
 
   let prepare key =
     let key = normalize key in
@@ -123,35 +116,28 @@ module Fast = struct
 end
 
 (* Aes and Sha serve the prototype-fidelity benchmarks, not the hot path,
-   so their fixed-preimage entry points just build the string preimage,
-   and their [cap_valid] is the two calls composed. *)
-
-let cap_valid_by mac56_precap_p mac56_cap_p ~prep ~pub ~src ~dst ~ts ~n_kb ~t_sec hash =
-  let precap_hash = mac56_precap_p ~prep ~src ~dst ~ts in
-  Int64.equal (mac56_cap_p ~prep:pub ~precap_ts:ts ~precap_hash ~n_kb ~t_sec) hash
+   so their fixed-preimage entry points just build the string preimage. *)
 
 module Aes = struct
   let name = "aes-hash-mmo"
   let mac56 ~key msg = Int64.logand (int64_of_prefix (Aes_hash.mac ~key msg)) mask56
   let prepare key = { pk = key; k0 = 0L; k1 = 0L }
-  let mac56_precap_p ~prep ~src ~dst ~ts = mac56 ~key:prep.pk (precap_preimage ~src ~dst ~ts)
+  let mac56_precap_p ~prep ~src ~dst ~ts =
+    Int64.to_int (mac56 ~key:prep.pk (precap_preimage ~src ~dst ~ts))
 
   let mac56_cap_p ~prep ~precap_ts ~precap_hash ~n_kb ~t_sec =
-    mac56 ~key:prep.pk (cap_preimage ~precap_ts ~precap_hash ~n_kb ~t_sec)
-
-  let cap_valid = cap_valid_by mac56_precap_p mac56_cap_p
+    Int64.to_int (mac56 ~key:prep.pk (cap_preimage ~precap_ts ~precap_hash ~n_kb ~t_sec))
 end
 
 module Sha = struct
   let name = "hmac-sha1"
   let mac56 ~key msg = Int64.logand (int64_of_prefix (Hmac_sha1.mac ~key msg)) mask56
   let prepare key = { pk = key; k0 = 0L; k1 = 0L }
-  let mac56_precap_p ~prep ~src ~dst ~ts = mac56 ~key:prep.pk (precap_preimage ~src ~dst ~ts)
+  let mac56_precap_p ~prep ~src ~dst ~ts =
+    Int64.to_int (mac56 ~key:prep.pk (precap_preimage ~src ~dst ~ts))
 
   let mac56_cap_p ~prep ~precap_ts ~precap_hash ~n_kb ~t_sec =
-    mac56 ~key:prep.pk (cap_preimage ~precap_ts ~precap_hash ~n_kb ~t_sec)
-
-  let cap_valid = cap_valid_by mac56_precap_p mac56_cap_p
+    Int64.to_int (mac56 ~key:prep.pk (cap_preimage ~precap_ts ~precap_hash ~n_kb ~t_sec))
 end
 
 (* The paper's prototype pairing: AES-hash for pre-capabilities, HMAC-SHA1
@@ -162,7 +148,6 @@ module Prototype = struct
   let prepare = Aes.prepare
   let mac56_precap_p = Aes.mac56_precap_p
   let mac56_cap_p = Sha.mac56_cap_p
-  let cap_valid = cap_valid_by mac56_precap_p mac56_cap_p
 end
 
 (* A three-slot memo from key strings to their prepared form, keyed by

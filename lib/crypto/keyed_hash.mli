@@ -20,23 +20,16 @@ module type S = sig
   (** Preprocess a key for the [_p] entry points; call once per key, not
       per packet. *)
 
-  val mac56_precap_p : prep:prepared -> src:int -> dst:int -> ts:int -> int64
-  (** The pre-capability tag (56 bits, top 8 clear) against a prepared
-      key: the tag of {!precap_preimage}, computed from the fields
-      directly. *)
+  val mac56_precap_p : prep:prepared -> src:int -> dst:int -> ts:int -> int
+  (** The pre-capability tag (56 bits, so never negative) against a
+      prepared key: the tag of {!precap_preimage}, computed from the
+      fields directly.  An int, not an [int64], so a caller through a
+      first-class module gets it unboxed: {!Fast} allocates nothing. *)
 
   val mac56_cap_p :
-    prep:prepared -> precap_ts:int -> precap_hash:int64 -> n_kb:int -> t_sec:int -> int64
+    prep:prepared -> precap_ts:int -> precap_hash:int -> n_kb:int -> t_sec:int -> int
   (** The capability tag over (pre-capability, N, T) against a prepared
-      key: the tag of {!cap_preimage}. *)
-
-  val cap_valid :
-    prep:prepared -> pub:prepared -> src:int -> dst:int -> ts:int -> n_kb:int -> t_sec:int -> int64 -> bool
-  (** [cap_valid ~prep ~pub ~src ~dst ~ts ~n_kb ~t_sec hash] is whether
-      [hash] equals [mac56_cap_p ~prep:pub ~precap_ts:ts ~precap_hash
-      ~n_kb ~t_sec], where [precap_hash] is [mac56_precap_p ~prep ~src
-      ~dst ~ts]: a router's whole capability check in one call, so
-      {!Fast} boxes neither tag and allocates nothing. *)
+      key: the tag of {!cap_preimage}, as an int. *)
 end
 
 module type Reference = sig
@@ -44,7 +37,7 @@ module type Reference = sig
 
   val mac56 : key:string -> string -> int64
   (** [mac56 ~key msg] is a 56-bit tag (top 8 bits clear) over any
-      message: the reference [mac56_precap_p]/[mac56_cap_p] must equal on
+      message: [mac56_precap_p]/[mac56_cap_p] must equal it (as an int) on
       the preimage strings. *)
 end
 
@@ -65,7 +58,7 @@ val precap_preimage : src:int -> dst:int -> ts:int -> string
     src (4 bytes BE) | dst (4 bytes BE) | ts (1 byte).  The reference the
     direct entry points must agree with. *)
 
-val cap_preimage : precap_ts:int -> precap_hash:int64 -> n_kb:int -> t_sec:int -> string
+val cap_preimage : precap_ts:int -> precap_hash:int -> n_kb:int -> t_sec:int -> string
 (** The canonical 11-byte capability preimage:
     ts (1) | pre-capability hash (7 bytes BE) | N (2 bytes, 10 used bits) |
     T (1 byte, 6 used bits). *)

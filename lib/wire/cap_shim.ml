@@ -1,4 +1,4 @@
-type cap = { ts : int; hash : int64 }
+type cap = { ts : int; hash : int }
 
 type return_info =
   | Demotion_notice
@@ -116,9 +116,9 @@ let check_range name v limit = if v < 0 || v >= limit then invalid_arg ("Cap_shi
 
 let put_cap w c =
   check_range "cap timestamp" c.ts 256;
-  if Int64.shift_right_logical c.hash 56 <> 0L then invalid_arg "Cap_shim.encode: cap hash wider than 56 bits";
+  if c.hash < 0 || c.hash lsr 56 <> 0 then invalid_arg "Cap_shim.encode: cap hash wider than 56 bits";
   Bitbuf.Writer.put w ~bits:8 c.ts;
-  Bitbuf.Writer.put64 w ~bits:56 c.hash
+  Bitbuf.Writer.put w ~bits:56 c.hash
 
 let encode t =
   let w = Bitbuf.Writer.create () in
@@ -177,7 +177,7 @@ let encode t =
 
 let get_cap r =
   let ts = Bitbuf.Reader.get r ~bits:8 in
-  let hash = Bitbuf.Reader.get64 r ~bits:56 in
+  let hash = Bitbuf.Reader.get r ~bits:56 in
   { ts; hash }
 
 let get_list r n f = List.init n (fun _ -> f r)

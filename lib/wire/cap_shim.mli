@@ -8,9 +8,10 @@
     identifiers, 64-bit capabilities (8-bit timestamp + 56-bit hash), 48-bit
     flow nonce, 10-bit N in KB and 6-bit T in seconds. *)
 
-type cap = { ts : int; hash : int64 }
+type cap = { ts : int; hash : int }
 (** One per-router capability (or pre-capability): [ts] is the router's
-    8-bit timestamp, [hash] the 56-bit keyed hash. *)
+    8-bit timestamp, [hash] the 56-bit keyed hash (an int holds it, so a
+    cap is one unboxed record). *)
 
 type return_info =
   | Demotion_notice

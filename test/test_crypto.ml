@@ -370,34 +370,9 @@ let direct_mac56_matches_string_preimage =
           let prep = H.prepare key in
           let ph = H.mac56_precap_p ~prep ~src ~dst ~ts in
           let ch = H.mac56_cap_p ~prep ~precap_ts:ts ~precap_hash:ph ~n_kb ~t_sec in
-          Int64.equal ph (precap_ref ~key (precap_preimage ~src ~dst ~ts))
-          && Int64.equal ch
-               (cap_ref ~key (cap_preimage ~precap_ts:ts ~precap_hash:ph ~n_kb ~t_sec)))
+          ph = Int64.to_int (precap_ref ~key (precap_preimage ~src ~dst ~ts))
+          && ch = Int64.to_int (cap_ref ~key (cap_preimage ~precap_ts:ts ~precap_hash:ph ~n_kb ~t_sec)))
         modules)
-
-(* The router's one-call check accepts exactly the capability tag of the
-   pre-capability tag: the tag itself, and no tag one bit away. *)
-let cap_valid_matches_two_calls =
-  let open Crypto.Keyed_hash in
-  QCheck.Test.make
-    ~name:"keyed_hash: cap_valid = mac56_cap_p of mac56_precap_p (Fast/Aes/Sha/Prototype)"
-    ~count:100
-    QCheck.(
-      triple
-        (pair (string_of_size QCheck.Gen.(int_range 1 32)) (int_range 0 55))
-        (pair (map (fun i -> i land 0xFFFFFFFF) int) (map (fun i -> i land 0xFFFFFFFF) int))
-        (triple (int_range 0 255) (int_range 0 1023) (int_range 0 63)))
-    (fun ((key, bit), (src, dst), (ts, n_kb, t_sec)) ->
-      List.for_all
-        (fun (module H : S) ->
-          let prep = H.prepare key and pub = H.prepare "TVA public hash!" in
-          let precap_hash = H.mac56_precap_p ~prep ~src ~dst ~ts in
-          let tag = H.mac56_cap_p ~prep:pub ~precap_ts:ts ~precap_hash ~n_kb ~t_sec in
-          H.cap_valid ~prep ~pub ~src ~dst ~ts ~n_kb ~t_sec tag
-          && not
-               (H.cap_valid ~prep ~pub ~src ~dst ~ts ~n_kb ~t_sec
-                  (Int64.logxor tag (Int64.shift_left 1L bit))))
-        [ (module Fast); (module Aes); (module Sha); (module Prototype) ])
 
 (* --- Rotating secrets (paper Sec. 3.4) ------------------------------- *)
 
@@ -510,5 +485,4 @@ let suite =
     Alcotest.test_case "siphash mac allocation" `Quick siphash_mac_allocation_budget;
     QCheck_alcotest.to_alcotest put_decimal_matches_printf;
     QCheck_alcotest.to_alcotest siff_marking_matches_reference;
-    QCheck_alcotest.to_alcotest cap_valid_matches_two_calls;
   ]

@@ -64,10 +64,6 @@ module Counting_hash = struct
   let mac56_cap_p ~prep ~precap_ts ~precap_hash ~n_kb ~t_sec =
     incr caps;
     P.mac56_cap_p ~prep ~precap_ts ~precap_hash ~n_kb ~t_sec
-
-  let cap_valid ~prep ~pub ~src ~dst ~ts ~n_kb ~t_sec hash =
-    let precap_hash = mac56_precap_p ~prep ~src ~dst ~ts in
-    Int64.equal (mac56_cap_p ~prep:pub ~precap_ts:ts ~precap_hash ~n_kb ~t_sec) hash
 end
 
 let cost_ordering_matches_table1 () =

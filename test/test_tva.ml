@@ -85,7 +85,7 @@ let forged_capabilities_rejected =
     QCheck.(pair (int_range 0 255) int64)
     (fun (ts, h) ->
       let secret = Crypto.Secret.create ~master:"r1" in
-      let cap = { Wire.Cap_shim.ts; hash = Int64.logand h 0xFFFFFFFFFFFFFFL } in
+      let cap = { Wire.Cap_shim.ts; hash = Int64.to_int (Int64.logand h 0xFFFFFFFFFFFFFFL) } in
       validate ~hash:fast ~secret ~now:(float_of_int ts +. 0.5) ~src ~dst ~n_kb:32 ~t_sec:10 cap
       <> Tva.Capability.Valid)
 
@@ -467,7 +467,7 @@ let router_demotes_forgeries () =
   let router, count = counted_router sim in
   let shim =
     Wire.Cap_shim.regular ~nonce:1L
-      ~caps:[ { Wire.Cap_shim.ts = 0; hash = 0x1234L } ]
+      ~caps:[ { Wire.Cap_shim.ts = 0; hash = 0x1234 } ]
       ~n_kb:32 ~t_sec:10 ~renewal:false ()
   in
   let p = Wire.Packet.make ~shim ~src ~dst (Wire.Packet.Raw 1000) in
@@ -587,10 +587,9 @@ let router_two_rotations_distinct () =
    none was demoted, and each path must stay within its minor-words
    budget.  The budgets are the measured words plus one, less than the
    smallest heap block, so any new allocation on a path fails them:
-   cached 0; validate 0 (one [cap_valid] call computes and compares both
-   tags unboxed); request 12 (the pre-capability, its boxed hash and two
-   list cells).  Built with the dev profile's -opaque, validate and
-   request read 24 and 21. *)
+   cached 0; validate 0 (both tags are ints, so neither is boxed);
+   request 9 (the pre-capability and two list cells).  Built with the
+   dev profile's -opaque, validate and request read 18 and 18. *)
 let router_path_words op ~budget () =
   let fp = Forwarder.Fastpath.create ~hash:(module Crypto.Keyed_hash.Fast) () in
   let m = List.assoc op (Forwarder.Fastpath.measure fp ~passes:8 [ op ]) in
@@ -607,7 +606,7 @@ let router_cached_path_allocation_budget =
 let router_validate_path_allocation_budget =
   router_path_words Forwarder.Fastpath.Regular_uncached ~budget:1.
 
-let router_request_path_allocation_budget = router_path_words Forwarder.Fastpath.Request ~budget:13.
+let router_request_path_allocation_budget = router_path_words Forwarder.Fastpath.Request ~budget:10.
 
 let router_passes_legacy () =
   let sim = Sim.create () in

@@ -95,7 +95,7 @@ let request_roundtrip () =
     Wire.Cap_shim.Request
       {
         rev_path_ids = List.rev [ 0x1234; 0xFFFF ];
-        rev_precaps = List.rev [ cap 12 0xAABBCCDDEEFFL; cap 255 1L ];
+        rev_precaps = List.rev [ cap 12 0xAABBCCDDEEFF; cap 255 1 ];
       };
   Alcotest.(check bool) "request round-trips" true (shim_equal shim (roundtrip shim))
 
@@ -108,7 +108,7 @@ let regular_nonce_only_roundtrip () =
 let regular_with_caps_roundtrip () =
   let shim =
     Wire.Cap_shim.regular ~nonce:1L
-      ~caps:[ cap 1 2L; cap 3 4L; cap 5 6L ]
+      ~caps:[ cap 1 2; cap 3 4; cap 5 6 ]
       ~n_kb:1023 ~t_sec:63 ~renewal:false ()
   in
   shim.Wire.Cap_shim.ptr <- 2;
@@ -116,8 +116,8 @@ let regular_with_caps_roundtrip () =
 
 let renewal_roundtrip () =
   let shim =
-    Wire.Cap_shim.regular ~nonce:42L ~caps:[ cap 1 2L ] ~n_kb:32 ~t_sec:10 ~renewal:true
-      ~fresh_precaps:[ cap 9 10L; cap 11 12L ] ()
+    Wire.Cap_shim.regular ~nonce:42L ~caps:[ cap 1 2 ] ~n_kb:32 ~t_sec:10 ~renewal:true
+      ~fresh_precaps:[ cap 9 10; cap 11 12 ] ()
   in
   Alcotest.(check bool) "renewal round-trips" true (shim_equal shim (roundtrip shim))
 
@@ -131,14 +131,14 @@ let return_info_roundtrip () =
   shim.Wire.Cap_shim.return_info <- Some Wire.Cap_shim.Demotion_notice;
   Alcotest.(check bool) "demotion notice" true (shim_equal shim (roundtrip shim));
   shim.Wire.Cap_shim.return_info <-
-    Some (Wire.Cap_shim.Grant { n_kb = 32; t_sec = 10; caps = [ cap 7 8L ] });
+    Some (Wire.Cap_shim.Grant { n_kb = 32; t_sec = 10; caps = [ cap 7 8 ] });
   Alcotest.(check bool) "grant" true (shim_equal shim (roundtrip shim))
 
 let wire_size_matches_encoding () =
   let shims =
     [
       Wire.Cap_shim.request ();
-      Wire.Cap_shim.regular ~nonce:1L ~caps:[ cap 1 2L; cap 3 4L ] ~n_kb:32 ~t_sec:10
+      Wire.Cap_shim.regular ~nonce:1L ~caps:[ cap 1 2; cap 3 4 ] ~n_kb:32 ~t_sec:10
         ~renewal:false ();
       Wire.Cap_shim.regular ~nonce:1L ~caps:[] ~n_kb:32 ~t_sec:10 ~renewal:false ();
     ]
@@ -158,7 +158,7 @@ let nonce_only_is_small () =
 let per_router_capability_is_8_bytes () =
   let without = Wire.Cap_shim.regular ~nonce:1L ~caps:[] ~n_kb:32 ~t_sec:10 ~renewal:false () in
   let with_two =
-    Wire.Cap_shim.regular ~nonce:1L ~caps:[ cap 1 2L; cap 3 4L ] ~n_kb:32 ~t_sec:10
+    Wire.Cap_shim.regular ~nonce:1L ~caps:[ cap 1 2; cap 3 4 ] ~n_kb:32 ~t_sec:10
       ~renewal:false ()
   in
   Alcotest.(check int) "64 bits per router" 16
@@ -189,7 +189,7 @@ let decode_rejects_garbage () =
 let gen_cap =
   QCheck.Gen.(
     map2 (fun ts h -> cap ts h) (int_range 0 255)
-      (map (fun i -> Int64.of_int (i land 0xFFFFFFFFFFFFF)) int))
+      (map (fun i -> i land 0xFFFFFFFFFFFFF) int))
 
 let gen_shim =
   QCheck.Gen.(
@@ -288,7 +288,7 @@ let packet_size_grows_with_precaps () =
   (match p.Wire.Packet.shim with
   | Some shim ->
       shim.Wire.Cap_shim.kind <-
-        Wire.Cap_shim.Request { rev_path_ids = [ 7 ]; rev_precaps = [ cap 1 2L ] }
+        Wire.Cap_shim.Request { rev_path_ids = [ 7 ]; rev_precaps = [ cap 1 2 ] }
   | None -> assert false);
   Alcotest.(check int) "10 more bytes (16-bit tag + 64-bit precap)" (before + 10) (Wire.Packet.size p)
 
