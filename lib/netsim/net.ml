@@ -32,14 +32,13 @@ and node = {
          per-node Hashtbl: route lookup is one shared address resolution
          plus an array load, with no per-node hashing on the forwarding
          path. *)
-  (* The route memo: the last address [route_for] resolved at this node
-     ([-1] for none) and that address's slot.  A hit skips the address
-     table: 92% of lookups on fig8_legacy, 96% on request_flood and
-     scale_100k.  An address keeps its slot for good, so changed routes
-     need no clearing, and both fields are ints, so a miss stores through
-     no write barrier. *)
+  (* The route memo: the last destination [route_for] resolved at this
+     node ([-1] for none) and its route.  A hit skips the address table:
+     92% of lookups on fig8_legacy, 96% on request_flood and scale_100k,
+     so the miss's store through the write barrier is rare.
+     [compute_routes] clears it. *)
   mutable memo_dst : int;
-  mutable memo_slot : int;
+  mutable memo_route : link option;
 }
 
 and handler = node -> in_link:link option -> Wire.Packet.t -> unit
@@ -145,7 +144,7 @@ let add_node ?addr ~name t handler =
       in_links = [];
       routes = [||];
       memo_dst = -1;
-      memo_slot = -1;
+      memo_route = None;
     }
   in
   t.next_node_id <- t.next_node_id + 1;
@@ -426,23 +425,22 @@ let forward_on node link p =
   assert (link.src == node);
   if charge_hop node p then enqueue_on link p
 
-(* A slot is never negative: only addressed nodes have one. *)
-let[@inline] route_at node slot =
-  if slot < Array.length node.routes then Array.unsafe_get node.routes slot else None
-
 (* [find], not [find_opt]: a hit returns the node without a [Some] box,
-   so a lookup allocates nothing.  The slot found becomes the node's
-   memo; an unknown address leaves it as it was. *)
+   so a lookup allocates nothing.  The answer becomes the node's memo. *)
 let route_miss node (addr : Wire.Addr.t) =
-  match Wire.Addr.Tbl.find node.net.by_addr addr with
-  | dst ->
-      node.memo_dst <- (addr :> int);
-      node.memo_slot <- dst.slot;
-      route_at node dst.slot
-  | exception Not_found -> None
+  let route =
+    match Wire.Addr.Tbl.find node.net.by_addr addr with
+    | dst when dst.slot < Array.length node.routes ->
+        Array.unsafe_get node.routes dst.slot (* slot >= 0: addressed node *)
+    | _ -> None
+    | exception Not_found -> None
+  in
+  node.memo_dst <- (addr :> int);
+  node.memo_route <- route;
+  route
 
 let[@inline] route_for node (addr : Wire.Addr.t) =
-  if (addr :> int) = node.memo_dst then route_at node node.memo_slot else route_miss node addr
+  if (addr :> int) = node.memo_dst then node.memo_route else route_miss node addr
 
 let forward node p =
   if charge_hop node p then begin
@@ -468,6 +466,11 @@ let originate node p = forward node p
    written, and no reachable slot pays a write barrier. *)
 let compute_routes t =
   let nodes = List.rev t.node_list in
+  List.iter
+    (fun node ->
+      node.memo_dst <- -1;
+      node.memo_route <- None)
+    nodes;
   let n = t.next_node_id in
   let n_slots = t.next_slot in
   let adj = Array.make n [||] in

@@ -15,8 +15,8 @@
     would give.  Likewise each transmit completes on the network's lane
     for its serialization time, [size * 8 / bandwidth] (one lane per
     distinct time).  Lanes are made on first use, so building a topology
-    makes none.  Each node remembers the slot of the last destination
-    {!route_for} resolved.  Events fire in exactly the order one event per packet
+    makes none.  Each node remembers the last destination {!route_for}
+    resolved.  Events fire in exactly the order one event per packet
     would give.  A [Fault_delay] or [Fault_dup] packet gets its own
     event.  With no trace hook set, no {!event} value is built
     (DESIGN.md §9.1). *)
@@ -107,7 +107,8 @@ val compute_routes : t -> unit
     ties by link creation order) towards every addressed node.  Call after
     the topology is complete; may be called again after changes.  Only
     nodes without exactly one out-link are searched; a single-homed node
-    copies its neighbour's table, which gives the same routes. *)
+    copies its neighbour's table, which gives the same routes.  Clears
+    every node's {!route_for} memo. *)
 
 (** {1 Moving packets} *)
 
@@ -124,8 +125,8 @@ val forward_on : node -> link -> Wire.Packet.t -> unit
 val route_for : node -> Wire.Addr.t -> link option
 (** The node's current next hop towards an address, if any.  Allocates
     nothing: every route through a link shares one [Some link].  The
-    node remembers the last address asked and its slot in the route
-    table, so a repeat skips the address table. *)
+    node remembers the last address asked and its answer, so a repeat
+    skips the address table. *)
 
 val min_poll_delay : float
 (** The minimum self-poll backoff (in virtual seconds) a link transmitter

@@ -82,10 +82,10 @@ let shortest_path_chosen () =
   | Some link -> Alcotest.(check int) "direct link" (Net.link_id direct) (Net.link_id link)
   | None -> Alcotest.fail "no route"
 
-(* A node remembers the last destination it routed to; the memo must
-   not outlive [compute_routes].  [a] first reaches [b] through [r]; once
-   a direct link is added and routes are recomputed, the next packet to
-   [b] takes it. *)
+(* A node remembers the last destination it routed to; [compute_routes]
+   must make it forget.  [a] first reaches [b] through [r]; once a direct
+   link is added and routes are recomputed, the next packet to [b] takes
+   it. *)
 let route_memo_follows_recompute () =
   let sim, net = mk_net () in
   let a = Net.add_node ~addr:a_addr ~name:"a" net (fun _ ~in_link:_ _ -> ()) in
